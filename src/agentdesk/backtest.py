@@ -32,6 +32,7 @@ from .agents import (
     run_report_agent,
     run_style_agent,
 )
+from . import datasynth
 from .config import BacktestConfig, config_to_dict
 from .datasynth import (
     AccountSnapshot,
@@ -41,6 +42,7 @@ from .datasynth import (
     prompt_digest,
 )
 from .errors import DataError
+from .jsonl import read_jsonl, write_json, write_jsonl
 from .marketdata import IndicatorSnapshot, PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
@@ -391,81 +393,35 @@ def _persist(
     (out_dir / CONFIG_FILE).write_text(
         yaml.safe_dump(config_to_dict(cfg), sort_keys=False), encoding="utf-8"
     )
-    (out_dir / META_FILE).write_text(
-        json.dumps({
-            "seed": cfg.seed,
-            "conventions": {
-                "returns": "simple",
-                "annualization_days": 252,
-                "risk_free_rate": 0.0,
-                "stddev": "population",
-            },
-        }, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    with (out_dir / EQUITY_FILE).open("w", encoding="utf-8") as fh:
-        for day, equity in equity_curve:
-            fh.write(json.dumps({"date": str(day), "equity": equity}) + "\n")
-    with (out_dir / TRADES_FILE).open("w", encoding="utf-8") as fh:
-        for t in trades:
-            fh.write(json.dumps({
-                "date": str(t.date), "kind": t.kind, "style": t.style,
-                "origin": t.origin, "fill_price": t.fill_price,
-                "quantity": t.quantity, "commission": t.commission,
-                "post_equity": t.post_equity, "note": t.note,
-            }) + "\n")
-
-    trajectories = out_dir / TRAJECTORIES_FILE
-    trajectories.unlink(missing_ok=True)
-    from .datasynth import emit_trajectories
-    emit_trajectories(records, trajectories)
-
-    (out_dir / METRICS_FILE).write_text(
-        json.dumps(_metrics_dict(metrics), indent=2) + "\n", encoding="utf-8"
-    )
+    write_json(out_dir / META_FILE, {
+        "seed": cfg.seed,
+        "conventions": {
+            "returns": "simple",
+            "annualization_days": 252,
+            "risk_free_rate": 0.0,
+            "stddev": "population",
+        },
+    })
+    write_jsonl(out_dir / EQUITY_FILE, (
+        {"date": day, "equity": equity} for day, equity in equity_curve
+    ))
+    write_jsonl(out_dir / TRADES_FILE, trades)
+    # Looked up on the module at call time, so a wrapper installed there
+    # (as perfbench's traced run does) sees the call.
+    datasynth.emit_trajectories(records, out_dir / TRAJECTORIES_FILE)
+    write_json(out_dir / METRICS_FILE, metrics)
     return out_dir
 
 
-def _metrics_dict(metrics: MetricsReport) -> dict:
-    return {
-        "cr_pct": metrics.cr_pct,
-        "sharpe": metrics.sharpe,
-        "mdd_pct": metrics.mdd_pct,
-        "av_pct": metrics.av_pct,
-        "n_trades": metrics.n_trades,
-        "degenerate_sharpe": metrics.degenerate_sharpe,
-    }
-
-
 def load_equity_curve(run_dir: str | Path) -> list[tuple[Date, float]]:
-    path = Path(run_dir) / EQUITY_FILE
-    if not path.exists():
-        raise DataError(f"equity curve not found: {path}")
-    curve = []
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            curve.append((Date.fromisoformat(obj["date"]), float(obj["equity"])))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"bad equity record at line {lineno}: {exc}") from exc
-    return curve
+    return read_jsonl(
+        Path(run_dir) / EQUITY_FILE, "equity",
+        lambda obj: (Date.fromisoformat(obj["date"]), float(obj["equity"])),
+    )
 
 
 def load_trades(run_dir: str | Path) -> list[dict]:
-    path = Path(run_dir) / TRADES_FILE
-    if not path.exists():
-        raise DataError(f"trade log not found: {path}")
-    trades = []
-    for lineno, line in enumerate(path.read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            trades.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise DataError(f"bad trade record at line {lineno}: {exc}") from exc
-    return trades
+    return read_jsonl(Path(run_dir) / TRADES_FILE, "trade", dict)
 
 
 def load_metrics(run_dir: str | Path) -> dict:
@@ -489,7 +445,7 @@ def replay(run_dir: str | Path) -> MetricsReport:
     n_trades = sum(1 for t in trades if float(t.get("quantity", 0)) > 0)
     recomputed = compute_metrics([v for _, v in curve], n_trades)
     stored = load_metrics(run_dir)
-    for field_name, value in _metrics_dict(recomputed).items():
+    for field_name, value in vars(recomputed).items():
         if field_name not in stored:
             raise DataError(f"metrics mismatch: stored report is missing {field_name!r}")
         if stored[field_name] != value:

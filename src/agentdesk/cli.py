@@ -10,15 +10,23 @@ from pathlib import Path
 
 import click
 
-from .backtest import load_metrics, replay as replay_run, run_backtest
+from .backtest import TRAJECTORIES_FILE, load_metrics, replay as replay_run, run_backtest
 from .config import load_config
 from .datasynth import emit_sft, filter_sft, load_trajectories
 from .errors import DataError, ProviderError
+from .portfolio import MetricsReport
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_PROVIDER = 3
+
+
+def _summary(m: MetricsReport) -> str:
+    return (
+        f"CR {m.cr_pct:.3f}%  SPR {m.sharpe:.3f}  MDD {m.mdd_pct:.3f}%  "
+        f"AV {m.av_pct:.3f}%  trades {m.n_trades}"
+    )
 
 
 @click.group()
@@ -41,12 +49,8 @@ def run_cmd(config_path: str, prices_path: str, news_path: str | None,
         news_path=news_path, reports_dir=reports_dir,
         base_dir=Path(config_path).parent,
     )
-    m = artifacts.metrics
     click.echo(f"run complete: {artifacts.run_dir}")
-    click.echo(
-        f"CR {m.cr_pct:.3f}%  SPR {m.sharpe:.3f}  MDD {m.mdd_pct:.3f}%  "
-        f"AV {m.av_pct:.3f}%  trades {m.n_trades}"
-    )
+    click.echo(_summary(artifacts.metrics))
 
 
 @cli.command("metrics")
@@ -67,7 +71,7 @@ def metrics_cmd(run_dir: str) -> None:
               help="Keep forecast samples with w_hit at or above this.")
 def export_sft_cmd(run_dir: str, out_path: str, min_reward: float, min_whit: float) -> None:
     """Filter labeled trajectories into fine-tuning samples."""
-    records = load_trajectories(Path(run_dir) / "trajectories.jsonl")
+    records = load_trajectories(Path(run_dir) / TRAJECTORIES_FILE)
     samples = filter_sft(records, whit_min=min_whit, reward_min=min_reward)
     emit_sft(samples, out_path)
     click.echo(f"wrote {len(samples)} samples to {out_path}")
@@ -77,11 +81,7 @@ def export_sft_cmd(run_dir: str, out_path: str, min_reward: float, min_whit: flo
 @click.option("--run", "run_dir", required=True, type=click.Path(), help="Run artifact directory.")
 def replay_cmd(run_dir: str) -> None:
     """Recompute metrics from stored artifacts and verify the stored report."""
-    report = replay_run(run_dir)
-    click.echo(
-        f"replay ok: CR {report.cr_pct:.3f}%  SPR {report.sharpe:.3f}  "
-        f"MDD {report.mdd_pct:.3f}%  AV {report.av_pct:.3f}%  trades {report.n_trades}"
-    )
+    click.echo(f"replay ok: {_summary(replay_run(run_dir))}")
 
 
 def main(argv: list[str] | None = None) -> int:

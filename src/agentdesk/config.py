@@ -3,8 +3,10 @@ sections, provider selection, and the four ablation flags."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date as Date, datetime
+from functools import partial
 from pathlib import Path
 from typing import Any, Mapping
 
@@ -60,92 +62,76 @@ class BacktestConfig:
             raise DataError("start date is after end date")
 
 
-def _as_date(value: Any, key: str) -> Date | None:
-    if value is None:
-        return None
+def _as_date(value: Any) -> Date | None:
     if isinstance(value, datetime):
         return value.date()
-    if isinstance(value, Date):
+    if value is None or isinstance(value, Date):
         return value
-    try:
-        return Date.fromisoformat(str(value))
-    except ValueError as exc:
-        raise DataError(f"bad date for {key!r}: {value!r}") from exc
+    return Date.fromisoformat(str(value))
 
 
-def _section(raw: Mapping, key: str) -> dict:
-    value = raw.get(key) or {}
-    if not isinstance(value, Mapping):
-        raise DataError(f"config section {key!r} must be a mapping")
-    return dict(value)
+def _as_float(value: Any) -> float:
+    number = float(value)
+    if not math.isfinite(number):
+        raise ValueError(f"{number} is not finite")
+    return number
 
 
-def _build(cls, raw: dict, section: str):
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise DataError(f"bad config in section {section!r}: {exc}") from exc
-    except ValueError as exc:
-        raise DataError(f"bad config value in section {section!r}: {exc}") from exc
-
-
-def _risk_config(raw: dict) -> RiskConfig:
-    table = raw.pop("multipliers", None)
+def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
+    """Read {style: {sl, tp}} or {style: [sl, tp]}; missing styles keep defaults."""
     if table is None:
-        multipliers = DEFAULT_MULTIPLIERS
-    else:
-        if not isinstance(table, Mapping):
-            raise DataError("risk.multipliers must map styles to {sl, tp}")
-        multipliers = {}
-        for style_name, pair in table.items():
-            try:
-                style = TradingStyle(str(style_name))
-            except ValueError as exc:
-                raise DataError(f"unknown style {style_name!r} in risk.multipliers") from exc
-            if isinstance(pair, Mapping):
-                m = StyleMultipliers(float(pair["sl"]), float(pair["tp"]))
-            else:
-                sl, tp = pair
-                m = StyleMultipliers(float(sl), float(tp))
-            multipliers[style] = m
-        for style in TradingStyle:
-            multipliers.setdefault(style, DEFAULT_MULTIPLIERS[style])
-    return _build(RiskConfig, {"multipliers": multipliers, **raw}, "risk")
+        return DEFAULT_MULTIPLIERS
+    if not isinstance(table, Mapping):
+        raise TypeError("risk.multipliers must map styles to {sl, tp}")
+    parsed = {}
+    for style, pair in table.items():
+        sl, tp = (pair["sl"], pair["tp"]) if isinstance(pair, Mapping) else pair
+        parsed[TradingStyle(str(style))] = StyleMultipliers(float(sl), float(tp))
+    return {**DEFAULT_MULTIPLIERS, **parsed}
 
 
-_TOP_LEVEL_KEYS = {
-    "symbol", "start", "end", "initial_cash", "commission_rate", "seed",
-    "provider", "embedding_provider", "reranker_provider",
-    "provider_endpoint", "provider_model", "credentials_env", "keywords_path",
-    "flags", "gate", "risk", "retrieval", "band", "reward",
+def _as_section(cls, value: Any):
+    value = value or {}
+    if not isinstance(value, Mapping):
+        raise TypeError("a config section must be a mapping")
+    raw = dict(value)
+    if cls is RiskConfig and "multipliers" in raw:
+        raw["multipliers"] = _as_multipliers(raw["multipliers"])
+    return cls(**raw)
+
+
+# Readers of top-level scalars, keyed by annotation text (annotations are
+# strings in this module); a field of another type fails at import.
+# Section values are not coerced: they reach the section class as given.
+_SCALARS = {
+    "str": str,
+    "float": _as_float,
+    "int": int,
+    "str | None": lambda value: value,
+    "Date | None": _as_date,
+}
+
+
+_READERS = {
+    f.name: partial(_as_section, f.default_factory)
+    if is_dataclass(f.default_factory) else _SCALARS[f.type]
+    for f in fields(BacktestConfig)
 }
 
 
 def config_from_dict(raw: Mapping) -> BacktestConfig:
-    unknown = set(raw) - _TOP_LEVEL_KEYS
+    unknown = set(raw) - set(_READERS)
     if unknown:
         raise DataError(f"unknown config keys: {sorted(unknown)}")
-    return BacktestConfig(
-        symbol=str(raw.get("symbol", "")),
-        start=_as_date(raw.get("start"), "start"),
-        end=_as_date(raw.get("end"), "end"),
-        initial_cash=float(raw.get("initial_cash", 100_000.0)),
-        commission_rate=float(raw.get("commission_rate", 0.001)),
-        seed=int(raw.get("seed", 0)),
-        provider=str(raw.get("provider", "stub:sideways")),
-        embedding_provider=str(raw.get("embedding_provider", "stub")),
-        reranker_provider=str(raw.get("reranker_provider", "stub")),
-        provider_endpoint=raw.get("provider_endpoint"),
-        provider_model=raw.get("provider_model"),
-        credentials_env=raw.get("credentials_env"),
-        keywords_path=raw.get("keywords_path"),
-        flags=_build(FeatureFlags, _section(raw, "flags"), "flags"),
-        gate=_build(GateConfig, _section(raw, "gate"), "gate"),
-        risk=_risk_config(_section(raw, "risk")),
-        retrieval=_build(RetrievalConfig, _section(raw, "retrieval"), "retrieval"),
-        band=_build(BandConfig, _section(raw, "band"), "band"),
-        reward=_build(RewardConfig, _section(raw, "reward"), "reward"),
-    )
+    values = {}
+    for key, value in raw.items():
+        try:
+            values[key] = _READERS[key](value)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise DataError(f"bad config value for {key!r}: {exc}") from exc
+    if "symbol" not in values:
+        raise DataError("config requires a symbol")
+    return BacktestConfig(**values)
 
 
 def load_config(path: str | Path) -> BacktestConfig:
@@ -161,52 +147,20 @@ def load_config(path: str | Path) -> BacktestConfig:
     return config_from_dict(raw)
 
 
+def _stored(value: Any) -> Any:
+    if is_dataclass(value):
+        section = {f.name: getattr(value, f.name) for f in fields(value)}
+        if isinstance(value, RiskConfig):
+            section["multipliers"] = {
+                style.value: {"sl": m.m_sl, "tp": m.m_tp}
+                for style, m in sorted(value.multipliers.items(), key=lambda kv: kv[0].value)
+            }
+        return section
+    if isinstance(value, Date):
+        return value.isoformat()
+    return value
+
+
 def config_to_dict(cfg: BacktestConfig) -> dict:
     """Canonical nested-dict form, stable across runs for artifact copies."""
-    return {
-        "symbol": cfg.symbol,
-        "start": None if cfg.start is None else str(cfg.start),
-        "end": None if cfg.end is None else str(cfg.end),
-        "initial_cash": cfg.initial_cash,
-        "commission_rate": cfg.commission_rate,
-        "seed": cfg.seed,
-        "provider": cfg.provider,
-        "embedding_provider": cfg.embedding_provider,
-        "reranker_provider": cfg.reranker_provider,
-        "provider_endpoint": cfg.provider_endpoint,
-        "provider_model": cfg.provider_model,
-        "credentials_env": cfg.credentials_env,
-        "keywords_path": cfg.keywords_path,
-        "flags": {
-            "risk_management": cfg.flags.risk_management,
-            "self_reflection": cfg.flags.self_reflection,
-            "rerank_embedding": cfg.flags.rerank_embedding,
-            "style_and_state": cfg.flags.style_and_state,
-        },
-        "gate": {
-            "rsi_overheat": cfg.gate.rsi_overheat,
-            "up_prob_threshold": cfg.gate.up_prob_threshold,
-            "down_prob_threshold": cfg.gate.down_prob_threshold,
-            "atr_breakout_coeff": cfg.gate.atr_breakout_coeff,
-            "breakout_floor_pct": cfg.gate.breakout_floor_pct,
-        },
-        "risk": {
-            "multipliers": {
-                style.value: {"sl": m.m_sl, "tp": m.m_tp}
-                for style, m in sorted(cfg.risk.multipliers.items(), key=lambda kv: kv[0].value)
-            },
-            "floor": cfg.risk.floor,
-        },
-        "retrieval": {
-            "w_dense": cfg.retrieval.w_dense,
-            "w_sparse": cfg.retrieval.w_sparse,
-            "hybrid_top_k": cfg.retrieval.hybrid_top_k,
-            "rerank_top_k": cfg.retrieval.rerank_top_k,
-            "dedup_cosine": cfg.retrieval.dedup_cosine,
-            "window_sentences": cfg.retrieval.window_sentences,
-            "stride_sentences": cfg.retrieval.stride_sentences,
-            "news_top_k": cfg.retrieval.news_top_k,
-        },
-        "band": {"alpha": cfg.band.alpha, "epsilon_min": cfg.band.epsilon_min},
-        "reward": {"beta": cfg.reward.beta, "gamma": cfg.reward.gamma},
-    }
+    return {f.name: _stored(getattr(cfg, f.name)) for f in fields(cfg)}

@@ -11,15 +11,14 @@ net of commission drag.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
 from typing import Sequence
 
-from .errors import DataError
 from .gate import TrendLabel
+from .jsonl import read_jsonl, write_jsonl
 from .marketdata import PriceSeries, trailing_log_returns
 from .portfolio import ACTION_KINDS, AccountState, TradeAction, apply_action
 from .risk import TradingStyle
@@ -314,41 +313,12 @@ def prompt_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def record_to_dict(record: TrajectoryRecord) -> dict:
-    return {
-        "date": str(record.date),
-        "symbol": record.symbol,
-        "agent_name": record.agent_name,
-        "prompt_digest": record.prompt_digest,
-        "input_text": record.input_text,
-        "output_text": record.output_text,
-        "reasoning_trace": record.reasoning_trace,
-        "account_snapshot": {
-            "cash": record.account_snapshot.cash,
-            "shares": record.account_snapshot.shares,
-            "equity": record.account_snapshot.equity,
-            "style": record.account_snapshot.style,
-        },
-        "forecast_label": None if record.forecast_label is None else {
-            "epsilon": record.forecast_label.epsilon,
-            "pct": record.forecast_label.pct,
-            "sign_ok": record.forecast_label.sign_ok,
-            "p_true": record.forecast_label.p_true,
-            "w_hit": record.forecast_label.w_hit,
-        },
-        "decision_label": None if record.decision_label is None else {
-            "r_eq": record.decision_label.r_eq,
-            "r_bm": record.decision_label.r_bm,
-            "c": record.decision_label.c,
-            "reward": record.decision_label.reward,
-            "taken": record.decision_label.taken,
-            "taken_reward": record.decision_label.taken_reward,
-        },
-    }
-
-
 def record_from_dict(obj: dict) -> TrajectoryRecord:
-    snap = obj["account_snapshot"]
+    """Inverse of the JSON form of a record: nested objects become their
+    dataclasses and the date is parsed back from its ISO string.
+
+    The top level is spelled out because keyword calls decode faster than
+    unpacking a merged dict, and this runs once per exported record."""
     fl = obj.get("forecast_label")
     dl = obj.get("decision_label")
     return TrajectoryRecord(
@@ -359,44 +329,19 @@ def record_from_dict(obj: dict) -> TrajectoryRecord:
         input_text=obj["input_text"],
         output_text=obj["output_text"],
         reasoning_trace=obj["reasoning_trace"],
-        account_snapshot=AccountSnapshot(
-            cash=snap["cash"], shares=snap["shares"],
-            equity=snap["equity"], style=snap["style"],
-        ),
-        forecast_label=None if fl is None else ForecastLabel(
-            epsilon=fl["epsilon"], pct=fl["pct"], sign_ok=fl["sign_ok"],
-            p_true=fl["p_true"], w_hit=fl["w_hit"],
-        ),
-        decision_label=None if dl is None else DecisionLabel(
-            r_eq=dict(dl["r_eq"]), r_bm=dl["r_bm"], c=dict(dl["c"]),
-            reward=dict(dl["reward"]), taken=dl["taken"],
-            taken_reward=dl["taken_reward"],
-        ),
+        account_snapshot=AccountSnapshot(**obj["account_snapshot"]),
+        forecast_label=None if fl is None else ForecastLabel(**fl),
+        decision_label=None if dl is None else DecisionLabel(**dl),
     )
 
 
 def emit_trajectories(records: Sequence[TrajectoryRecord], path: str | Path) -> Path:
-    """Write records as JSONL with a stable field order; appends within a run."""
-    p = Path(path)
-    with p.open("a", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record)) + "\n")
-    return p
+    """Write records as JSONL in field-declaration order."""
+    return write_jsonl(path, records)
 
 
 def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"trajectory file not found: {p}")
-    records = []
-    for lineno, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(record_from_dict(json.loads(line)))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"bad trajectory record at line {lineno}: {exc}") from exc
-    return records
+    return read_jsonl(path, "trajectory", record_from_dict)
 
 
 DEFAULT_WHIT_MIN = 0.3
@@ -412,21 +357,20 @@ def filter_sft(
     samples: list[SftSample] = []
     for record in records:
         if record.agent_name == "decision" and record.decision_label is not None:
-            if record.decision_label.taken_reward > reward_min:
-                samples.append(SftSample(
-                    instruction=record.input_text,
-                    response=_response_text(record),
-                    score=record.decision_label.taken_reward,
-                    source="decision",
-                ))
+            score = record.decision_label.taken_reward
+            keep = score > reward_min
         elif record.agent_name == "forecast" and record.forecast_label is not None:
-            if record.forecast_label.w_hit >= whit_min:
-                samples.append(SftSample(
-                    instruction=record.input_text,
-                    response=_response_text(record),
-                    score=record.forecast_label.w_hit,
-                    source="forecast",
-                ))
+            score = record.forecast_label.w_hit
+            keep = score >= whit_min
+        else:
+            continue
+        if keep:
+            samples.append(SftSample(
+                instruction=record.input_text,
+                response=_response_text(record),
+                score=score,
+                source=record.agent_name,
+            ))
     return samples
 
 
@@ -437,13 +381,4 @@ def _response_text(record: TrajectoryRecord) -> str:
 
 
 def emit_sft(samples: Sequence[SftSample], path: str | Path) -> Path:
-    p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
-        for s in samples:
-            fh.write(json.dumps({
-                "instruction": s.instruction,
-                "response": s.response,
-                "score": s.score,
-                "source": s.source,
-            }) + "\n")
-    return p
+    return write_jsonl(path, samples)

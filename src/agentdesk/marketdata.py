@@ -48,6 +48,8 @@ class PriceSeries:
             raise DataError("price series is empty")
         prev: Date | None = None
         for bar in self.bars:
+            if not math.isfinite(bar.close):
+                raise DataError(f"non-finite price on {bar.date}")
             if bar.close <= 0:
                 raise DataError(f"non-positive price on {bar.date}")
             if prev is not None:
@@ -123,7 +125,7 @@ def trailing_log_returns(series: PriceSeries, at: Date, count: int) -> list[floa
     return [math.log(b / a) for a, b in zip(window, window[1:])]
 
 
-def _population_std(xs: Iterable[float]) -> float:
+def population_std(xs: Iterable[float]) -> float:
     vals = list(xs)
     n = len(vals)
     mean = math.fsum(vals) / n
@@ -200,15 +202,12 @@ def extreme_flag20(series: PriceSeries, at: Date, side: str) -> bool:
 def hv10_pct(series: PriceSeries, at: Date) -> float:
     """Annualized percent volatility of the last 10 daily log returns."""
     returns = trailing_log_returns(series, at, HV_WINDOW)
-    return 100.0 * _population_std(returns) * SQRT_ANNUAL
+    return 100.0 * population_std(returns) * SQRT_ANNUAL
 
 
 def atr20s_pct(series: PriceSeries, at: Date) -> float:
     """Unannualized percent stddev of the last 20 daily log returns."""
-    returns = trailing_log_returns(series, at, ATR_WINDOW)
-    mean = math.fsum(returns) / ATR_WINDOW
-    var = math.fsum((r - mean) ** 2 for r in returns) / ATR_WINDOW
-    return 100.0 * math.sqrt(var)
+    return 100.0 * population_std(trailing_log_returns(series, at, ATR_WINDOW))
 
 
 def mean_log_return20(series: PriceSeries, at: Date) -> float:

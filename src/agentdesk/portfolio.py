@@ -15,7 +15,7 @@ from datetime import date as Date
 from typing import Sequence
 
 from .errors import DataError
-from .marketdata import SQRT_ANNUAL
+from .marketdata import SQRT_ANNUAL, population_std
 from .risk import TradingStyle
 
 ORIGIN_AGENT = "agent"
@@ -208,7 +208,7 @@ def sharpe_ratio(curve: Sequence[float]) -> tuple[float, bool]:
     _check_curve(curve, 3, "sharpe_ratio")
     rets = daily_returns(curve)
     mean = math.fsum(rets) / len(rets)
-    std = math.sqrt(math.fsum((r - mean) ** 2 for r in rets) / len(rets))
+    std = population_std(rets)
     if std == 0.0:
         return 0.0, True
     return mean / std * SQRT_ANNUAL, False
@@ -229,10 +229,7 @@ def max_drawdown(curve: Sequence[float]) -> float:
 def annualized_volatility(curve: Sequence[float]) -> float:
     """Annualized percent stddev of daily simple returns."""
     _check_curve(curve, 3, "annualized_volatility")
-    rets = daily_returns(curve)
-    mean = math.fsum(rets) / len(rets)
-    std = math.sqrt(math.fsum((r - mean) ** 2 for r in rets) / len(rets))
-    return 100.0 * std * SQRT_ANNUAL
+    return 100.0 * population_std(daily_returns(curve)) * SQRT_ANNUAL
 
 
 def compute_metrics(curve: Sequence[float], n_trades: int) -> MetricsReport:

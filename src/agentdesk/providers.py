@@ -95,13 +95,6 @@ class StubRerankerProvider:
         return 1.0 if any(t in low for t in self.triggers) else 0.0
 
 
-class FailingRerankerProvider:
-    """Always raises; used to exercise degraded retrieval paths."""
-
-    def relevance(self, query: str, passage: str) -> float:
-        raise ProviderError("reranker unavailable")
-
-
 # ---------------------------------------------------------------------------
 # Stub chat provider
 # ---------------------------------------------------------------------------
@@ -357,15 +350,8 @@ class HttpRerankerProvider:
 
 
 # ---------------------------------------------------------------------------
-# Bundle and factories
+# Factories
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ProviderBundle:
-    chat: ChatProvider
-    embedding: object
-    reranker: object
-
 
 def make_chat_provider(
     spec: str,

@@ -19,6 +19,7 @@ from typing import Mapping, Protocol, Sequence
 import yaml
 
 from .errors import DataError
+from .jsonl import read_jsonl
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -326,23 +327,11 @@ class Filing:
 
 def load_news_jsonl(path: str | Path) -> list[NewsItem]:
     """Line-delimited {date, title, body} records."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"news file not found: {p}")
-    items: list[NewsItem] = []
-    for lineno, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            items.append(NewsItem(
-                date=Date.fromisoformat(obj["date"]),
-                title=str(obj["title"]),
-                body=str(obj.get("body", "")),
-            ))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise DataError(f"bad news record at {p.name}:{lineno}: {exc}") from exc
-    return items
+    return read_jsonl(path, "news", lambda obj: NewsItem(
+        date=Date.fromisoformat(obj["date"]),
+        title=str(obj["title"]),
+        body=str(obj.get("body", "")),
+    ))
 
 
 def load_report_manifest(reports_dir: str | Path) -> list[Filing]:

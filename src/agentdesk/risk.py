@@ -10,7 +10,7 @@ from enum import Enum
 from types import MappingProxyType
 from typing import Mapping
 
-from .marketdata import PriceSeries, _population_std, trailing_log_returns
+from .marketdata import PriceSeries, population_std, trailing_log_returns
 
 SIGMA_WINDOW = 10
 
@@ -78,7 +78,7 @@ class RiskVerdict:
 
 def sigma_d10(series: PriceSeries, at: Date) -> float:
     """Unannualized population stddev of the last 10 daily log returns."""
-    return _population_std(trailing_log_returns(series, at, SIGMA_WINDOW))
+    return population_std(trailing_log_returns(series, at, SIGMA_WINDOW))
 
 
 def compute_thresholds(

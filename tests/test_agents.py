@@ -27,7 +27,6 @@ from agentdesk.gate import GateConfig, PATH_HARD_INTERCEPT
 from agentdesk.marketdata import IndicatorSnapshot
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
-    FailingRerankerProvider,
     StubChatProvider,
     StubEmbeddingProvider,
     StubRerankerProvider,
@@ -42,6 +41,11 @@ PARAMS = ChatCallParams()
 class FailingChatProvider:
     def complete(self, messages, *, temperature=0.0, seed=0, max_length=1024):
         raise ProviderError("chat endpoint down")
+
+
+class FailingRerankerProvider:
+    def relevance(self, query, passage):
+        raise ProviderError("reranker unavailable")
 
 
 def scripted_stub(script: dict, base=("sideways",)) -> StubChatProvider:

@@ -117,6 +117,24 @@ class TestDeterminism:
             assert (env.out("a") / name).read_bytes() == (env.out("b") / name).read_bytes(), name
 
 
+class TestArtifactFormat:
+    def test_stable_field_order(self, tmp_path):
+        env = build_env(tmp_path, rising_closes(45))
+        run_env(env)
+        run_dir = env.out("run")
+        trade = json.loads((run_dir / "trades.jsonl").read_text().splitlines()[0])
+        assert list(trade) == [
+            "date", "kind", "style", "origin", "fill_price", "quantity",
+            "commission", "post_equity", "note",
+        ]
+        point = json.loads((run_dir / EQUITY_FILE).read_text().splitlines()[0])
+        assert list(point) == ["date", "equity"]
+        metrics = json.loads((run_dir / METRICS_FILE).read_text())
+        assert list(metrics) == [
+            "cr_pct", "sharpe", "mdd_pct", "av_pct", "n_trades", "degenerate_sharpe",
+        ]
+
+
 class TestRecordsShape:
     def test_five_records_per_day_and_final_day_unlabeled(self, tmp_path):
         env = build_env(tmp_path, rising_closes(45), config={"flags": {"risk_management": False}})

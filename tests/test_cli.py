@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from agentdesk.cli import main
 from agentdesk.datasynth import load_trajectories
 
@@ -53,6 +55,23 @@ class TestRunCommand:
         env = build_env(tmp_path, rising_closes(45))
         env.config_path.write_text("symbol: TEST\nunknown_key: 1\n")
         assert main(run_args(env)) == 2
+
+    @pytest.mark.parametrize("body", [
+        "initial_cash: abc",
+        "initial_cash: .nan",
+        "commission_rate: .inf",
+        "seed: null",
+        "risk: {multipliers: {balanced: {tp: 2.0}}}",
+        "risk: {multipliers: {balanced: [abc, 2.0]}}",
+        "risk: {multipliers: {balanced: [1.0]}}",
+        "risk: {multipliers: {balanced: [3.0, 2.0]}}",
+        "risk: {multipliers: {balanced: 5}}",
+    ])
+    def test_bad_config_value_exits_two(self, tmp_path, capsys, body):
+        env = build_env(tmp_path, rising_closes(45))
+        env.config_path.write_text(f"symbol: TEST\n{body}\n")
+        assert main(run_args(env)) == 2
+        assert "data error" in capsys.readouterr().err
 
     def test_provider_error_exits_three(self, tmp_path, capsys):
         news = [{"date": "2022-02-02", "title": "Any", "body": "x"}]

@@ -93,6 +93,13 @@ class TestLoadPriceCsv:
         with pytest.raises(DataError, match="non-positive price"):
             load_price_csv(p)
 
+    @pytest.mark.parametrize("close", ["nan", "inf", "-inf"])
+    def test_non_finite_close(self, tmp_path, close):
+        p = tmp_path / "p.csv"
+        p.write_text(f"date,close\n2022-01-03,100.0\n2022-01-04,{close}\n")
+        with pytest.raises(DataError, match="non-finite price on 2022-01-04"):
+            load_price_csv(p)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_price_csv(tmp_path / "absent.csv")
