@@ -176,6 +176,31 @@ def _structured_call(
         raise ParseError(f"provider output unusable after repair retry: {exc}") from exc
 
 
+_Fallback = tuple[object, dict, tuple[str, ...]]  # (value, output payload, flags)
+
+
+def _call_or_fallback(
+    provider: ChatProvider, system: str, user: str, validate, params: ChatCallParams,
+    unusable: _Fallback, unavailable: _Fallback,
+) -> tuple[object, AgentExchange, tuple[str, ...]]:
+    """`_structured_call` that cannot fail: returns (value, exchange, flags).
+
+    Falls back to `unusable` when the output is still malformed after the
+    repair retry and to `unavailable` on a provider error. A validated
+    reply is flagged ("repaired",) when it needed the retry.
+    """
+    try:
+        value, result, retried = _structured_call(provider, system, user, validate, params)
+    except ParseError:
+        value, payload, flags = unusable
+    except ProviderError:
+        value, payload, flags = unavailable
+    else:
+        exchange = AgentExchange(user, result.content, result.reasoning_trace)
+        return value, exchange, ("repaired",) if retried else ()
+    return value, AgentExchange(user, json.dumps(payload)), flags
+
+
 def format_snapshot(snap: IndicatorSnapshot) -> str:
     return "\n".join([
         f"rsi14: {snap.rsi14:.4f}",
@@ -452,28 +477,17 @@ def run_forecast_agent(
         finance=_finance_block(finance),
         reflection=_reflection_block(reflection),
     )
-    flags: tuple[str, ...] = ()
-    try:
-        (probs, confidence, rationale), result, retried = _structured_call(
-            chat, system, user, _validate_forecast, params
-        )
-        if retried:
-            flags = ("repaired",)
-        output_text, trace = result.content, result.reasoning_trace
-    except ParseError:
-        probs = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
-        confidence, rationale = 0.0, "fallback: provider output unusable"
-        flags = ("fallback_uniform",)
-        output_text, trace = json.dumps({"up": probs.up, "down": probs.down, "sideways": probs.sideways}), ""
-    except ProviderError:
-        probs = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
-        confidence, rationale = 0.0, "fallback: provider unavailable"
-        flags = ("fallback_uniform", "provider_failed")
-        output_text, trace = json.dumps({"up": probs.up, "down": probs.down, "sideways": probs.sideways}), ""
-
+    uniform = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
+    payload = {"up": uniform.up, "down": uniform.down, "sideways": uniform.sideways}
+    (probs, confidence, rationale), exchange, flags = _call_or_fallback(
+        chat, system, user, _validate_forecast, params,
+        unusable=((uniform, 0.0, "fallback: provider output unusable"), payload,
+                  ("fallback_uniform",)),
+        unavailable=((uniform, 0.0, "fallback: provider unavailable"), payload,
+                     ("fallback_uniform", "provider_failed")),
+    )
     gated = classify_trend(probs, snapshot, gate_cfg)
-    forecast = Forecast(probs, gated, confidence, rationale, flags)
-    return forecast, AgentExchange(user, output_text, trace)
+    return Forecast(probs, gated, confidence, rationale, flags), exchange
 
 
 # ---------------------------------------------------------------------------
@@ -522,27 +536,15 @@ def run_style_agent(
         upstream=upstream or "none available",
         reflection=_reflection_block(reflection),
     )
-    try:
-        (style, confidence, rationale), result, retried = _structured_call(
-            chat, system, user, _validate_style, params
-        )
-        flags = ("repaired",) if retried else ()
-        pref = StylePreference(style, confidence, rationale, flags)
-        return pref, AgentExchange(user, result.content, result.reasoning_trace)
-    except ParseError:
-        pref = StylePreference(
-            TradingStyle.BALANCED, 0.5, "fallback: provider output unusable",
-            flags=("fallback_balanced",),
-        )
-        return pref, AgentExchange(user, json.dumps({"style": "balanced", "confidence": 0.5}), "")
-    except ProviderError:
-        pref = StylePreference(
-            prev_style, 0.5, "fallback: provider unavailable, previous style retained",
-            flags=("provider_failed", "style_retained"),
-        )
-        return pref, AgentExchange(
-            user, json.dumps({"style": prev_style.value, "confidence": 0.5}), ""
-        )
+    (style, confidence, rationale), exchange, flags = _call_or_fallback(
+        chat, system, user, _validate_style, params,
+        unusable=((TradingStyle.BALANCED, 0.5, "fallback: provider output unusable"),
+                  {"style": "balanced", "confidence": 0.5}, ("fallback_balanced",)),
+        unavailable=((prev_style, 0.5, "fallback: provider unavailable, previous style retained"),
+                     {"style": prev_style.value, "confidence": 0.5},
+                     ("provider_failed", "style_retained")),
+    )
+    return StylePreference(style, confidence, rationale, flags), exchange
 
 
 # ---------------------------------------------------------------------------
@@ -592,21 +594,14 @@ def run_decision_agent(
         style=f"{style.style.value} (confidence {style.confidence:.2f}): {style.rationale}",
         reflection=_reflection_block(reflection),
     )
-    try:
-        (action, rationale), result, retried = _structured_call(
-            chat, system, user, _validate_decision, params
-        )
-        flags = ("repaired",) if retried else ()
-        decision = Decision(action, rationale, flags)
-        return decision, AgentExchange(user, result.content, result.reasoning_trace)
-    except ParseError:
-        decision = Decision("hold", "fallback: provider output unusable", ("fallback_hold",))
-        return decision, AgentExchange(user, json.dumps({"action": "hold"}), "")
-    except ProviderError:
-        decision = Decision(
-            "hold", "fallback: provider unavailable", ("fallback_hold", "provider_failed")
-        )
-        return decision, AgentExchange(user, json.dumps({"action": "hold"}), "")
+    (action, rationale), exchange, flags = _call_or_fallback(
+        chat, system, user, _validate_decision, params,
+        unusable=(("hold", "fallback: provider output unusable"), {"action": "hold"},
+                  ("fallback_hold",)),
+        unavailable=(("hold", "fallback: provider unavailable"), {"action": "hold"},
+                     ("fallback_hold", "provider_failed")),
+    )
+    return Decision(action, rationale, flags), exchange
 
 
 # ---------------------------------------------------------------------------

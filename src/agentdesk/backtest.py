@@ -11,10 +11,10 @@ config plus stub providers reproduce every file byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import yaml
 
@@ -43,7 +43,7 @@ from .datasynth import (
 )
 from .errors import DataError
 from .jsonl import read_jsonl, write_json, write_jsonl
-from .marketdata import IndicatorSnapshot, PriceSeries, build_snapshot, load_price_csv
+from .marketdata import PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
     MetricsReport,
@@ -54,13 +54,21 @@ from .portfolio import (
     unrealized_pnl_pct,
 )
 from .providers import (
+    ChatProvider,
     make_chat_provider,
     make_embedding_provider,
     make_reranker_provider,
 )
-from .retrieval import Filing, NewsItem, load_keywords, load_news_jsonl, load_report_manifest
+from .retrieval import (
+    EmbeddingProvider,
+    Filing,
+    NewsItem,
+    RerankerProvider,
+    load_keywords,
+    load_news_jsonl,
+    load_report_manifest,
+)
 from .risk import (
-    RiskThresholds,
     RiskVerdict,
     TradingStyle,
     compute_thresholds,
@@ -77,23 +85,6 @@ TRAJECTORIES_FILE = "trajectories.jsonl"
 METRICS_FILE = "metrics.json"
 
 AGENT_ORDER = ("news", "report", "forecast", "style", "decision")
-
-
-@dataclass(frozen=True)
-class DayContext:
-    """Everything the agents may read on one day; nothing dated after it.
-
-    `style` starts as the style in effect entering the day and is replaced
-    by the day's chosen style once the style agent has run.
-    """
-
-    date: Date
-    snapshot: IndicatorSnapshot
-    news: tuple[NewsItem, ...]
-    visible_reports: tuple[Filing, ...]
-    account_before: AccountState
-    style: TradingStyle
-    thresholds: RiskThresholds
 
 
 @dataclass(frozen=True)
@@ -133,6 +124,41 @@ def _group_news(items: Sequence[NewsItem]) -> dict[Date, list[NewsItem]]:
     return grouped
 
 
+@dataclass
+class RunState:
+    """Everything one trading day leaves behind for the next.
+
+    `pending` is the last stepped day, which is labeled once the next
+    day's close is known; `account` is then its post-trade account.
+    """
+
+    account: AccountState
+    equity_curve: list[tuple[Date, float]]
+    style: TradingStyle = TradingStyle.BALANCED
+    trades: list[TradeRecord] = field(default_factory=list)
+    records: list[TrajectoryRecord] = field(default_factory=list)
+    forecast_cases: list[LabeledCase] = field(default_factory=list)
+    decision_cases: list[LabeledCase] = field(default_factory=list)
+    style_cases: list[LabeledCase] = field(default_factory=list)
+    style_outcomes: list[StyleOutcome] = field(default_factory=list)
+    pending: DayState | None = None
+
+
+@dataclass(frozen=True)
+class RunInputs:
+    """What every day reads and no day changes."""
+
+    cfg: BacktestConfig
+    series: PriceSeries
+    news_by_date: Mapping[Date, Sequence[NewsItem]]
+    filings: Sequence[Filing]
+    keywords: Mapping[str, float]
+    chat: ChatProvider
+    embedding: EmbeddingProvider
+    reranker: RerankerProvider
+    params: ChatCallParams
+
+
 def run_backtest(
     cfg: BacktestConfig,
     prices_path: str | Path,
@@ -147,247 +173,206 @@ def run_backtest(
     filings = load_report_manifest(reports_dir) if reports_dir else []
     keywords = load_keywords(cfg.keywords_path)
 
-    chat = make_chat_provider(
-        cfg.provider,
-        endpoint=cfg.provider_endpoint,
-        model=cfg.provider_model,
-        credentials_env=cfg.credentials_env,
-        base_dir=base_dir,
-    )
-    embedding = make_embedding_provider(
-        cfg.embedding_provider,
+    remote = dict(
         endpoint=cfg.provider_endpoint,
         model=cfg.provider_model,
         credentials_env=cfg.credentials_env,
     )
-    reranker = make_reranker_provider(
-        cfg.reranker_provider,
-        endpoint=cfg.provider_endpoint,
-        model=cfg.provider_model,
-        credentials_env=cfg.credentials_env,
+    chat = make_chat_provider(cfg.provider, **remote, base_dir=base_dir)
+    embedding = make_embedding_provider(cfg.embedding_provider, **remote)
+    reranker = make_reranker_provider(cfg.reranker_provider, **remote)
+    run = RunInputs(
+        cfg, series, news_by_date, filings, keywords, chat, embedding, reranker,
+        ChatCallParams(temperature=0.0, seed=cfg.seed),
     )
-    params = ChatCallParams(temperature=0.0, seed=cfg.seed)
-
-    account = AccountState.initial(cfg.initial_cash)
-    style = TradingStyle.BALANCED
-
-    records: list[TrajectoryRecord] = []
-    trades: list[TradeRecord] = []
-    forecast_cases: list[LabeledCase] = []
-    decision_cases: list[LabeledCase] = []
-    style_cases: list[LabeledCase] = []
-    style_outcomes: list[StyleOutcome] = []
-    pending: tuple[DayState, AccountState] | None = None
-
-    first_idx = series.dates.index(days[0])
-    equity_curve: list[tuple[Date, float]] = [
-        (series.dates[first_idx - 1], cfg.initial_cash)
-    ]
-
+    state = RunState(
+        account=AccountState.initial(cfg.initial_cash),
+        equity_curve=[(series.dates[series.dates.index(days[0]) - 1], cfg.initial_cash)],
+    )
     for day in days:
-        if pending is not None:
-            records.extend(_finish_day(
-                pending, series, day, cfg,
-                forecast_cases, decision_cases, style_cases, style_outcomes,
-            ))
-            pending = None
+        step(state, run, day)
+    if state.pending is not None:
+        state.records.extend(state.pending.records)  # last day: no next close, unlabeled
 
-        close = series.close_at(day)
-        ctx = DayContext(
-            date=day,
-            snapshot=build_snapshot(series, day),
-            news=tuple(news_by_date.get(day, [])),
-            visible_reports=tuple(
-                f for f in filings if f.symbol == cfg.symbol and f.period <= day
-            ),
-            account_before=account.marked(close),
-            style=style,
-            thresholds=compute_thresholds(style, series, day, cfg.risk),
-        )
-
-        verdict = RiskVerdict("none", 0.0)
-        if cfg.flags.risk_management and account.shares > 0:
-            verdict = evaluate_position(unrealized_pnl_pct(account, close), ctx.thresholds)
-
-        sentiment, news_ex = run_news_agent(
-            day, cfg.symbol, ctx.news, cfg.retrieval,
-            chat, embedding, reranker, keywords, params,
-            exact_dedupe=not cfg.flags.rerank_embedding,
-        )
-        finance, report_ex = run_report_agent(
-            day, cfg.symbol, ctx.visible_reports, cfg.retrieval, chat, embedding,
-            reranker, params, use_rerank=cfg.flags.rerank_embedding,
-        )
-
-        reflection_forecast = (
-            build_reflection(forecast_cases, REFLECTION_WINDOW, "forecasting")
-            if cfg.flags.self_reflection else None
-        )
-        forecast, forecast_ex = run_forecast_agent(
-            day, cfg.symbol, ctx.snapshot, sentiment, finance, reflection_forecast,
-            chat, cfg.gate, params,
-        )
-
-        if cfg.flags.style_and_state:
-            reflection_style = (
-                build_reflection(style_cases, REFLECTION_WINDOW, "style")
-                if cfg.flags.self_reflection else None
-            )
-            upstream = (
-                f"forecast: {forecast.gated.label} (p_up {forecast.probs.up:.3f}); "
-                f"news sentiment: {sentiment.score:+.3f}; "
-                f"finance: {finance.summary[:120]}"
-            )
-            style_pref, style_ex = run_style_agent(
-                day, cfg.symbol, ctx.account_before, ctx.style,
-                style_outcomes[-REFLECTION_WINDOW:], upstream, reflection_style,
-                chat, params,
-            )
-        else:
-            style_pref = StylePreference(
-                TradingStyle.BALANCED, 1.0, "style agent disabled", ("disabled",)
-            )
-            style_ex = AgentExchange(
-                input_text=f"DATE: {day}\nstyle agent disabled",
-                output_text=json.dumps({"style": "balanced", "confidence": 1.0}),
-            )
-        style = style_pref.style
-        ctx = replace(ctx, style=style)
-
-        reflection_decision = (
-            build_reflection(decision_cases, REFLECTION_WINDOW, "decision")
-            if cfg.flags.self_reflection else None
-        )
-        decision, decision_ex = run_decision_agent(
-            day, cfg.symbol, ctx.account_before, style_pref, ctx.thresholds,
-            sentiment, finance, forecast, reflection_decision, chat, params,
-            include_account=cfg.flags.style_and_state,
-        )
-
-        if verdict.action != "none":
-            executed = TradeAction("sell", style, origin=verdict.action)
-            override_note = (
-                f"risk override {verdict.action} at pnl {verdict.trigger_pnl:+.4f}; "
-                f"agent decided {decision.action}"
-            )
-        else:
-            executed = TradeAction(decision.action, style)
-            override_note = ""
-
-        account, trade = apply_action(
-            ctx.account_before, executed, close, cfg.commission_rate, day
-        )
-        if override_note:
-            merged = f"{trade.note}; {override_note}" if trade.note else override_note
-            trade = replace(trade, note=merged)
-        trades.append(trade)
-        equity_curve.append((day, trade.post_equity))
-
-        snapshot_for_records = AccountSnapshot(
-            cash=ctx.account_before.cash,
-            shares=ctx.account_before.shares,
-            equity=ctx.account_before.equity,
-            style=style.value,
-        )
-        day_records = tuple(
-            TrajectoryRecord(
-                date=day,
-                symbol=cfg.symbol,
-                agent_name=name,
-                prompt_digest=prompt_digest(ex.input_text),
-                input_text=ex.input_text,
-                output_text=ex.output_text,
-                reasoning_trace=ex.reasoning_trace,
-                account_snapshot=snapshot_for_records,
-            )
-            for name, ex in zip(
-                AGENT_ORDER, (news_ex, report_ex, forecast_ex, style_ex, decision_ex)
-            )
-        )
-        pending = (
-            DayState(
-                date=day,
-                records=day_records,
-                gated=forecast.gated,
-                prob_of=forecast.probs.prob_of,
-                taken=decision.action,
-                account_before=ctx.account_before,
-                style=style,
-            ),
-            account,
-        )
-
-    if pending is not None:
-        records.extend(pending[0].records)  # last day: no next close, unlabeled
-
-    curve_values = [v for _, v in equity_curve]
-    n_trades = sum(1 for t in trades if t.quantity > 0)
+    curve_values = [v for _, v in state.equity_curve]
+    n_trades = sum(1 for t in state.trades if t.quantity > 0)
     metrics = compute_metrics(curve_values, n_trades)
 
-    run_dir = _persist(Path(out_dir), cfg, metrics, trades, equity_curve, records)
+    run_dir = _persist(Path(out_dir), cfg, metrics, state)
     return RunArtifacts(
         run_dir=run_dir,
         metrics=metrics,
-        trades=tuple(trades),
-        equity_curve=tuple(equity_curve),
-        records=tuple(records),
+        trades=tuple(state.trades),
+        equity_curve=tuple(state.equity_curve),
+        records=tuple(state.records),
     )
 
 
-def _finish_day(
-    pending: tuple[DayState, AccountState],
-    series: PriceSeries,
-    next_at: Date,
-    cfg: BacktestConfig,
-    forecast_cases: list[LabeledCase],
-    decision_cases: list[LabeledCase],
-    style_cases: list[LabeledCase],
-    style_outcomes: list[StyleOutcome],
-) -> tuple[TrajectoryRecord, ...]:
-    """Label the previous day now that `next_at`'s close is known."""
-    state, post_account = pending
+def step(state: RunState, run: RunInputs, day: Date) -> None:
+    """Run one trading day: label yesterday, snapshot, risk check, agents,
+    execute.
+
+    The layer functions are looked up on this module at call time, so a
+    wrapper installed there (as perfbench's traced run does) sees each call.
+    """
+    cfg, series = run.cfg, run.series
+    if state.pending is not None:
+        _label_pending(state, run, day)
+
+    close = series.close_at(day)
+    snapshot = build_snapshot(series, day)
+    account_before = state.account.marked(close)
+    thresholds = compute_thresholds(state.style, series, day, cfg.risk)
+
+    verdict = RiskVerdict("none", 0.0)
+    if cfg.flags.risk_management and state.account.shares > 0:
+        verdict = evaluate_position(unrealized_pnl_pct(state.account, close), thresholds)
+
+    sentiment, news_ex = run_news_agent(
+        day, cfg.symbol, run.news_by_date.get(day, ()), cfg.retrieval,
+        run.chat, run.embedding, run.reranker, run.keywords, run.params,
+        exact_dedupe=not cfg.flags.rerank_embedding,
+    )
+    finance, report_ex = run_report_agent(
+        day, cfg.symbol, run.filings, cfg.retrieval, run.chat, run.embedding,
+        run.reranker, run.params, use_rerank=cfg.flags.rerank_embedding,
+    )
+
+    reflection_forecast = (
+        build_reflection(state.forecast_cases, REFLECTION_WINDOW, "forecasting")
+        if cfg.flags.self_reflection else None
+    )
+    forecast, forecast_ex = run_forecast_agent(
+        day, cfg.symbol, snapshot, sentiment, finance, reflection_forecast,
+        run.chat, cfg.gate, run.params,
+    )
+
+    if cfg.flags.style_and_state:
+        reflection_style = (
+            build_reflection(state.style_cases, REFLECTION_WINDOW, "style")
+            if cfg.flags.self_reflection else None
+        )
+        upstream = (
+            f"forecast: {forecast.gated.label} (p_up {forecast.probs.up:.3f}); "
+            f"news sentiment: {sentiment.score:+.3f}; "
+            f"finance: {finance.summary[:120]}"
+        )
+        style_pref, style_ex = run_style_agent(
+            day, cfg.symbol, account_before, state.style,
+            state.style_outcomes[-REFLECTION_WINDOW:], upstream, reflection_style,
+            run.chat, run.params,
+        )
+    else:
+        style_pref = StylePreference(
+            TradingStyle.BALANCED, 1.0, "style agent disabled", ("disabled",)
+        )
+        style_ex = AgentExchange(
+            input_text=f"DATE: {day}\nstyle agent disabled",
+            output_text=json.dumps({"style": "balanced", "confidence": 1.0}),
+        )
+    style = state.style = style_pref.style
+
+    reflection_decision = (
+        build_reflection(state.decision_cases, REFLECTION_WINDOW, "decision")
+        if cfg.flags.self_reflection else None
+    )
+    decision, decision_ex = run_decision_agent(
+        day, cfg.symbol, account_before, style_pref, thresholds,
+        sentiment, finance, forecast, reflection_decision, run.chat, run.params,
+        include_account=cfg.flags.style_and_state,
+    )
+
+    if verdict.action != "none":
+        executed = TradeAction("sell", style, origin=verdict.action)
+        override_note = (
+            f"risk override {verdict.action} at pnl {verdict.trigger_pnl:+.4f}; "
+            f"agent decided {decision.action}"
+        )
+    else:
+        executed = TradeAction(decision.action, style)
+        override_note = ""
+
+    state.account, trade = apply_action(
+        account_before, executed, close, cfg.commission_rate, day
+    )
+    if override_note:
+        merged = f"{trade.note}; {override_note}" if trade.note else override_note
+        trade = replace(trade, note=merged)
+    state.trades.append(trade)
+    state.equity_curve.append((day, trade.post_equity))
+
+    snapshot_for_records = AccountSnapshot(
+        cash=account_before.cash,
+        shares=account_before.shares,
+        equity=account_before.equity,
+        style=style.value,
+    )
+    day_records = tuple(
+        TrajectoryRecord(
+            date=day,
+            symbol=cfg.symbol,
+            agent_name=name,
+            prompt_digest=prompt_digest(ex.input_text),
+            input_text=ex.input_text,
+            output_text=ex.output_text,
+            reasoning_trace=ex.reasoning_trace,
+            account_snapshot=snapshot_for_records,
+        )
+        for name, ex in zip(
+            AGENT_ORDER, (news_ex, report_ex, forecast_ex, style_ex, decision_ex)
+        )
+    )
+    state.pending = DayState(
+        date=day,
+        records=day_records,
+        gated=forecast.gated,
+        prob_of=forecast.probs.prob_of,
+        taken=decision.action,
+        account_before=account_before,
+        style=style,
+    )
+
+
+def _label_pending(state: RunState, run: RunInputs, next_at: Date) -> None:
+    """Label the pending day now that `next_at`'s close is known, and add
+    its outcome to the reflection cases."""
+    pending, post_account, cfg = state.pending, state.account, run.cfg
+    state.pending = None
     labeled, flabel, dlabel = label_day(
-        state, series, next_at, cfg.commission_rate, cfg.band, cfg.reward
+        pending, run.series, next_at, cfg.commission_rate, cfg.band, cfg.reward
     )
-    forecast_cases.append(LabeledCase(
-        date=state.date,
+    state.records.extend(labeled)
+    state.forecast_cases.append(LabeledCase(
+        date=pending.date,
         score=flabel.w_hit,
         pattern=(
-            f"predicted {state.gated.label} via {state.gated.path}, "
+            f"predicted {pending.gated.label} via {pending.gated.path}, "
             f"realized {flabel.pct:+.4%}, w_hit {flabel.w_hit:.4f}"
         ),
     ))
-    decision_cases.append(LabeledCase(
-        date=state.date,
+    state.decision_cases.append(LabeledCase(
+        date=pending.date,
         score=dlabel.taken_reward,
         pattern=(
             f"action {dlabel.taken}, reward {dlabel.taken_reward:+.5f}, "
             f"benchmark {dlabel.r_bm:+.4%}"
         ),
     ))
-    next_close = series.close_at(next_at)
+    next_close = run.series.close_at(next_at)
     day_return = (post_account.cash + post_account.shares * next_close) / post_account.equity - 1.0
-    style_outcomes.append(StyleOutcome(state.date, state.style, day_return))
-    style_cases.append(LabeledCase(
-        date=state.date,
+    state.style_outcomes.append(StyleOutcome(pending.date, pending.style, day_return))
+    state.style_cases.append(LabeledCase(
+        date=pending.date,
         score=day_return,
-        pattern=f"style {state.style.value}, day return {day_return:+.4%}",
+        pattern=f"style {pending.style.value}, day return {day_return:+.4%}",
     ))
-    return labeled
 
 
 # ---------------------------------------------------------------------------
 # Artifact persistence and replay
 # ---------------------------------------------------------------------------
 
-def _persist(
-    out_dir: Path,
-    cfg: BacktestConfig,
-    metrics: MetricsReport,
-    trades: Sequence[TradeRecord],
-    equity_curve: Sequence[tuple[Date, float]],
-    records: Sequence[TrajectoryRecord],
-) -> Path:
+def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: RunState) -> Path:
     out_dir.mkdir(parents=True, exist_ok=True)
 
     (out_dir / CONFIG_FILE).write_text(
@@ -403,12 +388,12 @@ def _persist(
         },
     })
     write_jsonl(out_dir / EQUITY_FILE, (
-        {"date": day, "equity": equity} for day, equity in equity_curve
+        {"date": day, "equity": equity} for day, equity in state.equity_curve
     ))
-    write_jsonl(out_dir / TRADES_FILE, trades)
+    write_jsonl(out_dir / TRADES_FILE, state.trades)
     # Looked up on the module at call time, so a wrapper installed there
     # (as perfbench's traced run does) sees the call.
-    datasynth.emit_trajectories(records, out_dir / TRAJECTORIES_FILE)
+    datasynth.emit_trajectories(state.records, out_dir / TRAJECTORIES_FILE)
     write_json(out_dir / METRICS_FILE, metrics)
     return out_dir
 

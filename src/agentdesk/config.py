@@ -70,6 +70,12 @@ def _as_date(value: Any) -> Date | None:
     return Date.fromisoformat(str(value))
 
 
+def _as_str(value: Any) -> str:
+    if value is None:
+        raise ValueError("a value is required, got null")
+    return str(value)
+
+
 def _as_float(value: Any) -> float:
     number = float(value)
     if not math.isfinite(number):
@@ -86,7 +92,7 @@ def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
     parsed = {}
     for style, pair in table.items():
         sl, tp = (pair["sl"], pair["tp"]) if isinstance(pair, Mapping) else pair
-        parsed[TradingStyle(str(style))] = StyleMultipliers(float(sl), float(tp))
+        parsed[TradingStyle(str(style))] = StyleMultipliers(_as_float(sl), _as_float(tp))
     return {**DEFAULT_MULTIPLIERS, **parsed}
 
 
@@ -94,7 +100,8 @@ def _as_section(cls, value: Any):
     value = value or {}
     if not isinstance(value, Mapping):
         raise TypeError("a config section must be a mapping")
-    raw = dict(value)
+    # Floats must be finite; everything else reaches the class as given.
+    raw = {k: _as_float(v) if isinstance(v, float) else v for k, v in value.items()}
     if cls is RiskConfig and "multipliers" in raw:
         raw["multipliers"] = _as_multipliers(raw["multipliers"])
     return cls(**raw)
@@ -102,9 +109,8 @@ def _as_section(cls, value: Any):
 
 # Readers of top-level scalars, keyed by annotation text (annotations are
 # strings in this module); a field of another type fails at import.
-# Section values are not coerced: they reach the section class as given.
 _SCALARS = {
-    "str": str,
+    "str": _as_str,
     "float": _as_float,
     "int": int,
     "str | None": lambda value: value,

@@ -244,12 +244,8 @@ def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float)
     return body
 
 
-class HttpChatProvider:
-    """Single round-trip chat client.
-
-    Request: {model, messages: [{role, content}], temperature, seed,
-    max_length}. Response: {content, reasoning_trace?}.
-    """
+class _HttpClient:
+    """One endpoint and model; `_post` sends {model, **payload} to it."""
 
     def __init__(self, endpoint: str, model: str, credentials_env: str | None = None,
                  timeout: float = 60.0):
@@ -257,6 +253,20 @@ class HttpChatProvider:
         self.model = model
         self.credentials_env = credentials_env
         self.timeout = timeout
+
+    def _post(self, payload: dict) -> dict:
+        return _post_json(
+            self.endpoint, {"model": self.model, **payload},
+            _auth_headers(self.credentials_env), self.timeout,
+        )
+
+
+class HttpChatProvider(_HttpClient):
+    """Single round-trip chat client.
+
+    Request: {model, messages: [{role, content}], temperature, seed,
+    max_length}. Response: {content, reasoning_trace?}.
+    """
 
     def complete(
         self,
@@ -266,76 +276,41 @@ class HttpChatProvider:
         seed: int = 0,
         max_length: int = 1024,
     ) -> ChatResult:
-        body = _post_json(
-            self.endpoint,
-            {
-                "model": self.model,
-                "messages": [dict(m) for m in messages],
-                "temperature": temperature,
-                "seed": seed,
-                "max_length": max_length,
-            },
-            _auth_headers(self.credentials_env),
-            self.timeout,
-        )
+        body = self._post({
+            "messages": [dict(m) for m in messages],
+            "temperature": temperature,
+            "seed": seed,
+            "max_length": max_length,
+        })
         if "content" not in body:
             raise ProviderError("chat response is missing 'content'")
         return ChatResult(str(body["content"]), str(body.get("reasoning_trace", "") or ""))
 
 
-class HttpEmbeddingProvider:
+class HttpEmbeddingProvider(_HttpClient):
     """Embedding client. Request: {model, task: dense|sparse, text};
     response: {vector: [...]} or {weights: {term: w}}."""
 
-    def __init__(self, endpoint: str, model: str, credentials_env: str | None = None,
-                 timeout: float = 60.0):
-        self.endpoint = endpoint
-        self.model = model
-        self.credentials_env = credentials_env
-        self.timeout = timeout
-
     def dense(self, text: str) -> list[float]:
-        body = _post_json(
-            self.endpoint,
-            {"model": self.model, "task": "dense", "text": text},
-            _auth_headers(self.credentials_env),
-            self.timeout,
-        )
+        body = self._post({"task": "dense", "text": text})
         if "vector" not in body or not isinstance(body["vector"], list):
             raise ProviderError("dense embedding response is missing 'vector'")
         return [float(v) for v in body["vector"]]
 
     def sparse(self, text: str) -> dict[int, float]:
-        body = _post_json(
-            self.endpoint,
-            {"model": self.model, "task": "sparse", "text": text},
-            _auth_headers(self.credentials_env),
-            self.timeout,
-        )
+        body = self._post({"task": "sparse", "text": text})
         weights = body.get("weights")
         if not isinstance(weights, dict):
             raise ProviderError("sparse embedding response is missing 'weights'")
         return {_bucket(str(k), SPARSE_BUCKETS): float(v) for k, v in weights.items()}
 
 
-class HttpRerankerProvider:
+class HttpRerankerProvider(_HttpClient):
     """Relevance client. Request: {model, query, passage}; response:
     {relevance: p} or, degraded, {content: "yes"|"no"} mapped to 1/0."""
 
-    def __init__(self, endpoint: str, model: str, credentials_env: str | None = None,
-                 timeout: float = 60.0):
-        self.endpoint = endpoint
-        self.model = model
-        self.credentials_env = credentials_env
-        self.timeout = timeout
-
     def relevance(self, query: str, passage: str) -> float:
-        body = _post_json(
-            self.endpoint,
-            {"model": self.model, "query": query, "passage": passage},
-            _auth_headers(self.credentials_env),
-            self.timeout,
-        )
+        body = self._post({"query": query, "passage": passage})
         if "relevance" in body:
             p = float(body["relevance"])
             if not 0.0 <= p <= 1.0:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from datetime import date
 
 import pytest
@@ -23,10 +24,11 @@ from agentdesk.agents import (
     weighted_sentiment,
 )
 from agentdesk.errors import ParseError, ProviderError
-from agentdesk.gate import GateConfig, PATH_HARD_INTERCEPT
+from agentdesk.gate import GateConfig, PATH_HARD_INTERCEPT, TrendProbabilities
 from agentdesk.marketdata import IndicatorSnapshot
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
+    ChatResult,
     StubChatProvider,
     StubEmbeddingProvider,
     StubRerankerProvider,
@@ -358,3 +360,75 @@ class TestBuildReflection:
         summary = build_reflection(history, 20, "decision")
         assert summary.wins == 0
         assert summary.losses == 1
+
+
+UNIFORM = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
+UNIFORM_TEXT = json.dumps({"up": 1 / 3, "down": 1 / 3, "sideways": 1 / 3})
+REPORT_FALLBACK = "summary unavailable; relevant chunks by retrieval order: 0"
+REPORT_TEXT = json.dumps({"indicators": [], "summary": REPORT_FALLBACK})
+
+
+def _fallback_run(agent, chat, tmp_path):
+    """Run one agent; return (fallback value, flags, exchange)."""
+    if agent == "forecast":
+        forecast, exchange = TestForecastAgent()._run(chat)
+        return forecast.probs, forecast.flags, exchange
+    if agent == "style":
+        pref, exchange = TestStyleAgent()._run(chat, prev=TradingStyle.AGGRESSIVE)
+        return pref.style, pref.flags, exchange
+    if agent == "decision":
+        decision, exchange = TestDecisionAgent()._run(chat)
+        return decision.action, decision.flags, exchange
+    filing = TestReportAgent()._write_filing(tmp_path, "Revenue grew. Margins rose.")
+    summary, exchange = TestReportAgent()._run([filing], chat=chat)
+    return summary.summary, summary.flags, exchange
+
+
+@pytest.mark.parametrize("agent, failure, flags, value, output_text", [
+    ("forecast", "malformed", ("fallback_uniform",), UNIFORM, UNIFORM_TEXT),
+    ("forecast", "provider", ("fallback_uniform", "provider_failed"), UNIFORM, UNIFORM_TEXT),
+    ("style", "malformed", ("fallback_balanced",), TradingStyle.BALANCED,
+     '{"style": "balanced", "confidence": 0.5}'),
+    ("style", "provider", ("provider_failed", "style_retained"), TradingStyle.AGGRESSIVE,
+     '{"style": "aggressive", "confidence": 0.5}'),
+    ("decision", "malformed", ("fallback_hold",), "hold", '{"action": "hold"}'),
+    ("decision", "provider", ("fallback_hold", "provider_failed"), "hold", '{"action": "hold"}'),
+    ("report", "malformed", ("provider_failed",), REPORT_FALLBACK, REPORT_TEXT),
+    ("report", "provider", ("provider_failed",), REPORT_FALLBACK, REPORT_TEXT),
+])
+def test_fallback_is_pinned(tmp_path, agent, failure, flags, value, output_text):
+    """Exact flags, value and logged exchange of each agent's two fallbacks:
+    a reply malformed on both attempts, and a provider failure."""
+    chat = (
+        FailingChatProvider() if failure == "provider"
+        else scripted_stub({f"{agent}:*": "no structure here"})
+    )
+    got_value, got_flags, exchange = _fallback_run(agent, chat, tmp_path)
+    assert got_flags == flags
+    assert got_value == value
+    assert exchange.output_text == output_text
+    assert exchange.reasoning_trace == ""
+
+
+class MalformedOnceChatProvider:
+    """Malformed first reply; the repair retry gets the stub's answer."""
+
+    def __init__(self):
+        self.inner = StubChatProvider(("sideways",))
+
+    def complete(self, messages, **kwargs):
+        if not any(m["role"] == "assistant" for m in messages):
+            return ChatResult("no structure here", "first try")
+        return self.inner.complete(messages, **kwargs)
+
+
+@pytest.mark.parametrize("agent, flags", [
+    ("forecast", ("repaired",)),
+    ("style", ("repaired",)),
+    ("decision", ("repaired",)),
+    ("report", ()),
+])
+def test_repair_retry_flag(tmp_path, agent, flags):
+    _, got_flags, exchange = _fallback_run(agent, MalformedOnceChatProvider(), tmp_path)
+    assert got_flags == flags
+    assert exchange.reasoning_trace.startswith("(stub trace:")

@@ -66,12 +66,18 @@ class TestRunCommand:
         "risk: {multipliers: {balanced: [1.0]}}",
         "risk: {multipliers: {balanced: [3.0, 2.0]}}",
         "risk: {multipliers: {balanced: 5}}",
+        "symbol: null",
+        "risk: {floor: .nan}",
+        "retrieval: {w_dense: .inf}",
+        "risk: {multipliers: {balanced: {sl: 1.5, tp: .inf}}}",
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, body):
         env = build_env(tmp_path, rising_closes(45))
         env.config_path.write_text(f"symbol: TEST\n{body}\n")
         assert main(run_args(env)) == 2
-        assert "data error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "data error" in err
+        assert f"bad config value for '{body.split(':')[0]}'" in err
 
     def test_provider_error_exits_three(self, tmp_path, capsys):
         news = [{"date": "2022-02-02", "title": "Any", "body": "x"}]
