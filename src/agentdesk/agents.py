@@ -102,13 +102,6 @@ class Decision:
     flags: tuple[str, ...] = ()
 
 
-@dataclass(frozen=True)
-class ChatCallParams:
-    temperature: float = 0.0
-    seed: int = 0
-    max_length: int = 1024
-
-
 # ---------------------------------------------------------------------------
 # Prompt plumbing
 # ---------------------------------------------------------------------------
@@ -145,7 +138,7 @@ def _structured_call(
     system: str,
     user: str,
     validate,
-    params: ChatCallParams,
+    seed: int,
 ) -> tuple[object, ChatResult, bool]:
     """One chat call, one repair retry on parse/validation failure.
 
@@ -153,34 +146,24 @@ def _structured_call(
     repair attempt also fails and ProviderError on transport failure.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
-    result = provider.complete(
-        messages, temperature=params.temperature, seed=params.seed, max_length=params.max_length
-    )
-    try:
-        return validate(parse_structured_output(result.content)), result, False
-    except (ParseError, ValueError, KeyError, TypeError):
-        pass
-
-    repair = _template("repair").strip()
-    retry_messages = messages + [
-        {"role": "assistant", "content": result.content},
-        {"role": "user", "content": repair},
-    ]
-    result = provider.complete(
-        retry_messages, temperature=params.temperature, seed=params.seed,
-        max_length=params.max_length,
-    )
-    try:
-        return validate(parse_structured_output(result.content)), result, True
-    except (ParseError, ValueError, KeyError, TypeError) as exc:
-        raise ParseError(f"provider output unusable after repair retry: {exc}") from exc
+    for retried in (False, True):
+        result = provider.complete(messages, seed=seed)
+        try:
+            return validate(parse_structured_output(result.content)), result, retried
+        except (ParseError, ValueError, KeyError, TypeError) as exc:
+            error = exc
+        messages = messages + [
+            {"role": "assistant", "content": result.content},
+            {"role": "user", "content": _template("repair").strip()},
+        ]
+    raise ParseError(f"provider output unusable after repair retry: {error}") from error
 
 
 _Fallback = tuple[object, dict, tuple[str, ...]]  # (value, output payload, flags)
 
 
 def _call_or_fallback(
-    provider: ChatProvider, system: str, user: str, validate, params: ChatCallParams,
+    provider: ChatProvider, system: str, user: str, validate, seed: int,
     unusable: _Fallback, unavailable: _Fallback,
 ) -> tuple[object, AgentExchange, tuple[str, ...]]:
     """`_structured_call` that cannot fail: returns (value, exchange, flags).
@@ -190,7 +173,7 @@ def _call_or_fallback(
     reply is flagged ("repaired",) when it needed the retry.
     """
     try:
-        value, result, retried = _structured_call(provider, system, user, validate, params)
+        value, result, retried = _structured_call(provider, system, user, validate, seed)
     except ParseError:
         value, payload, flags = unusable
     except ProviderError:
@@ -268,7 +251,7 @@ def run_news_agent(
     embedding: EmbeddingProvider,
     reranker: RerankerProvider,
     keywords: Mapping[str, float],
-    params: ChatCallParams = ChatCallParams(),
+    seed: int = 0,
     *,
     exact_dedupe: bool = False,
     max_workers: int = 4,
@@ -296,7 +279,7 @@ def run_news_agent(
         )
         try:
             (value, summary), _, _ = _structured_call(
-                chat, system, user, _validate_item_sentiment, params
+                chat, system, user, _validate_item_sentiment, seed
             )
             return value, summary
         except ProviderError:
@@ -368,7 +351,7 @@ def run_report_agent(
     chat: ChatProvider,
     embedding: EmbeddingProvider,
     reranker: RerankerProvider,
-    params: ChatCallParams = ChatCallParams(),
+    seed: int = 0,
     *,
     use_rerank: bool = True,
 ) -> tuple[FinanceSummary, AgentExchange]:
@@ -408,7 +391,7 @@ def run_report_agent(
     )
 
     try:
-        (indicators, text), result, _ = _structured_call(chat, system, user, _validate_report, params)
+        (indicators, text), result, _ = _structured_call(chat, system, user, _validate_report, seed)
     except (ParseError, ProviderError):
         flags.append("provider_failed")
         ordinals = ", ".join(str(c.chunk.ordinal) for c in candidates)
@@ -465,7 +448,7 @@ def run_forecast_agent(
     reflection: "ReflectionSummary | None",
     chat: ChatProvider,
     gate_cfg: GateConfig = GateConfig(),
-    params: ChatCallParams = ChatCallParams(),
+    seed: int = 0,
 ) -> tuple[Forecast, AgentExchange]:
     """Ask the provider for a trend probability triple, then gate it."""
     system, user = _render(
@@ -480,7 +463,7 @@ def run_forecast_agent(
     uniform = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
     payload = {"up": uniform.up, "down": uniform.down, "sideways": uniform.sideways}
     (probs, confidence, rationale), exchange, flags = _call_or_fallback(
-        chat, system, user, _validate_forecast, params,
+        chat, system, user, _validate_forecast, seed,
         unusable=((uniform, 0.0, "fallback: provider output unusable"), payload,
                   ("fallback_uniform",)),
         unavailable=((uniform, 0.0, "fallback: provider unavailable"), payload,
@@ -518,7 +501,7 @@ def run_style_agent(
     upstream: str,
     reflection: "ReflectionSummary | None",
     chat: ChatProvider,
-    params: ChatCallParams = ChatCallParams(),
+    seed: int = 0,
 ) -> tuple[StylePreference, AgentExchange]:
     """Pick today's trading style; retains yesterday's on provider failure."""
     if recent:
@@ -537,7 +520,7 @@ def run_style_agent(
         reflection=_reflection_block(reflection),
     )
     (style, confidence, rationale), exchange, flags = _call_or_fallback(
-        chat, system, user, _validate_style, params,
+        chat, system, user, _validate_style, seed,
         unusable=((TradingStyle.BALANCED, 0.5, "fallback: provider output unusable"),
                   {"style": "balanced", "confidence": 0.5}, ("fallback_balanced",)),
         unavailable=((prev_style, 0.5, "fallback: provider unavailable, previous style retained"),
@@ -569,7 +552,7 @@ def run_decision_agent(
     forecast: Forecast,
     reflection: "ReflectionSummary | None",
     chat: ChatProvider,
-    params: ChatCallParams = ChatCallParams(),
+    seed: int = 0,
     *,
     include_account: bool = True,
 ) -> tuple[Decision, AgentExchange]:
@@ -595,7 +578,7 @@ def run_decision_agent(
         reflection=_reflection_block(reflection),
     )
     (action, rationale), exchange, flags = _call_or_fallback(
-        chat, system, user, _validate_decision, params,
+        chat, system, user, _validate_decision, seed,
         unusable=(("hold", "fallback: provider output unusable"), {"action": "hold"},
                   ("fallback_hold",)),
         unavailable=(("hold", "fallback: provider unavailable"), {"action": "hold"},

@@ -20,7 +20,6 @@ import yaml
 
 from .agents import (
     AgentExchange,
-    ChatCallParams,
     LabeledCase,
     REFLECTION_WINDOW,
     StyleOutcome,
@@ -156,7 +155,6 @@ class RunInputs:
     chat: ChatProvider
     embedding: EmbeddingProvider
     reranker: RerankerProvider
-    params: ChatCallParams
 
 
 def run_backtest(
@@ -181,10 +179,7 @@ def run_backtest(
     chat = make_chat_provider(cfg.provider, **remote, base_dir=base_dir)
     embedding = make_embedding_provider(cfg.embedding_provider, **remote)
     reranker = make_reranker_provider(cfg.reranker_provider, **remote)
-    run = RunInputs(
-        cfg, series, news_by_date, filings, keywords, chat, embedding, reranker,
-        ChatCallParams(temperature=0.0, seed=cfg.seed),
-    )
+    run = RunInputs(cfg, series, news_by_date, filings, keywords, chat, embedding, reranker)
     state = RunState(
         account=AccountState.initial(cfg.initial_cash),
         equity_curve=[(series.dates[series.dates.index(days[0]) - 1], cfg.initial_cash)],
@@ -230,12 +225,12 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
 
     sentiment, news_ex = run_news_agent(
         day, cfg.symbol, run.news_by_date.get(day, ()), cfg.retrieval,
-        run.chat, run.embedding, run.reranker, run.keywords, run.params,
+        run.chat, run.embedding, run.reranker, run.keywords, cfg.seed,
         exact_dedupe=not cfg.flags.rerank_embedding,
     )
     finance, report_ex = run_report_agent(
         day, cfg.symbol, run.filings, cfg.retrieval, run.chat, run.embedding,
-        run.reranker, run.params, use_rerank=cfg.flags.rerank_embedding,
+        run.reranker, cfg.seed, use_rerank=cfg.flags.rerank_embedding,
     )
 
     reflection_forecast = (
@@ -244,7 +239,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
     )
     forecast, forecast_ex = run_forecast_agent(
         day, cfg.symbol, snapshot, sentiment, finance, reflection_forecast,
-        run.chat, cfg.gate, run.params,
+        run.chat, cfg.gate, cfg.seed,
     )
 
     if cfg.flags.style_and_state:
@@ -260,7 +255,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
         style_pref, style_ex = run_style_agent(
             day, cfg.symbol, account_before, state.style,
             state.style_outcomes[-REFLECTION_WINDOW:], upstream, reflection_style,
-            run.chat, run.params,
+            run.chat, cfg.seed,
         )
     else:
         style_pref = StylePreference(
@@ -278,7 +273,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
     )
     decision, decision_ex = run_decision_agent(
         day, cfg.symbol, account_before, style_pref, thresholds,
-        sentiment, finance, forecast, reflection_decision, run.chat, run.params,
+        sentiment, finance, forecast, reflection_decision, run.chat, cfg.seed,
         include_account=cfg.flags.style_and_state,
     )
 

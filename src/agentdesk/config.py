@@ -96,12 +96,20 @@ def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
     return {**DEFAULT_MULTIPLIERS, **parsed}
 
 
+# The value types a section field takes, by annotation; numbers must also be
+# finite. Values are stored as given: an int in a float field stays an int.
+_SECTION_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
+
+
 def _as_section(cls, value: Any):
     value = value or {}
     if not isinstance(value, Mapping):
         raise TypeError("a config section must be a mapping")
-    # Floats must be finite; everything else reaches the class as given.
-    raw = {k: _as_float(v) if isinstance(v, float) else v for k, v in value.items()}
+    raw = dict(value)
+    for f in fields(cls):
+        v, types = raw.get(f.name), _SECTION_TYPES.get(f.type)
+        if f.name in raw and types and (type(v) not in types or not math.isfinite(v)):
+            raise ValueError(f"{f.name} must be a valid {f.type}, got {v!r}")
     if cls is RiskConfig and "multipliers" in raw:
         raw["multipliers"] = _as_multipliers(raw["multipliers"])
     return cls(**raw)

@@ -4,15 +4,17 @@ protocol.
 
 The stub chat provider is selected with a spec string ``stub:<policy>``
 where policy is a comma-separated composition of
-``sideways``, ``always-up``, ``echo-forecast`` and ``scripted:<file>``.
-Later policies override the agent roles they define; roles no policy
-defines fall back to neutral defaults (sentiment 0, sideways-leaning
-forecast, balanced style, hold).
+``sideways``, ``always-up``, ``echo-forecast`` and ``scripted:<file>``;
+a bare ``stub`` (or ``stub:``) means ``stub:sideways``. Later policies
+override the agent roles they define; roles no policy defines get the
+``sideways`` replies (sentiment 0, sideways-leaning forecast, balanced
+style, hold).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import re
 import zlib
@@ -42,14 +44,7 @@ class ChatResult:
 
 
 class ChatProvider(Protocol):
-    def complete(
-        self,
-        messages: Sequence[Mapping[str, str]],
-        *,
-        temperature: float = 0.0,
-        seed: int = 0,
-        max_length: int = 1024,
-    ) -> ChatResult: ...
+    def complete(self, messages: Sequence[Mapping[str, str]], *, seed: int = 0) -> ChatResult: ...
 
 
 def _tokens(text: str) -> list[str]:
@@ -99,14 +94,43 @@ class StubRerankerProvider:
 # Stub chat provider
 # ---------------------------------------------------------------------------
 
-_NEUTRAL = {
-    "news-sentiment": {"sentiment": 0.0, "summary": "no clear direction"},
-    "forecast": {"up": 0.2, "down": 0.2, "sideways": 0.6},
-    "style": {"style": "balanced", "confidence": 0.5},
-    "decision": {"action": "hold"},
-}
+def _cite_first_chunk(user: str) -> dict:
+    refs = _CHUNK_REF_RE.findall(user)
+    indicators = (
+        [{"name": "headline figure", "value_text": "as stated in the passage",
+          "citation_chunk": int(refs[0])}]
+        if refs else []
+    )
+    return {"indicators": indicators,
+            "summary": "key reported figures extracted from the cited passages"}
 
-KNOWN_POLICIES = ("sideways", "always-up", "echo-forecast")
+
+def _echo_gated_label(user: str) -> dict:
+    gated = _GATED_RE.search(user)
+    label = gated.group(1) if gated else "sideways"
+    return {"action": {"up": "buy", "down": "sell"}.get(label, "hold"), "rationale": "stub decision"}
+
+
+# {policy: {role: reply}}; a reply is the JSON object to send, or a function
+# of the user prompt that builds it. The `sideways` replies are also the
+# neutral defaults for the roles no listed policy defines.
+_REPLIES = {
+    "sideways": {
+        "news-sentiment": {"sentiment": 0.0, "summary": "no clear direction"},
+        "report": _cite_first_chunk,
+        "forecast": {"up": 0.2, "down": 0.2, "sideways": 0.6, "confidence": 0.6,
+                     "rationale": "stub forecast"},
+        "style": {"style": "balanced", "confidence": 0.5, "rationale": "stub style"},
+        "decision": {"action": "hold", "rationale": "stub decision"},
+    },
+    "always-up": {
+        "news-sentiment": {"sentiment": 1.0, "summary": "uniformly positive"},
+        "forecast": {"up": 0.9, "down": 0.05, "sideways": 0.05, "confidence": 0.9,
+                     "rationale": "stub forecast"},
+        "decision": {"action": "buy", "rationale": "stub decision"},
+    },
+    "echo-forecast": {"decision": _echo_gated_label},
+}
 
 
 class StubChatProvider:
@@ -118,15 +142,16 @@ class StubChatProvider:
 
     def __init__(self, policies: Sequence[str] = ("sideways",), script: Mapping[str, str] | None = None):
         for p in policies:
-            if p not in KNOWN_POLICIES and not p.startswith("scripted:"):
+            if p not in _REPLIES and not p.startswith("scripted:"):
                 raise DataError(f"unknown stub policy {p!r}")
         self.policies = tuple(policies)
         self.script = dict(script or {})
 
     @classmethod
     def from_spec(cls, spec: str, base_dir: str | Path | None = None) -> "StubChatProvider":
-        """Build from a ``stub:<policy>[,<policy>...]`` spec string."""
-        body = spec.split(":", 1)[1] if spec.startswith("stub:") else spec
+        """Build from a ``stub[:<policy>[,<policy>...]]`` spec string."""
+        head, _, rest = spec.partition(":")
+        body = rest if head == "stub" else spec
         parts: list[str] = []
         script: dict[str, str] = {}
         for raw in body.split(","):
@@ -134,9 +159,7 @@ class StubChatProvider:
             if not name:
                 continue
             if name.startswith("scripted:"):
-                path = Path(name.split(":", 1)[1])
-                if base_dir is not None and not path.is_absolute():
-                    path = Path(base_dir) / path
+                path = Path(base_dir or ".") / name.split(":", 1)[1]  # absolute paths win
                 if not path.exists():
                     raise DataError(f"scripted stub file not found: {path}")
                 loaded = yaml.safe_load(path.read_text("utf-8")) or {}
@@ -169,50 +192,11 @@ class StubChatProvider:
         if scripted is not None:
             return ChatResult(scripted, f"(stub trace: scripted {role} {day})")
 
-        payload = self._policy_payload(role, user)
-        return ChatResult(json.dumps(payload), f"(stub trace: {role} {day})")
-
-    def _policy_payload(self, role: str, user: str) -> dict:
-        if role == "report":
-            refs = _CHUNK_REF_RE.findall(user)
-            indicators = (
-                [{"name": "headline figure", "value_text": "as stated in the passage",
-                  "citation_chunk": int(refs[0])}]
-                if refs else []
-            )
-            return {"indicators": indicators,
-                    "summary": "key reported figures extracted from the cited passages"}
-
-        behavior = dict(_NEUTRAL.get(role, {}))
+        reply = _REPLIES["sideways"].get(role, {})
         for policy in self.policies:
-            if policy == "sideways":
-                if role == "forecast":
-                    behavior = {"up": 0.2, "down": 0.2, "sideways": 0.6}
-                elif role == "decision":
-                    behavior = {"action": "hold"}
-                elif role == "news-sentiment":
-                    behavior = {"sentiment": 0.0, "summary": "no clear direction"}
-            elif policy == "always-up":
-                if role == "forecast":
-                    behavior = {"up": 0.9, "down": 0.05, "sideways": 0.05}
-                elif role == "decision":
-                    behavior = {"action": "buy"}
-                elif role == "news-sentiment":
-                    behavior = {"sentiment": 1.0, "summary": "uniformly positive"}
-            elif policy == "echo-forecast":
-                if role == "decision":
-                    gated = _GATED_RE.search(user)
-                    label = gated.group(1) if gated else "sideways"
-                    behavior = {"action": {"up": "buy", "down": "sell"}.get(label, "hold")}
-
-        if role == "forecast":
-            behavior.setdefault("confidence", max(behavior["up"], behavior["down"], behavior["sideways"]))
-            behavior.setdefault("rationale", "stub forecast")
-        elif role == "style":
-            behavior.setdefault("rationale", "stub style")
-        elif role == "decision":
-            behavior.setdefault("rationale", "stub decision")
-        return behavior
+            reply = _REPLIES.get(policy, {}).get(role, reply)
+        payload = reply(user) if callable(reply) else reply
+        return ChatResult(json.dumps(payload), f"(stub trace: {role} {day})")
 
 
 # ---------------------------------------------------------------------------
@@ -244,15 +228,14 @@ def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float)
     return body
 
 
+@dataclass
 class _HttpClient:
     """One endpoint and model; `_post` sends {model, **payload} to it."""
 
-    def __init__(self, endpoint: str, model: str, credentials_env: str | None = None,
-                 timeout: float = 60.0):
-        self.endpoint = endpoint
-        self.model = model
-        self.credentials_env = credentials_env
-        self.timeout = timeout
+    endpoint: str
+    model: str
+    credentials_env: str | None = None
+    timeout: float = 60.0
 
     def _post(self, payload: dict) -> dict:
         return _post_json(
@@ -287,22 +270,29 @@ class HttpChatProvider(_HttpClient):
         return ChatResult(str(body["content"]), str(body.get("reasoning_trace", "") or ""))
 
 
+def _number(value: object) -> float:
+    number = float(value) if isinstance(value, (int, float)) else math.nan
+    if not math.isfinite(number):
+        raise ProviderError(f"provider returned {value!r}, not a finite number")
+    return number
+
+
 class HttpEmbeddingProvider(_HttpClient):
     """Embedding client. Request: {model, task: dense|sparse, text};
-    response: {vector: [...]} or {weights: {term: w}}."""
+    response: {vector: [...]} or {weights: {term: w}}, all finite numbers."""
 
     def dense(self, text: str) -> list[float]:
         body = self._post({"task": "dense", "text": text})
         if "vector" not in body or not isinstance(body["vector"], list):
             raise ProviderError("dense embedding response is missing 'vector'")
-        return [float(v) for v in body["vector"]]
+        return [_number(v) for v in body["vector"]]
 
     def sparse(self, text: str) -> dict[int, float]:
         body = self._post({"task": "sparse", "text": text})
         weights = body.get("weights")
         if not isinstance(weights, dict):
             raise ProviderError("sparse embedding response is missing 'weights'")
-        return {_bucket(str(k), SPARSE_BUCKETS): float(v) for k, v in weights.items()}
+        return {_bucket(str(k), SPARSE_BUCKETS): _number(v) for k, v in weights.items()}
 
 
 class HttpRerankerProvider(_HttpClient):
@@ -328,6 +318,18 @@ class HttpRerankerProvider(_HttpClient):
 # Factories
 # ---------------------------------------------------------------------------
 
+def _make_provider(kind: str, spec: str, stub, http: type[_HttpClient],
+                   endpoint: str | None, model: str | None, credentials_env: str | None):
+    """`stub` when the spec named it (else None); an `http` client for "http"."""
+    if stub is not None:
+        return stub
+    if spec != "http":
+        raise DataError(f"unknown {kind} provider spec {spec!r}")
+    if not endpoint or not model:
+        raise DataError(f"http {kind} provider requires an endpoint and a model id")
+    return http(endpoint, model, credentials_env)
+
+
 def make_chat_provider(
     spec: str,
     *,
@@ -336,13 +338,8 @@ def make_chat_provider(
     credentials_env: str | None = None,
     base_dir: str | Path | None = None,
 ) -> ChatProvider:
-    if spec.startswith("stub:") or spec == "stub":
-        return StubChatProvider.from_spec(spec, base_dir)
-    if spec == "http":
-        if not endpoint or not model:
-            raise DataError("http provider requires an endpoint and a model id")
-        return HttpChatProvider(endpoint, model, credentials_env)
-    raise DataError(f"unknown chat provider spec {spec!r}")
+    stub = StubChatProvider.from_spec(spec, base_dir) if spec.partition(":")[0] == "stub" else None
+    return _make_provider("chat", spec, stub, HttpChatProvider, endpoint, model, credentials_env)
 
 
 def make_embedding_provider(
@@ -352,13 +349,9 @@ def make_embedding_provider(
     model: str | None = None,
     credentials_env: str | None = None,
 ):
-    if spec == "stub":
-        return StubEmbeddingProvider()
-    if spec == "http":
-        if not endpoint or not model:
-            raise DataError("http embedding provider requires an endpoint and a model id")
-        return HttpEmbeddingProvider(endpoint, model, credentials_env)
-    raise DataError(f"unknown embedding provider spec {spec!r}")
+    stub = StubEmbeddingProvider() if spec == "stub" else None
+    return _make_provider("embedding", spec, stub, HttpEmbeddingProvider, endpoint, model,
+                          credentials_env)
 
 
 def make_reranker_provider(
@@ -368,10 +361,6 @@ def make_reranker_provider(
     model: str | None = None,
     credentials_env: str | None = None,
 ):
-    if spec == "stub":
-        return StubRerankerProvider()
-    if spec == "http":
-        if not endpoint or not model:
-            raise DataError("http reranker provider requires an endpoint and a model id")
-        return HttpRerankerProvider(endpoint, model, credentials_env)
-    raise DataError(f"unknown reranker provider spec {spec!r}")
+    stub = StubRerankerProvider() if spec == "stub" else None
+    return _make_provider("reranker", spec, stub, HttpRerankerProvider, endpoint, model,
+                          credentials_env)

@@ -8,7 +8,6 @@ from datetime import date
 import pytest
 
 from agentdesk.agents import (
-    ChatCallParams,
     FinanceSummary,
     LabeledCase,
     SentimentReport,
@@ -37,7 +36,7 @@ from agentdesk.retrieval import Filing, NewsItem, RetrievalConfig, load_keywords
 from agentdesk.risk import RiskThresholds, TradingStyle
 
 DAY = date(2022, 6, 1)
-PARAMS = ChatCallParams()
+SEED = 0
 
 
 class FailingChatProvider:
@@ -98,7 +97,7 @@ class TestNewsAgent:
         return run_news_agent(
             DAY, "TEST", news, RetrievalConfig(), chat,
             StubEmbeddingProvider(), StubRerankerProvider(), load_keywords(),
-            PARAMS, **kwargs,
+            SEED, **kwargs,
         )
 
     def test_empty_news(self):
@@ -144,7 +143,7 @@ class TestReportAgent:
             chat or StubChatProvider(("sideways",)),
             StubEmbeddingProvider(),
             reranker or StubRerankerProvider(triggers=("revenue",)),
-            PARAMS, **kwargs,
+            SEED, **kwargs,
         )
 
     def test_no_visible_filing(self):
@@ -197,7 +196,7 @@ class TestForecastAgent:
         finance = FinanceSummary((), "no filing available", ("no_filing",))
         return run_forecast_agent(
             DAY, "TEST", snapshot or snap(), sentiment, finance, None, chat,
-            GateConfig(), PARAMS,
+            GateConfig(), SEED,
         )
 
     def test_stub_probs_pass_gate(self):
@@ -243,7 +242,7 @@ class TestStyleAgent:
         return run_style_agent(
             DAY, "TEST", account, prev,
             [StyleOutcome(DAY, TradingStyle.BALANCED, 0.01)],
-            "forecast: up", None, chat, PARAMS,
+            "forecast: up", None, chat, SEED,
         )
 
     def test_parses_style_and_confidence(self):
@@ -281,7 +280,7 @@ class TestDecisionAgent:
             RiskThresholds(0.02, 0.03, 0.05),
             SentimentReport(0.0, "none", 0),
             FinanceSummary((), "no filing available", ("no_filing",)),
-            forecast, None, chat, PARAMS,
+            forecast, None, chat, SEED,
         )
 
     def test_stub_buy(self):
@@ -316,7 +315,7 @@ class TestDecisionAgent:
             RiskThresholds(0.02, 0.03, 0.05),
             SentimentReport(0.0, "none", 0),
             FinanceSummary((), "none", ()),
-            forecast, None, StubChatProvider(("sideways",)), PARAMS,
+            forecast, None, StubChatProvider(("sideways",)), SEED,
             include_account=False,
         )
         assert "current-state injection disabled" in exchange.input_text

@@ -70,6 +70,11 @@ class TestRunCommand:
         "risk: {floor: .nan}",
         "retrieval: {w_dense: .inf}",
         "risk: {multipliers: {balanced: {sl: 1.5, tp: .inf}}}",
+        "retrieval: {hybrid_top_k: 2.5}",
+        "retrieval: {news_top_k: true}",
+        "flags: {risk_management: maybe}",
+        "flags: {self_reflection: 1}",
+        "gate: {rsi_overheat: true}",
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, body):
         env = build_env(tmp_path, rising_closes(45))

@@ -4,13 +4,17 @@ from __future__ import annotations
 
 import json
 import threading
+from datetime import date
 from http.server import BaseHTTPRequestHandler, HTTPServer
 
 import pytest
 import yaml
 
+from agentdesk.backtest import run_backtest
+from agentdesk.config import config_from_dict
 from agentdesk.errors import DataError, ProviderError
 from agentdesk.providers import (
+    ChatResult,
     HttpChatProvider,
     HttpEmbeddingProvider,
     HttpRerankerProvider,
@@ -20,6 +24,8 @@ from agentdesk.providers import (
     make_embedding_provider,
     make_reranker_provider,
 )
+
+from conftest import write_prices_csv
 
 
 def msg(role_line: str, user: str):
@@ -90,6 +96,52 @@ class TestStubChatPolicies:
     def test_unknown_policy_rejected(self):
         with pytest.raises(DataError):
             StubChatProvider(("upwards-only",))
+
+    @pytest.mark.parametrize("policies", [
+        ("sideways",), ("always-up",), ("echo-forecast",),
+        ("always-up", "echo-forecast"), ("echo-forecast", "always-up"),
+        ("echo-forecast", "sideways"),
+    ])
+    @pytest.mark.parametrize("label", ["up", "down", "sideways"])
+    def test_reply_text_is_pinned(self, policies, label):
+        flat = {
+            "news-sentiment": '{"sentiment": 0.0, "summary": "no clear direction"}',
+            "forecast": '{"up": 0.2, "down": 0.2, "sideways": 0.6, "confidence": 0.6, '
+                        '"rationale": "stub forecast"}',
+            "decision": "hold",
+        }
+        up = {
+            "news-sentiment": '{"sentiment": 1.0, "summary": "uniformly positive"}',
+            "forecast": '{"up": 0.9, "down": 0.05, "sideways": 0.05, "confidence": 0.9, '
+                        '"rationale": "stub forecast"}',
+            "decision": "buy",
+        }
+        echo = {"decision": {"up": "buy", "down": "sell", "sideways": "hold"}[label]}
+        want = {**flat}
+        for policy in policies:
+            want.update({"sideways": flat, "always-up": up, "echo-forecast": echo}[policy])
+        want["style"] = '{"style": "balanced", "confidence": 0.5, "rationale": "stub style"}'
+        action = want["decision"]
+        want["decision"] = f'{{"action": "{action}", "rationale": "stub decision"}}'
+        user = f"DATE: 2022-05-02\ngated trend label: {label}\n[chunk 3] x [chunk 1] y"
+        want["report"] = (
+            '{"indicators": [{"name": "headline figure", "value_text": "as stated in the '
+            'passage", "citation_chunk": 3}], '
+            '"summary": "key reported figures extracted from the cited passages"}'
+        )
+        want["unlisted-role"] = "{}"
+        stub = StubChatProvider(policies)
+        for role, content in want.items():
+            out = stub.complete(msg(f"ROLE: {role}", user))
+            assert out == ChatResult(content, f"(stub trace: {role} 2022-05-02)")
+
+    def test_report_without_chunks_cites_nothing(self):
+        out = StubChatProvider(("always-up",)).complete(msg("ROLE: report", "no date"))
+        assert out == ChatResult(
+            '{"indicators": [], '
+            '"summary": "key reported figures extracted from the cited passages"}',
+            "(stub trace: report *)",
+        )
 
     def test_same_prompt_same_output(self):
         stub = StubChatProvider(("always-up",))
@@ -170,6 +222,21 @@ class TestHttpChat:
         assert sent["seed"] == 11
         assert sent["messages"] == [{"role": "user", "content": "hi"}]
 
+    def test_backtest_request_body_is_pinned(self, http_server, tmp_path):
+        base, handler = http_server
+        handler.responses["/chat"] = (200, {"content": '{"action": "hold"}'})
+        write_prices_csv(tmp_path / "prices.csv", [100.0 + i for i in range(25)])
+        cfg = config_from_dict({"symbol": "TEST", "seed": 7, "provider": "http",
+                                "provider_endpoint": f"{base}/chat", "provider_model": "m"})
+        run_backtest(cfg, tmp_path / "prices.csv", tmp_path / "run")
+        sent = [r["payload"] for r in handler.requests_seen]
+        assert sent
+        for payload in sent:
+            assert list(payload) == ["model", "messages", "temperature", "seed", "max_length"]
+            assert {k: v for k, v in payload.items() if k != "messages"} == {
+                "model": "m", "temperature": 0.0, "seed": 7, "max_length": 1024,
+            }
+
     def test_auth_header_from_env(self, http_server, monkeypatch):
         base, handler = http_server
         handler.responses["/chat"] = (200, {"content": "ok"})
@@ -216,6 +283,20 @@ class TestHttpEmbeddingAndReranker:
         tasks = [r["payload"]["task"] for r in handler.requests_seen]
         assert tasks == ["dense", "sparse"]
 
+    @pytest.mark.parametrize("body", [
+        {"vector": [float("nan"), 1.0]},
+        {"vector": [float("inf")]},
+        {"vector": ["high"]},
+        {"weights": {"rev": float("nan")}},
+        {"weights": {"rev": float("-inf")}},
+    ], ids=["dense-nan", "dense-inf", "dense-text", "sparse-nan", "sparse-minus-inf"])
+    def test_non_finite_embedding_numbers_rejected(self, http_server, body):
+        base, handler = http_server
+        handler.responses["/embed"] = (200, body)
+        provider = HttpEmbeddingProvider(f"{base}/embed", "emb-x")
+        with pytest.raises(ProviderError, match="not a finite number"):
+            provider.dense("text") if "vector" in body else provider.sparse("text")
+
     def test_reranker_relevance_field(self, http_server):
         base, handler = http_server
         handler.responses["/rank"] = (200, {"relevance": 0.75})
@@ -246,6 +327,12 @@ class TestFactories:
         provider = make_chat_provider("stub:always-up")
         assert isinstance(provider, StubChatProvider)
 
+    def test_bare_stub_is_sideways(self):
+        provider = make_chat_provider("stub")
+        assert provider.policies == ("sideways",)
+        messages = msg("ROLE: forecast", "DATE: 2022-05-02")
+        assert provider.complete(messages) == make_chat_provider("stub:sideways").complete(messages)
+
     def test_http_requires_endpoint_and_model(self):
         with pytest.raises(DataError):
             make_chat_provider("http")
@@ -259,3 +346,5 @@ class TestFactories:
             make_chat_provider("oracle:delphi")
         with pytest.raises(DataError):
             make_embedding_provider("word2vec")
+        with pytest.raises(DataError):
+            make_reranker_provider("x")
