@@ -20,12 +20,11 @@ from .errors import ParseError, ProviderError
 from .gate import GateConfig, TrendLabel, TrendProbabilities, classify_trend
 from .marketdata import IndicatorSnapshot
 from .portfolio import AccountState
-from .providers import ChatProvider, ChatResult
+from .providers import ChatProvider
 from .retrieval import (
     EmbeddingProvider,
     Filing,
     NewsItem,
-    RankedChunk,
     RerankerProvider,
     RetrievalConfig,
     chunk_report,
@@ -133,32 +132,6 @@ def parse_structured_output(text: str) -> dict:
     raise ParseError("no structured object found in provider output")
 
 
-def _structured_call(
-    provider: ChatProvider,
-    system: str,
-    user: str,
-    validate,
-    seed: int,
-) -> tuple[object, ChatResult, bool]:
-    """One chat call, one repair retry on parse/validation failure.
-
-    Returns (validated, raw_result, retried). Raises ParseError when the
-    repair attempt also fails and ProviderError on transport failure.
-    """
-    messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
-    for retried in (False, True):
-        result = provider.complete(messages, seed=seed)
-        try:
-            return validate(parse_structured_output(result.content)), result, retried
-        except (ParseError, ValueError, KeyError, TypeError) as exc:
-            error = exc
-        messages = messages + [
-            {"role": "assistant", "content": result.content},
-            {"role": "user", "content": _template("repair").strip()},
-        ]
-    raise ParseError(f"provider output unusable after repair retry: {error}") from error
-
-
 _Fallback = tuple[object, dict, tuple[str, ...]]  # (value, output payload, flags)
 
 
@@ -166,21 +139,30 @@ def _call_or_fallback(
     provider: ChatProvider, system: str, user: str, validate, seed: int,
     unusable: _Fallback, unavailable: _Fallback,
 ) -> tuple[object, AgentExchange, tuple[str, ...]]:
-    """`_structured_call` that cannot fail: returns (value, exchange, flags).
+    """One chat call with one repair retry that cannot fail: returns
+    (value, exchange, flags).
 
     Falls back to `unusable` when the output is still malformed after the
     repair retry and to `unavailable` on a provider error. A validated
     reply is flagged ("repaired",) when it needed the retry.
     """
+    messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
     try:
-        value, result, retried = _structured_call(provider, system, user, validate, seed)
-    except ParseError:
+        for retried in (False, True):
+            result = provider.complete(messages, seed=seed)
+            try:
+                value = validate(parse_structured_output(result.content))
+            except (ParseError, ValueError, KeyError, TypeError):
+                messages = messages + [
+                    {"role": "assistant", "content": result.content},
+                    {"role": "user", "content": _template("repair").strip()},
+                ]
+                continue
+            exchange = AgentExchange(user, result.content, result.reasoning_trace)
+            return value, exchange, ("repaired",) if retried else ()
         value, payload, flags = unusable
     except ProviderError:
         value, payload, flags = unavailable
-    else:
-        exchange = AgentExchange(user, result.content, result.reasoning_trace)
-        return value, exchange, ("repaired",) if retried else ()
     return value, AgentExchange(user, json.dumps(payload)), flags
 
 
@@ -277,25 +259,17 @@ def run_news_agent(
             title=item_scored.item.title,
             body=item_scored.item.body or "(no body)",
         )
-        try:
-            (value, summary), _, _ = _structured_call(
-                chat, system, user, _validate_item_sentiment, seed
-            )
-            return value, summary
-        except ProviderError:
-            return None
+        skip = (None, {}, ())
+        return _call_or_fallback(chat, system, user, _validate_item_sentiment, seed, skip, skip)[0]
 
     with ThreadPoolExecutor(max_workers=min(max_workers, len(selected))) as pool:
         outcomes = list(pool.map(assess, selected))
 
-    used: list[tuple[float, float, str, str]] = []  # influence, sentiment, title, summary
-    skipped = 0
-    for item_scored, outcome in zip(selected, outcomes):
-        if outcome is None:
-            skipped += 1
-            continue
-        value, summary = outcome
-        used.append((item_scored.influence, value, item_scored.item.title, summary))
+    used = [  # (influence, sentiment, title, summary) of each scored item
+        (s.influence, outcome[0], s.item.title, outcome[1])
+        for s, outcome in zip(selected, outcomes) if outcome is not None
+    ]
+    skipped = len(selected) - len(used)
 
     score = weighted_sentiment([(inf, val) for inf, val, _, _ in used])
     if used:
@@ -371,15 +345,12 @@ def run_report_agent(
     hybrid = retrieve_topk(query, chunks, embedding, cfg)
 
     flags: list[str] = []
-    candidates: list[RankedChunk]
+    candidates = hybrid[: cfg.rerank_top_k]
     if use_rerank:
         try:
-            candidates = [RankedChunk(r.chunk, r.hybrid) for r in rerank(query, hybrid, reranker, cfg)]
+            candidates = rerank(query, hybrid, reranker, cfg)
         except ProviderError:
             flags.append("rerank_failed")
-            candidates = list(hybrid[: cfg.rerank_top_k])
-    else:
-        candidates = list(hybrid[: cfg.rerank_top_k])
 
     passages = "\n".join(f"[chunk {c.chunk.ordinal}] {c.chunk.text}" for c in candidates)
     system, user = _render(
@@ -389,20 +360,13 @@ def run_report_agent(
         period=str(latest.period),
         passages=passages,
     )
-
-    try:
-        (indicators, text), result, _ = _structured_call(chat, system, user, _validate_report, seed)
-    except (ParseError, ProviderError):
-        flags.append("provider_failed")
-        ordinals = ", ".join(str(c.chunk.ordinal) for c in candidates)
-        fallback = FinanceSummary(
-            (), f"summary unavailable; relevant chunks by retrieval order: {ordinals}",
-            flags=tuple(flags),
-        )
-        return fallback, AgentExchange(
-            input_text=user,
-            output_text=json.dumps({"indicators": [], "summary": fallback.summary}),
-        )
+    ordinals = ", ".join(str(c.chunk.ordinal) for c in candidates)
+    unavailable = f"summary unavailable; relevant chunks by retrieval order: {ordinals}"
+    fallback = (([], unavailable), {"indicators": [], "summary": unavailable}, ("provider_failed",))
+    (indicators, text), exchange, call_flags = _call_or_fallback(
+        chat, system, user, _validate_report, seed, unusable=fallback, unavailable=fallback,
+    )
+    flags.extend(call_flags)
 
     valid_ordinals = {c.chunk.ordinal for c in candidates}
     kept = []
@@ -412,8 +376,7 @@ def run_report_agent(
         elif "invalid_citation" not in flags:
             flags.append("invalid_citation")
 
-    summary = FinanceSummary(tuple(kept), text, flags=tuple(flags))
-    return summary, AgentExchange(user, result.content, result.reasoning_trace)
+    return FinanceSummary(tuple(kept), text, flags=tuple(flags)), exchange
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +594,7 @@ def build_reflection(
     Wins are cases with a strictly positive score; the two best wins and
     two worst losses are highlighted (at most four).
     """
-    cases = list(history[-window:])
+    cases = list(history)[-window:]
     if not cases:
         return ReflectionSummary(
             0, 0, 0, (),

@@ -11,6 +11,7 @@ config plus stub providers reproduce every file byte for byte.
 from __future__ import annotations
 
 import json
+from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from pathlib import Path
@@ -123,6 +124,11 @@ def _group_news(items: Sequence[NewsItem]) -> dict[Date, list[NewsItem]]:
     return grouped
 
 
+def _window() -> deque:
+    """The reflection state: the agents only read the last REFLECTION_WINDOW days."""
+    return deque(maxlen=REFLECTION_WINDOW)
+
+
 @dataclass
 class RunState:
     """Everything one trading day leaves behind for the next.
@@ -136,10 +142,10 @@ class RunState:
     style: TradingStyle = TradingStyle.BALANCED
     trades: list[TradeRecord] = field(default_factory=list)
     records: list[TrajectoryRecord] = field(default_factory=list)
-    forecast_cases: list[LabeledCase] = field(default_factory=list)
-    decision_cases: list[LabeledCase] = field(default_factory=list)
-    style_cases: list[LabeledCase] = field(default_factory=list)
-    style_outcomes: list[StyleOutcome] = field(default_factory=list)
+    forecast_cases: deque[LabeledCase] = field(default_factory=_window)
+    decision_cases: deque[LabeledCase] = field(default_factory=_window)
+    style_cases: deque[LabeledCase] = field(default_factory=_window)
+    style_outcomes: deque[StyleOutcome] = field(default_factory=_window)
     pending: DayState | None = None
 
 
@@ -233,29 +239,26 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
         run.reranker, cfg.seed, use_rerank=cfg.flags.rerank_embedding,
     )
 
-    reflection_forecast = (
-        build_reflection(state.forecast_cases, REFLECTION_WINDOW, "forecasting")
-        if cfg.flags.self_reflection else None
-    )
+    def reflection(cases, audience):
+        if cfg.flags.self_reflection:
+            return build_reflection(cases, REFLECTION_WINDOW, audience)
+        return None
+
     forecast, forecast_ex = run_forecast_agent(
-        day, cfg.symbol, snapshot, sentiment, finance, reflection_forecast,
+        day, cfg.symbol, snapshot, sentiment, finance,
+        reflection(state.forecast_cases, "forecasting"),
         run.chat, cfg.gate, cfg.seed,
     )
 
     if cfg.flags.style_and_state:
-        reflection_style = (
-            build_reflection(state.style_cases, REFLECTION_WINDOW, "style")
-            if cfg.flags.self_reflection else None
-        )
         upstream = (
             f"forecast: {forecast.gated.label} (p_up {forecast.probs.up:.3f}); "
             f"news sentiment: {sentiment.score:+.3f}; "
             f"finance: {finance.summary[:120]}"
         )
         style_pref, style_ex = run_style_agent(
-            day, cfg.symbol, account_before, state.style,
-            state.style_outcomes[-REFLECTION_WINDOW:], upstream, reflection_style,
-            run.chat, cfg.seed,
+            day, cfg.symbol, account_before, state.style, state.style_outcomes, upstream,
+            reflection(state.style_cases, "style"), run.chat, cfg.seed,
         )
     else:
         style_pref = StylePreference(
@@ -267,13 +270,9 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
         )
     style = state.style = style_pref.style
 
-    reflection_decision = (
-        build_reflection(state.decision_cases, REFLECTION_WINDOW, "decision")
-        if cfg.flags.self_reflection else None
-    )
     decision, decision_ex = run_decision_agent(
-        day, cfg.symbol, account_before, style_pref, thresholds,
-        sentiment, finance, forecast, reflection_decision, run.chat, cfg.seed,
+        day, cfg.symbol, account_before, style_pref, thresholds, sentiment, finance,
+        forecast, reflection(state.decision_cases, "decision"), run.chat, cfg.seed,
         include_account=cfg.flags.style_and_state,
     )
 
@@ -290,9 +289,8 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
     state.account, trade = apply_action(
         account_before, executed, close, cfg.commission_rate, day
     )
-    if override_note:
-        merged = f"{trade.note}; {override_note}" if trade.note else override_note
-        trade = replace(trade, note=merged)
+    if override_note:  # a forced sell always has shares to sell, so no note of its own
+        trade = replace(trade, note=override_note)
     state.trades.append(trade)
     state.equity_curve.append((day, trade.post_equity))
 

@@ -12,7 +12,9 @@ import click
 
 from .backtest import TRAJECTORIES_FILE, load_metrics, replay as replay_run, run_backtest
 from .config import load_config
-from .datasynth import emit_sft, filter_sft, load_trajectories
+from .datasynth import (
+    DEFAULT_REWARD_MIN, DEFAULT_WHIT_MIN, emit_sft, filter_sft, load_trajectories,
+)
 from .errors import DataError, ProviderError
 from .portfolio import MetricsReport
 
@@ -65,9 +67,9 @@ def metrics_cmd(run_dir: str) -> None:
 @cli.command("export-sft")
 @click.option("--run", "run_dir", required=True, type=click.Path(), help="Run artifact directory.")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output sft.jsonl path.")
-@click.option("--min-reward", type=float, default=0.0, show_default=True,
+@click.option("--min-reward", type=float, default=DEFAULT_REWARD_MIN, show_default=True,
               help="Keep decision samples with taken_reward strictly above this.")
-@click.option("--min-whit", type=float, default=0.3, show_default=True,
+@click.option("--min-whit", type=float, default=DEFAULT_WHIT_MIN, show_default=True,
               help="Keep forecast samples with w_hit at or above this.")
 def export_sft_cmd(run_dir: str, out_path: str, min_reward: float, min_whit: float) -> None:
     """Filter labeled trajectories into fine-tuning samples."""

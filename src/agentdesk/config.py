@@ -96,9 +96,16 @@ def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
     return {**DEFAULT_MULTIPLIERS, **parsed}
 
 
-# The value types a section field takes, by annotation; numbers must also be
-# finite. Values are stored as given: an int in a float field stays an int.
+# The value types a bool, int or float field takes, by annotation; numbers
+# must also be finite. Section values are stored as given (an int in a float
+# field stays an int); top-level floats are stored as float.
 _SECTION_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
+
+
+def _typed(annotation: str, value: Any, name: str = "value") -> Any:
+    if type(value) not in _SECTION_TYPES[annotation] or not math.isfinite(value):
+        raise ValueError(f"{name} must be a valid {annotation}, got {value!r}")
+    return value
 
 
 def _as_section(cls, value: Any):
@@ -107,9 +114,8 @@ def _as_section(cls, value: Any):
         raise TypeError("a config section must be a mapping")
     raw = dict(value)
     for f in fields(cls):
-        v, types = raw.get(f.name), _SECTION_TYPES.get(f.type)
-        if f.name in raw and types and (type(v) not in types or not math.isfinite(v)):
-            raise ValueError(f"{f.name} must be a valid {f.type}, got {v!r}")
+        if f.name in raw and f.type in _SECTION_TYPES:
+            _typed(f.type, raw[f.name], f.name)
     if cls is RiskConfig and "multipliers" in raw:
         raw["multipliers"] = _as_multipliers(raw["multipliers"])
     return cls(**raw)
@@ -119,8 +125,8 @@ def _as_section(cls, value: Any):
 # strings in this module); a field of another type fails at import.
 _SCALARS = {
     "str": _as_str,
-    "float": _as_float,
-    "int": int,
+    "float": lambda value: float(_typed("float", value)),
+    "int": partial(_typed, "int"),
     "str | None": lambda value: value,
     "Date | None": _as_date,
 }

@@ -345,12 +345,13 @@ def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
 
 
 DEFAULT_WHIT_MIN = 0.3
+DEFAULT_REWARD_MIN = 0.0
 
 
 def filter_sft(
     records: Sequence[TrajectoryRecord],
     whit_min: float = DEFAULT_WHIT_MIN,
-    reward_min: float = 0.0,
+    reward_min: float = DEFAULT_REWARD_MIN,
 ) -> list[SftSample]:
     """Keep decision samples with taken_reward > reward_min and forecast
     samples with w_hit >= whit_min; unlabeled records never export."""

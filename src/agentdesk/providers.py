@@ -297,12 +297,13 @@ class HttpEmbeddingProvider(_HttpClient):
 
 class HttpRerankerProvider(_HttpClient):
     """Relevance client. Request: {model, query, passage}; response:
-    {relevance: p} or, degraded, {content: "yes"|"no"} mapped to 1/0."""
+    {relevance: p}, p a JSON number in [0, 1], or, degraded,
+    {content: "yes"|"no"} mapped to 1/0."""
 
     def relevance(self, query: str, passage: str) -> float:
         body = self._post({"query": query, "passage": passage})
         if "relevance" in body:
-            p = float(body["relevance"])
+            p = _number(body["relevance"])
             if not 0.0 <= p <= 1.0:
                 raise ProviderError(f"relevance {p} outside [0, 1]")
             return p

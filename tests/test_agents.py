@@ -125,6 +125,27 @@ class TestNewsAgent:
         assert report.items_skipped == 1
         assert report.score == 0.0
 
+    NEWS = [NewsItem(DAY, "Earnings beat", "strong quarter with revenue growth")]
+    DIGEST = "DATE: 2022-06-01\nNEWS DIGEST:\n- [influence 0.7223] Earnings beat"
+
+    def test_item_malformed_once_is_repaired_and_used(self):
+        report, exchange = self._run(self.NEWS, MalformedOnceChatProvider(("always-up",)))
+        summary = "1 of 1 items scored (0 skipped): Earnings beat: uniformly positive"
+        assert report == SentimentReport(1.0, summary, 1, 0)
+        assert exchange.input_text == self.DIGEST
+        assert exchange.output_text == json.dumps(
+            {"score": 1.0, "summary": summary, "items_used": 1}
+        )
+
+    def test_item_provider_error_is_skipped(self):
+        report, exchange = self._run(self.NEWS, FailingChatProvider())
+        summary = "no usable news items (1 skipped)"
+        assert report == SentimentReport(0.0, summary, 0, 1)
+        assert exchange.input_text == self.DIGEST
+        assert exchange.output_text == json.dumps(
+            {"score": 0.0, "summary": summary, "items_used": 0}
+        )
+
     def test_selection_capped_at_news_top_k(self):
         news = [NewsItem(DAY, f"distinct headline {i}", f"unique body {i}") for i in range(15)]
         report, _ = self._run(news, StubChatProvider(("always-up",)))
@@ -412,8 +433,8 @@ def test_fallback_is_pinned(tmp_path, agent, failure, flags, value, output_text)
 class MalformedOnceChatProvider:
     """Malformed first reply; the repair retry gets the stub's answer."""
 
-    def __init__(self):
-        self.inner = StubChatProvider(("sideways",))
+    def __init__(self, policies=("sideways",)):
+        self.inner = StubChatProvider(policies)
 
     def complete(self, messages, **kwargs):
         if not any(m["role"] == "assistant" for m in messages):
@@ -425,7 +446,7 @@ class MalformedOnceChatProvider:
     ("forecast", ("repaired",)),
     ("style", ("repaired",)),
     ("decision", ("repaired",)),
-    ("report", ()),
+    ("report", ("repaired",)),
 ])
 def test_repair_retry_flag(tmp_path, agent, flags):
     _, got_flags, exchange = _fallback_run(agent, MalformedOnceChatProvider(), tmp_path)

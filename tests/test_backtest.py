@@ -8,19 +8,26 @@ from datetime import date
 
 import pytest
 
+from agentdesk.agents import REFLECTION_WINDOW
 from agentdesk.backtest import (
     EQUITY_FILE,
     METRICS_FILE,
     TRAJECTORIES_FILE,
+    RunInputs,
+    RunState,
     load_equity_curve,
     replay,
     run_backtest,
+    step,
     trading_dates,
 )
 from agentdesk.config import load_config
 from agentdesk.datasynth import load_trajectories
 from agentdesk.errors import DataError, ProviderError
 from agentdesk.marketdata import load_price_csv
+from agentdesk.portfolio import AccountState
+from agentdesk.providers import make_chat_provider, make_embedding_provider, make_reranker_provider
+from agentdesk.retrieval import load_keywords
 
 from conftest import build_env, crash_closes, random_walk_closes, rising_closes
 
@@ -359,6 +366,26 @@ class TestAblationFlags:
         assert "disabled" in style_record.input_text
         decision_record = next(r for r in off.records if r.agent_name == "decision")
         assert "current-state injection disabled" in decision_record.input_text
+
+
+class TestBoundedRunState:
+    def test_reflection_state_keeps_the_last_window(self, tmp_path):
+        env = build_env(tmp_path, rising_closes(60))
+        cfg = load_config(env.config_path)
+        series = load_price_csv(env.prices)
+        days = trading_dates(series, None, None)[:30]
+        run = RunInputs(
+            cfg, series, {}, [], load_keywords(None), make_chat_provider(cfg.provider),
+            make_embedding_provider("stub"), make_reranker_provider("stub"),
+        )
+        state = RunState(AccountState.initial(cfg.initial_cash), [])
+        for day in days:
+            step(state, run, day)
+        # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
+        for kept in (state.forecast_cases, state.decision_cases,
+                     state.style_cases, state.style_outcomes):
+            assert len(kept) == REFLECTION_WINDOW == 20
+            assert [c.date for c in kept] == days[-21:-1]
 
 
 class TestFallbackTotality:

@@ -75,6 +75,10 @@ class TestRunCommand:
         "flags: {risk_management: maybe}",
         "flags: {self_reflection: 1}",
         "gate: {rsi_overheat: true}",
+        "seed: 2.5",
+        "seed: true",
+        "commission_rate: true",
+        "initial_cash: '100'",
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, body):
         env = build_env(tmp_path, rising_closes(45))

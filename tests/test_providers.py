@@ -321,6 +321,14 @@ class TestHttpEmbeddingAndReranker:
         with pytest.raises(ProviderError):
             provider.relevance("q", "p")
 
+    @pytest.mark.parametrize("relevance", ["high", "0.5", None, float("nan")])
+    def test_reranker_non_numeric_relevance_rejected(self, http_server, relevance):
+        base, handler = http_server
+        handler.responses["/rank"] = (200, {"relevance": relevance})
+        provider = HttpRerankerProvider(f"{base}/rank", "rr-x")
+        with pytest.raises(ProviderError, match="not a finite number"):
+            provider.relevance("q", "p")
+
 
 class TestFactories:
     def test_stub_chat_from_spec(self):
