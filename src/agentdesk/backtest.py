@@ -58,6 +58,7 @@ from .providers import (
     make_chat_provider,
     make_embedding_provider,
     make_reranker_provider,
+    memoized,
 )
 from .retrieval import (
     EmbeddingProvider,
@@ -183,8 +184,9 @@ def run_backtest(
         credentials_env=cfg.credentials_env,
     )
     chat = make_chat_provider(cfg.provider, **remote, base_dir=base_dir)
-    embedding = make_embedding_provider(cfg.embedding_provider, **remote)
-    reranker = make_reranker_provider(cfg.reranker_provider, **remote)
+    # Chat stays uncached: its prompts carry the date, so they never repeat.
+    embedding = memoized(make_embedding_provider(cfg.embedding_provider, **remote))
+    reranker = memoized(make_reranker_provider(cfg.reranker_provider, **remote))
     run = RunInputs(cfg, series, news_by_date, filings, keywords, chat, embedding, reranker)
     state = RunState(
         account=AccountState.initial(cfg.initial_cash),

@@ -76,13 +76,6 @@ def _as_str(value: Any) -> str:
     return str(value)
 
 
-def _as_float(value: Any) -> float:
-    number = float(value)
-    if not math.isfinite(number):
-        raise ValueError(f"{number} is not finite")
-    return number
-
-
 def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
     """Read {style: {sl, tp}} or {style: [sl, tp]}; missing styles keep defaults."""
     if table is None:
@@ -92,13 +85,15 @@ def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
     parsed = {}
     for style, pair in table.items():
         sl, tp = (pair["sl"], pair["tp"]) if isinstance(pair, Mapping) else pair
-        parsed[TradingStyle(str(style))] = StyleMultipliers(_as_float(sl), _as_float(tp))
+        parsed[TradingStyle(str(style))] = StyleMultipliers(
+            float(_typed("float", sl, f"{style}.sl")), float(_typed("float", tp, f"{style}.tp"))
+        )
     return {**DEFAULT_MULTIPLIERS, **parsed}
 
 
 # The value types a bool, int or float field takes, by annotation; numbers
 # must also be finite. Section values are stored as given (an int in a float
-# field stays an int); top-level floats are stored as float.
+# field stays an int); top-level floats and risk multipliers are stored as float.
 _SECTION_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
 
 

@@ -55,8 +55,8 @@ class AccountState:
 
     @classmethod
     def initial(cls, cash: float) -> "AccountState":
-        if cash <= 0:
-            raise ValueError("initial cash must be positive")
+        if not (math.isfinite(cash) and cash > 0):
+            raise ValueError(f"initial cash must be positive and finite, got {cash!r}")
         return cls(cash=cash, shares=0.0, avg_entry=None, equity=cash)
 
     def marked(self, price: float) -> "AccountState":

@@ -13,6 +13,7 @@ style, hold).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -20,6 +21,7 @@ import re
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 from typing import Mapping, Protocol, Sequence
 
 import requests
@@ -271,7 +273,8 @@ class HttpChatProvider(_HttpClient):
 
 
 def _number(value: object) -> float:
-    number = float(value) if isinstance(value, (int, float)) else math.nan
+    # Exact types, so a JSON true/false (a Python bool) is not a number.
+    number = float(value) if type(value) in (int, float) else math.nan
     if not math.isfinite(number):
         raise ProviderError(f"provider returned {value!r}, not a finite number")
     return number
@@ -313,6 +316,32 @@ class HttpRerankerProvider(_HttpClient):
         if content.startswith("no"):
             return 0.0
         raise ProviderError("reranker response has neither 'relevance' nor yes/no content")
+
+
+# ---------------------------------------------------------------------------
+# Run-scoped memo
+# ---------------------------------------------------------------------------
+
+# Entries kept per memoized method. Distinct news texts grow with the number
+# of days, so the memo is bounded to keep a run's memory flat in bar count.
+MEMO_ENTRIES = 4096
+_MEMOIZED = ("dense", "sparse", "relevance")
+
+
+def memoized(provider):
+    """`provider`'s `dense`, `sparse` and `relevance` methods (those it has)
+    behind one LRU memo each, keyed by the exact arguments.
+
+    Embeddings and relevance depend only on the request, so one run asks
+    the provider once per distinct request while it stays among the last
+    `MEMO_ENTRIES`. An error is never cached: the next identical request
+    goes to the provider again. Repeats share the returned object, which
+    retrieval only reads.
+    """
+    return SimpleNamespace(**{
+        name: functools.lru_cache(maxsize=MEMO_ENTRIES)(getattr(provider, name))
+        for name in _MEMOIZED if hasattr(provider, name)
+    })
 
 
 # ---------------------------------------------------------------------------

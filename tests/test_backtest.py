@@ -8,6 +8,7 @@ from datetime import date
 
 import pytest
 
+from agentdesk import backtest
 from agentdesk.agents import REFLECTION_WINDOW
 from agentdesk.backtest import (
     EQUITY_FILE,
@@ -406,6 +407,52 @@ class TestFallbackTotality:
         assert len(artifacts.records) == 5 * len(artifacts.trades)
         forecast_record = next(r for r in artifacts.records if r.agent_name == "forecast")
         assert forecast_record.output_text  # fallback output still logged
+
+
+class _Counted:
+    """Forwards the named provider methods and records each request."""
+
+    def __init__(self, inner, methods, seen):
+        for name in methods:
+            def call(*args, _name=name):
+                seen.append((_name, *args))
+                return getattr(inner, _name)(*args)
+            setattr(self, name, call)
+
+
+class TestProviderMemo:
+    def run_counted(self, env, name, monkeypatch):
+        seen: list[tuple] = []
+        for attr, factory, methods in (
+            ("make_embedding_provider", make_embedding_provider, ("dense", "sparse")),
+            ("make_reranker_provider", make_reranker_provider, ("relevance",)),
+        ):
+            monkeypatch.setattr(backtest, attr, lambda *a, _f=factory, _m=methods, **k:
+                                _Counted(_f(*a, **k), _m, seen))
+        run_env(env, name)
+        return seen
+
+    def test_each_distinct_request_reaches_the_provider_once(self, tmp_path, monkeypatch):
+        story = {"title": "Earnings beat guidance", "body": "Revenue rose sharply."}
+        news = [
+            {"date": "2022-02-02", **story},
+            {"date": "2022-02-03", **story},
+            {"date": "2022-02-03", "title": "Lawsuit filed", "body": "A merger is in doubt."},
+        ]
+        env = build_env(tmp_path, rising_closes(45), news=news, with_reports=True)
+        memo_seen = self.run_counted(env, "memo", monkeypatch)
+        monkeypatch.setattr(backtest, "memoized", lambda provider: provider)
+        plain_seen = self.run_counted(env, "plain", monkeypatch)
+
+        assert {kind for kind, *_ in memo_seen} == {"dense", "sparse", "relevance"}
+        assert len(memo_seen) == len(set(memo_seen))
+        assert set(memo_seen) == set(plain_seen)
+        story_text = f"{story['title']}\n{story['body']}"
+        assert sum(story_text in request for request in plain_seen) > 2  # one story, two days
+        assert sum(story_text in request for request in memo_seen) == 2  # dense and relevance
+        assert len(plain_seen) > len(memo_seen)
+        for name in ARTIFACT_FILES:
+            assert (env.out("memo") / name).read_bytes() == (env.out("plain") / name).read_bytes()
 
 
 class TestProviderErrorPropagation:

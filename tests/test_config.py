@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import pytest
+
 from agentdesk.backtest import run_backtest
-from agentdesk.config import load_config
+from agentdesk.cli import main
+from agentdesk.config import config_from_dict, load_config
+from agentdesk.risk import TradingStyle
 
 from conftest import build_env, rising_closes
 
@@ -80,3 +84,29 @@ class TestResolvedConfig:
         stored = env.out() / "config.yaml"
         assert stored.read_text() == RESOLVED_YAML
         assert load_config(stored) == cfg
+
+
+class TestRiskMultipliers:
+    """Multiplier values follow the same type rule as other section floats."""
+
+    @pytest.mark.parametrize("body", [
+        "risk: {multipliers: {balanced: ['0.5', 2.0]}}",
+        "risk: {multipliers: {balanced: [1.0, true]}}",
+        "risk: {multipliers: {balanced: {sl: .nan, tp: 2.0}}}",
+    ], ids=["string", "bool", "nan"])
+    def test_bad_multiplier_exits_two(self, tmp_path, capsys, body):
+        env = build_env(tmp_path, rising_closes(45))
+        env.config_path.write_text(f"symbol: TEST\n{body}\n")
+        assert main([
+            "run", "--config", str(env.config_path),
+            "--prices", str(env.prices), "--out", str(env.out()),
+        ]) == 2
+        err = capsys.readouterr().err
+        assert "bad config value for 'risk': balanced." in err
+        assert "must be a valid float" in err
+
+    def test_int_multipliers_are_stored_as_float(self):
+        cfg = config_from_dict({"symbol": "T", "risk": {"multipliers": {"balanced": [1, 3]}}})
+        m = cfg.risk.multipliers[TradingStyle.BALANCED]
+        assert (m.m_sl, m.m_tp) == (1.0, 3.0)
+        assert type(m.m_sl) is float and type(m.m_tp) is float

@@ -125,6 +125,11 @@ action_stream = st.lists(
 
 
 class TestAccountInvariants:
+    @pytest.mark.parametrize("cash", [0.0, -1.0, math.nan, math.inf])
+    def test_initial_cash_must_be_positive_and_finite(self, cash):
+        with pytest.raises(ValueError, match="positive and finite"):
+            AccountState.initial(cash)
+
     @given(action_stream, st.floats(min_value=0.0, max_value=0.01, allow_nan=False))
     @settings(max_examples=100, deadline=None)
     def test_cash_conservation_and_no_negatives(self, actions, rate):

@@ -10,6 +10,7 @@ from http.server import BaseHTTPRequestHandler, HTTPServer
 import pytest
 import yaml
 
+from agentdesk import providers
 from agentdesk.backtest import run_backtest
 from agentdesk.config import config_from_dict
 from agentdesk.errors import DataError, ProviderError
@@ -20,9 +21,11 @@ from agentdesk.providers import (
     HttpRerankerProvider,
     StubChatProvider,
     StubEmbeddingProvider,
+    StubRerankerProvider,
     make_chat_provider,
     make_embedding_provider,
     make_reranker_provider,
+    memoized,
 )
 
 from conftest import write_prices_csv
@@ -289,7 +292,10 @@ class TestHttpEmbeddingAndReranker:
         {"vector": ["high"]},
         {"weights": {"rev": float("nan")}},
         {"weights": {"rev": float("-inf")}},
-    ], ids=["dense-nan", "dense-inf", "dense-text", "sparse-nan", "sparse-minus-inf"])
+        {"vector": [True, 0.0]},
+        {"weights": {"rev": False}},
+    ], ids=["dense-nan", "dense-inf", "dense-text", "sparse-nan", "sparse-minus-inf",
+            "dense-bool", "sparse-bool"])
     def test_non_finite_embedding_numbers_rejected(self, http_server, body):
         base, handler = http_server
         handler.responses["/embed"] = (200, body)
@@ -321,13 +327,80 @@ class TestHttpEmbeddingAndReranker:
         with pytest.raises(ProviderError):
             provider.relevance("q", "p")
 
-    @pytest.mark.parametrize("relevance", ["high", "0.5", None, float("nan")])
+    @pytest.mark.parametrize("relevance", ["high", "0.5", None, float("nan"), True, False])
     def test_reranker_non_numeric_relevance_rejected(self, http_server, relevance):
         base, handler = http_server
         handler.responses["/rank"] = (200, {"relevance": relevance})
         provider = HttpRerankerProvider(f"{base}/rank", "rr-x")
         with pytest.raises(ProviderError, match="not a finite number"):
             provider.relevance("q", "p")
+
+
+class _CountingProvider:
+    """Embedding and reranker stub that counts the requests reaching it and
+    can raise `ProviderError` on the next `failures` calls."""
+
+    def __init__(self, failures: int = 0):
+        self.seen: list[tuple] = []
+        self.failures = failures
+        self.stub_embedding = StubEmbeddingProvider()
+        self.stub_reranker = StubRerankerProvider()
+
+    def _call(self, request, answer):
+        self.seen.append(request)
+        if self.failures:
+            self.failures -= 1
+            raise ProviderError("provider unavailable")
+        return answer()
+
+    def dense(self, text):
+        return self._call(("dense", text), lambda: self.stub_embedding.dense(text))
+
+    def sparse(self, text):
+        return self._call(("sparse", text), lambda: self.stub_embedding.sparse(text))
+
+    def relevance(self, query, passage):
+        return self._call(("relevance", query, passage),
+                          lambda: self.stub_reranker.relevance(query, passage))
+
+
+class TestMemoized:
+    REQUESTS = [
+        ("dense", "revenue rose"), ("sparse", "revenue rose"), ("dense", "a lawsuit"),
+        ("relevance", "q", "revenue rose"), ("relevance", "q", "quiet day"),
+        ("relevance", "other q", "revenue rose"),
+    ]
+
+    def test_each_distinct_request_reaches_the_provider_once(self):
+        inner = _CountingProvider()
+        memo = memoized(inner)
+        reference = _CountingProvider()
+        for _ in range(3):
+            for kind, *args in self.REQUESTS:
+                assert getattr(memo, kind)(*args) == getattr(reference, kind)(*args)
+        assert inner.seen == self.REQUESTS
+
+    def test_only_the_providers_methods_are_wrapped(self):
+        memo = memoized(StubRerankerProvider())
+        assert hasattr(memo, "relevance")
+        assert not hasattr(memo, "dense") and not hasattr(memo, "sparse")
+
+    def test_an_error_is_not_cached(self):
+        inner = _CountingProvider(failures=1)
+        memo = memoized(inner)
+        with pytest.raises(ProviderError):
+            memo.relevance("q", "revenue rose")
+        assert memo.relevance("q", "revenue rose") == 1.0
+        assert memo.relevance("q", "revenue rose") == 1.0
+        assert inner.seen == [("relevance", "q", "revenue rose")] * 2
+
+    def test_memo_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
+        inner = _CountingProvider()
+        memo = memoized(inner)
+        for text in ("a", "b", "c", "a"):
+            memo.dense(text)
+        assert inner.seen == [("dense", "a"), ("dense", "b"), ("dense", "c"), ("dense", "a")]
 
 
 class TestFactories:
