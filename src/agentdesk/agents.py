@@ -340,7 +340,7 @@ def run_report_agent(
         )
 
     latest = max(visible, key=lambda f: (f.period, f.path.name))
-    chunks = chunk_report(latest.path.read_text("utf-8"), cfg, doc_id=latest.path.name)
+    chunks = chunk_report(latest.text, cfg, doc_id=latest.path.name)
     query = REPORT_QUERY.format(symbol=symbol)
     hybrid = retrieve_topk(query, chunks, embedding, cfg)
 

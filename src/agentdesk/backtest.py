@@ -42,7 +42,7 @@ from .datasynth import (
     prompt_digest,
 )
 from .errors import DataError
-from .jsonl import read_jsonl, write_json, write_jsonl
+from .jsonl import read_document, read_jsonl, write_json, write_jsonl, write_text
 from .marketdata import PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
@@ -368,11 +368,11 @@ def _label_pending(state: RunState, run: RunInputs, next_at: Date) -> None:
 # ---------------------------------------------------------------------------
 
 def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: RunState) -> Path:
-    out_dir.mkdir(parents=True, exist_ok=True)
-
-    (out_dir / CONFIG_FILE).write_text(
-        yaml.safe_dump(config_to_dict(cfg), sort_keys=False), encoding="utf-8"
-    )
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise DataError(f"cannot write {out_dir}: {exc}") from exc
+    write_text(out_dir / CONFIG_FILE, yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
     write_json(out_dir / META_FILE, {
         "seed": cfg.seed,
         "conventions": {
@@ -405,16 +405,7 @@ def load_trades(run_dir: str | Path) -> list[dict]:
 
 
 def load_metrics(run_dir: str | Path) -> dict:
-    path = Path(run_dir) / METRICS_FILE
-    if not path.exists():
-        raise DataError(f"metrics report not found: {path}")
-    try:
-        stored = json.loads(path.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bad metrics report: {exc}") from exc
-    if not isinstance(stored, dict):
-        raise DataError("metrics report must be a JSON object")
-    return stored
+    return read_document(Path(run_dir) / METRICS_FILE, "metrics report", parse=json.loads)
 
 
 def replay(run_dir: str | Path) -> MetricsReport:

@@ -10,11 +10,10 @@ from functools import partial
 from pathlib import Path
 from typing import Any, Mapping
 
-import yaml
-
 from .datasynth import BandConfig, RewardConfig
 from .errors import DataError
 from .gate import GateConfig
+from .jsonl import read_document
 from .retrieval import RetrievalConfig
 from .risk import DEFAULT_MULTIPLIERS, RiskConfig, StyleMultipliers, TradingStyle
 
@@ -150,16 +149,7 @@ def config_from_dict(raw: Mapping) -> BacktestConfig:
 
 
 def load_config(path: str | Path) -> BacktestConfig:
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"config file not found: {p}")
-    try:
-        raw = yaml.safe_load(p.read_text("utf-8"))
-    except yaml.YAMLError as exc:
-        raise DataError(f"bad YAML in {p.name}: {exc}") from exc
-    if not isinstance(raw, Mapping):
-        raise DataError("config file must contain a mapping")
-    return config_from_dict(raw)
+    return config_from_dict(read_document(path, "config file"))
 
 
 def _stored(value: Any) -> Any:

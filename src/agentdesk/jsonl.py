@@ -1,19 +1,24 @@
-"""The on-disk format of run artifacts and exports.
+"""The on-disk format of run artifacts and exports, and the one reader of
+input files.
 
 A dataclass is written as a JSON object of its fields in declaration
 order, and a date as its ISO string. Non-finite floats are refused, so a
 NaN can never reach an artifact silently. JSONL files hold one such
-object per line.
+object per line. Files are replaced atomically, and a missing, unreadable,
+non-UTF-8 or unparseable input is a DataError naming the input.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import fields, is_dataclass
 from datetime import date as Date
 from functools import cache
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
+
+import yaml
 
 from .errors import DataError
 
@@ -40,27 +45,64 @@ _LINE = json.JSONEncoder(default=_encode_default, allow_nan=False)
 _PRETTY = json.JSONEncoder(default=_encode_default, allow_nan=False, indent=2)
 
 
+def write_text(path: str | Path, text: str | Iterable[str]) -> Path:
+    """Replace `path` with `text` (a string or its pieces) through a temp file
+    beside it, so a failed write leaves the old file as it was."""
+    p = Path(path)
+    tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            fh.writelines([text] if isinstance(text, str) else text)
+        os.replace(tmp, p)
+    except BaseException as exc:
+        tmp.unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise DataError(f"cannot write {p}: {exc}") from exc
+        raise
+    return p
+
+
 def write_json(path: str | Path, obj: Any) -> None:
     """Write `obj` as indented JSON with a trailing newline."""
-    Path(path).write_text(_PRETTY.encode(obj) + "\n", encoding="utf-8")
+    write_text(path, _PRETTY.encode(obj) + "\n")
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Any]) -> Path:
     """Write one JSON object per line, replacing any existing file."""
+    return write_text(path, (_LINE.encode(row) + "\n" for row in rows))
+
+
+def read_text(path: str | Path, what: str) -> str:
+    """The file's text. A missing, unreadable (a directory, say) or non-UTF-8
+    file raises DataError naming `what`."""
     p = Path(path)
-    with p.open("w", encoding="utf-8") as fh:
-        fh.writelines(_LINE.encode(row) + "\n" for row in rows)
-    return p
+    try:
+        return p.read_text("utf-8")
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} not found: {p}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} {p}: {exc}") from exc
+
+
+def read_document(path: str | Path, what: str, kind: type | tuple[type, ...] = dict,
+                  parse: Callable[[str], Any] = yaml.safe_load) -> Any:
+    """The whole file parsed by `parse` (YAML, or JSON with `json.loads`); a
+    parse error or a top level that is not a `kind` raises DataError."""
+    try:
+        doc = parse(read_text(path, what))
+    except (yaml.YAMLError, ValueError) as exc:
+        raise DataError(f"bad {what} {Path(path).name}: {exc}") from exc
+    if not isinstance(doc, kind):
+        raise DataError(f"{what} must be a {'list' if kind is list else 'mapping'}, got {type(doc).__name__}")
+    return doc
 
 
 def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
-    """Parse each non-blank line with `parse`. A missing file, or a line that
-    does not decode or fit `parse`, raises DataError naming `what`."""
+    """Parse each non-blank line with `parse`. A file `read_text` refuses, or
+    a line that does not decode or fit `parse`, raises DataError naming `what`."""
     p = Path(path)
-    if not p.exists():
-        raise DataError(f"{what} file not found: {p}")
     rows = []
-    for lineno, line in enumerate(p.read_text("utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(read_text(p, f"{what} file").splitlines(), start=1):
         if not line.strip():
             continue
         try:

@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError, InsufficientHistoryError
+from .jsonl import read_text
 
 TRADING_DAYS_PER_YEAR = 252
 SQRT_ANNUAL = math.sqrt(TRADING_DAYS_PER_YEAR)
@@ -86,22 +87,18 @@ class PriceSeries:
 
 def load_price_csv(path: str | Path) -> PriceSeries:
     """Load a `date,close` CSV (extra columns ignored) into a PriceSeries."""
-    p = Path(path)
-    if not p.exists():
-        raise DataError(f"price file not found: {p}")
     bars: list[PriceBar] = []
-    with p.open(newline="", encoding="utf-8") as fh:
-        reader = csv.DictReader(fh)
-        fields = reader.fieldnames or []
-        if "date" not in fields or "close" not in fields:
-            raise DataError(f"price CSV must have a date,close header, got {fields}")
-        for lineno, row in enumerate(reader, start=2):
-            try:
-                day = Date.fromisoformat((row["date"] or "").strip())
-                close = float((row["close"] or "").strip())
-            except (ValueError, AttributeError) as exc:
-                raise DataError(f"unparseable row {lineno} in {p.name}: {exc}") from exc
-            bars.append(PriceBar(day, close))
+    reader = csv.DictReader(read_text(path, "price file").splitlines())
+    fields = reader.fieldnames or []
+    if "date" not in fields or "close" not in fields:
+        raise DataError(f"price CSV must have a date,close header, got {fields}")
+    for lineno, row in enumerate(reader, start=2):
+        try:
+            day = Date.fromisoformat((row["date"] or "").strip())
+            close = float((row["close"] or "").strip())
+        except (ValueError, AttributeError) as exc:
+            raise DataError(f"unparseable row {lineno} in {Path(path).name}: {exc}") from exc
+        bars.append(PriceBar(day, close))
     return PriceSeries(tuple(bars))
 
 

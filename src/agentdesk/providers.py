@@ -25,9 +25,9 @@ from types import SimpleNamespace
 from typing import Mapping, Protocol, Sequence
 
 import requests
-import yaml
 
 from .errors import DataError, ProviderError
+from .jsonl import read_document
 
 DENSE_DIM = 64
 SPARSE_BUCKETS = 4096
@@ -162,11 +162,7 @@ class StubChatProvider:
                 continue
             if name.startswith("scripted:"):
                 path = Path(base_dir or ".") / name.split(":", 1)[1]  # absolute paths win
-                if not path.exists():
-                    raise DataError(f"scripted stub file not found: {path}")
-                loaded = yaml.safe_load(path.read_text("utf-8")) or {}
-                if not isinstance(loaded, dict):
-                    raise DataError("scripted stub file must be a mapping")
+                loaded = read_document(path, "scripted stub file", (dict, type(None))) or {}
                 script.update({str(k): str(v) for k, v in loaded.items()})
                 parts.append("scripted:" + str(path))
             else:

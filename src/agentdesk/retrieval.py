@@ -19,7 +19,7 @@ from typing import Mapping, Protocol, Sequence
 import yaml
 
 from .errors import DataError
-from .jsonl import read_jsonl
+from .jsonl import read_document, read_jsonl, read_text
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -132,23 +132,18 @@ LENGTH_SATURATION_WORDS = 300
 
 
 def load_keywords(path: str | Path | None = None) -> dict[str, float]:
-    """Load the news keyword table; the packaged default when path is None."""
+    """Load the news keyword table; the packaged default when path is None.
+    Each weight must be a finite, non-negative number."""
     if path is None:
         text = resources.files(__package__).joinpath("data/keywords.yaml").read_text("utf-8")
+        table = yaml.safe_load(text)
     else:
-        p = Path(path)
-        if not p.exists():
-            raise DataError(f"keyword table not found: {p}")
-        text = p.read_text("utf-8")
-    table = yaml.safe_load(text)
-    if not isinstance(table, dict):
-        raise DataError("keyword table must map terms to weights")
+        table = read_document(path, "keyword table")
     out: dict[str, float] = {}
     for term, weight in table.items():
-        w = float(weight)
-        if w < 0:
-            raise DataError(f"keyword weight for {term!r} is negative")
-        out[str(term).lower()] = w
+        if type(weight) not in (int, float) or not 0 <= weight < math.inf:
+            raise DataError(f"keyword weight for {term!r} must be a finite non-negative number, got {weight!r}")
+        out[str(term).lower()] = float(weight)
     return out
 
 
@@ -323,42 +318,38 @@ class Filing:
     symbol: str
     period: Date
     path: Path
+    text: str
+
+
+def _string(value: object, name: str) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"{name} must be a string, got {value!r}")
+    return value
 
 
 def load_news_jsonl(path: str | Path) -> list[NewsItem]:
-    """Line-delimited {date, title, body} records."""
+    """Line-delimited {date, title, body} records; a missing or null body
+    reads as empty."""
     return read_jsonl(path, "news", lambda obj: NewsItem(
         date=Date.fromisoformat(obj["date"]),
-        title=str(obj["title"]),
-        body=str(obj.get("body", "")),
+        title=_string(obj["title"], "title"),
+        body=_string("" if obj.get("body") is None else obj["body"], "body"),
     ))
 
 
 def load_report_manifest(reports_dir: str | Path) -> list[Filing]:
     """Read manifest.json ({symbol, period, path} entries) from a reports
-    directory; period is the filing date used for visibility cutoffs."""
+    directory, and each filing's text; period is the filing date used for
+    visibility cutoffs."""
     root = Path(reports_dir)
-    manifest = root / "manifest.json"
-    if not manifest.exists():
-        raise DataError(f"report manifest not found: {manifest}")
-    try:
-        entries = json.loads(manifest.read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"bad report manifest: {exc}") from exc
-    if not isinstance(entries, list):
-        raise DataError("report manifest must be a list of entries")
+    entries = read_document(root / "manifest.json", "report manifest", list, json.loads)
     filings: list[Filing] = []
     for i, entry in enumerate(entries):
         try:
-            path = root / str(entry["path"])
-            filing = Filing(
-                symbol=str(entry["symbol"]),
-                period=Date.fromisoformat(entry["period"]),
-                path=path,
-            )
-        except (KeyError, ValueError) as exc:
+            symbol = _string(entry["symbol"], "symbol")
+            period = Date.fromisoformat(entry["period"])
+            path = root / _string(entry["path"], "path")
+        except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad manifest entry {i}: {exc}") from exc
-        if not path.exists():
-            raise DataError(f"filing not found: {path}")
-        filings.append(filing)
+        filings.append(Filing(symbol, period, path, read_text(path, "filing")))
     return filings

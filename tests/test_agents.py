@@ -156,7 +156,7 @@ class TestReportAgent:
     def _write_filing(self, tmp_path, text, period=date(2022, 3, 31)):
         path = tmp_path / "fy.txt"
         path.write_text(text)
-        return Filing("TEST", period, path)
+        return Filing("TEST", period, path, text)
 
     def _run(self, filings, chat=None, reranker=None, **kwargs):
         return run_report_agent(

@@ -6,6 +6,7 @@ import json
 
 import pytest
 
+from agentdesk import backtest
 from agentdesk.cli import main
 from agentdesk.datasynth import load_trajectories
 
@@ -102,6 +103,141 @@ class TestRunCommand:
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0
         assert "backtester" in capsys.readouterr().out
+
+
+NEWS = [{"date": "2022-02-02", "title": "Earnings beat", "body": "revenue up"}]
+
+# input: (file under the env root, how the error names it, whether it is one
+# YAML/JSON document)
+RUN_INPUTS = {
+    "prices": ("prices.csv", "price file", False),
+    "config": ("config.yaml", "config file", True),
+    "news": ("news.jsonl", "news file", False),
+    "manifest": ("reports/manifest.json", "report manifest", True),
+    "filing": ("reports/fy.txt", "filing", False),
+    "keywords": ("keywords.yaml", "keyword table", True),
+    "script": ("script.yaml", "scripted stub file", True),
+}
+FAULTS = ("non-utf8", "directory", "malformed")
+
+
+def spoil(path, fault):
+    if fault == "non-utf8":
+        path.write_bytes(path.read_bytes() + b"\xff\n")
+    elif fault == "directory":
+        path.unlink()
+        path.mkdir()
+    else:
+        path.write_text("key: [unclosed\n", encoding="utf-8")
+
+
+def full_env(tmp_path):
+    """A run that reads every kind of input file."""
+    (tmp_path / "keywords.yaml").write_text("revenue: 0.5\n", encoding="utf-8")
+    env = build_env(tmp_path, rising_closes(45), news=NEWS, with_reports=True,
+                    script={"style:*": '{"style": "balanced", "confidence": 0.5}'},
+                    config={"keywords_path": str(tmp_path / "keywords.yaml")})
+    return env, run_args(env) + ["--news", str(env.news), "--reports", str(env.reports)]
+
+
+def expect_data_error(capsys, code, name):
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert err.startswith("data error:") and name in err, err
+
+
+class TestInputFaults:
+    @pytest.mark.parametrize("name, fault", [
+        (name, fault) for name, (_, _, document) in RUN_INPUTS.items()
+        for fault in FAULTS if document or fault != "malformed"
+    ])
+    def test_bad_input_exits_two_and_names_it(self, tmp_path, capsys, name, fault):
+        env, args = full_env(tmp_path)
+        assert main(args) == 0
+        capsys.readouterr()
+        rel, what, _ = RUN_INPUTS[name]
+        spoil(tmp_path / rel, fault)
+        expect_data_error(capsys, main(args), what)
+
+    @pytest.mark.parametrize("command, rel, what, fault", [
+        ("metrics", "metrics.json", "metrics report", fault) for fault in FAULTS
+    ] + [
+        ("replay", "metrics.json", "metrics report", fault) for fault in FAULTS
+    ] + [
+        ("export-sft", "trajectories.jsonl", "trajectory file", fault) for fault in FAULTS[:2]
+    ])
+    def test_bad_stored_artifact_exits_two_and_names_it(self, tmp_path, capsys, command, rel, what, fault):
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env)) == 0
+        capsys.readouterr()
+        spoil(env.out("run") / rel, fault)
+        args = [command, "--run", str(env.out("run"))]
+        if command == "export-sft":
+            args += ["--out", str(tmp_path / "sft.jsonl")]
+        expect_data_error(capsys, main(args), what)
+
+    def test_bad_filing_fails_before_any_chat_call(self, tmp_path, capsys, monkeypatch):
+        env, args = full_env(tmp_path)
+        spoil(tmp_path / "reports" / "fy.txt", "non-utf8")
+        calls = []
+        make_chat = backtest.make_chat_provider
+
+        def counting_chat(*a, **kw):
+            inner = make_chat(*a, **kw)
+
+            class Counting:
+                def complete(self, *ca, **ckw):
+                    calls.append(ca)
+                    return inner.complete(*ca, **ckw)
+            return Counting()
+
+        monkeypatch.setattr(backtest, "make_chat_provider", counting_chat)
+        expect_data_error(capsys, main(args), "filing")
+        assert calls == []
+
+    @pytest.mark.parametrize("entry", [
+        "fy.txt",
+        {"symbol": "TEST", "period": 20220110, "path": "fy.txt"},
+    ])
+    def test_bad_manifest_entry_exits_two(self, tmp_path, capsys, entry):
+        env, args = full_env(tmp_path)
+        (env.reports / "manifest.json").write_text(json.dumps([entry]), encoding="utf-8")
+        expect_data_error(capsys, main(args), "bad manifest entry 0")
+
+    @pytest.mark.parametrize("field", ["title", "body"])
+    def test_non_string_news_field_exits_two(self, tmp_path, capsys, field):
+        env, args = full_env(tmp_path)
+        env.news.write_text(json.dumps({**NEWS[0], field: 5}) + "\n", encoding="utf-8")
+        expect_data_error(capsys, main(args), f"{field} must be a string")
+
+    def test_null_title_exits_two(self, tmp_path, capsys):
+        env, args = full_env(tmp_path)
+        env.news.write_text(json.dumps({**NEWS[0], "title": None}) + "\n", encoding="utf-8")
+        expect_data_error(capsys, main(args), "title must be a string, got None")
+
+
+class TestOutputFaults:
+    def test_run_leaves_no_temp_files(self, tmp_path):
+        env, args = full_env(tmp_path)
+        assert main(args) == 0
+        assert sorted(p.name for p in env.out("run").iterdir()) == sorted([
+            "config.yaml", "meta.json", "equity.jsonl", "trades.jsonl",
+            "trajectories.jsonl", "metrics.json",
+        ])
+
+    def test_export_to_missing_directory_exits_two(self, tmp_path, capsys):
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env)) == 0
+        capsys.readouterr()
+        out = tmp_path / "nodir" / "sft.jsonl"
+        code = main(["export-sft", "--run", str(env.out("run")), "--out", str(out)])
+        expect_data_error(capsys, code, "cannot write")
+        assert not (tmp_path / "nodir").exists()
+
+    def test_run_out_is_a_file_exits_two(self, tmp_path, capsys):
+        env = build_env(tmp_path, rising_closes(45))
+        env.out("run").write_text("not a directory")
+        expect_data_error(capsys, main(run_args(env)), str(env.out("run")))
 
 
 class TestMetricsCommand:

@@ -3,6 +3,7 @@ and no non-finite numbers."""
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from datetime import date
@@ -10,7 +11,7 @@ from datetime import date
 import pytest
 
 from agentdesk.errors import DataError
-from agentdesk.jsonl import read_jsonl, write_json, write_jsonl
+from agentdesk.jsonl import read_document, read_jsonl, read_text, write_json, write_jsonl, write_text
 
 
 @dataclass(frozen=True)
@@ -50,3 +51,68 @@ class TestRead:
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="point file not found"):
             read_jsonl(tmp_path / "absent.jsonl", "point", dict)
+
+
+class TestAtomicWrite:
+    def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
+        path = write_jsonl(tmp_path / "p.jsonl", [{"v": 1}])
+        with pytest.raises(ValueError):
+            write_jsonl(path, [{"v": 2}, {"v": math.nan}])
+        assert path.read_text() == '{"v": 1}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]
+
+    def test_replaces_existing_file(self, tmp_path):
+        path = write_text(tmp_path / "a.txt", "old")
+        write_json(path, {"v": 2})
+        assert path.read_text() == '{\n  "v": 2\n}\n'
+        assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
+
+    @pytest.mark.parametrize("target", ["absent/p.jsonl", "dir"])
+    def test_unwritable_path_names_file(self, tmp_path, target):
+        (tmp_path / "dir").mkdir()
+        with pytest.raises(DataError, match=f"cannot write .*{target}"):
+            write_jsonl(tmp_path / target, [{"v": 1}])
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["dir"]
+
+
+class TestReadInput:
+    def test_text_is_utf8(self, tmp_path):
+        path = tmp_path / "t.txt"
+        path.write_text("caf\u00e9\n", encoding="utf-8")
+        assert read_text(path, "note") == "caf\u00e9\n"
+
+    @pytest.mark.parametrize("fault, message", [
+        ("missing", "note (file )?not found"),
+        ("directory", "cannot read note"),
+        ("non-utf8", "cannot read note .*utf-8"),
+    ])
+    def test_unreadable_file_names_input(self, tmp_path, fault, message):
+        path = tmp_path / "t.txt"
+        if fault == "directory":
+            path.mkdir()
+        elif fault == "non-utf8":
+            path.write_bytes(b"caf\xe9\n")
+        for read in (lambda: read_text(path, "note"), lambda: read_document(path, "note"),
+                     lambda: read_jsonl(path, "note", dict)):
+            with pytest.raises(DataError, match=message):
+                read()
+
+    def test_document_yaml_and_json(self, tmp_path):
+        path = tmp_path / "d.json"
+        path.write_text('{"a": [1, 2]}')
+        assert read_document(path, "doc") == {"a": [1, 2]}
+        assert read_document(path, "doc", parse=json.loads) == {"a": [1, 2]}
+
+    @pytest.mark.parametrize("text, kind, parse, message", [
+        ("a: [unclosed\n", dict, None, "bad doc d.txt"),
+        ("{'a': 1}", dict, json.loads, "bad doc d.txt"),
+        ("- 1\n", dict, None, "doc must be a mapping, got list"),
+        ('{"a": 1}', list, json.loads, "doc must be a list, got dict"),
+        ("", dict, None, "doc must be a mapping, got NoneType"),
+    ])
+    def test_bad_document_names_input(self, tmp_path, text, kind, parse, message):
+        path = tmp_path / "d.txt"
+        path.write_text(text)
+        extra = {} if parse is None else {"parse": parse}
+        with pytest.raises(DataError, match=message):
+            read_document(path, "doc", kind, **extra)

@@ -325,6 +325,47 @@ class TestLoaders:
         assert filings[0].symbol == "T"
         assert filings[0].period == date(2022, 3, 31)
 
+    def test_manifest_reads_each_filing_once(self, tmp_path):
+        (tmp_path / "fy.txt").write_text("Revenue grew.")
+        (tmp_path / "manifest.json").write_text(json.dumps([
+            {"symbol": "T", "period": "2022-03-31", "path": "fy.txt"}
+        ]))
+        filings = load_report_manifest(tmp_path)
+        (tmp_path / "fy.txt").unlink()
+        assert filings[0].text == "Revenue grew."
+
+    @pytest.mark.parametrize("entry", [
+        ["T", "2022-03-31", "fy.txt"],
+        "fy.txt",
+        {"symbol": "T", "period": 20220331, "path": "fy.txt"},
+        {"symbol": None, "period": "2022-03-31", "path": "fy.txt"},
+        {"symbol": 7, "period": "2022-03-31", "path": "fy.txt"},
+        {"symbol": "T", "period": "2022-03-31", "path": None},
+    ])
+    def test_manifest_bad_entry(self, tmp_path, entry):
+        (tmp_path / "fy.txt").write_text("Revenue grew.")
+        (tmp_path / "manifest.json").write_text(json.dumps([entry]))
+        with pytest.raises(DataError, match="bad manifest entry 0"):
+            load_report_manifest(tmp_path)
+
+    @pytest.mark.parametrize("fields", [
+        {"title": None, "body": "B"},
+        {"title": 5, "body": "B"},
+        {"title": "T", "body": 5},
+        {"title": "T", "body": ["B"]},
+    ])
+    def test_news_string_fields(self, tmp_path, fields):
+        p = tmp_path / "news.jsonl"
+        p.write_text(json.dumps({"date": "2022-05-02", **fields}) + "\n")
+        with pytest.raises(DataError, match="bad news record at news.jsonl:1: (title|body) must be a string"):
+            load_news_jsonl(p)
+
+    @pytest.mark.parametrize("extra", [{}, {"body": None}])
+    def test_news_missing_or_null_body_is_empty(self, tmp_path, extra):
+        p = tmp_path / "news.jsonl"
+        p.write_text(json.dumps({"date": "2022-05-02", "title": "T", **extra}) + "\n")
+        assert load_news_jsonl(p) == [NewsItem(date(2022, 5, 2), "T", "")]
+
     def test_manifest_missing_file(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps([
             {"symbol": "T", "period": "2022-03-31", "path": "absent.txt"}
@@ -336,3 +377,17 @@ class TestLoaders:
         p = tmp_path / "kw.yaml"
         p.write_text("earnings: 0.9\n")
         assert load_keywords(p) == {"earnings": 0.9}
+
+    def test_keyword_weights_stored_as_float(self, tmp_path):
+        p = tmp_path / "kw.yaml"
+        p.write_text("Revenue: 1\nmerger: 0\n")
+        weights = load_keywords(p)
+        assert weights == {"revenue": 1.0, "merger": 0.0}
+        assert all(type(w) is float for w in weights.values())
+
+    @pytest.mark.parametrize("weight", ["abc", ".nan", ".inf", "-0.5", "true", "null", "'0.5'", "[1]"])
+    def test_keyword_weight_must_be_finite_non_negative_number(self, tmp_path, weight):
+        p = tmp_path / "kw.yaml"
+        p.write_text(f"earnings: 0.4\nrevenue: {weight}\n")
+        with pytest.raises(DataError, match="keyword weight for 'revenue' must be a finite non-negative number"):
+            load_keywords(p)
