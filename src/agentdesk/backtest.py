@@ -11,6 +11,7 @@ config plus stub providers reproduce every file byte for byte.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
@@ -118,10 +119,15 @@ def trading_dates(series: PriceSeries, start: Date | None, end: Date | None) -> 
     return days
 
 
-def _group_news(items: Sequence[NewsItem]) -> dict[Date, list[NewsItem]]:
+def _group_news(items: Sequence[NewsItem], series: PriceSeries) -> dict[Date, list[NewsItem]]:
+    """Group news by the first bar dated on or after each item's date, so
+    news from a non-trading day is shown on the next trading day. Items
+    after the last bar have no such day and are dropped."""
     grouped: dict[Date, list[NewsItem]] = {}
     for item in items:
-        grouped.setdefault(item.date, []).append(item)
+        i = bisect_left(series.dates, item.date)
+        if i < len(series):
+            grouped.setdefault(series.dates[i], []).append(item)
     return grouped
 
 
@@ -174,9 +180,10 @@ def run_backtest(
 ) -> RunArtifacts:
     series = load_price_csv(prices_path)
     days = trading_dates(series, cfg.start, cfg.end)
-    news_by_date = _group_news(load_news_jsonl(news_path)) if news_path else {}
+    news_by_date = _group_news(load_news_jsonl(news_path), series) if news_path else {}
     filings = load_report_manifest(reports_dir) if reports_dir else []
-    keywords = load_keywords(cfg.keywords_path)
+    keywords = load_keywords(cfg.keywords_path, base_dir)
+    out_dir = _make_out_dir(Path(out_dir))  # before any provider call
 
     remote = dict(
         endpoint=cfg.provider_endpoint,
@@ -201,9 +208,9 @@ def run_backtest(
     n_trades = sum(1 for t in state.trades if t.quantity > 0)
     metrics = compute_metrics(curve_values, n_trades)
 
-    run_dir = _persist(Path(out_dir), cfg, metrics, state)
+    _persist(out_dir, cfg, metrics, state)
     return RunArtifacts(
-        run_dir=run_dir,
+        run_dir=out_dir,
         metrics=metrics,
         trades=tuple(state.trades),
         equity_curve=tuple(state.equity_curve),
@@ -367,11 +374,15 @@ def _label_pending(state: RunState, run: RunInputs, next_at: Date) -> None:
 # Artifact persistence and replay
 # ---------------------------------------------------------------------------
 
-def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: RunState) -> Path:
+def _make_out_dir(out_dir: Path) -> Path:
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
         raise DataError(f"cannot write {out_dir}: {exc}") from exc
+    return out_dir
+
+
+def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: RunState) -> None:
     write_text(out_dir / CONFIG_FILE, yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
     write_json(out_dir / META_FILE, {
         "seed": cfg.seed,
@@ -390,7 +401,6 @@ def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: 
     # (as perfbench's traced run does) sees the call.
     datasynth.emit_trajectories(state.records, out_dir / TRAJECTORIES_FILE)
     write_json(out_dir / METRICS_FILE, metrics)
-    return out_dir
 
 
 def load_equity_curve(run_dir: str | Path) -> list[tuple[Date, float]]:

@@ -73,6 +73,34 @@ class PriceSeries:
     def closes(self) -> tuple[float, ...]:
         return tuple(b.close for b in self.bars)
 
+    @cached_property
+    def log_returns(self) -> tuple[float, ...]:
+        """Entry i is log(closes[i + 1] / closes[i])."""
+        closes = self.closes
+        return tuple(math.log(b / a) for a, b in zip(closes, closes[1:]))
+
+    @cached_property
+    def rsi(self) -> tuple[float, ...]:
+        """Wilder-smoothed RSI_WINDOW-period RSI, one forward pass; entry i
+        is the RSI at bar i + RSI_WINDOW, read from bars 0..i + RSI_WINDOW only.
+
+        Seeded with the simple average of the first 14 gains/losses. Zero
+        average loss maps to 100, zero average gain to 0, and a fully
+        constant history to 50.
+        """
+        closes = self.closes
+        diffs = [b - a for a, b in zip(closes, closes[1:])]
+        if len(diffs) < RSI_WINDOW:
+            return ()
+        avg_gain = sum(max(d, 0.0) for d in diffs[:RSI_WINDOW]) / RSI_WINDOW
+        avg_loss = sum(max(-d, 0.0) for d in diffs[:RSI_WINDOW]) / RSI_WINDOW
+        out = [_rsi_value(avg_gain, avg_loss)]
+        for d in diffs[RSI_WINDOW:]:
+            avg_gain = (avg_gain * (RSI_WINDOW - 1) + max(d, 0.0)) / RSI_WINDOW
+            avg_loss = (avg_loss * (RSI_WINDOW - 1) + max(-d, 0.0)) / RSI_WINDOW
+            out.append(_rsi_value(avg_gain, avg_loss))
+        return tuple(out)
+
     def count_until(self, at: Date) -> int:
         """Number of bars dated at or before `at`."""
         return bisect_right(self.dates, at)
@@ -106,20 +134,26 @@ def load_price_csv(path: str | Path) -> PriceSeries:
 # Window helpers
 # ---------------------------------------------------------------------------
 
-def _prefix_closes(series: PriceSeries, at: Date, minimum: int, what: str) -> Sequence[float]:
+def _bars_until(series: PriceSeries, at: Date, minimum: int, what: str) -> int:
+    """Number of bars dated at or before `at`; raises below `minimum`."""
     n = series.count_until(at)
     if n < minimum:
         raise InsufficientHistoryError(
             f"{what} needs {minimum} closes at or before {at}, found {n}"
         )
-    return series.closes[:n]
+    return n
 
 
-def trailing_log_returns(series: PriceSeries, at: Date, count: int) -> list[float]:
+def _trailing_closes(series: PriceSeries, at: Date, count: int, what: str) -> Sequence[float]:
+    """The last `count` closes at or before `at`."""
+    n = _bars_until(series, at, count, what)
+    return series.closes[n - count:n]
+
+
+def trailing_log_returns(series: PriceSeries, at: Date, count: int) -> Sequence[float]:
     """Last `count` close-to-close log returns ending at `at`."""
-    closes = _prefix_closes(series, at, count + 1, f"{count} log returns")
-    window = closes[-(count + 1):]
-    return [math.log(b / a) for a, b in zip(window, window[1:])]
+    n = _bars_until(series, at, count + 1, f"{count} log returns")
+    return series.log_returns[n - 1 - count:n - 1]
 
 
 def population_std(xs: Iterable[float]) -> float:
@@ -134,22 +168,7 @@ def population_std(xs: Iterable[float]) -> float:
 # Indicators
 # ---------------------------------------------------------------------------
 
-def rsi14(series: PriceSeries, at: Date) -> float:
-    """Wilder-smoothed 14-period RSI of closes at or before `at`.
-
-    Seeded with the simple average of the first 14 gains/losses. Zero
-    average loss maps to 100, zero average gain to 0, and a fully constant
-    history to 50.
-    """
-    closes = _prefix_closes(series, at, RSI_WINDOW + 1, "rsi14")
-    diffs = [b - a for a, b in zip(closes, closes[1:])]
-    gains = [max(d, 0.0) for d in diffs[:RSI_WINDOW]]
-    losses = [max(-d, 0.0) for d in diffs[:RSI_WINDOW]]
-    avg_gain = sum(gains) / RSI_WINDOW
-    avg_loss = sum(losses) / RSI_WINDOW
-    for d in diffs[RSI_WINDOW:]:
-        avg_gain = (avg_gain * (RSI_WINDOW - 1) + max(d, 0.0)) / RSI_WINDOW
-        avg_loss = (avg_loss * (RSI_WINDOW - 1) + max(-d, 0.0)) / RSI_WINDOW
+def _rsi_value(avg_gain: float, avg_loss: float) -> float:
     if avg_loss == 0.0 and avg_gain == 0.0:
         return 50.0
     if avg_loss == 0.0:
@@ -158,10 +177,16 @@ def rsi14(series: PriceSeries, at: Date) -> float:
     return 100.0 - 100.0 / (1.0 + rs)
 
 
+def rsi14(series: PriceSeries, at: Date) -> float:
+    """Wilder-smoothed 14-period RSI of closes at or before `at` (see
+    `PriceSeries.rsi`)."""
+    n = _bars_until(series, at, RSI_WINDOW + 1, "rsi14")
+    return series.rsi[n - 1 - RSI_WINDOW]
+
+
 def dist_sma20_pct(series: PriceSeries, at: Date) -> float:
     """Signed percent deviation of the close from its 20-day simple mean."""
-    closes = _prefix_closes(series, at, SMA_WINDOW, "dist_sma20_pct")
-    window = closes[-SMA_WINDOW:]
+    window = _trailing_closes(series, at, SMA_WINDOW, "dist_sma20_pct")
     sma = math.fsum(window) / SMA_WINDOW
     return 100.0 * (window[-1] / sma - 1.0)
 
@@ -172,8 +197,7 @@ def dist_extreme20_pct(series: PriceSeries, at: Date, side: str) -> float:
     `side` is "high" or "low"; the window includes the current close, so
     the high-side distance is always <= 0 and the low-side >= 0.
     """
-    closes = _prefix_closes(series, at, EXTREME_WINDOW, "dist_extreme20_pct")
-    window = closes[-EXTREME_WINDOW:]
+    window = _trailing_closes(series, at, EXTREME_WINDOW, "dist_extreme20_pct")
     if side == "high":
         extreme = max(window)
     elif side == "low":
@@ -185,8 +209,7 @@ def dist_extreme20_pct(series: PriceSeries, at: Date, side: str) -> float:
 
 def extreme_flag20(series: PriceSeries, at: Date, side: str) -> bool:
     """True iff the current close is a strict 20-day extreme."""
-    closes = _prefix_closes(series, at, EXTREME_WINDOW, "extreme_flag20")
-    window = closes[-EXTREME_WINDOW:]
+    window = _trailing_closes(series, at, EXTREME_WINDOW, "extreme_flag20")
     current = window[-1]
     rest = window[:-1]
     if side == "high":
@@ -231,7 +254,7 @@ class IndicatorSnapshot:
 
 def build_snapshot(series: PriceSeries, at: Date) -> IndicatorSnapshot:
     """Compute every indicator for `at`; needs at least 21 closes."""
-    _prefix_closes(series, at, ATR_WINDOW + 1, "build_snapshot")
+    _bars_until(series, at, ATR_WINDOW + 1, "build_snapshot")
     return IndicatorSnapshot(
         date=at,
         rsi14=rsi14(series, at),

@@ -131,14 +131,17 @@ LENGTH_SCORE_WEIGHT = 0.3
 LENGTH_SATURATION_WORDS = 300
 
 
-def load_keywords(path: str | Path | None = None) -> dict[str, float]:
+def load_keywords(
+    path: str | Path | None = None, base_dir: str | Path | None = None
+) -> dict[str, float]:
     """Load the news keyword table; the packaged default when path is None.
-    Each weight must be a finite, non-negative number."""
+    A relative path is read from `base_dir` (absolute paths win). Each
+    weight must be a finite, non-negative number."""
     if path is None:
         text = resources.files(__package__).joinpath("data/keywords.yaml").read_text("utf-8")
         table = yaml.safe_load(text)
     else:
-        table = read_document(path, "keyword table")
+        table = read_document(Path(base_dir or ".") / path, "keyword table")
     out: dict[str, float] = {}
     for term, weight in table.items():
         if type(weight) not in (int, float) or not 0 <= weight < math.inf:

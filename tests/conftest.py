@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from datetime import date, timedelta
 from pathlib import Path
 from typing import Sequence
@@ -11,6 +12,7 @@ from typing import Sequence
 import pytest
 import yaml
 
+from agentdesk.errors import InsufficientHistoryError
 from agentdesk.marketdata import PriceBar, PriceSeries
 
 
@@ -47,6 +49,73 @@ def crash_closes(n: int, crash_at: int = 30, crash_size: float = 0.12) -> list[f
     closes = rising_closes(n)
     factor = 1.0 - crash_size
     return closes[:crash_at] + [c * factor for c in closes[crash_at:]]
+
+
+# ---------------------------------------------------------------------------
+# Reference indicators: the from-bar-0 implementations that the per-series
+# tables replaced. They recompute everything from the prefix of closes at or
+# before `at`, so they cannot see a later bar; the tables must match them
+# bit for bit (==).
+# ---------------------------------------------------------------------------
+
+def ref_prefix_closes(series: PriceSeries, at: date, minimum: int, what: str):
+    n = series.count_until(at)
+    if n < minimum:
+        raise InsufficientHistoryError(
+            f"{what} needs {minimum} closes at or before {at}, found {n}"
+        )
+    return series.closes[:n]
+
+
+def ref_trailing_log_returns(series: PriceSeries, at: date, count: int) -> list[float]:
+    closes = ref_prefix_closes(series, at, count + 1, f"{count} log returns")
+    window = closes[-(count + 1):]
+    return [math.log(b / a) for a, b in zip(window, window[1:])]
+
+
+def ref_rsi14(series: PriceSeries, at: date) -> float:
+    period = 14
+    closes = ref_prefix_closes(series, at, period + 1, "rsi14")
+    diffs = [b - a for a, b in zip(closes, closes[1:])]
+    gains = [max(d, 0.0) for d in diffs[:period]]
+    losses = [max(-d, 0.0) for d in diffs[:period]]
+    avg_gain = sum(gains) / period
+    avg_loss = sum(losses) / period
+    for d in diffs[period:]:
+        avg_gain = (avg_gain * (period - 1) + max(d, 0.0)) / period
+        avg_loss = (avg_loss * (period - 1) + max(-d, 0.0)) / period
+    if avg_loss == 0.0 and avg_gain == 0.0:
+        return 50.0
+    if avg_loss == 0.0:
+        return 100.0
+    return 100.0 - 100.0 / (1.0 + avg_gain / avg_loss)
+
+
+def oracle_series(count: int = 1000, seed: int = 20220103) -> list[PriceSeries]:
+    """`count` seeded random walks of 2-60 bars (some with flat days, some
+    with jumps wide enough that a change in summation order shows), then a
+    constant series and random series of exactly 15 and 21 bars."""
+    rng = random.Random(seed)
+
+    def walk(n: int) -> list[float]:
+        vol = rng.choice((0.01, 0.03, 0.5, 3.0))
+        closes = [rng.uniform(1.0, 500.0)]
+        for _ in range(n - 1):
+            flat = rng.random() < 0.1
+            closes.append(closes[-1] * (1.0 if flat else math.exp(rng.gauss(0.0, vol))))
+        return closes
+
+    paths = [walk(rng.randint(2, 60)) for _ in range(count)]
+    paths += [[42.0] * 40, walk(15), walk(21)]
+    return [make_series(p) for p in paths]
+
+
+def outcome(fn):
+    """fn()'s value, or the message of the InsufficientHistoryError it raised."""
+    try:
+        return fn()
+    except InsufficientHistoryError as exc:
+        return ("insufficient history", str(exc))
 
 
 def write_prices_csv(path: Path, closes: Sequence[float],

@@ -28,9 +28,9 @@ from agentdesk.errors import DataError, ProviderError
 from agentdesk.marketdata import load_price_csv
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import make_chat_provider, make_embedding_provider, make_reranker_provider
-from agentdesk.retrieval import load_keywords
+from agentdesk.retrieval import NewsItem, load_keywords
 
-from conftest import build_env, crash_closes, random_walk_closes, rising_closes
+from conftest import build_env, crash_closes, make_series, random_walk_closes, rising_closes
 
 ARTIFACT_FILES = (
     "config.yaml", "meta.json", EQUITY_FILE, "trades.jsonl",
@@ -228,6 +228,31 @@ class TestLookAhead:
             assert record.output_text == twin.output_text
             if record.date != last_cut_day:
                 assert record == twin  # labels agree before the truncated tail
+
+
+class TestNewsOnNonTradingDays:
+    def test_weekend_item_seen_next_trading_day_and_late_item_dropped(self, tmp_path):
+        news = [
+            {"date": "2022-02-05", "title": "Saturday merger story", "body": "revenue"},
+            {"date": "2022-03-05", "title": "Story after the last bar", "body": "revenue"},
+        ]
+        env = build_env(tmp_path, rising_closes(45), news=news)
+        assert date(2022, 2, 5).weekday() == 5 and env.days[-1] == date(2022, 3, 4)
+        artifacts = run_env(env)
+        news_records = [r for r in artifacts.records if r.agent_name == "news"]
+        assert {r.date for r in news_records if "Saturday merger story" in r.input_text} \
+            == {date(2022, 2, 7)}
+        assert not any("after the last bar" in r.input_text for r in news_records)
+
+    def test_grouping_keys_each_item_by_the_next_bar_on_or_after_it(self):
+        series = make_series([100.0] * 10)  # 2022-01-03 (Mon) .. 2022-01-14 (Fri)
+        items = [NewsItem(date(2022, 1, d), f"day {d}", "") for d in (1, 3, 8, 9, 14, 15)]
+        grouped = backtest._group_news(items, series)
+        assert {day: [i.title for i in group] for day, group in grouped.items()} == {
+            date(2022, 1, 3): ["day 1", "day 3"],
+            date(2022, 1, 10): ["day 8", "day 9"],
+            date(2022, 1, 14): ["day 14"],
+        }
 
 
 class TestReplay:

@@ -57,6 +57,18 @@ class TestRunCommand:
         env.config_path.write_text("symbol: TEST\nunknown_key: 1\n")
         assert main(run_args(env)) == 2
 
+    def test_keywords_path_is_read_beside_the_config(self, tmp_path, capsys, monkeypatch):
+        # like a scripted stub file, a relative keywords_path names a file in
+        # the config's directory, whatever the working directory is
+        env = build_env(tmp_path / "cfgdir", rising_closes(45),
+                        config={"keywords_path": "kw.yaml"})
+        (env.root / "kw.yaml").write_text("revenue: 0.5\n", encoding="utf-8")
+        elsewhere = tmp_path / "elsewhere"
+        elsewhere.mkdir()
+        (elsewhere / "kw.yaml").write_text("revenue: -1\n", encoding="utf-8")  # exits 2 if read
+        monkeypatch.chdir(elsewhere)
+        assert main(run_args(env)) == 0, capsys.readouterr().err
+
     @pytest.mark.parametrize("body", [
         "initial_cash: abc",
         "initial_cash: .nan",
@@ -238,6 +250,28 @@ class TestOutputFaults:
         env = build_env(tmp_path, rising_closes(45))
         env.out("run").write_text("not a directory")
         expect_data_error(capsys, main(run_args(env)), str(env.out("run")))
+
+    def test_run_out_is_a_file_fails_before_any_chat_call(self, tmp_path, capsys, monkeypatch):
+        calls = []
+
+        class Counting:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, *args, **kwargs):
+                calls.append(args)
+                return self.inner.complete(*args, **kwargs)
+
+        make_chat = backtest.make_chat_provider
+        monkeypatch.setattr(backtest, "make_chat_provider",
+                            lambda *a, **k: Counting(make_chat(*a, **k)))
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env, "counted")) == 0
+        assert calls, "the counting provider must see a normal run's calls"
+        calls.clear()
+        env.out("run").write_text("not a directory")
+        expect_data_error(capsys, main(run_args(env)), str(env.out("run")))
+        assert calls == []
 
 
 class TestMetricsCommand:

@@ -32,12 +32,12 @@ from agentdesk.datasynth import (
     realized_pct,
     weighted_hit,
 )
-from agentdesk.errors import DataError
+from agentdesk.errors import DataError, InsufficientHistoryError
 from agentdesk.gate import TrendLabel, TrendProbabilities
 from agentdesk.portfolio import AccountState
 from agentdesk.risk import TradingStyle
 
-from conftest import make_series
+from conftest import make_series, oracle_series, outcome, ref_trailing_log_returns
 
 DAY = date(2022, 3, 1)
 
@@ -49,7 +49,28 @@ FIXTURE_CLOSES = [
 ]
 
 
+def ref_epsilon_band(series, at, cfg=BandConfig()):
+    """epsilon_band over the from-bar-0 reference log returns."""
+    returns = ref_trailing_log_returns(series, at, 20)
+    mean_abs = math.fsum(abs(r) for r in returns) / 20
+    return max(cfg.alpha * mean_abs, cfg.epsilon_min)
+
+
 class TestEpsilonBand:
+    def test_matches_reference_at_every_bar(self):
+        cfg = BandConfig(alpha=0.7, epsilon_min=0.001)
+        for series in oracle_series():
+            for at in series.dates:
+                for band in (BandConfig(), cfg):
+                    assert outcome(lambda: epsilon_band(series, at, band)) == outcome(
+                        lambda: ref_epsilon_band(series, at, band))
+
+    def test_insufficient_history_message(self):
+        series = make_series([100.0] * 9)
+        with pytest.raises(InsufficientHistoryError) as info:
+            epsilon_band(series, series.dates[-1])
+        assert str(info.value) == "20 log returns needs 21 closes at or before 2022-01-13, found 9"
+
     def test_constant_prices_floor_binds(self):
         series = make_series([100.0] * 25)
         assert epsilon_band(series, series.dates[-1]) == 0.005

@@ -22,9 +22,13 @@ from agentdesk.marketdata import (
     load_price_csv,
     mean_log_return20,
     rsi14,
+    trailing_log_returns,
 )
 
-from conftest import make_series, random_walk_closes
+from conftest import (
+    make_series, oracle_series, outcome, random_walk_closes, ref_rsi14,
+    ref_trailing_log_returns,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -360,6 +364,46 @@ class TestInvariants:
         assert sa.dist_low20_pct == pytest.approx(sb.dist_low20_pct, rel=1e-9, abs=1e-12)
         assert sa.new_high20 == sb.new_high20
         assert sa.new_low20 == sb.new_low20
+
+
+class TestTablesMatchReference:
+    """The per-series tables against the from-bar-0 references, with ==."""
+
+    def test_rsi14_at_every_bar(self):
+        for series in oracle_series():
+            for at in series.dates:
+                assert outcome(lambda: rsi14(series, at)) == outcome(lambda: ref_rsi14(series, at))
+
+    @pytest.mark.parametrize("count", [1, 10, 20])
+    def test_trailing_log_returns_at_every_bar(self, count):
+        for series in oracle_series():
+            for at in series.dates:
+                got = outcome(lambda: list(trailing_log_returns(series, at, count)))
+                assert got == outcome(lambda: ref_trailing_log_returns(series, at, count))
+
+    def test_snapshot_reads_no_bar_after_the_day(self):
+        # the tables span the whole series; a day must still see only its prefix
+        for series in oracle_series():
+            for k in range(20, len(series)):
+                at = series.dates[k]
+                cut = PriceSeries(series.bars[:k + 1])
+                assert build_snapshot(series, at) == build_snapshot(cut, at)
+
+    @pytest.mark.parametrize("fn, message", [
+        (rsi14, "rsi14 needs 15 closes"),
+        (dist_sma20_pct, "dist_sma20_pct needs 20 closes"),
+        (lambda s, at: dist_extreme20_pct(s, at, "low"), "dist_extreme20_pct needs 20 closes"),
+        (lambda s, at: extreme_flag20(s, at, "high"), "extreme_flag20 needs 20 closes"),
+        (hv10_pct, "10 log returns needs 11 closes"),
+        (atr20s_pct, "20 log returns needs 21 closes"),
+        (mean_log_return20, "20 log returns needs 21 closes"),
+        (build_snapshot, "build_snapshot needs 21 closes"),
+    ])
+    def test_insufficient_history_messages(self, fn, message):
+        series = make_series([100.0] * 9)
+        with pytest.raises(InsufficientHistoryError) as info:
+            fn(series, series.dates[-1])
+        assert str(info.value) == f"{message} at or before 2022-01-13, found 9"
 
 
 class TestSeriesValidation:

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentdesk.errors import InsufficientHistoryError
-from agentdesk.marketdata import hv10_pct
+from agentdesk.marketdata import hv10_pct, population_std
 from agentdesk.risk import (
     ACTION_FORCED_SELL,
     ACTION_NONE,
@@ -24,7 +24,12 @@ from agentdesk.risk import (
     sigma_d10,
 )
 
-from conftest import make_series, random_walk_closes
+from conftest import make_series, oracle_series, outcome, random_walk_closes, ref_trailing_log_returns
+
+
+def ref_sigma_d10(series, at):
+    """sigma_d10 over the from-bar-0 reference log returns."""
+    return population_std(ref_trailing_log_returns(series, at, 10))
 
 
 def pop_std_oracle(xs):
@@ -55,8 +60,15 @@ class TestSigma:
 
     def test_insufficient_history(self):
         series = make_series([10.0] * 10)
-        with pytest.raises(InsufficientHistoryError):
+        with pytest.raises(InsufficientHistoryError) as info:
             sigma_d10(series, series.dates[-1])
+        assert str(info.value) == "10 log returns needs 11 closes at or before 2022-01-14, found 10"
+
+    def test_matches_reference_at_every_bar(self):
+        for series in oracle_series():
+            for at in series.dates:
+                assert outcome(lambda: sigma_d10(series, at)) == outcome(
+                    lambda: ref_sigma_d10(series, at))
 
 
 class TestComputeThresholds:
