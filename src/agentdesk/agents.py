@@ -40,6 +40,7 @@ REPORT_QUERY = (
     "financial indicators relevant to the near-term share price of {symbol}: "
     "revenue, earnings, guidance, margins, risks"
 )
+NEWS_WORKERS = 4  # concurrent per-item sentiment calls
 
 
 # ---------------------------------------------------------------------------
@@ -209,10 +210,6 @@ def _finance_block(summary: FinanceSummary) -> str:
     return "\n".join(lines + [summary.summary])
 
 
-def _reflection_block(reflection: "ReflectionSummary | None") -> str:
-    return reflection.text if reflection is not None else "none available"
-
-
 # ---------------------------------------------------------------------------
 # News-sentiment agent
 # ---------------------------------------------------------------------------
@@ -236,7 +233,6 @@ def run_news_agent(
     seed: int = 0,
     *,
     exact_dedupe: bool = False,
-    max_workers: int = 4,
 ) -> tuple[SentimentReport, AgentExchange]:
     """Score, dedupe, and select the day's news, then aggregate per-item
     provider sentiments into an influence-weighted market score."""
@@ -262,7 +258,7 @@ def run_news_agent(
         skip = (None, {}, ())
         return _call_or_fallback(chat, system, user, _validate_item_sentiment, seed, skip, skip)[0]
 
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(selected))) as pool:
+    with ThreadPoolExecutor(max_workers=min(NEWS_WORKERS, len(selected))) as pool:
         outcomes = list(pool.map(assess, selected))
 
     used = [  # (influence, sentiment, title, summary) of each scored item
@@ -408,7 +404,7 @@ def run_forecast_agent(
     snapshot: IndicatorSnapshot,
     sentiment: SentimentReport,
     finance: FinanceSummary,
-    reflection: "ReflectionSummary | None",
+    reflection: str | None,
     chat: ChatProvider,
     gate_cfg: GateConfig = GateConfig(),
     seed: int = 0,
@@ -421,7 +417,7 @@ def run_forecast_agent(
         snapshot=format_snapshot(snapshot),
         sentiment=_sentiment_block(sentiment),
         finance=_finance_block(finance),
-        reflection=_reflection_block(reflection),
+        reflection=reflection or "none available",
     )
     uniform = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
     payload = {"up": uniform.up, "down": uniform.down, "sideways": uniform.sideways}
@@ -462,7 +458,7 @@ def run_style_agent(
     prev_style: TradingStyle,
     recent: Sequence[StyleOutcome],
     upstream: str,
-    reflection: "ReflectionSummary | None",
+    reflection: str | None,
     chat: ChatProvider,
     seed: int = 0,
 ) -> tuple[StylePreference, AgentExchange]:
@@ -480,7 +476,7 @@ def run_style_agent(
         account=format_account(account, prev_style),
         recent=recent_block,
         upstream=upstream or "none available",
-        reflection=_reflection_block(reflection),
+        reflection=reflection or "none available",
     )
     (style, confidence, rationale), exchange, flags = _call_or_fallback(
         chat, system, user, _validate_style, seed,
@@ -513,7 +509,7 @@ def run_decision_agent(
     sentiment: SentimentReport,
     finance: FinanceSummary,
     forecast: Forecast,
-    reflection: "ReflectionSummary | None",
+    reflection: str | None,
     chat: ChatProvider,
     seed: int = 0,
     *,
@@ -538,7 +534,7 @@ def run_decision_agent(
         sentiment=_sentiment_block(sentiment),
         finance=_finance_block(finance),
         style=f"{style.style.value} (confidence {style.confidence:.2f}): {style.rationale}",
-        reflection=_reflection_block(reflection),
+        reflection=reflection or "none available",
     )
     (action, rationale), exchange, flags = _call_or_fallback(
         chat, system, user, _validate_decision, seed,
@@ -563,52 +559,26 @@ class LabeledCase:
     pattern: str
 
 
-@dataclass(frozen=True)
-class HighlightCase:
-    date: Date
-    outcome: str
-    pattern: str
-
-
-@dataclass(frozen=True)
-class ReflectionSummary:
-    window_days: int
-    wins: int
-    losses: int
-    highlighted_cases: tuple[HighlightCase, ...]
-    text: str
-
-
 REFLECTION_WINDOW = 20
 _MAX_HIGHLIGHT_WINS = 2
 _MAX_HIGHLIGHT_LOSSES = 2
 
 
-def build_reflection(
-    history: Sequence[LabeledCase],
-    window: int = REFLECTION_WINDOW,
-    audience: str = "decision",
-) -> ReflectionSummary:
-    """Deterministic digest of the last `window` labeled cases.
+def build_reflection(history: Sequence[LabeledCase], audience: str = "decision") -> str:
+    """Deterministic digest, for the agent prompts, of the last
+    REFLECTION_WINDOW labeled cases.
 
     Wins are cases with a strictly positive score; the two best wins and
     two worst losses are highlighted (at most four).
     """
-    cases = list(history)[-window:]
+    cases = list(history)[-REFLECTION_WINDOW:]
     if not cases:
-        return ReflectionSummary(
-            0, 0, 0, (),
-            f"No prior experience is available for {audience}.",
-        )
+        return f"No prior experience is available for {audience}."
 
     wins = [c for c in cases if c.score > 0]
     losses = [c for c in cases if c.score <= 0]
     top_wins = sorted(wins, key=lambda c: (-c.score, c.date))[:_MAX_HIGHLIGHT_WINS]
     top_losses = sorted(losses, key=lambda c: (-abs(c.score), c.date))[:_MAX_HIGHLIGHT_LOSSES]
-    highlights = tuple(
-        [HighlightCase(c.date, "win", c.pattern) for c in top_wins]
-        + [HighlightCase(c.date, "loss", c.pattern) for c in top_losses]
-    )
 
     lines = [
         f"Experience summary for {audience} over the last {len(cases)} labeled days: "
@@ -621,11 +591,4 @@ def build_reflection(
         lines.append("Losses to avoid:")
         lines.extend(f"- {c.date} (score {c.score:+.4f}): {c.pattern}" for c in top_losses)
     lines.append("Favor set-ups resembling the wins and avoid those resembling the losses.")
-
-    return ReflectionSummary(
-        window_days=len(cases),
-        wins=len(wins),
-        losses=len(losses),
-        highlighted_cases=highlights,
-        text="\n".join(lines),
-    )
+    return "\n".join(lines)

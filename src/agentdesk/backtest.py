@@ -71,6 +71,7 @@ from .retrieval import (
     load_report_manifest,
 )
 from .risk import (
+    ACTION_NONE,
     RiskVerdict,
     TradingStyle,
     compute_thresholds,
@@ -234,7 +235,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
     account_before = state.account.marked(close)
     thresholds = compute_thresholds(state.style, series, day, cfg.risk)
 
-    verdict = RiskVerdict("none", 0.0)
+    verdict = RiskVerdict(ACTION_NONE, 0.0)
     if cfg.flags.risk_management and state.account.shares > 0:
         verdict = evaluate_position(unrealized_pnl_pct(state.account, close), thresholds)
 
@@ -250,7 +251,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
 
     def reflection(cases, audience):
         if cfg.flags.self_reflection:
-            return build_reflection(cases, REFLECTION_WINDOW, audience)
+            return build_reflection(cases, audience)
         return None
 
     forecast, forecast_ex = run_forecast_agent(
@@ -285,7 +286,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
         include_account=cfg.flags.style_and_state,
     )
 
-    if verdict.action != "none":
+    if verdict.action != ACTION_NONE:
         executed = TradeAction("sell", style, origin=verdict.action)
         override_note = (
             f"risk override {verdict.action} at pnl {verdict.trigger_pnl:+.4f}; "
@@ -328,7 +329,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
         date=day,
         records=day_records,
         gated=forecast.gated,
-        prob_of=forecast.probs.prob_of,
+        probs=forecast.probs,
         taken=decision.action,
         account_before=account_before,
         style=style,

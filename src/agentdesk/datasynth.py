@@ -17,7 +17,7 @@ from datetime import date as Date
 from pathlib import Path
 from typing import Sequence
 
-from .gate import TrendLabel
+from .gate import LABELS, TrendLabel, TrendProbabilities
 from .jsonl import read_jsonl, write_jsonl
 from .marketdata import PriceSeries, trailing_log_returns
 from .portfolio import ACTION_KINDS, AccountState, TradeAction, apply_action
@@ -119,19 +119,11 @@ def realized_pct(p0: float, p1: float) -> float:
 
 
 def label_direction(predicted: TrendLabel | str, pct: float, epsilon: float) -> int:
-    """1 iff the predicted direction matches the realized move.
-
-    Up needs pct > epsilon, down needs pct < -epsilon, and sideways needs
-    |pct| <= epsilon.
-    """
+    """1 iff the predicted label is the realized one (see `realized_label`)."""
     label = predicted.label if isinstance(predicted, TrendLabel) else predicted
-    if label == "up":
-        return int(pct > epsilon)
-    if label == "down":
-        return int(pct < -epsilon)
-    if label == "sideways":
-        return int(abs(pct) <= epsilon)
-    raise ValueError(f"unknown label {label!r}")
+    if label not in LABELS:
+        raise ValueError(f"unknown label {label!r}")
+    return int(label == realized_label(pct, epsilon))
 
 
 def weighted_hit(sign_ok: int, pct: float, epsilon: float, p_true: float) -> float:
@@ -146,6 +138,7 @@ def weighted_hit(sign_ok: int, pct: float, epsilon: float, p_true: float) -> flo
 
 
 def realized_label(pct: float, epsilon: float) -> str:
+    """Up beyond +epsilon, down beyond -epsilon, sideways within the band."""
     if pct > epsilon:
         return "up"
     if pct < -epsilon:
@@ -206,18 +199,17 @@ def make_forecast_label(
     at: Date,
     next_at: Date,
     gated: TrendLabel,
-    prob_of,
+    probs: TrendProbabilities,
     band_cfg: BandConfig = BandConfig(),
 ) -> ForecastLabel:
     """Label one day's forecast once the next close is known.
 
-    `prob_of` maps a trend label to the probability the forecast assigned
-    it; p_true reads the probability of the realized label.
+    p_true is the probability `probs` assigned to the realized label.
     """
     epsilon = epsilon_band(series, at, band_cfg)
     pct = realized_pct(series.close_at(at), series.close_at(next_at))
     sign_ok = label_direction(gated, pct, epsilon)
-    p_true = prob_of(realized_label(pct, epsilon))
+    p_true = probs.prob_of(realized_label(pct, epsilon))
     return ForecastLabel(
         epsilon=epsilon,
         pct=pct,
@@ -272,7 +264,7 @@ class DayState:
     date: Date
     records: tuple[TrajectoryRecord, ...]
     gated: TrendLabel
-    prob_of: object  # label -> probability
+    probs: TrendProbabilities
     taken: str
     account_before: AccountState
     style: TradingStyle
@@ -288,7 +280,7 @@ def label_day(
 ) -> tuple[tuple[TrajectoryRecord, ...], ForecastLabel, DecisionLabel]:
     """Attach forecast/decision labels to a day's records."""
     forecast_label = make_forecast_label(
-        series, state.date, next_at, state.gated, state.prob_of, band_cfg
+        series, state.date, next_at, state.gated, state.probs, band_cfg
     )
     decision_label = make_decision_label(
         series, state.date, next_at, state.account_before, state.style,

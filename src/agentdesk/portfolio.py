@@ -16,11 +16,9 @@ from typing import Sequence
 
 from .errors import DataError
 from .marketdata import SQRT_ANNUAL, population_std
-from .risk import TradingStyle
+from .risk import ACTION_FORCED_SELL, ACTION_TAKE_PROFIT, TradingStyle
 
-ORIGIN_AGENT = "agent"
-ORIGIN_FORCED_SELL = "forced_sell"
-ORIGIN_TAKE_PROFIT = "take_profit"
+ORIGIN_AGENT = "agent"  # forced exits carry their risk action as origin
 
 ACTION_KINDS = ("buy", "hold", "sell")
 
@@ -72,7 +70,7 @@ class TradeAction:
     def __post_init__(self) -> None:
         if self.kind not in ACTION_KINDS:
             raise ValueError(f"unknown action kind {self.kind!r}")
-        if self.origin not in (ORIGIN_AGENT, ORIGIN_FORCED_SELL, ORIGIN_TAKE_PROFIT):
+        if self.origin not in (ORIGIN_AGENT, ACTION_FORCED_SELL, ACTION_TAKE_PROFIT):
             raise ValueError(f"unknown origin {self.origin!r}")
 
 

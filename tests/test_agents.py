@@ -342,44 +342,83 @@ class TestDecisionAgent:
         assert "current-state injection disabled" in exchange.input_text
 
 
+def _highlights(text: str) -> list[str]:
+    return [line for line in text.splitlines() if line.startswith("- ")]
+
+
 class TestBuildReflection:
     def test_empty_history(self):
-        summary = build_reflection([], 20, "decision")
-        assert summary.window_days == 0
-        assert summary.wins == 0
-        assert summary.losses == 0
-        assert summary.highlighted_cases == ()
-        assert "No prior experience" in summary.text
+        assert build_reflection([], "decision") == "No prior experience is available for decision."
 
     def test_twenty_records_twelve_wins(self):
         history = [
             LabeledCase(date(2022, 1, 1 + i), 0.01 * (i + 1) if i < 12 else -0.01 * i, f"case {i}")
             for i in range(20)
         ]
-        summary = build_reflection(history, 20, "decision")
-        assert summary.window_days == 20
-        assert summary.wins == 12
-        assert summary.losses == 8
-        assert len(summary.highlighted_cases) == 4
-        outcomes = [h.outcome for h in summary.highlighted_cases]
-        assert outcomes == ["win", "win", "loss", "loss"]
+        text = build_reflection(history, "decision")
+        assert text.splitlines()[0] == (
+            "Experience summary for decision over the last 20 labeled days: 12 wins, 8 losses."
+        )
+        assert _highlights(text) == [
+            "- 2022-01-12 (score +0.1200): case 11",
+            "- 2022-01-11 (score +0.1100): case 10",
+            "- 2022-01-20 (score -0.1900): case 19",
+            "- 2022-01-19 (score -0.1800): case 18",
+        ]
+        wins_at = text.splitlines().index("Wins worth repeating:")
+        assert text.splitlines().index("Losses to avoid:") == wins_at + 3
 
     def test_short_history(self):
         history = [LabeledCase(date(2022, 1, 1 + i), 0.01, f"c{i}") for i in range(3)]
-        summary = build_reflection(history, 20, "forecasting")
-        assert summary.window_days == 3
-        assert len(summary.highlighted_cases) <= 3
+        text = build_reflection(history, "forecasting")
+        assert "over the last 3 labeled days: 3 wins, 0 losses." in text
+        assert _highlights(text) == [
+            "- 2022-01-01 (score +0.0100): c0",
+            "- 2022-01-02 (score +0.0100): c1",
+        ]
+        assert "Losses to avoid:" not in text
 
     def test_window_truncates_old_cases(self):
         history = [LabeledCase(date(2022, 1, 1 + i), 1.0, f"c{i}") for i in range(25)]
-        summary = build_reflection(history, 20, "style")
-        assert summary.window_days == 20
+        text = build_reflection(history, "style")
+        assert "over the last 20 labeled days: 20 wins, 0 losses." in text
+        # the five oldest cases fall outside the window, so the date
+        # tie-break highlights c5 and c6
+        assert _highlights(text) == [
+            "- 2022-01-06 (score +1.0000): c5",
+            "- 2022-01-07 (score +1.0000): c6",
+        ]
+        assert build_reflection(history[5:], "style") == text
 
     def test_zero_score_counts_as_loss(self):
         history = [LabeledCase(date(2022, 2, 1), 0.0, "flat day")]
-        summary = build_reflection(history, 20, "decision")
-        assert summary.wins == 0
-        assert summary.losses == 1
+        text = build_reflection(history, "decision")
+        assert "1 labeled days: 0 wins, 1 losses." in text
+        assert "Wins worth repeating:" not in text
+        assert _highlights(text) == ["- 2022-02-01 (score +0.0000): flat day"]
+
+    def test_golden_text_with_ties(self):
+        """The full digest of a 22-case history: two cases fall outside the
+        window, and equal scores are ordered by date."""
+        scores = [
+            0.09, -0.08, 0.02, 0.05, -0.03, 0.05, 0.0, -0.03, 0.01, 0.05, -0.01,
+            0.0, -0.03, 0.02, 0.04, -0.02, 0.01, -0.005, 0.03, -0.01, 0.0, 0.05,
+        ]
+        history = [
+            LabeledCase(date(2022, 1, 3 + i), score, f"pattern {i}")
+            for i, score in enumerate(scores)
+        ]
+        assert build_reflection(history, "forecasting") == (
+            "Experience summary for forecasting over the last 20 labeled days: "
+            "10 wins, 10 losses.\n"
+            "Wins worth repeating:\n"
+            "- 2022-01-06 (score +0.0500): pattern 3\n"
+            "- 2022-01-08 (score +0.0500): pattern 5\n"
+            "Losses to avoid:\n"
+            "- 2022-01-07 (score -0.0300): pattern 4\n"
+            "- 2022-01-10 (score -0.0300): pattern 7\n"
+            "Favor set-ups resembling the wins and avoid those resembling the losses."
+        )
 
 
 UNIFORM = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)

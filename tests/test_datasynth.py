@@ -29,11 +29,12 @@ from agentdesk.datasynth import (
     load_trajectories,
     make_decision_label,
     make_forecast_label,
+    realized_label,
     realized_pct,
     weighted_hit,
 )
 from agentdesk.errors import DataError, InsufficientHistoryError
-from agentdesk.gate import TrendLabel, TrendProbabilities
+from agentdesk.gate import LABELS, TrendLabel, TrendProbabilities
 from agentdesk.portfolio import AccountState
 from agentdesk.risk import TradingStyle
 
@@ -126,6 +127,23 @@ class TestLabelDirection:
     def test_accepts_trend_label_object(self):
         label = TrendLabel("down", "soft_pass_down", "r")
         assert label_direction(label, -0.05, 0.01) == 1
+
+    @pytest.mark.parametrize("epsilon", [0.005, 0.01, 0.0192])
+    def test_grid_matches_the_band_rule(self, epsilon):
+        grid = [-2 * epsilon, -epsilon, -epsilon / 2, 0.0, epsilon / 2, epsilon, 2 * epsilon]
+        grid += [math.nextafter(x, d) for x in (-epsilon, epsilon) for d in (-1.0, 1.0)]
+        for pct in grid:
+            band = {"up": pct > epsilon, "down": pct < -epsilon, "sideways": abs(pct) <= epsilon}
+            assert realized_label(pct, epsilon) == next(k for k, v in band.items() if v)
+            for label in LABELS:
+                assert label_direction(label, pct, epsilon) == int(
+                    label == realized_label(pct, epsilon)
+                )
+
+    @pytest.mark.parametrize("label", ["Up", "flat", ""])
+    def test_unknown_label_raises(self, label):
+        with pytest.raises(ValueError, match="unknown label"):
+            label_direction(label, 0.0, 0.01)
 
 
 class TestWeightedHit:
@@ -228,7 +246,7 @@ class TestFixtureLabels:
         probs = TrendProbabilities(0.2, 0.5, 0.3)
         label = make_forecast_label(
             series, series.dates[21], series.dates[22],
-            TrendLabel("down", "soft_pass_down", "r"), probs.prob_of,
+            TrendLabel("down", "soft_pass_down", "r"), probs,
         )
         assert label.epsilon == pytest.approx(0.01928069343543686, rel=1e-12)
         assert label.pct == pytest.approx(-0.01754385964912286, rel=1e-12)
@@ -241,7 +259,7 @@ class TestFixtureLabels:
         probs = TrendProbabilities(0.2, 0.5, 0.3)
         label = make_forecast_label(
             series, series.dates[21], series.dates[22],
-            TrendLabel("sideways", "default_sideways", "r"), probs.prob_of,
+            TrendLabel("sideways", "default_sideways", "r"), probs,
         )
         assert label.sign_ok == 1
         assert label.w_hit == pytest.approx(0.2163279403044821, rel=1e-12)
@@ -251,7 +269,7 @@ class TestFixtureLabels:
         probs = TrendProbabilities(0.2, 0.5, 0.3)
         label = make_forecast_label(
             series, series.dates[22], series.dates[23],
-            TrendLabel("up", "soft_pass_up", "r"), probs.prob_of,
+            TrendLabel("up", "soft_pass_up", "r"), probs,
         )
         assert label.pct == pytest.approx(0.03571428571428581, rel=1e-12)
         assert label.sign_ok == 1
@@ -318,7 +336,7 @@ class TestLabelDay:
             records=tuple(_record(a, day=series.dates[21])
                           for a in ("news", "report", "forecast", "style", "decision")),
             gated=TrendLabel("sideways", "default_sideways", "r"),
-            prob_of=probs.prob_of,
+            probs=probs,
             taken="hold",
             account_before=AccountState.initial(1000.0),
             style=TradingStyle.BALANCED,

@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from agentdesk.errors import DataError
 from agentdesk.portfolio import (
     AccountState,
-    ORIGIN_FORCED_SELL,
     TradeAction,
     annualized_volatility,
     apply_action,
@@ -22,7 +21,14 @@ from agentdesk.portfolio import (
     sharpe_ratio,
     unrealized_pnl_pct,
 )
-from agentdesk.risk import TradingStyle
+from agentdesk.risk import (
+    ACTION_FORCED_SELL,
+    ACTION_NONE,
+    ACTION_TAKE_PROFIT,
+    RiskThresholds,
+    TradingStyle,
+    evaluate_position,
+)
 
 DAY = date(2022, 3, 1)
 
@@ -58,10 +64,10 @@ class TestApplyAction:
     def test_forced_sell_liquidates_even_aggressive(self):
         state = AccountState(cash=0.0, shares=100.0, avg_entry=10.0, equity=1000.0)
         new, rec = apply_action(
-            state, TradeAction("sell", TradingStyle.AGGRESSIVE, ORIGIN_FORCED_SELL), 10.0, 0.0, DAY
+            state, TradeAction("sell", TradingStyle.AGGRESSIVE, ACTION_FORCED_SELL), 10.0, 0.0, DAY
         )
         assert new.shares == 0.0
-        assert rec.origin == ORIGIN_FORCED_SELL
+        assert rec.origin == ACTION_FORCED_SELL
 
     def test_hold_is_noop_with_remark(self):
         state = AccountState(cash=250.0, shares=10.0, avg_entry=20.0, equity=450.0)
@@ -112,6 +118,22 @@ class TestApplyAction:
     def test_bad_price_rejected(self):
         with pytest.raises(ValueError):
             apply_action(AccountState.initial(1.0), TradeAction("buy", TradingStyle.BALANCED), 0.0, 0.0, DAY)
+
+
+class TestTradeActionOrigin:
+    """A risk override executes with the verdict's action as its origin."""
+
+    @pytest.mark.parametrize("pnl, expected", [(-0.5, ACTION_FORCED_SELL), (0.5, ACTION_TAKE_PROFIT)])
+    def test_accepts_every_forced_risk_action(self, pnl, expected):
+        verdict = evaluate_position(pnl, RiskThresholds(0.01, 0.02, 0.03))
+        assert verdict.action == expected
+        action = TradeAction("sell", TradingStyle.AGGRESSIVE, origin=verdict.action)
+        assert action.origin == verdict.action
+
+    @pytest.mark.parametrize("origin", ["stop_loss", ACTION_NONE, ""])
+    def test_rejects_unknown_origin(self, origin):
+        with pytest.raises(ValueError, match="unknown origin"):
+            TradeAction("sell", TradingStyle.BALANCED, origin=origin)
 
 
 action_stream = st.lists(
