@@ -9,12 +9,12 @@ fallback (hold / sideways / balanced / skip-item) and flags the result.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from datetime import date as Date
 from functools import lru_cache
 from importlib import resources
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 from .errors import ParseError, ProviderError
 from .gate import GateConfig, TrendLabel, TrendProbabilities, classify_trend
@@ -25,6 +25,8 @@ from .retrieval import (
     EmbeddingProvider,
     Filing,
     NewsItem,
+    RankedChunk,
+    RerankedChunk,
     RerankerProvider,
     RetrievalConfig,
     chunk_report,
@@ -40,7 +42,7 @@ REPORT_QUERY = (
     "financial indicators relevant to the near-term share price of {symbol}: "
     "revenue, earnings, guidance, margins, risks"
 )
-NEWS_WORKERS = 4  # concurrent per-item sentiment calls
+NEWS_WORKERS = 4  # concurrent per-item sentiment calls, from one pool per run
 
 
 # ---------------------------------------------------------------------------
@@ -229,13 +231,15 @@ def run_news_agent(
     chat: ChatProvider,
     embedding: EmbeddingProvider,
     reranker: RerankerProvider,
-    keywords: Mapping[str, float],
+    importance: Callable[[str, str], float],
+    pool: Executor,
     seed: int = 0,
     *,
     exact_dedupe: bool = False,
 ) -> tuple[SentimentReport, AgentExchange]:
     """Score, dedupe, and select the day's news, then aggregate per-item
-    provider sentiments into an influence-weighted market score."""
+    provider sentiments, asked for on `pool`, into an influence-weighted
+    market score. `importance` is the run's `keyword_importance`."""
     if not news:
         report = SentimentReport(0.0, "no news available", 0)
         return report, AgentExchange(
@@ -244,7 +248,7 @@ def run_news_agent(
         )
 
     query = NEWS_QUERY.format(symbol=symbol)
-    scored = score_news(news, keywords, reranker, query)
+    scored = score_news(news, importance, reranker, query)
     selected = dedupe(scored, embedding, cfg, exact_only=exact_dedupe)[: cfg.news_top_k]
 
     def assess(item_scored):
@@ -258,8 +262,7 @@ def run_news_agent(
         skip = (None, {}, ())
         return _call_or_fallback(chat, system, user, _validate_item_sentiment, seed, skip, skip)[0]
 
-    with ThreadPoolExecutor(max_workers=min(NEWS_WORKERS, len(selected))) as pool:
-        outcomes = list(pool.map(assess, selected))
+    outcomes = list(pool.map(assess, selected))  # in input order
 
     used = [  # (influence, sentiment, title, summary) of each scored item
         (s.influence, outcome[0], s.item.title, outcome[1])
@@ -313,6 +316,17 @@ def _validate_report(obj: Mapping) -> tuple[list[dict], str]:
     return indicators, str(obj.get("summary", ""))
 
 
+@dataclass
+class FilingRanks:
+    """One run's ranking of its latest filing, reused while that filing
+    stays the latest: the hybrid top-k and, once a rerank has succeeded, the
+    reranked top-k. A failed rerank is not kept, so the next day retries."""
+
+    filing: Filing | None = None
+    hybrid: Sequence[RankedChunk] = ()
+    reranked: Sequence[RerankedChunk] | None = None
+
+
 def run_report_agent(
     at: Date,
     symbol: str,
@@ -321,12 +335,16 @@ def run_report_agent(
     chat: ChatProvider,
     embedding: EmbeddingProvider,
     reranker: RerankerProvider,
+    ranks: FilingRanks,
     seed: int = 0,
     *,
     use_rerank: bool = True,
 ) -> tuple[FinanceSummary, AgentExchange]:
     """Chunk the latest filing visible at `at`, retrieve and rerank the most
-    price-relevant passages, and summarize them with chunk citations."""
+    price-relevant passages, and summarize them with chunk citations.
+
+    `ranks` keeps the ranking from one day to the next, so one run (one
+    symbol, config and provider set) ranks each filing once."""
     visible = [f for f in filings if f.symbol == symbol and f.period <= at]
     if not visible:
         summary = FinanceSummary((), "no filing available", flags=("no_filing",))
@@ -336,15 +354,19 @@ def run_report_agent(
         )
 
     latest = max(visible, key=lambda f: (f.period, f.path.name))
-    chunks = chunk_report(latest.text, cfg, doc_id=latest.path.name)
     query = REPORT_QUERY.format(symbol=symbol)
-    hybrid = retrieve_topk(query, chunks, embedding, cfg)
+    if ranks.filing != latest:
+        chunks = chunk_report(latest.text, cfg, doc_id=latest.path.name)
+        hybrid = retrieve_topk(query, chunks, embedding, cfg)
+        ranks.filing, ranks.hybrid, ranks.reranked = latest, hybrid, None
 
     flags: list[str] = []
-    candidates = hybrid[: cfg.rerank_top_k]
+    candidates = ranks.hybrid[: cfg.rerank_top_k]
     if use_rerank:
         try:
-            candidates = rerank(query, hybrid, reranker, cfg)
+            if ranks.reranked is None:
+                ranks.reranked = rerank(query, ranks.hybrid, reranker, cfg)
+            candidates = ranks.reranked
         except ProviderError:
             flags.append("rerank_failed")
 

@@ -13,16 +13,19 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import yaml
 
 from .agents import (
     AgentExchange,
+    FilingRanks,
     LabeledCase,
+    NEWS_WORKERS,
     REFLECTION_WINDOW,
     StyleOutcome,
     StylePreference,
@@ -33,7 +36,7 @@ from .agents import (
     run_report_agent,
     run_style_agent,
 )
-from . import datasynth
+from . import datasynth, providers
 from .config import BacktestConfig, config_to_dict
 from .datasynth import (
     AccountSnapshot,
@@ -66,6 +69,7 @@ from .retrieval import (
     Filing,
     NewsItem,
     RerankerProvider,
+    keyword_importance,
     load_keywords,
     load_news_jsonl,
     load_report_manifest,
@@ -159,16 +163,20 @@ class RunState:
 
 @dataclass(frozen=True)
 class RunInputs:
-    """What every day reads and no day changes."""
+    """What every day reads, and the run-scoped helpers that spare the days
+    repeated work: the news-importance memo (`keyword_importance`), the
+    news agent's worker pool and the latest filing's ranking."""
 
     cfg: BacktestConfig
     series: PriceSeries
     news_by_date: Mapping[Date, Sequence[NewsItem]]
     filings: Sequence[Filing]
-    keywords: Mapping[str, float]
+    importance: Callable[[str, str], float]
     chat: ChatProvider
     embedding: EmbeddingProvider
     reranker: RerankerProvider
+    pool: Executor
+    filing_ranks: FilingRanks = field(default_factory=FilingRanks)
 
 
 def run_backtest(
@@ -195,13 +203,17 @@ def run_backtest(
     # Chat stays uncached: its prompts carry the date, so they never repeat.
     embedding = memoized(make_embedding_provider(cfg.embedding_provider, **remote))
     reranker = memoized(make_reranker_provider(cfg.reranker_provider, **remote))
-    run = RunInputs(cfg, series, news_by_date, filings, keywords, chat, embedding, reranker)
+    # Bounded like the provider memo; the bound is read when the run starts.
+    importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
     state = RunState(
         account=AccountState.initial(cfg.initial_cash),
         equity_curve=[(series.dates[series.dates.index(days[0]) - 1], cfg.initial_cash)],
     )
-    for day in days:
-        step(state, run, day)
+    with ThreadPoolExecutor(NEWS_WORKERS) as pool:  # joined on any exit
+        run = RunInputs(cfg, series, news_by_date, filings, importance, chat, embedding,
+                        reranker, pool)
+        for day in days:
+            step(state, run, day)
     if state.pending is not None:
         state.records.extend(state.pending.records)  # last day: no next close, unlabeled
 
@@ -241,12 +253,12 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
 
     sentiment, news_ex = run_news_agent(
         day, cfg.symbol, run.news_by_date.get(day, ()), cfg.retrieval,
-        run.chat, run.embedding, run.reranker, run.keywords, cfg.seed,
+        run.chat, run.embedding, run.reranker, run.importance, run.pool, cfg.seed,
         exact_dedupe=not cfg.flags.rerank_embedding,
     )
     finance, report_ex = run_report_agent(
         day, cfg.symbol, run.filings, cfg.retrieval, run.chat, run.embedding,
-        run.reranker, cfg.seed, use_rerank=cfg.flags.rerank_embedding,
+        run.reranker, run.filing_ranks, cfg.seed, use_rerank=cfg.flags.rerank_embedding,
     )
 
     def reflection(cases, audience):

@@ -24,8 +24,6 @@ from pathlib import Path
 from types import SimpleNamespace
 from typing import Mapping, Protocol, Sequence
 
-import requests
-
 from .errors import DataError, ProviderError
 from .jsonl import read_document
 
@@ -210,7 +208,15 @@ def _auth_headers(credentials_env: str | None) -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"}
 
 
+def _requests():
+    """The `requests` module. It takes about 120 ms to import, so only
+    building an HTTP client loads it, and stub runs never do."""
+    import requests
+    return requests
+
+
 def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) -> dict:
+    requests = _requests()
     try:
         resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
     except requests.RequestException as exc:
@@ -234,6 +240,9 @@ class _HttpClient:
     model: str
     credentials_env: str | None = None
     timeout: float = 60.0
+
+    def __post_init__(self) -> None:
+        _requests()  # while the run sets up, not on its first request
 
     def _post(self, payload: dict) -> dict:
         return _post_json(

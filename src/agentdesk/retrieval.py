@@ -7,14 +7,16 @@ deterministic in-process stubs while production can point at real services.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
+import operator
 import re
 from dataclasses import dataclass
 from datetime import date as Date
 from importlib import resources
 from pathlib import Path
-from typing import Mapping, Protocol, Sequence
+from typing import Callable, Mapping, Protocol, Sequence
 
 import yaml
 
@@ -173,29 +175,46 @@ def influence_score(base: float, prob: float) -> float:
     return INFLUENCE_BASE_WEIGHT * base + INFLUENCE_PROB_WEIGHT * prob + INFLUENCE_BIAS
 
 
+def keyword_importance(keywords: Mapping[str, float], maxsize: int) -> Callable[[str, str], float]:
+    """`base_importance` of a (title, body) under `keywords`, behind an LRU
+    memo: a text repeated on many days is scored once while it stays among
+    the last `maxsize` distinct texts."""
+    return functools.lru_cache(maxsize=maxsize)(
+        lambda title, body: base_importance(NewsItem(Date.min, title, body), keywords)
+    )
+
+
 def score_news(
     items: Sequence[NewsItem],
-    keywords: Mapping[str, float],
+    importance: Callable[[str, str], float],
     reranker: RerankerProvider,
     query: str,
 ) -> list[ScoredNews]:
-    """Score items and return them sorted by influence, descending."""
+    """Score items and return them sorted by influence, descending.
+    `importance(title, body)` is an item's base score (`keyword_importance`)."""
     scored = []
     for item in items:
-        base = base_importance(item, keywords)
+        base = importance(item.title, item.body)
         prob = reranker.relevance(query, item.text)
         scored.append(ScoredNews(item, base, prob, influence_score(base, prob)))
     scored.sort(key=lambda s: -s.influence)
     return scored
 
 
-def _cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    dot = math.fsum(x * y for x, y in zip(a, b))
-    na = math.sqrt(math.fsum(x * x for x in a))
-    nb = math.sqrt(math.fsum(y * y for y in b))
+def _norm(v: Sequence[float]) -> float:
+    return math.sqrt(math.fsum(x * x for x in v))
+
+
+def _normed_cosine(a: Sequence[float], na: float, b: Sequence[float], nb: float) -> float:
+    """Cosine of `a` and `b` given their norms. fsum rounds the exact sum of
+    the products once, so the dot is the same float in any order."""
     if na == 0.0 or nb == 0.0:
         return 0.0
-    return dot / (na * nb)
+    return math.fsum(map(operator.mul, a, b)) / (na * nb)
+
+
+def _cosine(a: Sequence[float], b: Sequence[float]) -> float:
+    return _normed_cosine(a, _norm(a), b, _norm(b))
 
 
 def _sparse_inner(a: Mapping[int, float], b: Mapping[int, float]) -> float:
@@ -226,12 +245,13 @@ def dedupe(
             kept.append(scored)
         return kept
 
-    kept_vecs: list[Sequence[float]] = []
+    kept_vecs: list[tuple[Sequence[float], float]] = []  # (vector, its norm)
     for scored in items:
         vec = provider.dense(scored.item.text)
-        if all(_cosine(vec, kv) < cfg.dedup_cosine for kv in kept_vecs):
+        norm = _norm(vec)
+        if all(_normed_cosine(vec, norm, kv, kn) < cfg.dedup_cosine for kv, kn in kept_vecs):
             kept.append(scored)
-            kept_vecs.append(vec)
+            kept_vecs.append((vec, norm))
     return kept
 
 

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
 import pytest
 
 from agentdesk.agents import (
+    NEWS_WORKERS,
+    FilingRanks,
     FinanceSummary,
     LabeledCase,
     SentimentReport,
@@ -32,10 +35,17 @@ from agentdesk.providers import (
     StubEmbeddingProvider,
     StubRerankerProvider,
 )
-from agentdesk.retrieval import Filing, NewsItem, RetrievalConfig, load_keywords
+from agentdesk.retrieval import (
+    Filing,
+    NewsItem,
+    RetrievalConfig,
+    keyword_importance,
+    load_keywords,
+)
 from agentdesk.risk import RiskThresholds, TradingStyle
 
 DAY = date(2022, 6, 1)
+DAY2 = date(2022, 6, 2)
 SEED = 0
 
 
@@ -47,6 +57,21 @@ class FailingChatProvider:
 class FailingRerankerProvider:
     def relevance(self, query, passage):
         raise ProviderError("reranker unavailable")
+
+
+class ScriptedReranker:
+    """Raises while `down` is set; otherwise answers as `inner` does."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.down = False
+        self.calls = 0
+
+    def relevance(self, query, passage):
+        self.calls += 1
+        if self.down:
+            raise ProviderError("reranker unavailable")
+        return self.inner.relevance(query, passage)
 
 
 def scripted_stub(script: dict, base=("sideways",)) -> StubChatProvider:
@@ -94,11 +119,12 @@ class TestWeightedSentiment:
 
 class TestNewsAgent:
     def _run(self, news, chat, **kwargs):
-        return run_news_agent(
-            DAY, "TEST", news, RetrievalConfig(), chat,
-            StubEmbeddingProvider(), StubRerankerProvider(), load_keywords(),
-            SEED, **kwargs,
-        )
+        with ThreadPoolExecutor(NEWS_WORKERS) as pool:
+            return run_news_agent(
+                DAY, "TEST", news, RetrievalConfig(), chat,
+                StubEmbeddingProvider(), StubRerankerProvider(),
+                keyword_importance(load_keywords(), 64), pool, SEED, **kwargs,
+            )
 
     def test_empty_news(self):
         report, exchange = self._run([], StubChatProvider(("sideways",)))
@@ -158,13 +184,13 @@ class TestReportAgent:
         path.write_text(text)
         return Filing("TEST", period, path, text)
 
-    def _run(self, filings, chat=None, reranker=None, **kwargs):
+    def _run(self, filings, chat=None, reranker=None, ranks=None, at=DAY, **kwargs):
         return run_report_agent(
-            DAY, "TEST", filings, RetrievalConfig(),
+            at, "TEST", filings, RetrievalConfig(),
             chat or StubChatProvider(("sideways",)),
             StubEmbeddingProvider(),
             reranker or StubRerankerProvider(triggers=("revenue",)),
-            SEED, **kwargs,
+            ranks or FilingRanks(), SEED, **kwargs,
         )
 
     def test_no_visible_filing(self):
@@ -194,6 +220,41 @@ class TestReportAgent:
         summary, _ = self._run([filing], reranker=FailingRerankerProvider())
         assert "rerank_failed" in summary.flags
         assert summary.summary  # still produced from hybrid order
+
+    def test_failed_rerank_is_retried_the_next_day(self, tmp_path):
+        # Hybrid order is chunks 0, 1, 2; only chunk 2 mentions the weather.
+        filing = self._write_filing(
+            tmp_path,
+            "Revenue earnings guidance margins and risks all improved. Revenue grew. "
+            "Earnings grew. Guidance was raised. Margins rose. Staff morale is high. "
+            "Offices reopened. The weather was mild.",
+        )
+        reranker = ScriptedReranker(StubRerankerProvider(triggers=("weather",)))
+        ranks = FilingRanks()
+        reranker.down = True
+        day1, ex1 = self._run([filing], reranker=reranker, ranks=ranks)
+        assert "rerank_failed" in day1.flags
+        assert ranks.reranked is None
+        assert ex1.input_text.index("[chunk 0]") < ex1.input_text.index("[chunk 2]")
+        reranker.down = False
+        day2, ex2 = self._run([filing], reranker=reranker, ranks=ranks, at=DAY2)
+        assert "rerank_failed" not in day2.flags
+        assert ex2.input_text.index("[chunk 2]") < ex2.input_text.index("[chunk 0]")
+        fresh, fresh_ex = self._run([filing], reranker=reranker, at=DAY2)
+        assert (day2, ex2) == (fresh, fresh_ex)
+        calls = reranker.calls
+        self._run([filing], reranker=reranker, ranks=ranks, at=DAY2)
+        assert reranker.calls == calls  # the successful rerank is kept
+
+    def test_a_newer_filing_replaces_the_ranking(self, tmp_path):
+        old = self._write_filing(tmp_path, "Revenue grew. Margins rose.")
+        new = Filing("TEST", date(2022, 5, 31), tmp_path / "newer.txt", "Revenue fell. Costs rose.")
+        ranks = FilingRanks()
+        self._run([old], ranks=ranks)
+        assert ranks.filing == old
+        summary, exchange = self._run([old, new], ranks=ranks)
+        assert ranks.filing == new
+        assert (summary, exchange) == self._run([old, new])
 
     def test_chat_failure_degrades_with_flag(self, tmp_path):
         filing = self._write_filing(tmp_path, "Revenue grew. Margins rose.")

@@ -4,12 +4,13 @@ buy-and-hold replication, replay, and the four ablation flags."""
 from __future__ import annotations
 
 import json
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
 import pytest
 
 from agentdesk import backtest
-from agentdesk.agents import REFLECTION_WINDOW
+from agentdesk.agents import NEWS_WORKERS, REFLECTION_WINDOW
 from agentdesk.backtest import (
     EQUITY_FILE,
     METRICS_FILE,
@@ -28,7 +29,7 @@ from agentdesk.errors import DataError, ProviderError
 from agentdesk.marketdata import load_price_csv
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import make_chat_provider, make_embedding_provider, make_reranker_provider
-from agentdesk.retrieval import NewsItem, load_keywords
+from agentdesk.retrieval import NewsItem, keyword_importance, load_keywords
 
 from conftest import build_env, crash_closes, make_series, random_walk_closes, rising_closes
 
@@ -400,13 +401,15 @@ class TestBoundedRunState:
         cfg = load_config(env.config_path)
         series = load_price_csv(env.prices)
         days = trading_dates(series, None, None)[:30]
-        run = RunInputs(
-            cfg, series, {}, [], load_keywords(None), make_chat_provider(cfg.provider),
-            make_embedding_provider("stub"), make_reranker_provider("stub"),
-        )
         state = RunState(AccountState.initial(cfg.initial_cash), [])
-        for day in days:
-            step(state, run, day)
+        with ThreadPoolExecutor(NEWS_WORKERS) as pool:
+            run = RunInputs(
+                cfg, series, {}, [], keyword_importance(load_keywords(None), 64),
+                make_chat_provider(cfg.provider), make_embedding_provider("stub"),
+                make_reranker_provider("stub"), pool,
+            )
+            for day in days:
+                step(state, run, day)
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
         for kept in (state.forecast_cases, state.decision_cases,
                      state.style_cases, state.style_outcomes):

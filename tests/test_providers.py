@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 import threading
 from datetime import date
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import pytest
 import yaml
@@ -28,7 +32,7 @@ from agentdesk.providers import (
     memoized,
 )
 
-from conftest import write_prices_csv
+from conftest import build_env, rising_closes, write_prices_csv
 
 
 def msg(role_line: str, user: str):
@@ -401,6 +405,33 @@ class TestMemoized:
         for text in ("a", "b", "c", "a"):
             memo.dense(text)
         assert inner.seen == [("dense", "a"), ("dense", "b"), ("dense", "c"), ("dense", "a")]
+
+
+class TestLazyRequests:
+    # Run in a fresh interpreter: this one has loaded `requests` already.
+    SCRIPT = """
+import json, sys
+from agentdesk.cli import main
+assert main(sys.argv[1:]) == 0
+after_stub_run = "requests" in sys.modules
+from agentdesk.providers import HttpEmbeddingProvider
+HttpEmbeddingProvider("http://127.0.0.1:1", "m")
+print(json.dumps([after_stub_run, "requests" in sys.modules]))
+"""
+
+    def test_only_building_an_http_client_loads_requests(self, tmp_path):
+        news = [{"date": "2022-02-02", "title": "Earnings beat", "body": "revenue up"}]
+        env = build_env(tmp_path, rising_closes(30), news=news, with_reports=True)
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        result = subprocess.run(
+            [sys.executable, "-c", self.SCRIPT, "run", "--config", str(env.config_path),
+             "--prices", str(env.prices), "--news", str(env.news),
+             "--reports", str(env.reports), "--out", str(env.out())],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
+            check=True,
+        )
+        assert json.loads(result.stdout.splitlines()[-1]) == [False, True]
 
 
 class TestFactories:

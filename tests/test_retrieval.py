@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import math
+import random
 from datetime import date
 
 import pytest
@@ -21,6 +23,7 @@ from agentdesk.retrieval import (
     dedupe,
     hybrid_score,
     influence_score,
+    keyword_importance,
     load_keywords,
     load_news_jsonl,
     load_report_manifest,
@@ -221,6 +224,91 @@ class TestHybridScore:
         assert hybrid_score("apple", chunk, provider) == pytest.approx(dense_part)
 
 
+def ref_cosine(a, b):
+    """The per-pair cosine that recomputed both norms for every pair: the
+    oracle that dedupe and hybrid_score must match bit for bit (==)."""
+    dot = math.fsum(x * y for x, y in zip(a, b))
+    na = math.sqrt(math.fsum(x * x for x in a))
+    nb = math.sqrt(math.fsum(y * y for y in b))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    return dot / (na * nb)
+
+
+def ref_dedupe(items, provider, threshold):
+    kept, kept_vecs = [], []
+    for scored in items:
+        vec = provider.dense(scored.item.text)
+        if all(ref_cosine(vec, kv) < threshold for kv in kept_vecs):
+            kept.append(scored)
+            kept_vecs.append(vec)
+    return kept
+
+
+def random_vectors(rng: random.Random, n: int, dim: int = 64) -> list[list[float]]:
+    """Unnormalized vectors of mixed scale, with zero vectors and near
+    duplicates among them."""
+    vecs: list[list[float]] = []
+    for _ in range(n):
+        roll = rng.random()
+        if roll < 0.1:
+            vecs.append([0.0] * dim)
+        elif roll < 0.4 and vecs:
+            base = rng.choice(vecs)
+            vecs.append([x + rng.gauss(0.0, 1e-3) for x in base])
+        else:
+            scale = 10.0 ** rng.randint(-3, 3)
+            vecs.append([rng.gauss(0.0, 1.0) * scale for _ in range(dim)])
+    return vecs
+
+
+class TestCosineOracle:
+    def _scored(self, vecs):
+        items = [item(f"text {i}") for i in range(len(vecs))]
+        provider = PresetProvider({i.text: v for i, v in zip(items, vecs)}, {})
+        return [ScoredNews(i, 0.5, 0.5, 0.595) for i in items], provider
+
+    def test_dedupe_matches_oracle_on_random_vectors(self):
+        rng = random.Random(20220103)
+        for _ in range(200):
+            items, provider = self._scored(random_vectors(rng, rng.randint(1, 20)))
+            threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
+            cfg = RetrievalConfig(dedup_cosine=threshold)
+            assert dedupe(items, provider, cfg) == ref_dedupe(items, provider, threshold)
+
+    def test_threshold_one_ulp_either_side(self):
+        rng = random.Random(7)
+        checked = 0
+        while checked < 100:
+            a, b = random_vectors(rng, 2)
+            c = ref_cosine(a, b)
+            if not 0.0 < c < 1.0:
+                continue
+            items, provider = self._scored([a, b])
+            for threshold, kept in ((math.nextafter(c, -1.0), 1), (c, 1),
+                                    (math.nextafter(c, 2.0), 2)):
+                got = dedupe(items, provider, RetrievalConfig(dedup_cosine=threshold))
+                assert got == ref_dedupe(items, provider, threshold)
+                assert len(got) == kept
+            checked += 1
+
+    def test_zero_vectors_are_never_duplicates(self):
+        items, provider = self._scored([[0.0] * 4, [0.0] * 4, [1.0, 0.0, 0.0, 0.0]])
+        assert dedupe(items, provider, RetrievalConfig(dedup_cosine=1e-9)) == items
+
+    def test_hybrid_score_matches_oracle(self):
+        rng = random.Random(11)
+        cfg = RetrievalConfig()
+        for _ in range(300):
+            q, c = random_vectors(rng, 2)
+            q_sparse = {rng.randrange(50): rng.uniform(0.0, 3.0) for _ in range(rng.randint(0, 20))}
+            c_sparse = {rng.randrange(50): rng.uniform(0.0, 3.0) for _ in range(rng.randint(0, 20))}
+            provider = PresetProvider({"q": q, "c": c}, {"q": q_sparse, "c": c_sparse})
+            sparse = math.fsum(w * c_sparse[k] for k, w in q_sparse.items() if k in c_sparse)
+            want = cfg.w_dense * ref_cosine(q, c) + cfg.w_sparse * sparse
+            assert hybrid_score("q", Chunk("d", 0, "c", (0, 1)), provider, cfg) == want
+
+
 class TestRetrieveTopk:
     def _chunks(self, texts):
         return [Chunk("d", i, t, (i, i + 1)) for i, t in enumerate(texts)]
@@ -294,13 +382,31 @@ class TestScoreNews:
             item("calm day", "nothing"),
             item("Earnings surge", "earnings " * 300),
         ]
-        scored = score_news(items, keywords, reranker, "impact")
+        scored = score_news(items, keyword_importance(keywords, 8), reranker, "impact")
         assert scored[0].item.title == "Earnings surge"
         assert scored[0].influence > scored[1].influence
         for s in scored:
             assert s.influence == pytest.approx(
                 0.55 * s.base + 0.25 * s.prob + 0.20, rel=1e-12
             )
+
+
+class TestKeywordImportance:
+    def test_equals_base_importance_for_any_date(self):
+        keywords = load_keywords()
+        importance = keyword_importance(keywords, 8)
+        for title, body in (("Earnings beat", "revenue " * 40), ("calm day", ""),
+                            ("Lawsuit", "merger in doubt")):
+            for day in (DAY, date(2023, 1, 2)):
+                assert importance(title, body) == base_importance(
+                    NewsItem(day, title, body), keywords)
+
+    def test_memo_is_bounded(self):
+        importance = keyword_importance(load_keywords(), 2)
+        for i in range(5):
+            importance(f"story {i}", "body")
+        info = importance.cache_info()
+        assert info.currsize == 2 and info.misses == 5
 
 
 class TestLoaders:

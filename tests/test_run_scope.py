@@ -1,0 +1,187 @@
+"""What one run keeps between its days: the latest filing's ranking, the
+news-importance memo and the news worker pool. None of it may change an
+artifact, outlive the run, or let a day see data dated after it."""
+
+from __future__ import annotations
+
+import json
+import math
+import random
+import threading
+from dataclasses import replace
+
+import pytest
+
+from agentdesk import agents, backtest, providers
+from agentdesk.config import load_config
+from agentdesk.retrieval import keyword_importance
+
+from conftest import build_env, business_days, rising_closes, write_prices_csv
+
+ARTIFACT_FILES = ("config.yaml", "meta.json", "equity.jsonl", "trades.jsonl",
+                  "trajectories.jsonl", "metrics.json")
+
+_WORDS = (
+    "earnings", "revenue", "guidance", "merger", "lawsuit", "dividend", "the",
+    "company", "said", "analysts", "quarter", "shares", "market", "demand",
+    "costs", "growth", "outlook", "cash", "debt", "orders", "inventory",
+)
+
+
+def write_filings(env, filings) -> None:
+    """`filings`: (bar index, file name, text) triples for env's symbol."""
+    env.reports = env.root / "reports"
+    env.reports.mkdir()
+    manifest = []
+    for bar, name, text in filings:
+        (env.reports / name).write_text(text, encoding="utf-8")
+        manifest.append({"symbol": "TEST", "period": env.days[bar].isoformat(), "path": name})
+    (env.reports / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def news_heavy_env(root, bars: int = 200, seed: int = 1):
+    """The news-heavy benchmark's shape: `bars` bars of random walk, 20
+    news items a day from a 120-text pool, a 60-sentence filing every 63
+    bars."""
+    rng = random.Random(seed)
+    closes = [100.0]
+    for _ in range(bars - 1):
+        closes.append(closes[-1] * math.exp(rng.gauss(0.0003, 0.018)))
+    pool = [
+        (f"story {i} " + " ".join(rng.choices(_WORDS, k=6)),
+         ". ".join(" ".join(rng.choices(_WORDS, k=rng.randint(10, 20))) for _ in range(3)) + ".")
+        for i in range(120)
+    ]
+    days = business_days(bars)
+    news = [{"date": d.isoformat(), "title": title, "body": body}
+            for d in days[21:] for title, body in rng.choices(pool, k=20)]
+    env = build_env(root, closes, news=news, config={"commission_rate": 0.001})
+    write_filings(env, [
+        (bar, f"filing-{k}.txt", " ".join(
+            f"{rng.choice(('Revenue', 'Earnings', 'Margin', 'Headcount'))} "
+            f"{rng.choice(('rose', 'fell', 'held'))} {rng.uniform(1, 40):.1f} percent "
+            f"in {rng.choice(('Europe', 'Asia', 'America'))}." for _ in range(60)))
+        for k, bar in enumerate(range(0, bars, 63))
+    ])
+    return env, closes
+
+
+def run_env(env, name="run", prices=None):
+    return backtest.run_backtest(
+        load_config(env.config_path), prices or env.prices, env.out(name),
+        news_path=env.news, reports_dir=env.reports, base_dir=env.root,
+    )
+
+
+class TestPrefixStability:
+    BARS = 120  # the cut run's prices: 99 of the full run's 179 trading days
+
+    def test_a_cut_run_is_the_first_days_of_the_full_run(self, tmp_path):
+        env, closes = news_heavy_env(tmp_path / "env")
+        cut_prices = tmp_path / "cut.csv"
+        write_prices_csv(cut_prices, closes[: self.BARS])
+        # The news and filings dated after the cut stay in the inputs.
+        last_news = json.loads(env.news.read_text().splitlines()[-1])
+        assert last_news["date"] > env.days[self.BARS - 1].isoformat()
+        full = run_env(env, "full")
+        cut = run_env(env, "cut", prices=cut_prices)
+
+        days = self.BARS - 21
+        assert len(cut.trades) == days
+        assert cut.trades == full.trades[:days]
+        assert cut.equity_curve == full.equity_curve[: days + 1]
+        # The full run went on to read a filing dated after the cut.
+        later = env.days[126].isoformat()
+        assert any(later in r.input_text for r in full.records if r.agent_name == "report")
+        labeled, last = cut.records[:-5], cut.records[-5:]
+        assert labeled == full.records[: len(labeled)]
+        # The cut run's last day has no next close, so it stays unlabeled.
+        assert all(r.forecast_label is None and r.decision_label is None for r in last)
+        for mine, theirs in zip(last, full.records[len(labeled): len(cut.records)]):
+            assert mine == replace(theirs, forecast_label=None, decision_label=None)
+
+
+class TestFilingRankedOncePerRun:
+    def test_each_filing_is_chunked_and_ranked_once(self, tmp_path, monkeypatch):
+        env = build_env(tmp_path, rising_closes(45))
+        write_filings(env, [(5, "fy.txt", "Revenue grew. Margins rose. Costs fell."),
+                            (30, "q1.txt", "Revenue fell. Guidance was cut.")])
+        calls: dict[str, list] = {"chunk_report": [], "retrieve_topk": [], "rerank": []}
+        for name, seen in calls.items():
+            inner = getattr(agents, name)
+            monkeypatch.setattr(agents, name, lambda *a, _f=inner, _seen=seen, **k:
+                                _seen.append(k) or _f(*a, **k))
+        artifacts = run_env(env)
+
+        assert [k["doc_id"] for k in calls["chunk_report"]] == ["fy.txt", "q1.txt"]
+        assert len(calls["retrieve_topk"]) == len(calls["rerank"]) == 2
+        reports = [r for r in artifacts.records if r.agent_name == "report"]
+        assert len(reports) == 24
+        assert {("Revenue fell" in r.input_text) for r in reports} == {False, True}
+
+
+class TestImportanceMemo:
+    def test_memo_is_bounded_by_memo_entries(self, tmp_path, monkeypatch):
+        news = [{"date": d, "title": f"Story {i}", "body": "Revenue rose."}
+                for d in ("2022-02-02", "2022-02-03", "2022-02-04") for i in range(4)]
+        env = build_env(tmp_path, rising_closes(45), news=news)
+        run_env(env, "unbounded")
+        memos = []
+
+        def capture(keywords, maxsize):
+            memos.append(keyword_importance(keywords, maxsize))
+            return memos[-1]
+
+        monkeypatch.setattr(backtest, "keyword_importance", capture)
+        monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
+        run_env(env, "bounded")
+
+        info = memos[0].cache_info()
+        assert info.maxsize == 2 and info.currsize == 2
+        assert info.misses == 12  # four texts, evicted before each repeat
+        for name in ARTIFACT_FILES:
+            assert (env.out("bounded") / name).read_bytes() == \
+                (env.out("unbounded") / name).read_bytes(), name
+
+
+class _NewsChat:
+    """Stub chat that notes the threads its news calls run on, and raises
+    on the news of `fail_on` (an ISO date) when given."""
+
+    def __init__(self, inner, fail_on: str | None = None):
+        self.inner = inner
+        self.fail_on = fail_on
+        self.threads: set[str] = set()
+
+    def complete(self, messages, **kwargs):
+        user = messages[1]["content"]
+        if "news-sentiment" in messages[0]["content"]:
+            self.threads.add(threading.current_thread().name)
+            if self.fail_on and f"DATE: {self.fail_on}" in user:
+                raise RuntimeError("chat provider crashed")
+        return self.inner.complete(messages, **kwargs)
+
+
+class TestOnePoolPerRun:
+    NEWS = [{"date": d, "title": f"Story {i}", "body": f"Revenue rose {i}."}
+            for d in ("2022-02-02", "2022-02-03", "2022-02-04") for i in range(6)]
+
+    def run_counting_threads(self, tmp_path, monkeypatch, fail_on=None):
+        env = build_env(tmp_path, rising_closes(45), news=self.NEWS)
+        chats = []
+        make = backtest.make_chat_provider
+        monkeypatch.setattr(backtest, "make_chat_provider", lambda *a, **k:
+                            chats.append(_NewsChat(make(*a, **k), fail_on)) or chats[-1])
+        before = threading.active_count()
+        try:
+            run_env(env)
+        finally:
+            assert threading.active_count() == before
+            assert chats[0].threads and threading.current_thread().name not in chats[0].threads
+
+    def test_no_thread_outlives_a_run(self, tmp_path, monkeypatch):
+        self.run_counting_threads(tmp_path, monkeypatch)
+
+    def test_no_thread_outlives_a_failed_run(self, tmp_path, monkeypatch):
+        with pytest.raises(RuntimeError, match="chat provider crashed"):
+            self.run_counting_threads(tmp_path, monkeypatch, fail_on="2022-02-03")
