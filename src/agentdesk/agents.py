@@ -14,8 +14,10 @@ from dataclasses import dataclass
 from datetime import date as Date
 from functools import lru_cache
 from importlib import resources
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
+from .datasynth import DecisionLabel, ForecastLabel
 from .errors import ParseError, ProviderError
 from .gate import GateConfig, TrendLabel, TrendProbabilities, classify_trend
 from .marketdata import IndicatorSnapshot
@@ -458,15 +460,6 @@ def run_forecast_agent(
 # Style-preference agent
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class StyleOutcome:
-    """Realized next-day account return attributed to one day's style."""
-
-    date: Date
-    style: TradingStyle
-    day_return: float
-
-
 def _validate_style(obj: Mapping) -> tuple[TradingStyle, float, str]:
     style = TradingStyle(str(obj["style"]).strip().lower())
     confidence = min(1.0, max(0.0, float(obj.get("confidence", 0.5))))
@@ -478,7 +471,7 @@ def run_style_agent(
     symbol: str,
     account: AccountState,
     prev_style: TradingStyle,
-    recent: Sequence[StyleOutcome],
+    recent: Sequence[LabeledDay],
     upstream: str,
     reflection: str | None,
     chat: ChatProvider,
@@ -573,44 +566,65 @@ def run_decision_agent(
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class LabeledCase:
-    """One past day's scored outcome for a given audience."""
+class LabeledDay:
+    """One past trading day, labeled once its next close was known: the
+    outcome the forecast, style and decision agents reflect on."""
 
     date: Date
-    score: float
-    pattern: str
+    gated: TrendLabel
+    style: TradingStyle
+    forecast: ForecastLabel
+    decision: DecisionLabel
+    day_return: float  # next-close account return under the day's style
 
 
 REFLECTION_WINDOW = 20
 _MAX_HIGHLIGHT_WINS = 2
 _MAX_HIGHLIGHT_LOSSES = 2
 
+# audience: (the day's score, the pattern text of a highlighted day)
+_AUDIENCES: dict[str, tuple[Callable[[LabeledDay], float], Callable[[LabeledDay], str]]] = {
+    "forecasting": (attrgetter("forecast.w_hit"), lambda d: (
+        f"predicted {d.gated.label} via {d.gated.path}, "
+        f"realized {d.forecast.pct:+.4%}, w_hit {d.forecast.w_hit:.4f}"
+    )),
+    "decision": (attrgetter("decision.taken_reward"), lambda d: (
+        f"action {d.decision.taken}, reward {d.decision.taken_reward:+.5f}, "
+        f"benchmark {d.decision.r_bm:+.4%}"
+    )),
+    "style": (attrgetter("day_return"), lambda d: (
+        f"style {d.style.value}, day return {d.day_return:+.4%}"
+    )),
+}
 
-def build_reflection(history: Sequence[LabeledCase], audience: str = "decision") -> str:
-    """Deterministic digest, for the agent prompts, of the last
-    REFLECTION_WINDOW labeled cases.
 
-    Wins are cases with a strictly positive score; the two best wins and
-    two worst losses are highlighted (at most four).
+def build_reflection(history: Sequence[LabeledDay], audience: str = "decision") -> str:
+    """Deterministic digest, for one audience's prompt, of the last
+    REFLECTION_WINDOW labeled days.
+
+    Wins are days with a strictly positive score for the audience; the two
+    best wins and two worst losses are highlighted (at most four), ties
+    broken by date.
     """
-    cases = list(history)[-REFLECTION_WINDOW:]
-    if not cases:
+    score, pattern = _AUDIENCES[audience]
+    days = list(history)[-REFLECTION_WINDOW:]
+    if not days:
         return f"No prior experience is available for {audience}."
 
-    wins = [c for c in cases if c.score > 0]
-    losses = [c for c in cases if c.score <= 0]
-    top_wins = sorted(wins, key=lambda c: (-c.score, c.date))[:_MAX_HIGHLIGHT_WINS]
-    top_losses = sorted(losses, key=lambda c: (-abs(c.score), c.date))[:_MAX_HIGHLIGHT_LOSSES]
+    wins = [d for d in days if score(d) > 0]
+    losses = [d for d in days if score(d) <= 0]
+    top_wins = sorted(wins, key=lambda d: (-score(d), d.date))[:_MAX_HIGHLIGHT_WINS]
+    top_losses = sorted(losses, key=lambda d: (-abs(score(d)), d.date))[:_MAX_HIGHLIGHT_LOSSES]
 
     lines = [
-        f"Experience summary for {audience} over the last {len(cases)} labeled days: "
+        f"Experience summary for {audience} over the last {len(days)} labeled days: "
         f"{len(wins)} wins, {len(losses)} losses."
     ]
     if top_wins:
         lines.append("Wins worth repeating:")
-        lines.extend(f"- {c.date} (score {c.score:+.4f}): {c.pattern}" for c in top_wins)
+        lines.extend(f"- {d.date} (score {score(d):+.4f}): {pattern(d)}" for d in top_wins)
     if top_losses:
         lines.append("Losses to avoid:")
-        lines.extend(f"- {c.date} (score {c.score:+.4f}): {c.pattern}" for c in top_losses)
+        lines.extend(f"- {d.date} (score {score(d):+.4f}): {pattern(d)}" for d in top_losses)
     lines.append("Favor set-ups resembling the wins and avoid those resembling the losses.")
     return "\n".join(lines)

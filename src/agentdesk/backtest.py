@@ -24,10 +24,9 @@ import yaml
 from .agents import (
     AgentExchange,
     FilingRanks,
-    LabeledCase,
+    LabeledDay,
     NEWS_WORKERS,
     REFLECTION_WINDOW,
-    StyleOutcome,
     StylePreference,
     build_reflection,
     run_decision_agent,
@@ -47,7 +46,7 @@ from .datasynth import (
 )
 from .errors import DataError
 from .jsonl import read_document, read_jsonl, write_json, write_jsonl, write_text
-from .marketdata import PriceSeries, build_snapshot, load_price_csv
+from .marketdata import ATR_WINDOW, TRADING_DAYS_PER_YEAR, PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
     MetricsReport,
@@ -82,7 +81,7 @@ from .risk import (
     evaluate_position,
 )
 
-WARMUP_BARS = 21
+WARMUP_BARS = ATR_WINDOW + 1  # the longest window build_snapshot reads
 
 CONFIG_FILE = "config.yaml"
 META_FILE = "meta.json"
@@ -136,28 +135,20 @@ def _group_news(items: Sequence[NewsItem], series: PriceSeries) -> dict[Date, li
     return grouped
 
 
-def _window() -> deque:
-    """The reflection state: the agents only read the last REFLECTION_WINDOW days."""
-    return deque(maxlen=REFLECTION_WINDOW)
-
-
 @dataclass
 class RunState:
     """Everything one trading day leaves behind for the next.
 
     `pending` is the last stepped day, which is labeled once the next
     day's close is known; `account` is then its post-trade account.
+    `history` is the labeled days the agents reflect on, the last REFLECTION_WINDOW.
     """
 
     account: AccountState
-    equity_curve: list[tuple[Date, float]]
     style: TradingStyle = TradingStyle.BALANCED
     trades: list[TradeRecord] = field(default_factory=list)
     records: list[TrajectoryRecord] = field(default_factory=list)
-    forecast_cases: deque[LabeledCase] = field(default_factory=_window)
-    decision_cases: deque[LabeledCase] = field(default_factory=_window)
-    style_cases: deque[LabeledCase] = field(default_factory=_window)
-    style_outcomes: deque[StyleOutcome] = field(default_factory=_window)
+    history: deque[LabeledDay] = field(default_factory=lambda: deque(maxlen=REFLECTION_WINDOW))
     pending: DayState | None = None
 
 
@@ -205,10 +196,7 @@ def run_backtest(
     reranker = memoized(make_reranker_provider(cfg.reranker_provider, **remote))
     # Bounded like the provider memo; the bound is read when the run starts.
     importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
-    state = RunState(
-        account=AccountState.initial(cfg.initial_cash),
-        equity_curve=[(series.dates[series.dates.index(days[0]) - 1], cfg.initial_cash)],
-    )
+    state = RunState(AccountState.initial(cfg.initial_cash))
     with ThreadPoolExecutor(NEWS_WORKERS) as pool:  # joined on any exit
         run = RunInputs(cfg, series, news_by_date, filings, importance, chat, embedding,
                         reranker, pool)
@@ -217,16 +205,19 @@ def run_backtest(
     if state.pending is not None:
         state.records.extend(state.pending.records)  # last day: no next close, unlabeled
 
-    curve_values = [v for _, v in state.equity_curve]
+    # The initial cash at the last warm-up bar, then each day's post-trade equity.
+    last_warmup = series.dates[series.dates.index(days[0]) - 1]
+    equity_curve = ((last_warmup, cfg.initial_cash),
+                    *((t.date, t.post_equity) for t in state.trades))
     n_trades = sum(1 for t in state.trades if t.quantity > 0)
-    metrics = compute_metrics(curve_values, n_trades)
+    metrics = compute_metrics([v for _, v in equity_curve], n_trades)
 
-    _persist(out_dir, cfg, metrics, state)
+    _persist(out_dir, cfg, metrics, state, equity_curve)
     return RunArtifacts(
         run_dir=out_dir,
         metrics=metrics,
         trades=tuple(state.trades),
-        equity_curve=tuple(state.equity_curve),
+        equity_curve=equity_curve,
         records=tuple(state.records),
     )
 
@@ -261,14 +252,13 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
         run.reranker, run.filing_ranks, cfg.seed, use_rerank=cfg.flags.rerank_embedding,
     )
 
-    def reflection(cases, audience):
+    def reflection(audience):
         if cfg.flags.self_reflection:
-            return build_reflection(cases, audience)
+            return build_reflection(state.history, audience)
         return None
 
     forecast, forecast_ex = run_forecast_agent(
-        day, cfg.symbol, snapshot, sentiment, finance,
-        reflection(state.forecast_cases, "forecasting"),
+        day, cfg.symbol, snapshot, sentiment, finance, reflection("forecasting"),
         run.chat, cfg.gate, cfg.seed,
     )
 
@@ -279,8 +269,8 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
             f"finance: {finance.summary[:120]}"
         )
         style_pref, style_ex = run_style_agent(
-            day, cfg.symbol, account_before, state.style, state.style_outcomes, upstream,
-            reflection(state.style_cases, "style"), run.chat, cfg.seed,
+            day, cfg.symbol, account_before, state.style, state.history, upstream,
+            reflection("style"), run.chat, cfg.seed,
         )
     else:
         style_pref = StylePreference(
@@ -294,7 +284,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
 
     decision, decision_ex = run_decision_agent(
         day, cfg.symbol, account_before, style_pref, thresholds, sentiment, finance,
-        forecast, reflection(state.decision_cases, "decision"), run.chat, cfg.seed,
+        forecast, reflection("decision"), run.chat, cfg.seed,
         include_account=cfg.flags.style_and_state,
     )
 
@@ -314,7 +304,6 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
     if override_note:  # a forced sell always has shares to sell, so no note of its own
         trade = replace(trade, note=override_note)
     state.trades.append(trade)
-    state.equity_curve.append((day, trade.post_equity))
 
     snapshot_for_records = AccountSnapshot(
         cash=account_before.cash,
@@ -350,36 +339,17 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
 
 def _label_pending(state: RunState, run: RunInputs, next_at: Date) -> None:
     """Label the pending day now that `next_at`'s close is known, and add
-    its outcome to the reflection cases."""
+    it to the reflection history."""
     pending, post_account, cfg = state.pending, state.account, run.cfg
     state.pending = None
     labeled, flabel, dlabel = label_day(
         pending, run.series, next_at, cfg.commission_rate, cfg.band, cfg.reward
     )
     state.records.extend(labeled)
-    state.forecast_cases.append(LabeledCase(
-        date=pending.date,
-        score=flabel.w_hit,
-        pattern=(
-            f"predicted {pending.gated.label} via {pending.gated.path}, "
-            f"realized {flabel.pct:+.4%}, w_hit {flabel.w_hit:.4f}"
-        ),
-    ))
-    state.decision_cases.append(LabeledCase(
-        date=pending.date,
-        score=dlabel.taken_reward,
-        pattern=(
-            f"action {dlabel.taken}, reward {dlabel.taken_reward:+.5f}, "
-            f"benchmark {dlabel.r_bm:+.4%}"
-        ),
-    ))
     next_close = run.series.close_at(next_at)
     day_return = (post_account.cash + post_account.shares * next_close) / post_account.equity - 1.0
-    state.style_outcomes.append(StyleOutcome(pending.date, pending.style, day_return))
-    state.style_cases.append(LabeledCase(
-        date=pending.date,
-        score=day_return,
-        pattern=f"style {pending.style.value}, day return {day_return:+.4%}",
+    state.history.append(LabeledDay(
+        pending.date, pending.gated, pending.style, flabel, dlabel, day_return
     ))
 
 
@@ -395,19 +365,20 @@ def _make_out_dir(out_dir: Path) -> Path:
     return out_dir
 
 
-def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: RunState) -> None:
+def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: RunState,
+             equity_curve: Sequence[tuple[Date, float]]) -> None:
     write_text(out_dir / CONFIG_FILE, yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
     write_json(out_dir / META_FILE, {
         "seed": cfg.seed,
         "conventions": {
             "returns": "simple",
-            "annualization_days": 252,
+            "annualization_days": TRADING_DAYS_PER_YEAR,
             "risk_free_rate": 0.0,
             "stddev": "population",
         },
     })
     write_jsonl(out_dir / EQUITY_FILE, (
-        {"date": day, "equity": equity} for day, equity in state.equity_curve
+        {"date": day, "equity": equity} for day, equity in equity_curve
     ))
     write_jsonl(out_dir / TRADES_FILE, state.trades)
     # Looked up on the module at call time, so a wrapper installed there

@@ -107,6 +107,6 @@ def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[
             continue
         try:
             rows.append(parse(json.loads(line)))
-        except (KeyError, TypeError, ValueError) as exc:
+        except (DataError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad {what} record at {p.name}:{lineno}: {exc}") from exc
     return rows

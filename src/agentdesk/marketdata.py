@@ -127,7 +127,10 @@ def load_price_csv(path: str | Path) -> PriceSeries:
         except (ValueError, AttributeError) as exc:
             raise DataError(f"unparseable row {lineno} in {Path(path).name}: {exc}") from exc
         bars.append(PriceBar(day, close))
-    return PriceSeries(tuple(bars))
+    try:
+        return PriceSeries(tuple(bars))
+    except DataError as exc:
+        raise DataError(f"{Path(path).name}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------

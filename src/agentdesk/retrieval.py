@@ -363,7 +363,7 @@ def load_news_jsonl(path: str | Path) -> list[NewsItem]:
 def load_report_manifest(reports_dir: str | Path) -> list[Filing]:
     """Read manifest.json ({symbol, period, path} entries) from a reports
     directory, and each filing's text; period is the filing date used for
-    visibility cutoffs."""
+    visibility cutoffs. A blank filing is refused here, before any day runs."""
     root = Path(reports_dir)
     entries = read_document(root / "manifest.json", "report manifest", list, json.loads)
     filings: list[Filing] = []
@@ -374,5 +374,8 @@ def load_report_manifest(reports_dir: str | Path) -> list[Filing]:
             path = root / _string(entry["path"], "path")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad manifest entry {i}: {exc}") from exc
-        filings.append(Filing(symbol, period, path, read_text(path, "filing")))
+        text = read_text(path, "filing")
+        if not text.strip():
+            raise DataError(f"filing {path} is empty")
+        filings.append(Filing(symbol, period, path, text))
     return filings

@@ -12,9 +12,8 @@ from agentdesk.agents import (
     NEWS_WORKERS,
     FilingRanks,
     FinanceSummary,
-    LabeledCase,
+    LabeledDay,
     SentimentReport,
-    StyleOutcome,
     StylePreference,
     build_reflection,
     parse_structured_output,
@@ -25,8 +24,9 @@ from agentdesk.agents import (
     run_style_agent,
     weighted_sentiment,
 )
+from agentdesk.datasynth import DecisionLabel, ForecastLabel
 from agentdesk.errors import ParseError, ProviderError
-from agentdesk.gate import GateConfig, PATH_HARD_INTERCEPT, TrendProbabilities
+from agentdesk.gate import GateConfig, PATH_HARD_INTERCEPT, PATH_SOFT_UP, TrendLabel, TrendProbabilities
 from agentdesk.marketdata import IndicatorSnapshot
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
@@ -322,10 +322,13 @@ class TestStyleAgent:
     def _run(self, chat, prev=TradingStyle.BALANCED):
         account = AccountState.initial(1000.0)
         return run_style_agent(
-            DAY, "TEST", account, prev,
-            [StyleOutcome(DAY, TradingStyle.BALANCED, 0.01)],
+            DAY, "TEST", account, prev, [labeled_day(DAY, 0.01)],
             "forecast: up", None, chat, SEED,
         )
+
+    def test_recent_outcomes_reach_the_prompt(self):
+        _, exchange = self._run(StubChatProvider(("always-up",)))
+        assert f"- {DAY} balanced: +1.0000%" in exchange.input_text
 
     def test_parses_style_and_confidence(self):
         chat = scripted_stub({"style:*": '{"style": "conservative", "confidence": 0.9}'})
@@ -403,6 +406,23 @@ class TestDecisionAgent:
         assert "current-state injection disabled" in exchange.input_text
 
 
+def labeled_day(day, score=0.0, *, taken="buy", r_bm=0.0, pct=0.0,
+                style=TradingStyle.BALANCED):
+    """A labeled day that every audience scores `score`: it is the forecast's
+    w_hit, the taken action's reward and the day return."""
+    return LabeledDay(
+        date=day,
+        gated=TrendLabel("up", PATH_SOFT_UP, "r"),
+        style=style,
+        forecast=ForecastLabel(epsilon=0.01, pct=pct, sign_ok=1, p_true=0.5, w_hit=score),
+        decision=DecisionLabel(
+            r_eq={taken: score}, r_bm=r_bm, c={taken: 0.0}, reward={taken: score},
+            taken=taken, taken_reward=score,
+        ),
+        day_return=score,
+    )
+
+
 def _highlights(text: str) -> list[str]:
     return [line for line in text.splitlines() if line.startswith("- ")]
 
@@ -413,7 +433,7 @@ class TestBuildReflection:
 
     def test_twenty_records_twelve_wins(self):
         history = [
-            LabeledCase(date(2022, 1, 1 + i), 0.01 * (i + 1) if i < 12 else -0.01 * i, f"case {i}")
+            labeled_day(date(2022, 1, 1 + i), 0.01 * (i + 1) if i < 12 else -0.01 * i)
             for i in range(20)
         ]
         text = build_reflection(history, "decision")
@@ -421,63 +441,87 @@ class TestBuildReflection:
             "Experience summary for decision over the last 20 labeled days: 12 wins, 8 losses."
         )
         assert _highlights(text) == [
-            "- 2022-01-12 (score +0.1200): case 11",
-            "- 2022-01-11 (score +0.1100): case 10",
-            "- 2022-01-20 (score -0.1900): case 19",
-            "- 2022-01-19 (score -0.1800): case 18",
+            "- 2022-01-12 (score +0.1200): action buy, reward +0.12000, benchmark +0.0000%",
+            "- 2022-01-11 (score +0.1100): action buy, reward +0.11000, benchmark +0.0000%",
+            "- 2022-01-20 (score -0.1900): action buy, reward -0.19000, benchmark +0.0000%",
+            "- 2022-01-19 (score -0.1800): action buy, reward -0.18000, benchmark +0.0000%",
         ]
         wins_at = text.splitlines().index("Wins worth repeating:")
         assert text.splitlines().index("Losses to avoid:") == wins_at + 3
 
     def test_short_history(self):
-        history = [LabeledCase(date(2022, 1, 1 + i), 0.01, f"c{i}") for i in range(3)]
+        history = [labeled_day(date(2022, 1, 1 + i), 0.01, pct=0.02) for i in range(3)]
         text = build_reflection(history, "forecasting")
         assert "over the last 3 labeled days: 3 wins, 0 losses." in text
         assert _highlights(text) == [
-            "- 2022-01-01 (score +0.0100): c0",
-            "- 2022-01-02 (score +0.0100): c1",
+            "- 2022-01-01 (score +0.0100): predicted up via soft_pass_up, realized +2.0000%, w_hit 0.0100",
+            "- 2022-01-02 (score +0.0100): predicted up via soft_pass_up, realized +2.0000%, w_hit 0.0100",
         ]
         assert "Losses to avoid:" not in text
 
     def test_window_truncates_old_cases(self):
-        history = [LabeledCase(date(2022, 1, 1 + i), 1.0, f"c{i}") for i in range(25)]
+        history = [labeled_day(date(2022, 1, 1 + i), 1.0) for i in range(25)]
         text = build_reflection(history, "style")
         assert "over the last 20 labeled days: 20 wins, 0 losses." in text
-        # the five oldest cases fall outside the window, so the date
-        # tie-break highlights c5 and c6
+        # the five oldest days fall outside the window, so the date
+        # tie-break highlights the sixth and seventh
         assert _highlights(text) == [
-            "- 2022-01-06 (score +1.0000): c5",
-            "- 2022-01-07 (score +1.0000): c6",
+            "- 2022-01-06 (score +1.0000): style balanced, day return +100.0000%",
+            "- 2022-01-07 (score +1.0000): style balanced, day return +100.0000%",
         ]
         assert build_reflection(history[5:], "style") == text
 
     def test_zero_score_counts_as_loss(self):
-        history = [LabeledCase(date(2022, 2, 1), 0.0, "flat day")]
+        history = [labeled_day(date(2022, 2, 1), 0.0, taken="hold")]
         text = build_reflection(history, "decision")
         assert "1 labeled days: 0 wins, 1 losses." in text
         assert "Wins worth repeating:" not in text
-        assert _highlights(text) == ["- 2022-02-01 (score +0.0000): flat day"]
+        assert _highlights(text) == [
+            "- 2022-02-01 (score +0.0000): action hold, reward +0.00000, benchmark +0.0000%"
+        ]
+
+    def test_each_audience_reads_its_own_score_and_pattern(self):
+        day = LabeledDay(
+            date=date(2022, 1, 3),
+            gated=TrendLabel("up", PATH_SOFT_UP, "r"),
+            style=TradingStyle.CONSERVATIVE,
+            forecast=ForecastLabel(epsilon=0.008, pct=0.0125, sign_ok=1, p_true=0.6, w_hit=0.5),
+            decision=DecisionLabel(
+                r_eq={"buy": 0.0125, "hold": 0.0, "sell": 0.0}, r_bm=0.0125,
+                c={"buy": 0.0, "hold": 0.0, "sell": 0.0},
+                reward={"buy": 0.0123, "hold": -0.0025, "sell": -0.0025},
+                taken="buy", taken_reward=0.0123,
+            ),
+            day_return=-0.004,
+        )
+        assert [_highlights(build_reflection([day], audience)) for audience in
+                ("forecasting", "decision", "style")] == [
+            ["- 2022-01-03 (score +0.5000): predicted up via soft_pass_up, realized +1.2500%, w_hit 0.5000"],
+            ["- 2022-01-03 (score +0.0123): action buy, reward +0.01230, benchmark +1.2500%"],
+            ["- 2022-01-03 (score -0.0040): style conservative, day return -0.4000%"],
+        ]
 
     def test_golden_text_with_ties(self):
-        """The full digest of a 22-case history: two cases fall outside the
+        """The full digest of a 22-day history: two days fall outside the
         window, and equal scores are ordered by date."""
         scores = [
             0.09, -0.08, 0.02, 0.05, -0.03, 0.05, 0.0, -0.03, 0.01, 0.05, -0.01,
             0.0, -0.03, 0.02, 0.04, -0.02, 0.01, -0.005, 0.03, -0.01, 0.0, 0.05,
         ]
         history = [
-            LabeledCase(date(2022, 1, 3 + i), score, f"pattern {i}")
+            labeled_day(date(2022, 1, 3 + i), score,
+                        taken="hold" if i % 2 else "buy", r_bm=0.001 * i)
             for i, score in enumerate(scores)
         ]
-        assert build_reflection(history, "forecasting") == (
-            "Experience summary for forecasting over the last 20 labeled days: "
+        assert build_reflection(history, "decision") == (
+            "Experience summary for decision over the last 20 labeled days: "
             "10 wins, 10 losses.\n"
             "Wins worth repeating:\n"
-            "- 2022-01-06 (score +0.0500): pattern 3\n"
-            "- 2022-01-08 (score +0.0500): pattern 5\n"
+            "- 2022-01-06 (score +0.0500): action hold, reward +0.05000, benchmark +0.3000%\n"
+            "- 2022-01-08 (score +0.0500): action hold, reward +0.05000, benchmark +0.5000%\n"
             "Losses to avoid:\n"
-            "- 2022-01-07 (score -0.0300): pattern 4\n"
-            "- 2022-01-10 (score -0.0300): pattern 7\n"
+            "- 2022-01-07 (score -0.0300): action buy, reward -0.03000, benchmark +0.4000%\n"
+            "- 2022-01-10 (score -0.0300): action hold, reward -0.03000, benchmark +0.7000%\n"
             "Favor set-ups resembling the wins and avoid those resembling the losses."
         )
 

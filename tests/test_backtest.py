@@ -18,6 +18,7 @@ from agentdesk.backtest import (
     RunInputs,
     RunState,
     load_equity_curve,
+    load_trades,
     replay,
     run_backtest,
     step,
@@ -401,7 +402,7 @@ class TestBoundedRunState:
         cfg = load_config(env.config_path)
         series = load_price_csv(env.prices)
         days = trading_dates(series, None, None)[:30]
-        state = RunState(AccountState.initial(cfg.initial_cash), [])
+        state = RunState(AccountState.initial(cfg.initial_cash))
         with ThreadPoolExecutor(NEWS_WORKERS) as pool:
             run = RunInputs(
                 cfg, series, {}, [], keyword_importance(load_keywords(None), 64),
@@ -411,10 +412,9 @@ class TestBoundedRunState:
             for day in days:
                 step(state, run, day)
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
-        for kept in (state.forecast_cases, state.decision_cases,
-                     state.style_cases, state.style_outcomes):
-            assert len(kept) == REFLECTION_WINDOW == 20
-            assert [c.date for c in kept] == days[-21:-1]
+        assert len(state.history) == REFLECTION_WINDOW == 20
+        assert [d.date for d in state.history] == days[-21:-1]
+        assert [r.date for r in state.records] == [d for d in days[:-1] for _ in range(5)]
 
 
 class TestFallbackTotality:
@@ -504,3 +504,21 @@ class TestEquityCurveFile:
         series = load_price_csv(env.prices)
         assert curve[0][0] == series.dates[20]
         assert len(curve) == len(artifacts.trades) + 1
+
+    def test_curve_is_the_initial_point_then_each_trade(self, tmp_path):
+        # a huge take-profit multiplier keeps the position open into the crash
+        env = build_env(tmp_path, crash_closes(60, crash_at=30, crash_size=0.15), config={
+            "risk": {"multipliers": {
+                style: {"sl": 2.0, "tp": 100.0}
+                for style in ("aggressive", "balanced", "conservative")
+            }},
+        })
+        artifacts = run_env(env)
+        trades = load_trades(env.out("run"))
+        assert any(t["origin"] == "forced_sell" for t in trades)
+        curve = load_equity_curve(env.out("run"))
+        series = load_price_csv(env.prices)
+        assert curve == [(series.dates[20], 100000.0)] + [
+            (date.fromisoformat(t["date"]), t["post_equity"]) for t in trades
+        ]
+        assert artifacts.equity_curve == tuple(curve)

@@ -158,6 +158,25 @@ def expect_data_error(capsys, code, name):
     assert err.startswith("data error:") and name in err, err
 
 
+@pytest.fixture
+def chat_calls(monkeypatch):
+    """The chat requests of every run the test makes, in order."""
+    calls = []
+    make_chat = backtest.make_chat_provider
+
+    class Counting:
+        def __init__(self, inner):
+            self.inner = inner
+
+        def complete(self, *args, **kwargs):
+            calls.append(args)
+            return self.inner.complete(*args, **kwargs)
+
+    monkeypatch.setattr(backtest, "make_chat_provider",
+                        lambda *a, **k: Counting(make_chat(*a, **k)))
+    return calls
+
+
 class TestInputFaults:
     @pytest.mark.parametrize("name, fault", [
         (name, fault) for name, (_, _, document) in RUN_INPUTS.items()
@@ -188,24 +207,36 @@ class TestInputFaults:
             args += ["--out", str(tmp_path / "sft.jsonl")]
         expect_data_error(capsys, main(args), what)
 
-    def test_bad_filing_fails_before_any_chat_call(self, tmp_path, capsys, monkeypatch):
+    def test_bad_filing_fails_before_any_chat_call(self, tmp_path, capsys, chat_calls):
         env, args = full_env(tmp_path)
         spoil(tmp_path / "reports" / "fy.txt", "non-utf8")
-        calls = []
-        make_chat = backtest.make_chat_provider
-
-        def counting_chat(*a, **kw):
-            inner = make_chat(*a, **kw)
-
-            class Counting:
-                def complete(self, *ca, **ckw):
-                    calls.append(ca)
-                    return inner.complete(*ca, **ckw)
-            return Counting()
-
-        monkeypatch.setattr(backtest, "make_chat_provider", counting_chat)
         expect_data_error(capsys, main(args), "filing")
-        assert calls == []
+        assert chat_calls == []
+
+    def test_blank_filing_fails_before_any_chat_call(self, tmp_path, capsys, chat_calls):
+        # dated late in the run, so only a check at load time stops it early
+        env, args = full_env(tmp_path)
+        (env.reports / "late.txt").write_text(" \n\t\n", encoding="utf-8")
+        (env.reports / "manifest.json").write_text(json.dumps([
+            {"symbol": "TEST", "period": env.days[35].isoformat(), "path": "late.txt"}
+        ]), encoding="utf-8")
+        expect_data_error(capsys, main(args), "late.txt")
+        assert chat_calls == []
+
+    def test_empty_news_title_names_file_and_line(self, tmp_path, capsys):
+        env, args = full_env(tmp_path)
+        env.news.write_text(
+            json.dumps(NEWS[0]) + "\n" + json.dumps({**NEWS[0], "title": ""}) + "\n",
+            encoding="utf-8",
+        )
+        expect_data_error(capsys, main(args), "news.jsonl:2: news item has an empty title")
+
+    def test_non_finite_price_names_file(self, tmp_path, capsys):
+        env, args = full_env(tmp_path)
+        lines = env.prices.read_text(encoding="utf-8").splitlines()
+        lines[10] = f"{env.days[9].isoformat()},nan"
+        env.prices.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        expect_data_error(capsys, main(args), f"prices.csv: non-finite price on {env.days[9]}")
 
     @pytest.mark.parametrize("entry", [
         "fy.txt",
@@ -251,27 +282,14 @@ class TestOutputFaults:
         env.out("run").write_text("not a directory")
         expect_data_error(capsys, main(run_args(env)), str(env.out("run")))
 
-    def test_run_out_is_a_file_fails_before_any_chat_call(self, tmp_path, capsys, monkeypatch):
-        calls = []
-
-        class Counting:
-            def __init__(self, inner):
-                self.inner = inner
-
-            def complete(self, *args, **kwargs):
-                calls.append(args)
-                return self.inner.complete(*args, **kwargs)
-
-        make_chat = backtest.make_chat_provider
-        monkeypatch.setattr(backtest, "make_chat_provider",
-                            lambda *a, **k: Counting(make_chat(*a, **k)))
+    def test_run_out_is_a_file_fails_before_any_chat_call(self, tmp_path, capsys, chat_calls):
         env = build_env(tmp_path, rising_closes(45))
         assert main(run_args(env, "counted")) == 0
-        assert calls, "the counting provider must see a normal run's calls"
-        calls.clear()
+        assert chat_calls, "the counting provider must see a normal run's calls"
+        chat_calls.clear()
         env.out("run").write_text("not a directory")
         expect_data_error(capsys, main(run_args(env)), str(env.out("run")))
-        assert calls == []
+        assert chat_calls == []
 
 
 class TestMetricsCommand:

@@ -48,6 +48,18 @@ class TestRead:
         with pytest.raises(DataError, match="bad point record at p.jsonl:2"):
             read_jsonl(path, "point", lambda obj: obj["v"])
 
+    def test_data_error_of_a_record_names_line(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"v": 1}\n{"v": -1}\n')
+
+        def positive(obj):
+            if obj["v"] <= 0:
+                raise DataError("point must be positive")
+            return obj["v"]
+
+        with pytest.raises(DataError, match="bad point record at p.jsonl:2: point must be positive"):
+            read_jsonl(path, "point", positive)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="point file not found"):
             read_jsonl(tmp_path / "absent.jsonl", "point", dict)

@@ -104,6 +104,21 @@ class TestLoadPriceCsv:
         with pytest.raises(DataError, match="non-finite price on 2022-01-04"):
             load_price_csv(p)
 
+    @pytest.mark.parametrize("rows, message", [
+        ("", "price series is empty"),
+        ("2022-01-03,100.0\n2022-01-04,nan\n", "non-finite price on 2022-01-04"),
+        ("2022-01-03,-1.0\n", "non-positive price on 2022-01-03"),
+        ("2022-01-03,100.0\n2022-01-03,101.0\n", "duplicate date 2022-01-03"),
+        ("2022-01-04,100.0\n2022-01-03,101.0\n",
+         "dates not increasing at 2022-01-03 (previous 2022-01-04)"),
+    ], ids=["empty", "non-finite", "non-positive", "duplicate", "out-of-order"])
+    def test_series_fault_names_the_file(self, tmp_path, rows, message):
+        p = tmp_path / "p.csv"
+        p.write_text("date,close\n" + rows)
+        with pytest.raises(DataError) as exc:
+            load_price_csv(p)
+        assert str(exc.value) == f"p.csv: {message}"
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="not found"):
             load_price_csv(tmp_path / "absent.csv")

@@ -472,6 +472,15 @@ class TestLoaders:
         p.write_text(json.dumps({"date": "2022-05-02", "title": "T", **extra}) + "\n")
         assert load_news_jsonl(p) == [NewsItem(date(2022, 5, 2), "T", "")]
 
+    @pytest.mark.parametrize("text", ["", "  \n\t\n"])
+    def test_manifest_blank_filing(self, tmp_path, text):
+        (tmp_path / "fy.txt").write_text(text)
+        (tmp_path / "manifest.json").write_text(json.dumps([
+            {"symbol": "T", "period": "2022-03-31", "path": "fy.txt"}
+        ]))
+        with pytest.raises(DataError, match=r"filing .*fy\.txt is empty"):
+            load_report_manifest(tmp_path)
+
     def test_manifest_missing_file(self, tmp_path):
         (tmp_path / "manifest.json").write_text(json.dumps([
             {"symbol": "T", "period": "2022-03-31", "path": "absent.txt"}
