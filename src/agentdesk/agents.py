@@ -12,7 +12,7 @@ import json
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from datetime import date as Date
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
@@ -22,7 +22,7 @@ from .errors import ParseError, ProviderError
 from .gate import GateConfig, TrendLabel, TrendProbabilities, classify_trend
 from .marketdata import IndicatorSnapshot
 from .portfolio import AccountState
-from .providers import ChatProvider
+from .providers import ChatProvider, prefetch
 from .retrieval import (
     EmbeddingProvider,
     Filing,
@@ -44,7 +44,6 @@ REPORT_QUERY = (
     "financial indicators relevant to the near-term share price of {symbol}: "
     "revenue, earnings, guidance, margins, risks"
 )
-NEWS_WORKERS = 4  # concurrent per-item sentiment calls, from one pool per run
 
 
 # ---------------------------------------------------------------------------
@@ -241,7 +240,8 @@ def run_news_agent(
 ) -> tuple[SentimentReport, AgentExchange]:
     """Score, dedupe, and select the day's news, then aggregate per-item
     provider sentiments, asked for on `pool`, into an influence-weighted
-    market score. `importance` is the run's `keyword_importance`."""
+    market score. `importance` is the run's `keyword_importance`. Each
+    group of per-item relevance and embedding requests is sent at once."""
     if not news:
         report = SentimentReport(0.0, "no news available", 0)
         return report, AgentExchange(
@@ -250,7 +250,10 @@ def run_news_agent(
         )
 
     query = NEWS_QUERY.format(symbol=symbol)
+    prefetch(reranker, (("relevance", query, item.text) for item in news))
     scored = score_news(news, importance, reranker, query)
+    if not exact_dedupe:
+        prefetch(embedding, (("dense", s.item.text) for s in scored))
     selected = dedupe(scored, embedding, cfg, exact_only=exact_dedupe)[: cfg.news_top_k]
 
     def assess(item_scored):
@@ -346,7 +349,8 @@ def run_report_agent(
     price-relevant passages, and summarize them with chunk citations.
 
     `ranks` keeps the ranking from one day to the next, so one run (one
-    symbol, config and provider set) ranks each filing once."""
+    symbol, config and provider set) ranks each filing once. The chunks'
+    embeddings, and then their reranks, are each sent as one group."""
     visible = [f for f in filings if f.symbol == symbol and f.period <= at]
     if not visible:
         summary = FinanceSummary((), "no filing available", flags=("no_filing",))
@@ -359,6 +363,8 @@ def run_report_agent(
     query = REPORT_QUERY.format(symbol=symbol)
     if ranks.filing != latest:
         chunks = chunk_report(latest.text, cfg, doc_id=latest.path.name)
+        prefetch(embedding, ((kind, text) for c in chunks
+                             for kind in ("dense", "sparse") for text in (query, c.text)))
         hybrid = retrieve_topk(query, chunks, embedding, cfg)
         ranks.filing, ranks.hybrid, ranks.reranked = latest, hybrid, None
 
@@ -367,6 +373,7 @@ def run_report_agent(
     if use_rerank:
         try:
             if ranks.reranked is None:
+                prefetch(reranker, (("relevance", query, r.chunk.text) for r in ranks.hybrid))
                 ranks.reranked = rerank(query, ranks.hybrid, reranker, cfg)
             candidates = ranks.reranked
         except ProviderError:
@@ -577,6 +584,13 @@ class LabeledDay:
     decision: DecisionLabel
     day_return: float  # next-close account return under the day's style
 
+    @cached_property
+    def highlights(self) -> dict[str, str]:
+        """The day's highlight line for each audience, formatted once: a day
+        stays among the highlights for many days in a row."""
+        return {audience: f"- {self.date} (score {score(self):+.4f}): {pattern(self)}"
+                for audience, (score, pattern) in _AUDIENCES.items()}
+
 
 REFLECTION_WINDOW = 20
 _MAX_HIGHLIGHT_WINS = 2
@@ -606,7 +620,7 @@ def build_reflection(history: Sequence[LabeledDay], audience: str = "decision") 
     best wins and two worst losses are highlighted (at most four), ties
     broken by date.
     """
-    score, pattern = _AUDIENCES[audience]
+    score = _AUDIENCES[audience][0]
     days = list(history)[-REFLECTION_WINDOW:]
     if not days:
         return f"No prior experience is available for {audience}."
@@ -622,9 +636,9 @@ def build_reflection(history: Sequence[LabeledDay], audience: str = "decision") 
     ]
     if top_wins:
         lines.append("Wins worth repeating:")
-        lines.extend(f"- {d.date} (score {score(d):+.4f}): {pattern(d)}" for d in top_wins)
+        lines.extend(d.highlights[audience] for d in top_wins)
     if top_losses:
         lines.append("Losses to avoid:")
-        lines.extend(f"- {d.date} (score {score(d):+.4f}): {pattern(d)}" for d in top_losses)
+        lines.extend(d.highlights[audience] for d in top_losses)
     lines.append("Favor set-ups resembling the wins and avoid those resembling the losses.")
     return "\n".join(lines)

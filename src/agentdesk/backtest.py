@@ -16,6 +16,7 @@ from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
+from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -25,7 +26,6 @@ from .agents import (
     AgentExchange,
     FilingRanks,
     LabeledDay,
-    NEWS_WORKERS,
     REFLECTION_WINDOW,
     StylePreference,
     build_reflection,
@@ -155,8 +155,10 @@ class RunState:
 @dataclass(frozen=True)
 class RunInputs:
     """What every day reads, and the run-scoped helpers that spare the days
-    repeated work: the news-importance memo (`keyword_importance`), the
-    news agent's worker pool and the latest filing's ranking."""
+    repeated work or waiting: the news-importance memo
+    (`keyword_importance`), the request pool (`providers.PROVIDER_WORKERS`), the
+    one-worker executor the report agent runs on beside the news agent,
+    and the latest filing's ranking."""
 
     cfg: BacktestConfig
     series: PriceSeries
@@ -167,6 +169,7 @@ class RunInputs:
     embedding: EmbeddingProvider
     reranker: RerankerProvider
     pool: Executor
+    agent_pool: Executor
     filing_ranks: FilingRanks = field(default_factory=FilingRanks)
 
 
@@ -191,15 +194,17 @@ def run_backtest(
         credentials_env=cfg.credentials_env,
     )
     chat = make_chat_provider(cfg.provider, **remote, base_dir=base_dir)
-    # Chat stays uncached: its prompts carry the date, so they never repeat.
-    embedding = memoized(make_embedding_provider(cfg.embedding_provider, **remote))
-    reranker = memoized(make_reranker_provider(cfg.reranker_provider, **remote))
+    embedding = make_embedding_provider(cfg.embedding_provider, **remote)
+    reranker = make_reranker_provider(cfg.reranker_provider, **remote)
     # Bounded like the provider memo; the bound is read when the run starts.
     importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
     state = RunState(AccountState.initial(cfg.initial_cash))
-    with ThreadPoolExecutor(NEWS_WORKERS) as pool:  # joined on any exit
-        run = RunInputs(cfg, series, news_by_date, filings, importance, chat, embedding,
-                        reranker, pool)
+    # Joined on any exit, the agent executor first: the report agent may
+    # still be sending on the request pool.
+    with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool, ThreadPoolExecutor(1) as agent_pool:
+        # Chat stays uncached: its prompts carry the date, so they never repeat.
+        run = RunInputs(cfg, series, news_by_date, filings, importance, chat,
+                        memoized(embedding, pool), memoized(reranker, pool), pool, agent_pool)
         for day in days:
             step(state, run, day)
     if state.pending is not None:
@@ -242,15 +247,23 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
     if cfg.flags.risk_management and state.account.shares > 0:
         verdict = evaluate_position(unrealized_pnl_pct(state.account, close), thresholds)
 
+    # The news and report agents read nothing of each other, so the report
+    # agent runs beside the news agent. A day without news sends no news
+    # request, so there it runs here, without the handoff. If both fail,
+    # the news agent's error is the one raised.
+    news = run.news_by_date.get(day, ())
+    report = partial(
+        run_report_agent, day, cfg.symbol, run.filings, cfg.retrieval, run.chat,
+        run.embedding, run.reranker, run.filing_ranks, cfg.seed,
+        use_rerank=cfg.flags.rerank_embedding,
+    )
+    beside = run.agent_pool.submit(report) if news else None
     sentiment, news_ex = run_news_agent(
-        day, cfg.symbol, run.news_by_date.get(day, ()), cfg.retrieval,
+        day, cfg.symbol, news, cfg.retrieval,
         run.chat, run.embedding, run.reranker, run.importance, run.pool, cfg.seed,
         exact_dedupe=not cfg.flags.rerank_embedding,
     )
-    finance, report_ex = run_report_agent(
-        day, cfg.symbol, run.filings, cfg.retrieval, run.chat, run.embedding,
-        run.reranker, run.filing_ranks, cfg.seed, use_rerank=cfg.flags.rerank_embedding,
-    )
+    finance, report_ex = beside.result() if beside else report()
 
     def reflection(audience):
         if cfg.flags.self_reflection:

@@ -18,11 +18,13 @@ import json
 import math
 import os
 import re
+import threading
 import zlib
+from concurrent.futures import Executor, Future
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from types import SimpleNamespace
-from typing import Mapping, Protocol, Sequence
+from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import DataError, ProviderError
 from .jsonl import read_document
@@ -331,22 +333,148 @@ class HttpRerankerProvider(_HttpClient):
 # of days, so the memo is bounded to keep a run's memory flat in bar count.
 MEMO_ENTRIES = 4096
 _MEMOIZED = ("dense", "sparse", "relevance")
+# Provider requests one run has in flight at once: the size of its request
+# pool, which sends the news items' sentiment calls and each prefetched
+# group. Read when the run starts.
+PROVIDER_WORKERS = 4
 
 
-def memoized(provider):
+class _Absent(Exception):
+    """A probe's miss: the memo holds no answer to the request."""
+
+
+_PROBE = ()
+
+
+class _Answer(threading.local):
+    """What a memo miss on this thread returns instead of asking the
+    provider: None asks it, `_PROBE` raises `_Absent`, and `(value,)`
+    answers `value`, which the LRU then keeps."""
+
+    value: tuple | None = None
+
+
+class _Memo:
+    """See `memoized`. Each method is the C `functools.lru_cache` wrapper
+    itself, so a hit runs no Python code; only a miss reaches `_miss`."""
+
+    def __init__(self, provider, pool: Executor | None) -> None:
+        self._provider, self._pool = provider, pool
+        self._entries, self._senders = MEMO_ENTRIES, PROVIDER_WORKERS
+        self._flights: dict[tuple, Future] = {}  # the requests on their way
+        self._lock = threading.Lock()
+        self._answer = _Answer()
+        for name in _MEMOIZED:
+            if hasattr(provider, name):
+                miss = functools.partial(self._miss, name)
+                setattr(self, name, functools.lru_cache(maxsize=MEMO_ENTRIES)(miss))
+
+    def _read(self, request: tuple):
+        return getattr(self, request[0])(*request[1:])
+
+    @contextmanager
+    def _probing(self):
+        """Within the block, a miss on this thread raises `_Absent` and
+        asks no provider."""
+        self._answer.value = _PROBE
+        try:
+            yield
+        finally:
+            self._answer.value = None
+
+    def _miss(self, name: str, *args):
+        answer = self._answer.value
+        if answer is not None:
+            if answer is _PROBE:
+                raise _Absent
+            return answer[0]
+        request = (name, *args)
+        with self._lock:
+            flight = self._flights.get(request)
+            if flight is None:
+                with self._probing():
+                    try:  # another caller's answer may have landed since this one missed
+                        return self._read(request)
+                    except _Absent:
+                        self._flights[request] = mine = Future()
+        if flight is not None:
+            return flight.result()
+        try:
+            value = getattr(self._provider, name)(*args)
+            self._answer.value = (value,)
+            self._read(request)  # into the LRU while the flight still stands
+        except BaseException as exc:
+            mine.set_exception(exc)
+            raise
+        else:
+            mine.set_result(value)
+            return value
+        finally:
+            self._answer.value = None
+            with self._lock:
+                del self._flights[request]
+
+    def prefetch(self, requests: Iterable[tuple]) -> None:
+        """Send the misses among `requests`, each `(method name, *args)`,
+        together, so that the reads which follow hit. Each distinct miss is
+        sent once: this thread and up to `PROVIDER_WORKERS - 1` tasks on the
+        run's request pool each send a share, one request after another, so
+        a lone miss is sent here. Keeps the answers that succeed and, once
+        every request has finished, raises the first error in input order.
+        Without a pool, or when the misses outnumber the memo's entries
+        (their answers would evict one another before they are read),
+        leaves every request to its read."""
+        if self._pool is None:
+            return
+        absent = {}
+        with self._probing():
+            for request in requests:
+                try:
+                    getattr(self, request[0])(*request[1:])
+                except _Absent:
+                    absent[request] = None
+        if len(absent) > self._entries:
+            return
+        missing = list(absent)
+        errors: dict[int, Exception] = {}
+        senders = min(len(missing), self._senders)
+
+        def send(first: int) -> None:
+            for i in range(first, len(missing), senders):
+                try:
+                    self._read(missing[i])
+                except Exception as exc:  # raised below, after every request
+                    errors[i] = exc
+
+        pending = [self._pool.submit(send, first) for first in range(1, senders)]
+        if missing:
+            send(0)
+        for task in pending:
+            task.result()
+        if errors:
+            raise errors[min(errors)]
+
+
+def memoized(provider, pool: Executor | None = None):
     """`provider`'s `dense`, `sparse` and `relevance` methods (those it has)
-    behind one LRU memo each, keyed by the exact arguments.
+    behind one bounded LRU memo each, keyed by the exact arguments, plus
+    `prefetch`, which sends a group of requests at once on `pool`.
 
     Embeddings and relevance depend only on the request, so one run asks
     the provider once per distinct request while it stays among the last
-    `MEMO_ENTRIES`. An error is never cached: the next identical request
-    goes to the provider again. Repeats share the returned object, which
-    retrieval only reads.
+    `MEMO_ENTRIES`: a request is sent by one caller at a time, and a second
+    caller waits for that answer. An error is never cached: the next
+    identical request goes to the provider again. Repeats share the
+    returned object, which retrieval only reads.
     """
-    return SimpleNamespace(**{
-        name: functools.lru_cache(maxsize=MEMO_ENTRIES)(getattr(provider, name))
-        for name in _MEMOIZED if hasattr(provider, name)
-    })
+    return _Memo(provider, pool)
+
+
+def prefetch(provider, requests: Iterable[tuple]) -> None:
+    """`memoized(...).prefetch(requests)`; a provider without a memo
+    answers each request when it is read."""
+    if isinstance(provider, _Memo):
+        provider.prefetch(requests)
 
 
 # ---------------------------------------------------------------------------

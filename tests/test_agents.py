@@ -9,7 +9,6 @@ from datetime import date
 import pytest
 
 from agentdesk.agents import (
-    NEWS_WORKERS,
     FilingRanks,
     FinanceSummary,
     LabeledDay,
@@ -30,6 +29,7 @@ from agentdesk.gate import GateConfig, PATH_HARD_INTERCEPT, PATH_SOFT_UP, TrendL
 from agentdesk.marketdata import IndicatorSnapshot
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
+    PROVIDER_WORKERS,
     ChatResult,
     StubChatProvider,
     StubEmbeddingProvider,
@@ -119,7 +119,7 @@ class TestWeightedSentiment:
 
 class TestNewsAgent:
     def _run(self, news, chat, **kwargs):
-        with ThreadPoolExecutor(NEWS_WORKERS) as pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
             return run_news_agent(
                 DAY, "TEST", news, RetrievalConfig(), chat,
                 StubEmbeddingProvider(), StubRerankerProvider(),

@@ -10,7 +10,7 @@ from datetime import date
 import pytest
 
 from agentdesk import backtest
-from agentdesk.agents import NEWS_WORKERS, REFLECTION_WINDOW
+from agentdesk.agents import REFLECTION_WINDOW
 from agentdesk.backtest import (
     EQUITY_FILE,
     METRICS_FILE,
@@ -29,7 +29,12 @@ from agentdesk.datasynth import load_trajectories
 from agentdesk.errors import DataError, ProviderError
 from agentdesk.marketdata import load_price_csv
 from agentdesk.portfolio import AccountState
-from agentdesk.providers import make_chat_provider, make_embedding_provider, make_reranker_provider
+from agentdesk.providers import (
+    PROVIDER_WORKERS,
+    make_chat_provider,
+    make_embedding_provider,
+    make_reranker_provider,
+)
 from agentdesk.retrieval import NewsItem, keyword_importance, load_keywords
 
 from conftest import build_env, crash_closes, make_series, random_walk_closes, rising_closes
@@ -403,11 +408,11 @@ class TestBoundedRunState:
         series = load_price_csv(env.prices)
         days = trading_dates(series, None, None)[:30]
         state = RunState(AccountState.initial(cfg.initial_cash))
-        with ThreadPoolExecutor(NEWS_WORKERS) as pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool, ThreadPoolExecutor(1) as agent_pool:
             run = RunInputs(
                 cfg, series, {}, [], keyword_importance(load_keywords(None), 64),
                 make_chat_provider(cfg.provider), make_embedding_provider("stub"),
-                make_reranker_provider("stub"), pool,
+                make_reranker_provider("stub"), pool, agent_pool,
             )
             for day in days:
                 step(state, run, day)
@@ -469,7 +474,7 @@ class TestProviderMemo:
         ]
         env = build_env(tmp_path, rising_closes(45), news=news, with_reports=True)
         memo_seen = self.run_counted(env, "memo", monkeypatch)
-        monkeypatch.setattr(backtest, "memoized", lambda provider: provider)
+        monkeypatch.setattr(backtest, "memoized", lambda provider, pool: provider)
         plain_seen = self.run_counted(env, "plain", monkeypatch)
 
         assert {kind for kind, *_ in memo_seen} == {"dense", "sparse", "relevance"}

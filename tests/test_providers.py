@@ -7,6 +7,8 @@ import os
 import subprocess
 import sys
 import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -405,6 +407,153 @@ class TestMemoized:
         for text in ("a", "b", "c", "a"):
             memo.dense(text)
         assert inner.seen == [("dense", "a"), ("dense", "b"), ("dense", "c"), ("dense", "a")]
+
+
+class _SlowProvider(_CountingProvider):
+    """A `_CountingProvider` that holds every request for `hold_s` (so a
+    request stays in flight while other threads ask), notes the thread each
+    ran on, and fails the texts in `fail` with their own message."""
+
+    def __init__(self, hold_s: float = 0.0, fail: dict[str, float] | None = None):
+        super().__init__()
+        self.hold_s = hold_s
+        self.fail = fail or {}  # text: seconds before its request fails
+        self.threads: list[str] = []
+        self.lock = threading.Lock()
+
+    def _call(self, request, answer):
+        with self.lock:
+            self.seen.append(request)
+            self.threads.append(threading.current_thread().name)
+        text = request[-1]
+        if text in self.fail:
+            time.sleep(self.fail[text])
+            raise ProviderError(f"no answer for {text}")
+        time.sleep(self.hold_s)
+        return answer()
+
+
+def _together(n: int, call) -> list:
+    """`call()` on `n` threads released at once; their results (or the
+    exceptions they raised), after every thread has ended."""
+    start = threading.Barrier(n, timeout=5)
+    out: list = [None] * n
+
+    def run(i):
+        start.wait()
+        try:
+            out[i] = call()
+        except Exception as exc:  # handed to the test
+            out[i] = exc
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=10)
+    assert not any(t.is_alive() for t in threads)
+    return out
+
+
+class TestSingleFlightMemo:
+    def test_threads_asking_for_one_request_send_it_once(self):
+        inner = _SlowProvider(hold_s=0.05)
+        memo = memoized(inner)
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = _together(8, lambda: (memo.dense("a"), memo.relevance("q", "a")))
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(inner.seen) == [("dense", "a"), ("relevance", "q", "a")]
+        # Every caller got the one answer the provider gave.
+        assert all(r[0] is results[0][0] and r[1] == 0.0 for r in results)
+
+    def test_a_failed_request_reaches_its_waiters_and_is_not_cached(self):
+        inner = _SlowProvider(fail={"a": 0.05})
+        memo = memoized(inner)
+        results = _together(4, lambda: memo.dense("a"))
+        assert all(isinstance(r, ProviderError) for r in results)
+        assert inner.seen == [("dense", "a")]
+        del inner.fail["a"]
+        assert memo.dense("a") == StubEmbeddingProvider().dense("a")
+        assert inner.seen == [("dense", "a")] * 2
+
+
+class TestPrefetch:
+    def test_sends_each_distinct_miss_once(self):
+        inner = _CountingProvider()
+        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+            memo = memoized(inner, pool)
+            memo.dense("a")
+            assert memo.prefetch([("dense", "a"), ("dense", "b"), ("sparse", "b"),
+                                  ("dense", "b"), ("dense", "c")]) is None
+        assert inner.seen[0] == ("dense", "a")
+        assert sorted(inner.seen[1:]) == [("dense", "b"), ("dense", "c"), ("sparse", "b")]
+        # The reads that follow hit; a request it was not given is not fetched.
+        assert memo.dense("b") == StubEmbeddingProvider().dense("b")
+        memo.sparse("b"), memo.dense("c")
+        assert len(inner.seen) == 4
+        memo.sparse("c")
+        assert inner.seen[-1] == ("sparse", "c") and len(inner.seen) == 5
+
+    def test_a_lone_miss_is_sent_on_the_calling_thread(self):
+        inner = _SlowProvider()
+        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+            memo = memoized(inner, pool)
+            memo.prefetch([("dense", "a"), ("dense", "a")])
+        assert inner.threads == [threading.current_thread().name]
+
+    def test_without_a_pool_nothing_is_sent(self):
+        inner = _CountingProvider()
+        memoized(inner).prefetch([("dense", "a"), ("dense", "b")])
+        assert inner.seen == []
+
+    def test_raises_the_first_error_in_input_order_after_every_request(self):
+        # "b" fails after "d" has failed, yet comes first in the group.
+        inner = _SlowProvider(fail={"b": 0.2, "d": 0.0})
+        texts = ["a", "b", "c", "d", "e"]
+        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+            memo = memoized(inner, pool)
+            with pytest.raises(ProviderError, match="no answer for b"):
+                memo.prefetch([("dense", t) for t in texts])
+        assert sorted(inner.seen) == [("dense", t) for t in texts]
+        # The successes are kept; the failures go to the provider again.
+        for t in ("a", "c", "e"):
+            memo.dense(t)
+        assert len(inner.seen) == 5
+        with pytest.raises(ProviderError, match="no answer for d"):
+            memo.dense("d")
+        assert len(inner.seen) == 6
+
+    def test_the_group_is_in_flight_at_once(self):
+        k = providers.PROVIDER_WORKERS
+        together = threading.Barrier(k, timeout=5)  # broken if sent one by one
+
+        class Meeting(_CountingProvider):
+            def _call(self, request, answer):
+                together.wait()
+                return super()._call(request, answer)
+
+        inner = Meeting()
+        with ThreadPoolExecutor(k) as pool:
+            memoized(inner, pool).prefetch([("dense", str(i)) for i in range(k)])
+        assert len(inner.seen) == k
+
+    def test_memo_entries_still_bound_the_memo(self, monkeypatch):
+        monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
+        inner = _CountingProvider()
+        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+            memo = memoized(inner, pool)
+            # More misses than entries: they would evict one another.
+            memo.prefetch([("dense", t) for t in ("a", "b", "c")])
+            assert inner.seen == []
+            memo.prefetch([("dense", "a"), ("dense", "b")])
+            assert sorted(inner.seen) == [("dense", "a"), ("dense", "b")]
+            memo.dense("a"), memo.dense("b"), memo.dense("c")
+            assert inner.seen[2:] == [("dense", "c")]
+            memo.dense("a")  # the least recently used, evicted by "c"
+            assert inner.seen[3:] == [("dense", "a")]
 
 
 class TestLazyRequests:

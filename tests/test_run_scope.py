@@ -1,6 +1,7 @@
 """What one run keeps between its days: the latest filing's ranking, the
-news-importance memo and the news worker pool. None of it may change an
-artifact, outlive the run, or let a day see data dated after it."""
+news-importance memo, the request pool and the executor the report agent
+runs on beside the news agent. None of it may change an artifact, outlive
+the run, or let a day see data dated after it."""
 
 from __future__ import annotations
 
@@ -145,20 +146,30 @@ class TestImportanceMemo:
 
 
 class _NewsChat:
-    """Stub chat that notes the threads its news calls run on, and raises
-    on the news of `fail_on` (an ISO date) when given."""
+    """Stub chat that notes the threads its news calls run on. On
+    `fail_on` (an ISO date) when given, it raises on the news calls, or,
+    with `fail_report`, on the report agent's call once the news agent has
+    sent its first news call of that day."""
 
-    def __init__(self, inner, fail_on: str | None = None):
+    def __init__(self, inner, fail_on: str | None = None, fail_report: bool = False):
         self.inner = inner
         self.fail_on = fail_on
+        self.fail_report = fail_report
+        self.news_sent = threading.Event()
         self.threads: set[str] = set()
 
     def complete(self, messages, **kwargs):
         user = messages[1]["content"]
+        failing_day = self.fail_on is not None and f"DATE: {self.fail_on}" in user
         if "news-sentiment" in messages[0]["content"]:
             self.threads.add(threading.current_thread().name)
-            if self.fail_on and f"DATE: {self.fail_on}" in user:
-                raise RuntimeError("chat provider crashed")
+            if failing_day:
+                self.news_sent.set()
+                if not self.fail_report:
+                    raise RuntimeError("chat provider crashed")
+        elif failing_day and self.fail_report and "ROLE: report" in messages[0]["content"]:
+            assert self.news_sent.wait(5), "the report agent ran after the news agent"
+            raise RuntimeError("report agent crashed")
         return self.inner.complete(messages, **kwargs)
 
 
@@ -166,12 +177,12 @@ class TestOnePoolPerRun:
     NEWS = [{"date": d, "title": f"Story {i}", "body": f"Revenue rose {i}."}
             for d in ("2022-02-02", "2022-02-03", "2022-02-04") for i in range(6)]
 
-    def run_counting_threads(self, tmp_path, monkeypatch, fail_on=None):
-        env = build_env(tmp_path, rising_closes(45), news=self.NEWS)
+    def run_counting_threads(self, tmp_path, monkeypatch, fail_on=None, fail_report=False):
+        env = build_env(tmp_path, rising_closes(45), news=self.NEWS, with_reports=True)
         chats = []
         make = backtest.make_chat_provider
-        monkeypatch.setattr(backtest, "make_chat_provider", lambda *a, **k:
-                            chats.append(_NewsChat(make(*a, **k), fail_on)) or chats[-1])
+        monkeypatch.setattr(backtest, "make_chat_provider", lambda *a, **k: chats.append(
+            _NewsChat(make(*a, **k), fail_on, fail_report)) or chats[-1])
         before = threading.active_count()
         try:
             run_env(env)
@@ -185,3 +196,55 @@ class TestOnePoolPerRun:
     def test_no_thread_outlives_a_failed_run(self, tmp_path, monkeypatch):
         with pytest.raises(RuntimeError, match="chat provider crashed"):
             self.run_counting_threads(tmp_path, monkeypatch, fail_on="2022-02-03")
+
+    def test_a_report_agent_failure_beside_the_news_agent_propagates(self, tmp_path, monkeypatch):
+        with pytest.raises(RuntimeError, match="report agent crashed"):
+            self.run_counting_threads(tmp_path, monkeypatch, fail_on="2022-02-03",
+                                      fail_report=True)
+
+
+class TestOverlap:
+    """Requests that do not depend on one another are in flight together.
+    Each test's providers wait on a barrier that requests sent one after
+    another would break."""
+
+    def test_the_news_agent_and_the_report_agent_send_together(self, tmp_path, monkeypatch):
+        news_day = "2022-02-03"
+        env = build_env(tmp_path, rising_closes(45), with_reports=True, news=[
+            {"date": news_day, "title": "Story", "body": "Revenue rose."}])
+        together = threading.Barrier(2, timeout=5)
+        met = []
+
+        class Reranker:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def relevance(self, query, passage):
+                if query.startswith("market-moving"):  # the news agent's first request
+                    met.append(together.wait())
+                return self.inner.relevance(query, passage)
+
+        class Chat:
+            def __init__(self, inner):
+                self.inner = inner
+
+            def complete(self, messages, **kwargs):
+                if ("ROLE: report" in messages[0]["content"]
+                        and f"DATE: {news_day}" in messages[1]["content"]):
+                    met.append(together.wait())
+                return self.inner.complete(messages, **kwargs)
+
+        for name, wrap in (("make_reranker_provider", Reranker), ("make_chat_provider", Chat)):
+            make = getattr(backtest, name)
+            monkeypatch.setattr(backtest, name, lambda *a, _m=make, _w=wrap, **k: _w(_m(*a, **k)))
+        run_env(env)
+        assert sorted(met) == [0, 1]
+
+    def test_one_provider_worker_gives_the_same_artifacts(self, tmp_path, monkeypatch):
+        env, _ = news_heavy_env(tmp_path / "env", bars=90)
+        run_env(env, "default")
+        monkeypatch.setattr(providers, "PROVIDER_WORKERS", 1)
+        run_env(env, "one")
+        for name in ARTIFACT_FILES:
+            assert (env.out("one") / name).read_bytes() == \
+                (env.out("default") / name).read_bytes(), name
