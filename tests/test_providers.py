@@ -469,8 +469,65 @@ class TestSingleFlightMemo:
         # Every caller got the one answer the provider gave.
         assert all(r[0] is results[0][0] and r[1] == 0.0 for r in results)
 
+    def test_many_threads_and_requests_send_each_request_once(self):
+        # Each thread reads the same 300 requests in its own order, so
+        # callers keep missing while another caller's answer lands.
+        inner = _SlowProvider()
+        memo = memoized(inner)
+        texts = [f"text {i}" for i in range(300)]
+        orders = [texts[37 * k:] + texts[:37 * k] for k in range(8)]
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            order = iter(orders)
+            _together(8, lambda: [memo.dense(t) for t in next(order)])
+        finally:
+            sys.setswitchinterval(switch)
+        assert sorted(inner.seen) == sorted(("dense", t) for t in texts)
+
+    def test_a_caller_that_missed_before_an_answer_landed_does_not_resend(self):
+        # B misses while A's request is in flight, then reaches the memo's
+        # lock only after A's answer has landed and its flight has ended.
+        sent, release, b_at_lock, b_may_lock = (threading.Event() for _ in range(4))
+        inner = _CountingProvider()
+        answer = inner._call
+
+        def held(request, reply):
+            sent.set()
+            release.wait(5)
+            return answer(request, reply)
+
+        inner._call = held
+        memo = memoized(inner)
+
+        class GatedLock:
+            lock = threading.Lock()
+
+            def __enter__(self):
+                if threading.current_thread().name == "B":
+                    b_at_lock.set()
+                    b_may_lock.wait(5)
+                self.lock.acquire()
+
+            def __exit__(self, *exc):
+                self.lock.release()
+
+        memo._lock = GatedLock()
+        a = threading.Thread(target=memo.dense, args=("a",), name="A")
+        b = threading.Thread(target=memo.dense, args=("a",), name="B")
+        a.start()
+        assert sent.wait(5)  # A's request is in flight
+        b.start()
+        assert b_at_lock.wait(5)
+        release.set()
+        a.join(timeout=5)
+        b_may_lock.set()
+        b.join(timeout=5)
+        assert not a.is_alive() and not b.is_alive()
+        assert inner.seen == [("dense", "a")]
+
     def test_a_failed_request_reaches_its_waiters_and_is_not_cached(self):
-        inner = _SlowProvider(fail={"a": 0.05})
+        inner = _SlowProvider(fail={"a": 0.3})
         memo = memoized(inner)
         results = _together(4, lambda: memo.dense("a"))
         assert all(isinstance(r, ProviderError) for r in results)
