@@ -147,13 +147,15 @@ class TestImportanceMemo:
 
 class _NewsChat:
     """Stub chat that notes the threads its news calls run on. On
-    `fail_on` (an ISO date) when given, it raises on the news calls, or,
-    with `fail_report`, on the report agent's call once the news agent has
-    sent its first news call of that day."""
+    `fail_on` (an ISO date) when given, it raises on the news calls unless
+    `fail_news` is off, and with `fail_report` on the report agent's call
+    once the news agent has sent its first news call of that day."""
 
-    def __init__(self, inner, fail_on: str | None = None, fail_report: bool = False):
+    def __init__(self, inner, fail_on: str | None = None, fail_news: bool = True,
+                 fail_report: bool = False):
         self.inner = inner
         self.fail_on = fail_on
+        self.fail_news = fail_news
         self.fail_report = fail_report
         self.news_sent = threading.Event()
         self.threads: set[str] = set()
@@ -165,7 +167,7 @@ class _NewsChat:
             self.threads.add(threading.current_thread().name)
             if failing_day:
                 self.news_sent.set()
-                if not self.fail_report:
+                if self.fail_news:
                     raise RuntimeError("chat provider crashed")
         elif failing_day and self.fail_report and "ROLE: report" in messages[0]["content"]:
             assert self.news_sent.wait(5), "the report agent ran after the news agent"
@@ -177,12 +179,12 @@ class TestOnePoolPerRun:
     NEWS = [{"date": d, "title": f"Story {i}", "body": f"Revenue rose {i}."}
             for d in ("2022-02-02", "2022-02-03", "2022-02-04") for i in range(6)]
 
-    def run_counting_threads(self, tmp_path, monkeypatch, fail_on=None, fail_report=False):
+    def run_counting_threads(self, tmp_path, monkeypatch, fail_on=None, **fail):
         env = build_env(tmp_path, rising_closes(45), news=self.NEWS, with_reports=True)
         chats = []
         make = backtest.make_chat_provider
         monkeypatch.setattr(backtest, "make_chat_provider", lambda *a, **k: chats.append(
-            _NewsChat(make(*a, **k), fail_on, fail_report)) or chats[-1])
+            _NewsChat(make(*a, **k), fail_on, **fail)) or chats[-1])
         before = threading.active_count()
         try:
             run_env(env)
@@ -199,6 +201,11 @@ class TestOnePoolPerRun:
 
     def test_a_report_agent_failure_beside_the_news_agent_propagates(self, tmp_path, monkeypatch):
         with pytest.raises(RuntimeError, match="report agent crashed"):
+            self.run_counting_threads(tmp_path, monkeypatch, fail_on="2022-02-03",
+                                      fail_news=False, fail_report=True)
+
+    def test_when_both_agents_fail_the_news_agent_error_is_raised(self, tmp_path, monkeypatch):
+        with pytest.raises(RuntimeError, match="chat provider crashed"):
             self.run_counting_threads(tmp_path, monkeypatch, fail_on="2022-02-03",
                                       fail_report=True)
 
