@@ -254,7 +254,7 @@ def run_news_agent(
     scored = score_news(news, importance, reranker, query)
     if not exact_dedupe:
         prefetch(embedding, (("dense", s.item.text) for s in scored))
-    selected = dedupe(scored, embedding, cfg, exact_only=exact_dedupe)[: cfg.news_top_k]
+    selected = dedupe(scored, embedding, cfg, exact_only=exact_dedupe, limit=cfg.news_top_k)
 
     def assess(item_scored):
         system, user = _render(

@@ -287,22 +287,38 @@ def _number(value: object) -> float:
     return number
 
 
+def _check_norm(values: Iterable[float]) -> None:
+    # Retrieval divides by the norm and sums products with math.fsum, which
+    # raises on an intermediate overflow; an infinite norm reads as cosine 0.
+    try:
+        finite = math.isfinite(math.fsum(x * x for x in values))
+    except OverflowError:
+        finite = False
+    if not finite:
+        raise ProviderError("embedding's sum of squares is not a finite number")
+
+
 class HttpEmbeddingProvider(_HttpClient):
     """Embedding client. Request: {model, task: dense|sparse, text};
-    response: {vector: [...]} or {weights: {term: w}}, all finite numbers."""
+    response: {vector: [...]} or {weights: {term: w}}, all finite numbers
+    whose sum of squares is finite too."""
 
     def dense(self, text: str) -> list[float]:
         body = self._post({"task": "dense", "text": text})
         if "vector" not in body or not isinstance(body["vector"], list):
             raise ProviderError("dense embedding response is missing 'vector'")
-        return [_number(v) for v in body["vector"]]
+        vector = [_number(v) for v in body["vector"]]
+        _check_norm(vector)
+        return vector
 
     def sparse(self, text: str) -> dict[int, float]:
         body = self._post({"task": "sparse", "text": text})
         weights = body.get("weights")
         if not isinstance(weights, dict):
             raise ProviderError("sparse embedding response is missing 'weights'")
-        return {_bucket(str(k), SPARSE_BUCKETS): _number(v) for k, v in weights.items()}
+        vector = {_bucket(str(k), SPARSE_BUCKETS): _number(v) for k, v in weights.items()}
+        _check_norm(vector.values())
+        return vector
 
 
 class HttpRerankerProvider(_HttpClient):

@@ -228,17 +228,22 @@ def dedupe(
     provider: EmbeddingProvider,
     cfg: RetrievalConfig = RetrievalConfig(),
     exact_only: bool = False,
+    limit: int | None = None,
 ) -> list[ScoredNews]:
     """Greedy order-preserving dedup over influence-sorted items.
 
     An item is kept iff its dense cosine to every kept item stays below
     cfg.dedup_cosine. With exact_only, only byte-identical title+body
-    pairs collapse (embedding-free fallback).
+    pairs collapse (embedding-free fallback). Each kept item depends only
+    on the items kept before it, so stopping at the `limit`-th kept item
+    returns exactly `dedupe(items)[:limit]`, reading no item past it.
     """
     kept: list[ScoredNews] = []
     if exact_only:
         seen: set[str] = set()
         for scored in items:
+            if len(kept) == limit:
+                break
             if scored.item.text in seen:
                 continue
             seen.add(scored.item.text)
@@ -247,6 +252,8 @@ def dedupe(
 
     kept_vecs: list[tuple[Sequence[float], float]] = []  # (vector, its norm)
     for scored in items:
+        if len(kept) == limit:
+            break
         vec = provider.dense(scored.item.text)
         norm = _norm(vec)
         if all(_normed_cosine(vec, norm, kv, kn) < cfg.dedup_cosine for kv, kn in kept_vecs):

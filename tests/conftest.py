@@ -5,7 +5,9 @@ from __future__ import annotations
 import json
 import math
 import random
+import threading
 from datetime import date, timedelta
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 from typing import Sequence
 
@@ -190,6 +192,45 @@ def build_env(
             {"symbol": cfg["symbol"], "period": env.days[5].isoformat(), "path": "fy.txt"}
         ]), encoding="utf-8")
     return env
+
+
+# ---------------------------------------------------------------------------
+# A local HTTP server that answers each path with a canned JSON body
+# ---------------------------------------------------------------------------
+
+class _Handler(BaseHTTPRequestHandler):
+    responses: dict = {}
+    requests_seen: list = []
+
+    def do_POST(self):
+        length = int(self.headers.get("Content-Length", 0))
+        payload = json.loads(self.rfile.read(length))
+        type(self).requests_seen.append({
+            "path": self.path,
+            "payload": payload,
+            "auth": self.headers.get("Authorization"),
+        })
+        status, body = type(self).responses.get(self.path, (404, {}))
+        data = json.dumps(body).encode()
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        self.end_headers()
+        self.wfile.write(data)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def http_server():
+    server = HTTPServer(("127.0.0.1", 0), _Handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    _Handler.responses = {}
+    _Handler.requests_seen = []
+    yield f"http://127.0.0.1:{server.server_port}", _Handler
+    server.shutdown()
 
 
 @pytest.fixture

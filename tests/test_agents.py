@@ -8,6 +8,7 @@ from datetime import date
 
 import pytest
 
+from agentdesk import agents, retrieval
 from agentdesk.agents import (
     FilingRanks,
     FinanceSummary,
@@ -176,6 +177,40 @@ class TestNewsAgent:
         news = [NewsItem(DAY, f"distinct headline {i}", f"unique body {i}") for i in range(15)]
         report, _ = self._run(news, StubChatProvider(("always-up",)))
         assert report.items_used <= RetrievalConfig().news_top_k
+
+
+    def test_dedupe_stops_at_news_top_k(self, monkeypatch):
+        # Unmemoized, so `prefetch` sends nothing and every dense read is
+        # dedupe's own.
+        class CountingEmbedding(StubEmbeddingProvider):
+            def __init__(self):
+                self.dense_reads = []
+
+            def dense(self, text):
+                self.dense_reads.append(text)
+                return super().dense(text)
+
+        news = [NewsItem(DAY, f"headline{i} earnings", f"body{i} detail{i}") for i in range(20)]
+        cfg = RetrievalConfig(news_top_k=3)
+
+        def run():
+            embedding = CountingEmbedding()
+            with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
+                result = run_news_agent(
+                    DAY, "TEST", news, cfg, StubChatProvider(("always-up",)),
+                    embedding, StubRerankerProvider(),
+                    keyword_importance(load_keywords(), 64), pool, SEED,
+                )
+            return result, embedding.dense_reads
+
+        capped, capped_reads = run()
+        monkeypatch.setattr(agents, "dedupe", lambda items, provider, cfg, exact_only, limit:
+                            retrieval.dedupe(items, provider, cfg, exact_only)[:limit])
+        uncapped, uncapped_reads = run()
+        assert len(capped_reads) == 3
+        assert len(uncapped_reads) == 20
+        assert capped == uncapped
+        assert capped[0].items_used == 3
 
 
 class TestReportAgent:

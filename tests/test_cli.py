@@ -7,7 +7,7 @@ import json
 import pytest
 
 from agentdesk import backtest
-from agentdesk.cli import main
+from agentdesk.cli import EXIT_PROVIDER, main
 from agentdesk.datasynth import load_trajectories
 
 from conftest import build_env, rising_closes
@@ -111,6 +111,21 @@ class TestRunCommand:
         code = main(run_args(env) + ["--news", str(env.news)])
         assert code == 3
         assert "provider error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vector", [[1e154] * 64, [1e200, 0.0]],
+                             ids=["squares-overflow-fsum", "square-inf"])
+    def test_huge_embedding_exits_three(self, tmp_path, capsys, http_server, vector):
+        base, handler = http_server
+        handler.responses["/embed"] = (200, {"vector": vector})
+        news = [{"date": "2022-02-02", "title": "Any", "body": "x"}]
+        env = build_env(tmp_path, rising_closes(45), news=news, config={
+            "embedding_provider": "http",
+            "provider_endpoint": f"{base}/embed",
+            "provider_model": "emb",
+        })
+        code = main(run_args(env) + ["--news", str(env.news)])
+        assert code == EXIT_PROVIDER
+        assert "sum of squares is not a finite number" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -10,7 +10,6 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
-from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
 
 import pytest
@@ -179,41 +178,6 @@ class TestScriptedStub:
 # HTTP providers against a local server
 # ---------------------------------------------------------------------------
 
-class _Handler(BaseHTTPRequestHandler):
-    responses: dict = {}
-    requests_seen: list = []
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length))
-        type(self).requests_seen.append({
-            "path": self.path,
-            "payload": payload,
-            "auth": self.headers.get("Authorization"),
-        })
-        status, body = type(self).responses.get(self.path, (404, {}))
-        data = json.dumps(body).encode()
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture
-def http_server():
-    server = HTTPServer(("127.0.0.1", 0), _Handler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    _Handler.responses = {}
-    _Handler.requests_seen = []
-    yield f"http://127.0.0.1:{server.server_port}", _Handler
-    server.shutdown()
-
-
 class TestHttpChat:
     def test_round_trip(self, http_server):
         base, handler = http_server
@@ -300,8 +264,13 @@ class TestHttpEmbeddingAndReranker:
         {"weights": {"rev": float("-inf")}},
         {"vector": [True, 0.0]},
         {"weights": {"rev": False}},
+        {"vector": [1e154] * 64},
+        {"vector": [1e200, 0.0]},
+        {"weights": {"rev": 1e154, "cut": 1e154}},
+        {"weights": {"rev": -1e200}},
     ], ids=["dense-nan", "dense-inf", "dense-text", "sparse-nan", "sparse-minus-inf",
-            "dense-bool", "sparse-bool"])
+            "dense-bool", "sparse-bool", "dense-squares-overflow-fsum",
+            "dense-square-inf", "sparse-squares-overflow-fsum", "sparse-square-inf"])
     def test_non_finite_embedding_numbers_rejected(self, http_server, body):
         base, handler = http_server
         handler.responses["/embed"] = (200, body)

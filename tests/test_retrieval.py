@@ -194,6 +194,18 @@ class PresetProvider:
         return self.sparse_map[text]
 
 
+class CountingPresetProvider(PresetProvider):
+    """A PresetProvider that records the text of every dense read."""
+
+    def __init__(self, dense_map, sparse_map):
+        super().__init__(dense_map, sparse_map)
+        self.dense_reads = []
+
+    def dense(self, text):
+        self.dense_reads.append(text)
+        return super().dense(text)
+
+
 class TestHybridScore:
     def test_substitution(self):
         # dense cosine 0.8 against the query, sparse inner product 0.5
@@ -275,6 +287,37 @@ class TestCosineOracle:
             threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
             cfg = RetrievalConfig(dedup_cosine=threshold)
             assert dedupe(items, provider, cfg) == ref_dedupe(items, provider, threshold)
+
+    def test_capped_dedupe_is_a_prefix_of_the_oracle(self):
+        rng = random.Random(20221018)
+        for _ in range(200):
+            items, provider = self._scored(random_vectors(rng, rng.randint(1, 20)))
+            threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
+            cfg = RetrievalConfig(dedup_cosine=threshold)
+            want = ref_dedupe(items, provider, threshold)
+            for k in range(1, len(items) + 2):
+                assert dedupe(items, provider, cfg, limit=k) == want[:k]
+
+    def test_capped_exact_dedupe_is_a_prefix_of_the_oracle(self):
+        rng = random.Random(5)
+        for _ in range(200):
+            titles = [f"text {rng.randrange(6)}" for _ in range(rng.randint(1, 20))]
+            items = [ScoredNews(item(t), 0.5, 0.5, 0.595) for t in titles]
+            firsts = {t: i for i, t in reversed(list(enumerate(titles)))}
+            want = [items[i] for i, t in enumerate(titles) if firsts[t] == i]
+            for k in range(1, len(items) + 2):
+                assert dedupe(items, None, exact_only=True, limit=k) == want[:k]
+
+    def test_capped_dedupe_reads_no_vector_past_the_cap(self):
+        # Items 0-5 are orthogonal except item 1, a duplicate of item 0; with
+        # a cap of 3 the kept items are 0, 2 and 3, so item 3 fills the cap.
+        vecs = [[1.0 if j == i else 0.0 for j in range(6)] for i in range(6)]
+        vecs[1] = list(vecs[0])
+        items, provider = self._scored(vecs)
+        provider = CountingPresetProvider(provider.dense_map, {})
+        kept = dedupe(items, provider, limit=3)
+        assert kept == [items[0], items[2], items[3]]
+        assert provider.dense_reads == [s.item.text for s in items[:4]]
 
     def test_threshold_one_ulp_either_side(self):
         rng = random.Random(7)
