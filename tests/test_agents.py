@@ -178,7 +178,6 @@ class TestNewsAgent:
         report, _ = self._run(news, StubChatProvider(("always-up",)))
         assert report.items_used <= RetrievalConfig().news_top_k
 
-
     def test_dedupe_stops_at_news_top_k(self, monkeypatch):
         # Unmemoized, so `prefetch` sends nothing and every dense read is
         # dedupe's own.
@@ -204,8 +203,8 @@ class TestNewsAgent:
             return result, embedding.dense_reads
 
         capped, capped_reads = run()
-        monkeypatch.setattr(agents, "dedupe", lambda items, provider, cfg, exact_only, limit:
-                            retrieval.dedupe(items, provider, cfg, exact_only)[:limit])
+        monkeypatch.setattr(agents, "dedupe", lambda items, provider, config, exact_only, limit:
+                            retrieval.dedupe(items, provider, config, exact_only)[:limit])
         uncapped, uncapped_reads = run()
         assert len(capped_reads) == 3
         assert len(uncapped_reads) == 20
