@@ -305,22 +305,40 @@ def prompt_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _finite(value: object, what: str) -> None:
+    # Exact types, as in `providers._number`: a JSON true/false is no score.
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
+
+
+def _text(value: object, what: str) -> str:
+    if not isinstance(value, str):
+        raise ValueError(f"{what} must be a string, not {type(value).__name__}")
+    return value
+
+
 def record_from_dict(obj: dict) -> TrajectoryRecord:
     """Inverse of the JSON form of a record: nested objects become their
-    dataclasses and the date is parsed back from its ISO string.
+    dataclasses and the date is parsed back from its ISO string. Refuses
+    (ValueError) a score the SFT filter compares that is not a finite
+    number, and a text it exports that is not a string.
 
     The top level is spelled out because keyword calls decode faster than
     unpacking a merged dict, and this runs once per exported record."""
     fl = obj.get("forecast_label")
     dl = obj.get("decision_label")
+    if fl is not None:
+        _finite(fl["w_hit"], "forecast_label.w_hit")
+    if dl is not None:
+        _finite(dl["taken_reward"], "decision_label.taken_reward")
     return TrajectoryRecord(
         date=Date.fromisoformat(obj["date"]),
         symbol=obj["symbol"],
         agent_name=obj["agent_name"],
         prompt_digest=obj["prompt_digest"],
-        input_text=obj["input_text"],
-        output_text=obj["output_text"],
-        reasoning_trace=obj["reasoning_trace"],
+        input_text=_text(obj["input_text"], "input_text"),
+        output_text=_text(obj["output_text"], "output_text"),
+        reasoning_trace=_text(obj["reasoning_trace"], "reasoning_trace"),
         account_snapshot=AccountSnapshot(**obj["account_snapshot"]),
         forecast_label=None if fl is None else ForecastLabel(**fl),
         decision_label=None if dl is None else DecisionLabel(**dl),

@@ -20,8 +20,8 @@ import os
 import re
 import threading
 import zlib
+from collections import OrderedDict
 from concurrent.futures import Executor, Future
-from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
@@ -355,110 +355,79 @@ _MEMOIZED = ("dense", "sparse", "relevance")
 PROVIDER_WORKERS = 4
 
 
-class _Absent(Exception):
-    """A probe's miss: the memo holds no answer to the request."""
-
-
-_PROBE = ()
-
-
-class _Answer(threading.local):
-    """What a memo miss on this thread returns instead of asking the
-    provider: None asks it, `_PROBE` raises `_Absent`, and `(value,)`
-    answers `value`, which the LRU then keeps."""
-
-    value: tuple | None = None
-
-
 class _Memo:
-    """See `memoized`. Each method is the C `functools.lru_cache` wrapper
-    itself, so a hit runs no Python code; only a miss reaches `_miss`."""
+    """See `memoized`. One lock guards two tables: an LRU of answers per
+    method, oldest first, and the requests on their way."""
 
     def __init__(self, provider, pool: Executor | None) -> None:
         self._provider, self._pool = provider, pool
         self._entries, self._senders = MEMO_ENTRIES, PROVIDER_WORKERS
-        self._flights: dict[tuple, Future] = {}  # the requests on their way
+        self._answers: dict[str, OrderedDict] = {}  # {method: {args: answer}}
+        self._flights: dict[tuple, Future] = {}
         self._lock = threading.Lock()
-        self._answer = _Answer()
         for name in _MEMOIZED:
             if hasattr(provider, name):
-                miss = functools.partial(self._miss, name)
-                setattr(self, name, functools.lru_cache(maxsize=MEMO_ENTRIES)(miss))
+                self._answers[name] = OrderedDict()
+                setattr(self, name, functools.partial(self._read, name))
 
-    def _read(self, request: tuple):
-        return getattr(self, request[0])(*request[1:])
-
-    @contextmanager
-    def _probing(self):
-        """Within the block, a miss on this thread raises `_Absent` and
-        asks no provider."""
-        self._answer.value = _PROBE
-        try:
-            yield
-        finally:
-            self._answer.value = None
-
-    def _miss(self, name: str, *args):
-        answer = self._answer.value
-        if answer is not None:
-            if answer is _PROBE:
-                raise _Absent
-            return answer[0]
-        request = (name, *args)
+    def _read(self, name: str, *args):
+        answers = self._answers[name]
         with self._lock:
+            if args in answers:
+                answers.move_to_end(args)
+                return answers[args]
+            request = (name, *args)
             flight = self._flights.get(request)
             if flight is None:
-                with self._probing():
-                    try:  # another caller's answer may have landed since this one missed
-                        return self._read(request)
-                    except _Absent:
-                        self._flights[request] = mine = Future()
+                self._flights[request] = mine = Future()
         if flight is not None:
             return flight.result()
         try:
             value = getattr(self._provider, name)(*args)
-            self._answer.value = (value,)
-            self._read(request)  # into the LRU while the flight still stands
         except BaseException as exc:
-            mine.set_exception(exc)
-            raise
-        else:
-            mine.set_result(value)
-            return value
-        finally:
-            self._answer.value = None
             with self._lock:
                 del self._flights[request]
+            mine.set_exception(exc)
+            raise
+        with self._lock:
+            answers[args] = value
+            if len(answers) > self._entries:
+                answers.popitem(last=False)
+            del self._flights[request]
+        mine.set_result(value)
+        return value
 
     def prefetch(self, requests: Iterable[tuple]) -> None:
         """Send the misses among `requests`, each `(method name, *args)`,
         together, so that the reads which follow hit. Each distinct miss is
-        sent once: this thread and up to `PROVIDER_WORKERS - 1` tasks on the
-        run's request pool each send a share, one request after another, so
-        a lone miss is sent here. Keeps the answers that succeed and, once
+        sent once, and a request already on its way is waited for: this
+        thread and up to `PROVIDER_WORKERS - 1` tasks on the run's request
+        pool each send a share, one request after another, so a lone miss
+        is sent here. A hit counts as used, so the group's answers do not
+        evict it before its read. Keeps the answers that succeed and, once
         every request has finished, raises the first error in input order.
         Without a pool, or when the misses outnumber the memo's entries
         (their answers would evict one another before they are read),
         leaves every request to its read."""
         if self._pool is None:
             return
-        absent = {}
-        with self._probing():
-            for request in requests:
-                try:
-                    getattr(self, request[0])(*request[1:])
-                except _Absent:
-                    absent[request] = None
-        if len(absent) > self._entries:
+        missing = []
+        with self._lock:
+            for request in dict.fromkeys(requests):
+                answers, args = self._answers[request[0]], request[1:]
+                if args in answers:
+                    answers.move_to_end(args)
+                else:
+                    missing.append(request)
+        if len(missing) > self._entries:
             return
-        missing = list(absent)
         errors: dict[int, Exception] = {}
         senders = min(len(missing), self._senders)
 
         def send(first: int) -> None:
             for i in range(first, len(missing), senders):
                 try:
-                    self._read(missing[i])
+                    self._read(*missing[i])
                 except Exception as exc:  # raised below, after every request
                     errors[i] = exc
 

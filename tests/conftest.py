@@ -231,6 +231,8 @@ def http_server():
     _Handler.requests_seen = []
     yield f"http://127.0.0.1:{server.server_port}", _Handler
     server.shutdown()
+    server.server_close()
+    thread.join(timeout=5)
 
 
 @pytest.fixture

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
 
@@ -379,3 +380,29 @@ class TestExportSftCommand:
         n_strict = len(strict.read_text().splitlines())
         n_lax = len(lax.read_text().splitlines())
         assert n_strict < n_lax
+
+    @pytest.mark.parametrize("agent, path, value", [
+        ("forecast", ("forecast_label", "w_hit"), "0.9"),
+        ("decision", ("decision_label", "taken_reward"), None),
+        ("forecast", ("forecast_label", "w_hit"), math.nan),  # json.loads reads NaN
+        ("forecast", ("input_text",), 5),
+    ])
+    def test_malformed_record_exits_two_and_names_its_line(self, tmp_path, capsys,
+                                                           agent, path, value):
+        env = build_env(tmp_path, rising_closes(60))
+        assert main(run_args(env)) == 0
+        capsys.readouterr()
+        trajectories = env.out("run") / "trajectories.jsonl"
+        lines = trajectories.read_text(encoding="utf-8").splitlines()
+        i, record = next((i, r) for i, r in enumerate(map(json.loads, lines))
+                         if r["agent_name"] == agent and r[f"{agent}_label"] is not None)
+        holder = record
+        for key in path[:-1]:
+            holder = holder[key]
+        holder[path[-1]] = value
+        lines[i] = json.dumps(record)
+        trajectories.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "sft.jsonl"
+        code = main(["export-sft", "--run", str(env.out("run")), "--out", str(out)])
+        expect_data_error(capsys, code, f"bad trajectory record at trajectories.jsonl:{i + 1}:")
+        assert not out.exists()

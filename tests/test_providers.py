@@ -377,6 +377,15 @@ class TestMemoized:
             memo.dense(text)
         assert inner.seen == [("dense", "a"), ("dense", "b"), ("dense", "c"), ("dense", "a")]
 
+    def test_a_hit_refreshes_its_entry(self, monkeypatch):
+        # LRU, not FIFO: "a" is read again before "c" lands, so "c" evicts "b".
+        monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
+        inner = _CountingProvider()
+        memo = memoized(inner)
+        for text in ("a", "b", "a", "c", "a", "b"):
+            memo.dense(text)
+        assert inner.seen == [("dense", t) for t in ("a", "b", "c", "b")]
+
 
 class _SlowProvider(_CountingProvider):
     """A `_CountingProvider` that holds every request for `hold_s` (so a
@@ -505,6 +514,28 @@ class TestSingleFlightMemo:
         assert memo.dense("a") == StubEmbeddingProvider().dense("a")
         assert inner.seen == [("dense", "a")] * 2
 
+    def test_a_base_exception_ends_the_flight(self):
+        class Stop(BaseException):
+            pass
+
+        class Stopping(_CountingProvider):
+            def _call(self, request, answer):
+                if not self.seen:
+                    self.seen.append(request)
+                    raise Stop
+                return super()._call(request, answer)
+
+        inner = Stopping()
+        memo = memoized(inner)
+        with pytest.raises(Stop):
+            memo.dense("a")
+        # A flight left standing would hold the next read forever.
+        retry = threading.Thread(target=memo.dense, args=("a",), daemon=True)
+        retry.start()
+        retry.join(timeout=5)
+        assert not retry.is_alive()
+        assert inner.seen == [("dense", "a")] * 2
+
 
 class TestPrefetch:
     def test_sends_each_distinct_miss_once(self):
@@ -565,6 +596,45 @@ class TestPrefetch:
         with ThreadPoolExecutor(k) as pool:
             memoized(inner, pool).prefetch([("dense", str(i)) for i in range(k)])
         assert len(inner.seen) == k
+
+    def test_a_request_in_flight_is_waited_for_not_resent(self):
+        sent, release = threading.Event(), threading.Event()
+
+        class Held(_SlowProvider):
+            def _call(self, request, answer):
+                if request == ("dense", "a"):
+                    sent.set()
+                    release.wait(5)
+                return super()._call(request, answer)
+
+        inner = Held()
+        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+            memo = memoized(inner, pool)
+            reader = threading.Thread(target=memo.dense, args=("a",))
+            reader.start()
+            assert sent.wait(5)  # "a" is in flight on the reader's thread
+            group = threading.Thread(target=memo.prefetch,
+                                     args=([("dense", "a"), ("dense", "b")],))
+            group.start()
+            deadline = time.monotonic() + 5
+            while ("dense", "b") not in inner.seen and time.monotonic() < deadline:
+                time.sleep(0.001)
+            release.set()
+            for t in (reader, group):
+                t.join(timeout=5)
+            assert not reader.is_alive() and not group.is_alive()
+        assert sorted(inner.seen) == [("dense", "a"), ("dense", "b")]
+
+    def test_a_hit_in_the_group_is_kept_for_its_read(self, monkeypatch):
+        monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
+        inner = _CountingProvider()
+        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+            memo = memoized(inner, pool)
+            memo.dense("a"), memo.dense("b")
+            # "a" is the oldest entry, but the group uses it: "c" evicts "b".
+            memo.prefetch([("dense", "a"), ("dense", "c")])
+            memo.dense("a"), memo.dense("c")
+        assert inner.seen == [("dense", t) for t in ("a", "b", "c")]
 
     def test_memo_entries_still_bound_the_memo(self, monkeypatch):
         monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
