@@ -5,6 +5,7 @@ Exit codes: 0 success, 1 usage error, 2 data error, 3 provider error.
 
 from __future__ import annotations
 
+import math
 import sys
 from pathlib import Path
 
@@ -64,12 +65,21 @@ def metrics_cmd(run_dir: str) -> None:
         click.echo(f"{key}: {value}")
 
 
+def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
+    # Every comparison with NaN is false: it would drop every sample silently.
+    if math.isnan(value):
+        raise click.BadParameter("must be a number, not NaN", ctx, param)
+    return value
+
+
 @cli.command("export-sft")
 @click.option("--run", "run_dir", required=True, type=click.Path(), help="Run artifact directory.")
 @click.option("--out", "out_path", required=True, type=click.Path(), help="Output sft.jsonl path.")
 @click.option("--min-reward", type=float, default=DEFAULT_REWARD_MIN, show_default=True,
+              callback=_not_nan,
               help="Keep decision samples with taken_reward strictly above this.")
 @click.option("--min-whit", type=float, default=DEFAULT_WHIT_MIN, show_default=True,
+              callback=_not_nan,
               help="Keep forecast samples with w_hit at or above this.")
 def export_sft_cmd(run_dir: str, out_path: str, min_reward: float, min_whit: float) -> None:
     """Filter labeled trajectories into fine-tuning samples."""

@@ -210,23 +210,23 @@ def _auth_headers(credentials_env: str | None) -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"}
 
 
-def _requests():
-    """The `requests` module. It takes about 120 ms to import, so only
-    building an HTTP client loads it, and stub runs never do."""
-    import requests
-    return requests
-
-
 def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) -> dict:
-    requests = _requests()
+    import http.client, urllib.request  # here, so stub runs never load an HTTP stack
+    headers = {"Content-Type": "application/json", **headers}
     try:
-        resp = requests.post(url, json=payload, headers=headers, timeout=timeout)
-    except requests.RequestException as exc:
+        request = urllib.request.Request(url, json.dumps(payload, allow_nan=False).encode(), headers)
+        try:
+            with urllib.request.urlopen(request, timeout=timeout) as resp:
+                status, raw = resp.status, resp.read()
+        except urllib.error.HTTPError as exc:
+            with exc:
+                status, raw = exc.code, exc.read()
+    except (OSError, http.client.HTTPException, ValueError) as exc:
         raise ProviderError(f"provider request failed: {exc}") from exc
-    if resp.status_code != 200:
-        raise ProviderError(f"provider returned HTTP {resp.status_code}: {resp.text[:200]}")
+    if status != 200:
+        raise ProviderError(f"provider returned HTTP {status}: {raw.decode(errors='replace')[:200]}")
     try:
-        body = resp.json()
+        body = json.loads(raw)
     except ValueError as exc:
         raise ProviderError(f"provider returned non-JSON body: {exc}") from exc
     if not isinstance(body, dict):
@@ -244,7 +244,7 @@ class _HttpClient:
     timeout: float = 60.0
 
     def __post_init__(self) -> None:
-        _requests()  # while the run sets up, not on its first request
+        import http.client, urllib.request  # while the run sets up, not on its first request
 
     def _post(self, payload: dict) -> dict:
         return _post_json(

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import threading
+import time
 from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -199,8 +200,11 @@ def build_env(
 # ---------------------------------------------------------------------------
 
 class _Handler(BaseHTTPRequestHandler):
+    # {path: (status, body) or (status, body, {header: value})}; a bytes body
+    # is sent as given, any other as JSON. Each answer waits `delay_s` first.
     responses: dict = {}
     requests_seen: list = []
+    delay_s = 0.0
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -210,11 +214,14 @@ class _Handler(BaseHTTPRequestHandler):
             "payload": payload,
             "auth": self.headers.get("Authorization"),
         })
-        status, body = type(self).responses.get(self.path, (404, {}))
-        data = json.dumps(body).encode()
+        time.sleep(type(self).delay_s)
+        status, body, *headers = type(self).responses.get(self.path, (404, {}))
+        data = body if isinstance(body, bytes) else json.dumps(body).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(data)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
 
@@ -229,6 +236,7 @@ def http_server():
     thread.start()
     _Handler.responses = {}
     _Handler.requests_seen = []
+    _Handler.delay_s = 0.0
     yield f"http://127.0.0.1:{server.server_port}", _Handler
     server.shutdown()
     server.server_close()

@@ -381,6 +381,38 @@ class TestExportSftCommand:
         n_lax = len(lax.read_text().splitlines())
         assert n_strict < n_lax
 
+    @pytest.mark.parametrize("option", ["--min-whit", "--min-reward"])
+    def test_nan_threshold_is_a_usage_error_naming_its_option(self, tmp_path, capsys, option):
+        # Every comparison with NaN is false, so a NaN threshold would drop
+        # every sample of its agent and still exit 0.
+        env = build_env(tmp_path, rising_closes(60))
+        assert main(run_args(env)) == 0
+        capsys.readouterr()
+        out = tmp_path / "sft.jsonl"
+        for nan in ("nan", "NaN", "-nan"):
+            code = main(["export-sft", "--run", str(env.out("run")), "--out", str(out),
+                         option, nan])
+            err = capsys.readouterr().err
+            assert code == 1, err
+            assert err.startswith("usage error:") and option in err, err
+            assert not out.exists()
+
+    def test_infinite_thresholds_keep_their_meaning(self, tmp_path):
+        env = build_env(tmp_path, rising_closes(60), config={
+            "commission_rate": 0.0,
+            "flags": {"risk_management": False},
+        })
+        assert main(run_args(env)) == 0
+        counts = {}
+        for bound in ("inf", "-inf"):
+            out = tmp_path / f"sft{bound}.jsonl"
+            assert main(["export-sft", "--run", str(env.out("run")), "--out", str(out),
+                         "--min-whit", bound, "--min-reward", bound]) == 0
+            counts[bound] = len(out.read_text().splitlines())
+        records = load_trajectories(env.out("run") / "trajectories.jsonl")
+        labeled = sum(getattr(r, f"{r.agent_name}_label", None) is not None for r in records)
+        assert counts == {"inf": 0, "-inf": labeled}
+
     @pytest.mark.parametrize("agent, path, value", [
         ("forecast", ("forecast_label", "w_hit"), "0.9"),
         ("decision", ("decision_label", "taken_reward"), None),

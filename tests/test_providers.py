@@ -43,6 +43,14 @@ def msg(role_line: str, user: str):
     ]
 
 
+def python_env() -> dict[str, str]:
+    """This environment for a fresh interpreter that imports `agentdesk`
+    from this checkout's `src`."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 class TestStubEmbedding:
     def test_dense_unit_norm(self):
         provider = StubEmbeddingProvider()
@@ -309,6 +317,72 @@ class TestHttpEmbeddingAndReranker:
         provider = HttpRerankerProvider(f"{base}/rank", "rr-x")
         with pytest.raises(ProviderError, match="not a finite number"):
             provider.relevance("q", "p")
+
+
+class TestHttpTransport:
+    """Every transport fault is a `ProviderError` that says what went wrong."""
+
+    @staticmethod
+    def complete(url: str, timeout: float = 5.0) -> ChatResult:
+        return HttpChatProvider(url, "m", timeout=timeout).complete(msg("ROLE: decision", "x"))
+
+    @pytest.mark.parametrize("body, message", [
+        (b"<html>busy</html>", "provider returned non-JSON body"),
+        (b'[{"content": "hold"}]', "provider response must be a JSON object"),
+    ], ids=["not-json", "json-array"])
+    def test_a_200_without_a_json_object(self, http_server, body, message):
+        base, handler = http_server
+        handler.responses["/chat"] = (200, body)
+        with pytest.raises(ProviderError, match=message):
+            self.complete(f"{base}/chat")
+
+    def test_a_non_200_carries_the_start_of_its_body(self, http_server):
+        base, handler = http_server
+        handler.responses["/chat"] = (503, b"overloaded: " + b"x" * 300)
+        with pytest.raises(ProviderError) as caught:
+            self.complete(f"{base}/chat")
+        assert str(caught.value) == "provider returned HTTP 503: overloaded: " + "x" * 188
+
+    def test_a_redirected_post_is_not_sent_again(self, http_server):
+        base, handler = http_server
+        handler.responses["/chat"] = (307, {}, {"Location": f"{base}/moved"})
+        handler.responses["/moved"] = (200, {"content": "hold"})
+        with pytest.raises(ProviderError, match="HTTP 307"):
+            self.complete(f"{base}/chat")
+        assert [r["path"] for r in handler.requests_seen] == ["/chat"]
+
+    def test_a_read_timeout(self, http_server):
+        base, handler = http_server
+        handler.responses["/chat"] = (200, {"content": "hold"})
+        handler.delay_s = 0.6
+        with pytest.raises(ProviderError, match="provider request failed: .*timed out"):
+            self.complete(f"{base}/chat", timeout=0.2)
+
+    def test_a_non_finite_number_is_not_sent(self, http_server):
+        base, handler = http_server
+        with pytest.raises(ProviderError, match="provider request failed: Out of range float"):
+            providers._post_json(f"{base}/chat", {"temperature": float("nan")}, {}, 5.0)
+        assert handler.requests_seen == []
+
+    # Run in a fresh interpreter: the process-wide opener reads the proxy
+    # variables once, at the process's first request.
+    PROXIED = """
+import json
+from agentdesk.providers import HttpEmbeddingProvider
+print(json.dumps(HttpEmbeddingProvider("http://provider.invalid/embed", "m").dense("text")))
+"""
+
+    def test_http_proxy_from_the_environment(self, http_server):
+        base, handler = http_server
+        handler.responses["http://provider.invalid/embed"] = (200, {"vector": [0.6, 0.8]})
+        # urllib ignores HTTP_PROXY when REQUEST_METHOD is set (a CGI request).
+        unset = ("http_proxy", "no_proxy", "all_proxy", "request_method")
+        env = {k: v for k, v in python_env().items() if k.lower() not in unset}
+        env["HTTP_PROXY"] = base
+        result = subprocess.run([sys.executable, "-c", self.PROXIED], env=env,
+                                capture_output=True, text=True, check=True)
+        assert json.loads(result.stdout) == [0.6, 0.8]
+        assert [r["path"] for r in handler.requests_seen] == ["http://provider.invalid/embed"]
 
 
 class _CountingProvider:
@@ -652,31 +726,31 @@ class TestPrefetch:
             assert inner.seen[3:] == [("dense", "a")]
 
 
-class TestLazyRequests:
-    # Run in a fresh interpreter: this one has loaded `requests` already.
+class TestLazyHttpStack:
+    # Run in a fresh interpreter: this one has loaded the HTTP stack already.
+    # `requests` is blocked, so any import of it fails the script.
     SCRIPT = """
 import json, sys
+sys.modules["requests"] = None
 from agentdesk.cli import main
 assert main(sys.argv[1:]) == 0
-after_stub_run = "requests" in sys.modules
+stack = ("http.client", "urllib.request", "requests")
+after_stub_run = [name for name in stack if sys.modules.get(name) is not None]
 from agentdesk.providers import HttpEmbeddingProvider
 HttpEmbeddingProvider("http://127.0.0.1:1", "m")
-print(json.dumps([after_stub_run, "requests" in sys.modules]))
+print(json.dumps([after_stub_run, "urllib.request" in sys.modules]))
 """
 
-    def test_only_building_an_http_client_loads_requests(self, tmp_path):
+    def test_a_stub_run_loads_no_http_stack(self, tmp_path):
         news = [{"date": "2022-02-02", "title": "Earnings beat", "body": "revenue up"}]
         env = build_env(tmp_path, rising_closes(30), news=news, with_reports=True)
-        src = str(Path(__file__).resolve().parent.parent / "src")
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         result = subprocess.run(
             [sys.executable, "-c", self.SCRIPT, "run", "--config", str(env.config_path),
              "--prices", str(env.prices), "--news", str(env.news),
              "--reports", str(env.reports), "--out", str(env.out())],
-            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True,
-            check=True,
+            env=python_env(), capture_output=True, text=True, check=True,
         )
-        assert json.loads(result.stdout.splitlines()[-1]) == [False, True]
+        assert json.loads(result.stdout.splitlines()[-1]) == [[], True]
 
 
 class TestFactories:
