@@ -212,9 +212,10 @@ def _auth_headers(credentials_env: str | None) -> dict[str, str]:
 
 def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) -> dict:
     import http.client, urllib.request  # here, so stub runs never load an HTTP stack
-    headers = {"Content-Type": "application/json", **headers}
     try:
-        request = urllib.request.Request(url, json.dumps(payload, allow_nan=False).encode(), headers)
+        request = urllib.request.Request(url, json.dumps(payload, allow_nan=False).encode())
+        for name, value in {"Content-Type": "application/json", **headers}.items():
+            request.add_unredirected_header(name, value)  # a redirect's target gets no token
         try:
             with urllib.request.urlopen(request, timeout=timeout) as resp:
                 status, raw = resp.status, resp.read()

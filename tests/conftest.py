@@ -208,8 +208,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
-        payload = json.loads(self.rfile.read(length))
+        payload = json.loads(self.rfile.read(length)) if length else None
         type(self).requests_seen.append({
+            "method": self.command,
             "path": self.path,
             "payload": payload,
             "auth": self.headers.get("Authorization"),
@@ -224,6 +225,8 @@ class _Handler(BaseHTTPRequestHandler):
             self.send_header(name, value)
         self.end_headers()
         self.wfile.write(data)
+
+    do_GET = do_POST
 
     def log_message(self, *args):
         pass

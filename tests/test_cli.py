@@ -398,10 +398,7 @@ class TestExportSftCommand:
             assert not out.exists()
 
     def test_infinite_thresholds_keep_their_meaning(self, tmp_path):
-        env = build_env(tmp_path, rising_closes(60), config={
-            "commission_rate": 0.0,
-            "flags": {"risk_management": False},
-        })
+        env = build_env(tmp_path, rising_closes(60))
         assert main(run_args(env)) == 0
         counts = {}
         for bound in ("inf", "-inf"):
@@ -411,6 +408,7 @@ class TestExportSftCommand:
             counts[bound] = len(out.read_text().splitlines())
         records = load_trajectories(env.out("run") / "trajectories.jsonl")
         labeled = sum(getattr(r, f"{r.agent_name}_label", None) is not None for r in records)
+        assert labeled > 0
         assert counts == {"inf": 0, "-inf": labeled}
 
     @pytest.mark.parametrize("agent, path, value", [

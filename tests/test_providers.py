@@ -351,6 +351,17 @@ class TestHttpTransport:
             self.complete(f"{base}/chat")
         assert [r["path"] for r in handler.requests_seen] == ["/chat"]
 
+    def test_a_302_is_followed_as_a_get_without_the_token(self, http_server, monkeypatch):
+        base, handler = http_server
+        monkeypatch.setenv("TEST_API_KEY", "sekrit")
+        handler.responses["/chat"] = (302, {}, {"Location": f"{base}/moved"})
+        handler.responses["/moved"] = (200, {"content": "hold"})
+        provider = HttpChatProvider(f"{base}/chat", "m", credentials_env="TEST_API_KEY")
+        assert provider.complete(msg("ROLE: decision", "x")).content == "hold"
+        assert [(r["method"], r["path"], r["auth"]) for r in handler.requests_seen] == [
+            ("POST", "/chat", "Bearer sekrit"), ("GET", "/moved", None),
+        ]
+
     def test_a_read_timeout(self, http_server):
         base, handler = http_server
         handler.responses["/chat"] = (200, {"content": "hold"})
