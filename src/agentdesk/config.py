@@ -13,7 +13,7 @@ from typing import Any, Mapping
 from .datasynth import BandConfig, RewardConfig
 from .errors import DataError
 from .gate import GateConfig
-from .jsonl import read_document
+from .jsonl import as_str, read_document
 from .retrieval import RetrievalConfig
 from .risk import DEFAULT_MULTIPLIERS, RiskConfig, StyleMultipliers, TradingStyle
 
@@ -69,12 +69,6 @@ def _as_date(value: Any) -> Date | None:
     return Date.fromisoformat(str(value))
 
 
-def _as_str(value: Any) -> str:
-    if value is None:
-        raise ValueError("a value is required, got null")
-    return str(value)
-
-
 def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
     """Read {style: {sl, tp}} or {style: [sl, tp]}; missing styles keep defaults."""
     if table is None:
@@ -118,10 +112,10 @@ def _as_section(cls, value: Any):
 # Readers of top-level scalars, keyed by annotation text (annotations are
 # strings in this module); a field of another type fails at import.
 _SCALARS = {
-    "str": _as_str,
+    "str": partial(as_str, what="value"),
     "float": lambda value: float(_typed("float", value)),
     "int": partial(_typed, "int"),
-    "str | None": lambda value: value,
+    "str | None": lambda value: None if value is None else as_str(value, "value"),
     "Date | None": _as_date,
 }
 

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .gate import LABELS, TrendLabel, TrendProbabilities
-from .jsonl import read_jsonl, write_jsonl
+from .jsonl import as_str, read_jsonl, write_jsonl
 from .marketdata import PriceSeries, trailing_log_returns
 from .portfolio import ACTION_KINDS, AccountState, TradeAction, apply_action
 from .risk import TradingStyle
@@ -311,17 +311,11 @@ def _finite(value: object, what: str) -> None:
         raise ValueError(f"{what} must be a finite number, not {value!r}")
 
 
-def _text(value: object, what: str) -> str:
-    if not isinstance(value, str):
-        raise ValueError(f"{what} must be a string, not {type(value).__name__}")
-    return value
-
-
 def record_from_dict(obj: dict) -> TrajectoryRecord:
     """Inverse of the JSON form of a record: nested objects become their
-    dataclasses and the date is parsed back from its ISO string. Refuses
-    (ValueError) a score the SFT filter compares that is not a finite
-    number, and a text it exports that is not a string.
+    dataclasses and the date is parsed back from its ISO string. Refuses a
+    score the SFT filter compares that is not a finite number (ValueError),
+    and a text it exports that is not a string (TypeError).
 
     The top level is spelled out because keyword calls decode faster than
     unpacking a merged dict, and this runs once per exported record."""
@@ -336,9 +330,9 @@ def record_from_dict(obj: dict) -> TrajectoryRecord:
         symbol=obj["symbol"],
         agent_name=obj["agent_name"],
         prompt_digest=obj["prompt_digest"],
-        input_text=_text(obj["input_text"], "input_text"),
-        output_text=_text(obj["output_text"], "output_text"),
-        reasoning_trace=_text(obj["reasoning_trace"], "reasoning_trace"),
+        input_text=as_str(obj["input_text"], "input_text"),
+        output_text=as_str(obj["output_text"], "output_text"),
+        reasoning_trace=as_str(obj["reasoning_trace"], "reasoning_trace"),
         account_snapshot=AccountSnapshot(**obj["account_snapshot"]),
         forecast_label=None if fl is None else ForecastLabel(**fl),
         decision_label=None if dl is None else DecisionLabel(**dl),

@@ -72,6 +72,14 @@ def write_jsonl(path: str | Path, rows: Iterable[Any]) -> Path:
     return write_text(path, (_LINE.encode(row) + "\n" for row in rows))
 
 
+def as_str(value: Any, what: str) -> str:
+    """`value`, a parsed input's string; anything else (a number or a null,
+    say) raises TypeError naming `what`."""
+    if not isinstance(value, str):
+        raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
 def read_text(path: str | Path, what: str) -> str:
     """The file's text. A missing, unreadable (a directory, say) or non-UTF-8
     file raises DataError naming `what`."""

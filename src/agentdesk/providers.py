@@ -21,13 +21,13 @@ import re
 import threading
 import zlib
 from collections import OrderedDict
-from concurrent.futures import Executor, Future
+from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
 from .errors import DataError, ProviderError
-from .jsonl import read_document
+from .jsonl import as_str, read_document
 
 DENSE_DIM = 64
 SPARSE_BUCKETS = 4096
@@ -277,7 +277,16 @@ class HttpChatProvider(_HttpClient):
         })
         if "content" not in body:
             raise ProviderError("chat response is missing 'content'")
-        return ChatResult(str(body["content"]), str(body.get("reasoning_trace", "") or ""))
+        trace = body.get("reasoning_trace")
+        return ChatResult(_text(body["content"], "content"),
+                          "" if trace is None else _text(trace, "reasoning_trace"))
+
+
+def _text(value: object, what: str) -> str:
+    try:
+        return as_str(value, f"response field {what!r}")
+    except TypeError as exc:
+        raise ProviderError(str(exc)) from exc
 
 
 def _number(value: object) -> float:
@@ -334,7 +343,7 @@ class HttpRerankerProvider(_HttpClient):
             if not 0.0 <= p <= 1.0:
                 raise ProviderError(f"relevance {p} outside [0, 1]")
             return p
-        content = str(body.get("content", "")).strip().lower()
+        content = _text(body.get("content", ""), "content").strip().lower()
         if content.startswith("yes"):
             return 1.0
         if content.startswith("no"):
@@ -357,14 +366,13 @@ PROVIDER_WORKERS = 4
 
 
 class _Memo:
-    """See `memoized`. One lock guards two tables: an LRU of answers per
-    method, oldest first, and the requests on their way."""
+    """See `memoized`. One lock guards an LRU of answers per method, oldest
+    first."""
 
     def __init__(self, provider, pool: Executor | None) -> None:
         self._provider, self._pool = provider, pool
         self._entries, self._senders = MEMO_ENTRIES, PROVIDER_WORKERS
         self._answers: dict[str, OrderedDict] = {}  # {method: {args: answer}}
-        self._flights: dict[tuple, Future] = {}
         self._lock = threading.Lock()
         for name in _MEMOIZED:
             if hasattr(provider, name):
@@ -377,36 +385,22 @@ class _Memo:
             if args in answers:
                 answers.move_to_end(args)
                 return answers[args]
-            request = (name, *args)
-            flight = self._flights.get(request)
-            if flight is None:
-                self._flights[request] = mine = Future()
-        if flight is not None:
-            return flight.result()
-        try:
-            value = getattr(self._provider, name)(*args)
-        except BaseException as exc:
-            with self._lock:
-                del self._flights[request]
-            mine.set_exception(exc)
-            raise
+        value = getattr(self._provider, name)(*args)
         with self._lock:
             answers[args] = value
             if len(answers) > self._entries:
                 answers.popitem(last=False)
-            del self._flights[request]
-        mine.set_result(value)
         return value
 
     def prefetch(self, requests: Iterable[tuple]) -> None:
         """Send the misses among `requests`, each `(method name, *args)`,
         together, so that the reads which follow hit. Each distinct miss is
-        sent once, and a request already on its way is waited for: this
-        thread and up to `PROVIDER_WORKERS - 1` tasks on the run's request
-        pool each send a share, one request after another, so a lone miss
-        is sent here. A hit counts as used, so the group's answers do not
-        evict it before its read. Keeps the answers that succeed and, once
-        every request has finished, raises the first error in input order.
+        sent once: this thread and up to `PROVIDER_WORKERS - 1` tasks on the
+        run's request pool each send a share, one request after another, so
+        a lone miss is sent here. A hit counts as used, so the group's
+        answers do not evict it before its read. Keeps the answers that
+        succeed and, once every request has finished, raises the first
+        error in input order.
         Without a pool, or when the misses outnumber the memo's entries
         (their answers would evict one another before they are read),
         leaves every request to its read."""
@@ -448,8 +442,9 @@ def memoized(provider, pool: Executor | None = None):
 
     Embeddings and relevance depend only on the request, so one run asks
     the provider once per distinct request while it stays among the last
-    `MEMO_ENTRIES`: a request is sent by one caller at a time, and a second
-    caller waits for that answer. An error is never cached: the next
+    `MEMO_ENTRIES`. Two callers that miss one request at the same time
+    would each send it; a run's concurrent callers (the news and report
+    agents) ask for disjoint requests. An error is never cached: the next
     identical request goes to the provider again. Repeats share the
     returned object, which retrieval only reads.
     """

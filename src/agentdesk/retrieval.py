@@ -21,7 +21,7 @@ from typing import Callable, Mapping, Protocol, Sequence
 import yaml
 
 from .errors import DataError
-from .jsonl import read_document, read_jsonl, read_text
+from .jsonl import as_str, read_document, read_jsonl, read_text
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -351,19 +351,13 @@ class Filing:
     text: str
 
 
-def _string(value: object, name: str) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"{name} must be a string, got {value!r}")
-    return value
-
-
 def load_news_jsonl(path: str | Path) -> list[NewsItem]:
     """Line-delimited {date, title, body} records; a missing or null body
     reads as empty."""
     return read_jsonl(path, "news", lambda obj: NewsItem(
         date=Date.fromisoformat(obj["date"]),
-        title=_string(obj["title"], "title"),
-        body=_string("" if obj.get("body") is None else obj["body"], "body"),
+        title=as_str(obj["title"], "title"),
+        body=as_str("" if obj.get("body") is None else obj["body"], "body"),
     ))
 
 
@@ -376,9 +370,9 @@ def load_report_manifest(reports_dir: str | Path) -> list[Filing]:
     filings: list[Filing] = []
     for i, entry in enumerate(entries):
         try:
-            symbol = _string(entry["symbol"], "symbol")
+            symbol = as_str(entry["symbol"], "symbol")
             period = Date.fromisoformat(entry["period"])
-            path = root / _string(entry["path"], "path")
+            path = root / as_str(entry["path"], "path")
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad manifest entry {i}: {exc}") from exc
         text = read_text(path, "filing")

@@ -7,6 +7,7 @@ import math
 import random
 import threading
 import time
+import zlib
 from datetime import date, timedelta
 from http.server import BaseHTTPRequestHandler, HTTPServer
 from pathlib import Path
@@ -159,6 +160,26 @@ class RunEnv:
 
     def out(self, name: str = "run") -> Path:
         return self.root / name
+
+
+class Recording:
+    """`inner`'s methods, each appending its request, `(method, *args)`, to
+    `seen` and then holding it for up to `max_sleep_s`, a time fixed by the
+    request, before it is answered. The methods `inner` lacks stay absent."""
+
+    def __init__(self, inner, seen: list, max_sleep_s: float = 0.0):
+        self._inner, self._seen, self._max_sleep_s = inner, seen, max_sleep_s
+
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+
+        def call(*args):
+            request = (name, *args)
+            self._seen.append(request)
+            if self._max_sleep_s:
+                time.sleep(self._max_sleep_s * (zlib.crc32(repr(request).encode()) % 100) / 99)
+            return method(*args)
+        return call
 
 
 def build_env(

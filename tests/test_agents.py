@@ -45,6 +45,8 @@ from agentdesk.retrieval import (
 )
 from agentdesk.risk import RiskThresholds, TradingStyle
 
+from conftest import Recording
+
 DAY = date(2022, 6, 1)
 DAY2 = date(2022, 6, 2)
 SEED = 0
@@ -630,3 +632,30 @@ def test_repair_retry_flag(tmp_path, agent, flags):
     _, got_flags, exchange = _fallback_run(agent, MalformedOnceChatProvider(), tmp_path)
     assert got_flags == flags
     assert exchange.reasoning_trace.startswith("(stub trace:")
+
+
+class TestMemoKeys:
+    """The run's memo sends each request once although two callers could
+    miss one request at the same time, because its only concurrent readers,
+    the news and report agents, never ask for the same request."""
+
+    def test_the_news_and_report_agents_ask_for_disjoint_requests(self, tmp_path):
+        # The filing repeats the first story, sentence for sentence.
+        news = [NewsItem(DAY, "Revenue rose sharply.", "Guidance was raised."),
+                NewsItem(DAY, "Merger talks", "Shares jumped on merger talk."),
+                NewsItem(DAY, "Lawsuit filed", "")]
+        text = "Revenue rose sharply. Guidance was raised."
+        (tmp_path / "fy.txt").write_text(text, encoding="utf-8")
+        filing = Filing("TEST", DAY, tmp_path / "fy.txt", text)  # newly visible
+        chat, cfg = StubChatProvider(("sideways",)), RetrievalConfig()
+        asked: dict[str, list] = {"news": [], "report": []}
+        embedding, reranker = ({agent: Recording(make(), seen) for agent, seen in asked.items()}
+                               for make in (StubEmbeddingProvider, StubRerankerProvider))
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
+            run_news_agent(DAY, "TEST", news, cfg, chat, embedding["news"], reranker["news"],
+                           keyword_importance(load_keywords(), 64), pool, SEED)
+        run_report_agent(DAY, "TEST", [filing], cfg, chat, embedding["report"],
+                         reranker["report"], FilingRanks(), SEED)
+        kinds = {agent: {request[0] for request in seen} for agent, seen in asked.items()}
+        assert kinds == {"news": {"dense", "relevance"}, "report": {"dense", "sparse", "relevance"}}
+        assert not set(asked["news"]) & set(asked["report"])

@@ -93,6 +93,15 @@ class TestRunCommand:
         "seed: true",
         "commission_rate: true",
         "initial_cash: '100'",
+        "keywords_path: 5",
+        "symbol: [1, 2]",
+        "symbol: 0700",
+        "symbol: 000001",
+        "provider_model: 5",
+        "provider: 1",
+        "reranker_provider: {a: 1}",
+        "provider_endpoint: 80",
+        "credentials_env: true",
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, body):
         env = build_env(tmp_path, rising_closes(45))

@@ -110,3 +110,14 @@ class TestRiskMultipliers:
         m = cfg.risk.multipliers[TradingStyle.BALANCED]
         assert (m.m_sl, m.m_tp) == (1.0, 3.0)
         assert type(m.m_sl) is float and type(m.m_tp) is float
+
+
+class TestStringFields:
+    """A `str` or `str | None` key takes a YAML string, or null where the key
+    allows it; YAML reads an unquoted `0700` as the integer 448."""
+
+    def test_a_quoted_numeric_ticker_stays_as_written(self, tmp_path):
+        path = tmp_path / "config.yaml"
+        path.write_text("symbol: '000001'\nprovider_model: null\n", encoding="utf-8")
+        cfg = load_config(path)
+        assert (cfg.symbol, cfg.provider_model) == ("000001", None)

@@ -247,6 +247,27 @@ class TestHttpChat:
         with pytest.raises(ProviderError, match="missing 'content'"):
             provider.complete([{"role": "user", "content": "x"}])
 
+    @pytest.mark.parametrize("body, field", [
+        ({"content": None, "reasoning_trace": ["step 1", {"k": 2}]}, "content"),
+        ({"content": 5}, "content"),
+        ({"content": {"action": "buy"}}, "content"),
+        ({"content": "ok", "reasoning_trace": ["step 1", {"k": 2}]}, "reasoning_trace"),
+        ({"content": "ok", "reasoning_trace": 0}, "reasoning_trace"),
+    ], ids=["content-null", "content-number", "content-object", "trace-list", "trace-zero"])
+    def test_an_answer_that_is_not_a_string_is_refused(self, http_server, body, field):
+        base, handler = http_server
+        handler.responses["/chat"] = (200, body)
+        provider = HttpChatProvider(f"{base}/chat", "m")
+        with pytest.raises(ProviderError, match=f"'{field}' must be a string"):
+            provider.complete([{"role": "user", "content": "x"}])
+
+    @pytest.mark.parametrize("body", [{"content": "ok"}, {"content": "ok", "reasoning_trace": None}])
+    def test_an_absent_or_null_trace_is_empty(self, http_server, body):
+        base, handler = http_server
+        handler.responses["/chat"] = (200, body)
+        result = HttpChatProvider(f"{base}/chat", "m").complete([{"role": "user", "content": "x"}])
+        assert result == ChatResult("ok", "")
+
     def test_connection_refused(self):
         provider = HttpChatProvider("http://127.0.0.1:1/chat", "m", timeout=0.5)
         with pytest.raises(ProviderError, match="request failed"):
@@ -302,6 +323,14 @@ class TestHttpEmbeddingAndReranker:
         assert provider.relevance("q", "p") == 1.0
         handler.responses["/rank"] = (200, {"content": "no"})
         assert provider.relevance("q", "p") == 0.0
+
+    @pytest.mark.parametrize("content", [None, 1, ["yes"], True], ids=["null", "number", "list", "bool"])
+    def test_reranker_content_that_is_not_a_string_is_refused(self, http_server, content):
+        base, handler = http_server
+        handler.responses["/rank"] = (200, {"content": content})
+        provider = HttpRerankerProvider(f"{base}/rank", "rr-x")
+        with pytest.raises(ProviderError, match="'content' must be a string"):
+            provider.relevance("q", "p")
 
     def test_reranker_out_of_range_rejected(self, http_server):
         base, handler = http_server
@@ -473,13 +502,11 @@ class TestMemoized:
 
 
 class _SlowProvider(_CountingProvider):
-    """A `_CountingProvider` that holds every request for `hold_s` (so a
-    request stays in flight while other threads ask), notes the thread each
-    ran on, and fails the texts in `fail` with their own message."""
+    """A `_CountingProvider` that notes the thread each request ran on, and
+    fails the texts in `fail` with their own message after a delay."""
 
-    def __init__(self, hold_s: float = 0.0, fail: dict[str, float] | None = None):
+    def __init__(self, fail: dict[str, float] | None = None):
         super().__init__()
-        self.hold_s = hold_s
         self.fail = fail or {}  # text: seconds before its request fails
         self.threads: list[str] = []
         self.lock = threading.Lock()
@@ -492,7 +519,6 @@ class _SlowProvider(_CountingProvider):
         if text in self.fail:
             time.sleep(self.fail[text])
             raise ProviderError(f"no answer for {text}")
-        time.sleep(self.hold_s)
         return answer()
 
 
@@ -518,108 +544,46 @@ def _together(n: int, call) -> list:
     return out
 
 
-class TestSingleFlightMemo:
-    def test_threads_asking_for_one_request_send_it_once(self):
-        inner = _SlowProvider(hold_s=0.05)
-        memo = memoized(inner)
-        switch = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            results = _together(8, lambda: (memo.dense("a"), memo.relevance("q", "a")))
-        finally:
-            sys.setswitchinterval(switch)
-        assert sorted(inner.seen) == [("dense", "a"), ("relevance", "q", "a")]
-        # Every caller got the one answer the provider gave.
-        assert all(r[0] is results[0][0] and r[1] == 0.0 for r in results)
-
-    def test_many_threads_and_requests_send_each_request_once(self):
-        # Each thread reads the same 300 requests in its own order, so
-        # callers keep missing while another caller's answer lands.
-        inner = _SlowProvider()
-        memo = memoized(inner)
+class TestMemoUnderContention:
+    def test_many_threads_in_rotated_orders_get_the_providers_answers(self, monkeypatch):
+        # Eight threads each prefetch and read the same 300 texts in their own
+        # order, in groups of 1 or 10, through a memo of 64 entries per
+        # method: answers land, hit and are evicted while others read.
+        monkeypatch.setattr(providers, "MEMO_ENTRIES", 64)
         texts = [f"text {i}" for i in range(300)]
-        orders = [texts[37 * k:] + texts[:37 * k] for k in range(8)]
+        sizes: list[int] = []
+
+        class Sizing(_CountingProvider):
+            def _call(self, request, answer):
+                with memo._lock:  # what the memo holds while a request is out
+                    sizes.extend(len(a) for a in memo._answers.values())
+                return answer()
+
+        def reader(k):
+            order, group, out = texts[37 * k:] + texts[:37 * k], 1 + k % 2 * 9, []
+            for i in range(0, len(order), group):
+                chunk = order[i:i + group]
+                memo.prefetch([r for t in chunk for r in (("dense", t), ("relevance", "q", t))])
+                out.extend((t, memo.dense(t), memo.relevance("q", t)) for t in chunk)
+            return out
+
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            order = iter(orders)
-            _together(8, lambda: [memo.dense(t) for t in next(order)])
+            with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+                memo = memoized(Sizing(), pool)
+                ks = iter(range(8))
+                results = _together(8, lambda: reader(next(ks)))
         finally:
             sys.setswitchinterval(switch)
-        assert sorted(inner.seen) == sorted(("dense", t) for t in texts)
-
-    def test_a_caller_that_missed_before_an_answer_landed_does_not_resend(self):
-        # B misses while A's request is in flight, then reaches the memo's
-        # lock only after A's answer has landed and its flight has ended.
-        sent, release, b_at_lock, b_may_lock = (threading.Event() for _ in range(4))
-        inner = _CountingProvider()
-        answer = inner._call
-
-        def held(request, reply):
-            sent.set()
-            release.wait(5)
-            return answer(request, reply)
-
-        inner._call = held
-        memo = memoized(inner)
-
-        class GatedLock:
-            lock = threading.Lock()
-
-            def __enter__(self):
-                if threading.current_thread().name == "B":
-                    b_at_lock.set()
-                    b_may_lock.wait(5)
-                self.lock.acquire()
-
-            def __exit__(self, *exc):
-                self.lock.release()
-
-        memo._lock = GatedLock()
-        a = threading.Thread(target=memo.dense, args=("a",), name="A")
-        b = threading.Thread(target=memo.dense, args=("a",), name="B")
-        a.start()
-        assert sent.wait(5)  # A's request is in flight
-        b.start()
-        assert b_at_lock.wait(5)
-        release.set()
-        a.join(timeout=5)
-        b_may_lock.set()
-        b.join(timeout=5)
-        assert not a.is_alive() and not b.is_alive()
-        assert inner.seen == [("dense", "a")]
-
-    def test_a_failed_request_reaches_its_waiters_and_is_not_cached(self):
-        inner = _SlowProvider(fail={"a": 0.3})
-        memo = memoized(inner)
-        results = _together(4, lambda: memo.dense("a"))
-        assert all(isinstance(r, ProviderError) for r in results)
-        assert inner.seen == [("dense", "a")]
-        del inner.fail["a"]
-        assert memo.dense("a") == StubEmbeddingProvider().dense("a")
-        assert inner.seen == [("dense", "a")] * 2
-
-    def test_a_base_exception_ends_the_flight(self):
-        class Stop(BaseException):
-            pass
-
-        class Stopping(_CountingProvider):
-            def _call(self, request, answer):
-                if not self.seen:
-                    self.seen.append(request)
-                    raise Stop
-                return super()._call(request, answer)
-
-        inner = Stopping()
-        memo = memoized(inner)
-        with pytest.raises(Stop):
-            memo.dense("a")
-        # A flight left standing would hold the next read forever.
-        retry = threading.Thread(target=memo.dense, args=("a",), daemon=True)
-        retry.start()
-        retry.join(timeout=5)
-        assert not retry.is_alive()
-        assert inner.seen == [("dense", "a")] * 2
+        assert not [r for r in results if isinstance(r, BaseException)]
+        reference = _CountingProvider()
+        for result in results:
+            assert sorted(t for t, _, _ in result) == sorted(texts)
+            for t, vector, relevance in result:
+                assert vector == reference.dense(t) and relevance == reference.relevance("q", t)
+        assert sizes and max(sizes) <= 64
+        assert all(len(a) <= 64 for a in memo._answers.values())
 
 
 class TestPrefetch:
@@ -681,34 +645,6 @@ class TestPrefetch:
         with ThreadPoolExecutor(k) as pool:
             memoized(inner, pool).prefetch([("dense", str(i)) for i in range(k)])
         assert len(inner.seen) == k
-
-    def test_a_request_in_flight_is_waited_for_not_resent(self):
-        sent, release = threading.Event(), threading.Event()
-
-        class Held(_SlowProvider):
-            def _call(self, request, answer):
-                if request == ("dense", "a"):
-                    sent.set()
-                    release.wait(5)
-                return super()._call(request, answer)
-
-        inner = Held()
-        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
-            memo = memoized(inner, pool)
-            reader = threading.Thread(target=memo.dense, args=("a",))
-            reader.start()
-            assert sent.wait(5)  # "a" is in flight on the reader's thread
-            group = threading.Thread(target=memo.prefetch,
-                                     args=([("dense", "a"), ("dense", "b")],))
-            group.start()
-            deadline = time.monotonic() + 5
-            while ("dense", "b") not in inner.seen and time.monotonic() < deadline:
-                time.sleep(0.001)
-            release.set()
-            for t in (reader, group):
-                t.join(timeout=5)
-            assert not reader.is_alive() and not group.is_alive()
-        assert sorted(inner.seen) == [("dense", "a"), ("dense", "b")]
 
     def test_a_hit_in_the_group_is_kept_for_its_read(self, monkeypatch):
         monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)

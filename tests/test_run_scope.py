@@ -17,7 +17,7 @@ from agentdesk import agents, backtest, providers
 from agentdesk.config import load_config
 from agentdesk.retrieval import keyword_importance
 
-from conftest import build_env, business_days, rising_closes, write_prices_csv
+from conftest import Recording, build_env, business_days, rising_closes, write_prices_csv
 
 ARTIFACT_FILES = ("config.yaml", "meta.json", "equity.jsonl", "trades.jsonl",
                   "trajectories.jsonl", "metrics.json")
@@ -247,11 +247,25 @@ class TestOverlap:
         run_env(env)
         assert sorted(met) == [0, 1]
 
-    def test_one_provider_worker_gives_the_same_artifacts(self, tmp_path, monkeypatch):
+    def test_one_and_four_workers_send_each_request_once_and_agree(self, tmp_path, monkeypatch):
+        # No memo read waits for another's request, so a request sent twice
+        # at once would show here as a repeat. Each request is held for up
+        # to 2 ms, so that requests sent side by side do overlap.
         env, _ = news_heavy_env(tmp_path / "env", bars=90)
-        run_env(env, "default")
-        monkeypatch.setattr(providers, "PROVIDER_WORKERS", 1)
-        run_env(env, "one")
+        makes = {name: getattr(backtest, name)
+                 for name in ("make_embedding_provider", "make_reranker_provider")}
+        sent: dict[int, list] = {}
+        for workers in (4, 1):
+            seen = sent[workers] = []
+            monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
+            for name, make in makes.items():
+                monkeypatch.setattr(backtest, name, lambda *a, _m=make, _s=seen, **k:
+                                    Recording(_m(*a, **k), _s, 0.002))
+            run_env(env, f"workers-{workers}")
+        assert {request[0] for request in sent[4]} == {"dense", "sparse", "relevance"}
+        for seen in sent.values():
+            assert len(seen) == len(set(seen))
+        assert set(sent[1]) == set(sent[4])
         for name in ARTIFACT_FILES:
-            assert (env.out("one") / name).read_bytes() == \
-                (env.out("default") / name).read_bytes(), name
+            assert (env.out("workers-1") / name).read_bytes() == \
+                (env.out("workers-4") / name).read_bytes(), name
