@@ -163,22 +163,25 @@ class RunEnv:
 
 
 class Recording:
-    """`inner`'s methods, each appending its request, `(method, *args)`, to
-    `seen` and then holding it for up to `max_sleep_s`, a time fixed by the
-    request, before it is answered. The methods `inner` lacks stay absent."""
+    """`inner`'s methods, each appending its request, `(method, *args)` and
+    then any keyword arguments as `(name, value)` pairs, to `seen` and then
+    holding it for up to `max_sleep_s`, a time fixed by the request and
+    `seed`, before it is answered. The methods `inner` lacks stay absent."""
 
-    def __init__(self, inner, seen: list, max_sleep_s: float = 0.0):
+    def __init__(self, inner, seen: list, max_sleep_s: float = 0.0, seed: int = 0):
         self._inner, self._seen, self._max_sleep_s = inner, seen, max_sleep_s
+        self._salt = f"{seed}:".encode() if seed else b""
 
     def __getattr__(self, name):
         method = getattr(self._inner, name)
 
-        def call(*args):
-            request = (name, *args)
+        def call(*args, **kwargs):
+            request = (name, *args, *kwargs.items())
             self._seen.append(request)
             if self._max_sleep_s:
-                time.sleep(self._max_sleep_s * (zlib.crc32(repr(request).encode()) % 100) / 99)
-            return method(*args)
+                key = self._salt + repr(request).encode()
+                time.sleep(self._max_sleep_s * (zlib.crc32(key) % 100) / 99)
+            return method(*args, **kwargs)
         return call
 
 

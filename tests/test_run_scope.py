@@ -9,6 +9,7 @@ import json
 import math
 import random
 import threading
+from concurrent.futures import Executor, Future
 from dataclasses import replace
 
 import pytest
@@ -40,10 +41,10 @@ def write_filings(env, filings) -> None:
     (env.reports / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
 
 
-def news_heavy_env(root, bars: int = 200, seed: int = 1):
+def news_heavy_env(root, bars: int = 200, seed: int = 1, filing_every: int = 63):
     """The news-heavy benchmark's shape: `bars` bars of random walk, 20
-    news items a day from a 120-text pool, a 60-sentence filing every 63
-    bars."""
+    news items a day from a 120-text pool, a 60-sentence filing every
+    `filing_every` bars (63 in the benchmark)."""
     rng = random.Random(seed)
     closes = [100.0]
     for _ in range(bars - 1):
@@ -62,7 +63,7 @@ def news_heavy_env(root, bars: int = 200, seed: int = 1):
             f"{rng.choice(('Revenue', 'Earnings', 'Margin', 'Headcount'))} "
             f"{rng.choice(('rose', 'fell', 'held'))} {rng.uniform(1, 40):.1f} percent "
             f"in {rng.choice(('Europe', 'Asia', 'America'))}." for _ in range(60)))
-        for k, bar in enumerate(range(0, bars, 63))
+        for k, bar in enumerate(range(0, bars, filing_every))
     ])
     return env, closes
 
@@ -269,3 +270,54 @@ class TestOverlap:
         for name in ARTIFACT_FILES:
             assert (env.out("workers-1") / name).read_bytes() == \
                 (env.out("workers-4") / name).read_bytes(), name
+
+
+class _Inline(Executor):
+    """Runs each task when it is submitted, on the submitting thread: with
+    it in place of every executor, a run is one sequential schedule."""
+
+    def __init__(self, max_workers=None):
+        pass
+
+    def submit(self, fn, /, *args, **kwargs):
+        future = Future()
+        try:
+            future.set_result(fn(*args, **kwargs))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class TestScheduleOracle:
+    """Every schedule of a run gives the sequential schedule's artifacts and
+    requests. Each provider request is held for a time from 0 to 2 ms fixed
+    by the request and the seed, so the run's concurrent parts interleave
+    differently with each seed and worker count."""
+
+    MEMOIZED = ("dense", "sparse", "relevance")
+
+    def run_jittered(self, env, name, seed, monkeypatch, max_sleep_s=0.002):
+        seen: list[tuple] = []
+        for factory in ("make_chat_provider", "make_embedding_provider", "make_reranker_provider"):
+            make = getattr(backtest, factory)
+            monkeypatch.setattr(backtest, factory, lambda *a, _m=make, **k:
+                                Recording(_m(*a, **k), seen, max_sleep_s, seed))
+        run_env(env, name)
+        return sorted(map(repr, seen)), seen
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_every_schedule_gives_the_sequential_run(self, tmp_path, monkeypatch, seed):
+        env, _ = news_heavy_env(tmp_path / "env", bars=60, seed=seed, filing_every=15)
+        with monkeypatch.context() as sequential:
+            sequential.setattr(backtest, "ThreadPoolExecutor", _Inline)
+            # one schedule whatever the delays, so none is added
+            reference, _ = self.run_jittered(env, "sequential", seed, sequential, 0.0)
+        for workers in (1, 2, 4):
+            monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
+            requests, seen = self.run_jittered(env, f"workers-{workers}", seed, monkeypatch)
+            assert requests == reference, workers
+            memoized = [request for request in seen if request[0] in self.MEMOIZED]
+            assert len(memoized) == len(set(memoized)), workers
+            for name in ARTIFACT_FILES:
+                assert (env.out(f"workers-{workers}") / name).read_bytes() == \
+                    (env.out("sequential") / name).read_bytes(), (workers, name)
