@@ -13,10 +13,9 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
-from functools import partial
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -25,8 +24,10 @@ import yaml
 from .agents import (
     AgentExchange,
     FilingRanks,
+    FinanceSummary,
     LabeledDay,
     REFLECTION_WINDOW,
+    SentimentReport,
     StylePreference,
     build_reflection,
     run_decision_agent,
@@ -157,7 +158,7 @@ class RunInputs:
     """What every day reads, and the run-scoped helpers that spare the days
     repeated work or waiting: the news-importance memo
     (`keyword_importance`), the request pool (`providers.PROVIDER_WORKERS`), the
-    one-worker executor the report agent runs on beside the news agent,
+    two-worker executor the news and report agents run on one day ahead,
     and the latest filing's ranking."""
 
     cfg: BacktestConfig
@@ -199,14 +200,23 @@ def run_backtest(
     # Bounded like the provider memo; the bound is read when the run starts.
     importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
     state = RunState(AccountState.initial(cfg.initial_cash))
-    # Joined on any exit, the agent executor first: the report agent may
-    # still be sending on the request pool.
-    with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool, ThreadPoolExecutor(1) as agent_pool:
+    # Joined on any exit, the agent executor first: its agents may still be
+    # sending on the request pool.
+    with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool, ThreadPoolExecutor(2) as agent_pool:
         # Chat stays uncached: its prompts carry the date, so they never repeat.
         run = RunInputs(cfg, series, news_by_date, filings, importance, chat,
                         memoized(embedding, pool), memoized(reranker, pool), pool, agent_pool)
-        for day in days:
-            step(state, run, day)
+        # Day d+1's news and report agents read nothing day d decides, so
+        # they start once day d's results are taken and run beside its
+        # step. Day d's errors are raised first: the news agent's, then the
+        # report agent's, then its step's; day d+1's results are read only
+        # after that step.
+        ahead = _start_agents(run, days[0])
+        for day, next_day in zip(days, days[1:] + [None]):
+            news, report = _take_agents(run, day, ahead)
+            if next_day is not None:
+                ahead = _start_agents(run, next_day)
+            step(state, run, day, news, report)
     if state.pending is not None:
         state.records.extend(state.pending.records)  # last day: no next close, unlabeled
 
@@ -227,9 +237,54 @@ def run_backtest(
     )
 
 
-def step(state: RunState, run: RunInputs, day: Date) -> None:
-    """Run one trading day: label yesterday, snapshot, risk check, agents,
-    execute.
+def _news_agent(run: RunInputs, day: Date) -> tuple[SentimentReport, AgentExchange]:
+    cfg = run.cfg
+    return run_news_agent(
+        day, cfg.symbol, run.news_by_date.get(day, ()), cfg.retrieval,
+        run.chat, run.embedding, run.reranker, run.importance, run.pool, cfg.seed,
+        exact_dedupe=not cfg.flags.rerank_embedding,
+    )
+
+
+def _report_agent(run: RunInputs, day: Date) -> tuple[FinanceSummary, AgentExchange]:
+    cfg = run.cfg
+    return run_report_agent(
+        day, cfg.symbol, run.filings, cfg.retrieval, run.chat,
+        run.embedding, run.reranker, run.filing_ranks, cfg.seed,
+        use_rerank=cfg.flags.rerank_embedding,
+    )
+
+
+def _start_agents(run: RunInputs, day: Date) -> tuple[Future, Future] | None:
+    """The day's news and report agents, started on the agent executor. A
+    day with no news and no visible filing sends no request, so it gets
+    None: `_take_agents` runs its two agents itself, with no handoff."""
+    if not run.news_by_date.get(day) and not any(
+        f.symbol == run.cfg.symbol and f.period <= day for f in run.filings
+    ):
+        return None
+    return (run.agent_pool.submit(_news_agent, run, day),
+            run.agent_pool.submit(_report_agent, run, day))
+
+
+def _take_agents(run: RunInputs, day: Date, started: tuple[Future, Future] | None) -> tuple:
+    """The day's news and report results; the news agent's error is raised first."""
+    if started is None:
+        return _news_agent(run, day), _report_agent(run, day)
+    news, report = started
+    return news.result(), report.result()
+
+
+def step(
+    state: RunState,
+    run: RunInputs,
+    day: Date,
+    news: tuple[SentimentReport, AgentExchange],
+    report: tuple[FinanceSummary, AgentExchange],
+) -> None:
+    """Run one trading day from its news and report agents' results: label
+    yesterday, snapshot, risk check, the forecast, style and decision
+    agents, execute.
 
     The layer functions are looked up on this module at call time, so a
     wrapper installed there (as perfbench's traced run does) sees each call.
@@ -247,23 +302,7 @@ def step(state: RunState, run: RunInputs, day: Date) -> None:
     if cfg.flags.risk_management and state.account.shares > 0:
         verdict = evaluate_position(unrealized_pnl_pct(state.account, close), thresholds)
 
-    # The news and report agents read nothing of each other, so the report
-    # agent runs beside the news agent. A day without news sends no news
-    # request, so there it runs here, without the handoff. If both fail,
-    # the news agent's error is the one raised.
-    news = run.news_by_date.get(day, ())
-    report = partial(
-        run_report_agent, day, cfg.symbol, run.filings, cfg.retrieval, run.chat,
-        run.embedding, run.reranker, run.filing_ranks, cfg.seed,
-        use_rerank=cfg.flags.rerank_embedding,
-    )
-    beside = run.agent_pool.submit(report) if news else None
-    sentiment, news_ex = run_news_agent(
-        day, cfg.symbol, news, cfg.retrieval,
-        run.chat, run.embedding, run.reranker, run.importance, run.pool, cfg.seed,
-        exact_dedupe=not cfg.flags.rerank_embedding,
-    )
-    finance, report_ex = beside.result() if beside else report()
+    (sentiment, news_ex), (finance, report_ex) = news, report
 
     def reflection(audience):
         if cfg.flags.self_reflection:

@@ -4,8 +4,9 @@ sections, provider selection, and the four ablation flags."""
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field, fields, is_dataclass
-from datetime import date as Date, datetime
+from datetime import date as Date
 from functools import partial
 from pathlib import Path
 from typing import Any, Mapping
@@ -16,6 +17,8 @@ from .gate import GateConfig
 from .jsonl import as_str, read_document
 from .retrieval import RetrievalConfig
 from .risk import DEFAULT_MULTIPLIERS, RiskConfig, StyleMultipliers, TradingStyle
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True)
@@ -62,11 +65,13 @@ class BacktestConfig:
 
 
 def _as_date(value: Any) -> Date | None:
-    if isinstance(value, datetime):
-        return value.date()
-    if value is None or isinstance(value, Date):
+    """A YAML date, null, or a `YYYY-MM-DD` string; `date.fromisoformat`
+    alone would take more forms from Python 3.11 on (`20220103`, say)."""
+    if value is None or type(value) is Date:
         return value
-    return Date.fromisoformat(str(value))
+    if not (isinstance(value, str) and _ISO_DATE.fullmatch(value)):
+        raise ValueError(f"value must be a date written YYYY-MM-DD, got {value!r}")
+    return Date.fromisoformat(value)
 
 
 def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:

@@ -408,14 +408,15 @@ class TestBoundedRunState:
         series = load_price_csv(env.prices)
         days = trading_dates(series, None, None)[:30]
         state = RunState(AccountState.initial(cfg.initial_cash))
-        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool, ThreadPoolExecutor(1) as agent_pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool, ThreadPoolExecutor(2) as agent_pool:
             run = RunInputs(
                 cfg, series, {}, [], keyword_importance(load_keywords(None), 64),
                 make_chat_provider(cfg.provider), make_embedding_provider("stub"),
                 make_reranker_provider("stub"), pool, agent_pool,
             )
-            for day in days:
-                step(state, run, day)
+            for day in days:  # no news or filing: the agents send nothing
+                step(state, run, day, backtest._news_agent(run, day),
+                     backtest._report_agent(run, day))
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
         assert len(state.history) == REFLECTION_WINDOW == 20
         assert [d.date for d in state.history] == days[-21:-1]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from datetime import date
+
 import pytest
 
 from agentdesk.backtest import run_backtest
@@ -121,3 +123,30 @@ class TestStringFields:
         path.write_text("symbol: '000001'\nprovider_model: null\n", encoding="utf-8")
         cfg = load_config(path)
         assert (cfg.symbol, cfg.provider_model) == ("000001", None)
+
+
+class TestDateFields:
+    """A `Date | None` key takes a YAML date, null, or a `YYYY-MM-DD`
+    string, on every Python version: `date.fromisoformat` reads more forms
+    from 3.11 on."""
+
+    @pytest.mark.parametrize("text", ["2022-02-07", "'2022-02-07'", "null"])
+    def test_a_date_a_string_or_null_loads(self, tmp_path, text):
+        path = tmp_path / "config.yaml"
+        path.write_text(f"symbol: TEST\nstart: {text}\n", encoding="utf-8")
+        expected = None if text == "null" else date(2022, 2, 7)
+        assert load_config(path).start == expected
+
+    @pytest.mark.parametrize("text", [
+        "20220207", "'20220207'", "'2022-W06-1'", "'2022-2-7'", "'2022-02-07T00:00'",
+        "2022-02-07 09:30:00", "'2022-02-30'", "[2022, 2, 7]",
+    ])
+    def test_anything_else_exits_two_naming_the_key(self, tmp_path, capsys, text):
+        env = build_env(tmp_path, rising_closes(45))
+        env.config_path.write_text(f"symbol: TEST\nstart: {text}\n")
+        assert main([
+            "run", "--config", str(env.config_path),
+            "--prices", str(env.prices), "--out", str(env.out()),
+        ]) == 2
+        assert "bad config value for 'start'" in capsys.readouterr().err
+        assert not env.out().exists()

@@ -1,7 +1,7 @@
 """What one run keeps between its days: the latest filing's ranking, the
-news-importance memo, the request pool and the executor the report agent
-runs on beside the news agent. None of it may change an artifact, outlive
-the run, or let a day see data dated after it."""
+news-importance memo, the request pool and the executor the news and report
+agents run on, one day ahead of the rest of the day. None of it may change
+an artifact, outlive the run, or let a day see data dated after it."""
 
 from __future__ import annotations
 
@@ -150,33 +150,45 @@ class _NewsChat:
     """Stub chat that notes the threads its news calls run on. On
     `fail_on` (an ISO date) when given, it raises on the news calls unless
     `fail_news` is off, and with `fail_report` on the report agent's call
-    once the news agent has sent its first news call of that day."""
+    once the news agent has sent its first news call of that day. On
+    `forecast_fails_on`, the forecast call raises once the news agent has
+    sent its first news call of `fail_on`."""
 
     def __init__(self, inner, fail_on: str | None = None, fail_news: bool = True,
-                 fail_report: bool = False):
+                 fail_report: bool = False, forecast_fails_on: str | None = None):
         self.inner = inner
         self.fail_on = fail_on
         self.fail_news = fail_news
         self.fail_report = fail_report
+        self.forecast_fails_on = forecast_fails_on
         self.news_sent = threading.Event()
         self.threads: set[str] = set()
 
     def complete(self, messages, **kwargs):
-        user = messages[1]["content"]
+        system, user = messages[0]["content"], messages[1]["content"]
         failing_day = self.fail_on is not None and f"DATE: {self.fail_on}" in user
-        if "news-sentiment" in messages[0]["content"]:
+        if "news-sentiment" in system:
             self.threads.add(threading.current_thread().name)
             if failing_day:
                 self.news_sent.set()
                 if self.fail_news:
                     raise RuntimeError("chat provider crashed")
-        elif failing_day and self.fail_report and "ROLE: report" in messages[0]["content"]:
+        elif failing_day and self.fail_report and "ROLE: report" in system:
             assert self.news_sent.wait(5), "the report agent ran after the news agent"
             raise RuntimeError("report agent crashed")
+        elif ("ROLE: forecast" in system and self.forecast_fails_on is not None
+              and f"DATE: {self.forecast_fails_on}" in user):
+            assert self.news_sent.wait(5), "the next day's news agent ran after the forecast"
+            raise RuntimeError("forecast agent crashed")
         return self.inner.complete(messages, **kwargs)
 
 
 class TestOnePoolPerRun:
+    """The request pool and the agent executor, on which each day's news
+    and report agents run together, one day ahead of the forecast, style
+    and decision agents: no thread outlives a run, and a day's errors are
+    raised before the next day's, the news agent's first."""
+
     NEWS = [{"date": d, "title": f"Story {i}", "body": f"Revenue rose {i}."}
             for d in ("2022-02-02", "2022-02-03", "2022-02-04") for i in range(6)]
 
@@ -209,6 +221,13 @@ class TestOnePoolPerRun:
         with pytest.raises(RuntimeError, match="chat provider crashed"):
             self.run_counting_threads(tmp_path, monkeypatch, fail_on="2022-02-03",
                                       fail_report=True)
+
+    def test_a_forecast_error_wins_over_the_next_days_news_error(self, tmp_path, monkeypatch):
+        # The forecast of 2022-02-02 fails only once the news agent of
+        # 2022-02-03, which fails too, has sent its first news call.
+        with pytest.raises(RuntimeError, match="forecast agent crashed"):
+            self.run_counting_threads(tmp_path, monkeypatch, fail_on="2022-02-03",
+                                      forecast_fails_on="2022-02-02")
 
 
 class TestOverlap:
