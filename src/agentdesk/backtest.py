@@ -212,8 +212,11 @@ def run_backtest(
         # report agent's, then its step's; day d+1's results are read only
         # after that step.
         ahead = _start_agents(run, days[0])
-        for day, next_day in zip(days, days[1:] + [None]):
-            news, report = _take_agents(run, day, ahead)
+        for day, next_day in zip(days, [*days[1:], None]):
+            if ahead is None:
+                news, report = _news_agent(run, day), _report_agent(run, day)
+            else:
+                news, report = ahead[0].result(), ahead[1].result()
             if next_day is not None:
                 ahead = _start_agents(run, next_day)
             step(state, run, day, news, report)
@@ -258,7 +261,8 @@ def _report_agent(run: RunInputs, day: Date) -> tuple[FinanceSummary, AgentExcha
 def _start_agents(run: RunInputs, day: Date) -> tuple[Future, Future] | None:
     """The day's news and report agents, started on the agent executor. A
     day with no news and no visible filing sends no request, so it gets
-    None: `_take_agents` runs its two agents itself, with no handoff."""
+    None, and its two agents run when their results are taken, with no
+    handoff."""
     if not run.news_by_date.get(day) and not any(
         f.symbol == run.cfg.symbol and f.period <= day for f in run.filings
     ):
@@ -267,21 +271,9 @@ def _start_agents(run: RunInputs, day: Date) -> tuple[Future, Future] | None:
             run.agent_pool.submit(_report_agent, run, day))
 
 
-def _take_agents(run: RunInputs, day: Date, started: tuple[Future, Future] | None) -> tuple:
-    """The day's news and report results; the news agent's error is raised first."""
-    if started is None:
-        return _news_agent(run, day), _report_agent(run, day)
-    news, report = started
-    return news.result(), report.result()
-
-
-def step(
-    state: RunState,
-    run: RunInputs,
-    day: Date,
-    news: tuple[SentimentReport, AgentExchange],
-    report: tuple[FinanceSummary, AgentExchange],
-) -> None:
+def step(state: RunState, run: RunInputs, day: Date,
+         news: tuple[SentimentReport, AgentExchange],
+         report: tuple[FinanceSummary, AgentExchange]) -> None:
     """Run one trading day from its news and report agents' results: label
     yesterday, snapshot, risk check, the forecast, style and decision
     agents, execute.
