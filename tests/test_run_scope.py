@@ -230,6 +230,31 @@ class TestOnePoolPerRun:
                                       forecast_fails_on="2022-02-02")
 
 
+class TestInlineDays:
+    def test_only_a_day_that_sends_nothing_runs_its_agents_on_the_loop_thread(
+            self, tmp_path, monkeypatch):
+        news_day = "2022-02-03"
+        env = build_env(tmp_path, rising_closes(45), news=[
+            {"date": news_day, "title": "Story", "body": "Revenue rose."}])
+        write_filings(env, [(30, "q1.txt", "Revenue fell. Guidance was cut.")])
+        on_loop: dict[str, dict] = {"run_news_agent": {}, "run_report_agent": {}}
+        for name, seen in on_loop.items():
+            inner = getattr(backtest, name)
+
+            def noted(at, *args, _inner=inner, _seen=seen, **kwargs):
+                _seen[at] = threading.current_thread() is threading.main_thread()
+                return _inner(at, *args, **kwargs)
+            monkeypatch.setattr(backtest, name, noted)
+        run_env(env)
+
+        days = env.days[21:]
+        assert set(on_loop["run_news_agent"]) == set(days)
+        # no news and no visible filing: no request to wait on, so no handoff
+        sends_nothing = {d for d in days if d < env.days[30] and d.isoformat() != news_day}
+        for seen in on_loop.values():
+            assert {d for d, loop in seen.items() if loop} == sends_nothing
+
+
 class TestOverlap:
     """Requests that do not depend on one another are in flight together.
     Each test's providers wait on a barrier that requests sent one after
