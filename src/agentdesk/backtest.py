@@ -3,9 +3,10 @@ execution, lagged labeling, and run-artifact persistence.
 
 Per trading day: label the previous day (its next close is now known),
 build the indicator snapshot, check risk on any open position, run the
-agents in pipeline order, then execute either the risk override or the
-agent's action at the day's close. Artifacts are deterministic: identical
-config plus stub providers reproduce every file byte for byte.
+forecast, style and decision agents on the news and report agents'
+results (started a day ahead), then execute either the risk override or
+the agent's action at the day's close. Artifacts are deterministic:
+identical config plus stub providers reproduce every file byte for byte.
 """
 
 from __future__ import annotations
