@@ -233,7 +233,7 @@ def run_news_agent(
     embedding: EmbeddingProvider,
     reranker: RerankerProvider,
     importance: Callable[[str, str], float],
-    pool: Executor,
+    pool: Executor | None,
     seed: int = 0,
     *,
     exact_dedupe: bool = False,
@@ -241,7 +241,8 @@ def run_news_agent(
     """Score, dedupe, and select the day's news, then aggregate per-item
     provider sentiments, asked for on `pool`, into an influence-weighted
     market score. `importance` is the run's `keyword_importance`. Each
-    group of per-item relevance and embedding requests is sent at once."""
+    group of per-item relevance and embedding requests is sent at once.
+    Without a pool, every request is sent from this thread."""
     if not news:
         report = SentimentReport(0.0, "no news available", 0)
         return report, AgentExchange(
@@ -267,7 +268,7 @@ def run_news_agent(
         skip = (None, {}, ())
         return _call_or_fallback(chat, system, user, _validate_item_sentiment, seed, skip, skip)[0]
 
-    outcomes = list(pool.map(assess, selected))  # in input order
+    outcomes = list((pool.map if pool else map)(assess, selected))  # in input order
 
     used = [  # (influence, sentiment, title, summary) of each scored item
         (s.influence, outcome[0], s.item.title, outcome[1])

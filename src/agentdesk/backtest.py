@@ -4,8 +4,11 @@ execution, lagged labeling, and run-artifact persistence.
 Per trading day: label the previous day (its next close is now known),
 build the indicator snapshot, check risk on any open position, run the
 forecast, style and decision agents on the news and report agents'
-results (started a day ahead), then execute either the risk override or
-the agent's action at the day's close. Artifacts are deterministic:
+results, then execute either the risk override or the agent's action at
+the day's close. With an HTTP provider, the news and report agents start
+a day ahead, on another thread, unless the day sends no request; a run
+of in-process stubs never waits on a network, so it runs every agent on
+the loop thread, when its results are taken. Artifacts are deterministic:
 identical config plus stub providers reproduce every file byte for byte.
 """
 
@@ -15,6 +18,7 @@ import json
 from bisect import bisect_left
 from collections import deque
 from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from pathlib import Path
@@ -160,7 +164,9 @@ class RunInputs:
     repeated work or waiting: the news-importance memo
     (`keyword_importance`), the request pool (`providers.PROVIDER_WORKERS`), the
     two-worker executor the news and report agents run on one day ahead,
-    and the latest filing's ranking."""
+    and the latest filing's ranking. A run with no HTTP provider has
+    neither executor (both None): it sends every request from the loop
+    thread."""
 
     cfg: BacktestConfig
     series: PriceSeries
@@ -170,8 +176,8 @@ class RunInputs:
     chat: ChatProvider
     embedding: EmbeddingProvider
     reranker: RerankerProvider
-    pool: Executor
-    agent_pool: Executor
+    pool: Executor | None
+    agent_pool: Executor | None
     filing_ranks: FilingRanks = field(default_factory=FilingRanks)
 
 
@@ -201,9 +207,13 @@ def run_backtest(
     # Bounded like the provider memo; the bound is read when the run starts.
     importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
     state = RunState(AccountState.initial(cfg.initial_cash))
-    # Joined on any exit, the agent executor first: its agents may still be
-    # sending on the request pool.
-    with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool, ThreadPoolExecutor(2) as agent_pool:
+    # A stub never waits on a network, so a run with no HTTP provider sends
+    # every request from the loop thread: no executors, so no prefetch and
+    # no day-ahead agents. Otherwise both executors are joined on any exit,
+    # the agent executor first: its agents may still be sending on the pool.
+    threaded = "http" in (cfg.provider, cfg.embedding_provider, cfg.reranker_provider)
+    with (ThreadPoolExecutor(providers.PROVIDER_WORKERS) if threaded else nullcontext()) as pool, \
+            (ThreadPoolExecutor(2) if threaded else nullcontext()) as agent_pool:
         # Chat stays uncached: its prompts carry the date, so they never repeat.
         run = RunInputs(cfg, series, news_by_date, filings, importance, chat,
                         memoized(embedding, pool), memoized(reranker, pool), pool, agent_pool)
@@ -261,12 +271,13 @@ def _report_agent(run: RunInputs, day: Date) -> tuple[FinanceSummary, AgentExcha
 
 def _start_agents(run: RunInputs, day: Date) -> tuple[Future, Future] | None:
     """The day's news and report agents, started on the agent executor. A
-    day with no news and no visible filing sends no request, so it gets
-    None, and its two agents run when their results are taken, with no
-    handoff."""
-    if not run.news_by_date.get(day) and not any(
+    day whose requests cannot wait on a network (a run with no agent
+    executor, or a day with no news and no visible filing, which sends
+    nothing) gets None, and its two agents run when their results are
+    taken, with no handoff."""
+    if run.agent_pool is None or (not run.news_by_date.get(day) and not any(
         f.symbol == run.cfg.symbol and f.period <= day for f in run.filings
-    ):
+    )):
         return None
     return (run.agent_pool.submit(_news_agent, run, day),
             run.agent_pool.submit(_report_agent, run, day))

@@ -210,10 +210,14 @@ def _auth_headers(credentials_env: str | None) -> dict[str, str]:
     return {"Authorization": f"Bearer {token}"}
 
 
+# Built once: json.dumps with keyword arguments builds an encoder per call.
+_REQUEST_JSON = json.JSONEncoder(allow_nan=False)
+
+
 def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) -> dict:
     import http.client, urllib.request  # here, so stub runs never load an HTTP stack
     try:
-        request = urllib.request.Request(url, json.dumps(payload, allow_nan=False).encode())
+        request = urllib.request.Request(url, _REQUEST_JSON.encode(payload).encode())
         for name, value in {"Content-Type": "application/json", **headers}.items():
             request.add_unredirected_header(name, value)  # a redirect's target gets no token
         try:

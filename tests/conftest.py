@@ -164,13 +164,16 @@ class RunEnv:
 
 class Recording:
     """`inner`'s methods, each appending its request, `(method, *args)` and
-    then any keyword arguments as `(name, value)` pairs, to `seen` and then
-    holding it for up to `max_sleep_s`, a time fixed by the request and
-    `seed`, before it is answered. The methods `inner` lacks stay absent."""
+    then any keyword arguments as `(name, value)` pairs, to `seen` (and the
+    thread that sends it to `threads`, when given) and then holding it for
+    up to `max_sleep_s`, a time fixed by the request and `seed`, before it
+    is answered. The methods `inner` lacks stay absent."""
 
-    def __init__(self, inner, seen: list, max_sleep_s: float = 0.0, seed: int = 0):
+    def __init__(self, inner, seen: list, max_sleep_s: float = 0.0, seed: int = 0,
+                 threads: list | None = None):
         self._inner, self._seen, self._max_sleep_s = inner, seen, max_sleep_s
         self._salt = f"{seed}:".encode() if seed else b""
+        self._threads = threads
 
     def __getattr__(self, name):
         method = getattr(self._inner, name)
@@ -178,11 +181,35 @@ class Recording:
         def call(*args, **kwargs):
             request = (name, *args, *kwargs.items())
             self._seen.append(request)
+            if self._threads is not None:
+                self._threads.append(threading.current_thread())
             if self._max_sleep_s:
                 key = self._salt + repr(request).encode()
                 time.sleep(self._max_sleep_s * (zlib.crc32(key) % 100) / 99)
             return method(*args, **kwargs)
         return call
+
+
+PROVIDER_SPECS = {"provider": "make_chat_provider",
+                  "embedding_provider": "make_embedding_provider",
+                  "reranker_provider": "make_reranker_provider"}
+
+
+def threaded_stubs(env: RunEnv, monkeypatch) -> None:
+    """Give env's runs the threaded schedule of an HTTP run with the stub
+    answers: env's config names `http` for all three providers (with a
+    dummy endpoint and model), and `backtest.make_*_provider` builds the
+    stub the config named before, whatever the spec. A test that wraps a
+    factory after this call wraps the stub."""
+    from agentdesk import backtest
+
+    cfg = yaml.safe_load(env.config_path.read_text(encoding="utf-8"))
+    for key, factory in PROVIDER_SPECS.items():
+        make, stub = getattr(backtest, factory), cfg.get(key, "stub")
+        monkeypatch.setattr(backtest, factory, lambda _spec, _m=make, _s=stub, **k: _m(_s, **k))
+        cfg[key] = "http"
+    cfg.update(provider_endpoint="http://provider.invalid", provider_model="model")
+    env.config_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
 
 
 def build_env(

@@ -1,14 +1,20 @@
 """What one run keeps between its days: the latest filing's ranking, the
-news-importance memo, the request pool and the executor the news and report
-agents run on, one day ahead of the rest of the day. None of it may change
-an artifact, outlive the run, or let a day see data dated after it."""
+news-importance memo, and, in a run with an HTTP provider, the request pool
+and the executor the news and report agents run on, one day ahead of the
+rest of the day. None of it may change an artifact, outlive the run, or let
+a day see data dated after it. A run of stubs uses no thread but its own.
+
+The tests of the threaded schedule run the stubs behind `http` specs
+(`threaded_stubs`), so that they take the path of an HTTP run."""
 
 from __future__ import annotations
 
 import json
 import math
 import random
+import re
 import threading
+import zlib
 from concurrent.futures import Executor, Future
 from dataclasses import replace
 
@@ -18,7 +24,15 @@ from agentdesk import agents, backtest, providers
 from agentdesk.config import load_config
 from agentdesk.retrieval import keyword_importance
 
-from conftest import Recording, build_env, business_days, rising_closes, write_prices_csv
+from conftest import (
+    PROVIDER_SPECS,
+    Recording,
+    build_env,
+    business_days,
+    rising_closes,
+    threaded_stubs,
+    write_prices_csv,
+)
 
 ARTIFACT_FILES = ("config.yaml", "meta.json", "equity.jsonl", "trades.jsonl",
                   "trajectories.jsonl", "metrics.json")
@@ -194,6 +208,7 @@ class TestOnePoolPerRun:
 
     def run_counting_threads(self, tmp_path, monkeypatch, fail_on=None, **fail):
         env = build_env(tmp_path, rising_closes(45), news=self.NEWS, with_reports=True)
+        threaded_stubs(env, monkeypatch)
         chats = []
         make = backtest.make_chat_provider
         monkeypatch.setattr(backtest, "make_chat_provider", lambda *a, **k: chats.append(
@@ -237,6 +252,7 @@ class TestInlineDays:
         env = build_env(tmp_path, rising_closes(45), news=[
             {"date": news_day, "title": "Story", "body": "Revenue rose."}])
         write_filings(env, [(30, "q1.txt", "Revenue fell. Guidance was cut.")])
+        threaded_stubs(env, monkeypatch)
         on_loop: dict[str, dict] = {"run_news_agent": {}, "run_report_agent": {}}
         for name, seen in on_loop.items():
             inner = getattr(backtest, name)
@@ -255,6 +271,70 @@ class TestInlineDays:
             assert {d for d, loop in seen.items() if loop} == sends_nothing
 
 
+class _Noting:
+    """`inner`'s methods, each appending the thread that calls it and the
+    process's thread count at the call to `calls`."""
+
+    def __init__(self, inner, calls: list):
+        self._inner, self._calls = inner, calls
+
+    def __getattr__(self, name):
+        method = getattr(self._inner, name)
+
+        def call(*args, **kwargs):
+            self._calls.append((threading.current_thread(), threading.active_count()))
+            return method(*args, **kwargs)
+        return call
+
+
+def note_provider_calls(monkeypatch) -> list:
+    calls: list = []
+    for factory in PROVIDER_SPECS.values():
+        make = getattr(backtest, factory)
+        monkeypatch.setattr(backtest, factory, lambda *a, _m=make, **k: _Noting(_m(*a, **k), calls))
+    return calls
+
+
+class TestStubRunOnOneThread:
+    """A stub never waits on a network, so a run whose providers are all
+    stubs sends every request from the loop thread; one with any `http`
+    provider spec keeps its threads."""
+
+    def test_a_stub_run_uses_no_other_thread_and_gives_the_threaded_artifacts(
+            self, tmp_path, monkeypatch):
+        env, _ = news_heavy_env(tmp_path / "env", bars=60, filing_every=15)
+        calls = note_provider_calls(monkeypatch)
+        with monkeypatch.context() as no_executor:
+            no_executor.setattr(backtest, "ThreadPoolExecutor", None)  # building one fails
+            before = threading.active_count()
+            run_env(env, "stub")
+        assert calls and threading.active_count() == before
+        assert {(thread, count) for thread, count in calls} == {(threading.main_thread(), before)}
+
+        stub_config = load_config(env.config_path)
+        del calls[:]
+        threaded_stubs(env, monkeypatch)
+        run_env(env, "threaded")
+        assert any(thread is not threading.main_thread() for thread, _ in calls)
+        assert load_config(env.config_path) == replace(
+            stub_config, provider="http", embedding_provider="http", reranker_provider="http",
+            provider_endpoint="http://provider.invalid", provider_model="model")
+        for name in ARTIFACT_FILES:
+            if name != "config.yaml":  # it holds the provider specs
+                assert (env.out("threaded") / name).read_bytes() == \
+                    (env.out("stub") / name).read_bytes(), name
+
+    def test_a_run_with_one_http_provider_keeps_its_threads(self, tmp_path, monkeypatch):
+        env = build_env(tmp_path, rising_closes(45), news=TestOnePoolPerRun.NEWS, config={
+            "embedding_provider": "http", "provider_endpoint": "http://provider.invalid",
+            "provider_model": "model"})
+        make = backtest.make_embedding_provider
+        monkeypatch.setattr(backtest, "make_embedding_provider", lambda _spec, **k: make("stub", **k))
+        calls = note_provider_calls(monkeypatch)
+        run_env(env)
+        assert any(thread is not threading.main_thread() for thread, _ in calls)
+
+
 class TestOverlap:
     """Requests that do not depend on one another are in flight together.
     Each test's providers wait on a barrier that requests sent one after
@@ -264,6 +344,7 @@ class TestOverlap:
         news_day = "2022-02-03"
         env = build_env(tmp_path, rising_closes(45), with_reports=True, news=[
             {"date": news_day, "title": "Story", "body": "Revenue rose."}])
+        threaded_stubs(env, monkeypatch)
         together = threading.Barrier(2, timeout=5)
         met = []
 
@@ -297,16 +378,19 @@ class TestOverlap:
         # at once would show here as a repeat. Each request is held for up
         # to 2 ms, so that requests sent side by side do overlap.
         env, _ = news_heavy_env(tmp_path / "env", bars=90)
+        threaded_stubs(env, monkeypatch)
         makes = {name: getattr(backtest, name)
                  for name in ("make_embedding_provider", "make_reranker_provider")}
         sent: dict[int, list] = {}
+        threads: list[threading.Thread] = []
         for workers in (4, 1):
             seen = sent[workers] = []
             monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
             for name, make in makes.items():
                 monkeypatch.setattr(backtest, name, lambda *a, _m=make, _s=seen, **k:
-                                    Recording(_m(*a, **k), _s, 0.002))
+                                    Recording(_m(*a, **k), _s, 0.002, threads=threads))
             run_env(env, f"workers-{workers}")
+        assert any(thread is not threading.main_thread() for thread in threads)
         assert {request[0] for request in sent[4]} == {"dense", "sparse", "relevance"}
         for seen in sent.values():
             assert len(seen) == len(set(seen))
@@ -332,27 +416,50 @@ class _Inline(Executor):
         return future
 
 
+class _FailingChat:
+    """Stub chat that fails the calls of each role in `failing` dated on or
+    after the day it maps the role to, each with an error that names its
+    prompt."""
+
+    def __init__(self, inner, failing: dict[str, str]):
+        self.inner, self.failing = inner, failing
+
+    def complete(self, messages, **kwargs):
+        system, user = messages[0]["content"], messages[1]["content"]
+        role = system.removeprefix("ROLE: ")
+        at = re.search(r"^DATE: (\S+)", user, re.MULTILINE)
+        if role in self.failing and at and at[1] >= self.failing[role]:
+            raise RuntimeError(f"{role} call failed: {zlib.crc32(user.encode()):08x}")
+        return self.inner.complete(messages, **kwargs)
+
+
 class TestScheduleOracle:
     """Every schedule of a run gives the sequential schedule's artifacts and
-    requests. Each provider request is held for a time from 0 to 2 ms fixed
-    by the request and the seed, so the run's concurrent parts interleave
-    differently with each seed and worker count. A filing every 15 bars
-    gives the run three days on which a newer filing is ranked."""
+    requests, or its error. Each provider request is held for a time from 0
+    to 2 ms fixed by the request and the seed, so the run's concurrent parts
+    interleave differently with each seed and worker count. A filing every
+    15 bars gives the run three days on which a newer filing is ranked."""
 
     MEMOIZED = ("dense", "sparse", "relevance")
 
     def run_jittered(self, env, name, seed, monkeypatch, max_sleep_s=0.002):
         seen: list[tuple] = []
+        threads: list[threading.Thread] = []
         for factory in ("make_chat_provider", "make_embedding_provider", "make_reranker_provider"):
             make = getattr(backtest, factory)
             monkeypatch.setattr(backtest, factory, lambda *a, _m=make, **k:
-                                Recording(_m(*a, **k), seen, max_sleep_s, seed))
-        run_env(env, name)
+                                Recording(_m(*a, **k), seen, max_sleep_s, seed, threads))
+        try:
+            run_env(env, name)
+        finally:
+            if max_sleep_s:  # the concurrent run: it must have used other threads
+                assert any(t is not threading.main_thread() for t in threads)
         return sorted(map(repr, seen)), seen
 
     @pytest.mark.parametrize("seed, workers", ((1, 1), (2, 2), (3, 4)))
     def test_every_schedule_gives_the_sequential_run(self, tmp_path, monkeypatch, seed, workers):
         env, _ = news_heavy_env(tmp_path / "env", bars=60, seed=seed, filing_every=15)
+        threaded_stubs(env, monkeypatch)
         with monkeypatch.context() as sequential:
             sequential.setattr(backtest, "ThreadPoolExecutor", _Inline)
             # one schedule whatever the delays, so none is added
@@ -365,3 +472,32 @@ class TestScheduleOracle:
         for name in ARTIFACT_FILES:
             assert (env.out("concurrent") / name).read_bytes() == \
                 (env.out("sequential") / name).read_bytes(), name
+
+    @pytest.mark.parametrize("failing, seed, workers", (
+        ({"news-sentiment": 0}, 1, 4),
+        ({"report": 0}, 2, 2),
+        ({"forecast": 0, "news-sentiment": 1}, 3, 4),
+        ({"decision": 0, "report": 1}, 4, 1),
+    ), ids=("news", "report", "forecast-then-news", "decision-then-report"))
+    def test_a_provider_failure_gives_the_sequential_error(
+            self, tmp_path, monkeypatch, failing, seed, workers):
+        # The chat provider fails each role's calls from a chosen day on (a
+        # trading day, or the day after it). The chosen day's error must be
+        # raised, also where the next day's news or report agent, which may
+        # already be running beside it, fails first.
+        env, _ = news_heavy_env(tmp_path / "env", bars=60, seed=seed, filing_every=15)
+        threaded_stubs(env, monkeypatch)
+        make = backtest.make_chat_provider
+        since = {role: env.days[40 + later].isoformat() for role, later in failing.items()}
+        monkeypatch.setattr(backtest, "make_chat_provider", lambda *a, **k:
+                            _FailingChat(make(*a, **k), since))
+        with monkeypatch.context() as sequential:
+            sequential.setattr(backtest, "ThreadPoolExecutor", _Inline)
+            with pytest.raises(RuntimeError) as reference:
+                self.run_jittered(env, "sequential", seed, sequential, 0.0)
+        monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
+        with pytest.raises(RuntimeError) as raised:
+            self.run_jittered(env, "concurrent", seed, monkeypatch)
+        assert str(reference.value).startswith(f"{next(iter(failing))} call failed")
+        assert type(raised.value) is type(reference.value)
+        assert str(raised.value) == str(reference.value)
