@@ -165,9 +165,10 @@ class RunEnv:
 class Recording:
     """`inner`'s methods, each appending its request, `(method, *args)` and
     then any keyword arguments as `(name, value)` pairs, to `seen` (and the
-    thread that sends it to `threads`, when given) and then holding it for
-    up to `max_sleep_s`, a time fixed by the request and `seed`, before it
-    is answered. The methods `inner` lacks stay absent."""
+    thread that sends it, with the process's thread count then, to
+    `threads`, when given) and then holding it for up to `max_sleep_s`, a
+    time fixed by the request and `seed`, before it is answered. The
+    methods `inner` lacks stay absent."""
 
     def __init__(self, inner, seen: list, max_sleep_s: float = 0.0, seed: int = 0,
                  threads: list | None = None):
@@ -182,7 +183,7 @@ class Recording:
             request = (name, *args, *kwargs.items())
             self._seen.append(request)
             if self._threads is not None:
-                self._threads.append(threading.current_thread())
+                self._threads.append((threading.current_thread(), threading.active_count()))
             if self._max_sleep_s:
                 key = self._salt + repr(request).encode()
                 time.sleep(self._max_sleep_s * (zlib.crc32(key) % 100) / 99)
@@ -202,10 +203,12 @@ def threaded_stubs(env: RunEnv, monkeypatch) -> None:
     stub the config named before, whatever the spec. A test that wraps a
     factory after this call wraps the stub."""
     from agentdesk import backtest
+    from agentdesk.config import load_config
 
+    stubs = load_config(env.config_path)
     cfg = yaml.safe_load(env.config_path.read_text(encoding="utf-8"))
     for key, factory in PROVIDER_SPECS.items():
-        make, stub = getattr(backtest, factory), cfg.get(key, "stub")
+        make, stub = getattr(backtest, factory), getattr(stubs, key)
         monkeypatch.setattr(backtest, factory, lambda _spec, _m=make, _s=stub, **k: _m(_s, **k))
         cfg[key] = "http"
     cfg.update(provider_endpoint="http://provider.invalid", provider_model="model")

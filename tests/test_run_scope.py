@@ -271,27 +271,13 @@ class TestInlineDays:
             assert {d for d, loop in seen.items() if loop} == sends_nothing
 
 
-class _Noting:
-    """`inner`'s methods, each appending the thread that calls it and the
-    process's thread count at the call to `calls`."""
-
-    def __init__(self, inner, calls: list):
-        self._inner, self._calls = inner, calls
-
-    def __getattr__(self, name):
-        method = getattr(self._inner, name)
-
-        def call(*args, **kwargs):
-            self._calls.append((threading.current_thread(), threading.active_count()))
-            return method(*args, **kwargs)
-        return call
-
-
 def note_provider_calls(monkeypatch) -> list:
+    """The thread of each provider call, with the thread count then."""
     calls: list = []
     for factory in PROVIDER_SPECS.values():
         make = getattr(backtest, factory)
-        monkeypatch.setattr(backtest, factory, lambda *a, _m=make, **k: _Noting(_m(*a, **k), calls))
+        monkeypatch.setattr(backtest, factory, lambda *a, _m=make, **k:
+                            Recording(_m(*a, **k), [], threads=calls))
     return calls
 
 
@@ -309,7 +295,7 @@ class TestStubRunOnOneThread:
             before = threading.active_count()
             run_env(env, "stub")
         assert calls and threading.active_count() == before
-        assert {(thread, count) for thread, count in calls} == {(threading.main_thread(), before)}
+        assert set(calls) == {(threading.main_thread(), before)}
 
         stub_config = load_config(env.config_path)
         del calls[:]
@@ -382,7 +368,7 @@ class TestOverlap:
         makes = {name: getattr(backtest, name)
                  for name in ("make_embedding_provider", "make_reranker_provider")}
         sent: dict[int, list] = {}
-        threads: list[threading.Thread] = []
+        threads: list[tuple[threading.Thread, int]] = []
         for workers in (4, 1):
             seen = sent[workers] = []
             monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
@@ -390,7 +376,7 @@ class TestOverlap:
                 monkeypatch.setattr(backtest, name, lambda *a, _m=make, _s=seen, **k:
                                     Recording(_m(*a, **k), _s, 0.002, threads=threads))
             run_env(env, f"workers-{workers}")
-        assert any(thread is not threading.main_thread() for thread in threads)
+        assert any(thread is not threading.main_thread() for thread, _ in threads)
         assert {request[0] for request in sent[4]} == {"dense", "sparse", "relevance"}
         for seen in sent.values():
             assert len(seen) == len(set(seen))
@@ -444,7 +430,7 @@ class TestScheduleOracle:
 
     def run_jittered(self, env, name, seed, monkeypatch, max_sleep_s=0.002):
         seen: list[tuple] = []
-        threads: list[threading.Thread] = []
+        threads: list[tuple[threading.Thread, int]] = []
         for factory in ("make_chat_provider", "make_embedding_provider", "make_reranker_provider"):
             make = getattr(backtest, factory)
             monkeypatch.setattr(backtest, factory, lambda *a, _m=make, **k:
@@ -453,7 +439,7 @@ class TestScheduleOracle:
             run_env(env, name)
         finally:
             if max_sleep_s:  # the concurrent run: it must have used other threads
-                assert any(t is not threading.main_thread() for t in threads)
+                assert any(t is not threading.main_thread() for t, _ in threads)
         return sorted(map(repr, seen)), seen
 
     @pytest.mark.parametrize("seed, workers", ((1, 1), (2, 2), (3, 4)))
