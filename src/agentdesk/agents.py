@@ -22,7 +22,7 @@ from .errors import ParseError, ProviderError
 from .gate import GateConfig, TrendLabel, TrendProbabilities, classify_trend
 from .marketdata import IndicatorSnapshot
 from .portfolio import AccountState
-from .providers import ChatProvider, prefetch
+from .providers import ChatProvider
 from .retrieval import (
     EmbeddingProvider,
     Filing,
@@ -240,9 +240,8 @@ def run_news_agent(
 ) -> tuple[SentimentReport, AgentExchange]:
     """Score, dedupe, and select the day's news, then aggregate per-item
     provider sentiments, asked for on `pool`, into an influence-weighted
-    market score. `importance` is the run's `keyword_importance`. Each
-    group of per-item relevance and embedding requests is sent at once.
-    Without a pool, every request is sent from this thread."""
+    market score. `importance` is the run's `keyword_importance`. Without
+    a pool, every request is sent from this thread."""
     if not news:
         report = SentimentReport(0.0, "no news available", 0)
         return report, AgentExchange(
@@ -251,10 +250,7 @@ def run_news_agent(
         )
 
     query = NEWS_QUERY.format(symbol=symbol)
-    prefetch(reranker, (("relevance", query, item.text) for item in news))
     scored = score_news(news, importance, reranker, query)
-    if not exact_dedupe:
-        prefetch(embedding, (("dense", s.item.text) for s in scored))
     selected = dedupe(scored, embedding, cfg, exact_only=exact_dedupe, limit=cfg.news_top_k)
 
     def assess(item_scored):
@@ -350,8 +346,7 @@ def run_report_agent(
     price-relevant passages, and summarize them with chunk citations.
 
     `ranks` keeps the ranking from one day to the next, so one run (one
-    symbol, config and provider set) ranks each filing once. The chunks'
-    embeddings, and then their reranks, are each sent as one group."""
+    symbol, config and provider set) ranks each filing once."""
     visible = [f for f in filings if f.symbol == symbol and f.period <= at]
     if not visible:
         summary = FinanceSummary((), "no filing available", flags=("no_filing",))
@@ -364,8 +359,6 @@ def run_report_agent(
     query = REPORT_QUERY.format(symbol=symbol)
     if ranks.filing != latest:
         chunks = chunk_report(latest.text, cfg, doc_id=latest.path.name)
-        prefetch(embedding, ((kind, text) for c in chunks
-                             for kind in ("dense", "sparse") for text in (query, c.text)))
         hybrid = retrieve_topk(query, chunks, embedding, cfg)
         ranks.filing, ranks.hybrid, ranks.reranked = latest, hybrid, None
 
@@ -374,7 +367,6 @@ def run_report_agent(
     if use_rerank:
         try:
             if ranks.reranked is None:
-                prefetch(reranker, (("relevance", query, r.chunk.text) for r in ranks.hybrid))
                 ranks.reranked = rerank(query, ranks.hybrid, reranker, cfg)
             candidates = ranks.reranked
         except ProviderError:

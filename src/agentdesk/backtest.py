@@ -6,10 +6,10 @@ build the indicator snapshot, check risk on any open position, run the
 forecast, style and decision agents on the news and report agents'
 results, then execute either the risk override or the agent's action at
 the day's close. With an HTTP provider, the news and report agents start
-a day ahead, on another thread, unless the day sends no request; a run
-of in-process stubs never waits on a network, so it runs every agent on
-the loop thread, when its results are taken. Artifacts are deterministic:
-identical config plus stub providers reproduce every file byte for byte.
+a day ahead, on another thread; a run of in-process stubs never waits on
+a network, so it runs every agent on the loop thread, when its results
+are taken. Artifacts are deterministic: identical config plus stub
+providers reproduce every file byte for byte.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from .datasynth import (
     prompt_digest,
 )
 from .errors import DataError
-from .jsonl import read_document, read_jsonl, write_json, write_jsonl, write_text
+from .jsonl import as_number, read_document, read_jsonl, write_json, write_jsonl, write_text
 from .marketdata import ATR_WINDOW, TRADING_DAYS_PER_YEAR, PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
@@ -208,9 +208,9 @@ def run_backtest(
     importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
     state = RunState(AccountState.initial(cfg.initial_cash))
     # A stub never waits on a network, so a run with no HTTP provider sends
-    # every request from the loop thread: no executors, so no prefetch and
-    # no day-ahead agents. Otherwise both executors are joined on any exit,
-    # the agent executor first: its agents may still be sending on the pool.
+    # every request from the loop thread: no request pool and no day-ahead
+    # agents. Otherwise both executors are joined on any exit, the agent
+    # executor first: its agents may still be sending on the pool.
     threaded = "http" in (cfg.provider, cfg.embedding_provider, cfg.reranker_provider)
     with (ThreadPoolExecutor(providers.PROVIDER_WORKERS) if threaded else nullcontext()) as pool, \
             (ThreadPoolExecutor(2) if threaded else nullcontext()) as agent_pool:
@@ -271,13 +271,9 @@ def _report_agent(run: RunInputs, day: Date) -> tuple[FinanceSummary, AgentExcha
 
 def _start_agents(run: RunInputs, day: Date) -> tuple[Future, Future] | None:
     """The day's news and report agents, started on the agent executor. A
-    day whose requests cannot wait on a network (a run with no agent
-    executor, or a day with no news and no visible filing, which sends
-    nothing) gets None, and its two agents run when their results are
-    taken, with no handoff."""
-    if run.agent_pool is None or (not run.news_by_date.get(day) and not any(
-        f.symbol == run.cfg.symbol and f.period <= day for f in run.filings
-    )):
+    run with none gets None, and each day's two agents run when their
+    results are taken, with no handoff."""
+    if run.agent_pool is None:
         return None
     return (run.agent_pool.submit(_news_agent, run, day),
             run.agent_pool.submit(_report_agent, run, day))
@@ -450,8 +446,14 @@ def load_equity_curve(run_dir: str | Path) -> list[tuple[Date, float]]:
     )
 
 
+def _trade(obj: dict) -> dict:
+    trade = dict(obj)
+    as_number(trade.get("quantity", 0), "quantity")
+    return trade
+
+
 def load_trades(run_dir: str | Path) -> list[dict]:
-    return read_jsonl(Path(run_dir) / TRADES_FILE, "trade", dict)
+    return read_jsonl(Path(run_dir) / TRADES_FILE, "trade", _trade)
 
 
 def load_metrics(run_dir: str | Path) -> dict:
@@ -463,7 +465,7 @@ def replay(run_dir: str | Path) -> MetricsReport:
     match against the stored report."""
     curve = load_equity_curve(run_dir)
     trades = load_trades(run_dir)
-    n_trades = sum(1 for t in trades if float(t.get("quantity", 0)) > 0)
+    n_trades = sum(1 for t in trades if t.get("quantity", 0) > 0)
     recomputed = compute_metrics([v for _, v in curve], n_trades)
     stored = load_metrics(run_dir)
     for field_name, value in vars(recomputed).items():

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .gate import LABELS, TrendLabel, TrendProbabilities
-from .jsonl import as_str, read_jsonl, write_jsonl
+from .jsonl import as_number, as_str, read_jsonl, write_jsonl
 from .marketdata import PriceSeries, trailing_log_returns
 from .portfolio import ACTION_KINDS, AccountState, TradeAction, apply_action
 from .risk import TradingStyle
@@ -305,12 +305,6 @@ def prompt_digest(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def _finite(value: object, what: str) -> None:
-    # Exact types, as in `providers._number`: a JSON true/false is no score.
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, not {value!r}")
-
-
 def record_from_dict(obj: dict) -> TrajectoryRecord:
     """Inverse of the JSON form of a record: nested objects become their
     dataclasses and the date is parsed back from its ISO string. Refuses a
@@ -322,9 +316,9 @@ def record_from_dict(obj: dict) -> TrajectoryRecord:
     fl = obj.get("forecast_label")
     dl = obj.get("decision_label")
     if fl is not None:
-        _finite(fl["w_hit"], "forecast_label.w_hit")
+        as_number(fl["w_hit"], "forecast_label.w_hit")
     if dl is not None:
-        _finite(dl["taken_reward"], "decision_label.taken_reward")
+        as_number(dl["taken_reward"], "decision_label.taken_reward")
     return TrajectoryRecord(
         date=Date.fromisoformat(obj["date"]),
         symbol=obj["symbol"],

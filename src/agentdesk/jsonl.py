@@ -11,6 +11,7 @@ non-UTF-8 or unparseable input is a DataError naming the input.
 from __future__ import annotations
 
 import json
+import math
 import os
 from dataclasses import fields, is_dataclass
 from datetime import date as Date
@@ -77,6 +78,14 @@ def as_str(value: Any, what: str) -> str:
     say) raises TypeError naming `what`."""
     if not isinstance(value, str):
         raise TypeError(f"{what} must be a string, got {value!r}")
+    return value
+
+
+def as_number(value: Any, what: str) -> float:
+    """`value`, a parsed input's finite number; anything else (a string, a
+    null, a NaN or a JSON true/false) raises ValueError naming `what`."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise ValueError(f"{what} must be a finite number, not {value!r}")
     return value
 
 

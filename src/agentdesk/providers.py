@@ -13,7 +13,6 @@ style, hold).
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 import os
@@ -330,7 +329,10 @@ class HttpEmbeddingProvider(_HttpClient):
         weights = body.get("weights")
         if not isinstance(weights, dict):
             raise ProviderError("sparse embedding response is missing 'weights'")
-        vector = {_bucket(str(k), SPARSE_BUCKETS): _number(v) for k, v in weights.items()}
+        vector: dict[int, float] = {}
+        for term, weight in weights.items():  # terms that share a bucket add up, as in the stub
+            key = _bucket(str(term), SPARSE_BUCKETS)
+            vector[key] = vector.get(key, 0.0) + _number(weight)
         _check_norm(vector.values())
         return vector
 
@@ -364,8 +366,8 @@ class HttpRerankerProvider(_HttpClient):
 MEMO_ENTRIES = 4096
 _MEMOIZED = ("dense", "sparse", "relevance")
 # Provider requests one run has in flight at once: the size of its request
-# pool, which sends the news items' sentiment calls and each prefetched
-# group. Read when the run starts.
+# pool, which sends the news items' sentiment calls and each group a memo is
+# asked for. Read when the run starts.
 PROVIDER_WORKERS = 4
 
 
@@ -381,54 +383,43 @@ class _Memo:
         for name in _MEMOIZED:
             if hasattr(provider, name):
                 self._answers[name] = OrderedDict()
-                setattr(self, name, functools.partial(self._read, name))
+                setattr(self, name, lambda *args, _name=name: self.ask([(_name, *args)])[0])
 
-    def _read(self, name: str, *args):
-        answers = self._answers[name]
+    def ask(self, requests: Iterable[tuple]) -> list:
+        """The answers to `requests`, each `(method name, *args)`, in input
+        order. Each distinct miss is sent once. With a pool, this thread and
+        up to `PROVIDER_WORKERS - 1` tasks on it each send a share, one
+        request after another, and the first error in input order is raised
+        once every request has finished. Without a pool, or for a lone miss,
+        the misses are sent in turn here, and the first error is raised at
+        once. The answers that succeed are kept either way."""
+        requests = list(requests)
+        found: dict[tuple, object] = {}
         with self._lock:
-            if args in answers:
-                answers.move_to_end(args)
-                return answers[args]
-        value = getattr(self._provider, name)(*args)
-        with self._lock:
-            answers[args] = value
-            if len(answers) > self._entries:
-                answers.popitem(last=False)
-        return value
-
-    def prefetch(self, requests: Iterable[tuple]) -> None:
-        """Send the misses among `requests`, each `(method name, *args)`,
-        together, so that the reads which follow hit. Each distinct miss is
-        sent once: this thread and up to `PROVIDER_WORKERS - 1` tasks on the
-        run's request pool each send a share, one request after another, so
-        a lone miss is sent here. A hit counts as used, so the group's
-        answers do not evict it before its read. Keeps the answers that
-        succeed and, once every request has finished, raises the first
-        error in input order.
-        Without a pool, or when the misses outnumber the memo's entries
-        (their answers would evict one another before they are read),
-        leaves every request to its read."""
-        if self._pool is None:
-            return
-        missing = []
-        with self._lock:
-            for request in dict.fromkeys(requests):
+            for request in requests:
                 answers, args = self._answers[request[0]], request[1:]
                 if args in answers:
                     answers.move_to_end(args)
-                else:
-                    missing.append(request)
-        if len(missing) > self._entries:
-            return
+                    found[request] = answers[args]
+        missing = [request for request in dict.fromkeys(requests) if request not in found]
+        senders = min(len(missing), self._senders if self._pool else 1)
         errors: dict[int, Exception] = {}
-        senders = min(len(missing), self._senders)
 
         def send(first: int) -> None:
             for i in range(first, len(missing), senders):
+                request = missing[i]
                 try:
-                    self._read(*missing[i])
-                except Exception as exc:  # raised below, after every request
-                    errors[i] = exc
+                    value = getattr(self._provider, request[0])(*request[1:])
+                except Exception as exc:
+                    if senders == 1:
+                        raise
+                    errors[i] = exc  # raised below, after every request
+                else:
+                    with self._lock:
+                        answers = self._answers[request[0]]
+                        answers[request[1:]] = found[request] = value
+                        if len(answers) > self._entries:
+                            answers.popitem(last=False)
 
         pending = [self._pool.submit(send, first) for first in range(1, senders)]
         if missing:
@@ -437,12 +428,13 @@ class _Memo:
             task.result()
         if errors:
             raise errors[min(errors)]
+        return [found[request] for request in requests]
 
 
 def memoized(provider, pool: Executor | None = None):
     """`provider`'s `dense`, `sparse` and `relevance` methods (those it has)
     behind one bounded LRU memo each, keyed by the exact arguments, plus
-    `prefetch`, which sends a group of requests at once on `pool`.
+    `ask`, which sends a group of requests at once on `pool`.
 
     Embeddings and relevance depend only on the request, so one run asks
     the provider once per distinct request while it stays among the last
@@ -455,11 +447,13 @@ def memoized(provider, pool: Executor | None = None):
     return _Memo(provider, pool)
 
 
-def prefetch(provider, requests: Iterable[tuple]) -> None:
-    """`memoized(...).prefetch(requests)`; a provider without a memo
-    answers each request when it is read."""
+def ask(provider, requests: Iterable[tuple]) -> list:
+    """The answers to `requests`, each `(method name, *args)`, in input
+    order: `memoized(...).ask(requests)`, or a provider without a memo
+    asked one request at a time."""
     if isinstance(provider, _Memo):
-        provider.prefetch(requests)
+        return provider.ask(requests)
+    return [getattr(provider, name)(*args) for name, *args in requests]
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,8 @@ dense+sparse retrieval with top-k reranking.
 
 Embedding and reranker backends are abstract contracts so tests run against
 deterministic in-process stubs while production can point at real services.
+Each step asks its backend for the requests it needs as one group
+(`providers.ask`), which a run's memo sends together.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import yaml
 
 from .errors import DataError
 from .jsonl import as_str, read_document, read_jsonl, read_text
+from .providers import ask
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -193,9 +196,9 @@ def score_news(
     """Score items and return them sorted by influence, descending.
     `importance(title, body)` is an item's base score (`keyword_importance`)."""
     scored = []
-    for item in items:
+    probs = ask(reranker, [("relevance", query, item.text) for item in items])
+    for item, prob in zip(items, probs):
         base = importance(item.title, item.body)
-        prob = reranker.relevance(query, item.text)
         scored.append(ScoredNews(item, base, prob, influence_score(base, prob)))
     scored.sort(key=lambda s: -s.influence)
     return scored
@@ -236,7 +239,8 @@ def dedupe(
     cfg.dedup_cosine. With exact_only, only byte-identical title+body
     pairs collapse (embedding-free fallback). Each kept item depends only
     on the items kept before it, so stopping at the `limit`-th kept item
-    returns exactly `dedupe(items)[:limit]`, reading no item past it.
+    returns exactly `dedupe(items)[:limit]`, reading no item past it: it
+    asks for the vectors of as many items at once as the limit has room for.
     """
     kept: list[ScoredNews] = []
     if exact_only:
@@ -251,14 +255,15 @@ def dedupe(
         return kept
 
     kept_vecs: list[tuple[Sequence[float], float]] = []  # (vector, its norm)
-    for scored in items:
-        if len(kept) == limit:
-            break
-        vec = provider.dense(scored.item.text)
-        norm = _norm(vec)
-        if all(_normed_cosine(vec, norm, kv, kn) < cfg.dedup_cosine for kv, kn in kept_vecs):
-            kept.append(scored)
-            kept_vecs.append((vec, norm))
+    rest = list(items)
+    while rest and len(kept) != limit:
+        room = len(rest) if limit is None else limit - len(kept)
+        batch, rest = rest[:room], rest[room:]
+        for scored, vec in zip(batch, ask(provider, [("dense", s.item.text) for s in batch])):
+            norm = _norm(vec)
+            if all(_normed_cosine(vec, norm, kv, kn) < cfg.dedup_cosine for kv, kn in kept_vecs):
+                kept.append(scored)
+                kept_vecs.append((vec, norm))
     return kept
 
 
@@ -297,15 +302,12 @@ def chunk_report(doc: str, cfg: RetrievalConfig = RetrievalConfig(), doc_id: str
     return chunks
 
 
-def hybrid_score(
-    query: str,
-    chunk: Chunk,
-    provider: EmbeddingProvider,
-    cfg: RetrievalConfig = RetrievalConfig(),
-) -> float:
+def hybrid_score(query_dense: Sequence[float], query_sparse: Mapping[int, float],
+                 chunk_dense: Sequence[float], chunk_sparse: Mapping[int, float],
+                 cfg: RetrievalConfig = RetrievalConfig()) -> float:
     """Weighted sum of dense cosine and sparse inner-product similarity."""
-    dense = cfg.w_dense * _cosine(provider.dense(query), provider.dense(chunk.text))
-    sparse = cfg.w_sparse * _sparse_inner(provider.sparse(query), provider.sparse(chunk.text))
+    dense = cfg.w_dense * _cosine(query_dense, chunk_dense)
+    sparse = cfg.w_sparse * _sparse_inner(query_sparse, chunk_sparse)
     return dense + sparse
 
 
@@ -318,7 +320,12 @@ def retrieve_topk(
     """Top hybrid_top_k chunks by hybrid score; ties keep ordinal order."""
     if not chunks:
         raise DataError("no chunks to retrieve from")
-    ranked = [RankedChunk(c, hybrid_score(query, c, provider, cfg)) for c in chunks]
+    requests = [(kind, text) for c in chunks
+                for kind in ("dense", "sparse") for text in (query, c.text)]
+    vec = dict(zip(requests, ask(provider, requests)))
+    ranked = [RankedChunk(c, hybrid_score(vec["dense", query], vec["sparse", query],
+                                          vec["dense", c.text], vec["sparse", c.text], cfg))
+              for c in chunks]
     ranked.sort(key=lambda r: (-r.hybrid, r.chunk.ordinal))
     return ranked[: cfg.hybrid_top_k]
 
@@ -331,10 +338,8 @@ def rerank(
 ) -> list[RerankedChunk]:
     """Re-order hybrid candidates by reranker relevance; ties fall back to
     the hybrid score, then ordinal. Provider failures propagate."""
-    scored = [
-        RerankedChunk(r.chunk, r.hybrid, reranker.relevance(query, r.chunk.text))
-        for r in candidates
-    ]
+    probs = ask(reranker, [("relevance", query, r.chunk.text) for r in candidates])
+    scored = [RerankedChunk(r.chunk, r.hybrid, p) for r, p in zip(candidates, probs)]
     scored.sort(key=lambda r: (-r.relevance, -r.hybrid, r.chunk.ordinal))
     return scored[: cfg.rerank_top_k]
 

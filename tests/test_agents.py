@@ -35,6 +35,7 @@ from agentdesk.providers import (
     StubChatProvider,
     StubEmbeddingProvider,
     StubRerankerProvider,
+    memoized,
 )
 from agentdesk.retrieval import (
     Filing,
@@ -181,8 +182,7 @@ class TestNewsAgent:
         assert report.items_used <= RetrievalConfig().news_top_k
 
     def test_dedupe_stops_at_news_top_k(self, monkeypatch):
-        # Unmemoized, so `prefetch` sends nothing and every dense read is
-        # dedupe's own.
+        # Unmemoized, so every dense read is one of dedupe's requests.
         class CountingEmbedding(StubEmbeddingProvider):
             def __init__(self):
                 self.dense_reads = []
@@ -212,6 +212,27 @@ class TestNewsAgent:
         assert len(uncapped_reads) == 20
         assert capped == uncapped
         assert capped[0].items_used == 3
+
+    def test_a_memo_gets_the_dense_requests_up_to_the_cap_in_batches(self):
+        # Item 1 nearly repeats item 0 and scores higher, so the first batch
+        # of three keeps two and a batch of one fills the cap.
+        news = [NewsItem(DAY, f"headline{i} earnings", f"body{i} detail{i}") for i in range(20)]
+        news[1] = NewsItem(DAY, "headline0 earnings", "body0 detail0 detail0")
+        seen, groups = [], []
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
+            memo = memoized(Recording(StubEmbeddingProvider(), seen), pool)
+            ask = memo.ask
+            memo.ask = lambda requests: groups.append(list(requests)) or ask(groups[-1])
+            report, _ = run_news_agent(
+                DAY, "TEST", news, RetrievalConfig(news_top_k=3),
+                StubChatProvider(("always-up",)), memo, StubRerankerProvider(),
+                keyword_importance(load_keywords(), 64), pool, SEED,
+            )
+        assert report.items_used == 3
+        assert [len(group) for group in groups] == [3, 1]
+        assert sorted(seen) == sorted(request for group in groups for request in group)
+        assert [news[1].text, news[0].text, news[2].text, news[3].text] == [
+            text for group in groups for _, text in group]
 
 
 class TestReportAgent:

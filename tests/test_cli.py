@@ -350,6 +350,23 @@ class TestReplayCommand:
         assert main(["replay", "--run", str(env.out("run"))]) == 2
         assert "metrics mismatch" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("quantity", ['"x"', "null", "NaN", "Infinity", "true"])
+    def test_a_trade_quantity_that_is_not_a_finite_number_exits_two(
+            self, tmp_path, capsys, quantity):
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env)) == 0
+        path = env.out("run") / "trades.jsonl"
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[2])
+        obj["quantity"] = "QUANTITY"
+        lines[2] = json.dumps(obj).replace('"QUANTITY"', quantity)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", "--run", str(env.out("run"))]) == 2
+        err = capsys.readouterr().err
+        assert "bad trade record at trades.jsonl:3" in err
+        assert "quantity must be a finite number, not" in err
+
 
 class TestExportSftCommand:
     def test_export_matches_filter_contract(self, tmp_path, capsys):

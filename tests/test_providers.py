@@ -285,6 +285,16 @@ class TestHttpEmbeddingAndReranker:
         tasks = [r["payload"]["task"] for r in handler.requests_seen]
         assert tasks == ["dense", "sparse"]
 
+    def test_sparse_terms_that_share_a_bucket_add_up(self, http_server):
+        # "t1" and "t210" hash to one bucket, where the stub would add them.
+        base, handler = http_server
+        handler.responses["/embed"] = (200, {"weights": {"t1": 1.0, "t210": 2.0, "rev": 0.5}})
+        provider = HttpEmbeddingProvider(f"{base}/embed", "emb-x")
+        bucket = providers._bucket("t1", providers.SPARSE_BUCKETS)
+        assert bucket == providers._bucket("t210", providers.SPARSE_BUCKETS)
+        assert provider.sparse("text") == {
+            bucket: 3.0, providers._bucket("rev", providers.SPARSE_BUCKETS): 0.5}
+
     @pytest.mark.parametrize("body", [
         {"vector": [float("nan"), 1.0]},
         {"vector": [float("inf")]},
@@ -546,9 +556,9 @@ def _together(n: int, call) -> list:
 
 class TestMemoUnderContention:
     def test_many_threads_in_rotated_orders_get_the_providers_answers(self, monkeypatch):
-        # Eight threads each prefetch and read the same 300 texts in their own
-        # order, in groups of 1 or 10, through a memo of 64 entries per
-        # method: answers land, hit and are evicted while others read.
+        # Eight threads each ask for the same 300 texts in their own order,
+        # in groups of 1 or 10, through a memo of 64 entries per method:
+        # answers land, hit and are evicted while others ask.
         monkeypatch.setattr(providers, "MEMO_ENTRIES", 64)
         texts = [f"text {i}" for i in range(300)]
         sizes: list[int] = []
@@ -563,8 +573,9 @@ class TestMemoUnderContention:
             order, group, out = texts[37 * k:] + texts[:37 * k], 1 + k % 2 * 9, []
             for i in range(0, len(order), group):
                 chunk = order[i:i + group]
-                memo.prefetch([r for t in chunk for r in (("dense", t), ("relevance", "q", t))])
-                out.extend((t, memo.dense(t), memo.relevance("q", t)) for t in chunk)
+                answers = memo.ask([r for t in chunk
+                                    for r in (("dense", t), ("relevance", "q", t))])
+                out.extend(zip(chunk, answers[::2], answers[1::2]))
             return out
 
         switch = sys.getswitchinterval()
@@ -586,19 +597,20 @@ class TestMemoUnderContention:
         assert all(len(a) <= 64 for a in memo._answers.values())
 
 
-class TestPrefetch:
-    def test_sends_each_distinct_miss_once(self):
+class TestAsk:
+    def test_sends_each_distinct_miss_once_and_answers_in_input_order(self):
         inner = _CountingProvider()
+        requests = [("dense", "a"), ("dense", "b"), ("sparse", "b"), ("dense", "b"), ("dense", "c")]
         with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
             memo.dense("a")
-            assert memo.prefetch([("dense", "a"), ("dense", "b"), ("sparse", "b"),
-                                  ("dense", "b"), ("dense", "c")]) is None
+            answers = memo.ask(requests)
+        stub = StubEmbeddingProvider()
+        assert answers == [getattr(stub, kind)(text) for kind, text in requests]
         assert inner.seen[0] == ("dense", "a")
         assert sorted(inner.seen[1:]) == [("dense", "b"), ("dense", "c"), ("sparse", "b")]
-        # The reads that follow hit; a request it was not given is not fetched.
-        assert memo.dense("b") == StubEmbeddingProvider().dense("b")
-        memo.sparse("b"), memo.dense("c")
+        # The answers are kept; a request it was not given is not sent.
+        assert memo.ask(requests) == answers
         assert len(inner.seen) == 4
         memo.sparse("c")
         assert inner.seen[-1] == ("sparse", "c") and len(inner.seen) == 5
@@ -607,13 +619,21 @@ class TestPrefetch:
         inner = _SlowProvider()
         with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
-            memo.prefetch([("dense", "a"), ("dense", "a")])
+            answers = memo.ask([("dense", "a"), ("dense", "a")])
+        assert answers == [StubEmbeddingProvider().dense("a")] * 2
         assert inner.threads == [threading.current_thread().name]
 
-    def test_without_a_pool_nothing_is_sent(self):
-        inner = _CountingProvider()
-        memoized(inner).prefetch([("dense", "a"), ("dense", "b")])
-        assert inner.seen == []
+    def test_without_a_pool_the_misses_are_sent_in_turn_and_the_first_error_is_raised_at_once(self):
+        inner = _SlowProvider(fail={"b": 0.0})
+        memo = memoized(inner)
+        with pytest.raises(ProviderError, match="no answer for b"):
+            memo.ask([("dense", t) for t in ("a", "b", "c")])
+        assert inner.seen == [("dense", "a"), ("dense", "b")]  # "c" is never sent
+        assert inner.threads == [threading.current_thread().name] * 2
+        memo.dense("a")  # kept
+        assert memo.ask([("dense", "c"), ("dense", "a")]) == [
+            StubEmbeddingProvider().dense(t) for t in ("c", "a")]
+        assert inner.seen[2:] == [("dense", "c")]
 
     def test_raises_the_first_error_in_input_order_after_every_request(self):
         # "b" fails after "d" has failed, yet comes first in the group.
@@ -622,7 +642,7 @@ class TestPrefetch:
         with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
             with pytest.raises(ProviderError, match="no answer for b"):
-                memo.prefetch([("dense", t) for t in texts])
+                memo.ask([("dense", t) for t in texts])
         assert sorted(inner.seen) == [("dense", t) for t in texts]
         # The successes are kept; the failures go to the provider again.
         for t in ("a", "c", "e"):
@@ -643,34 +663,23 @@ class TestPrefetch:
 
         inner = Meeting()
         with ThreadPoolExecutor(k) as pool:
-            memoized(inner, pool).prefetch([("dense", str(i)) for i in range(k)])
+            memoized(inner, pool).ask([("dense", str(i)) for i in range(k)])
         assert len(inner.seen) == k
 
-    def test_a_hit_in_the_group_is_kept_for_its_read(self, monkeypatch):
+    def test_a_group_larger_than_the_memo_is_answered_and_the_memo_stays_bounded(
+            self, monkeypatch):
         monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
         inner = _CountingProvider()
+        requests = [("dense", t) for t in ("a", "b", "c")]
+        want = [StubEmbeddingProvider().dense(t) for t in ("a", "b", "c")]
         with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
-            memo.dense("a"), memo.dense("b")
-            # "a" is the oldest entry, but the group uses it: "c" evicts "b".
-            memo.prefetch([("dense", "a"), ("dense", "c")])
-            memo.dense("a"), memo.dense("c")
-        assert inner.seen == [("dense", t) for t in ("a", "b", "c")]
-
-    def test_memo_entries_still_bound_the_memo(self, monkeypatch):
-        monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
-        inner = _CountingProvider()
-        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
-            memo = memoized(inner, pool)
-            # More misses than entries: they would evict one another.
-            memo.prefetch([("dense", t) for t in ("a", "b", "c")])
-            assert inner.seen == []
-            memo.prefetch([("dense", "a"), ("dense", "b")])
-            assert sorted(inner.seen) == [("dense", "a"), ("dense", "b")]
-            memo.dense("a"), memo.dense("b"), memo.dense("c")
-            assert inner.seen[2:] == [("dense", "c")]
-            memo.dense("a")  # the least recently used, evicted by "c"
-            assert inner.seen[3:] == [("dense", "a")]
+            assert memo.ask(requests) == want
+            assert sorted(inner.seen) == requests
+            assert len(memo._answers["dense"]) == 2
+            # Two of the three are kept, so asking again sends the third.
+            assert memo.ask(requests) == want
+            assert len(inner.seen) == 4 and len(memo._answers["dense"]) == 2
 
 
 class TestLazyHttpStack:

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentdesk.errors import DataError
-from agentdesk.providers import StubEmbeddingProvider, StubRerankerProvider
+from agentdesk.providers import StubEmbeddingProvider, StubRerankerProvider, memoized
 from agentdesk.retrieval import (
     Chunk,
     NewsItem,
@@ -209,31 +209,24 @@ class CountingPresetProvider(PresetProvider):
 class TestHybridScore:
     def test_substitution(self):
         # dense cosine 0.8 against the query, sparse inner product 0.5
-        provider = PresetProvider(
-            dense_map={"q": [1.0, 0.0], "c": [0.8, 0.6]},
-            sparse_map={"q": {1: 1.0}, "c": {1: 0.5}},
-        )
-        chunk = Chunk("d", 0, "c", (0, 1))
-        score = hybrid_score("q", chunk, provider)
+        score = hybrid_score([1.0, 0.0], {1: 1.0}, [0.8, 0.6], {1: 0.5})
         assert score == pytest.approx(1.0 * 0.8 + 0.8 * 0.5, rel=1e-12)
 
     def test_self_similarity_under_stub(self):
         provider = StubEmbeddingProvider()
         text = "revenue rose and margins expanded"
-        chunk = Chunk("d", 0, text, (0, 1))
-        sparse = provider.sparse(text)
+        dense, sparse = provider.dense(text), provider.sparse(text)
         self_product = sum(w * w for w in sparse.values())
-        assert hybrid_score(text, chunk, provider) == pytest.approx(
+        assert hybrid_score(dense, sparse, dense, sparse) == pytest.approx(
             1.0 + 0.8 * self_product, rel=1e-12
         )
 
     def test_disjoint_vocab_sparse_term_zero(self):
         provider = StubEmbeddingProvider()
-        chunk = Chunk("d", 0, "banana", (0, 1))
-        dense_part = sum(
-            x * y for x, y in zip(provider.dense("apple"), provider.dense("banana"))
-        )
-        assert hybrid_score("apple", chunk, provider) == pytest.approx(dense_part)
+        apple = provider.dense("apple"), provider.sparse("apple")
+        banana = provider.dense("banana"), provider.sparse("banana")
+        dense_part = sum(x * y for x, y in zip(apple[0], banana[0]))
+        assert hybrid_score(*apple, *banana) == pytest.approx(dense_part)
 
 
 def ref_cosine(a, b):
@@ -346,10 +339,9 @@ class TestCosineOracle:
             q, c = random_vectors(rng, 2)
             q_sparse = {rng.randrange(50): rng.uniform(0.0, 3.0) for _ in range(rng.randint(0, 20))}
             c_sparse = {rng.randrange(50): rng.uniform(0.0, 3.0) for _ in range(rng.randint(0, 20))}
-            provider = PresetProvider({"q": q, "c": c}, {"q": q_sparse, "c": c_sparse})
             sparse = math.fsum(w * c_sparse[k] for k, w in q_sparse.items() if k in c_sparse)
             want = cfg.w_dense * ref_cosine(q, c) + cfg.w_sparse * sparse
-            assert hybrid_score("q", Chunk("d", 0, "c", (0, 1)), provider, cfg) == want
+            assert hybrid_score(q, q_sparse, c, c_sparse, cfg) == want
 
 
 class TestRetrieveTopk:
@@ -376,8 +368,11 @@ class TestRetrieveTopk:
         chunks = self._chunks(texts)
         cfg = RetrievalConfig(hybrid_top_k=10)
         ranked = retrieve_topk("revenue growth risk", chunks, provider, cfg)
+        query = "revenue growth risk"
         oracle = sorted(
-            ((hybrid_score("revenue growth risk", c, provider, cfg), c) for c in chunks),
+            ((hybrid_score(provider.dense(query), provider.sparse(query),
+                           provider.dense(c.text), provider.sparse(c.text), cfg), c)
+             for c in chunks),
             key=lambda pair: (-pair[0], pair[1].ordinal),
         )
         assert [r.chunk.ordinal for r in ranked] == [c.ordinal for _, c in oracle[:10]]
@@ -415,6 +410,31 @@ class TestRerank:
         assert len(candidates) == 10
         result = rerank("q", candidates, reranker)
         assert len(result) == 6
+
+
+class TestOneGroupPerStep:
+    def test_score_news_retrieve_topk_and_rerank_each_ask_a_memo_once(self):
+        groups = []
+
+        def recorded(provider):
+            memo = memoized(provider)
+            ask = memo.ask
+            memo.ask = lambda requests: groups.append(list(requests)) or ask(groups[-1])
+            return memo
+
+        embedding, reranker = recorded(StubEmbeddingProvider()), recorded(StubRerankerProvider())
+        importance = keyword_importance(load_keywords(), 8)
+        items = [item("Revenue up", "revenue rose"), item("Quiet day")]
+        assert score_news(items, importance, reranker, "q") == \
+            score_news(items, importance, StubRerankerProvider(), "q")
+        chunks = [Chunk("d", i, t, (i, i + 1))
+                  for i, t in enumerate(["revenue rose", "costs fell", "revenue rose"])]
+        ranked = retrieve_topk("q", chunks, embedding)
+        assert ranked == retrieve_topk("q", chunks, StubEmbeddingProvider())
+        assert rerank("q", ranked, reranker) == rerank("q", ranked, StubRerankerProvider())
+        assert [len(group) for group in groups] == [2, 12, 3]
+        assert groups[1][:4] == [("dense", "q"), ("dense", "revenue rose"),
+                                 ("sparse", "q"), ("sparse", "revenue rose")]
 
 
 class TestScoreNews:
