@@ -13,18 +13,21 @@ style, hold).
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import json
 import math
 import os
 import re
 import threading
 import zlib
-from collections import OrderedDict
+from collections import OrderedDict, defaultdict
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
+from . import __version__
 from .errors import DataError, ProviderError
 from .jsonl import as_str, read_document
 
@@ -211,20 +214,60 @@ def _auth_headers(credentials_env: str | None) -> dict[str, str]:
 
 # Built once: json.dumps with keyword arguments builds an encoder per call.
 _REQUEST_JSON = json.JSONEncoder(allow_nan=False)
+_HEADERS = {"User-Agent": f"agentdesk/{__version__}", "Connection": "close"}  # on every request
+_TLS_LOCK = threading.Lock()
+
+
+@functools.cache
+def _proxies() -> dict[str, str]:
+    import urllib.request  # read at the process's first request
+    return urllib.request.getproxies()
+
+
+@functools.cache
+def _tls_context() -> "ssl.SSLContext":
+    import ssl  # one per process: building one loads the CA store
+    return ssl.create_default_context()
+
+
+def _send(method: str, url: str, body: bytes | None, headers: dict[str, str],
+          timeout: float) -> tuple[int, str | None, bytes]:
+    """(status, Location, body) of one request on a connection of its own,
+    through the proxy set for its scheme unless `NO_PROXY` covers its host."""
+    import http.client, urllib.parse, urllib.request
+    parts = urllib.parse.urlsplit(url)
+    target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
+    proxy = _proxies().get(parts.scheme)
+    proxy = None if not proxy or urllib.request.proxy_bypass(parts.netloc) else proxy
+    via = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy) if proxy else parts
+    if parts.scheme not in ("http", "https") or not (parts.hostname and via.hostname):
+        raise ValueError(f"not an http(s) URL with a host: {url!r}")
+    if parts.scheme == "http":
+        conn = http.client.HTTPConnection(via.hostname, via.port, timeout=timeout)
+        target = f"http://{parts.netloc}{target}" if proxy else target
+    else:
+        with _TLS_LOCK:  # so requests that start together share the first context
+            context = _tls_context()
+        conn = http.client.HTTPSConnection(via.hostname, via.port, timeout=timeout, context=context)
+        if proxy:
+            conn.set_tunnel(parts.hostname, parts.port)
+    with contextlib.closing(conn):
+        conn.request(method, target, body, headers)
+        with conn.getresponse() as resp:
+            return resp.status, resp.getheader("Location"), resp.read()
 
 
 def _post_json(url: str, payload: dict, headers: dict[str, str], timeout: float) -> dict:
-    import http.client, urllib.request  # here, so stub runs never load an HTTP stack
+    import http.client, urllib.parse  # here, so stub runs never load an HTTP stack
     try:
-        request = urllib.request.Request(url, _REQUEST_JSON.encode(payload).encode())
-        for name, value in {"Content-Type": "application/json", **headers}.items():
-            request.add_unredirected_header(name, value)  # a redirect's target gets no token
-        try:
-            with urllib.request.urlopen(request, timeout=timeout) as resp:
-                status, raw = resp.status, resp.read()
-        except urllib.error.HTTPError as exc:
-            with exc:
-                status, raw = exc.code, exc.read()
+        method, body = "POST", _REQUEST_JSON.encode(payload).encode()
+        headers = {"Content-Type": "application/json", **headers, **_HEADERS}
+        for _ in range(11):  # the request and at most 10 redirects
+            status, location, raw = _send(method, url, body, headers, timeout)
+            if status not in (301, 302, 303) or location is None:
+                break
+            # Followed as a GET: the body is not sent again, the token not at all.
+            url, method, body, headers = urllib.parse.urljoin(url, location), "GET", None, _HEADERS
     except (OSError, http.client.HTTPException, ValueError) as exc:
         raise ProviderError(f"provider request failed: {exc}") from exc
     if status != 200:
@@ -364,7 +407,6 @@ class HttpRerankerProvider(_HttpClient):
 # Entries kept per memoized method. Distinct news texts grow with the number
 # of days, so the memo is bounded to keep a run's memory flat in bar count.
 MEMO_ENTRIES = 4096
-_MEMOIZED = ("dense", "sparse", "relevance")
 # Provider requests one run has in flight at once: the size of its request
 # pool, which sends the news items' sentiment calls and each group a memo is
 # asked for. Read when the run starts.
@@ -378,12 +420,8 @@ class _Memo:
     def __init__(self, provider, pool: Executor | None) -> None:
         self._provider, self._pool = provider, pool
         self._entries, self._senders = MEMO_ENTRIES, PROVIDER_WORKERS
-        self._answers: dict[str, OrderedDict] = {}  # {method: {args: answer}}
+        self._answers: dict[str, OrderedDict] = defaultdict(OrderedDict)  # {method: {args: answer}}
         self._lock = threading.Lock()
-        for name in _MEMOIZED:
-            if hasattr(provider, name):
-                self._answers[name] = OrderedDict()
-                setattr(self, name, lambda *args, _name=name: self.ask([(_name, *args)])[0])
 
     def ask(self, requests: Iterable[tuple]) -> list:
         """The answers to `requests`, each `(method name, *args)`, in input
@@ -432,9 +470,9 @@ class _Memo:
 
 
 def memoized(provider, pool: Executor | None = None):
-    """`provider`'s `dense`, `sparse` and `relevance` methods (those it has)
-    behind one bounded LRU memo each, keyed by the exact arguments, plus
-    `ask`, which sends a group of requests at once on `pool`.
+    """`provider`'s `dense`, `sparse` and `relevance` requests behind one
+    bounded LRU memo per method, keyed by the exact arguments, asked for
+    with `ask`, which sends a group at once on `pool`.
 
     Embeddings and relevance depend only on the request, so one run asks
     the provider once per distinct request while it stays among the last
@@ -445,15 +483,6 @@ def memoized(provider, pool: Executor | None = None):
     returned object, which retrieval only reads.
     """
     return _Memo(provider, pool)
-
-
-def ask(provider, requests: Iterable[tuple]) -> list:
-    """The answers to `requests`, each `(method name, *args)`, in input
-    order: `memoized(...).ask(requests)`, or a provider without a memo
-    asked one request at a time."""
-    if isinstance(provider, _Memo):
-        return provider.ask(requests)
-    return [getattr(provider, name)(*args) for name, *args in requests]
 
 
 # ---------------------------------------------------------------------------

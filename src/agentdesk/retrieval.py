@@ -3,8 +3,8 @@ dense+sparse retrieval with top-k reranking.
 
 Embedding and reranker backends are abstract contracts so tests run against
 deterministic in-process stubs while production can point at real services.
-Each step asks its backend for the requests it needs as one group
-(`providers.ask`), which a run's memo sends together.
+Each step asks its backend, a provider behind `providers.memoized`, for
+the requests it needs as one group, which the memo sends together.
 """
 
 from __future__ import annotations
@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from datetime import date as Date
 from importlib import resources
 from pathlib import Path
-from typing import Callable, Mapping, Protocol, Sequence
+from typing import Callable, Iterable, Mapping, Protocol, Sequence
 
 import yaml
 
 from .errors import DataError
 from .jsonl import as_str, read_document, read_jsonl, read_text
-from .providers import ask
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -35,17 +34,15 @@ _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
 # ---------------------------------------------------------------------------
 
 class EmbeddingProvider(Protocol):
-    """Supplies a unit-norm dense vector and a weighted-term sparse vector."""
+    """`providers.memoized`: ("dense", text) is a unit vector, ("sparse", text) a term map."""
 
-    def dense(self, text: str) -> Sequence[float]: ...
-
-    def sparse(self, text: str) -> Mapping[int, float]: ...
+    def ask(self, requests: Iterable[tuple]) -> list: ...
 
 
 class RerankerProvider(Protocol):
-    """Scores a (query, passage) pair with a relevance probability."""
+    """`providers.memoized`: ("relevance", query, passage) is a probability."""
 
-    def relevance(self, query: str, passage: str) -> float: ...
+    def ask(self, requests: Iterable[tuple]) -> list: ...
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +193,7 @@ def score_news(
     """Score items and return them sorted by influence, descending.
     `importance(title, body)` is an item's base score (`keyword_importance`)."""
     scored = []
-    probs = ask(reranker, [("relevance", query, item.text) for item in items])
+    probs = reranker.ask([("relevance", query, item.text) for item in items])
     for item, prob in zip(items, probs):
         base = importance(item.title, item.body)
         scored.append(ScoredNews(item, base, prob, influence_score(base, prob)))
@@ -259,7 +256,7 @@ def dedupe(
     while rest and len(kept) != limit:
         room = len(rest) if limit is None else limit - len(kept)
         batch, rest = rest[:room], rest[room:]
-        for scored, vec in zip(batch, ask(provider, [("dense", s.item.text) for s in batch])):
+        for scored, vec in zip(batch, provider.ask([("dense", s.item.text) for s in batch])):
             norm = _norm(vec)
             if all(_normed_cosine(vec, norm, kv, kn) < cfg.dedup_cosine for kv, kn in kept_vecs):
                 kept.append(scored)
@@ -322,7 +319,7 @@ def retrieve_topk(
         raise DataError("no chunks to retrieve from")
     requests = [(kind, text) for c in chunks
                 for kind in ("dense", "sparse") for text in (query, c.text)]
-    vec = dict(zip(requests, ask(provider, requests)))
+    vec = dict(zip(requests, provider.ask(requests)))
     ranked = [RankedChunk(c, hybrid_score(vec["dense", query], vec["sparse", query],
                                           vec["dense", c.text], vec["sparse", c.text], cfg))
               for c in chunks]
@@ -338,7 +335,7 @@ def rerank(
 ) -> list[RerankedChunk]:
     """Re-order hybrid candidates by reranker relevance; ties fall back to
     the hybrid score, then ordinal. Provider failures propagate."""
-    probs = ask(reranker, [("relevance", query, r.chunk.text) for r in candidates])
+    probs = reranker.ask([("relevance", query, r.chunk.text) for r in candidates])
     scored = [RerankedChunk(r.chunk, r.hybrid, p) for r, p in zip(candidates, probs)]
     scored.sort(key=lambda r: (-r.relevance, -r.hybrid, r.chunk.ordinal))
     return scored[: cfg.rerank_top_k]

@@ -268,6 +268,7 @@ class _Handler(BaseHTTPRequestHandler):
             "path": self.path,
             "payload": payload,
             "auth": self.headers.get("Authorization"),
+            "user_agent": self.headers.get("User-Agent"),
         })
         time.sleep(type(self).delay_s)
         status, body, *headers = type(self).responses.get(self.path, (404, {}))

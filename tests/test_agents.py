@@ -126,7 +126,7 @@ class TestNewsAgent:
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
             return run_news_agent(
                 DAY, "TEST", news, RetrievalConfig(), chat,
-                StubEmbeddingProvider(), StubRerankerProvider(),
+                memoized(StubEmbeddingProvider()), memoized(StubRerankerProvider()),
                 keyword_importance(load_keywords(), 64), pool, SEED, **kwargs,
             )
 
@@ -182,7 +182,8 @@ class TestNewsAgent:
         assert report.items_used <= RetrievalConfig().news_top_k
 
     def test_dedupe_stops_at_news_top_k(self, monkeypatch):
-        # Unmemoized, so every dense read is one of dedupe's requests.
+        # A fresh memo per run and distinct texts, so every dense read is one
+        # of dedupe's requests.
         class CountingEmbedding(StubEmbeddingProvider):
             def __init__(self):
                 self.dense_reads = []
@@ -199,7 +200,7 @@ class TestNewsAgent:
             with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
                 result = run_news_agent(
                     DAY, "TEST", news, cfg, StubChatProvider(("always-up",)),
-                    embedding, StubRerankerProvider(),
+                    memoized(embedding), memoized(StubRerankerProvider()),
                     keyword_importance(load_keywords(), 64), pool, SEED,
                 )
             return result, embedding.dense_reads
@@ -225,7 +226,7 @@ class TestNewsAgent:
             memo.ask = lambda requests: groups.append(list(requests)) or ask(groups[-1])
             report, _ = run_news_agent(
                 DAY, "TEST", news, RetrievalConfig(news_top_k=3),
-                StubChatProvider(("always-up",)), memo, StubRerankerProvider(),
+                StubChatProvider(("always-up",)), memo, memoized(StubRerankerProvider()),
                 keyword_importance(load_keywords(), 64), pool, SEED,
             )
         assert report.items_used == 3
@@ -245,8 +246,8 @@ class TestReportAgent:
         return run_report_agent(
             at, "TEST", filings, RetrievalConfig(),
             chat or StubChatProvider(("sideways",)),
-            StubEmbeddingProvider(),
-            reranker or StubRerankerProvider(triggers=("revenue",)),
+            memoized(StubEmbeddingProvider()),
+            memoized(reranker or StubRerankerProvider(triggers=("revenue",))),
             ranks or FilingRanks(), SEED, **kwargs,
         )
 
@@ -670,7 +671,7 @@ class TestMemoKeys:
         filing = Filing("TEST", DAY, tmp_path / "fy.txt", text)  # newly visible
         chat, cfg = StubChatProvider(("sideways",)), RetrievalConfig()
         asked: dict[str, list] = {"news": [], "report": []}
-        embedding, reranker = ({agent: Recording(make(), seen) for agent, seen in asked.items()}
+        embedding, reranker = ({agent: memoized(Recording(make(), seen)) for agent, seen in asked.items()}
                                for make in (StubEmbeddingProvider, StubRerankerProvider))
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
             run_news_agent(DAY, "TEST", news, cfg, chat, embedding["news"], reranker["news"],

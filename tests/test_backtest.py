@@ -454,6 +454,17 @@ class _Counted:
             setattr(self, name, call)
 
 
+class _Unmemoized:
+    """Answers a group by asking the provider for each request in turn:
+    a run without the memo."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def ask(self, requests):
+        return [getattr(self.inner, name)(*args) for name, *args in requests]
+
+
 class TestProviderMemo:
     def run_counted(self, env, name, monkeypatch):
         seen: list[tuple] = []
@@ -475,7 +486,7 @@ class TestProviderMemo:
         ]
         env = build_env(tmp_path, rising_closes(45), news=news, with_reports=True)
         memo_seen = self.run_counted(env, "memo", monkeypatch)
-        monkeypatch.setattr(backtest, "memoized", lambda provider, pool: provider)
+        monkeypatch.setattr(backtest, "memoized", lambda provider, pool: _Unmemoized(provider))
         plain_seen = self.run_counted(env, "plain", monkeypatch)
 
         assert {kind for kind, *_ in memo_seen} == {"dense", "sparse", "relevance"}

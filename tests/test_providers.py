@@ -15,6 +15,7 @@ from pathlib import Path
 import pytest
 import yaml
 
+import agentdesk
 from agentdesk import providers
 from agentdesk.backtest import run_backtest
 from agentdesk.config import config_from_dict
@@ -434,6 +435,72 @@ print(json.dumps(HttpEmbeddingProvider("http://provider.invalid/embed", "m").den
         assert json.loads(result.stdout) == [0.6, 0.8]
         assert [r["path"] for r in handler.requests_seen] == ["http://provider.invalid/embed"]
 
+    DENSE_OR_ERROR = """
+import json, sys
+from agentdesk.errors import ProviderError
+from agentdesk.providers import HttpEmbeddingProvider
+try:
+    print(json.dumps(HttpEmbeddingProvider(sys.argv[1], "m").dense("text")))
+except ProviderError as exc:
+    print(json.dumps(str(exc)))
+"""
+
+    def dense_in_a_fresh_process(self, url: str, **proxies: str):
+        """`dense("text")` from `url` in a fresh interpreter whose only proxy
+        variables are `proxies`: the vector, or the provider error's message."""
+        unset = ("http_proxy", "https_proxy", "no_proxy", "all_proxy", "request_method")
+        env = {k: v for k, v in python_env().items() if k.lower() not in unset}
+        result = subprocess.run([sys.executable, "-c", self.DENSE_OR_ERROR, url],
+                                env={**env, **proxies}, capture_output=True, text=True, check=True)
+        return json.loads(result.stdout)
+
+    def test_no_proxy_reaches_the_server_directly(self, http_server):
+        base, handler = http_server
+        handler.responses["/embed"] = (200, {"vector": [0.6, 0.8]})
+        # Nothing listens on port 9, so a request sent to the proxy fails.
+        got = self.dense_in_a_fresh_process(f"{base}/embed", HTTP_PROXY="http://127.0.0.1:9",
+                                            NO_PROXY="127.0.0.1")
+        assert got == [0.6, 0.8]
+        assert [r["path"] for r in handler.requests_seen] == ["/embed"]
+
+    def test_https_goes_through_a_proxy_tunnel(self, http_server):
+        base, handler = http_server
+        # The fixture answers a CONNECT with 501, so no request reaches it.
+        got = self.dense_in_a_fresh_process("https://provider.invalid/embed", HTTPS_PROXY=base)
+        assert "Tunnel connection failed: 501" in got
+        assert handler.requests_seen == []
+
+    def test_https_builds_one_tls_context_per_process(self, monkeypatch):
+        import ssl
+        built = []
+        for name in ("create_default_context", "_create_default_https_context"):
+            build = getattr(ssl, name)
+            monkeypatch.setattr(ssl, name, lambda *a, _build=build, **k: built.append(1) or _build(*a, **k))
+        provider = HttpChatProvider("https://127.0.0.1:1/v1", "m", timeout=5.0)
+        for _ in range(3):
+            with pytest.raises(ProviderError, match="request failed"):
+                provider.complete(msg("ROLE: decision", "x"))
+        assert len(built) <= 1
+
+    def test_the_endpoints_query_string_is_sent(self, http_server):
+        base, handler = http_server
+        handler.responses["/embed?api-version=2"] = (200, {"vector": [0.6, 0.8]})
+        assert HttpEmbeddingProvider(f"{base}/embed?api-version=2", "m").dense("t") == [0.6, 0.8]
+        assert [r["path"] for r in handler.requests_seen] == ["/embed?api-version=2"]
+
+    def test_a_redirect_loop_ends_as_a_provider_error(self, http_server):
+        base, handler = http_server
+        handler.responses["/chat"] = (302, {}, {"Location": f"{base}/chat"})
+        with pytest.raises(ProviderError, match="HTTP 302"):
+            self.complete(f"{base}/chat")
+        assert 1 < len(handler.requests_seen) <= 11
+
+    def test_the_user_agent_names_the_package(self, http_server):
+        base, handler = http_server
+        handler.responses["/chat"] = (200, {"content": "hold"})
+        self.complete(f"{base}/chat")
+        assert handler.requests_seen[-1]["user_agent"] == f"agentdesk/{agentdesk.__version__}"
+
 
 class _CountingProvider:
     """Embedding and reranker stub that counts the requests reaching it and
@@ -476,21 +543,22 @@ class TestMemoized:
         reference = _CountingProvider()
         for _ in range(3):
             for kind, *args in self.REQUESTS:
-                assert getattr(memo, kind)(*args) == getattr(reference, kind)(*args)
+                assert memo.ask([(kind, *args)])[0] == getattr(reference, kind)(*args)
         assert inner.seen == self.REQUESTS
 
-    def test_only_the_providers_methods_are_wrapped(self):
+    def test_a_request_for_a_method_the_provider_lacks_is_an_error(self):
         memo = memoized(StubRerankerProvider())
-        assert hasattr(memo, "relevance")
-        assert not hasattr(memo, "dense") and not hasattr(memo, "sparse")
+        assert memo.ask([("relevance", "q", "revenue rose")]) == [1.0]
+        with pytest.raises(AttributeError):
+            memo.ask([("dense", "revenue rose")])
 
     def test_an_error_is_not_cached(self):
         inner = _CountingProvider(failures=1)
         memo = memoized(inner)
         with pytest.raises(ProviderError):
-            memo.relevance("q", "revenue rose")
-        assert memo.relevance("q", "revenue rose") == 1.0
-        assert memo.relevance("q", "revenue rose") == 1.0
+            memo.ask([("relevance", "q", "revenue rose")])[0]
+        assert memo.ask([("relevance", "q", "revenue rose")])[0] == 1.0
+        assert memo.ask([("relevance", "q", "revenue rose")])[0] == 1.0
         assert inner.seen == [("relevance", "q", "revenue rose")] * 2
 
     def test_memo_is_bounded(self, monkeypatch):
@@ -498,7 +566,7 @@ class TestMemoized:
         inner = _CountingProvider()
         memo = memoized(inner)
         for text in ("a", "b", "c", "a"):
-            memo.dense(text)
+            memo.ask([("dense", text)])[0]
         assert inner.seen == [("dense", "a"), ("dense", "b"), ("dense", "c"), ("dense", "a")]
 
     def test_a_hit_refreshes_its_entry(self, monkeypatch):
@@ -507,7 +575,7 @@ class TestMemoized:
         inner = _CountingProvider()
         memo = memoized(inner)
         for text in ("a", "b", "a", "c", "a", "b"):
-            memo.dense(text)
+            memo.ask([("dense", text)])[0]
         assert inner.seen == [("dense", t) for t in ("a", "b", "c", "b")]
 
 
@@ -603,7 +671,7 @@ class TestAsk:
         requests = [("dense", "a"), ("dense", "b"), ("sparse", "b"), ("dense", "b"), ("dense", "c")]
         with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
-            memo.dense("a")
+            memo.ask([("dense", "a")])[0]
             answers = memo.ask(requests)
         stub = StubEmbeddingProvider()
         assert answers == [getattr(stub, kind)(text) for kind, text in requests]
@@ -612,7 +680,7 @@ class TestAsk:
         # The answers are kept; a request it was not given is not sent.
         assert memo.ask(requests) == answers
         assert len(inner.seen) == 4
-        memo.sparse("c")
+        memo.ask([("sparse", "c")])[0]
         assert inner.seen[-1] == ("sparse", "c") and len(inner.seen) == 5
 
     def test_a_lone_miss_is_sent_on_the_calling_thread(self):
@@ -630,7 +698,7 @@ class TestAsk:
             memo.ask([("dense", t) for t in ("a", "b", "c")])
         assert inner.seen == [("dense", "a"), ("dense", "b")]  # "c" is never sent
         assert inner.threads == [threading.current_thread().name] * 2
-        memo.dense("a")  # kept
+        memo.ask([("dense", "a")])[0]  # kept
         assert memo.ask([("dense", "c"), ("dense", "a")]) == [
             StubEmbeddingProvider().dense(t) for t in ("c", "a")]
         assert inner.seen[2:] == [("dense", "c")]
@@ -646,10 +714,10 @@ class TestAsk:
         assert sorted(inner.seen) == [("dense", t) for t in texts]
         # The successes are kept; the failures go to the provider again.
         for t in ("a", "c", "e"):
-            memo.dense(t)
+            memo.ask([("dense", t)])[0]
         assert len(inner.seen) == 5
         with pytest.raises(ProviderError, match="no answer for d"):
-            memo.dense("d")
+            memo.ask([("dense", "d")])[0]
         assert len(inner.seen) == 6
 
     def test_the_group_is_in_flight_at_once(self):
@@ -690,7 +758,7 @@ import json, sys
 sys.modules["requests"] = None
 from agentdesk.cli import main
 assert main(sys.argv[1:]) == 0
-stack = ("http.client", "urllib.request", "requests")
+stack = ("http.client", "urllib.request", "ssl", "requests")
 after_stub_run = [name for name in stack if sys.modules.get(name) is not None]
 from agentdesk.providers import HttpEmbeddingProvider
 HttpEmbeddingProvider("http://127.0.0.1:1", "m")

@@ -98,12 +98,12 @@ class TestDedupe:
         provider = StubEmbeddingProvider()
         items = self._scored([item("Earnings beat", "big quarter"),
                               item("Earnings beat", "big quarter")])
-        assert len(dedupe(items, provider)) == 1
+        assert len(dedupe(items, memoized(provider))) == 1
 
     def test_orthogonal_items_all_kept(self):
         provider = StubEmbeddingProvider()
         items = self._scored([item("apple"), item("banana")])
-        assert len(dedupe(items, provider)) == 2
+        assert len(dedupe(items, memoized(provider))) == 2
 
     def test_near_duplicate_above_threshold_dropped(self):
         provider = StubEmbeddingProvider()
@@ -111,7 +111,7 @@ class TestDedupe:
         b = item("quarterly revenue beat expectations with strong margin growth overall")
         cos = sum(x * y for x, y in zip(provider.dense(a.text), provider.dense(b.text)))
         assert cos > 0.92  # crafted to collide above the default threshold
-        kept = dedupe(self._scored([a, b]), provider)
+        kept = dedupe(self._scored([a, b]), memoized(provider))
         assert [k.item.title for k in kept] == [a.title]
 
     def test_exact_only_keeps_near_duplicates(self):
@@ -127,8 +127,8 @@ class TestDedupe:
         items = self._scored([
             item(" ".join(rng.choice(words, size=4))) for _ in range(12)
         ])
-        once = dedupe(items, provider)
-        twice = dedupe(once, provider)
+        once = dedupe(items, memoized(provider))
+        twice = dedupe(once, memoized(provider))
         assert twice == once
 
 
@@ -279,7 +279,7 @@ class TestCosineOracle:
             items, provider = self._scored(random_vectors(rng, rng.randint(1, 20)))
             threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
             cfg = RetrievalConfig(dedup_cosine=threshold)
-            assert dedupe(items, provider, cfg) == ref_dedupe(items, provider, threshold)
+            assert dedupe(items, memoized(provider), cfg) == ref_dedupe(items, provider, threshold)
 
     def test_capped_dedupe_is_a_prefix_of_the_oracle(self):
         rng = random.Random(20221018)
@@ -289,7 +289,7 @@ class TestCosineOracle:
             cfg = RetrievalConfig(dedup_cosine=threshold)
             want = ref_dedupe(items, provider, threshold)
             for k in range(1, len(items) + 2):
-                assert dedupe(items, provider, cfg, limit=k) == want[:k]
+                assert dedupe(items, memoized(provider), cfg, limit=k) == want[:k]
 
     def test_capped_exact_dedupe_is_a_prefix_of_the_oracle(self):
         rng = random.Random(5)
@@ -308,7 +308,7 @@ class TestCosineOracle:
         vecs[1] = list(vecs[0])
         items, provider = self._scored(vecs)
         provider = CountingPresetProvider(provider.dense_map, {})
-        kept = dedupe(items, provider, limit=3)
+        kept = dedupe(items, memoized(provider), limit=3)
         assert kept == [items[0], items[2], items[3]]
         assert provider.dense_reads == [s.item.text for s in items[:4]]
 
@@ -323,14 +323,14 @@ class TestCosineOracle:
             items, provider = self._scored([a, b])
             for threshold, kept in ((math.nextafter(c, -1.0), 1), (c, 1),
                                     (math.nextafter(c, 2.0), 2)):
-                got = dedupe(items, provider, RetrievalConfig(dedup_cosine=threshold))
+                got = dedupe(items, memoized(provider), RetrievalConfig(dedup_cosine=threshold))
                 assert got == ref_dedupe(items, provider, threshold)
                 assert len(got) == kept
             checked += 1
 
     def test_zero_vectors_are_never_duplicates(self):
         items, provider = self._scored([[0.0] * 4, [0.0] * 4, [1.0, 0.0, 0.0, 0.0]])
-        assert dedupe(items, provider, RetrievalConfig(dedup_cosine=1e-9)) == items
+        assert dedupe(items, memoized(provider), RetrievalConfig(dedup_cosine=1e-9)) == items
 
     def test_hybrid_score_matches_oracle(self):
         rng = random.Random(11)
@@ -351,14 +351,14 @@ class TestRetrieveTopk:
     def test_fewer_chunks_than_k_returns_all_sorted(self):
         provider = StubEmbeddingProvider()
         chunks = self._chunks(["revenue growth", "weather report", "revenue revenue revenue"])
-        ranked = retrieve_topk("revenue", chunks, provider)
+        ranked = retrieve_topk("revenue", chunks, memoized(provider))
         assert len(ranked) == 3
         assert ranked[0].hybrid >= ranked[1].hybrid >= ranked[2].hybrid
 
     def test_ties_preserve_ordinal_order(self):
         provider = StubEmbeddingProvider()
         chunks = self._chunks(["same text here", "same text here", "same text here"])
-        ranked = retrieve_topk("same text", chunks, provider)
+        ranked = retrieve_topk("same text", chunks, memoized(provider))
         assert [r.chunk.ordinal for r in ranked] == [0, 1, 2]
 
     def test_matches_full_sort_oracle(self, rng):
@@ -367,7 +367,7 @@ class TestRetrieveTopk:
         texts = [" ".join(rng.choice(vocab, size=5)) for _ in range(25)]
         chunks = self._chunks(texts)
         cfg = RetrievalConfig(hybrid_top_k=10)
-        ranked = retrieve_topk("revenue growth risk", chunks, provider, cfg)
+        ranked = retrieve_topk("revenue growth risk", chunks, memoized(provider), cfg)
         query = "revenue growth risk"
         oracle = sorted(
             ((hybrid_score(provider.dense(query), provider.sparse(query),
@@ -380,17 +380,17 @@ class TestRetrieveTopk:
 
     def test_empty_chunks_rejected(self):
         with pytest.raises(DataError):
-            retrieve_topk("q", [], StubEmbeddingProvider())
+            retrieve_topk("q", [], memoized(StubEmbeddingProvider()))
 
 
 class TestRerank:
     def _candidates(self, texts):
-        provider = StubEmbeddingProvider()
+        provider = memoized(StubEmbeddingProvider())
         chunks = [Chunk("d", i, t, (i, i + 1)) for i, t in enumerate(texts)]
         return retrieve_topk("report", chunks, provider, RetrievalConfig(hybrid_top_k=10))
 
     def test_trigger_passages_first(self):
-        reranker = StubRerankerProvider(triggers=("revenue",))
+        reranker = memoized(StubRerankerProvider(triggers=("revenue",)))
         candidates = self._candidates([
             "weather was mild", "revenue rose sharply", "the office moved",
         ])
@@ -399,13 +399,13 @@ class TestRerank:
         assert result[0].relevance == 1.0
 
     def test_equal_relevance_preserves_hybrid_order(self):
-        reranker = StubRerankerProvider(triggers=("zzz",))
+        reranker = memoized(StubRerankerProvider(triggers=("zzz",)))
         candidates = self._candidates(["report alpha report", "report beta", "gamma"])
         result = rerank("report", candidates, reranker)
         assert [r.chunk.ordinal for r in result] == [c.chunk.ordinal for c in candidates]
 
     def test_ten_candidates_truncate_to_six(self):
-        reranker = StubRerankerProvider(triggers=("revenue",))
+        reranker = memoized(StubRerankerProvider(triggers=("revenue",)))
         candidates = self._candidates([f"passage number {i} revenue" for i in range(10)])
         assert len(candidates) == 10
         result = rerank("q", candidates, reranker)
@@ -426,12 +426,12 @@ class TestOneGroupPerStep:
         importance = keyword_importance(load_keywords(), 8)
         items = [item("Revenue up", "revenue rose"), item("Quiet day")]
         assert score_news(items, importance, reranker, "q") == \
-            score_news(items, importance, StubRerankerProvider(), "q")
+            score_news(items, importance, memoized(StubRerankerProvider()), "q")
         chunks = [Chunk("d", i, t, (i, i + 1))
                   for i, t in enumerate(["revenue rose", "costs fell", "revenue rose"])]
         ranked = retrieve_topk("q", chunks, embedding)
-        assert ranked == retrieve_topk("q", chunks, StubEmbeddingProvider())
-        assert rerank("q", ranked, reranker) == rerank("q", ranked, StubRerankerProvider())
+        assert ranked == retrieve_topk("q", chunks, memoized(StubEmbeddingProvider()))
+        assert rerank("q", ranked, reranker) == rerank("q", ranked, memoized(StubRerankerProvider()))
         assert [len(group) for group in groups] == [2, 12, 3]
         assert groups[1][:4] == [("dense", "q"), ("dense", "revenue rose"),
                                  ("sparse", "q"), ("sparse", "revenue rose")]
@@ -440,7 +440,7 @@ class TestOneGroupPerStep:
 class TestScoreNews:
     def test_sorted_by_influence_descending(self):
         keywords = load_keywords()
-        reranker = StubRerankerProvider(triggers=("earnings",))
+        reranker = memoized(StubRerankerProvider(triggers=("earnings",)))
         items = [
             item("calm day", "nothing"),
             item("Earnings surge", "earnings " * 300),
