@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -500,6 +501,30 @@ except ProviderError as exc:
         handler.responses["/chat"] = (200, {"content": "hold"})
         self.complete(f"{base}/chat")
         assert handler.requests_seen[-1]["user_agent"] == f"agentdesk/{agentdesk.__version__}"
+
+    def test_a_certificate_the_default_store_does_not_trust_is_refused(self, tmp_path):
+        import ssl
+        from http.server import BaseHTTPRequestHandler, HTTPServer
+        openssl = shutil.which("openssl")
+        if openssl is None:
+            pytest.skip("needs the openssl command to make a self-signed certificate")
+        cert, key = tmp_path / "cert.pem", tmp_path / "key.pem"
+        subprocess.run([openssl, "req", "-x509", "-newkey", "rsa:2048", "-nodes", "-days", "1",
+                        "-subj", "/CN=127.0.0.1", "-addext", "subjectAltName=IP:127.0.0.1",
+                        "-keyout", str(key), "-out", str(cert)], capture_output=True, check=True)
+        tls = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
+        tls.load_cert_chain(cert, key)
+        server = HTTPServer(("127.0.0.1", 0), BaseHTTPRequestHandler)
+        server.socket = tls.wrap_socket(server.socket, server_side=True)
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            with pytest.raises(ProviderError, match="CERTIFICATE_VERIFY_FAILED"):
+                self.complete(f"https://127.0.0.1:{server.server_port}/chat")
+        finally:
+            server.shutdown()
+            server.server_close()
+            thread.join(timeout=5)
 
 
 class _CountingProvider:
