@@ -215,7 +215,6 @@ def _auth_headers(credentials_env: str | None) -> dict[str, str]:
 # Built once: json.dumps with keyword arguments builds an encoder per call.
 _REQUEST_JSON = json.JSONEncoder(allow_nan=False)
 _HEADERS = {"User-Agent": f"agentdesk/{__version__}", "Connection": "close"}  # on every request
-_TLS_LOCK = threading.Lock()
 
 
 @functools.cache
@@ -234,7 +233,7 @@ def _send(method: str, url: str, body: bytes | None, headers: dict[str, str],
           timeout: float) -> tuple[int, str | None, bytes]:
     """(status, Location, body) of one request on a connection of its own,
     through the proxy set for its scheme unless `NO_PROXY` covers its host."""
-    import http.client, urllib.parse, urllib.request
+    import base64, http.client, urllib.parse, urllib.request
     parts = urllib.parse.urlsplit(url)
     target = urllib.parse.urlunsplit(("", "", parts.path or "/", parts.query, ""))
     proxy = _proxies().get(parts.scheme)
@@ -242,15 +241,20 @@ def _send(method: str, url: str, body: bytes | None, headers: dict[str, str],
     via = urllib.parse.urlsplit(proxy if "://" in proxy else "//" + proxy) if proxy else parts
     if parts.scheme not in ("http", "https") or not (parts.hostname and via.hostname):
         raise ValueError(f"not an http(s) URL with a host: {url!r}")
+    auth = {}  # a proxy URL's user and password go as basic auth, as urllib sent them
+    if proxy and via.username and via.password:
+        user = f"{urllib.parse.unquote(via.username)}:{urllib.parse.unquote(via.password)}"
+        auth = {"Proxy-Authorization": "Basic " + base64.b64encode(user.encode()).decode()}
+    # Each port is given: without one, http.client reads "::1" as host "::", port 1.
     if parts.scheme == "http":
-        conn = http.client.HTTPConnection(via.hostname, via.port, timeout=timeout)
-        target = f"http://{parts.netloc}{target}" if proxy else target
+        conn = http.client.HTTPConnection(via.hostname, via.port or 80, timeout=timeout)
+        if proxy:  # to the proxy, with the absolute URL
+            target, headers = f"http://{parts.netloc}{target}", {**headers, **auth}
     else:
-        with _TLS_LOCK:  # so requests that start together share the first context
-            context = _tls_context()
-        conn = http.client.HTTPSConnection(via.hostname, via.port, timeout=timeout, context=context)
+        conn = http.client.HTTPSConnection(via.hostname, via.port or 443, timeout=timeout,
+                                           context=_tls_context())
         if proxy:
-            conn.set_tunnel(parts.hostname, parts.port)
+            conn.set_tunnel(parts.hostname, parts.port or 443, headers=auth)
     with contextlib.closing(conn):
         conn.request(method, target, body, headers)
         with conn.getresponse() as resp:

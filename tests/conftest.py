@@ -269,6 +269,7 @@ class _Handler(BaseHTTPRequestHandler):
             "payload": payload,
             "auth": self.headers.get("Authorization"),
             "user_agent": self.headers.get("User-Agent"),
+            "proxy_auth": self.headers.get("Proxy-Authorization"),
         })
         time.sleep(type(self).delay_s)
         status, body, *headers = type(self).responses.get(self.path, (404, {}))
@@ -282,6 +283,15 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(data)
 
     do_GET = do_POST
+
+    def do_CONNECT(self):
+        # Recorded, then refused, so no tunnel ever opens.
+        type(self).requests_seen.append({
+            "method": self.command,
+            "path": self.path,
+            "proxy_auth": self.headers.get("Proxy-Authorization"),
+        })
+        self.send_error(501)
 
     def log_message(self, *args):
         pass

@@ -464,12 +464,41 @@ except ProviderError as exc:
         assert got == [0.6, 0.8]
         assert [r["path"] for r in handler.requests_seen] == ["/embed"]
 
+    @pytest.mark.parametrize("user, sent", [
+        ("", None),
+        ("user:p%40ss@", "Basic dXNlcjpwQHNz"),  # base64 of "user:p@ss"
+    ])
+    def test_http_goes_to_the_proxy_with_the_absolute_url(self, http_server, user, sent):
+        base, handler = http_server
+        handler.responses["http://provider.invalid/embed"] = (200, {"vector": [0.6, 0.8]})
+        proxy = base.replace("http://", f"http://{user}")
+        got = self.dense_in_a_fresh_process("http://provider.invalid/embed", HTTP_PROXY=proxy)
+        assert got == [0.6, 0.8]
+        assert [(r["path"], r["proxy_auth"]) for r in handler.requests_seen] == [
+            ("http://provider.invalid/embed", sent)]
+
     def test_https_goes_through_a_proxy_tunnel(self, http_server):
         base, handler = http_server
         # The fixture answers a CONNECT with 501, so no request reaches it.
-        got = self.dense_in_a_fresh_process("https://provider.invalid/embed", HTTPS_PROXY=base)
+        proxy = base.replace("http://", "http://user:pw@")
+        got = self.dense_in_a_fresh_process("https://provider.invalid/embed", HTTPS_PROXY=proxy)
         assert "Tunnel connection failed: 501" in got
-        assert handler.requests_seen == []
+        assert handler.requests_seen == [{"method": "CONNECT", "path": "provider.invalid:443",
+                                          "proxy_auth": "Basic dXNlcjpwdw=="}]  # "user:pw"
+
+    def test_an_ipv6_endpoint_without_a_port_goes_to_port_80(self, monkeypatch):
+        import http.client
+        seen = []
+
+        class Recording(http.client.HTTPConnection):
+            def connect(self):
+                seen.append((self.host, self.port))
+                raise ConnectionRefusedError("not connected")
+
+        monkeypatch.setattr(http.client, "HTTPConnection", Recording)
+        with pytest.raises(ProviderError, match="not connected"):
+            HttpChatProvider("http://[::1]/v1", "m").complete(msg("ROLE: decision", "x"))
+        assert seen == [("::1", 80)]
 
     def test_https_builds_one_tls_context_per_process(self, monkeypatch):
         import ssl
