@@ -21,6 +21,8 @@ from concurrent.futures import Executor, Future, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
+from functools import cached_property
+from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
 
@@ -51,7 +53,7 @@ from .datasynth import (
     prompt_digest,
 )
 from .errors import DataError
-from .jsonl import as_number, read_document, read_jsonl, write_json, write_jsonl, write_text
+from .jsonl import as_number, read_document, read_jsonl, replacing, write_json, write_jsonl, write_text
 from .marketdata import ATR_WINDOW, TRADING_DAYS_PER_YEAR, PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
@@ -105,7 +107,10 @@ class RunArtifacts:
     metrics: MetricsReport
     trades: tuple[TradeRecord, ...]
     equity_curve: tuple[tuple[Date, float], ...]
-    records: tuple[TrajectoryRecord, ...]
+
+    @cached_property  # read back from the run's trajectories file when first asked for
+    def records(self) -> tuple[TrajectoryRecord, ...]:
+        return tuple(datasynth.load_trajectories(self.run_dir / TRAJECTORIES_FILE))
 
 
 def trading_dates(series: PriceSeries, start: Date | None, end: Date | None) -> list[Date]:
@@ -153,7 +158,6 @@ class RunState:
     account: AccountState
     style: TradingStyle = TradingStyle.BALANCED
     trades: list[TradeRecord] = field(default_factory=list)
-    records: list[TrajectoryRecord] = field(default_factory=list)
     history: deque[LabeledDay] = field(default_factory=lambda: deque(maxlen=REFLECTION_WINDOW))
     pending: DayState | None = None
 
@@ -166,7 +170,7 @@ class RunInputs:
     two-worker executor the news and report agents run on one day ahead,
     and the latest filing's ranking. A run with no HTTP provider has
     neither executor (both None): it sends every request from the loop
-    thread."""
+    thread. `append` writes each labeled day's records to trajectories.jsonl."""
 
     cfg: BacktestConfig
     series: PriceSeries
@@ -178,6 +182,7 @@ class RunInputs:
     reranker: RerankerProvider
     pool: Executor | None
     agent_pool: Executor | None
+    append: Callable[[Sequence[TrajectoryRecord]], None]
     filing_ranks: FilingRanks = field(default_factory=FilingRanks)
 
 
@@ -195,44 +200,44 @@ def run_backtest(
     filings = load_report_manifest(reports_dir) if reports_dir else []
     keywords = load_keywords(cfg.keywords_path, base_dir)
     out_dir = _make_out_dir(Path(out_dir))  # before any provider call
-
-    remote = dict(
-        endpoint=cfg.provider_endpoint,
-        model=cfg.provider_model,
-        credentials_env=cfg.credentials_env,
-    )
-    chat = make_chat_provider(cfg.provider, **remote, base_dir=base_dir)
-    embedding = make_embedding_provider(cfg.embedding_provider, **remote)
-    reranker = make_reranker_provider(cfg.reranker_provider, **remote)
-    # Bounded like the provider memo; the bound is read when the run starts.
-    importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
-    state = RunState(AccountState.initial(cfg.initial_cash))
-    # A stub never waits on a network, so a run with no HTTP provider sends
-    # every request from the loop thread: no request pool and no day-ahead
-    # agents. Otherwise both executors are joined on any exit, the agent
-    # executor first: its agents may still be sending on the pool.
-    threaded = "http" in (cfg.provider, cfg.embedding_provider, cfg.reranker_provider)
-    with (ThreadPoolExecutor(providers.PROVIDER_WORKERS) if threaded else nullcontext()) as pool, \
-            (ThreadPoolExecutor(2) if threaded else nullcontext()) as agent_pool:
-        # Chat stays uncached: its prompts carry the date, so they never repeat.
-        run = RunInputs(cfg, series, news_by_date, filings, importance, chat,
-                        memoized(embedding, pool), memoized(reranker, pool), pool, agent_pool)
-        # Day d+1's news and report agents read nothing day d decides, so
-        # they start once day d's results are taken and run beside its
-        # step. Day d's errors are raised first: the news agent's, then the
-        # report agent's, then its step's; day d+1's results are read only
-        # after that step.
-        ahead = _start_agents(run, days[0])
-        for day, next_day in zip(days, [*days[1:], None]):
-            if ahead is None:
-                news, report = _news_agent(run, day), _report_agent(run, day)
-            else:
-                news, report = ahead[0].result(), ahead[1].result()
-            if next_day is not None:
-                ahead = _start_agents(run, next_day)
-            step(state, run, day, news, report)
-    if state.pending is not None:
-        state.records.extend(state.pending.records)  # last day: no next close, unlabeled
+    with replacing(out_dir / TRAJECTORIES_FILE) as append:
+        remote = dict(
+            endpoint=cfg.provider_endpoint,
+            model=cfg.provider_model,
+            credentials_env=cfg.credentials_env,
+        )
+        chat = make_chat_provider(cfg.provider, **remote, base_dir=base_dir)
+        embedding = make_embedding_provider(cfg.embedding_provider, **remote)
+        reranker = make_reranker_provider(cfg.reranker_provider, **remote)
+        # Bounded like the provider memo; the bound is read when the run starts.
+        importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
+        state = RunState(AccountState.initial(cfg.initial_cash))
+        # A stub never waits on a network, so a run with no HTTP provider
+        # sends every request from the loop thread: no request pool and no
+        # day-ahead agents. Otherwise both executors are joined on any exit,
+        # the agent executor first: its agents may still be sending on the pool.
+        threaded = "http" in (cfg.provider, cfg.embedding_provider, cfg.reranker_provider)
+        with (ThreadPoolExecutor(providers.PROVIDER_WORKERS) if threaded else nullcontext()) as pool, \
+                (ThreadPoolExecutor(2) if threaded else nullcontext()) as agent_pool:
+            # Chat stays uncached: its prompts carry the date, so they never repeat.
+            run = RunInputs(cfg, series, news_by_date, filings, importance, chat,
+                            memoized(embedding, pool), memoized(reranker, pool), pool, agent_pool, append)
+            # Day d+1's news and report agents read nothing day d decides, so
+            # they start once day d's results are taken and run beside its
+            # step. Day d's errors are raised first: the news agent's, then the
+            # report agent's, then its step's; day d+1's results are read only
+            # after that step.
+            ahead = _start_agents(run, days[0])
+            for day, next_day in zip(days, [*days[1:], None]):
+                if ahead is None:
+                    news, report = _news_agent(run, day), _report_agent(run, day)
+                else:
+                    news, report = ahead[0].result(), ahead[1].result()
+                if next_day is not None:
+                    ahead = _start_agents(run, next_day)
+                step(state, run, day, news, report)
+        if state.pending is not None:  # the last day: no next close, unlabeled
+            datasynth.emit_trajectories(state.pending.records, append)
 
     # The initial cash at the last warm-up bar, then each day's post-trade equity.
     last_warmup = series.dates[series.dates.index(days[0]) - 1]
@@ -247,7 +252,6 @@ def run_backtest(
         metrics=metrics,
         trades=tuple(state.trades),
         equity_curve=equity_curve,
-        records=tuple(state.records),
     )
 
 
@@ -286,8 +290,8 @@ def step(state: RunState, run: RunInputs, day: Date,
     yesterday, snapshot, risk check, the forecast, style and decision
     agents, execute.
 
-    The layer functions are looked up on this module at call time, so a
-    wrapper installed there (as perfbench's traced run does) sees each call.
+    Layers are looked up at call time on this module or on `datasynth`, so
+    a wrapper installed there (as perfbench's traced run does) sees each call.
     """
     cfg, series = run.cfg, run.series
     if state.pending is not None:
@@ -397,7 +401,7 @@ def _label_pending(state: RunState, run: RunInputs, next_at: Date) -> None:
     labeled, flabel, dlabel = label_day(
         pending, run.series, next_at, cfg.commission_rate, cfg.band, cfg.reward
     )
-    state.records.extend(labeled)
+    datasynth.emit_trajectories(labeled, run.append)
     next_close = run.series.close_at(next_at)
     day_return = (post_account.cash + post_account.shares * next_close) / post_account.equity - 1.0
     state.history.append(LabeledDay(
@@ -433,9 +437,6 @@ def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: 
         {"date": day, "equity": equity} for day, equity in equity_curve
     ))
     write_jsonl(out_dir / TRADES_FILE, state.trades)
-    # Looked up on the module at call time, so a wrapper installed there
-    # (as perfbench's traced run does) sees the call.
-    datasynth.emit_trajectories(state.records, out_dir / TRAJECTORIES_FILE)
     write_json(out_dir / METRICS_FILE, metrics)
 
 
@@ -462,7 +463,8 @@ def load_metrics(run_dir: str | Path) -> dict:
 
 def replay(run_dir: str | Path) -> MetricsReport:
     """Recompute metrics from the stored equity curve and require an exact
-    match against the stored report."""
+    match against the stored report, then require each trade's date and
+    post-trade equity to be the curve's next point."""
     curve = load_equity_curve(run_dir)
     trades = load_trades(run_dir)
     n_trades = sum(1 for t in trades if t.get("quantity", 0) > 0)
@@ -476,4 +478,10 @@ def replay(run_dir: str | Path) -> MetricsReport:
                 f"metrics mismatch in {field_name!r}: stored {stored[field_name]!r}, "
                 f"recomputed {value!r}"
             )
+    points = [(day.isoformat(), equity) for day, equity in curve[1:]]
+    for trade, point in zip_longest(trades, points):
+        got = None if trade is None else (trade.get("date"), trade.get("post_equity"))
+        if got != point:
+            raise DataError(f"trades and equity curve differ on {(point or got)[0]}: "
+                            f"trade (date, post_equity) {got}, equity point {point}")
     return recomputed

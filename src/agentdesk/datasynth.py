@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .gate import LABELS, TrendLabel, TrendProbabilities
 from .jsonl import as_number, as_str, read_jsonl, write_jsonl
@@ -333,9 +333,9 @@ def record_from_dict(obj: dict) -> TrajectoryRecord:
     )
 
 
-def emit_trajectories(records: Sequence[TrajectoryRecord], path: str | Path) -> Path:
-    """Write records as JSONL in field-declaration order."""
-    return write_jsonl(path, records)
+def emit_trajectories(records: Sequence[TrajectoryRecord], append: Callable[..., None]) -> None:
+    """Append records through a `jsonl.replacing` writer, in field-declaration order."""
+    append(records)
 
 
 def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:

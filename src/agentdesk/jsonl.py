@@ -13,11 +13,12 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from datetime import date as Date
 from functools import cache
 from pathlib import Path
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import yaml
 
@@ -46,21 +47,29 @@ _LINE = json.JSONEncoder(default=_encode_default, allow_nan=False)
 _PRETTY = json.JSONEncoder(default=_encode_default, allow_nan=False, indent=2)
 
 
-def write_text(path: str | Path, text: str | Iterable[str]) -> Path:
-    """Replace `path` with `text` (a string or its pieces) through a temp file
-    beside it, so a failed write leaves the old file as it was."""
+@contextmanager
+def replacing(path: str | Path, line=lambda row: _LINE.encode(row) + "\n") -> Iterator[Callable]:
+    """Yield `append(rows)`, which writes `line(row)` (a JSON line by default) for each row to
+    a temp file beside `path`. That file replaces `path` when the block ends and is removed
+    if it raises, so the old file stays as it was. An OSError is a DataError naming `path`."""
     p = Path(path)
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            fh.writelines([text] if isinstance(text, str) else text)
+            yield lambda rows: fh.writelines(map(line, rows))
         os.replace(tmp, p)
-    except BaseException as exc:
-        tmp.unlink(missing_ok=True)
-        if isinstance(exc, OSError):
-            raise DataError(f"cannot write {p}: {exc}") from exc
-        raise
-    return p
+    except OSError as exc:
+        raise DataError(f"cannot write {p}: {exc}") from exc
+    finally:  # the temp file is gone once replaced; a directory there is not ours
+        if not tmp.is_dir():
+            tmp.unlink(missing_ok=True)
+
+
+def write_text(path: str | Path, text: str) -> Path:
+    """Replace `path` with `text` through `replacing`."""
+    with replacing(path, str) as append:
+        append([text])
+    return Path(path)
 
 
 def write_json(path: str | Path, obj: Any) -> None:
@@ -70,7 +79,9 @@ def write_json(path: str | Path, obj: Any) -> None:
 
 def write_jsonl(path: str | Path, rows: Iterable[Any]) -> Path:
     """Write one JSON object per line, replacing any existing file."""
-    return write_text(path, (_LINE.encode(row) + "\n" for row in rows))
+    with replacing(path) as append:
+        append(rows)
+    return Path(path)
 
 
 def as_str(value: Any, what: str) -> str:

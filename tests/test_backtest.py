@@ -4,6 +4,7 @@ buy-and-hold replication, replay, and the four ablation flags."""
 from __future__ import annotations
 
 import json
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
@@ -408,11 +409,12 @@ class TestBoundedRunState:
         series = load_price_csv(env.prices)
         days = trading_dates(series, None, None)[:30]
         state = RunState(AccountState.initial(cfg.initial_cash))
+        appended = []
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool, ThreadPoolExecutor(2) as agent_pool:
             run = RunInputs(
                 cfg, series, {}, [], keyword_importance(load_keywords(None), 64),
                 make_chat_provider(cfg.provider), make_embedding_provider("stub"),
-                make_reranker_provider("stub"), pool, agent_pool,
+                make_reranker_provider("stub"), pool, agent_pool, appended.extend,
             )
             for day in days:  # no news or filing: the agents send nothing
                 step(state, run, day, backtest._news_agent(run, day),
@@ -420,7 +422,31 @@ class TestBoundedRunState:
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
         assert len(state.history) == REFLECTION_WINDOW == 20
         assert [d.date for d in state.history] == days[-21:-1]
-        assert [r.date for r in state.records] == [d for d in days[:-1] for _ in range(5)]
+        assert [r.date for r in appended] == [d for d in days[:-1] for _ in range(5)]
+
+
+class TestBoundedMemory:
+    def test_peak_memory_is_flat_in_bar_count(self, tmp_path, rng):
+        """A long-history-shaped run (stub providers, no news or filings)
+        holds at most one pending day of records, so its traced peak grows
+        by less than 1 KB per extra trading day from 300 to 900 bars."""
+        closes = random_walk_closes(rng, 900, vol=0.018, drift=0.0003)
+        tracing = tracemalloc.is_tracing()
+        tracemalloc.start()
+        peaks = {}
+        try:
+            for bars in (40, 300, 900):  # the first run warms the caches
+                env = build_env(tmp_path / str(bars), closes[:bars],
+                                config={"commission_rate": 0.001})
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                artifacts = run_env(env)
+                peaks[bars] = tracemalloc.get_traced_memory()[1] - before
+                del artifacts
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert (peaks[900] - peaks[300]) / 600 < 1024, peaks
 
 
 class TestFallbackTotality:

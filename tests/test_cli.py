@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 
 import pytest
 
@@ -11,7 +12,7 @@ from agentdesk import backtest
 from agentdesk.cli import EXIT_PROVIDER, main
 from agentdesk.datasynth import load_trajectories
 
-from conftest import build_env, rising_closes
+from conftest import build_env, business_days, rising_closes
 
 
 def run_args(env, out="run"):
@@ -316,6 +317,32 @@ class TestOutputFaults:
         expect_data_error(capsys, main(run_args(env)), str(env.out("run")))
         assert chat_calls == []
 
+    def test_provider_error_on_a_later_day_leaves_no_trajectories(self, tmp_path, capsys):
+        # the news on day 15 of 24 needs the unreachable embedding endpoint
+        news = [{"date": business_days(45)[35].isoformat(), "title": "Any", "body": "x"}]
+        env = build_env(tmp_path, rising_closes(45), news=news, config={
+            "embedding_provider": "http",
+            "provider_endpoint": "http://127.0.0.1:1/embed",
+            "provider_model": "emb",
+        })
+        assert main(run_args(env) + ["--news", str(env.news)]) == EXIT_PROVIDER
+        assert "provider error" in capsys.readouterr().err
+        assert list(env.out("run").iterdir()) == []
+
+    def test_out_where_no_file_can_be_made_fails_before_any_chat_call(
+            self, tmp_path, capsys, chat_calls):
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env, "counted")) == 0
+        assert chat_calls, "the counting provider must see a normal run's calls"
+        chat_calls.clear()
+        # a directory where the trajectories' temp file goes: opening it
+        # fails for any user, root included
+        blocked = env.out("run") / f".{backtest.TRAJECTORIES_FILE}.{os.getpid()}.tmp"
+        blocked.mkdir(parents=True)
+        expect_data_error(capsys, main(run_args(env)), backtest.TRAJECTORIES_FILE)
+        assert chat_calls == []
+        assert [p.name for p in env.out("run").iterdir()] == [blocked.name]
+
 
 class TestMetricsCommand:
     def test_prints_stored_report(self, tmp_path, capsys):
@@ -349,6 +376,22 @@ class TestReplayCommand:
         path.write_text("\n".join(lines) + "\n")
         assert main(["replay", "--run", str(env.out("run"))]) == 2
         assert "metrics mismatch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("post_equity", 100001.5), ("date", "2021-01-04")])
+    def test_a_trade_that_is_not_the_equity_curve_exits_two(self, tmp_path, capsys, key, value):
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env)) == 0
+        path = env.out("run") / "trades.jsonl"
+        lines = path.read_text().splitlines()
+        obj = json.loads(lines[4])
+        day = obj["date"]
+        obj[key] = value
+        lines[4] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n")
+        capsys.readouterr()
+        assert main(["replay", "--run", str(env.out("run"))]) == 2
+        err = capsys.readouterr().err
+        assert f"trades and equity curve differ on {day}" in err, err
 
     @pytest.mark.parametrize("quantity", ['"x"', "null", "NaN", "Infinity", "true"])
     def test_a_trade_quantity_that_is_not_a_finite_number_exits_two(

@@ -35,6 +35,7 @@ from agentdesk.datasynth import (
 )
 from agentdesk.errors import DataError, InsufficientHistoryError
 from agentdesk.gate import LABELS, TrendLabel, TrendProbabilities
+from agentdesk.jsonl import replacing
 from agentdesk.portfolio import AccountState
 from agentdesk.risk import TradingStyle
 
@@ -411,19 +412,22 @@ class TestSerialization:
             _record("news"),
         ]
         path = tmp_path / "trajectories.jsonl"
-        emit_trajectories(records, path)
+        with replacing(path) as append:
+            emit_trajectories(records, append)
         loaded = load_trajectories(path)
         assert loaded == records
 
     def test_empty_records_empty_file(self, tmp_path):
         path = tmp_path / "trajectories.jsonl"
-        emit_trajectories([], path)
+        with replacing(path) as append:
+            emit_trajectories([], append)
         assert path.read_text() == ""
         assert load_trajectories(path) == []
 
     def test_stable_field_order(self, tmp_path):
         path = tmp_path / "trajectories.jsonl"
-        emit_trajectories([_record("news")], path)
+        with replacing(path) as append:
+            emit_trajectories([_record("news")], append)
         obj = json.loads(path.read_text().splitlines()[0])
         assert list(obj) == [
             "date", "symbol", "agent_name", "prompt_digest", "input_text",
