@@ -3,23 +3,24 @@ structured-output parsing with one bounded repair retry, and deterministic
 experience summaries.
 
 No provider misbehavior can abort a day: every agent degrades to a safe
-fallback (hold / sideways / balanced / skip-item) and flags the result.
+fallback (hold / sideways / balanced / skip-item) and flags its exchange.
 """
 
 from __future__ import annotations
 
 import json
 from concurrent.futures import Executor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date as Date
 from functools import cached_property, lru_cache
 from importlib import resources
 from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
+from .config import BacktestConfig
 from .datasynth import DecisionLabel, ForecastLabel
 from .errors import ParseError, ProviderError
-from .gate import GateConfig, TrendLabel, TrendProbabilities, classify_trend
+from .gate import TrendLabel, TrendProbabilities, classify_trend
 from .marketdata import IndicatorSnapshot
 from .portfolio import AccountState
 from .providers import ChatProvider
@@ -30,7 +31,6 @@ from .retrieval import (
     RankedChunk,
     RerankedChunk,
     RerankerProvider,
-    RetrievalConfig,
     chunk_report,
     dedupe,
     rerank,
@@ -46,17 +46,33 @@ REPORT_QUERY = (
 )
 
 
+@dataclass(frozen=True)
+class Desk:
+    """What every agent of one run reads besides its day's inputs. It holds
+    no prices, news or filings, so no agent can read a bar or a story dated
+    after its day. With no `pool`, every request is sent from the calling thread."""
+
+    cfg: BacktestConfig
+    chat: ChatProvider
+    embedding: EmbeddingProvider
+    reranker: RerankerProvider
+    importance: Callable[[str, str], float]
+    pool: Executor | None = None
+
+
 # ---------------------------------------------------------------------------
 # Agent outputs
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class AgentExchange:
-    """What went to and came back from the provider, for the day log."""
+    """What went to and came back from the provider, for the day log, and
+    the flags of the repair retry, fallback or degradation the agent took."""
 
     input_text: str
     output_text: str
     reasoning_trace: str = ""
+    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -78,7 +94,6 @@ class IndicatorCitation:
 class FinanceSummary:
     indicators: tuple[IndicatorCitation, ...]
     summary: str
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -87,7 +102,6 @@ class Forecast:
     gated: TrendLabel
     confidence: float
     rationale: str
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -95,14 +109,12 @@ class StylePreference:
     style: TradingStyle
     confidence: float
     rationale: str
-    flags: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
 class Decision:
     action: str
     rationale: str
-    flags: tuple[str, ...] = ()
 
 
 # ---------------------------------------------------------------------------
@@ -140,11 +152,11 @@ _Fallback = tuple[object, dict, tuple[str, ...]]  # (value, output payload, flag
 
 
 def _call_or_fallback(
-    provider: ChatProvider, system: str, user: str, validate, seed: int,
+    desk: Desk, system: str, user: str, validate,
     unusable: _Fallback, unavailable: _Fallback,
-) -> tuple[object, AgentExchange, tuple[str, ...]]:
+) -> tuple[object, AgentExchange]:
     """One chat call with one repair retry that cannot fail: returns
-    (value, exchange, flags).
+    (value, exchange), with the flags on the exchange.
 
     Falls back to `unusable` when the output is still malformed after the
     repair retry and to `unavailable` on a provider error. A validated
@@ -153,7 +165,7 @@ def _call_or_fallback(
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
     try:
         for retried in (False, True):
-            result = provider.complete(messages, seed=seed)
+            result = desk.chat.complete(messages, seed=desk.cfg.seed)
             try:
                 value = validate(parse_structured_output(result.content))
             except (ParseError, ValueError, KeyError, TypeError):
@@ -162,12 +174,12 @@ def _call_or_fallback(
                     {"role": "user", "content": _template("repair").strip()},
                 ]
                 continue
-            exchange = AgentExchange(user, result.content, result.reasoning_trace)
-            return value, exchange, ("repaired",) if retried else ()
+            flags = ("repaired",) if retried else ()
+            return value, AgentExchange(user, result.content, result.reasoning_trace, flags)
         value, payload, flags = unusable
     except ProviderError:
         value, payload, flags = unavailable
-    return value, AgentExchange(user, json.dumps(payload)), flags
+    return value, AgentExchange(user, json.dumps(payload), flags=flags)
 
 
 def format_snapshot(snap: IndicatorSnapshot) -> str:
@@ -225,23 +237,12 @@ def _validate_item_sentiment(obj: Mapping) -> tuple[float, str]:
 
 
 def run_news_agent(
-    at: Date,
-    symbol: str,
-    news: Sequence[NewsItem],
-    cfg: RetrievalConfig,
-    chat: ChatProvider,
-    embedding: EmbeddingProvider,
-    reranker: RerankerProvider,
-    importance: Callable[[str, str], float],
-    pool: Executor | None,
-    seed: int = 0,
-    *,
-    exact_dedupe: bool = False,
+    at: Date, desk: Desk, news: Sequence[NewsItem],
 ) -> tuple[SentimentReport, AgentExchange]:
-    """Score, dedupe, and select the day's news, then aggregate per-item
-    provider sentiments, asked for on `pool`, into an influence-weighted
-    market score. `importance` is the run's `keyword_importance`. Without
-    a pool, every request is sent from this thread."""
+    """Score, dedupe (exactly, with `rerank_embedding` off), and select the
+    day's news, then aggregate per-item provider sentiments, asked for on
+    the desk's pool, into an influence-weighted market score. Without a
+    pool, every request is sent from this thread."""
     if not news:
         report = SentimentReport(0.0, "no news available", 0)
         return report, AgentExchange(
@@ -249,22 +250,24 @@ def run_news_agent(
             output_text=json.dumps({"score": 0.0, "summary": report.summary, "items_used": 0}),
         )
 
-    query = NEWS_QUERY.format(symbol=symbol)
-    scored = score_news(news, importance, reranker, query)
-    selected = dedupe(scored, embedding, cfg, exact_only=exact_dedupe, limit=cfg.news_top_k)
+    cfg = desk.cfg
+    query = NEWS_QUERY.format(symbol=cfg.symbol)
+    scored = score_news(news, desk.importance, desk.reranker, query)
+    selected = dedupe(scored, desk.embedding, cfg.retrieval,
+                      exact_only=not cfg.flags.rerank_embedding, limit=cfg.retrieval.news_top_k)
 
     def assess(item_scored):
         system, user = _render(
             "news_item",
-            symbol=symbol,
+            symbol=cfg.symbol,
             date=str(at),
             title=item_scored.item.title,
             body=item_scored.item.body or "(no body)",
         )
         skip = (None, {}, ())
-        return _call_or_fallback(chat, system, user, _validate_item_sentiment, seed, skip, skip)[0]
+        return _call_or_fallback(desk, system, user, _validate_item_sentiment, skip, skip)[0]
 
-    outcomes = list((pool.map if pool else map)(assess, selected))  # in input order
+    outcomes = list((desk.pool.map if desk.pool else map)(assess, selected))  # in input order
 
     used = [  # (influence, sentiment, title, summary) of each scored item
         (s.influence, outcome[0], s.item.title, outcome[1])
@@ -330,44 +333,37 @@ class FilingRanks:
 
 
 def run_report_agent(
-    at: Date,
-    symbol: str,
-    filings: Sequence[Filing],
-    cfg: RetrievalConfig,
-    chat: ChatProvider,
-    embedding: EmbeddingProvider,
-    reranker: RerankerProvider,
-    ranks: FilingRanks,
-    seed: int = 0,
-    *,
-    use_rerank: bool = True,
+    at: Date, desk: Desk, filings: Sequence[Filing], ranks: FilingRanks,
 ) -> tuple[FinanceSummary, AgentExchange]:
-    """Chunk the latest filing visible at `at`, retrieve and rerank the most
-    price-relevant passages, and summarize them with chunk citations.
+    """Chunk the latest filing visible at `at`, retrieve and rerank (with
+    `rerank_embedding` on) the most price-relevant passages, and summarize
+    them with chunk citations.
 
     `ranks` keeps the ranking from one day to the next, so one run (one
-    symbol, config and provider set) ranks each filing once."""
+    desk) ranks each filing once."""
+    symbol, cfg = desk.cfg.symbol, desk.cfg.retrieval
     visible = [f for f in filings if f.symbol == symbol and f.period <= at]
     if not visible:
-        summary = FinanceSummary((), "no filing available", flags=("no_filing",))
+        summary = FinanceSummary((), "no filing available")
         return summary, AgentExchange(
             input_text=f"DATE: {at}\nno filing available",
             output_text=json.dumps({"indicators": [], "summary": summary.summary}),
+            flags=("no_filing",),
         )
 
     latest = max(visible, key=lambda f: (f.period, f.path.name))
     query = REPORT_QUERY.format(symbol=symbol)
     if ranks.filing != latest:
         chunks = chunk_report(latest.text, cfg, doc_id=latest.path.name)
-        hybrid = retrieve_topk(query, chunks, embedding, cfg)
+        hybrid = retrieve_topk(query, chunks, desk.embedding, cfg)
         ranks.filing, ranks.hybrid, ranks.reranked = latest, hybrid, None
 
     flags: list[str] = []
     candidates = ranks.hybrid[: cfg.rerank_top_k]
-    if use_rerank:
+    if desk.cfg.flags.rerank_embedding:
         try:
             if ranks.reranked is None:
-                ranks.reranked = rerank(query, ranks.hybrid, reranker, cfg)
+                ranks.reranked = rerank(query, ranks.hybrid, desk.reranker, cfg)
             candidates = ranks.reranked
         except ProviderError:
             flags.append("rerank_failed")
@@ -383,20 +379,14 @@ def run_report_agent(
     ordinals = ", ".join(str(c.chunk.ordinal) for c in candidates)
     unavailable = f"summary unavailable; relevant chunks by retrieval order: {ordinals}"
     fallback = (([], unavailable), {"indicators": [], "summary": unavailable}, ("provider_failed",))
-    (indicators, text), exchange, call_flags = _call_or_fallback(
-        chat, system, user, _validate_report, seed, unusable=fallback, unavailable=fallback,
+    (indicators, text), exchange = _call_or_fallback(
+        desk, system, user, _validate_report, unusable=fallback, unavailable=fallback,
     )
-    flags.extend(call_flags)
-
     valid_ordinals = {c.chunk.ordinal for c in candidates}
-    kept = []
-    for ind in indicators:
-        if ind["citation_chunk"] in valid_ordinals:
-            kept.append(IndicatorCitation(ind["name"], ind["value_text"], ind["citation_chunk"]))
-        elif "invalid_citation" not in flags:
-            flags.append("invalid_citation")
-
-    return FinanceSummary(tuple(kept), text, flags=tuple(flags)), exchange
+    kept = tuple(IndicatorCitation(**ind) for ind in indicators
+                 if ind["citation_chunk"] in valid_ordinals)
+    invalid = ("invalid_citation",) if len(kept) < len(indicators) else ()
+    return FinanceSummary(kept, text), replace(exchange, flags=(*flags, *exchange.flags, *invalid))
 
 
 # ---------------------------------------------------------------------------
@@ -424,19 +414,16 @@ def _validate_forecast(obj: Mapping) -> tuple[TrendProbabilities, float, str]:
 
 def run_forecast_agent(
     at: Date,
-    symbol: str,
+    desk: Desk,
     snapshot: IndicatorSnapshot,
     sentiment: SentimentReport,
     finance: FinanceSummary,
     reflection: str | None,
-    chat: ChatProvider,
-    gate_cfg: GateConfig = GateConfig(),
-    seed: int = 0,
 ) -> tuple[Forecast, AgentExchange]:
     """Ask the provider for a trend probability triple, then gate it."""
     system, user = _render(
         "forecast",
-        symbol=symbol,
+        symbol=desk.cfg.symbol,
         date=str(at),
         snapshot=format_snapshot(snapshot),
         sentiment=_sentiment_block(sentiment),
@@ -445,15 +432,15 @@ def run_forecast_agent(
     )
     uniform = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
     payload = {"up": uniform.up, "down": uniform.down, "sideways": uniform.sideways}
-    (probs, confidence, rationale), exchange, flags = _call_or_fallback(
-        chat, system, user, _validate_forecast, seed,
+    (probs, confidence, rationale), exchange = _call_or_fallback(
+        desk, system, user, _validate_forecast,
         unusable=((uniform, 0.0, "fallback: provider output unusable"), payload,
                   ("fallback_uniform",)),
         unavailable=((uniform, 0.0, "fallback: provider unavailable"), payload,
                      ("fallback_uniform", "provider_failed")),
     )
-    gated = classify_trend(probs, snapshot, gate_cfg)
-    return Forecast(probs, gated, confidence, rationale, flags), exchange
+    gated = classify_trend(probs, snapshot, desk.cfg.gate)
+    return Forecast(probs, gated, confidence, rationale), exchange
 
 
 # ---------------------------------------------------------------------------
@@ -468,14 +455,12 @@ def _validate_style(obj: Mapping) -> tuple[TradingStyle, float, str]:
 
 def run_style_agent(
     at: Date,
-    symbol: str,
+    desk: Desk,
     account: AccountState,
     prev_style: TradingStyle,
     recent: Sequence[LabeledDay],
     upstream: str,
     reflection: str | None,
-    chat: ChatProvider,
-    seed: int = 0,
 ) -> tuple[StylePreference, AgentExchange]:
     """Pick today's trading style; retains yesterday's on provider failure."""
     if recent:
@@ -486,22 +471,22 @@ def run_style_agent(
         recent_block = "none available"
     system, user = _render(
         "style",
-        symbol=symbol,
+        symbol=desk.cfg.symbol,
         date=str(at),
         account=format_account(account, prev_style),
         recent=recent_block,
         upstream=upstream or "none available",
         reflection=reflection or "none available",
     )
-    (style, confidence, rationale), exchange, flags = _call_or_fallback(
-        chat, system, user, _validate_style, seed,
+    (style, confidence, rationale), exchange = _call_or_fallback(
+        desk, system, user, _validate_style,
         unusable=((TradingStyle.BALANCED, 0.5, "fallback: provider output unusable"),
                   {"style": "balanced", "confidence": 0.5}, ("fallback_balanced",)),
         unavailable=((prev_style, 0.5, "fallback: provider unavailable, previous style retained"),
                      {"style": prev_style.value, "confidence": 0.5},
                      ("provider_failed", "style_retained")),
     )
-    return StylePreference(style, confidence, rationale, flags), exchange
+    return StylePreference(style, confidence, rationale), exchange
 
 
 # ---------------------------------------------------------------------------
@@ -517,7 +502,7 @@ def _validate_decision(obj: Mapping) -> tuple[str, str]:
 
 def run_decision_agent(
     at: Date,
-    symbol: str,
+    desk: Desk,
     account: AccountState,
     style: StylePreference,
     thresholds: RiskThresholds,
@@ -525,19 +510,16 @@ def run_decision_agent(
     finance: FinanceSummary,
     forecast: Forecast,
     reflection: str | None,
-    chat: ChatProvider,
-    seed: int = 0,
-    *,
-    include_account: bool = True,
 ) -> tuple[Decision, AgentExchange]:
-    """Produce the day's buy/hold/sell; degrades to hold on any failure."""
+    """Produce the day's buy/hold/sell; degrades to hold on any failure.
+    The account is left out of the prompt with `style_and_state` off."""
     account_block = (
         format_account(account, style.style)
-        if include_account else "none available (current-state injection disabled)"
+        if desk.cfg.flags.style_and_state else "none available (current-state injection disabled)"
     )
     system, user = _render(
         "decision",
-        symbol=symbol,
+        symbol=desk.cfg.symbol,
         date=str(at),
         account=account_block,
         thresholds=format_thresholds(thresholds),
@@ -551,14 +533,14 @@ def run_decision_agent(
         style=f"{style.style.value} (confidence {style.confidence:.2f}): {style.rationale}",
         reflection=reflection or "none available",
     )
-    (action, rationale), exchange, flags = _call_or_fallback(
-        chat, system, user, _validate_decision, seed,
+    (action, rationale), exchange = _call_or_fallback(
+        desk, system, user, _validate_decision,
         unusable=(("hold", "fallback: provider output unusable"), {"action": "hold"},
                   ("fallback_hold",)),
         unavailable=(("hold", "fallback: provider unavailable"), {"action": "hold"},
                      ("fallback_hold", "provider_failed")),
     )
-    return Decision(action, rationale, flags), exchange
+    return Decision(action, rationale), exchange
 
 
 # ---------------------------------------------------------------------------

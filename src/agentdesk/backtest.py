@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import Executor, Future, ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
@@ -30,6 +30,7 @@ import yaml
 
 from .agents import (
     AgentExchange,
+    Desk,
     FilingRanks,
     FinanceSummary,
     LabeledDay,
@@ -65,17 +66,14 @@ from .portfolio import (
     unrealized_pnl_pct,
 )
 from .providers import (
-    ChatProvider,
     make_chat_provider,
     make_embedding_provider,
     make_reranker_provider,
     memoized,
 )
 from .retrieval import (
-    EmbeddingProvider,
     Filing,
     NewsItem,
-    RerankerProvider,
     keyword_importance,
     load_keywords,
     load_news_jsonl,
@@ -164,23 +162,18 @@ class RunState:
 
 @dataclass(frozen=True)
 class RunInputs:
-    """What every day reads, and the run-scoped helpers that spare the days
-    repeated work or waiting: the news-importance memo
-    (`keyword_importance`), the request pool (`providers.PROVIDER_WORKERS`), the
-    two-worker executor the news and report agents run on one day ahead,
-    and the latest filing's ranking. A run with no HTTP provider has
-    neither executor (both None): it sends every request from the loop
-    thread. `append` writes each labeled day's records to trajectories.jsonl."""
+    """What every day reads: the agents' `Desk` (config, providers, the
+    news-importance memo and the request pool, `providers.PROVIDER_WORKERS`),
+    the day-keyed data the desk leaves out, the two-worker executor the news
+    and report agents run on one day ahead, and the latest filing's
+    ranking. A run with no HTTP provider has neither executor (both None):
+    it sends every request from the loop thread. `append` writes each
+    labeled day's records to trajectories.jsonl."""
 
-    cfg: BacktestConfig
+    desk: Desk
     series: PriceSeries
     news_by_date: Mapping[Date, Sequence[NewsItem]]
     filings: Sequence[Filing]
-    importance: Callable[[str, str], float]
-    chat: ChatProvider
-    embedding: EmbeddingProvider
-    reranker: RerankerProvider
-    pool: Executor | None
     agent_pool: Executor | None
     append: Callable[[Sequence[TrajectoryRecord]], None]
     filing_ranks: FilingRanks = field(default_factory=FilingRanks)
@@ -220,21 +213,20 @@ def run_backtest(
         with (ThreadPoolExecutor(providers.PROVIDER_WORKERS) if threaded else nullcontext()) as pool, \
                 (ThreadPoolExecutor(2) if threaded else nullcontext()) as agent_pool:
             # Chat stays uncached: its prompts carry the date, so they never repeat.
-            run = RunInputs(cfg, series, news_by_date, filings, importance, chat,
-                            memoized(embedding, pool), memoized(reranker, pool), pool, agent_pool, append)
+            desk = Desk(cfg, chat, memoized(embedding, pool), memoized(reranker, pool), importance, pool)
+            run = RunInputs(desk, series, news_by_date, filings, agent_pool, append)
             # Day d+1's news and report agents read nothing day d decides, so
             # they start once day d's results are taken and run beside its
             # step. Day d's errors are raised first: the news agent's, then the
             # report agent's, then its step's; day d+1's results are read only
-            # after that step.
-            ahead = _start_agents(run, days[0])
+            # after that step. With no agent executor, each day's two agents
+            # run here when their results are taken, with no handoff.
+            submit = agent_pool.submit if agent_pool else None
+            ahead = submit and _upstream_agents(run, days[0], submit)
             for day, next_day in zip(days, [*days[1:], None]):
-                if ahead is None:
-                    news, report = _news_agent(run, day), _report_agent(run, day)
-                else:
-                    news, report = ahead[0].result(), ahead[1].result()
-                if next_day is not None:
-                    ahead = _start_agents(run, next_day)
+                news, report = [f.result() for f in ahead] if submit else _upstream_agents(run, day)
+                if submit and next_day is not None:
+                    ahead = _upstream_agents(run, next_day, submit)
                 step(state, run, day, news, report)
         if state.pending is not None:  # the last day: no next close, unlabeled
             datasynth.emit_trajectories(state.pending.records, append)
@@ -255,32 +247,12 @@ def run_backtest(
     )
 
 
-def _news_agent(run: RunInputs, day: Date) -> tuple[SentimentReport, AgentExchange]:
-    cfg = run.cfg
-    return run_news_agent(
-        day, cfg.symbol, run.news_by_date.get(day, ()), cfg.retrieval,
-        run.chat, run.embedding, run.reranker, run.importance, run.pool, cfg.seed,
-        exact_dedupe=not cfg.flags.rerank_embedding,
-    )
-
-
-def _report_agent(run: RunInputs, day: Date) -> tuple[FinanceSummary, AgentExchange]:
-    cfg = run.cfg
-    return run_report_agent(
-        day, cfg.symbol, run.filings, cfg.retrieval, run.chat,
-        run.embedding, run.reranker, run.filing_ranks, cfg.seed,
-        use_rerank=cfg.flags.rerank_embedding,
-    )
-
-
-def _start_agents(run: RunInputs, day: Date) -> tuple[Future, Future] | None:
-    """The day's news and report agents, started on the agent executor. A
-    run with none gets None, and each day's two agents run when their
-    results are taken, with no handoff."""
-    if run.agent_pool is None:
-        return None
-    return (run.agent_pool.submit(_news_agent, run, day),
-            run.agent_pool.submit(_report_agent, run, day))
+def _upstream_agents(run: RunInputs, day: Date, call=lambda agent, *args: agent(*args)):
+    """The day's news and report agents, each with its arguments passed to
+    `call`: run here, in that order, or started with the agent executor's
+    `submit`, which gives their futures."""
+    return (call(run_news_agent, day, run.desk, run.news_by_date.get(day, ())),
+            call(run_report_agent, day, run.desk, run.filings, run.filing_ranks))
 
 
 def step(state: RunState, run: RunInputs, day: Date,
@@ -293,7 +265,7 @@ def step(state: RunState, run: RunInputs, day: Date,
     Layers are looked up at call time on this module or on `datasynth`, so
     a wrapper installed there (as perfbench's traced run does) sees each call.
     """
-    cfg, series = run.cfg, run.series
+    cfg, series = run.desk.cfg, run.series
     if state.pending is not None:
         _label_pending(state, run, day)
 
@@ -314,8 +286,7 @@ def step(state: RunState, run: RunInputs, day: Date,
         return None
 
     forecast, forecast_ex = run_forecast_agent(
-        day, cfg.symbol, snapshot, sentiment, finance, reflection("forecasting"),
-        run.chat, cfg.gate, cfg.seed,
+        day, run.desk, snapshot, sentiment, finance, reflection("forecasting"),
     )
 
     if cfg.flags.style_and_state:
@@ -325,23 +296,20 @@ def step(state: RunState, run: RunInputs, day: Date,
             f"finance: {finance.summary[:120]}"
         )
         style_pref, style_ex = run_style_agent(
-            day, cfg.symbol, account_before, state.style, state.history, upstream,
-            reflection("style"), run.chat, cfg.seed,
+            day, run.desk, account_before, state.style, state.history, upstream, reflection("style"),
         )
     else:
-        style_pref = StylePreference(
-            TradingStyle.BALANCED, 1.0, "style agent disabled", ("disabled",)
-        )
+        style_pref = StylePreference(TradingStyle.BALANCED, 1.0, "style agent disabled")
         style_ex = AgentExchange(
             input_text=f"DATE: {day}\nstyle agent disabled",
             output_text=json.dumps({"style": "balanced", "confidence": 1.0}),
+            flags=("disabled",),
         )
     style = state.style = style_pref.style
 
     decision, decision_ex = run_decision_agent(
-        day, cfg.symbol, account_before, style_pref, thresholds, sentiment, finance,
-        forecast, reflection("decision"), run.chat, cfg.seed,
-        include_account=cfg.flags.style_and_state,
+        day, run.desk, account_before, style_pref, thresholds, sentiment, finance,
+        forecast, reflection("decision"),
     )
 
     if verdict.action != ACTION_NONE:
@@ -396,7 +364,7 @@ def step(state: RunState, run: RunInputs, day: Date,
 def _label_pending(state: RunState, run: RunInputs, next_at: Date) -> None:
     """Label the pending day now that `next_at`'s close is known, and add
     it to the reflection history."""
-    pending, post_account, cfg = state.pending, state.account, run.cfg
+    pending, post_account, cfg = state.pending, state.account, run.desk.cfg
     state.pending = None
     labeled, flabel, dlabel = label_day(
         pending, run.series, next_at, cfg.commission_rate, cfg.band, cfg.reward

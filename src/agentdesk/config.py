@@ -4,7 +4,6 @@ sections, provider selection, and the four ablation flags."""
 from __future__ import annotations
 
 import math
-import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date as Date
 from functools import partial
@@ -14,11 +13,9 @@ from typing import Any, Mapping
 from .datasynth import BandConfig, RewardConfig
 from .errors import DataError
 from .gate import GateConfig
-from .jsonl import as_str, read_document
+from .jsonl import as_date, as_str, read_document
 from .retrieval import RetrievalConfig
 from .risk import DEFAULT_MULTIPLIERS, RiskConfig, StyleMultipliers, TradingStyle
-
-_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 
 
 @dataclass(frozen=True)
@@ -64,16 +61,6 @@ class BacktestConfig:
             raise DataError("start date is after end date")
 
 
-def _as_date(value: Any) -> Date | None:
-    """A YAML date, null, or a `YYYY-MM-DD` string; `date.fromisoformat`
-    alone would take more forms from Python 3.11 on (`20220103`, say)."""
-    if value is None or type(value) is Date:
-        return value
-    if not (isinstance(value, str) and _ISO_DATE.fullmatch(value)):
-        raise ValueError(f"value must be a date written YYYY-MM-DD, got {value!r}")
-    return Date.fromisoformat(value)
-
-
 def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
     """Read {style: {sl, tp}} or {style: [sl, tp]}; missing styles keep defaults."""
     if table is None:
@@ -102,7 +89,9 @@ def _typed(annotation: str, value: Any, name: str = "value") -> Any:
 
 
 def _as_section(cls, value: Any):
-    value = value or {}
+    """A section's mapping, or its defaults for a null; `flags: false`, say,
+    is refused rather than read as all defaults."""
+    value = {} if value is None else value
     if not isinstance(value, Mapping):
         raise TypeError("a config section must be a mapping")
     raw = dict(value)
@@ -121,7 +110,8 @@ _SCALARS = {
     "float": lambda value: float(_typed("float", value)),
     "int": partial(_typed, "int"),
     "str | None": lambda value: None if value is None else as_str(value, "value"),
-    "Date | None": _as_date,
+    "Date | None": lambda value: (
+        value if value is None or type(value) is Date else as_date(value, "value")),
 }
 
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from datetime import date as Date
@@ -98,6 +99,19 @@ def as_number(value: Any, what: str) -> float:
     if type(value) not in (int, float) or not math.isfinite(value):
         raise ValueError(f"{what} must be a finite number, not {value!r}")
     return value
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def as_date(value: Any, what: str) -> Date:
+    """`value`, a parsed input's `YYYY-MM-DD` string, as a date; anything
+    else raises ValueError naming `what`. `date.fromisoformat` alone takes
+    more forms from Python 3.11 on (`20220103`, `2022-W01-1`), so one input
+    would run on one Python and be refused on another."""
+    if not (isinstance(value, str) and _ISO_DATE.fullmatch(value)):
+        raise ValueError(f"{what} must be a date written YYYY-MM-DD, got {value!r}")
+    return Date.fromisoformat(value)
 
 
 def read_text(path: str | Path, what: str) -> str:

@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from .errors import DataError, InsufficientHistoryError
-from .jsonl import read_text
+from .jsonl import as_date, read_text
 
 TRADING_DAYS_PER_YEAR = 252
 SQRT_ANNUAL = math.sqrt(TRADING_DAYS_PER_YEAR)
@@ -122,7 +122,7 @@ def load_price_csv(path: str | Path) -> PriceSeries:
         raise DataError(f"price CSV must have a date,close header, got {fields}")
     for lineno, row in enumerate(reader, start=2):
         try:
-            day = Date.fromisoformat((row["date"] or "").strip())
+            day = as_date((row["date"] or "").strip(), "date")
             close = float((row["close"] or "").strip())
         except (ValueError, AttributeError) as exc:
             raise DataError(f"unparseable row {lineno} in {Path(path).name}: {exc}") from exc

@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 import yaml
 
 from .errors import DataError
-from .jsonl import as_str, read_document, read_jsonl, read_text
+from .jsonl import as_date, as_str, read_document, read_jsonl, read_text
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -357,7 +357,7 @@ def load_news_jsonl(path: str | Path) -> list[NewsItem]:
     """Line-delimited {date, title, body} records; a missing or null body
     reads as empty."""
     return read_jsonl(path, "news", lambda obj: NewsItem(
-        date=Date.fromisoformat(obj["date"]),
+        date=as_date(obj["date"], "date"),
         title=as_str(obj["title"], "title"),
         body=as_str("" if obj.get("body") is None else obj["body"], "body"),
     ))
@@ -368,15 +368,16 @@ def load_report_manifest(reports_dir: str | Path) -> list[Filing]:
     directory, and each filing's text; period is the filing date used for
     visibility cutoffs. A blank filing is refused here, before any day runs."""
     root = Path(reports_dir)
-    entries = read_document(root / "manifest.json", "report manifest", list, json.loads)
+    manifest = root / "manifest.json"
+    entries = read_document(manifest, "report manifest", list, json.loads)
     filings: list[Filing] = []
     for i, entry in enumerate(entries):
         try:
             symbol = as_str(entry["symbol"], "symbol")
-            period = Date.fromisoformat(entry["period"])
+            period = as_date(entry["period"], "period")
             path = root / as_str(entry["path"], "path")
         except (KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad manifest entry {i}: {exc}") from exc
+            raise DataError(f"bad manifest entry {i} in {manifest}: {exc}") from exc
         text = read_text(path, "filing")
         if not text.strip():
             raise DataError(f"filing {path} is empty")

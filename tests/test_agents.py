@@ -10,6 +10,7 @@ import pytest
 
 from agentdesk import agents, retrieval
 from agentdesk.agents import (
+    Desk,
     FilingRanks,
     FinanceSummary,
     LabeledDay,
@@ -24,9 +25,10 @@ from agentdesk.agents import (
     run_style_agent,
     weighted_sentiment,
 )
+from agentdesk.config import BacktestConfig, FeatureFlags
 from agentdesk.datasynth import DecisionLabel, ForecastLabel
 from agentdesk.errors import ParseError, ProviderError
-from agentdesk.gate import GateConfig, PATH_HARD_INTERCEPT, PATH_SOFT_UP, TrendLabel, TrendProbabilities
+from agentdesk.gate import PATH_HARD_INTERCEPT, PATH_SOFT_UP, TrendLabel, TrendProbabilities
 from agentdesk.marketdata import IndicatorSnapshot
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
@@ -82,6 +84,19 @@ def scripted_stub(script: dict, base=("sideways",)) -> StubChatProvider:
     return StubChatProvider(tuple(base), script)
 
 
+def make_desk(chat=None, embedding=None, reranker=None, pool=None, **cfg) -> Desk:
+    """A desk for symbol TEST and seed SEED; `cfg` holds other config
+    fields, and a memoized stub stands in for each provider not given."""
+    return Desk(
+        BacktestConfig("TEST", seed=SEED, **cfg),
+        chat or StubChatProvider(("sideways",)),
+        embedding or memoized(StubEmbeddingProvider()),
+        reranker or memoized(StubRerankerProvider()),
+        keyword_importance(load_keywords(), 64),
+        pool,
+    )
+
+
 def snap(rsi=50.0, dist_high=-0.5, dist_sma=1.0, new_high=True, atr=2.0) -> IndicatorSnapshot:
     return IndicatorSnapshot(
         date=DAY, rsi14=rsi, dist_sma20_pct=dist_sma, dist_high20_pct=dist_high,
@@ -122,13 +137,9 @@ class TestWeightedSentiment:
 
 
 class TestNewsAgent:
-    def _run(self, news, chat, **kwargs):
+    def _run(self, news, chat):
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-            return run_news_agent(
-                DAY, "TEST", news, RetrievalConfig(), chat,
-                memoized(StubEmbeddingProvider()), memoized(StubRerankerProvider()),
-                keyword_importance(load_keywords(), 64), pool, SEED, **kwargs,
-            )
+            return run_news_agent(DAY, make_desk(chat, pool=pool), news)
 
     def test_empty_news(self):
         report, exchange = self._run([], StubChatProvider(("sideways",)))
@@ -193,16 +204,13 @@ class TestNewsAgent:
                 return super().dense(text)
 
         news = [NewsItem(DAY, f"headline{i} earnings", f"body{i} detail{i}") for i in range(20)]
-        cfg = RetrievalConfig(news_top_k=3)
 
         def run():
             embedding = CountingEmbedding()
             with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-                result = run_news_agent(
-                    DAY, "TEST", news, cfg, StubChatProvider(("always-up",)),
-                    memoized(embedding), memoized(StubRerankerProvider()),
-                    keyword_importance(load_keywords(), 64), pool, SEED,
-                )
+                desk = make_desk(StubChatProvider(("always-up",)), memoized(embedding), pool=pool,
+                                 retrieval=RetrievalConfig(news_top_k=3))
+                result = run_news_agent(DAY, desk, news)
             return result, embedding.dense_reads
 
         capped, capped_reads = run()
@@ -224,11 +232,9 @@ class TestNewsAgent:
             memo = memoized(Recording(StubEmbeddingProvider(), seen), pool)
             ask = memo.ask
             memo.ask = lambda requests: groups.append(list(requests)) or ask(groups[-1])
-            report, _ = run_news_agent(
-                DAY, "TEST", news, RetrievalConfig(news_top_k=3),
-                StubChatProvider(("always-up",)), memo, memoized(StubRerankerProvider()),
-                keyword_importance(load_keywords(), 64), pool, SEED,
-            )
+            report, _ = run_news_agent(DAY, make_desk(
+                StubChatProvider(("always-up",)), memo, pool=pool,
+                retrieval=RetrievalConfig(news_top_k=3)), news)
         assert report.items_used == 3
         assert [len(group) for group in groups] == [3, 1]
         assert sorted(seen) == sorted(request for group in groups for request in group)
@@ -242,24 +248,20 @@ class TestReportAgent:
         path.write_text(text)
         return Filing("TEST", period, path, text)
 
-    def _run(self, filings, chat=None, reranker=None, ranks=None, at=DAY, **kwargs):
-        return run_report_agent(
-            at, "TEST", filings, RetrievalConfig(),
-            chat or StubChatProvider(("sideways",)),
-            memoized(StubEmbeddingProvider()),
-            memoized(reranker or StubRerankerProvider(triggers=("revenue",))),
-            ranks or FilingRanks(), SEED, **kwargs,
-        )
+    def _run(self, filings, chat=None, reranker=None, ranks=None, at=DAY, **cfg):
+        desk = make_desk(chat, reranker=memoized(reranker or StubRerankerProvider(triggers=("revenue",))),
+                         **cfg)
+        return run_report_agent(at, desk, filings, ranks or FilingRanks())
 
     def test_no_visible_filing(self):
-        summary, _ = self._run([])
+        summary, exchange = self._run([])
         assert summary.indicators == ()
-        assert "no_filing" in summary.flags
+        assert exchange.flags == ("no_filing",)
 
     def test_future_filing_excluded(self, tmp_path):
         filing = self._write_filing(tmp_path, "Revenue grew.", period=date(2023, 1, 1))
-        summary, _ = self._run([filing])
-        assert "no_filing" in summary.flags
+        _, exchange = self._run([filing])
+        assert exchange.flags == ("no_filing",)
 
     def test_citations_point_at_revenue_chunks(self, tmp_path):
         text = (
@@ -275,8 +277,8 @@ class TestReportAgent:
 
     def test_reranker_failure_degrades_to_hybrid(self, tmp_path):
         filing = self._write_filing(tmp_path, "Revenue grew. " * 8)
-        summary, _ = self._run([filing], reranker=FailingRerankerProvider())
-        assert "rerank_failed" in summary.flags
+        summary, exchange = self._run([filing], reranker=FailingRerankerProvider())
+        assert exchange.flags == ("rerank_failed",)
         assert summary.summary  # still produced from hybrid order
 
     def test_failed_rerank_is_retried_the_next_day(self, tmp_path):
@@ -291,12 +293,12 @@ class TestReportAgent:
         ranks = FilingRanks()
         reranker.down = True
         day1, ex1 = self._run([filing], reranker=reranker, ranks=ranks)
-        assert "rerank_failed" in day1.flags
+        assert "rerank_failed" in ex1.flags
         assert ranks.reranked is None
         assert ex1.input_text.index("[chunk 0]") < ex1.input_text.index("[chunk 2]")
         reranker.down = False
         day2, ex2 = self._run([filing], reranker=reranker, ranks=ranks, at=DAY2)
-        assert "rerank_failed" not in day2.flags
+        assert "rerank_failed" not in ex2.flags
         assert ex2.input_text.index("[chunk 2]") < ex2.input_text.index("[chunk 0]")
         fresh, fresh_ex = self._run([filing], reranker=reranker, at=DAY2)
         assert (day2, ex2) == (fresh, fresh_ex)
@@ -316,9 +318,22 @@ class TestReportAgent:
 
     def test_chat_failure_degrades_with_flag(self, tmp_path):
         filing = self._write_filing(tmp_path, "Revenue grew. Margins rose.")
-        summary, _ = self._run([filing], chat=FailingChatProvider())
-        assert "provider_failed" in summary.flags
+        summary, exchange = self._run([filing], chat=FailingChatProvider())
+        assert "provider_failed" in exchange.flags
         assert summary.indicators == ()
+
+    def test_citations_outside_the_candidates_are_dropped_and_flagged_once(self, tmp_path):
+        filing = self._write_filing(tmp_path, "Revenue grew. Margins rose.")  # one chunk, 0
+        reply = json.dumps({"indicators": [
+            {"name": "revenue", "value_text": "+12%", "citation_chunk": 7},
+            {"name": "margin", "value_text": "up", "citation_chunk": 0},
+            {"name": "guidance", "value_text": "raised", "citation_chunk": 9},
+        ], "summary": "revenue and margins grew"})
+        summary, exchange = self._run([filing], chat=scripted_stub({"report:*": reply}))
+        assert summary == FinanceSummary(
+            (agents.IndicatorCitation("margin", "up", 0),), "revenue and margins grew")
+        assert exchange.flags == ("invalid_citation",)
+        assert exchange.output_text == reply
 
     def test_rerank_disabled_uses_hybrid_order(self, tmp_path):
         filing = self._write_filing(
@@ -326,18 +341,15 @@ class TestReportAgent:
             "Plain opening sentence. More filler here. Revenue grew sharply. "
             "Extra filler line. Closing remark.",
         )
-        summary, exchange = self._run([filing], use_rerank=False)
+        summary, exchange = self._run([filing], flags=FeatureFlags(rerank_embedding=False))
         assert "[chunk 0]" in exchange.input_text
 
 
 class TestForecastAgent:
     def _run(self, chat, snapshot=None):
         sentiment = SentimentReport(0.2, "mildly positive", 1)
-        finance = FinanceSummary((), "no filing available", ("no_filing",))
-        return run_forecast_agent(
-            DAY, "TEST", snapshot or snap(), sentiment, finance, None, chat,
-            GateConfig(), SEED,
-        )
+        finance = FinanceSummary((), "no filing available")
+        return run_forecast_agent(DAY, make_desk(chat), snapshot or snap(), sentiment, finance, None)
 
     def test_stub_probs_pass_gate(self):
         forecast, exchange = self._run(StubChatProvider(("always-up",)))
@@ -347,14 +359,14 @@ class TestForecastAgent:
 
     def test_malformed_twice_falls_back_uniform_sideways(self):
         chat = scripted_stub({"forecast:*": "not a forecast"})
-        forecast, _ = self._run(chat)
+        forecast, exchange = self._run(chat)
         assert forecast.probs.up == pytest.approx(1 / 3)
         assert forecast.gated.label == "sideways"
-        assert "fallback_uniform" in forecast.flags
+        assert "fallback_uniform" in exchange.flags
 
     def test_provider_error_falls_back_uniform(self):
-        forecast, _ = self._run(FailingChatProvider())
-        assert "provider_failed" in forecast.flags
+        forecast, exchange = self._run(FailingChatProvider())
+        assert "provider_failed" in exchange.flags
         assert forecast.gated.label == "sideways"
 
     def test_overheated_snapshot_hard_intercepts(self):
@@ -372,16 +384,15 @@ class TestForecastAgent:
 
     def test_far_off_sum_distrusted(self):
         chat = scripted_stub({"forecast:*": '{"up": 0.9, "down": 0.9, "sideways": 0.9}'})
-        forecast, _ = self._run(chat)
-        assert "fallback_uniform" in forecast.flags
+        _, exchange = self._run(chat)
+        assert "fallback_uniform" in exchange.flags
 
 
 class TestStyleAgent:
     def _run(self, chat, prev=TradingStyle.BALANCED):
         account = AccountState.initial(1000.0)
         return run_style_agent(
-            DAY, "TEST", account, prev, [labeled_day(DAY, 0.01)],
-            "forecast: up", None, chat, SEED,
+            DAY, make_desk(chat), account, prev, [labeled_day(DAY, 0.01)], "forecast: up", None,
         )
 
     def test_recent_outcomes_reach_the_prompt(self):
@@ -396,19 +407,19 @@ class TestStyleAgent:
 
     def test_malformed_twice_falls_back_balanced(self):
         chat = scripted_stub({"style:*": "garbage words"})
-        pref, _ = self._run(chat, prev=TradingStyle.AGGRESSIVE)
+        pref, exchange = self._run(chat, prev=TradingStyle.AGGRESSIVE)
         assert pref.style == TradingStyle.BALANCED
         assert pref.confidence == 0.5
-        assert "fallback_balanced" in pref.flags
+        assert "fallback_balanced" in exchange.flags
 
     def test_provider_error_retains_previous_style(self):
-        pref, _ = self._run(FailingChatProvider(), prev=TradingStyle.CONSERVATIVE)
+        pref, exchange = self._run(FailingChatProvider(), prev=TradingStyle.CONSERVATIVE)
         assert pref.style == TradingStyle.CONSERVATIVE
-        assert "style_retained" in pref.flags
+        assert "style_retained" in exchange.flags
 
 
 class TestDecisionAgent:
-    def _run(self, chat, gated="up"):
+    def _run(self, chat, gated="up", **cfg):
         from agentdesk.gate import TrendLabel, TrendProbabilities
         from agentdesk.agents import Forecast
         probs = {"up": TrendProbabilities(0.7, 0.1, 0.2),
@@ -418,12 +429,12 @@ class TestDecisionAgent:
                                               else "soft_pass_down" if gated == "down"
                                               else "default_sideways", "r"), 0.7, "r")
         return run_decision_agent(
-            DAY, "TEST", AccountState.initial(1000.0),
+            DAY, make_desk(chat, **cfg), AccountState.initial(1000.0),
             StylePreference(TradingStyle.BALANCED, 0.5, "r"),
             RiskThresholds(0.02, 0.03, 0.05),
             SentimentReport(0.0, "none", 0),
-            FinanceSummary((), "no filing available", ("no_filing",)),
-            forecast, None, chat, SEED,
+            FinanceSummary((), "no filing available"),
+            forecast, None,
         )
 
     def test_stub_buy(self):
@@ -432,14 +443,14 @@ class TestDecisionAgent:
 
     def test_malformed_twice_holds(self):
         chat = scripted_stub({"decision:*": "no idea"})
-        decision, _ = self._run(chat)
+        decision, exchange = self._run(chat)
         assert decision.action == "hold"
-        assert "fallback_hold" in decision.flags
+        assert "fallback_hold" in exchange.flags
 
     def test_provider_error_holds(self):
-        decision, _ = self._run(FailingChatProvider())
+        decision, exchange = self._run(FailingChatProvider())
         assert decision.action == "hold"
-        assert "provider_failed" in decision.flags
+        assert "provider_failed" in exchange.flags
 
     def test_echo_policy_tracks_gated_label(self):
         chat = StubChatProvider(("echo-forecast",))
@@ -448,20 +459,11 @@ class TestDecisionAgent:
             assert decision.action == expected
 
     def test_account_block_can_be_disabled(self):
-        from agentdesk.gate import TrendLabel, TrendProbabilities
-        from agentdesk.agents import Forecast
-        forecast = Forecast(TrendProbabilities(0.2, 0.2, 0.6),
-                            TrendLabel("sideways", "default_sideways", "r"), 0.6, "r")
-        _, exchange = run_decision_agent(
-            DAY, "TEST", AccountState.initial(1000.0),
-            StylePreference(TradingStyle.BALANCED, 0.5, "r"),
-            RiskThresholds(0.02, 0.03, 0.05),
-            SentimentReport(0.0, "none", 0),
-            FinanceSummary((), "none", ()),
-            forecast, None, StubChatProvider(("sideways",)), SEED,
-            include_account=False,
-        )
+        _, exchange = self._run(StubChatProvider(("sideways",)), gated="sideways",
+                                flags=FeatureFlags(style_and_state=False))
         assert "current-state injection disabled" in exchange.input_text
+        _, exchange = self._run(StubChatProvider(("sideways",)), gated="sideways")
+        assert "current-state injection disabled" not in exchange.input_text
 
 
 def labeled_day(day, score=0.0, *, taken="buy", r_bm=0.0, pct=0.0,
@@ -594,16 +596,16 @@ def _fallback_run(agent, chat, tmp_path):
     """Run one agent; return (fallback value, flags, exchange)."""
     if agent == "forecast":
         forecast, exchange = TestForecastAgent()._run(chat)
-        return forecast.probs, forecast.flags, exchange
+        return forecast.probs, exchange.flags, exchange
     if agent == "style":
         pref, exchange = TestStyleAgent()._run(chat, prev=TradingStyle.AGGRESSIVE)
-        return pref.style, pref.flags, exchange
+        return pref.style, exchange.flags, exchange
     if agent == "decision":
         decision, exchange = TestDecisionAgent()._run(chat)
-        return decision.action, decision.flags, exchange
+        return decision.action, exchange.flags, exchange
     filing = TestReportAgent()._write_filing(tmp_path, "Revenue grew. Margins rose.")
     summary, exchange = TestReportAgent()._run([filing], chat=chat)
-    return summary.summary, summary.flags, exchange
+    return summary.summary, exchange.flags, exchange
 
 
 @pytest.mark.parametrize("agent, failure, flags, value, output_text", [
@@ -669,15 +671,14 @@ class TestMemoKeys:
         text = "Revenue rose sharply. Guidance was raised."
         (tmp_path / "fy.txt").write_text(text, encoding="utf-8")
         filing = Filing("TEST", DAY, tmp_path / "fy.txt", text)  # newly visible
-        chat, cfg = StubChatProvider(("sideways",)), RetrievalConfig()
         asked: dict[str, list] = {"news": [], "report": []}
         embedding, reranker = ({agent: memoized(Recording(make(), seen)) for agent, seen in asked.items()}
                                for make in (StubEmbeddingProvider, StubRerankerProvider))
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-            run_news_agent(DAY, "TEST", news, cfg, chat, embedding["news"], reranker["news"],
-                           keyword_importance(load_keywords(), 64), pool, SEED)
-        run_report_agent(DAY, "TEST", [filing], cfg, chat, embedding["report"],
-                         reranker["report"], FilingRanks(), SEED)
+            run_news_agent(DAY, make_desk(embedding=embedding["news"], reranker=reranker["news"],
+                                          pool=pool), news)
+        run_report_agent(DAY, make_desk(embedding=embedding["report"], reranker=reranker["report"]),
+                         [filing], FilingRanks())
         kinds = {agent: {request[0] for request in seen} for agent, seen in asked.items()}
         assert kinds == {"news": {"dense", "relevance"}, "report": {"dense", "sparse", "relevance"}}
         assert not set(asked["news"]) & set(asked["report"])

@@ -11,7 +11,7 @@ from datetime import date
 import pytest
 
 from agentdesk import backtest
-from agentdesk.agents import REFLECTION_WINDOW
+from agentdesk.agents import REFLECTION_WINDOW, Desk
 from agentdesk.backtest import (
     EQUITY_FILE,
     METRICS_FILE,
@@ -411,14 +411,11 @@ class TestBoundedRunState:
         state = RunState(AccountState.initial(cfg.initial_cash))
         appended = []
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool, ThreadPoolExecutor(2) as agent_pool:
-            run = RunInputs(
-                cfg, series, {}, [], keyword_importance(load_keywords(None), 64),
-                make_chat_provider(cfg.provider), make_embedding_provider("stub"),
-                make_reranker_provider("stub"), pool, agent_pool, appended.extend,
-            )
+            desk = Desk(cfg, make_chat_provider(cfg.provider), make_embedding_provider("stub"),
+                        make_reranker_provider("stub"), keyword_importance(load_keywords(None), 64), pool)
+            run = RunInputs(desk, series, {}, [], agent_pool, appended.extend)
             for day in days:  # no news or filing: the agents send nothing
-                step(state, run, day, backtest._news_agent(run, day),
-                     backtest._report_agent(run, day))
+                step(state, run, day, *backtest._upstream_agents(run, day))
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
         assert len(state.history) == REFLECTION_WINDOW == 20
         assert [d.date for d in state.history] == days[-21:-1]

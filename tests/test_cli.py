@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
+from datetime import date
 
 import pytest
 
@@ -103,6 +105,10 @@ class TestRunCommand:
         "reranker_provider: {a: 1}",
         "provider_endpoint: 80",
         "credentials_env: true",
+        "flags: false",
+        "retrieval: 0",
+        "risk: ''",
+        "gate: []",
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, body):
         env = build_env(tmp_path, rising_closes(45))
@@ -272,6 +278,24 @@ class TestInputFaults:
         env, args = full_env(tmp_path)
         (env.reports / "manifest.json").write_text(json.dumps([entry]), encoding="utf-8")
         expect_data_error(capsys, main(args), "bad manifest entry 0")
+
+    @pytest.mark.parametrize("form", ["compact", "week"])
+    @pytest.mark.parametrize("name, named", [
+        ("prices", "prices.csv"), ("news", "news.jsonl"), ("manifest", "manifest.json"),
+    ])
+    def test_a_date_not_written_yyyy_mm_dd_exits_two_naming_the_file(
+            self, tmp_path, capsys, name, named, form):
+        # Python 3.11's date.fromisoformat reads both forms; 3.10 reads neither.
+        env, args = full_env(tmp_path)
+        path = tmp_path / RUN_INPUTS[name][0]
+        text = path.read_text(encoding="utf-8")
+        first = re.search(r"[0-9]{4}-[0-9]{2}-[0-9]{2}", text).group()
+        spelled = (first.replace("-", "") if form == "compact"
+                   else date.fromisoformat(first).strftime("%G-W%V-%u"))
+        path.write_text(text.replace(first, spelled, 1), encoding="utf-8")
+        code, err = main(args), capsys.readouterr().err
+        assert code == 2 and err.startswith("data error:"), err
+        assert named in err and f"must be a date written YYYY-MM-DD, got '{spelled}'" in err, err
 
     @pytest.mark.parametrize("field", ["title", "body"])
     def test_non_string_news_field_exits_two(self, tmp_path, capsys, field):
