@@ -50,14 +50,14 @@ REPORT_QUERY = (
 class Desk:
     """What every agent of one run reads besides its day's inputs. It holds
     no prices, news or filings, so no agent can read a bar or a story dated
-    after its day. With no `pool`, every request is sent from the calling thread."""
+    after its day. `pool` is the run's request executor."""
 
     cfg: BacktestConfig
     chat: ChatProvider
     embedding: EmbeddingProvider
     reranker: RerankerProvider
     importance: Callable[[str, str], float]
-    pool: Executor | None = None
+    pool: Executor
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +241,7 @@ def run_news_agent(
 ) -> tuple[SentimentReport, AgentExchange]:
     """Score, dedupe (exactly, with `rerank_embedding` off), and select the
     day's news, then aggregate per-item provider sentiments, asked for on
-    the desk's pool, into an influence-weighted market score. Without a
-    pool, every request is sent from this thread."""
+    the desk's pool, into an influence-weighted market score."""
     if not news:
         report = SentimentReport(0.0, "no news available", 0)
         return report, AgentExchange(
@@ -267,7 +266,7 @@ def run_news_agent(
         skip = (None, {}, ())
         return _call_or_fallback(desk, system, user, _validate_item_sentiment, skip, skip)[0]
 
-    outcomes = list((desk.pool.map if desk.pool else map)(assess, selected))  # in input order
+    outcomes = list(desk.pool.map(assess, selected))  # in input order
 
     used = [  # (influence, sentiment, title, summary) of each scored item
         (s.influence, outcome[0], s.item.title, outcome[1])

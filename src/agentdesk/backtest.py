@@ -5,10 +5,10 @@ Per trading day: label the previous day (its next close is now known),
 build the indicator snapshot, check risk on any open position, run the
 forecast, style and decision agents on the news and report agents'
 results, then execute either the risk override or the agent's action at
-the day's close. With an HTTP provider, the news and report agents start
-a day ahead, on another thread; a run of in-process stubs never waits on
-a network, so it runs every agent on the loop thread, when its results
-are taken. Artifacts are deterministic: identical config plus stub
+the day's close. The news and report agents go to the agent executor a
+day ahead: an HTTP run's threads start them at once, a stub run's
+`providers.Inline` runs them on the loop thread when their results are
+taken. Artifacts are deterministic: identical config plus stub
 providers reproduce every file byte for byte.
 """
 
@@ -18,10 +18,9 @@ import json
 from bisect import bisect_left
 from collections import deque
 from concurrent.futures import Executor, ThreadPoolExecutor
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Callable, Mapping, Sequence
@@ -54,7 +53,7 @@ from .datasynth import (
     prompt_digest,
 )
 from .errors import DataError
-from .jsonl import as_number, read_document, read_jsonl, replacing, write_json, write_jsonl, write_text
+from .jsonl import as_date, as_number, read_document, read_jsonl, replacing, write_json, write_jsonl, write_text
 from .marketdata import ATR_WINDOW, TRADING_DAYS_PER_YEAR, PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
@@ -164,17 +163,16 @@ class RunState:
 class RunInputs:
     """What every day reads: the agents' `Desk` (config, providers, the
     news-importance memo and the request pool, `providers.PROVIDER_WORKERS`),
-    the day-keyed data the desk leaves out, the two-worker executor the news
-    and report agents run on one day ahead, and the latest filing's
-    ranking. A run with no HTTP provider has neither executor (both None):
-    it sends every request from the loop thread. `append` writes each
+    the day-keyed data the desk leaves out, the executor the news and report
+    agents run on one day ahead (two threads, or `providers.Inline` in a
+    stub run), and the latest filing's ranking. `append` writes each
     labeled day's records to trajectories.jsonl."""
 
     desk: Desk
     series: PriceSeries
     news_by_date: Mapping[Date, Sequence[NewsItem]]
     filings: Sequence[Filing]
-    agent_pool: Executor | None
+    agent_pool: Executor
     append: Callable[[Sequence[TrajectoryRecord]], None]
     filing_ranks: FilingRanks = field(default_factory=FilingRanks)
 
@@ -205,28 +203,23 @@ def run_backtest(
         # Bounded like the provider memo; the bound is read when the run starts.
         importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
         state = RunState(AccountState.initial(cfg.initial_cash))
-        # A stub never waits on a network, so a run with no HTTP provider
-        # sends every request from the loop thread: no request pool and no
-        # day-ahead agents. Otherwise both executors are joined on any exit,
-        # the agent executor first: its agents may still be sending on the pool.
+        # A stub run never waits on a network, so its executors are `Inline`:
+        # it sends every request from the loop thread. Thread pools are joined
+        # on any exit, the agent executor first (its agents may be sending).
         threaded = "http" in (cfg.provider, cfg.embedding_provider, cfg.reranker_provider)
-        with (ThreadPoolExecutor(providers.PROVIDER_WORKERS) if threaded else nullcontext()) as pool, \
-                (ThreadPoolExecutor(2) if threaded else nullcontext()) as agent_pool:
+        executor = ThreadPoolExecutor if threaded else lambda workers: providers.Inline()
+        with executor(providers.PROVIDER_WORKERS) as pool, executor(2) as agent_pool:
             # Chat stays uncached: its prompts carry the date, so they never repeat.
             desk = Desk(cfg, chat, memoized(embedding, pool), memoized(reranker, pool), importance, pool)
             run = RunInputs(desk, series, news_by_date, filings, agent_pool, append)
             # Day d+1's news and report agents read nothing day d decides, so
-            # they start once day d's results are taken and run beside its
-            # step. Day d's errors are raised first: the news agent's, then the
-            # report agent's, then its step's; day d+1's results are read only
-            # after that step. With no agent executor, each day's two agents
-            # run here when their results are taken, with no handoff.
-            submit = agent_pool.submit if agent_pool else None
-            ahead = submit and _upstream_agents(run, days[0], submit)
+            # they are handed off before its step and taken after it. Day d's
+            # errors are raised first: the news agent's, the report's, the step's.
+            ahead = _upstream_agents(run, days[0])
             for day, next_day in zip(days, [*days[1:], None]):
-                news, report = [f.result() for f in ahead] if submit else _upstream_agents(run, day)
-                if submit and next_day is not None:
-                    ahead = _upstream_agents(run, next_day, submit)
+                news, report = ahead
+                if next_day is not None:
+                    ahead = _upstream_agents(run, next_day)
                 step(state, run, day, news, report)
         if state.pending is not None:  # the last day: no next close, unlabeled
             datasynth.emit_trajectories(state.pending.records, append)
@@ -247,12 +240,13 @@ def run_backtest(
     )
 
 
-def _upstream_agents(run: RunInputs, day: Date, call=lambda agent, *args: agent(*args)):
-    """The day's news and report agents, each with its arguments passed to
-    `call`: run here, in that order, or started with the agent executor's
-    `submit`, which gives their futures."""
-    return (call(run_news_agent, day, run.desk, run.news_by_date.get(day, ())),
-            call(run_report_agent, day, run.desk, run.filings, run.filing_ranks))
+def _upstream_agents(run: RunInputs, day: Date):
+    """The day's news and report agents' results, in that order, from the
+    agent executor's `map`: an iterator that runs them when taken, or gives
+    them as its threads finish them."""
+    return run.agent_pool.map(lambda agent: agent(), (
+        partial(run_news_agent, day, run.desk, run.news_by_date.get(day, ())),
+        partial(run_report_agent, day, run.desk, run.filings, run.filing_ranks)))
 
 
 def step(state: RunState, run: RunInputs, day: Date,
@@ -411,7 +405,7 @@ def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: 
 def load_equity_curve(run_dir: str | Path) -> list[tuple[Date, float]]:
     return read_jsonl(
         Path(run_dir) / EQUITY_FILE, "equity",
-        lambda obj: (Date.fromisoformat(obj["date"]), float(obj["equity"])),
+        lambda obj: (as_date(obj["date"], "date"), as_number(obj["equity"], "equity")),
     )
 
 

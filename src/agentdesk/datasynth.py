@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .gate import LABELS, TrendLabel, TrendProbabilities
-from .jsonl import as_number, as_str, read_jsonl, write_jsonl
+from .jsonl import as_date, as_number, as_str, read_jsonl, write_jsonl
 from .marketdata import PriceSeries, trailing_log_returns
 from .portfolio import ACTION_KINDS, AccountState, TradeAction, apply_action
 from .risk import TradingStyle
@@ -320,7 +320,7 @@ def record_from_dict(obj: dict) -> TrajectoryRecord:
     if dl is not None:
         as_number(dl["taken_reward"], "decision_label.taken_reward")
     return TrajectoryRecord(
-        date=Date.fromisoformat(obj["date"]),
+        date=as_date(obj["date"], "date"),
         symbol=obj["symbol"],
         agent_name=obj["agent_name"],
         prompt_digest=obj["prompt_digest"],

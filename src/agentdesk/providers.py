@@ -24,6 +24,7 @@ import zlib
 from collections import OrderedDict, defaultdict
 from concurrent.futures import Executor
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -307,23 +308,16 @@ class _HttpClient:
 class HttpChatProvider(_HttpClient):
     """Single round-trip chat client.
 
-    Request: {model, messages: [{role, content}], temperature, seed,
-    max_length}. Response: {content, reasoning_trace?}.
+    Request: {model, messages: [{role, content}], temperature: 0.0, seed,
+    max_length: 1024}. Response: {content, reasoning_trace?}.
     """
 
-    def complete(
-        self,
-        messages: Sequence[Mapping[str, str]],
-        *,
-        temperature: float = 0.0,
-        seed: int = 0,
-        max_length: int = 1024,
-    ) -> ChatResult:
+    def complete(self, messages: Sequence[Mapping[str, str]], *, seed: int = 0) -> ChatResult:
         body = self._post({
             "messages": [dict(m) for m in messages],
-            "temperature": temperature,
+            "temperature": 0.0,
             "seed": seed,
-            "max_length": max_length,
+            "max_length": 1024,
         })
         if "content" not in body:
             raise ProviderError("chat response is missing 'content'")
@@ -411,30 +405,37 @@ class HttpRerankerProvider(_HttpClient):
 # Entries kept per memoized method. Distinct news texts grow with the number
 # of days, so the memo is bounded to keep a run's memory flat in bar count.
 MEMO_ENTRIES = 4096
-# Provider requests one run has in flight at once: the size of its request
-# pool, which sends the news items' sentiment calls and each group a memo is
-# asked for. Read when the run starts.
+# Requests one run's request pool sends at once: news items' sentiment calls,
+# or a memo group's misses but the first, which the asking thread sends (up
+# to PROVIDER_WORKERS + 1 in flight per group). Read when the run starts.
 PROVIDER_WORKERS = 4
+
+
+class Inline(Executor):
+    """An executor that runs nothing ahead: `map` calls its function in
+    turn, on the calling thread, as the results are taken."""
+
+    def map(self, fn, *iterables, timeout=None, chunksize=1):
+        return map(fn, *iterables)
 
 
 class _Memo:
     """See `memoized`. One lock guards an LRU of answers per method, oldest
     first."""
 
-    def __init__(self, provider, pool: Executor | None) -> None:
+    def __init__(self, provider, pool: Executor) -> None:
         self._provider, self._pool = provider, pool
-        self._entries, self._senders = MEMO_ENTRIES, PROVIDER_WORKERS
+        self._entries = MEMO_ENTRIES
         self._answers: dict[str, OrderedDict] = defaultdict(OrderedDict)  # {method: {args: answer}}
         self._lock = threading.Lock()
 
     def ask(self, requests: Iterable[tuple]) -> list:
         """The answers to `requests`, each `(method name, *args)`, in input
-        order. Each distinct miss is sent once. With a pool, this thread and
-        up to `PROVIDER_WORKERS - 1` tasks on it each send a share, one
-        request after another, and the first error in input order is raised
-        once every request has finished. Without a pool, or for a lone miss,
-        the misses are sent in turn here, and the first error is raised at
-        once. The answers that succeed are kept either way."""
+        order. Each distinct miss is sent once: the first from this thread,
+        the rest with the pool's `map`, so on a thread pool they are in
+        flight while this thread sends the first. The first error in input
+        order is raised at once; a send already running finishes, and every
+        answer that arrives is kept."""
         requests = list(requests)
         found: dict[tuple, object] = {}
         with self._lock:
@@ -444,39 +445,24 @@ class _Memo:
                     answers.move_to_end(args)
                     found[request] = answers[args]
         missing = [request for request in dict.fromkeys(requests) if request not in found]
-        senders = min(len(missing), self._senders if self._pool else 1)
-        errors: dict[int, Exception] = {}
-
-        def send(first: int) -> None:
-            for i in range(first, len(missing), senders):
-                request = missing[i]
-                try:
-                    value = getattr(self._provider, request[0])(*request[1:])
-                except Exception as exc:
-                    if senders == 1:
-                        raise
-                    errors[i] = exc  # raised below, after every request
-                else:
-                    with self._lock:
-                        answers = self._answers[request[0]]
-                        answers[request[1:]] = found[request] = value
-                        if len(answers) > self._entries:
-                            answers.popitem(last=False)
-
-        pending = [self._pool.submit(send, first) for first in range(1, senders)]
-        if missing:
-            send(0)
-        for task in pending:
-            task.result()
-        if errors:
-            raise errors[min(errors)]
+        rest = self._pool.map(self._send, missing[1:])
+        found.update(zip(missing, chain(map(self._send, missing[:1]), rest)))
         return [found[request] for request in requests]
 
+    def _send(self, request: tuple):
+        value = getattr(self._provider, request[0])(*request[1:])
+        with self._lock:
+            answers = self._answers[request[0]]
+            answers[request[1:]] = value
+            if len(answers) > self._entries:
+                answers.popitem(last=False)
+        return value
 
-def memoized(provider, pool: Executor | None = None):
+
+def memoized(provider, pool: Executor = Inline()):
     """`provider`'s `dense`, `sparse` and `relevance` requests behind one
     bounded LRU memo per method, keyed by the exact arguments, asked for
-    with `ask`, which sends a group at once on `pool`.
+    with `ask`, which hands a group's misses to `pool`.
 
     Embeddings and relevance depend only on the request, so one run asks
     the provider once per distinct request while it stays among the last

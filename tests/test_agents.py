@@ -34,6 +34,7 @@ from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
     PROVIDER_WORKERS,
     ChatResult,
+    Inline,
     StubChatProvider,
     StubEmbeddingProvider,
     StubRerankerProvider,
@@ -84,7 +85,7 @@ def scripted_stub(script: dict, base=("sideways",)) -> StubChatProvider:
     return StubChatProvider(tuple(base), script)
 
 
-def make_desk(chat=None, embedding=None, reranker=None, pool=None, **cfg) -> Desk:
+def make_desk(chat=None, embedding=None, reranker=None, pool=Inline(), **cfg) -> Desk:
     """A desk for symbol TEST and seed SEED; `cfg` holds other config
     fields, and a memoized stub stands in for each provider not given."""
     return Desk(

@@ -417,6 +417,25 @@ class TestReplayCommand:
         err = capsys.readouterr().err
         assert f"trades and equity curve differ on {day}" in err, err
 
+    @pytest.mark.parametrize("key, rewrite, error", [
+        ("date", lambda day: day.replace("-", ""), "date must be a date written YYYY-MM-DD"),
+        ("equity", str, "equity must be a finite number"),
+    ], ids=("basic-iso-date", "equity-as-string"))
+    def test_an_equity_point_not_in_its_written_form_exits_two_naming_its_line(
+            self, tmp_path, capsys, key, rewrite, error):
+        # Python 3.11's date.fromisoformat reads 20220203, and float() reads "100000.0".
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env)) == 0
+        path = env.out("run") / "equity.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        obj = json.loads(lines[3])
+        obj[key] = rewrite(obj[key])
+        lines[3] = json.dumps(obj)
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        expect_data_error(capsys, main(["replay", "--run", str(env.out("run"))]),
+                          f"bad equity record at equity.jsonl:4: {error}")
+
     @pytest.mark.parametrize("quantity", ['"x"', "null", "NaN", "Infinity", "true"])
     def test_a_trade_quantity_that_is_not_a_finite_number_exits_two(
             self, tmp_path, capsys, quantity):
@@ -503,6 +522,22 @@ class TestExportSftCommand:
         labeled = sum(getattr(r, f"{r.agent_name}_label", None) is not None for r in records)
         assert labeled > 0
         assert counts == {"inf": 0, "-inf": labeled}
+
+    def test_a_record_date_not_written_yyyy_mm_dd_exits_two_naming_its_line(self, tmp_path, capsys):
+        env = build_env(tmp_path, rising_closes(60))
+        assert main(run_args(env)) == 0
+        capsys.readouterr()
+        trajectories = env.out("run") / "trajectories.jsonl"
+        lines = trajectories.read_text(encoding="utf-8").splitlines()
+        record = json.loads(lines[2])
+        record["date"] = record["date"].replace("-", "")
+        lines[2] = json.dumps(record)
+        trajectories.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "sft.jsonl"
+        code = main(["export-sft", "--run", str(env.out("run")), "--out", str(out)])
+        expect_data_error(capsys, code, "bad trajectory record at trajectories.jsonl:3: "
+                                        "date must be a date written YYYY-MM-DD")
+        assert not out.exists()
 
     @pytest.mark.parametrize("agent, path, value", [
         ("forecast", ("forecast_label", "w_hit"), "0.9"),

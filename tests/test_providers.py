@@ -26,6 +26,7 @@ from agentdesk.providers import (
     HttpChatProvider,
     HttpEmbeddingProvider,
     HttpRerankerProvider,
+    Inline,
     StubChatProvider,
     StubEmbeddingProvider,
     StubRerankerProvider,
@@ -194,16 +195,15 @@ class TestHttpChat:
         handler.responses["/chat"] = (200, {"content": "{\"action\": \"buy\"}",
                                             "reasoning_trace": "thinking"})
         provider = HttpChatProvider(f"{base}/chat", "model-x")
-        result = provider.complete(
-            [{"role": "user", "content": "hi"}], temperature=0.1, seed=11, max_length=256
-        )
+        result = provider.complete([{"role": "user", "content": "hi"}], seed=11)
         assert result.content == '{"action": "buy"}'
         assert result.reasoning_trace == "thinking"
         sent = handler.requests_seen[-1]["payload"]
-        assert sent["model"] == "model-x"
-        assert sent["temperature"] == 0.1
-        assert sent["seed"] == 11
-        assert sent["messages"] == [{"role": "user", "content": "hi"}]
+        assert list(sent.items()) == [  # the sampling settings are constants
+            ("model", "model-x"), ("messages", [{"role": "user", "content": "hi"}]),
+            ("temperature", 0.0), ("seed", 11), ("max_length", 1024)]
+        with pytest.raises(TypeError):
+            provider.complete([{"role": "user", "content": "hi"}], temperature=0.1)
 
     def test_backtest_request_body_is_pinned(self, http_server, tmp_path):
         base, handler = http_server
@@ -745,9 +745,21 @@ class TestAsk:
         assert answers == [StubEmbeddingProvider().dense("a")] * 2
         assert inner.threads == [threading.current_thread().name]
 
-    def test_without_a_pool_the_misses_are_sent_in_turn_and_the_first_error_is_raised_at_once(self):
+    def test_a_groups_first_miss_is_sent_on_the_calling_thread_and_the_rest_on_the_pool(self):
+        inner = _SlowProvider()
+        with ThreadPoolExecutor(providers.PROVIDER_WORKERS, thread_name_prefix="memo-pool") as pool:
+            memo = memoized(inner, pool)
+            memo.ask([("dense", "a")])  # a hit from here on: not sent again
+            answers = memo.ask([("dense", t) for t in ("a", "b", "c", "d")])
+        assert answers == [StubEmbeddingProvider().dense(t) for t in ("a", "b", "c", "d")]
+        on = dict(zip((text for _, text in inner.seen), inner.threads))
+        assert on.pop("a") == threading.current_thread().name  # the lone miss
+        assert on.pop("b") == threading.current_thread().name  # the group's first miss
+        assert sorted(on) == ["c", "d"] and all(t.startswith("memo-pool") for t in on.values())
+
+    def test_on_inline_the_misses_are_sent_in_turn_and_the_first_error_is_raised_at_once(self):
         inner = _SlowProvider(fail={"b": 0.0})
-        memo = memoized(inner)
+        memo = memoized(inner, Inline())
         with pytest.raises(ProviderError, match="no answer for b"):
             memo.ask([("dense", t) for t in ("a", "b", "c")])
         assert inner.seen == [("dense", "a"), ("dense", "b")]  # "c" is never sent
@@ -757,22 +769,43 @@ class TestAsk:
             StubEmbeddingProvider().dense(t) for t in ("c", "a")]
         assert inner.seen[2:] == [("dense", "c")]
 
-    def test_raises_the_first_error_in_input_order_after_every_request(self):
+    def test_on_a_thread_pool_the_first_error_in_input_order_is_raised_and_every_answer_kept(self):
         # "b" fails after "d" has failed, yet comes first in the group.
         inner = _SlowProvider(fail={"b": 0.2, "d": 0.0})
-        texts = ["a", "b", "c", "d", "e"]
+        requests = [("dense", t) for t in ("a", "b", "c", "d", "e")]
         with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
             with pytest.raises(ProviderError, match="no answer for b"):
-                memo.ask([("dense", t) for t in texts])
-        assert sorted(inner.seen) == [("dense", t) for t in texts]
-        # The successes are kept; the failures go to the provider again.
-        for t in ("a", "c", "e"):
-            memo.ask([("dense", t)])[0]
-        assert len(inner.seen) == 5
+                memo.ask(requests)
+        # The pool is joined, so every send that started has ended. The
+        # answers that arrived are kept; the failures go to the provider again.
+        arrived = [request for request in inner.seen if request[1] not in inner.fail]
+        assert ("dense", "a") in arrived
+        sent = len(inner.seen)
+        assert memo.ask(arrived) == [StubEmbeddingProvider().dense(t) for _, t in arrived]
+        assert len(inner.seen) == sent
         with pytest.raises(ProviderError, match="no answer for d"):
             memo.ask([("dense", "d")])[0]
-        assert len(inner.seen) == 6
+        assert len(inner.seen) == sent + 1
+
+    def test_on_a_thread_pool_a_failed_group_is_raised_before_its_other_sends_end(self):
+        released, held = threading.Event(), []
+
+        class Holding(_SlowProvider):
+            def _call(self, request, answer):
+                if request[1] == "c":
+                    held.append(released.wait(5))  # False if the group waited for it
+                return super()._call(request, answer)
+
+        inner = Holding(fail={"b": 0.0})
+        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+            memo = memoized(inner, pool)
+            with pytest.raises(ProviderError, match="no answer for b"):
+                memo.ask([("dense", t) for t in ("a", "b", "c")])
+            released.set()
+        assert held == [True]
+        assert memo.ask([("dense", "c")]) == [StubEmbeddingProvider().dense("c")]  # kept
+        assert inner.seen.count(("dense", "c")) == 1
 
     def test_the_group_is_in_flight_at_once(self):
         k = providers.PROVIDER_WORKERS
@@ -802,6 +835,28 @@ class TestAsk:
             # Two of the three are kept, so asking again sends the third.
             assert memo.ask(requests) == want
             assert len(inner.seen) == 4 and len(memo._answers["dense"]) == 2
+
+
+class TestInline:
+    def test_map_calls_nothing_until_its_results_are_taken(self):
+        calls = []
+        results = Inline().map(lambda x: calls.append(x) or x * 10, [1, 2, 3])
+        assert calls == []
+        assert next(results) == 10 and calls == [1]
+        assert list(results) == [20, 30] and calls == [1, 2, 3]
+
+    def test_map_runs_on_the_calling_thread_and_stops_at_the_first_error(self):
+        calls = []
+
+        def call(x):
+            calls.append((x, threading.current_thread()))
+            if x == 2:
+                raise ValueError(x)
+            return x
+
+        with Inline() as inline, pytest.raises(ValueError):
+            list(inline.map(call, [1, 2, 3]))
+        assert calls == [(1, threading.current_thread()), (2, threading.current_thread())]
 
 
 class TestLazyHttpStack:

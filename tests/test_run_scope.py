@@ -15,7 +15,6 @@ import random
 import re
 import threading
 import zlib
-from concurrent.futures import Executor, Future
 from dataclasses import replace
 
 import pytest
@@ -381,22 +380,6 @@ class TestOverlap:
                 (env.out("workers-4") / name).read_bytes(), name
 
 
-class _Inline(Executor):
-    """Runs each task when it is submitted, on the submitting thread: with
-    it in place of every executor, a run is one sequential schedule."""
-
-    def __init__(self, max_workers=None):
-        pass
-
-    def submit(self, fn, /, *args, **kwargs):
-        future = Future()
-        try:
-            future.set_result(fn(*args, **kwargs))
-        except Exception as exc:
-            future.set_exception(exc)
-        return future
-
-
 class _FailingChat:
     """Stub chat that fails the calls of each role in `failing` dated on or
     after the day it maps the role to, each with an error that names its
@@ -415,11 +398,13 @@ class _FailingChat:
 
 
 class TestScheduleOracle:
-    """Every schedule of a run gives the sequential schedule's artifacts and
-    requests, or its error. Each provider request is held for a time from 0
-    to 2 ms fixed by the request and the seed, so the run's concurrent parts
-    interleave differently with each seed and worker count. A filing every
-    15 bars gives the run three days on which a newer filing is ranked."""
+    """Every schedule of a run gives the artifacts and requests, or the
+    error, of the sequential one: a stub run's, with `providers.Inline` in
+    place of both thread pools. Each provider request is held for a time
+    from 0 to 2 ms fixed by the request and the seed, so the run's
+    concurrent parts interleave differently with each seed and worker
+    count. A filing every 15 bars gives the run three days on which a newer
+    filing is ranked."""
 
     MEMOIZED = ("dense", "sparse", "relevance")
 
@@ -442,7 +427,7 @@ class TestScheduleOracle:
         env, _ = news_heavy_env(tmp_path / "env", bars=60, seed=seed, filing_every=15)
         threaded_stubs(env, monkeypatch)
         with monkeypatch.context() as sequential:
-            sequential.setattr(backtest, "ThreadPoolExecutor", _Inline)
+            sequential.setattr(backtest, "ThreadPoolExecutor", lambda workers: providers.Inline())
             # one schedule whatever the delays, so none is added
             reference, _ = self.run_jittered(env, "sequential", seed, sequential, 0.0)
         monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
@@ -473,7 +458,7 @@ class TestScheduleOracle:
         monkeypatch.setattr(backtest, "make_chat_provider", lambda *a, **k:
                             _FailingChat(make(*a, **k), since))
         with monkeypatch.context() as sequential:
-            sequential.setattr(backtest, "ThreadPoolExecutor", _Inline)
+            sequential.setattr(backtest, "ThreadPoolExecutor", lambda workers: providers.Inline())
             with pytest.raises(RuntimeError) as reference:
                 self.run_jittered(env, "sequential", seed, sequential, 0.0)
         monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
