@@ -458,10 +458,19 @@ def run_style_agent(
     account: AccountState,
     prev_style: TradingStyle,
     recent: Sequence[LabeledDay],
-    upstream: str,
+    forecast: Forecast,
+    sentiment: SentimentReport,
+    finance: FinanceSummary,
     reflection: str | None,
 ) -> tuple[StylePreference, AgentExchange]:
-    """Pick today's trading style; retains yesterday's on provider failure."""
+    """Pick today's trading style; retains yesterday's on provider failure.
+    With `style_and_state` off it answers balanced without a chat call."""
+    if not desk.cfg.flags.style_and_state:
+        return StylePreference(TradingStyle.BALANCED, 1.0, "style agent disabled"), AgentExchange(
+            input_text=f"DATE: {at}\nstyle agent disabled",
+            output_text=json.dumps({"style": "balanced", "confidence": 1.0}),
+            flags=("disabled",),
+        )
     if recent:
         recent_block = "\n".join(
             f"- {o.date} {o.style.value}: {o.day_return:+.4%}" for o in recent
@@ -474,7 +483,11 @@ def run_style_agent(
         date=str(at),
         account=format_account(account, prev_style),
         recent=recent_block,
-        upstream=upstream or "none available",
+        upstream=(
+            f"forecast: {forecast.gated.label} (p_up {forecast.probs.up:.3f}); "
+            f"news sentiment: {sentiment.score:+.3f}; "
+            f"finance: {finance.summary[:120]}"
+        ),
         reflection=reflection or "none available",
     )
     (style, confidence, rationale), exchange = _call_or_fallback(

@@ -35,7 +35,6 @@ from .agents import (
     LabeledDay,
     REFLECTION_WINDOW,
     SentimentReport,
-    StylePreference,
     build_reflection,
     run_decision_agent,
     run_forecast_agent,
@@ -45,13 +44,7 @@ from .agents import (
 )
 from . import datasynth, providers
 from .config import BacktestConfig, config_to_dict
-from .datasynth import (
-    AccountSnapshot,
-    DayState,
-    TrajectoryRecord,
-    label_day,
-    prompt_digest,
-)
+from .datasynth import DayState, TrajectoryRecord, label_day
 from .errors import DataError
 from .jsonl import as_date, as_number, read_document, read_jsonl, replacing, write_json, write_jsonl, write_text
 from .marketdata import ATR_WINDOW, TRADING_DAYS_PER_YEAR, PriceSeries, build_snapshot, load_price_csv
@@ -94,8 +87,6 @@ EQUITY_FILE = "equity.jsonl"
 TRADES_FILE = "trades.jsonl"
 TRAJECTORIES_FILE = "trajectories.jsonl"
 METRICS_FILE = "metrics.json"
-
-AGENT_ORDER = ("news", "report", "forecast", "style", "decision")
 
 
 @dataclass(frozen=True)
@@ -222,14 +213,15 @@ def run_backtest(
                     ahead = _upstream_agents(run, next_day)
                 step(state, run, day, news, report)
         if state.pending is not None:  # the last day: no next close, unlabeled
-            datasynth.emit_trajectories(state.pending.records, append)
-
-    # The initial cash at the last warm-up bar, then each day's post-trade equity.
-    last_warmup = series.dates[series.dates.index(days[0]) - 1]
-    equity_curve = ((last_warmup, cfg.initial_cash),
-                    *((t.date, t.post_equity) for t in state.trades))
-    n_trades = sum(1 for t in state.trades if t.quantity > 0)
-    metrics = compute_metrics([v for _, v in equity_curve], n_trades)
+            datasynth.emit_trajectories(state.pending.records(), append)
+        # Inside the block, so a run whose metrics fail (too few days, say)
+        # leaves the trajectories of an earlier run in `out_dir` as they were.
+        # The initial cash at the last warm-up bar, then each day's post-trade equity.
+        last_warmup = series.dates[series.dates.index(days[0]) - 1]
+        equity_curve = ((last_warmup, cfg.initial_cash),
+                        *((t.date, t.post_equity) for t in state.trades))
+        n_trades = sum(1 for t in state.trades if t.quantity > 0)
+        metrics = compute_metrics([v for _, v in equity_curve], n_trades)
 
     _persist(out_dir, cfg, metrics, state, equity_curve)
     return RunArtifacts(
@@ -283,22 +275,10 @@ def step(state: RunState, run: RunInputs, day: Date,
         day, run.desk, snapshot, sentiment, finance, reflection("forecasting"),
     )
 
-    if cfg.flags.style_and_state:
-        upstream = (
-            f"forecast: {forecast.gated.label} (p_up {forecast.probs.up:.3f}); "
-            f"news sentiment: {sentiment.score:+.3f}; "
-            f"finance: {finance.summary[:120]}"
-        )
-        style_pref, style_ex = run_style_agent(
-            day, run.desk, account_before, state.style, state.history, upstream, reflection("style"),
-        )
-    else:
-        style_pref = StylePreference(TradingStyle.BALANCED, 1.0, "style agent disabled")
-        style_ex = AgentExchange(
-            input_text=f"DATE: {day}\nstyle agent disabled",
-            output_text=json.dumps({"style": "balanced", "confidence": 1.0}),
-            flags=("disabled",),
-        )
+    style_pref, style_ex = run_style_agent(
+        day, run.desk, account_before, state.style, state.history, forecast, sentiment, finance,
+        reflection("style"),
+    )
     style = state.style = style_pref.style
 
     decision, decision_ex = run_decision_agent(
@@ -323,30 +303,10 @@ def step(state: RunState, run: RunInputs, day: Date,
         trade = replace(trade, note=override_note)
     state.trades.append(trade)
 
-    snapshot_for_records = AccountSnapshot(
-        cash=account_before.cash,
-        shares=account_before.shares,
-        equity=account_before.equity,
-        style=style.value,
-    )
-    day_records = tuple(
-        TrajectoryRecord(
-            date=day,
-            symbol=cfg.symbol,
-            agent_name=name,
-            prompt_digest=prompt_digest(ex.input_text),
-            input_text=ex.input_text,
-            output_text=ex.output_text,
-            reasoning_trace=ex.reasoning_trace,
-            account_snapshot=snapshot_for_records,
-        )
-        for name, ex in zip(
-            AGENT_ORDER, (news_ex, report_ex, forecast_ex, style_ex, decision_ex)
-        )
-    )
     state.pending = DayState(
         date=day,
-        records=day_records,
+        symbol=cfg.symbol,
+        exchanges=(news_ex, report_ex, forecast_ex, style_ex, decision_ex),
         gated=forecast.gated,
         probs=forecast.probs,
         taken=decision.action,

@@ -3,7 +3,6 @@ sections, provider selection, and the four ablation flags."""
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field, fields, is_dataclass
 from datetime import date as Date
 from functools import partial
@@ -13,7 +12,7 @@ from typing import Any, Mapping
 from .datasynth import BandConfig, RewardConfig
 from .errors import DataError
 from .gate import GateConfig
-from .jsonl import as_date, as_str, read_document
+from .jsonl import as_date, as_number, as_str, read_document
 from .retrieval import RetrievalConfig
 from .risk import DEFAULT_MULTIPLIERS, RiskConfig, StyleMultipliers, TradingStyle
 
@@ -83,9 +82,12 @@ _SECTION_TYPES = {"bool": (bool,), "int": (int,), "float": (int, float)}
 
 
 def _typed(annotation: str, value: Any, name: str = "value") -> Any:
-    if type(value) not in _SECTION_TYPES[annotation] or not math.isfinite(value):
-        raise ValueError(f"{name} must be a valid {annotation}, got {value!r}")
-    return value
+    try:
+        if type(value) in _SECTION_TYPES[annotation]:
+            return value if type(value) is bool else as_number(value, name)
+    except ValueError:
+        pass
+    raise ValueError(f"{name} must be a valid {annotation}, got {value!r}")
 
 
 def _as_section(cls, value: Any):

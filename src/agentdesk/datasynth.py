@@ -5,14 +5,15 @@ Forecast labels use a volatility-scaled sideways band: a move counts as
 directional only beyond epsilon. Decision labels simulate all three
 actions from the same pre-action account (executed at the day's close,
 marked at the next close) and score each against a buy-and-hold benchmark
-net of commission drag.
+net of commission drag. This is the one module that turns a day's agent
+exchanges into trajectory records, in `AGENT_NAMES` order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
 from typing import Callable, Sequence
@@ -24,6 +25,8 @@ from .portfolio import ACTION_KINDS, AccountState, TradeAction, apply_action
 from .risk import TradingStyle
 
 BAND_WINDOW = 20
+
+AGENT_NAMES = ("news", "report", "forecast", "style", "decision")  # each day's record order
 
 
 @dataclass(frozen=True)
@@ -259,15 +262,42 @@ def make_decision_label(
 
 @dataclass(frozen=True)
 class DayState:
-    """Everything needed to label one backtest day after the fact."""
+    """Everything needed to label one backtest day after the fact and to
+    write its records. `exchanges` holds the day's five
+    `agents.AgentExchange`s in `AGENT_NAMES` order."""
 
     date: Date
-    records: tuple[TrajectoryRecord, ...]
+    symbol: str
+    exchanges: tuple
     gated: TrendLabel
     probs: TrendProbabilities
     taken: str
     account_before: AccountState
     style: TradingStyle
+
+    def records(self, forecast_label: ForecastLabel | None = None,
+                decision_label: DecisionLabel | None = None) -> tuple[TrajectoryRecord, ...]:
+        """The day's five records, sharing one account snapshot; the forecast
+        and decision records carry the labels."""
+        account = self.account_before
+        snapshot = AccountSnapshot(
+            cash=account.cash, shares=account.shares, equity=account.equity, style=self.style.value,
+        )
+        return tuple(
+            TrajectoryRecord(
+                date=self.date,
+                symbol=self.symbol,
+                agent_name=name,
+                prompt_digest=prompt_digest(ex.input_text),
+                input_text=ex.input_text,
+                output_text=ex.output_text,
+                reasoning_trace=ex.reasoning_trace,
+                account_snapshot=snapshot,
+                forecast_label=forecast_label if name == "forecast" else None,
+                decision_label=decision_label if name == "decision" else None,
+            )
+            for name, ex in zip(AGENT_NAMES, self.exchanges)
+        )
 
 
 def label_day(
@@ -278,7 +308,7 @@ def label_day(
     band_cfg: BandConfig = BandConfig(),
     reward_cfg: RewardConfig = RewardConfig(),
 ) -> tuple[tuple[TrajectoryRecord, ...], ForecastLabel, DecisionLabel]:
-    """Attach forecast/decision labels to a day's records."""
+    """The day's records with its forecast and decision labels, and the labels."""
     forecast_label = make_forecast_label(
         series, state.date, next_at, state.gated, state.probs, band_cfg
     )
@@ -286,15 +316,7 @@ def label_day(
         series, state.date, next_at, state.account_before, state.style,
         state.taken, commission_rate, reward_cfg,
     )
-    labeled = []
-    for record in state.records:
-        if record.agent_name == "forecast":
-            labeled.append(replace(record, forecast_label=forecast_label))
-        elif record.agent_name == "decision":
-            labeled.append(replace(record, decision_label=decision_label))
-        else:
-            labeled.append(record)
-    return tuple(labeled), forecast_label, decision_label
+    return state.records(forecast_label, decision_label), forecast_label, decision_label
 
 
 # ---------------------------------------------------------------------------

@@ -95,10 +95,14 @@ def as_str(value: Any, what: str) -> str:
 
 def as_number(value: Any, what: str) -> float:
     """`value`, a parsed input's finite number; anything else (a string, a
-    null, a NaN or a JSON true/false) raises ValueError naming `what`."""
-    if type(value) not in (int, float) or not math.isfinite(value):
-        raise ValueError(f"{what} must be a finite number, not {value!r}")
-    return value
+    null, a NaN, a JSON true/false or an integer too large for a float)
+    raises ValueError naming `what`."""
+    try:
+        if type(value) in (int, float) and math.isfinite(value):
+            return value
+    except OverflowError:  # math.isfinite(10**400)
+        pass
+    raise ValueError(f"{what} must be a finite number, not {value!r}")
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")

@@ -30,7 +30,7 @@ from typing import Iterable, Mapping, Protocol, Sequence
 
 from . import __version__
 from .errors import DataError, ProviderError
-from .jsonl import as_str, read_document
+from .jsonl import as_number, as_str, read_document
 
 DENSE_DIM = 64
 SPARSE_BUCKETS = 4096
@@ -334,11 +334,10 @@ def _text(value: object, what: str) -> str:
 
 
 def _number(value: object) -> float:
-    # Exact types, so a JSON true/false (a Python bool) is not a number.
-    number = float(value) if type(value) in (int, float) else math.nan
-    if not math.isfinite(number):
-        raise ProviderError(f"provider returned {value!r}, not a finite number")
-    return number
+    try:
+        return float(as_number(value, "provider answer"))
+    except ValueError:
+        raise ProviderError(f"provider returned {value!r}, not a finite number") from None
 
 
 def _check_norm(values: Iterable[float]) -> None:

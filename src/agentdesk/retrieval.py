@@ -23,7 +23,7 @@ from typing import Callable, Iterable, Mapping, Protocol, Sequence
 import yaml
 
 from .errors import DataError
-from .jsonl import as_date, as_str, read_document, read_jsonl, read_text
+from .jsonl import as_date, as_number, as_str, read_document, read_jsonl, read_text
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
@@ -137,8 +137,10 @@ def load_keywords(
     path: str | Path | None = None, base_dir: str | Path | None = None
 ) -> dict[str, float]:
     """Load the news keyword table; the packaged default when path is None.
-    A relative path is read from `base_dir` (absolute paths win). Each
-    weight must be a finite, non-negative number."""
+    A relative path is read from `base_dir` (absolute paths win). Each term
+    must be a string that is one `[a-z0-9]+` word once lowercased, the one
+    token form news is matched on, given once; each weight must be a
+    finite, non-negative number."""
     if path is None:
         text = resources.files(__package__).joinpath("data/keywords.yaml").read_text("utf-8")
         table = yaml.safe_load(text)
@@ -146,9 +148,17 @@ def load_keywords(
         table = read_document(Path(base_dir or ".") / path, "keyword table")
     out: dict[str, float] = {}
     for term, weight in table.items():
-        if type(weight) not in (int, float) or not 0 <= weight < math.inf:
+        word = term.lower() if type(term) is str else ""
+        if not _WORD_RE.fullmatch(word) or word in out:
+            raise DataError(f"keyword term {term!r} must be a string of one word "
+                            "(letters a-z and digits only), given once in any case")
+        try:
+            ok = as_number(weight, "weight") >= 0
+        except ValueError:
+            ok = False
+        if not ok:
             raise DataError(f"keyword weight for {term!r} must be a finite non-negative number, got {weight!r}")
-        out[str(term).lower()] = float(weight)
+        out[word] = float(weight)
     return out
 
 

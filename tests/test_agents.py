@@ -13,6 +13,7 @@ from agentdesk.agents import (
     Desk,
     FilingRanks,
     FinanceSummary,
+    Forecast,
     LabeledDay,
     SentimentReport,
     StylePreference,
@@ -390,15 +391,34 @@ class TestForecastAgent:
 
 
 class TestStyleAgent:
-    def _run(self, chat, prev=TradingStyle.BALANCED):
+    def _run(self, chat, prev=TradingStyle.BALANCED, **cfg):
         account = AccountState.initial(1000.0)
+        forecast = Forecast(TrendProbabilities(0.7, 0.1, 0.2),
+                            TrendLabel("up", PATH_SOFT_UP, "r"), 0.7, "r")
         return run_style_agent(
-            DAY, make_desk(chat), account, prev, [labeled_day(DAY, 0.01)], "forecast: up", None,
+            DAY, make_desk(chat, **cfg), account, prev, [labeled_day(DAY, 0.01)], forecast,
+            SentimentReport(0.25, "none", 0), FinanceSummary((), "x" * 130), None,
         )
 
     def test_recent_outcomes_reach_the_prompt(self):
         _, exchange = self._run(StubChatProvider(("always-up",)))
         assert f"- {DAY} balanced: +1.0000%" in exchange.input_text
+
+    def test_upstream_line_reaches_the_prompt(self):
+        """The forecast, the news score and the finance summary's first 120
+        characters, on one line."""
+        _, exchange = self._run(StubChatProvider(("always-up",)))
+        line = f"forecast: up (p_up 0.700); news sentiment: +0.250; finance: {'x' * 120}\n"
+        assert line in exchange.input_text
+
+    def test_disabled_answers_balanced_without_a_chat_call(self):
+        pref, exchange = self._run(FailingChatProvider(), prev=TradingStyle.AGGRESSIVE,
+                                   flags=FeatureFlags(style_and_state=False))
+        assert pref == StylePreference(TradingStyle.BALANCED, 1.0, "style agent disabled")
+        assert exchange == agents.AgentExchange(
+            f"DATE: {DAY}\nstyle agent disabled", '{"style": "balanced", "confidence": 1.0}',
+            flags=("disabled",),
+        )
 
     def test_parses_style_and_confidence(self):
         chat = scripted_stub({"style:*": '{"style": "conservative", "confidence": 0.9}'})

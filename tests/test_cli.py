@@ -9,6 +9,7 @@ import re
 from datetime import date
 
 import pytest
+import yaml
 
 from agentdesk import backtest
 from agentdesk.cli import EXIT_PROVIDER, main
@@ -61,6 +62,11 @@ class TestRunCommand:
         env.config_path.write_text("symbol: TEST\nunknown_key: 1\n")
         assert main(run_args(env)) == 2
 
+    def test_a_keyword_term_that_can_never_match_exits_two(self, tmp_path, capsys):
+        env = build_env(tmp_path, rising_closes(45), config={"keywords_path": "kw.yaml"})
+        (env.root / "kw.yaml").write_text("revenue: 0.5\nS&P: 0.3\n", encoding="utf-8")
+        expect_data_error(capsys, main(run_args(env)), "keyword term 'S&P'")
+
     def test_keywords_path_is_read_beside_the_config(self, tmp_path, capsys, monkeypatch):
         # like a scripted stub file, a relative keywords_path names a file in
         # the config's directory, whatever the working directory is
@@ -109,6 +115,11 @@ class TestRunCommand:
         "retrieval: 0",
         "risk: ''",
         "gate: []",
+        pytest.param(f"initial_cash: {10**400}", id="initial_cash-int-too-large-for-a-float"),
+        pytest.param(f"risk: {{floor: {10**400}}}", id="risk.floor-int-too-large-for-a-float"),
+        pytest.param(f"risk: {{multipliers: {{balanced: [1.0, {10**400}]}}}}",
+                     id="risk.multipliers-int-too-large-for-a-float"),
+        pytest.param(f"seed: {10**400}", id="seed-int-too-large-for-a-float"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, body):
         env = build_env(tmp_path, rising_closes(45))
@@ -353,6 +364,20 @@ class TestOutputFaults:
         assert "provider error" in capsys.readouterr().err
         assert list(env.out("run").iterdir()) == []
 
+    def test_a_run_whose_metrics_fail_leaves_the_earlier_run_whole(self, tmp_path, capsys):
+        # One trading day gives two equity points, too few for a Sharpe ratio,
+        # so the rerun fails after its day loop has written its trajectories.
+        days = business_days(45)
+        env = build_env(tmp_path, rising_closes(45), config={"start": days[21], "end": days[31]})
+        assert main(run_args(env)) == 0
+        before = {p.name: p.read_bytes() for p in env.out("run").iterdir()}
+        assert len(before) == 6
+        cfg = yaml.safe_load(env.config_path.read_text(encoding="utf-8"))
+        env.config_path.write_text(yaml.safe_dump({**cfg, "end": days[21]}), encoding="utf-8")
+        capsys.readouterr()
+        expect_data_error(capsys, main(run_args(env)), "needs at least 3 equity points")
+        assert {p.name: p.read_bytes() for p in env.out("run").iterdir()} == before
+
     def test_out_where_no_file_can_be_made_fails_before_any_chat_call(
             self, tmp_path, capsys, chat_calls):
         env = build_env(tmp_path, rising_closes(45))
@@ -420,7 +445,8 @@ class TestReplayCommand:
     @pytest.mark.parametrize("key, rewrite, error", [
         ("date", lambda day: day.replace("-", ""), "date must be a date written YYYY-MM-DD"),
         ("equity", str, "equity must be a finite number"),
-    ], ids=("basic-iso-date", "equity-as-string"))
+        ("equity", lambda equity: 10**400, "equity must be a finite number"),
+    ], ids=("basic-iso-date", "equity-as-string", "equity-too-large-for-a-float"))
     def test_an_equity_point_not_in_its_written_form_exits_two_naming_its_line(
             self, tmp_path, capsys, key, rewrite, error):
         # Python 3.11's date.fromisoformat reads 20220203, and float() reads "100000.0".

@@ -11,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentdesk.agents import AgentExchange
 from agentdesk.datasynth import (
+    AGENT_NAMES,
     AccountSnapshot,
     BandConfig,
     DayState,
@@ -29,6 +31,7 @@ from agentdesk.datasynth import (
     load_trajectories,
     make_decision_label,
     make_forecast_label,
+    prompt_digest,
     realized_label,
     realized_pct,
     weighted_hit,
@@ -317,7 +320,6 @@ class TestFixtureLabels:
 
 
 def _record(agent: str, day=DAY, **labels) -> TrajectoryRecord:
-    from agentdesk.datasynth import prompt_digest
     return TrajectoryRecord(
         date=day, symbol="TEST", agent_name=agent,
         prompt_digest=prompt_digest(f"input {agent}"),
@@ -328,20 +330,26 @@ def _record(agent: str, day=DAY, **labels) -> TrajectoryRecord:
     )
 
 
+def _day_state(series, **fields) -> DayState:
+    """A held-cash day at bar 21 of `series` whose exchanges are each
+    agent's `input <name>` and `output <name>`."""
+    exchanges = tuple(
+        AgentExchange(f"input {a}", f"output {a}", "trace" if a == "decision" else "")
+        for a in AGENT_NAMES
+    )
+    return DayState(**{
+        "date": series.dates[21], "symbol": "TEST", "exchanges": exchanges,
+        "gated": TrendLabel("sideways", "default_sideways", "r"),
+        "probs": TrendProbabilities(0.2, 0.2, 0.6), "taken": "hold",
+        "account_before": AccountState.initial(1000.0), "style": TradingStyle.BALANCED,
+        **fields,
+    })
+
+
 class TestLabelDay:
     def test_sideways_on_constant_prices(self):
         series = make_series([100.0] * 25)
-        probs = TrendProbabilities(0.2, 0.2, 0.6)
-        state = DayState(
-            date=series.dates[21],
-            records=tuple(_record(a, day=series.dates[21])
-                          for a in ("news", "report", "forecast", "style", "decision")),
-            gated=TrendLabel("sideways", "default_sideways", "r"),
-            probs=probs,
-            taken="hold",
-            account_before=AccountState.initial(1000.0),
-            style=TradingStyle.BALANCED,
-        )
+        state = _day_state(series)
         labeled, flabel, dlabel = label_day(state, series, series.dates[22], 0.0)
         assert flabel.sign_ok == 1
         assert flabel.w_hit == 0.0  # zero move, tanh(0)
@@ -351,6 +359,21 @@ class TestLabelDay:
         assert by_agent["decision"].decision_label == dlabel
         assert by_agent["news"].forecast_label is None
         assert by_agent["news"].decision_label is None
+
+    def test_records_unlabeled_in_agent_order_with_one_snapshot(self):
+        series = make_series([100.0] * 25)
+        account = AccountState(cash=400.0, shares=6.0, avg_entry=100.0, equity=1000.0)
+        records = _day_state(series, account_before=account,
+                             style=TradingStyle.AGGRESSIVE).records()
+        assert [r.agent_name for r in records] == list(AGENT_NAMES)
+        assert len({id(r.account_snapshot) for r in records}) == 1
+        assert records[0].account_snapshot == AccountSnapshot(400.0, 6.0, 1000.0, "aggressive")
+        assert all(r.forecast_label is None and r.decision_label is None for r in records)
+        assert [(r.prompt_digest, r.input_text, r.output_text, r.reasoning_trace)
+                for r in records] == [
+            (prompt_digest(f"input {a}"), f"input {a}", f"output {a}",
+             "trace" if a == "decision" else "") for a in AGENT_NAMES
+        ]
 
 
 class TestSftFilter:

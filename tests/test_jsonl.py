@@ -11,7 +11,9 @@ from datetime import date
 import pytest
 
 from agentdesk.errors import DataError
-from agentdesk.jsonl import read_document, read_jsonl, read_text, write_json, write_jsonl, write_text
+from agentdesk.jsonl import (
+    as_number, read_document, read_jsonl, read_text, write_json, write_jsonl, write_text,
+)
 
 
 @dataclass(frozen=True)
@@ -128,3 +130,18 @@ class TestReadInput:
         extra = {} if parse is None else {"parse": parse}
         with pytest.raises(DataError, match=message):
             read_document(path, "doc", kind, **extra)
+
+
+class TestAsNumber:
+    @pytest.mark.parametrize("value", [0, -2, 1.5, 10**300, -1e308],
+                             ids=["zero", "int", "float", "large-int", "large-float"])
+    def test_a_finite_number_is_returned_as_it_is(self, value):
+        assert as_number(value, "x") is value
+
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, True, None, "1", 10**400, -(10**400),
+    ], ids=["nan", "inf", "bool", "null", "string", "int-too-large", "negative-int-too-large"])
+    def test_anything_else_is_a_value_error(self, value):
+        # math.isfinite and float() raise OverflowError on the large integers
+        with pytest.raises(ValueError, match="x must be a finite number"):
+            as_number(value, "x")

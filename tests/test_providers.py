@@ -309,9 +309,12 @@ class TestHttpEmbeddingAndReranker:
         {"vector": [1e200, 0.0]},
         {"weights": {"rev": 1e154, "cut": 1e154}},
         {"weights": {"rev": -1e200}},
+        {"vector": [10**400, 0.0]},
+        {"weights": {"rev": 10**400}},
     ], ids=["dense-nan", "dense-inf", "dense-text", "sparse-nan", "sparse-minus-inf",
             "dense-bool", "sparse-bool", "dense-squares-overflow-fsum",
-            "dense-square-inf", "sparse-squares-overflow-fsum", "sparse-square-inf"])
+            "dense-square-inf", "sparse-squares-overflow-fsum", "sparse-square-inf",
+            "dense-int-too-large-for-a-float", "sparse-int-too-large-for-a-float"])
     def test_non_finite_embedding_numbers_rejected(self, http_server, body):
         base, handler = http_server
         handler.responses["/embed"] = (200, body)
@@ -351,7 +354,10 @@ class TestHttpEmbeddingAndReranker:
         with pytest.raises(ProviderError):
             provider.relevance("q", "p")
 
-    @pytest.mark.parametrize("relevance", ["high", "0.5", None, float("nan"), True, False])
+    @pytest.mark.parametrize("relevance", [
+        "high", "0.5", None, float("nan"), True, False,
+        pytest.param(10**400, id="int-too-large-for-a-float"),
+    ])
     def test_reranker_non_numeric_relevance_rejected(self, http_server, relevance):
         base, handler = http_server
         handler.responses["/rank"] = (200, {"relevance": relevance})
@@ -789,11 +795,14 @@ class TestAsk:
         assert len(inner.seen) == sent + 1
 
     def test_on_a_thread_pool_a_failed_group_is_raised_before_its_other_sends_end(self):
-        released, held = threading.Event(), []
+        started, released, held = threading.Event(), threading.Event(), []
 
         class Holding(_SlowProvider):
             def _call(self, request, answer):
+                if request[1] == "b":  # fail only once "c" runs, so it is not cancelled unstarted
+                    started.wait(5)
                 if request[1] == "c":
+                    started.set()
                     held.append(released.wait(5))  # False if the group waited for it
                 return super()._call(request, answer)
 

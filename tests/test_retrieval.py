@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 from datetime import date
 
 import pytest
@@ -558,12 +559,31 @@ class TestLoaders:
 
     def test_keyword_weights_stored_as_float(self, tmp_path):
         p = tmp_path / "kw.yaml"
-        p.write_text("Revenue: 1\nmerger: 0\n")
+        p.write_text("Revenue: 1\nmerger: 0\n'2024': 2\n")  # a quoted number is a word
         weights = load_keywords(p)
-        assert weights == {"revenue": 1.0, "merger": 0.0}
+        assert weights == {"revenue": 1.0, "merger": 0.0, "2024": 2.0}
         assert all(type(w) is float for w in weights.values())
 
-    @pytest.mark.parametrize("weight", ["abc", ".nan", ".inf", "-0.5", "true", "null", "'0.5'", "[1]"])
+    @pytest.mark.parametrize("table, term", [
+        ("share buyback: 0.3\n", "'share buyback'"),
+        ("S&P: 0.3\n", "'S&P'"),
+        ("on: 0.3\n", "True"),
+        ("null: 0.3\n", "None"),
+        ("2024: 0.3\n", "2024"),
+        ("Earnings: 0.4\nearnings: 0.1\n", "'earnings'"),
+        ("'': 0.3\n", "''"),
+    ], ids=["two-words", "punctuation", "yaml-on-is-true", "yaml-null", "number",
+            "repeated-in-another-case", "empty"])
+    def test_a_term_that_can_never_match_is_refused(self, tmp_path, table, term):
+        p = tmp_path / "kw.yaml"
+        p.write_text(f"revenue: 0.5\n{table}")
+        with pytest.raises(DataError, match=f"keyword term {re.escape(term)} must be a string of one word"):
+            load_keywords(p)
+
+    @pytest.mark.parametrize("weight", [
+        "abc", ".nan", ".inf", "-0.5", "true", "null", "'0.5'", "[1]",
+        pytest.param("1" + "0" * 400, id="int-too-large-for-a-float"),
+    ])
     def test_keyword_weight_must_be_finite_non_negative_number(self, tmp_path, weight):
         p = tmp_path / "kw.yaml"
         p.write_text(f"earnings: 0.4\nrevenue: {weight}\n")
