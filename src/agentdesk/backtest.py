@@ -5,8 +5,8 @@ Per trading day: label the previous day (its next close is now known),
 build the indicator snapshot, check risk on any open position, run the
 forecast, style and decision agents on the news and report agents'
 results, then execute either the risk override or the agent's action at
-the day's close. The news and report agents go to the agent executor a
-day ahead: an HTTP run's threads start them at once, a stub run's
+the day's close. The news and report agents go to the run's one executor
+a day ahead: an HTTP run's threads start them at once, a stub run's
 `providers.Inline` runs them on the loop thread when their results are
 taken. Artifacts are deterministic: identical config plus stub
 providers reproduce every file byte for byte.
@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_left
 from collections import deque
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
 from functools import cached_property, partial
@@ -80,6 +80,9 @@ from .risk import (
 )
 
 WARMUP_BARS = ATR_WINDOW + 1  # the longest window build_snapshot reads
+# Provider requests an HTTP run sends at once: news items' chat calls, or
+# a memo group's misses. Read when the run starts.
+PROVIDER_WORKERS = 4
 
 CONFIG_FILE = "config.yaml"
 META_FILE = "meta.json"
@@ -153,17 +156,14 @@ class RunState:
 @dataclass(frozen=True)
 class RunInputs:
     """What every day reads: the agents' `Desk` (config, providers, the
-    news-importance memo and the request pool, `providers.PROVIDER_WORKERS`),
-    the day-keyed data the desk leaves out, the executor the news and report
-    agents run on one day ahead (two threads, or `providers.Inline` in a
-    stub run), and the latest filing's ranking. `append` writes each
+    news-importance memo and the run's executor), the day-keyed data the
+    desk leaves out, and the latest filing's ranking. `append` writes each
     labeled day's records to trajectories.jsonl."""
 
     desk: Desk
     series: PriceSeries
     news_by_date: Mapping[Date, Sequence[NewsItem]]
     filings: Sequence[Filing]
-    agent_pool: Executor
     append: Callable[[Sequence[TrajectoryRecord]], None]
     filing_ranks: FilingRanks = field(default_factory=FilingRanks)
 
@@ -194,15 +194,18 @@ def run_backtest(
         # Bounded like the provider memo; the bound is read when the run starts.
         importance = keyword_importance(keywords, providers.MEMO_ENTRIES)
         state = RunState(AccountState.initial(cfg.initial_cash))
-        # A stub run never waits on a network, so its executors are `Inline`:
-        # it sends every request from the loop thread. Thread pools are joined
-        # on any exit, the agent executor first (its agents may be sending).
+        # A stub run never waits on a network, so its executor is `Inline`:
+        # it sends every request from the loop thread. An HTTP run's pool has
+        # `+ 2` workers, one for each day-ahead agent, which waits on its own
+        # sends. At most those two tasks of the pool wait on others, so any
+        # PROVIDER_WORKERS >= 1 leaves a worker to send: it cannot deadlock.
+        # A failed day shuts the pool down; the next day's agents, if still
+        # running, then raise from their next `map`, and nobody reads it.
         threaded = "http" in (cfg.provider, cfg.embedding_provider, cfg.reranker_provider)
-        executor = ThreadPoolExecutor if threaded else lambda workers: providers.Inline()
-        with executor(providers.PROVIDER_WORKERS) as pool, executor(2) as agent_pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS + 2) if threaded else providers.Inline() as pool:
             # Chat stays uncached: its prompts carry the date, so they never repeat.
             desk = Desk(cfg, chat, memoized(embedding, pool), memoized(reranker, pool), importance, pool)
-            run = RunInputs(desk, series, news_by_date, filings, agent_pool, append)
+            run = RunInputs(desk, series, news_by_date, filings, append)
             # Day d+1's news and report agents read nothing day d decides, so
             # they are handed off before its step and taken after it. Day d's
             # errors are raised first: the news agent's, the report's, the step's.
@@ -234,9 +237,9 @@ def run_backtest(
 
 def _upstream_agents(run: RunInputs, day: Date):
     """The day's news and report agents' results, in that order, from the
-    agent executor's `map`: an iterator that runs them when taken, or gives
+    run executor's `map`: an iterator that runs them when taken, or gives
     them as its threads finish them."""
-    return run.agent_pool.map(lambda agent: agent(), (
+    return run.desk.pool.map(lambda agent: agent(), (
         partial(run_news_agent, day, run.desk, run.news_by_date.get(day, ())),
         partial(run_report_agent, day, run.desk, run.filings, run.filing_ranks)))
 
@@ -390,7 +393,10 @@ def replay(run_dir: str | Path) -> MetricsReport:
     curve = load_equity_curve(run_dir)
     trades = load_trades(run_dir)
     n_trades = sum(1 for t in trades if t.get("quantity", 0) > 0)
-    recomputed = compute_metrics([v for _, v in curve], n_trades)
+    try:
+        recomputed = compute_metrics([v for _, v in curve], n_trades)
+    except DataError as exc:
+        raise DataError(f"{EQUITY_FILE}: {exc}") from exc
     stored = load_metrics(run_dir)
     for field_name, value in vars(recomputed).items():
         if field_name not in stored:

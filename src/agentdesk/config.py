@@ -54,8 +54,9 @@ class BacktestConfig:
             raise DataError("config requires a symbol")
         if self.initial_cash <= 0:
             raise DataError("initial_cash must be positive")
-        if self.commission_rate < 0:
-            raise DataError("commission_rate must be non-negative")
+        if not 0 <= self.commission_rate < 1:  # at 1 or more, a sale returns no cash
+            raise DataError("bad config value for 'commission_rate': must be at least 0 "
+                            f"and below 1, got {self.commission_rate!r}")
         if self.start is not None and self.end is not None and self.start > self.end:
             raise DataError("start date is after end date")
 

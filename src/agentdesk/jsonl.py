@@ -52,12 +52,18 @@ _PRETTY = json.JSONEncoder(default=_encode_default, allow_nan=False, indent=2)
 def replacing(path: str | Path, line=lambda row: _LINE.encode(row) + "\n") -> Iterator[Callable]:
     """Yield `append(rows)`, which writes `line(row)` (a JSON line by default) for each row to
     a temp file beside `path`. That file replaces `path` when the block ends and is removed
-    if it raises, so the old file stays as it was. An OSError is a DataError naming `path`."""
+    if it raises, so the old file stays as it was. An OSError, or a row `line` refuses (a
+    non-finite number, say), is a DataError naming `path`."""
     p = Path(path)
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
         with tmp.open("w", encoding="utf-8") as fh:
-            yield lambda rows: fh.writelines(map(line, rows))
+            def append(rows):
+                try:
+                    fh.writelines(map(line, rows))
+                except ValueError as exc:  # here, not around the block: it runs the caller's code
+                    raise DataError(f"cannot write {p}: {exc}") from exc
+            yield append
         os.replace(tmp, p)
     except OSError as exc:
         raise DataError(f"cannot write {p}: {exc}") from exc
@@ -75,7 +81,8 @@ def write_text(path: str | Path, text: str) -> Path:
 
 def write_json(path: str | Path, obj: Any) -> None:
     """Write `obj` as indented JSON with a trailing newline."""
-    write_text(path, _PRETTY.encode(obj) + "\n")
+    with replacing(path, lambda row: _PRETTY.encode(row) + "\n") as append:
+        append([obj])
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Any]) -> Path:
@@ -144,15 +151,19 @@ def read_document(path: str | Path, what: str, kind: type | tuple[type, ...] = d
 
 
 def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
-    """Parse each non-blank line with `parse`. A file `read_text` refuses, or
-    a line that does not decode or fit `parse`, raises DataError naming `what`."""
+    """Parse each non-blank line, a JSON object, with `parse`. A file `read_text`
+    refuses, or a line that does not decode to an object or fit `parse`, raises
+    DataError naming `what`."""
     p = Path(path)
     rows = []
     for lineno, line in enumerate(read_text(p, f"{what} file").splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            rows.append(parse(json.loads(line)))
+            obj = json.loads(line)
+            if not isinstance(obj, dict):
+                raise TypeError(f"a line must be a JSON object, got {type(obj).__name__}")
+            rows.append(parse(obj))
         except (DataError, KeyError, TypeError, ValueError) as exc:
             raise DataError(f"bad {what} record at {p.name}:{lineno}: {exc}") from exc
     return rows

@@ -231,12 +231,12 @@ def annualized_volatility(curve: Sequence[float]) -> float:
 
 
 def compute_metrics(curve: Sequence[float], n_trades: int) -> MetricsReport:
-    sharpe, degenerate = sharpe_ratio(curve)
-    return MetricsReport(
-        cr_pct=cumulative_return(curve),
-        sharpe=sharpe,
-        mdd_pct=max_drawdown(curve),
-        av_pct=annualized_volatility(curve),
-        n_trades=n_trades,
-        degenerate_sharpe=degenerate,
-    )
+    """The curve's report; a metric that overflows or is not finite raises DataError."""
+    try:
+        sharpe, degenerate = sharpe_ratio(curve)
+        values = (cumulative_return(curve), sharpe, max_drawdown(curve), annualized_volatility(curve))
+    except OverflowError as exc:
+        raise DataError(f"equity curve metrics overflow: {exc}") from exc
+    if not all(map(math.isfinite, values)):
+        raise DataError(f"equity curve metrics are not finite numbers: {values}")
+    return MetricsReport(*values, n_trades=n_trades, degenerate_sharpe=degenerate)

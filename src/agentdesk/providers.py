@@ -24,7 +24,6 @@ import zlib
 from collections import OrderedDict, defaultdict
 from concurrent.futures import Executor
 from dataclasses import dataclass
-from itertools import chain
 from pathlib import Path
 from typing import Iterable, Mapping, Protocol, Sequence
 
@@ -404,10 +403,6 @@ class HttpRerankerProvider(_HttpClient):
 # Entries kept per memoized method. Distinct news texts grow with the number
 # of days, so the memo is bounded to keep a run's memory flat in bar count.
 MEMO_ENTRIES = 4096
-# Requests one run's request pool sends at once: news items' sentiment calls,
-# or a memo group's misses but the first, which the asking thread sends (up
-# to PROVIDER_WORKERS + 1 in flight per group). Read when the run starts.
-PROVIDER_WORKERS = 4
 
 
 class Inline(Executor):
@@ -430,11 +425,10 @@ class _Memo:
 
     def ask(self, requests: Iterable[tuple]) -> list:
         """The answers to `requests`, each `(method name, *args)`, in input
-        order. Each distinct miss is sent once: the first from this thread,
-        the rest with the pool's `map`, so on a thread pool they are in
-        flight while this thread sends the first. The first error in input
-        order is raised at once; a send already running finishes, and every
-        answer that arrives is kept."""
+        order. Each distinct miss is sent once, with the pool's `map`. The
+        first error in input order is raised at once: a send already running
+        finishes, one not yet started is cancelled, and every answer that
+        arrives is kept."""
         requests = list(requests)
         found: dict[tuple, object] = {}
         with self._lock:
@@ -444,8 +438,7 @@ class _Memo:
                     answers.move_to_end(args)
                     found[request] = answers[args]
         missing = [request for request in dict.fromkeys(requests) if request not in found]
-        rest = self._pool.map(self._send, missing[1:])
-        found.update(zip(missing, chain(map(self._send, missing[:1]), rest)))
+        found.update(zip(missing, self._pool.map(self._send, missing)))
         return [found[request] for request in requests]
 
     def _send(self, request: tuple):

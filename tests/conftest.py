@@ -249,6 +249,51 @@ def build_env(
     return env
 
 
+_WORDS = (
+    "earnings", "revenue", "guidance", "merger", "lawsuit", "dividend", "the",
+    "company", "said", "analysts", "quarter", "shares", "market", "demand",
+    "costs", "growth", "outlook", "cash", "debt", "orders", "inventory",
+)
+
+
+def write_filings(env, filings) -> None:
+    """`filings`: (bar index, file name, text) triples for env's symbol."""
+    env.reports = env.root / "reports"
+    env.reports.mkdir()
+    manifest = []
+    for bar, name, text in filings:
+        (env.reports / name).write_text(text, encoding="utf-8")
+        manifest.append({"symbol": "TEST", "period": env.days[bar].isoformat(), "path": name})
+    (env.reports / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
+
+
+def news_heavy_env(root, bars: int = 200, seed: int = 1, filing_every: int = 63):
+    """The news-heavy benchmark's shape: `bars` bars of random walk, 20
+    news items a day from a 120-text pool, a 60-sentence filing every
+    `filing_every` bars (63 in the benchmark)."""
+    rng = random.Random(seed)
+    closes = [100.0]
+    for _ in range(bars - 1):
+        closes.append(closes[-1] * math.exp(rng.gauss(0.0003, 0.018)))
+    pool = [
+        (f"story {i} " + " ".join(rng.choices(_WORDS, k=6)),
+         ". ".join(" ".join(rng.choices(_WORDS, k=rng.randint(10, 20))) for _ in range(3)) + ".")
+        for i in range(120)
+    ]
+    days = business_days(bars)
+    news = [{"date": d.isoformat(), "title": title, "body": body}
+            for d in days[21:] for title, body in rng.choices(pool, k=20)]
+    env = build_env(root, closes, news=news, config={"commission_rate": 0.001})
+    write_filings(env, [
+        (bar, f"filing-{k}.txt", " ".join(
+            f"{rng.choice(('Revenue', 'Earnings', 'Margin', 'Headcount'))} "
+            f"{rng.choice(('rose', 'fell', 'held'))} {rng.uniform(1, 40):.1f} percent "
+            f"in {rng.choice(('Europe', 'Asia', 'America'))}." for _ in range(60)))
+        for k, bar in enumerate(range(0, bars, filing_every))
+    ])
+    return env, closes
+
+
 # ---------------------------------------------------------------------------
 # A local HTTP server that answers each path with a canned JSON body
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from agentdesk.agents import (
     run_style_agent,
     weighted_sentiment,
 )
+from agentdesk.backtest import PROVIDER_WORKERS
 from agentdesk.config import BacktestConfig, FeatureFlags
 from agentdesk.datasynth import DecisionLabel, ForecastLabel
 from agentdesk.errors import ParseError, ProviderError
@@ -33,7 +34,6 @@ from agentdesk.gate import PATH_HARD_INTERCEPT, PATH_SOFT_UP, TrendLabel, TrendP
 from agentdesk.marketdata import IndicatorSnapshot
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
-    PROVIDER_WORKERS,
     ChatResult,
     Inline,
     StubChatProvider,

@@ -15,6 +15,7 @@ from agentdesk.agents import REFLECTION_WINDOW, Desk
 from agentdesk.backtest import (
     EQUITY_FILE,
     METRICS_FILE,
+    PROVIDER_WORKERS,
     TRAJECTORIES_FILE,
     RunInputs,
     RunState,
@@ -31,7 +32,6 @@ from agentdesk.errors import DataError, ProviderError
 from agentdesk.marketdata import load_price_csv
 from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
-    PROVIDER_WORKERS,
     make_chat_provider,
     make_embedding_provider,
     make_reranker_provider,
@@ -410,10 +410,10 @@ class TestBoundedRunState:
         days = trading_dates(series, None, None)[:30]
         state = RunState(AccountState.initial(cfg.initial_cash))
         appended = []
-        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool, ThreadPoolExecutor(2) as agent_pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS + 2) as pool:
             desk = Desk(cfg, make_chat_provider(cfg.provider), make_embedding_provider("stub"),
                         make_reranker_provider("stub"), keyword_importance(load_keywords(None), 64), pool)
-            run = RunInputs(desk, series, {}, [], agent_pool, appended.extend)
+            run = RunInputs(desk, series, {}, [], appended.extend)
             for day in days:  # no news or filing: the agents send nothing
                 step(state, run, day, *backtest._upstream_agents(run, day))
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept

@@ -83,6 +83,8 @@ class TestRunCommand:
         "initial_cash: abc",
         "initial_cash: .nan",
         "commission_rate: .inf",
+        "commission_rate: 1.0",
+        "commission_rate: 1.5",
         "seed: null",
         "risk: {multipliers: {balanced: {tp: 2.0}}}",
         "risk: {multipliers: {balanced: [abc, 2.0]}}",
@@ -281,6 +283,22 @@ class TestInputFaults:
         env.prices.write_text("\n".join(lines) + "\n", encoding="utf-8")
         expect_data_error(capsys, main(args), f"prices.csv: non-finite price on {env.days[9]}")
 
+    @pytest.mark.parametrize("close, error", [
+        (1e-250, "equity curve metrics overflow"),
+        (1e-300, "equity curve metrics overflow"),
+        (1e-320, "trajectories.jsonl: Out of range float values"),  # subnormal
+        (2.3e-308, "trajectories.jsonl: Out of range float values"),  # normal, as is the next
+        (1e-305, "trajectories.jsonl: Out of range float values"),
+    ])
+    def test_a_close_whose_numbers_overflow_exits_two(self, tmp_path, capsys, close, error):
+        # A tiny positive close is a valid price; the metrics or the day's
+        # labels it leads to are not finite, and no artifact is written.
+        closes = rising_closes(45)
+        closes[30] = close
+        env = build_env(tmp_path, closes)
+        expect_data_error(capsys, main(run_args(env)), error)
+        assert list(env.out("run").iterdir()) == []
+
     @pytest.mark.parametrize("entry", [
         "fy.txt",
         {"symbol": "TEST", "period": 20220110, "path": "fy.txt"},
@@ -462,6 +480,31 @@ class TestReplayCommand:
         expect_data_error(capsys, main(["replay", "--run", str(env.out("run"))]),
                           f"bad equity record at equity.jsonl:4: {error}")
 
+    @pytest.mark.parametrize("rel, what", [("equity.jsonl", "equity"), ("trades.jsonl", "trade")])
+    def test_a_line_that_is_not_an_object_exits_two_naming_its_line(
+            self, tmp_path, capsys, rel, what):
+        # `dict([])` is an empty trade: refused as a line, not as a mismatch.
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env)) == 0
+        path = env.out("run") / rel
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = "[]"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        expect_data_error(capsys, main(["replay", "--run", str(env.out("run"))]),
+                          f"bad {what} record at {rel}:4: a line must be a JSON object, got list")
+
+    def test_an_equity_point_whose_metrics_overflow_exits_two(self, tmp_path, capsys):
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env)) == 0
+        path = env.out("run") / "equity.jsonl"
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[3] = json.dumps({**json.loads(lines[3]), "equity": 1e308})
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        expect_data_error(capsys, main(["replay", "--run", str(env.out("run"))]),
+                          "equity.jsonl: equity curve metrics overflow")
+
     @pytest.mark.parametrize("quantity", ['"x"', "null", "NaN", "Infinity", "true"])
     def test_a_trade_quantity_that_is_not_a_finite_number_exits_two(
             self, tmp_path, capsys, quantity):
@@ -563,6 +606,21 @@ class TestExportSftCommand:
         code = main(["export-sft", "--run", str(env.out("run")), "--out", str(out)])
         expect_data_error(capsys, code, "bad trajectory record at trajectories.jsonl:3: "
                                         "date must be a date written YYYY-MM-DD")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["3.5", "[]", "null"])
+    def test_a_line_that_is_not_an_object_exits_two_naming_its_line(self, tmp_path, capsys, line):
+        env = build_env(tmp_path, rising_closes(60))
+        assert main(run_args(env)) == 0
+        capsys.readouterr()
+        trajectories = env.out("run") / "trajectories.jsonl"
+        lines = trajectories.read_text(encoding="utf-8").splitlines()
+        lines[2] = line
+        trajectories.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "sft.jsonl"
+        code = main(["export-sft", "--run", str(env.out("run")), "--out", str(out)])
+        expect_data_error(capsys, code, "bad trajectory record at trajectories.jsonl:3: "
+                                        "a line must be a JSON object")
         assert not out.exists()
 
     @pytest.mark.parametrize("agent, path, value", [

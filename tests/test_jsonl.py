@@ -12,7 +12,8 @@ import pytest
 
 from agentdesk.errors import DataError
 from agentdesk.jsonl import (
-    as_number, read_document, read_jsonl, read_text, write_json, write_jsonl, write_text,
+    as_number, read_document, read_jsonl, read_text, replacing, write_json, write_jsonl,
+    write_text,
 )
 
 
@@ -32,10 +33,20 @@ class TestWrite:
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_refused(self, tmp_path, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="cannot write .*p.jsonl: Out of range float"):
             write_jsonl(tmp_path / "p.jsonl", [{"value": bad}])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="cannot write .*p.json: Out of range float"):
             write_json(tmp_path / "p.json", Point(date(2022, 1, 3), bad, {}))
+
+    def test_an_error_of_the_block_is_not_a_write_error(self, tmp_path):
+        # Only `append`'s own encoding errors become DataErrors; the block's
+        # code (a run's whole day loop) raises as it would anywhere else.
+        with pytest.raises(ValueError, match="from the block") as raised:
+            with replacing(tmp_path / "p.jsonl") as append:
+                append([{"v": 1}])
+                raise ValueError("from the block")
+        assert type(raised.value) is ValueError
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRead:
@@ -62,6 +73,15 @@ class TestRead:
         with pytest.raises(DataError, match="bad point record at p.jsonl:2: point must be positive"):
             read_jsonl(path, "point", positive)
 
+    @pytest.mark.parametrize("line", ["3.5", "[]", '[["v", 2]]', '"v"', "null", "true"])
+    def test_a_line_that_is_not_an_object_names_line(self, tmp_path, line):
+        # `dict` would take `[]` and `[["v", 2]]`; `obj["v"]` would take none.
+        path = tmp_path / "p.jsonl"
+        path.write_text(f'{{"v": 1}}\n{line}\n')
+        for parse in (dict, lambda obj: obj.get("v")):
+            with pytest.raises(DataError, match="bad point record at p.jsonl:2: .*JSON object"):
+                read_jsonl(path, "point", parse)
+
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="point file not found"):
             read_jsonl(tmp_path / "absent.jsonl", "point", dict)
@@ -70,7 +90,7 @@ class TestRead:
 class TestAtomicWrite:
     def test_failed_write_keeps_old_file_and_no_temp(self, tmp_path):
         path = write_jsonl(tmp_path / "p.jsonl", [{"v": 1}])
-        with pytest.raises(ValueError):
+        with pytest.raises(DataError, match="cannot write"):
             write_jsonl(path, [{"v": 2}, {"v": math.nan}])
         assert path.read_text() == '{"v": 1}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]

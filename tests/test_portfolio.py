@@ -281,6 +281,14 @@ class TestMetrics:
         assert report.mdd_pct == pytest.approx(100.0 * (105.0 / 110.0 - 1.0))
         assert report.degenerate_sharpe is False
 
+    @pytest.mark.parametrize("curve, error", [
+        ([1e5, 1e5, 1e308, 1e5], "overflow"),  # the returns' squared deviations
+        ([1e-300, 1e-300, 1e300], "not finite numbers"),  # a return of inf
+    ])
+    def test_metrics_that_overflow_or_are_not_finite_are_a_data_error(self, curve, error):
+        with pytest.raises(DataError, match=f"equity curve metrics .*{error}"):
+            compute_metrics(curve, n_trades=1)
+
     def test_short_curve_rejected(self):
         with pytest.raises(DataError):
             sharpe_ratio([100.0, 101.0])

@@ -18,7 +18,7 @@ import yaml
 
 import agentdesk
 from agentdesk import providers
-from agentdesk.backtest import run_backtest
+from agentdesk.backtest import PROVIDER_WORKERS, run_backtest
 from agentdesk.config import config_from_dict
 from agentdesk.errors import DataError, ProviderError
 from agentdesk.providers import (
@@ -641,11 +641,13 @@ class TestMemoized:
 
 class _SlowProvider(_CountingProvider):
     """A `_CountingProvider` that notes the thread each request ran on, and
-    fails the texts in `fail` with their own message after a delay."""
+    fails the texts in `fail` with their own message after a delay. Every
+    other request is answered after `delay` seconds."""
 
-    def __init__(self, fail: dict[str, float] | None = None):
+    def __init__(self, fail: dict[str, float] | None = None, delay: float = 0.0):
         super().__init__()
         self.fail = fail or {}  # text: seconds before its request fails
+        self.delay = delay
         self.threads: list[str] = []
         self.lock = threading.Lock()
 
@@ -657,6 +659,7 @@ class _SlowProvider(_CountingProvider):
         if text in self.fail:
             time.sleep(self.fail[text])
             raise ProviderError(f"no answer for {text}")
+        time.sleep(self.delay)
         return answer()
 
 
@@ -709,7 +712,7 @@ class TestMemoUnderContention:
         switch = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+            with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
                 memo = memoized(Sizing(), pool)
                 ks = iter(range(8))
                 results = _together(8, lambda: reader(next(ks)))
@@ -729,39 +732,37 @@ class TestAsk:
     def test_sends_each_distinct_miss_once_and_answers_in_input_order(self):
         inner = _CountingProvider()
         requests = [("dense", "a"), ("dense", "b"), ("sparse", "b"), ("dense", "b"), ("dense", "c")]
-        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
             memo.ask([("dense", "a")])[0]
             answers = memo.ask(requests)
-        stub = StubEmbeddingProvider()
-        assert answers == [getattr(stub, kind)(text) for kind, text in requests]
-        assert inner.seen[0] == ("dense", "a")
-        assert sorted(inner.seen[1:]) == [("dense", "b"), ("dense", "c"), ("sparse", "b")]
-        # The answers are kept; a request it was not given is not sent.
-        assert memo.ask(requests) == answers
-        assert len(inner.seen) == 4
-        memo.ask([("sparse", "c")])[0]
-        assert inner.seen[-1] == ("sparse", "c") and len(inner.seen) == 5
+            stub = StubEmbeddingProvider()
+            assert answers == [getattr(stub, kind)(text) for kind, text in requests]
+            assert inner.seen[0] == ("dense", "a")
+            assert sorted(inner.seen[1:]) == [("dense", "b"), ("dense", "c"), ("sparse", "b")]
+            # The answers are kept; a request it was not given is not sent.
+            assert memo.ask(requests) == answers
+            assert len(inner.seen) == 4
+            memo.ask([("sparse", "c")])[0]
+            assert inner.seen[-1] == ("sparse", "c") and len(inner.seen) == 5
 
-    def test_a_lone_miss_is_sent_on_the_calling_thread(self):
+    @pytest.mark.parametrize("threaded", (True, False), ids=("thread-pool", "inline"))
+    def test_every_miss_is_sent_through_the_pool(self, threaded):
+        # A lone miss and a group's first miss go the way of the rest: on a
+        # thread pool, from its workers; on `Inline`, from the calling thread.
         inner = _SlowProvider()
-        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+        texts = ("a", "b", "c", "d")
+        with (ThreadPoolExecutor(PROVIDER_WORKERS, thread_name_prefix="memo-pool") if threaded
+              else Inline()) as pool:
             memo = memoized(inner, pool)
-            answers = memo.ask([("dense", "a"), ("dense", "a")])
-        assert answers == [StubEmbeddingProvider().dense("a")] * 2
-        assert inner.threads == [threading.current_thread().name]
-
-    def test_a_groups_first_miss_is_sent_on_the_calling_thread_and_the_rest_on_the_pool(self):
-        inner = _SlowProvider()
-        with ThreadPoolExecutor(providers.PROVIDER_WORKERS, thread_name_prefix="memo-pool") as pool:
-            memo = memoized(inner, pool)
-            memo.ask([("dense", "a")])  # a hit from here on: not sent again
-            answers = memo.ask([("dense", t) for t in ("a", "b", "c", "d")])
-        assert answers == [StubEmbeddingProvider().dense(t) for t in ("a", "b", "c", "d")]
-        on = dict(zip((text for _, text in inner.seen), inner.threads))
-        assert on.pop("a") == threading.current_thread().name  # the lone miss
-        assert on.pop("b") == threading.current_thread().name  # the group's first miss
-        assert sorted(on) == ["c", "d"] and all(t.startswith("memo-pool") for t in on.values())
+            assert memo.ask([("dense", "a"), ("dense", "a")]) == [StubEmbeddingProvider().dense("a")] * 2
+            answers = memo.ask([("dense", t) for t in texts])  # "a" is a hit: not sent again
+        assert answers == [StubEmbeddingProvider().dense(t) for t in texts]
+        assert sorted(inner.seen) == [("dense", t) for t in texts]
+        if threaded:
+            assert all(t.startswith("memo-pool") for t in inner.threads)
+        else:
+            assert inner.threads == [threading.current_thread().name] * len(texts)
 
     def test_on_inline_the_misses_are_sent_in_turn_and_the_first_error_is_raised_at_once(self):
         inner = _SlowProvider(fail={"b": 0.0})
@@ -779,20 +780,20 @@ class TestAsk:
         # "b" fails after "d" has failed, yet comes first in the group.
         inner = _SlowProvider(fail={"b": 0.2, "d": 0.0})
         requests = [("dense", t) for t in ("a", "b", "c", "d", "e")]
-        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
             with pytest.raises(ProviderError, match="no answer for b"):
                 memo.ask(requests)
-        # The pool is joined, so every send that started has ended. The
-        # answers that arrived are kept; the failures go to the provider again.
-        arrived = [request for request in inner.seen if request[1] not in inner.fail]
-        assert ("dense", "a") in arrived
-        sent = len(inner.seen)
-        assert memo.ask(arrived) == [StubEmbeddingProvider().dense(t) for _, t in arrived]
-        assert len(inner.seen) == sent
-        with pytest.raises(ProviderError, match="no answer for d"):
-            memo.ask([("dense", "d")])[0]
-        assert len(inner.seen) == sent + 1
+            time.sleep(0.3)  # every send that started has ended
+            # The answers that arrived are kept; the failures go to the provider again.
+            arrived = [request for request in inner.seen if request[1] not in inner.fail]
+            assert ("dense", "a") in arrived
+            sent = len(inner.seen)
+            assert memo.ask(arrived) == [StubEmbeddingProvider().dense(t) for _, t in arrived]
+            assert len(inner.seen) == sent
+            with pytest.raises(ProviderError, match="no answer for d"):
+                memo.ask([("dense", "d")])[0]
+            assert len(inner.seen) == sent + 1
 
     def test_on_a_thread_pool_a_failed_group_is_raised_before_its_other_sends_end(self):
         started, released, held = threading.Event(), threading.Event(), []
@@ -807,7 +808,7 @@ class TestAsk:
                 return super()._call(request, answer)
 
         inner = Holding(fail={"b": 0.0})
-        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
             with pytest.raises(ProviderError, match="no answer for b"):
                 memo.ask([("dense", t) for t in ("a", "b", "c")])
@@ -816,8 +817,19 @@ class TestAsk:
         assert memo.ask([("dense", "c")]) == [StubEmbeddingProvider().dense("c")]  # kept
         assert inner.seen.count(("dense", "c")) == 1
 
+    def test_on_a_thread_pool_a_failed_group_cancels_its_sends_not_yet_started(self):
+        # One worker: "a" fails while "b" waits for it, so "b" is sent and
+        # "c" and "d", still queued when the error is raised, never are.
+        inner = _SlowProvider(fail={"a": 0.3}, delay=0.3)
+        with ThreadPoolExecutor(1) as pool:
+            memo = memoized(inner, pool)
+            with pytest.raises(ProviderError, match="no answer for a"):
+                memo.ask([("dense", t) for t in ("a", "b", "c", "d")])
+        assert ("dense", "c") not in inner.seen and ("dense", "d") not in inner.seen
+        assert inner.seen[0] == ("dense", "a")
+
     def test_the_group_is_in_flight_at_once(self):
-        k = providers.PROVIDER_WORKERS
+        k = PROVIDER_WORKERS
         together = threading.Barrier(k, timeout=5)  # broken if sent one by one
 
         class Meeting(_CountingProvider):
@@ -836,7 +848,7 @@ class TestAsk:
         inner = _CountingProvider()
         requests = [("dense", t) for t in ("a", "b", "c")]
         want = [StubEmbeddingProvider().dense(t) for t in ("a", "b", "c")]
-        with ThreadPoolExecutor(providers.PROVIDER_WORKERS) as pool:
+        with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
             memo = memoized(inner, pool)
             assert memo.ask(requests) == want
             assert sorted(inner.seen) == requests

@@ -1,8 +1,9 @@
 """What one run keeps between its days: the latest filing's ranking, the
-news-importance memo, and, in a run with an HTTP provider, the request pool
-and the executor the news and report agents run on, one day ahead of the
-rest of the day. None of it may change an artifact, outlive the run, or let
-a day see data dated after it. A run of stubs uses no thread but its own.
+news-importance memo, and, in a run with an HTTP provider, the thread pool
+that sends its requests and runs the news and report agents one day ahead
+of the rest of the day. None of it may change an artifact, outlive the
+run, or let a day see data dated after it. A run of stubs uses no thread
+but its own.
 
 The tests of the threaded schedule run the stubs behind `http` specs
 (`threaded_stubs`), so that they take the path of an HTTP run."""
@@ -10,8 +11,6 @@ The tests of the threaded schedule run the stubs behind `http` specs
 from __future__ import annotations
 
 import json
-import math
-import random
 import re
 import threading
 import zlib
@@ -27,58 +26,15 @@ from conftest import (
     PROVIDER_SPECS,
     Recording,
     build_env,
-    business_days,
+    news_heavy_env,
     rising_closes,
     threaded_stubs,
+    write_filings,
     write_prices_csv,
 )
 
 ARTIFACT_FILES = ("config.yaml", "meta.json", "equity.jsonl", "trades.jsonl",
                   "trajectories.jsonl", "metrics.json")
-
-_WORDS = (
-    "earnings", "revenue", "guidance", "merger", "lawsuit", "dividend", "the",
-    "company", "said", "analysts", "quarter", "shares", "market", "demand",
-    "costs", "growth", "outlook", "cash", "debt", "orders", "inventory",
-)
-
-
-def write_filings(env, filings) -> None:
-    """`filings`: (bar index, file name, text) triples for env's symbol."""
-    env.reports = env.root / "reports"
-    env.reports.mkdir()
-    manifest = []
-    for bar, name, text in filings:
-        (env.reports / name).write_text(text, encoding="utf-8")
-        manifest.append({"symbol": "TEST", "period": env.days[bar].isoformat(), "path": name})
-    (env.reports / "manifest.json").write_text(json.dumps(manifest), encoding="utf-8")
-
-
-def news_heavy_env(root, bars: int = 200, seed: int = 1, filing_every: int = 63):
-    """The news-heavy benchmark's shape: `bars` bars of random walk, 20
-    news items a day from a 120-text pool, a 60-sentence filing every
-    `filing_every` bars (63 in the benchmark)."""
-    rng = random.Random(seed)
-    closes = [100.0]
-    for _ in range(bars - 1):
-        closes.append(closes[-1] * math.exp(rng.gauss(0.0003, 0.018)))
-    pool = [
-        (f"story {i} " + " ".join(rng.choices(_WORDS, k=6)),
-         ". ".join(" ".join(rng.choices(_WORDS, k=rng.randint(10, 20))) for _ in range(3)) + ".")
-        for i in range(120)
-    ]
-    days = business_days(bars)
-    news = [{"date": d.isoformat(), "title": title, "body": body}
-            for d in days[21:] for title, body in rng.choices(pool, k=20)]
-    env = build_env(root, closes, news=news, config={"commission_rate": 0.001})
-    write_filings(env, [
-        (bar, f"filing-{k}.txt", " ".join(
-            f"{rng.choice(('Revenue', 'Earnings', 'Margin', 'Headcount'))} "
-            f"{rng.choice(('rose', 'fell', 'held'))} {rng.uniform(1, 40):.1f} percent "
-            f"in {rng.choice(('Europe', 'Asia', 'America'))}." for _ in range(60)))
-        for k, bar in enumerate(range(0, bars, filing_every))
-    ])
-    return env, closes
 
 
 def run_env(env, name="run", prices=None):
@@ -197,10 +153,10 @@ class _NewsChat:
 
 
 class TestOnePoolPerRun:
-    """The request pool and the agent executor, on which each day's news
-    and report agents run together, one day ahead of the forecast, style
-    and decision agents: no thread outlives a run, and a day's errors are
-    raised before the next day's, the news agent's first."""
+    """The run's one thread pool, which sends its requests and runs each
+    day's news and report agents together, one day ahead of the forecast,
+    style and decision agents: no thread outlives a run, and a day's errors
+    are raised before the next day's, the news agent's first."""
 
     NEWS = [{"date": d, "title": f"Story {i}", "body": f"Revenue rose {i}."}
             for d in ("2022-02-02", "2022-02-03", "2022-02-04") for i in range(6)]
@@ -365,7 +321,7 @@ class TestOverlap:
         threads: list[tuple[threading.Thread, int]] = []
         for workers in (4, 1):
             seen = sent[workers] = []
-            monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
+            monkeypatch.setattr(backtest, "PROVIDER_WORKERS", workers)
             for name, make in makes.items():
                 monkeypatch.setattr(backtest, name, lambda *a, _m=make, _s=seen, **k:
                                     Recording(_m(*a, **k), _s, 0.002, threads=threads))
@@ -400,7 +356,7 @@ class _FailingChat:
 class TestScheduleOracle:
     """Every schedule of a run gives the artifacts and requests, or the
     error, of the sequential one: a stub run's, with `providers.Inline` in
-    place of both thread pools. Each provider request is held for a time
+    place of the thread pool. Each provider request is held for a time
     from 0 to 2 ms fixed by the request and the seed, so the run's
     concurrent parts interleave differently with each seed and worker
     count. A filing every 15 bars gives the run three days on which a newer
@@ -430,7 +386,7 @@ class TestScheduleOracle:
             sequential.setattr(backtest, "ThreadPoolExecutor", lambda workers: providers.Inline())
             # one schedule whatever the delays, so none is added
             reference, _ = self.run_jittered(env, "sequential", seed, sequential, 0.0)
-        monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
+        monkeypatch.setattr(backtest, "PROVIDER_WORKERS", workers)
         requests, seen = self.run_jittered(env, "concurrent", seed, monkeypatch)
         assert requests == reference
         memoized = [request for request in seen if request[0] in self.MEMOIZED]
@@ -461,7 +417,7 @@ class TestScheduleOracle:
             sequential.setattr(backtest, "ThreadPoolExecutor", lambda workers: providers.Inline())
             with pytest.raises(RuntimeError) as reference:
                 self.run_jittered(env, "sequential", seed, sequential, 0.0)
-        monkeypatch.setattr(providers, "PROVIDER_WORKERS", workers)
+        monkeypatch.setattr(backtest, "PROVIDER_WORKERS", workers)
         with pytest.raises(RuntimeError) as raised:
             self.run_jittered(env, "concurrent", seed, monkeypatch)
         assert str(reference.value).startswith(f"{next(iter(failing))} call failed")
