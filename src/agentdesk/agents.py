@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from datetime import date as Date
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable, Mapping, Sequence
 
 from .config import BacktestConfig
@@ -133,13 +133,15 @@ def _render(name: str, **values: str) -> tuple[str, str]:
     return first, rest.strip()
 
 
+_DECODER = json.JSONDecoder()  # shared, as json.loads shares its own
+
+
 def parse_structured_output(text: str) -> dict:
     """Extract the first well-formed brace-delimited JSON object."""
-    decoder = json.JSONDecoder()
     idx = text.find("{")
     while idx != -1:
         try:
-            obj, _ = decoder.raw_decode(text[idx:])
+            obj, _ = _DECODER.raw_decode(text[idx:])
         except json.JSONDecodeError:
             obj = None
         if isinstance(obj, dict):
@@ -158,9 +160,10 @@ def _call_or_fallback(
     """One chat call with one repair retry that cannot fail: returns
     (value, exchange), with the flags on the exchange.
 
-    Falls back to `unusable` when the output is still malformed after the
-    repair retry and to `unavailable` on a provider error. A validated
-    reply is flagged ("repaired",) when it needed the retry.
+    Falls back to `unusable` when the output is still malformed (a number
+    no int or float holds, say) after the repair retry and to `unavailable`
+    on a provider error. A validated reply is flagged ("repaired",) when it
+    needed the retry.
     """
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
     try:
@@ -168,7 +171,7 @@ def _call_or_fallback(
             result = desk.chat.complete(messages, seed=desk.cfg.seed)
             try:
                 value = validate(parse_structured_output(result.content))
-            except (ParseError, ValueError, KeyError, TypeError):
+            except (ParseError, ValueError, KeyError, TypeError, OverflowError):
                 messages = messages + [
                     {"role": "assistant", "content": result.content},
                     {"role": "user", "content": _template("repair").strip()},
@@ -471,12 +474,7 @@ def run_style_agent(
             output_text=json.dumps({"style": "balanced", "confidence": 1.0}),
             flags=("disabled",),
         )
-    if recent:
-        recent_block = "\n".join(
-            f"- {o.date} {o.style.value}: {o.day_return:+.4%}" for o in recent
-        )
-    else:
-        recent_block = "none available"
+    recent_block = "\n".join(day.style_line for day in recent) or "none available"
     system, user = _render(
         "style",
         symbol=desk.cfg.symbol,
@@ -572,6 +570,11 @@ class LabeledDay:
     day_return: float  # next-close account return under the day's style
 
     @cached_property
+    def style_line(self) -> str:
+        """The day's line in the style prompt's recent days, formatted once."""
+        return f"- {self.date} {self.style.value}: {self.day_return:+.4%}"
+
+    @cached_property
     def highlights(self) -> dict[str, str]:
         """The day's highlight line for each audience, formatted once: a day
         stays among the highlights for many days in a row."""
@@ -612,10 +615,11 @@ def build_reflection(history: Sequence[LabeledDay], audience: str = "decision") 
     if not days:
         return f"No prior experience is available for {audience}."
 
-    wins = [d for d in days if score(d) > 0]
-    losses = [d for d in days if score(d) <= 0]
-    top_wins = sorted(wins, key=lambda d: (-score(d), d.date))[:_MAX_HIGHLIGHT_WINS]
-    top_losses = sorted(losses, key=lambda d: (-abs(score(d)), d.date))[:_MAX_HIGHLIGHT_LOSSES]
+    scored = [(score(d), d) for d in days]  # each day's score read once
+    wins = [((-s, d.date), d) for s, d in scored if s > 0]
+    losses = [((-abs(s), d.date), d) for s, d in scored if s <= 0]
+    top_wins = [d for _, d in sorted(wins, key=itemgetter(0))[:_MAX_HIGHLIGHT_WINS]]
+    top_losses = [d for _, d in sorted(losses, key=itemgetter(0))[:_MAX_HIGHLIGHT_LOSSES]]
 
     lines = [
         f"Experience summary for {audience} over the last {len(days)} labeled days: "

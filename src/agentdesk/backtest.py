@@ -224,7 +224,10 @@ def run_backtest(
         equity_curve = ((last_warmup, cfg.initial_cash),
                         *((t.date, t.post_equity) for t in state.trades))
         n_trades = sum(1 for t in state.trades if t.quantity > 0)
-        metrics = compute_metrics([v for _, v in equity_curve], n_trades)
+        try:
+            metrics = compute_metrics([v for _, v in equity_curve], n_trades)
+        except DataError as exc:  # the curve is the prices' closes traded on
+            raise DataError(f"{Path(prices_path).name}: {exc}") from exc
 
     _persist(out_dir, cfg, metrics, state, equity_curve)
     return RunArtifacts(

@@ -21,7 +21,7 @@ from typing import Callable, Sequence
 from .gate import LABELS, TrendLabel, TrendProbabilities
 from .jsonl import as_date, as_number, as_str, read_jsonl, write_jsonl
 from .marketdata import PriceSeries, trailing_log_returns
-from .portfolio import ACTION_KINDS, AccountState, TradeAction, apply_action
+from .portfolio import ACTION_KINDS, ORIGIN_AGENT, AccountState, fill
 from .risk import TradingStyle
 
 BAND_WINDOW = 20
@@ -167,18 +167,18 @@ def counterfactual_equities(
     commission_rate: float,
     at: Date,
 ) -> CounterfactualOutcome:
-    """Next-close equity of each of buy/hold/sell applied to a clone of the
-    account at the execution price. The live account is untouched."""
+    """Next-close equity of each of buy/hold/sell filled from the account at
+    the execution price by `portfolio.fill`, the arithmetic `apply_action`
+    executes. The live account is untouched."""
     if price_exec <= 0 or price_next <= 0:
         raise ValueError("prices must be positive")
     equity: dict[str, float] = {}
     commission: dict[str, float] = {}
     for kind in ACTION_KINDS:
-        clone, record = apply_action(
-            account, TradeAction(kind, style), price_exec, commission_rate, at
+        *_, commission[kind], cash, shares = fill(
+            account.cash, account.shares, kind, style, ORIGIN_AGENT, price_exec, commission_rate
         )
-        equity[kind] = clone.cash + clone.shares * price_next
-        commission[kind] = record.commission
+        equity[kind] = cash + shares * price_next
     return CounterfactualOutcome(equity, commission)
 
 

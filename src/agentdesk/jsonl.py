@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from datetime import date as Date
 from functools import cache
+from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -29,18 +30,21 @@ T = TypeVar("T")
 
 
 @cache
-def _field_names(cls: type) -> tuple[str, ...]:
-    return tuple(f.name for f in fields(cls))
+def _encoder(cls: type) -> Callable[[Any], Any]:
+    """How `default=` writes an instance of `cls`, looked up once per type."""
+    if issubclass(cls, Date):
+        return cls.isoformat
+    if is_dataclass(cls):
+        # Read field by field: touching obj.__dict__ would make CPython build
+        # a dict that stays attached to every record still in memory.
+        names = tuple(f.name for f in fields(cls))
+        get = attrgetter(*names) if len(names) > 1 else lambda obj: [getattr(obj, n) for n in names]
+        return lambda obj: dict(zip(names, get(obj)))
+    raise TypeError(f"{cls.__name__} is not JSON serializable")
 
 
 def _encode_default(obj: Any) -> Any:
-    if isinstance(obj, Date):
-        return obj.isoformat()
-    if is_dataclass(obj):
-        # Read field by field: touching obj.__dict__ would make CPython build
-        # a dict that stays attached to every record still in memory.
-        return {name: getattr(obj, name) for name in _field_names(type(obj))}
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    return _encoder(type(obj))(obj)
 
 
 # Built once: json.dumps with keyword arguments builds an encoder per call.

@@ -10,7 +10,7 @@ allowed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from datetime import date as Date
 from typing import Sequence
 
@@ -58,7 +58,7 @@ class AccountState:
         return cls(cash=cash, shares=0.0, avg_entry=None, equity=cash)
 
     def marked(self, price: float) -> "AccountState":
-        return replace(self, equity=self.cash + self.shares * price)
+        return AccountState(self.cash, self.shares, self.avg_entry, self.cash + self.shares * price)
 
 
 @dataclass(frozen=True)
@@ -87,6 +87,33 @@ class TradeRecord:
     note: str = ""
 
 
+def fill(
+    cash: float, shares: float, kind: str, style: TradingStyle, origin: str, price: float, rate: float,
+) -> tuple[str, str, float, float, float, float]:
+    """The arithmetic of one order at `price` with commission `rate`: the
+    (kind, note, quantity, commission, cash, shares) it leaves. A buy with no
+    cash or a sell with no position becomes a hold with an explanatory note."""
+    if price <= 0:
+        raise ValueError(f"price must be positive, got {price}")
+    if rate < 0:
+        raise ValueError("commission_rate must be non-negative")
+    if kind == "buy" and cash <= 0:
+        return "hold", "buy skipped: no cash available", 0.0, 0.0, cash, shares
+    if kind == "sell" and shares <= 0:
+        return "hold", "sell skipped: no position", 0.0, 0.0, cash, shares
+    if kind == "buy":
+        budget = BUY_FRACTION[style] * cash
+        notional = budget / (1.0 + rate)
+        quantity = notional / price
+        return kind, "", quantity, budget - notional, cash - budget, shares + quantity
+    if kind == "sell":
+        quantity = (1.0 if origin != ORIGIN_AGENT else SELL_FRACTION[style]) * shares
+        notional = quantity * price
+        commission = notional * rate
+        return kind, "", quantity, commission, cash + notional - commission, shares - quantity
+    return kind, "", 0.0, 0.0, cash, shares
+
+
 def apply_action(
     state: AccountState,
     action: TradeAction,
@@ -94,56 +121,22 @@ def apply_action(
     commission_rate: float,
     at: Date,
 ) -> tuple[AccountState, TradeRecord]:
-    """Execute one action at `price` and mark the account to it.
+    """Execute one action at `price` through `fill` and mark the account to it.
 
     Degenerate orders (buy with no cash, sell with no position) are
     recorded as holds with an explanatory note instead of failing.
     """
-    if price <= 0:
-        raise ValueError(f"price must be positive, got {price}")
-    if commission_rate < 0:
-        raise ValueError("commission_rate must be non-negative")
-
     style = TradingStyle(action.style)
-    kind = action.kind
-    note = ""
-
-    if kind == "buy" and state.cash <= 0:
-        kind, note = "hold", "buy skipped: no cash available"
-    elif kind == "sell" and state.shares <= 0:
-        kind, note = "hold", "sell skipped: no position"
-
+    kind, note, quantity, commission, cash, shares = fill(
+        state.cash, state.shares, action.kind, style, action.origin, price, commission_rate
+    )
     if kind == "buy":
-        budget = BUY_FRACTION[style] * state.cash
-        notional = budget / (1.0 + commission_rate)
-        commission = budget - notional
-        quantity = notional / price
-        new_shares = state.shares + quantity
-        prev_basis = (state.avg_entry or 0.0) * state.shares
-        avg_entry = (prev_basis + quantity * price) / new_shares
-        new_state = AccountState(
-            cash=state.cash - budget,
-            shares=new_shares,
-            avg_entry=avg_entry,
-            equity=0.0,
-        ).marked(price)
+        avg_entry = ((state.avg_entry or 0.0) * state.shares + quantity * price) / shares
     elif kind == "sell":
-        fraction = 1.0 if action.origin != ORIGIN_AGENT else SELL_FRACTION[style]
-        quantity = fraction * state.shares
-        notional = quantity * price
-        commission = notional * commission_rate
-        remaining = state.shares - quantity
-        new_state = AccountState(
-            cash=state.cash + notional - commission,
-            shares=remaining,
-            avg_entry=state.avg_entry if remaining > 0 else None,
-            equity=0.0,
-        ).marked(price)
+        avg_entry = state.avg_entry if shares > 0 else None
     else:
-        quantity = 0.0
-        commission = 0.0
-        new_state = state.marked(price)
-
+        avg_entry = state.avg_entry
+    new_state = AccountState(cash, shares, avg_entry, cash + shares * price)
     record = TradeRecord(
         date=at,
         kind=kind,

@@ -40,6 +40,16 @@ class TestRunCommand:
         for name in ("config.yaml", "metrics.json", "trajectories.jsonl"):
             assert (env.out("run") / name).exists()
 
+    def test_a_reply_whose_number_overflows_an_int_falls_back(self, tmp_path, capsys):
+        # 1e400 decodes to inf, which no int can hold: unusable output, like a parse error
+        reply = '{"indicators": [{"name": "Revenue", "citation_chunk": 1e400}], "summary": "s"}'
+        env = build_env(tmp_path, rising_closes(45), with_reports=True, script={"report:*": reply})
+        assert main(run_args(env) + ["--reports", str(env.reports)]) == 0, capsys.readouterr().err
+        records = load_trajectories(env.out("run") / "trajectories.jsonl")
+        reports = [json.loads(r.output_text) for r in records if r.agent_name == "report"]
+        assert reports and all(r["indicators"] == [] for r in reports)
+        assert all(r["summary"].startswith("summary unavailable") for r in reports)
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["run", "--config", "only.yaml"]) == 1
         assert "usage error" in capsys.readouterr().err
@@ -284,8 +294,8 @@ class TestInputFaults:
         expect_data_error(capsys, main(args), f"prices.csv: non-finite price on {env.days[9]}")
 
     @pytest.mark.parametrize("close, error", [
-        (1e-250, "equity curve metrics overflow"),
-        (1e-300, "equity curve metrics overflow"),
+        (1e-250, "prices.csv: equity curve metrics overflow"),
+        (1e-300, "prices.csv: equity curve metrics overflow"),
         (1e-320, "trajectories.jsonl: Out of range float values"),  # subnormal
         (2.3e-308, "trajectories.jsonl: Out of range float values"),  # normal, as is the next
         (1e-305, "trajectories.jsonl: Out of range float values"),

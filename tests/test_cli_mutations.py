@@ -1,12 +1,14 @@
 """A seeded mutation test of the CLI's exit-code contract.
 
 Each case changes one value of one file and runs the command that reads
-it: a config value, a price CSV cell, a news line or a manifest entry for
-`run`; a line or value of a finished run's equity, trades or metrics file
-for `replay` (and `metrics`), or of its trajectories for `export-sft`. The
-inputs have the news-heavy benchmark's shape, 70 bars long. Every case
-must exit 0, 2 or 3 without raising, and a `run` or `export-sft` that
-exits 0 must have written only finite numbers.
+it: a config value, a price CSV cell, a news line, a manifest entry, a
+keyword weight or term, or one role's scripted stub reply (a JSON text that
+may carry numbers no int or float holds) for `run`; a line or value of a
+finished run's equity, trades or metrics file for `replay` (and `metrics`),
+or of its trajectories for `export-sft`. The inputs have the news-heavy
+benchmark's shape, 70 bars long. Every case must exit 0, 2 or 3 without
+raising, and a `run` or `export-sft` that exits 0 must have written only
+finite numbers.
 
 Tier-1 runs `CASES` cases of seed 1. More seeds and cases:
 
@@ -16,9 +18,11 @@ Tier-1 runs `CASES` cases of seed 1. More seeds and cases:
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import math
+import operator
 import random
 import shutil
 import sys
@@ -29,6 +33,7 @@ import yaml
 
 from agentdesk.cli import main
 from agentdesk.config import config_to_dict, load_config
+from agentdesk.retrieval import load_keywords
 
 from conftest import news_heavy_env
 
@@ -41,8 +46,21 @@ VALUES = (None, True, False, 0, -1, 1, 0.5, 2, 1e308, -1e308, 1e-320, 2.3e-308, 
           [], [1], {}, {"a": 1})
 CELLS = ("", "x", "nan", "inf", "-inf", "-1", "0", "1e-320", "2.3e-308", "1e-305", "1e-250",
          "1e308", "1e400", "2022-02-30", "20220103", "2021-12-31", "2030-01-03")
-# What replaces a whole JSONL line (a blank line is skipped by every reader).
+# What replaces a whole JSONL line (a blank line is skipped by every reader),
+# or a whole scripted reply.
 LINES = ("3.5", "[]", '"x"', "null", "true", "{", "{}", "")
+
+# What a scripted reply's number becomes: values no float or int holds.
+UNHELD = (10**400, math.inf, -math.inf, math.nan)
+# Each role's scripted stub reply, every day: the replies a case changes.
+SCRIPT = {
+    "news-sentiment:*": {"sentiment": 0.4, "summary": "scripted"},
+    "report:*": {"indicators": [{"name": "revenue", "value_text": "up", "citation_chunk": 1}],
+                 "summary": "scripted"},
+    "forecast:*": {"up": 0.5, "down": 0.2, "sideways": 0.3, "confidence": 0.6, "rationale": "scripted"},
+    "style:*": {"style": "aggressive", "confidence": 0.7, "rationale": "scripted"},
+    "decision:*": {"action": "buy", "rationale": "scripted"},
+}
 
 
 def _positions(node, at=()):
@@ -53,14 +71,16 @@ def _positions(node, at=()):
     yield at
 
 
+def _value_at(doc, at):
+    return functools.reduce(operator.getitem, at, doc)
+
+
 def _change_value(rng: random.Random, doc):
     """`doc` with one of its values replaced, scaled or removed."""
     at = rng.choice(list(_positions(doc)))
     if not at:
         return rng.choice(VALUES)
-    parent = doc
-    for key in at[:-1]:
-        parent = parent[key]
+    parent = _value_at(doc, at[:-1])
     old, roll = parent[at[-1]], rng.random()
     if roll < 0.1:
         del parent[at[-1]]
@@ -81,6 +101,25 @@ def _change_line(rng: random.Random, text: str) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _change_reply(rng: random.Random, text: str) -> str:
+    """`text`, a scripted stub file, with one role's reply replaced whole, one
+    of its numbers replaced by one of UNHELD, or one of its values changed."""
+    script = yaml.safe_load(text)
+    role, roll = rng.choice(sorted(script)), rng.random()
+    reply = json.loads(script[role])
+    numbers = [at for at in _positions(reply) if type(_value_at(reply, at)) in (int, float)]
+    if roll < 0.3:
+        script[role] = rng.choice(LINES)
+    else:
+        if roll < 0.6 and numbers:
+            *path, key = rng.choice(numbers)
+            _value_at(reply, path)[key] = rng.choice(UNHELD)
+        else:
+            reply = _change_value(rng, reply)
+        script[role] = json.dumps(reply)
+    return yaml.safe_dump(script, sort_keys=False)
+
+
 def _change_cell(rng: random.Random, text: str) -> str:
     rows = [line.split(",") for line in text.splitlines()]
     row = rows[rng.randrange(len(rows))]
@@ -92,11 +131,16 @@ def _change_cell(rng: random.Random, text: str) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
+def _change_yaml(rng: random.Random, text: str) -> str:
+    return yaml.safe_dump(_change_value(rng, yaml.safe_load(text)), sort_keys=False)
+
+
 # file: (how one value of it is changed, the commands that read it). Files
 # under "run/" are a finished run's artifacts; the others are its inputs.
 TARGETS = {
-    "config.yaml": (lambda rng, text: yaml.safe_dump(_change_value(rng, yaml.safe_load(text)),
-                                                     sort_keys=False), ("run",)),
+    "config.yaml": (_change_yaml, ("run",)),
+    "keywords.yaml": (_change_yaml, ("run",)),
+    "script.yaml": (_change_reply, ("run",)),
     "prices.csv": (_change_cell, ("run",)),
     "news.jsonl": (_change_line, ("run",)),
     "reports/manifest.json": (lambda rng, text: json.dumps(_change_value(rng, json.loads(text))),
@@ -148,9 +192,13 @@ def broken_cases(root: Path, seed: int, cases: int) -> list[str]:
     """The cases of `seed` that break the contract: what each changed and
     what went wrong."""
     env, _ = news_heavy_env(root / "inputs", bars=70, filing_every=30)
+    (env.root / "keywords.yaml").write_text(yaml.safe_dump(load_keywords()), encoding="utf-8")
+    (env.root / "script.yaml").write_text(yaml.safe_dump(
+        {role: json.dumps(reply) for role, reply in SCRIPT.items()}, sort_keys=False), encoding="utf-8")
     # Every config key, sections included, so any of them can be changed.
-    env.config_path.write_text(yaml.safe_dump(config_to_dict(load_config(env.config_path)),
-                                              sort_keys=False), encoding="utf-8")
+    cfg = config_to_dict(load_config(env.config_path))
+    cfg.update(keywords_path="keywords.yaml", provider=cfg["provider"] + ",scripted:script.yaml")
+    env.config_path.write_text(yaml.safe_dump(cfg, sort_keys=False), encoding="utf-8")
     assert _exit(_args("run", env.root)) == 0
     (env.root / "out").rename(env.root / "run")
     rng, broken = random.Random(seed), []

@@ -39,7 +39,7 @@ from agentdesk.datasynth import (
 from agentdesk.errors import DataError, InsufficientHistoryError
 from agentdesk.gate import LABELS, TrendLabel, TrendProbabilities
 from agentdesk.jsonl import replacing
-from agentdesk.portfolio import AccountState
+from agentdesk.portfolio import ACTION_KINDS, AccountState, TradeAction, apply_action
 from agentdesk.risk import TradingStyle
 
 from conftest import make_series, oracle_series, outcome, ref_trailing_log_returns
@@ -213,6 +213,32 @@ class TestCounterfactuals:
         before = account
         counterfactual_equities(account, TradingStyle.BALANCED, 100.0, 90.0, 0.001, DAY)
         assert account == before
+
+    @pytest.mark.parametrize("account", [
+        AccountState.initial(100_000.0),
+        AccountState(cash=1_000.0, shares=10.0, avg_entry=100.0, equity=2_000.0),
+        AccountState(cash=0.0, shares=10.0, avg_entry=100.0, equity=1_000.0),
+    ], ids=["flat", "long", "no-cash"])
+    @pytest.mark.parametrize("close", [1e-305, 1.0, 1e300])
+    def test_each_action_matches_apply_action_exactly(self, account, close):
+        # reprs, so that an inf from a tiny close matches too
+        price_next = close * 1.5
+        for kind in ACTION_KINDS:
+            for style in TradingStyle:
+                for rate in (0.0, 0.999):
+                    out = counterfactual_equities(account, style, close, price_next, rate, DAY)
+                    state, record = apply_action(account, TradeAction(kind, style), close, rate, DAY)
+                    case = (kind, style, rate)
+                    assert repr(out.equity[kind]) == repr(state.cash + state.shares * price_next), case
+                    assert repr(out.commission[kind]) == repr(record.commission), case
+
+    @pytest.mark.parametrize("price, rate", [(0.0, 0.0), (-1.0, 0.0), (1.0, -0.001)])
+    def test_a_bad_price_or_rate_raises_as_apply_action_does(self, price, rate):
+        account = AccountState.initial(1_000.0)
+        with pytest.raises(ValueError):
+            counterfactual_equities(account, TradingStyle.BALANCED, price, 1.0, rate, DAY)
+        with pytest.raises(ValueError):
+            apply_action(account, TradeAction("hold", TradingStyle.BALANCED), price, rate, DAY)
 
 
 class TestActionReward:
