@@ -14,7 +14,7 @@ from dataclasses import dataclass, replace
 from datetime import date as Date
 from functools import cached_property, lru_cache
 from importlib import resources
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Callable, Mapping, Sequence
 
 from .config import BacktestConfig
@@ -615,11 +615,10 @@ def build_reflection(history: Sequence[LabeledDay], audience: str = "decision") 
     if not days:
         return f"No prior experience is available for {audience}."
 
-    scored = [(score(d), d) for d in days]  # each day's score read once
-    wins = [((-s, d.date), d) for s, d in scored if s > 0]
-    losses = [((-abs(s), d.date), d) for s, d in scored if s <= 0]
-    top_wins = [d for _, d in sorted(wins, key=itemgetter(0))[:_MAX_HIGHLIGHT_WINS]]
-    top_losses = [d for _, d in sorted(losses, key=itemgetter(0))[:_MAX_HIGHLIGHT_LOSSES]]
+    wins = [d for d in days if score(d) > 0]
+    losses = [d for d in days if score(d) <= 0]
+    top_wins = sorted(wins, key=lambda d: (-score(d), d.date))[:_MAX_HIGHLIGHT_WINS]
+    top_losses = sorted(losses, key=lambda d: (-abs(score(d)), d.date))[:_MAX_HIGHLIGHT_LOSSES]
 
     lines = [
         f"Experience summary for {audience} over the last {len(days)} labeled days: "

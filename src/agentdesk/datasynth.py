@@ -165,7 +165,6 @@ def counterfactual_equities(
     price_exec: float,
     price_next: float,
     commission_rate: float,
-    at: Date,
 ) -> CounterfactualOutcome:
     """Next-close equity of each of buy/hold/sell filled from the account at
     the execution price by `portfolio.fill`, the arithmetic `apply_action`
@@ -241,9 +240,7 @@ def make_decision_label(
     price_next = series.close_at(next_at)
     e_prev = account_before.cash + account_before.shares * price_exec
     r_bm = realized_pct(price_exec, price_next)
-    outcome = counterfactual_equities(
-        account_before, style, price_exec, price_next, commission_rate, at
-    )
+    outcome = counterfactual_equities(account_before, style, price_exec, price_next, commission_rate)
     r_eq = {k: (outcome.equity[k] - e_prev) / e_prev for k in ACTION_KINDS}
     c = {k: outcome.commission[k] / e_prev for k in ACTION_KINDS}
     reward = {

@@ -18,7 +18,6 @@ from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from datetime import date as Date
 from functools import cache
-from operator import attrgetter
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
@@ -38,8 +37,7 @@ def _encoder(cls: type) -> Callable[[Any], Any]:
         # Read field by field: touching obj.__dict__ would make CPython build
         # a dict that stays attached to every record still in memory.
         names = tuple(f.name for f in fields(cls))
-        get = attrgetter(*names) if len(names) > 1 else lambda obj: [getattr(obj, n) for n in names]
-        return lambda obj: dict(zip(names, get(obj)))
+        return lambda obj: {name: getattr(obj, name) for name in names}
     raise TypeError(f"{cls.__name__} is not JSON serializable")
 
 

@@ -205,10 +205,10 @@ def test_criterion_5_reward_identities():
         cash = float(rng.uniform(1_000, 1_000_000))
         account = AccountState.initial(cash)
 
-        flat = counterfactual_equities(account, TradingStyle.BALANCED, p0, p0, 0.0, day)
+        flat = counterfactual_equities(account, TradingStyle.BALANCED, p0, p0, 0.0)
         assert action_reward(cash, flat.equity["hold"], 0.0, 0.0) == 0.0
 
-        moved = counterfactual_equities(account, TradingStyle.AGGRESSIVE, p0, p1, 0.0, day)
+        moved = counterfactual_equities(account, TradingStyle.AGGRESSIVE, p0, p1, 0.0)
         r_bm = p1 / p0 - 1.0
         reward = action_reward(cash, moved.equity["buy"], r_bm, moved.commission["buy"])
         assert abs(reward - 0.8 * r_bm) < 1e-12

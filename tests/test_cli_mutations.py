@@ -52,7 +52,8 @@ LINES = ("3.5", "[]", '"x"', "null", "true", "{", "{}", "")
 
 # What a scripted reply's number becomes: values no float or int holds.
 UNHELD = (10**400, math.inf, -math.inf, math.nan)
-# Each role's scripted stub reply, every day: the replies a case changes.
+# A reply for each role, every day: a case scripts one of them, changed. The
+# run every case starts from scripts none, so its replies are the stub's.
 SCRIPT = {
     "news-sentiment:*": {"sentiment": 0.4, "summary": "scripted"},
     "report:*": {"indicators": [{"name": "revenue", "value_text": "up", "citation_chunk": 1}],
@@ -102,11 +103,12 @@ def _change_line(rng: random.Random, text: str) -> str:
 
 
 def _change_reply(rng: random.Random, text: str) -> str:
-    """`text`, a scripted stub file, with one role's reply replaced whole, one
-    of its numbers replaced by one of UNHELD, or one of its values changed."""
-    script = yaml.safe_load(text)
-    role, roll = rng.choice(sorted(script)), rng.random()
-    reply = json.loads(script[role])
+    """`text`, a scripted stub file, now scripting one role's reply from
+    SCRIPT: replaced whole, with one of its numbers replaced by one of
+    UNHELD, or with one of its values changed."""
+    script = yaml.safe_load(text) or {}
+    role, roll = rng.choice(sorted(SCRIPT)), rng.random()
+    reply = json.loads(json.dumps(SCRIPT[role]))
     numbers = [at for at in _positions(reply) if type(_value_at(reply, at)) in (int, float)]
     if roll < 0.3:
         script[role] = rng.choice(LINES)
@@ -193,8 +195,7 @@ def broken_cases(root: Path, seed: int, cases: int) -> list[str]:
     what went wrong."""
     env, _ = news_heavy_env(root / "inputs", bars=70, filing_every=30)
     (env.root / "keywords.yaml").write_text(yaml.safe_dump(load_keywords()), encoding="utf-8")
-    (env.root / "script.yaml").write_text(yaml.safe_dump(
-        {role: json.dumps(reply) for role, reply in SCRIPT.items()}, sort_keys=False), encoding="utf-8")
+    (env.root / "script.yaml").write_text("{}\n", encoding="utf-8")
     # Every config key, sections included, so any of them can be changed.
     cfg = config_to_dict(load_config(env.config_path))
     cfg.update(keywords_path="keywords.yaml", provider=cfg["provider"] + ",scripted:script.yaml")

@@ -191,27 +191,27 @@ class TestWeightedHit:
 class TestCounterfactuals:
     def test_flat_prices_no_commission_all_equal(self):
         account = AccountState.initial(10_000.0)
-        out = counterfactual_equities(account, TradingStyle.BALANCED, 50.0, 50.0, 0.0, DAY)
+        out = counterfactual_equities(account, TradingStyle.BALANCED, 50.0, 50.0, 0.0)
         assert out.equity["buy"] == pytest.approx(10_000.0)
         assert out.equity["hold"] == pytest.approx(10_000.0)
         assert out.equity["sell"] == pytest.approx(10_000.0)
 
     def test_all_cash_aggressive_buy_tracks_move(self):
         account = AccountState.initial(10_000.0)
-        out = counterfactual_equities(account, TradingStyle.AGGRESSIVE, 100.0, 101.0, 0.0, DAY)
+        out = counterfactual_equities(account, TradingStyle.AGGRESSIVE, 100.0, 101.0, 0.0)
         assert out.equity["buy"] == pytest.approx(10_100.0, rel=1e-12)
         assert out.equity["hold"] == pytest.approx(10_000.0)
 
     def test_full_position_balanced_sell_locks_value(self):
         account = AccountState(cash=0.0, shares=100.0, avg_entry=90.0, equity=10_000.0)
-        out = counterfactual_equities(account, TradingStyle.BALANCED, 100.0, 98.0, 0.0, DAY)
+        out = counterfactual_equities(account, TradingStyle.BALANCED, 100.0, 98.0, 0.0)
         assert out.equity["sell"] == pytest.approx(10_000.0)
         assert out.equity["hold"] == pytest.approx(9_800.0)
 
     def test_live_account_untouched(self):
         account = AccountState(cash=500.0, shares=10.0, avg_entry=90.0, equity=1400.0)
         before = account
-        counterfactual_equities(account, TradingStyle.BALANCED, 100.0, 90.0, 0.001, DAY)
+        counterfactual_equities(account, TradingStyle.BALANCED, 100.0, 90.0, 0.001)
         assert account == before
 
     @pytest.mark.parametrize("account", [
@@ -226,7 +226,7 @@ class TestCounterfactuals:
         for kind in ACTION_KINDS:
             for style in TradingStyle:
                 for rate in (0.0, 0.999):
-                    out = counterfactual_equities(account, style, close, price_next, rate, DAY)
+                    out = counterfactual_equities(account, style, close, price_next, rate)
                     state, record = apply_action(account, TradeAction(kind, style), close, rate, DAY)
                     case = (kind, style, rate)
                     assert repr(out.equity[kind]) == repr(state.cash + state.shares * price_next), case
@@ -236,7 +236,7 @@ class TestCounterfactuals:
     def test_a_bad_price_or_rate_raises_as_apply_action_does(self, price, rate):
         account = AccountState.initial(1_000.0)
         with pytest.raises(ValueError):
-            counterfactual_equities(account, TradingStyle.BALANCED, price, 1.0, rate, DAY)
+            counterfactual_equities(account, TradingStyle.BALANCED, price, 1.0, rate)
         with pytest.raises(ValueError):
             apply_action(account, TradeAction("hold", TradingStyle.BALANCED), price, rate, DAY)
 
