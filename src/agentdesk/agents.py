@@ -80,7 +80,6 @@ class SentimentReport:
     score: float
     summary: str
     items_used: int
-    items_skipped: int = 0
 
 
 @dataclass(frozen=True)
@@ -108,12 +107,6 @@ class Forecast:
 class StylePreference:
     style: TradingStyle
     confidence: float
-    rationale: str
-
-
-@dataclass(frozen=True)
-class Decision:
-    action: str
     rationale: str
 
 
@@ -153,6 +146,12 @@ def parse_structured_output(text: str) -> dict:
 _Fallback = tuple[object, dict, tuple[str, ...]]  # (value, output payload, flags)
 
 
+def _answer(input_text: str, value, payload: dict, flags=()) -> tuple[object, AgentExchange]:
+    """`value` and the exchange that records it, `payload` as its output
+    text: an answer the agent builds itself, not a chat reply."""
+    return value, AgentExchange(input_text, json.dumps(payload), flags=flags)
+
+
 def _call_or_fallback(
     desk: Desk, system: str, user: str, validate,
     unusable: _Fallback, unavailable: _Fallback,
@@ -179,10 +178,10 @@ def _call_or_fallback(
                 continue
             flags = ("repaired",) if retried else ()
             return value, AgentExchange(user, result.content, result.reasoning_trace, flags)
-        value, payload, flags = unusable
+        fallback = unusable
     except ProviderError:
-        value, payload, flags = unavailable
-    return value, AgentExchange(user, json.dumps(payload), flags=flags)
+        fallback = unavailable
+    return _answer(user, *fallback)
 
 
 def format_snapshot(snap: IndicatorSnapshot) -> str:
@@ -246,11 +245,9 @@ def run_news_agent(
     day's news, then aggregate per-item provider sentiments, asked for on
     the desk's pool, into an influence-weighted market score."""
     if not news:
-        report = SentimentReport(0.0, "no news available", 0)
-        return report, AgentExchange(
-            input_text=f"DATE: {at}\nno news available",
-            output_text=json.dumps({"score": 0.0, "summary": report.summary, "items_used": 0}),
-        )
+        return _answer(f"DATE: {at}\nno news available",
+                       SentimentReport(0.0, "no news available", 0),
+                       {"score": 0.0, "summary": "no news available", "items_used": 0})
 
     cfg = desk.cfg
     query = NEWS_QUERY.format(symbol=cfg.symbol)
@@ -284,17 +281,12 @@ def run_news_agent(
     else:
         summary_text = f"no usable news items ({skipped} skipped)"
 
-    report = SentimentReport(score, summary_text, len(used), skipped)
     digest = "\n".join(
         f"- [influence {s.influence:.4f}] {s.item.title}" for s in selected
     )
-    exchange = AgentExchange(
-        input_text=f"DATE: {at}\nNEWS DIGEST:\n{digest}",
-        output_text=json.dumps(
-            {"score": score, "summary": summary_text, "items_used": len(used)}
-        ),
-    )
-    return report, exchange
+    return _answer(f"DATE: {at}\nNEWS DIGEST:\n{digest}",
+                   SentimentReport(score, summary_text, len(used)),
+                   {"score": score, "summary": summary_text, "items_used": len(used)})
 
 
 def weighted_sentiment(pairs: Sequence[tuple[float, float]]) -> float:
@@ -309,17 +301,15 @@ def weighted_sentiment(pairs: Sequence[tuple[float, float]]) -> float:
 # Financial-report agent
 # ---------------------------------------------------------------------------
 
-def _validate_report(obj: Mapping) -> tuple[list[dict], str]:
+def _validate_report(obj: Mapping) -> tuple[list[IndicatorCitation], str]:
     raw = obj.get("indicators", [])
     if not isinstance(raw, list):
         raise ValueError("indicators must be a list")
-    indicators = []
-    for entry in raw:
-        indicators.append({
-            "name": str(entry["name"]),
-            "value_text": str(entry.get("value_text", "")),
-            "citation_chunk": int(entry["citation_chunk"]),
-        })
+    indicators = [
+        IndicatorCitation(str(entry["name"]), str(entry.get("value_text", "")),
+                          int(entry["citation_chunk"]))
+        for entry in raw
+    ]
     return indicators, str(obj.get("summary", ""))
 
 
@@ -346,17 +336,14 @@ def run_report_agent(
     symbol, cfg = desk.cfg.symbol, desk.cfg.retrieval
     visible = [f for f in filings if f.symbol == symbol and f.period <= at]
     if not visible:
-        summary = FinanceSummary((), "no filing available")
-        return summary, AgentExchange(
-            input_text=f"DATE: {at}\nno filing available",
-            output_text=json.dumps({"indicators": [], "summary": summary.summary}),
-            flags=("no_filing",),
-        )
+        return _answer(f"DATE: {at}\nno filing available",
+                       FinanceSummary((), "no filing available"),
+                       {"indicators": [], "summary": "no filing available"}, ("no_filing",))
 
     latest = max(visible, key=lambda f: (f.period, f.path.name))
     query = REPORT_QUERY.format(symbol=symbol)
     if ranks.filing != latest:
-        chunks = chunk_report(latest.text, cfg, doc_id=latest.path.name)
+        chunks = chunk_report(latest.text, cfg)
         hybrid = retrieve_topk(query, chunks, desk.embedding, cfg)
         ranks.filing, ranks.hybrid, ranks.reranked = latest, hybrid, None
 
@@ -385,8 +372,7 @@ def run_report_agent(
         desk, system, user, _validate_report, unusable=fallback, unavailable=fallback,
     )
     valid_ordinals = {c.chunk.ordinal for c in candidates}
-    kept = tuple(IndicatorCitation(**ind) for ind in indicators
-                 if ind["citation_chunk"] in valid_ordinals)
+    kept = tuple(ind for ind in indicators if ind.citation_chunk in valid_ordinals)
     invalid = ("invalid_citation",) if len(kept) < len(indicators) else ()
     return FinanceSummary(kept, text), replace(exchange, flags=(*flags, *exchange.flags, *invalid))
 
@@ -469,11 +455,9 @@ def run_style_agent(
     """Pick today's trading style; retains yesterday's on provider failure.
     With `style_and_state` off it answers balanced without a chat call."""
     if not desk.cfg.flags.style_and_state:
-        return StylePreference(TradingStyle.BALANCED, 1.0, "style agent disabled"), AgentExchange(
-            input_text=f"DATE: {at}\nstyle agent disabled",
-            output_text=json.dumps({"style": "balanced", "confidence": 1.0}),
-            flags=("disabled",),
-        )
+        return _answer(f"DATE: {at}\nstyle agent disabled",
+                       StylePreference(TradingStyle.BALANCED, 1.0, "style agent disabled"),
+                       {"style": "balanced", "confidence": 1.0}, ("disabled",))
     recent_block = "\n".join(day.style_line for day in recent) or "none available"
     system, user = _render(
         "style",
@@ -503,11 +487,11 @@ def run_style_agent(
 # Trading-decision agent
 # ---------------------------------------------------------------------------
 
-def _validate_decision(obj: Mapping) -> tuple[str, str]:
+def _validate_decision(obj: Mapping) -> str:
     action = str(obj["action"]).strip().lower()
     if action not in ("buy", "hold", "sell"):
         raise ValueError(f"unknown action {action!r}")
-    return action, str(obj.get("rationale", ""))
+    return action
 
 
 def run_decision_agent(
@@ -520,8 +504,8 @@ def run_decision_agent(
     finance: FinanceSummary,
     forecast: Forecast,
     reflection: str | None,
-) -> tuple[Decision, AgentExchange]:
-    """Produce the day's buy/hold/sell; degrades to hold on any failure.
+) -> tuple[str, AgentExchange]:
+    """Produce the day's action, buy, hold or sell; degrades to hold on any failure.
     The account is left out of the prompt with `style_and_state` off."""
     account_block = (
         format_account(account, style.style)
@@ -543,14 +527,11 @@ def run_decision_agent(
         style=f"{style.style.value} (confidence {style.confidence:.2f}): {style.rationale}",
         reflection=reflection or "none available",
     )
-    (action, rationale), exchange = _call_or_fallback(
+    return _call_or_fallback(
         desk, system, user, _validate_decision,
-        unusable=(("hold", "fallback: provider output unusable"), {"action": "hold"},
-                  ("fallback_hold",)),
-        unavailable=(("hold", "fallback: provider unavailable"), {"action": "hold"},
-                     ("fallback_hold", "provider_failed")),
+        unusable=("hold", {"action": "hold"}, ("fallback_hold",)),
+        unavailable=("hold", {"action": "hold"}, ("fallback_hold", "provider_failed")),
     )
-    return Decision(action, rationale), exchange
 
 
 # ---------------------------------------------------------------------------

@@ -215,8 +215,7 @@ def run_backtest(
                 if next_day is not None:
                     ahead = _upstream_agents(run, next_day)
                 step(state, run, day, news, report)
-        if state.pending is not None:  # the last day: no next close, unlabeled
-            datasynth.emit_trajectories(state.pending.records(), append)
+        datasynth.emit_trajectories(state.pending.records(), append)  # the last day, unlabeled
         # Inside the block, so a run whose metrics fail (too few days, say)
         # leaves the trajectories of an earlier run in `out_dir` as they were.
         # The initial cash at the last warm-up bar, then each day's post-trade equity.
@@ -287,7 +286,7 @@ def step(state: RunState, run: RunInputs, day: Date,
     )
     style = state.style = style_pref.style
 
-    decision, decision_ex = run_decision_agent(
+    decided, decision_ex = run_decision_agent(
         day, run.desk, account_before, style_pref, thresholds, sentiment, finance,
         forecast, reflection("decision"),
     )
@@ -296,10 +295,10 @@ def step(state: RunState, run: RunInputs, day: Date,
         executed = TradeAction("sell", style, origin=verdict.action)
         override_note = (
             f"risk override {verdict.action} at pnl {verdict.trigger_pnl:+.4f}; "
-            f"agent decided {decision.action}"
+            f"agent decided {decided}"
         )
     else:
-        executed = TradeAction(decision.action, style)
+        executed = TradeAction(decided, style)
         override_note = ""
 
     state.account, trade = apply_action(
@@ -315,7 +314,7 @@ def step(state: RunState, run: RunInputs, day: Date,
         exchanges=(news_ex, report_ex, forecast_ex, style_ex, decision_ex),
         gated=forecast.gated,
         probs=forecast.probs,
-        taken=decision.action,
+        taken=decided,
         account_before=account_before,
         style=style,
     )
@@ -376,9 +375,8 @@ def load_equity_curve(run_dir: str | Path) -> list[tuple[Date, float]]:
 
 
 def _trade(obj: dict) -> dict:
-    trade = dict(obj)
-    as_number(trade.get("quantity", 0), "quantity")
-    return trade
+    as_number(obj.get("quantity", 0), "quantity")
+    return obj
 
 
 def load_trades(run_dir: str | Path) -> list[dict]:

@@ -12,7 +12,7 @@ from typing import Any, Mapping
 from .datasynth import BandConfig, RewardConfig
 from .errors import DataError
 from .gate import GateConfig
-from .jsonl import as_date, as_number, as_str, read_document
+from .jsonl import as_date, as_number, as_str, plain, read_document
 from .retrieval import RetrievalConfig
 from .risk import DEFAULT_MULTIPLIERS, RiskConfig, StyleMultipliers, TradingStyle
 
@@ -62,7 +62,9 @@ class BacktestConfig:
 
 
 def _as_multipliers(table: Any) -> Mapping[TradingStyle, StyleMultipliers]:
-    """Read {style: {sl, tp}} or {style: [sl, tp]}; missing styles keep defaults."""
+    """Read {style: {sl, tp}} or {style: [sl, tp]} over the defaults: a missing
+    style keeps its default, and every style its place, so `config.yaml`
+    lists them in style order."""
     if table is None:
         return DEFAULT_MULTIPLIERS
     if not isinstance(table, Mapping):
@@ -144,20 +146,7 @@ def load_config(path: str | Path) -> BacktestConfig:
     return config_from_dict(read_document(path, "config file"))
 
 
-def _stored(value: Any) -> Any:
-    if is_dataclass(value):
-        section = {f.name: getattr(value, f.name) for f in fields(value)}
-        if isinstance(value, RiskConfig):
-            section["multipliers"] = {
-                style.value: {"sl": m.m_sl, "tp": m.m_tp}
-                for style, m in sorted(value.multipliers.items(), key=lambda kv: kv[0].value)
-            }
-        return section
-    if isinstance(value, Date):
-        return value.isoformat()
-    return value
-
-
 def config_to_dict(cfg: BacktestConfig) -> dict:
-    """Canonical nested-dict form, stable across runs for artifact copies."""
-    return {f.name: _stored(getattr(cfg, f.name)) for f in fields(cfg)}
+    """Canonical nested-dict form, stable across runs for artifact copies:
+    the JSON form `jsonl` writes."""
+    return plain(cfg)

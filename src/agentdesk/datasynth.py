@@ -153,22 +153,16 @@ def realized_label(pct: float, epsilon: float) -> str:
 # Decision labeling
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class CounterfactualOutcome:
-    equity: dict[str, float]
-    commission: dict[str, float]
-
-
 def counterfactual_equities(
     account: AccountState,
     style: TradingStyle,
     price_exec: float,
     price_next: float,
     commission_rate: float,
-) -> CounterfactualOutcome:
-    """Next-close equity of each of buy/hold/sell filled from the account at
-    the execution price by `portfolio.fill`, the arithmetic `apply_action`
-    executes. The live account is untouched."""
+) -> tuple[dict[str, float], dict[str, float]]:
+    """The next-close equity and the commission of each of buy/hold/sell,
+    filled from the account at the execution price by `portfolio.fill`, the
+    arithmetic `apply_action` executes. The live account is untouched."""
     if price_exec <= 0 or price_next <= 0:
         raise ValueError("prices must be positive")
     equity: dict[str, float] = {}
@@ -178,7 +172,7 @@ def counterfactual_equities(
             account.cash, account.shares, kind, style, ORIGIN_AGENT, price_exec, commission_rate
         )
         equity[kind] = cash + shares * price_next
-    return CounterfactualOutcome(equity, commission)
+    return equity, commission
 
 
 def action_reward(
@@ -240,11 +234,12 @@ def make_decision_label(
     price_next = series.close_at(next_at)
     e_prev = account_before.cash + account_before.shares * price_exec
     r_bm = realized_pct(price_exec, price_next)
-    outcome = counterfactual_equities(account_before, style, price_exec, price_next, commission_rate)
-    r_eq = {k: (outcome.equity[k] - e_prev) / e_prev for k in ACTION_KINDS}
-    c = {k: outcome.commission[k] / e_prev for k in ACTION_KINDS}
+    equity, commission = counterfactual_equities(
+        account_before, style, price_exec, price_next, commission_rate)
+    r_eq = {k: (equity[k] - e_prev) / e_prev for k in ACTION_KINDS}
+    c = {k: commission[k] / e_prev for k in ACTION_KINDS}
     reward = {
-        k: action_reward(e_prev, outcome.equity[k], r_bm, outcome.commission[k], reward_cfg)
+        k: action_reward(e_prev, equity[k], r_bm, commission[k], reward_cfg)
         for k in ACTION_KINDS
     }
     return DecisionLabel(

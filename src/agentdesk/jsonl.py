@@ -2,10 +2,11 @@
 input files.
 
 A dataclass is written as a JSON object of its fields in declaration
-order, and a date as its ISO string. Non-finite floats are refused, so a
-NaN can never reach an artifact silently. JSONL files hold one such
-object per line. Files are replaced atomically, and a missing, unreadable,
-non-UTF-8 or unparseable input is a DataError naming the input.
+order, a read-only mapping as an object, and a date as its ISO string.
+Non-finite floats are refused, so a NaN can never reach an artifact
+silently. JSONL files hold one such object per line. Files are replaced
+atomically, and a missing, unreadable, non-UTF-8 or unparseable input is
+a DataError naming the input.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import fields, is_dataclass
 from datetime import date as Date
 from functools import cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Callable, Iterable, Iterator, TypeVar
 
 import yaml
@@ -33,6 +35,8 @@ def _encoder(cls: type) -> Callable[[Any], Any]:
     """How `default=` writes an instance of `cls`, looked up once per type."""
     if issubclass(cls, Date):
         return cls.isoformat
+    if cls is MappingProxyType:
+        return dict
     if is_dataclass(cls):
         # Read field by field: touching obj.__dict__ would make CPython build
         # a dict that stays attached to every record still in memory.
@@ -48,6 +52,12 @@ def _encode_default(obj: Any) -> Any:
 # Built once: json.dumps with keyword arguments builds an encoder per call.
 _LINE = json.JSONEncoder(default=_encode_default, allow_nan=False)
 _PRETTY = json.JSONEncoder(default=_encode_default, allow_nan=False, indent=2)
+
+
+def plain(obj: Any) -> Any:
+    """`obj` as the JSON values it is written as: dicts, lists, strings,
+    numbers, booleans and nulls."""
+    return json.loads(_LINE.encode(obj))
 
 
 @contextmanager

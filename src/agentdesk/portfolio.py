@@ -92,7 +92,8 @@ def fill(
 ) -> tuple[str, str, float, float, float, float]:
     """The arithmetic of one order at `price` with commission `rate`: the
     (kind, note, quantity, commission, cash, shares) it leaves. A buy with no
-    cash or a sell with no position becomes a hold with an explanatory note."""
+    cash or whose budget rounds to no shares, or a sell with no position,
+    becomes a hold with an explanatory note."""
     if price <= 0:
         raise ValueError(f"price must be positive, got {price}")
     if rate < 0:
@@ -105,6 +106,8 @@ def fill(
         budget = BUY_FRACTION[style] * cash
         notional = budget / (1.0 + rate)
         quantity = notional / price
+        if quantity == 0.0:
+            return "hold", "buy skipped: the budget buys no shares", 0.0, 0.0, cash, shares
         return kind, "", quantity, budget - notional, cash - budget, shares + quantity
     if kind == "sell":
         quantity = (1.0 if origin != ORIGIN_AGENT else SELL_FRACTION[style]) * shares
@@ -123,7 +126,7 @@ def apply_action(
 ) -> tuple[AccountState, TradeRecord]:
     """Execute one action at `price` through `fill` and mark the account to it.
 
-    Degenerate orders (buy with no cash, sell with no position) are
+    Degenerate orders (a buy of no shares, a sell with no position) are
     recorded as holds with an explanatory note instead of failing.
     """
     style = TradingStyle(action.style)

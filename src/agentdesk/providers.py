@@ -146,9 +146,11 @@ class StubChatProvider:
 
     def __init__(self, policies: Sequence[str] = ("sideways",), script: Mapping[str, str] | None = None):
         for p in policies:
-            if p not in _REPLIES and not p.startswith("scripted:"):
+            if p not in _REPLIES:
                 raise DataError(f"unknown stub policy {p!r}")
         self.policies = tuple(policies)
+        self.replies = {role: reply for p in ("sideways", *policies)
+                        for role, reply in _REPLIES[p].items()}  # {role: reply}
         self.script = dict(script or {})
 
     @classmethod
@@ -166,7 +168,6 @@ class StubChatProvider:
                 path = Path(base_dir or ".") / name.split(":", 1)[1]  # absolute paths win
                 loaded = read_document(path, "scripted stub file", (dict, type(None))) or {}
                 script.update({str(k): str(v) for k, v in loaded.items()})
-                parts.append("scripted:" + str(path))
             else:
                 parts.append(name)
         return cls(tuple(parts) if parts else ("sideways",), script)
@@ -192,9 +193,7 @@ class StubChatProvider:
         if scripted is not None:
             return ChatResult(scripted, f"(stub trace: scripted {role} {day})")
 
-        reply = _REPLIES["sideways"].get(role, {})
-        for policy in self.policies:
-            reply = _REPLIES.get(policy, {}).get(role, reply)
+        reply = self.replies.get(role, {})
         payload = reply(user) if callable(reply) else reply
         return ChatResult(json.dumps(payload), f"(stub trace: {role} {day})")
 

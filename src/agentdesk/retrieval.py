@@ -16,11 +16,8 @@ import operator
 import re
 from dataclasses import dataclass
 from datetime import date as Date
-from importlib import resources
 from pathlib import Path
 from typing import Callable, Iterable, Mapping, Protocol, Sequence
-
-import yaml
 
 from .errors import DataError
 from .jsonl import as_date, as_number, as_str, read_document, read_jsonl, read_text
@@ -74,7 +71,6 @@ class ScoredNews:
 
 @dataclass(frozen=True)
 class Chunk:
-    doc_id: str
     ordinal: int
     text: str
     sentence_span: tuple[int, int]  # 0-based, half-open
@@ -142,10 +138,8 @@ def load_keywords(
     token form news is matched on, given once; each weight must be a
     finite, non-negative number."""
     if path is None:
-        text = resources.files(__package__).joinpath("data/keywords.yaml").read_text("utf-8")
-        table = yaml.safe_load(text)
-    else:
-        table = read_document(Path(base_dir or ".") / path, "keyword table")
+        path = Path(__file__).with_name("data") / "keywords.yaml"
+    table = read_document(Path(base_dir or ".") / path, "keyword table")
     out: dict[str, float] = {}
     for term, weight in table.items():
         word = term.lower() if type(term) is str else ""
@@ -284,7 +278,7 @@ def split_sentences(text: str) -> list[str]:
     return [" ".join(p.split()) for p in parts if p.strip()]
 
 
-def chunk_report(doc: str, cfg: RetrievalConfig = RetrievalConfig(), doc_id: str = "") -> list[Chunk]:
+def chunk_report(doc: str, cfg: RetrievalConfig = RetrievalConfig()) -> list[Chunk]:
     """Sliding sentence windows of cfg.window_sentences advancing by
     cfg.stride_sentences; a trailing partial window is emitted only when it
     covers sentences no earlier window reached."""
@@ -299,7 +293,6 @@ def chunk_report(doc: str, cfg: RetrievalConfig = RetrievalConfig(), doc_id: str
         end = min(start + cfg.window_sentences, n)
         if end > covered:
             chunks.append(Chunk(
-                doc_id=doc_id,
                 ordinal=len(chunks),
                 text=" ".join(sentences[start:end]),
                 sentence_span=(start, end),

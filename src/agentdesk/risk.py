@@ -28,12 +28,12 @@ STYLES = tuple(TradingStyle)
 class StyleMultipliers:
     """Stop-loss and take-profit multipliers for one style; tp > sl > 0."""
 
-    m_sl: float
-    m_tp: float
+    sl: float
+    tp: float
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.m_sl < self.m_tp:
-            raise ValueError(f"need m_tp > m_sl > 0, got sl={self.m_sl} tp={self.m_tp}")
+        if not 0.0 < self.sl < self.tp:
+            raise ValueError(f"need tp > sl > 0, got sl={self.sl} tp={self.tp}")
 
 
 DEFAULT_MULTIPLIERS: Mapping[TradingStyle, StyleMultipliers] = MappingProxyType({
@@ -96,8 +96,8 @@ def compute_thresholds(
     m = cfg.multipliers[TradingStyle(style)]
     return RiskThresholds(
         sigma_d10=sigma,
-        t_sl=max(m.m_sl * sigma, cfg.floor),
-        t_tp=max(m.m_tp * sigma, cfg.floor),
+        t_sl=max(m.sl * sigma, cfg.floor),
+        t_tp=max(m.tp * sigma, cfg.floor),
     )
 
 

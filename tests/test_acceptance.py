@@ -179,8 +179,8 @@ def test_criterion_4_first_crossing():
         oracle_day, oracle_action = None, ACTION_NONE
         for i in range(13, len(closes)):
             sigma = pop_std(log_rets(closes[: i + 1])[-10:])
-            t_sl = max(m.m_sl * sigma, cfg.floor)
-            t_tp = max(m.m_tp * sigma, cfg.floor)
+            t_sl = max(m.sl * sigma, cfg.floor)
+            t_tp = max(m.tp * sigma, cfg.floor)
             pnl = closes[i] / entry - 1.0
             if pnl <= -t_sl:
                 oracle_day, oracle_action = i, "forced_sell"
@@ -205,12 +205,12 @@ def test_criterion_5_reward_identities():
         cash = float(rng.uniform(1_000, 1_000_000))
         account = AccountState.initial(cash)
 
-        flat = counterfactual_equities(account, TradingStyle.BALANCED, p0, p0, 0.0)
-        assert action_reward(cash, flat.equity["hold"], 0.0, 0.0) == 0.0
+        flat, _ = counterfactual_equities(account, TradingStyle.BALANCED, p0, p0, 0.0)
+        assert action_reward(cash, flat["hold"], 0.0, 0.0) == 0.0
 
-        moved = counterfactual_equities(account, TradingStyle.AGGRESSIVE, p0, p1, 0.0)
+        moved, commission = counterfactual_equities(account, TradingStyle.AGGRESSIVE, p0, p1, 0.0)
         r_bm = p1 / p0 - 1.0
-        reward = action_reward(cash, moved.equity["buy"], r_bm, moved.commission["buy"])
+        reward = action_reward(cash, moved["buy"], r_bm, commission["buy"])
         assert abs(reward - 0.8 * r_bm) < 1e-12
 
 

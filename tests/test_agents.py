@@ -165,7 +165,7 @@ class TestNewsAgent:
         news = [NewsItem(DAY, "Something happened", "details inside")]
         report, _ = self._run(news, chat)
         assert report.items_used == 0
-        assert report.items_skipped == 1
+        assert report.summary == "no usable news items (1 skipped)"
         assert report.score == 0.0
 
     NEWS = [NewsItem(DAY, "Earnings beat", "strong quarter with revenue growth")]
@@ -174,7 +174,7 @@ class TestNewsAgent:
     def test_item_malformed_once_is_repaired_and_used(self):
         report, exchange = self._run(self.NEWS, MalformedOnceChatProvider(("always-up",)))
         summary = "1 of 1 items scored (0 skipped): Earnings beat: uniformly positive"
-        assert report == SentimentReport(1.0, summary, 1, 0)
+        assert report == SentimentReport(1.0, summary, 1)
         assert exchange.input_text == self.DIGEST
         assert exchange.output_text == json.dumps(
             {"score": 1.0, "summary": summary, "items_used": 1}
@@ -183,7 +183,7 @@ class TestNewsAgent:
     def test_item_provider_error_is_skipped(self):
         report, exchange = self._run(self.NEWS, FailingChatProvider())
         summary = "no usable news items (1 skipped)"
-        assert report == SentimentReport(0.0, summary, 0, 1)
+        assert report == SentimentReport(0.0, summary, 0)
         assert exchange.input_text == self.DIGEST
         assert exchange.output_text == json.dumps(
             {"score": 0.0, "summary": summary, "items_used": 0}
@@ -459,25 +459,25 @@ class TestDecisionAgent:
         )
 
     def test_stub_buy(self):
-        decision, _ = self._run(StubChatProvider(("always-up",)))
-        assert decision.action == "buy"
+        action, _ = self._run(StubChatProvider(("always-up",)))
+        assert action == "buy"
 
     def test_malformed_twice_holds(self):
         chat = scripted_stub({"decision:*": "no idea"})
-        decision, exchange = self._run(chat)
-        assert decision.action == "hold"
+        action, exchange = self._run(chat)
+        assert action == "hold"
         assert "fallback_hold" in exchange.flags
 
     def test_provider_error_holds(self):
-        decision, exchange = self._run(FailingChatProvider())
-        assert decision.action == "hold"
+        action, exchange = self._run(FailingChatProvider())
+        assert action == "hold"
         assert "provider_failed" in exchange.flags
 
     def test_echo_policy_tracks_gated_label(self):
         chat = StubChatProvider(("echo-forecast",))
         for gated, expected in (("up", "buy"), ("down", "sell"), ("sideways", "hold")):
-            decision, _ = self._run(chat, gated=gated)
-            assert decision.action == expected
+            action, _ = self._run(chat, gated=gated)
+            assert action == expected
 
     def test_account_block_can_be_disabled(self):
         _, exchange = self._run(StubChatProvider(("sideways",)), gated="sideways",
@@ -622,8 +622,8 @@ def _fallback_run(agent, chat, tmp_path):
         pref, exchange = TestStyleAgent()._run(chat, prev=TradingStyle.AGGRESSIVE)
         return pref.style, exchange.flags, exchange
     if agent == "decision":
-        decision, exchange = TestDecisionAgent()._run(chat)
-        return decision.action, exchange.flags, exchange
+        action, exchange = TestDecisionAgent()._run(chat)
+        return action, exchange.flags, exchange
     filing = TestReportAgent()._write_filing(tmp_path, "Revenue grew. Margins rose.")
     summary, exchange = TestReportAgent()._run([filing], chat=chat)
     return summary.summary, exchange.flags, exchange

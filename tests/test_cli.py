@@ -50,6 +50,21 @@ class TestRunCommand:
         assert reports and all(r["indicators"] == [] for r in reports)
         assert all(r["summary"].startswith("summary unavailable") for r in reports)
 
+    @pytest.mark.parametrize("style", ["conservative", "balanced", "aggressive"])
+    def test_a_buy_that_buys_nothing_holds(self, tmp_path, capsys, style):
+        # At a cash of 5e-324 every style's budget buys 0.0 shares at a close near 100.
+        env = build_env(tmp_path, rising_closes(40), config={"initial_cash": 5e-324}, script={
+            "style:*": json.dumps({"style": style, "confidence": 0.5}),
+            "decision:*": '{"action": "buy"}',
+        })
+        assert main(run_args(env)) == 0, capsys.readouterr().err
+        trades = [json.loads(line) for line in
+                  (env.out("run") / "trades.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert trades and all(t["kind"] == "hold" and t["quantity"] == 0.0 for t in trades)
+        assert all(t["note"] == "buy skipped: the budget buys no shares" for t in trades)
+        assert main(["replay", "--run", str(env.out("run"))]) == 0
+        assert "replay ok" in capsys.readouterr().out
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["run", "--config", "only.yaml"]) == 1
         assert "usage error" in capsys.readouterr().err

@@ -2,13 +2,13 @@
 
 Each case changes one value of one file and runs the command that reads
 it: a config value, a price CSV cell, a news line, a manifest entry, a
-keyword weight or term, or one role's scripted stub reply (a JSON text that
-may carry numbers no int or float holds) for `run`; a line or value of a
-finished run's equity, trades or metrics file for `replay` (and `metrics`),
-or of its trajectories for `export-sft`. The inputs have the news-heavy
-benchmark's shape, 70 bars long. Every case must exit 0, 2 or 3 without
-raising, and a `run` or `export-sft` that exits 0 must have written only
-finite numbers.
+filing's text, a keyword weight or term, or one role's scripted stub reply
+(a JSON text that may carry numbers no int or float holds) for `run`; a
+line or value of a finished run's equity, trades or metrics file for
+`replay` (and `metrics`), or of its trajectories for `export-sft`. The
+inputs have the news-heavy benchmark's shape, 70 bars long. Every case
+must exit 0, 2 or 3 without raising, and a `run` or `export-sft` that
+exits 0 must have written only finite numbers.
 
 Tier-1 runs `CASES` cases of seed 1. More seeds and cases:
 
@@ -24,6 +24,7 @@ import json
 import math
 import operator
 import random
+import re
 import shutil
 import sys
 import tempfile
@@ -133,6 +134,14 @@ def _change_cell(rng: random.Random, text: str) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
+def _change_filing(rng: random.Random, text: str) -> str:
+    """`text`, a filing, blank, whitespace only, with no sentence end, as one
+    very long sentence, or with a byte that is not UTF-8 (written through
+    `surrogateescape`)."""
+    flat = re.sub(r"[.!?]", "", text)
+    return rng.choice(("", " \n\t \n", flat, ", ".join([flat] * 20) + ".", text + "\udcff"))
+
+
 def _change_yaml(rng: random.Random, text: str) -> str:
     return yaml.safe_dump(_change_value(rng, yaml.safe_load(text)), sort_keys=False)
 
@@ -147,6 +156,7 @@ TARGETS = {
     "news.jsonl": (_change_line, ("run",)),
     "reports/manifest.json": (lambda rng, text: json.dumps(_change_value(rng, json.loads(text))),
                               ("run",)),
+    "reports/filing-1.txt": (_change_filing, ("run",)),
     "run/equity.jsonl": (_change_line, ("replay",)),
     "run/trades.jsonl": (_change_line, ("replay",)),
     "run/metrics.json": (lambda rng, text: json.dumps(_change_value(rng, json.loads(text))),
@@ -209,7 +219,8 @@ def broken_cases(root: Path, seed: int, cases: int) -> list[str]:
         case = root / f"case-{n}"
         shutil.copytree(env.root, case)
         path = case / name
-        path.write_text(change(rng, path.read_text(encoding="utf-8")), encoding="utf-8")
+        path.write_text(change(rng, path.read_text(encoding="utf-8")), encoding="utf-8",
+                        errors="surrogateescape")
         (case / "out").mkdir(exist_ok=True)
         for command in commands:
             try:

@@ -67,6 +67,60 @@ reward:
   gamma: 1.0
 """
 
+EVERY_SECTION_YAML = """\
+symbol: TEST
+start: '2022-02-07'
+end: null
+initial_cash: 100000.0
+commission_rate: 0.002
+seed: 7
+provider: stub:always-up,echo-forecast
+embedding_provider: stub
+reranker_provider: stub
+provider_endpoint: null
+provider_model: null
+credentials_env: null
+keywords_path: null
+flags:
+  risk_management: false
+  self_reflection: false
+  rerank_embedding: false
+  style_and_state: false
+gate:
+  rsi_overheat: 80
+  up_prob_threshold: 0.6
+  down_prob_threshold: 0.65
+  atr_breakout_coeff: 0.75
+  breakout_floor_pct: 2
+risk:
+  multipliers:
+    aggressive:
+      sl: 2.5
+      tp: 4.0
+    balanced:
+      sl: 1.5
+      tp: 2.5
+    conservative:
+      sl: 0.5
+      tp: 1.0
+  floor: 0.01
+retrieval:
+  w_dense: 2
+  w_sparse: 0.5
+  hybrid_top_k: 8
+  rerank_top_k: 4
+  dedup_cosine: 0.9
+  window_sentences: 4
+  stride_sentences: 3
+  news_top_k: 12
+band:
+  alpha: 1.5
+  epsilon_min: 0.004
+reward:
+  beta: 0
+  gamma: 0.5
+"""
+
 
 class TestResolvedConfig:
     def test_resolved_copy_is_stable_and_reloads(self, tmp_path):
@@ -85,6 +139,34 @@ class TestResolvedConfig:
         run_backtest(cfg, env.prices, env.out())
         stored = env.out() / "config.yaml"
         assert stored.read_text() == RESOLVED_YAML
+        assert load_config(stored) == cfg
+
+    def test_every_section_set_is_stored_in_field_and_style_order(self, tmp_path):
+        # Multipliers given out of style order, in both forms, are stored in
+        # style order over the defaults; an int in a section float stays an
+        # int, a date is stored as its ISO string, a null as null.
+        env = build_env(tmp_path, rising_closes(45), config={
+            "start": date(2022, 2, 7),
+            "end": None,
+            "commission_rate": 0.002,
+            "keywords_path": None,
+            "provider_model": None,
+            "flags": {"risk_management": False, "self_reflection": False,
+                      "rerank_embedding": False, "style_and_state": False},
+            "gate": {"rsi_overheat": 80, "up_prob_threshold": 0.6, "down_prob_threshold": 0.65,
+                     "atr_breakout_coeff": 0.75, "breakout_floor_pct": 2},
+            "risk": {"multipliers": {"conservative": [0.5, 1], "aggressive": {"sl": 2.5, "tp": 4}},
+                     "floor": 0.01},
+            "retrieval": {"w_dense": 2, "w_sparse": 0.5, "hybrid_top_k": 8, "rerank_top_k": 4,
+                          "dedup_cosine": 0.9, "window_sentences": 4, "stride_sentences": 3,
+                          "news_top_k": 12},
+            "band": {"alpha": 1.5, "epsilon_min": 0.004},
+            "reward": {"beta": 0, "gamma": 0.5},
+        })
+        cfg = load_config(env.config_path)
+        run_backtest(cfg, env.prices, env.out())
+        stored = env.out() / "config.yaml"
+        assert stored.read_text() == EVERY_SECTION_YAML
         assert load_config(stored) == cfg
 
 
@@ -110,8 +192,8 @@ class TestRiskMultipliers:
     def test_int_multipliers_are_stored_as_float(self):
         cfg = config_from_dict({"symbol": "T", "risk": {"multipliers": {"balanced": [1, 3]}}})
         m = cfg.risk.multipliers[TradingStyle.BALANCED]
-        assert (m.m_sl, m.m_tp) == (1.0, 3.0)
-        assert type(m.m_sl) is float and type(m.m_tp) is float
+        assert (m.sl, m.tp) == (1.0, 3.0)
+        assert type(m.sl) is float and type(m.tp) is float
 
 
 class TestStringFields:

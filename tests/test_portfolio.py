@@ -11,12 +11,14 @@ from hypothesis import strategies as st
 
 from agentdesk.errors import DataError
 from agentdesk.portfolio import (
+    ORIGIN_AGENT,
     AccountState,
     TradeAction,
     annualized_volatility,
     apply_action,
     compute_metrics,
     cumulative_return,
+    fill,
     max_drawdown,
     sharpe_ratio,
     unrealized_pnl_pct,
@@ -90,6 +92,15 @@ class TestApplyAction:
         assert rec.kind == "hold"
         assert "no position" in rec.note
         assert new.cash == 100.0
+
+    @pytest.mark.parametrize("style", list(TradingStyle))
+    def test_a_buy_of_no_shares_becomes_hold(self, style):
+        # A budget of at most 5e-324 over a price of 100 rounds to 0.0 shares.
+        for shares in (0.0, 2.0):
+            kind, note, quantity, commission, cash, after = fill(
+                5e-324, shares, "buy", style, ORIGIN_AGENT, 100.0, 0.001)
+            assert (kind, quantity, commission, cash, after) == ("hold", 0.0, 0.0, 5e-324, shares)
+            assert note == "buy skipped: the budget buys no shares"
 
     def test_full_buy_with_commission_leaves_zero_cash(self):
         state = AccountState.initial(10_000.0)

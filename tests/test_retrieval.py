@@ -347,7 +347,7 @@ class TestCosineOracle:
 
 class TestRetrieveTopk:
     def _chunks(self, texts):
-        return [Chunk("d", i, t, (i, i + 1)) for i, t in enumerate(texts)]
+        return [Chunk(i, t, (i, i + 1)) for i, t in enumerate(texts)]
 
     def test_fewer_chunks_than_k_returns_all_sorted(self):
         provider = StubEmbeddingProvider()
@@ -387,7 +387,7 @@ class TestRetrieveTopk:
 class TestRerank:
     def _candidates(self, texts):
         provider = memoized(StubEmbeddingProvider())
-        chunks = [Chunk("d", i, t, (i, i + 1)) for i, t in enumerate(texts)]
+        chunks = [Chunk(i, t, (i, i + 1)) for i, t in enumerate(texts)]
         return retrieve_topk("report", chunks, provider, RetrievalConfig(hybrid_top_k=10))
 
     def test_trigger_passages_first(self):
@@ -428,7 +428,7 @@ class TestOneGroupPerStep:
         items = [item("Revenue up", "revenue rose"), item("Quiet day")]
         assert score_news(items, importance, reranker, "q") == \
             score_news(items, importance, memoized(StubRerankerProvider()), "q")
-        chunks = [Chunk("d", i, t, (i, i + 1))
+        chunks = [Chunk(i, t, (i, i + 1))
                   for i, t in enumerate(["revenue rose", "costs fell", "revenue rose"])]
         ranked = retrieve_topk("q", chunks, embedding)
         assert ranked == retrieve_topk("q", chunks, memoized(StubEmbeddingProvider()))

@@ -173,8 +173,8 @@ class TestFirstCrossing:
         for i in range(entry_idx + 1, len(closes)):
             rets = [math.log(closes[t] / closes[t - 1]) for t in range(i - 9, i + 1)]
             sigma = pop_std_oracle(rets)
-            t_sl = max(m.m_sl * sigma, cfg.floor)
-            t_tp = max(m.m_tp * sigma, cfg.floor)
+            t_sl = max(m.sl * sigma, cfg.floor)
+            t_tp = max(m.tp * sigma, cfg.floor)
             pnl = closes[i] / entry - 1.0
             hit_sl = pnl <= -t_sl
             hit_tp = pnl >= t_tp

@@ -81,10 +81,11 @@ class TestFilingRankedOncePerRun:
         for name, seen in calls.items():
             inner = getattr(agents, name)
             monkeypatch.setattr(agents, name, lambda *a, _f=inner, _seen=seen, **k:
-                                _seen.append(k) or _f(*a, **k))
+                                _seen.append(a) or _f(*a, **k))
         artifacts = run_env(env)
 
-        assert [k["doc_id"] for k in calls["chunk_report"]] == ["fy.txt", "q1.txt"]
+        assert [a[0] for a in calls["chunk_report"]] == [
+            "Revenue grew. Margins rose. Costs fell.", "Revenue fell. Guidance was cut."]
         assert len(calls["retrieve_topk"]) == len(calls["rerank"]) == 2
         reports = [r for r in artifacts.records if r.agent_name == "report"]
         assert len(reports) == 24
