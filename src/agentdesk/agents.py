@@ -9,13 +9,16 @@ fallback (hold / sideways / balanced / skip-item) and flags its exchange.
 from __future__ import annotations
 
 import json
+from bisect import bisect_left, insort
+from collections import deque
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from functools import cached_property, lru_cache
 from importlib import resources
+from itertools import count
 from operator import attrgetter
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import BacktestConfig
 from .datasynth import DecisionLabel, ForecastLabel
@@ -583,33 +586,55 @@ _AUDIENCES: dict[str, tuple[Callable[[LabeledDay], float], Callable[[LabeledDay]
 }
 
 
-def build_reflection(history: Sequence[LabeledDay], audience: str = "decision") -> str:
-    """Deterministic digest, for one audience's prompt, of the last
-    REFLECTION_WINDOW labeled days.
+class ReflectionWindow:
+    """The last REFLECTION_WINDOW labeled days, oldest first, and each audience's wins ranked
+    best first by `(-score, date)` and losses worst first by `(score, date)`, kept up to date
+    as days arrive and leave, so a digest sorts nothing."""
 
-    Wins are days with a strictly positive score for the audience; the two
-    best wins and two worst losses are highlighted (at most four), ties
-    broken by date.
-    """
-    score = _AUDIENCES[audience][0]
-    days = list(history)[-REFLECTION_WINDOW:]
-    if not days:
+    def __init__(self, days: Iterable[LabeledDay] = ()) -> None:
+        self._days: deque = deque()  # (day, [(a ranking, the day's key in it)])
+        self._arrivals = count()  # orders days of equal score and date as they arrived
+        self.ranked = {audience: ([], []) for audience in _AUDIENCES}  # audience: (wins, losses)
+        for day in days:
+            self.append(day)
+
+    def __iter__(self) -> Iterator[LabeledDay]:
+        return (day for day, _ in self._days)
+
+    def __len__(self) -> int:
+        return len(self._days)
+
+    def append(self, day: LabeledDay) -> None:
+        """Add the newest day; the oldest leaves once the window is full."""
+        if len(self._days) == REFLECTION_WINDOW:
+            for ranking, key in self._days.popleft()[1]:
+                del ranking[bisect_left(ranking, key)]
+        arrival, keys = next(self._arrivals), []
+        for audience, (score, _) in _AUDIENCES.items():
+            s = score(day)
+            ranking, key = self.ranked[audience][0 if s > 0 else 1], (-abs(s), day.date, arrival, day)
+            insort(ranking, key)
+            keys.append((ranking, key))
+        self._days.append((day, keys))
+
+
+def build_reflection(window: ReflectionWindow, audience: str = "decision") -> str:
+    """Deterministic digest of a window's labeled days for one audience's
+    prompt. Wins are days with a strictly positive score for the audience;
+    the two best wins and two worst losses are highlighted (at most four),
+    ties broken by date."""
+    if not window:
         return f"No prior experience is available for {audience}."
-
-    wins = [d for d in days if score(d) > 0]
-    losses = [d for d in days if score(d) <= 0]
-    top_wins = sorted(wins, key=lambda d: (-score(d), d.date))[:_MAX_HIGHLIGHT_WINS]
-    top_losses = sorted(losses, key=lambda d: (-abs(score(d)), d.date))[:_MAX_HIGHLIGHT_LOSSES]
-
+    wins, losses = window.ranked[audience]
     lines = [
-        f"Experience summary for {audience} over the last {len(days)} labeled days: "
+        f"Experience summary for {audience} over the last {len(window)} labeled days: "
         f"{len(wins)} wins, {len(losses)} losses."
     ]
-    if top_wins:
+    if wins:
         lines.append("Wins worth repeating:")
-        lines.extend(d.highlights[audience] for d in top_wins)
-    if top_losses:
+        lines.extend(key[-1].highlights[audience] for key in wins[:_MAX_HIGHLIGHT_WINS])
+    if losses:
         lines.append("Losses to avoid:")
-        lines.extend(d.highlights[audience] for d in top_losses)
+        lines.extend(key[-1].highlights[audience] for key in losses[:_MAX_HIGHLIGHT_LOSSES])
     lines.append("Favor set-ups resembling the wins and avoid those resembling the losses.")
     return "\n".join(lines)

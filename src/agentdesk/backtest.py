@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left
-from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from datetime import date as Date
@@ -33,7 +32,7 @@ from .agents import (
     FilingRanks,
     FinanceSummary,
     LabeledDay,
-    REFLECTION_WINDOW,
+    ReflectionWindow,
     SentimentReport,
     build_reflection,
     run_decision_agent,
@@ -143,13 +142,13 @@ class RunState:
 
     `pending` is the last stepped day, which is labeled once the next
     day's close is known; `account` is then its post-trade account.
-    `history` is the labeled days the agents reflect on, the last REFLECTION_WINDOW.
+    `history` is the window of labeled days the agents reflect on.
     """
 
     account: AccountState
     style: TradingStyle = TradingStyle.BALANCED
     trades: list[TradeRecord] = field(default_factory=list)
-    history: deque[LabeledDay] = field(default_factory=lambda: deque(maxlen=REFLECTION_WINDOW))
+    history: ReflectionWindow = field(default_factory=ReflectionWindow)
     pending: DayState | None = None
 
 
@@ -157,14 +156,14 @@ class RunState:
 class RunInputs:
     """What every day reads: the agents' `Desk` (config, providers, the
     news-importance memo and the run's executor), the day-keyed data the
-    desk leaves out, and the latest filing's ranking. `append` writes each
-    labeled day's records to trajectories.jsonl."""
+    desk leaves out, and the latest filing's ranking. `append`, a
+    `datasynth.day_lines` writer, writes each day's records to trajectories.jsonl."""
 
     desk: Desk
     series: PriceSeries
     news_by_date: Mapping[Date, Sequence[NewsItem]]
     filings: Sequence[Filing]
-    append: Callable[[Sequence[TrajectoryRecord]], None]
+    append: Callable[[Sequence[Sequence[TrajectoryRecord]]], None]
     filing_ranks: FilingRanks = field(default_factory=FilingRanks)
 
 
@@ -182,7 +181,7 @@ def run_backtest(
     filings = load_report_manifest(reports_dir) if reports_dir else []
     keywords = load_keywords(cfg.keywords_path, base_dir)
     out_dir = _make_out_dir(Path(out_dir))  # before any provider call
-    with replacing(out_dir / TRAJECTORIES_FILE) as append:
+    with replacing(out_dir / TRAJECTORIES_FILE, datasynth.day_lines) as append:
         remote = dict(
             endpoint=cfg.provider_endpoint,
             model=cfg.provider_model,
@@ -389,8 +388,8 @@ def load_metrics(run_dir: str | Path) -> dict:
 
 def replay(run_dir: str | Path) -> MetricsReport:
     """Recompute metrics from the stored equity curve and require an exact
-    match against the stored report, then require each trade's date and
-    post-trade equity to be the curve's next point."""
+    match, in type as well as value, against the stored report, then require
+    each trade's date and post-trade equity to be the curve's next point."""
     curve = load_equity_curve(run_dir)
     trades = load_trades(run_dir)
     n_trades = sum(1 for t in trades if t.get("quantity", 0) > 0)
@@ -402,7 +401,7 @@ def replay(run_dir: str | Path) -> MetricsReport:
     for field_name, value in vars(recomputed).items():
         if field_name not in stored:
             raise DataError(f"metrics mismatch: stored report is missing {field_name!r}")
-        if stored[field_name] != value:
+        if type(stored[field_name]) is not type(value) or stored[field_name] != value:
             raise DataError(
                 f"metrics mismatch in {field_name!r}: stored {stored[field_name]!r}, "
                 f"recomputed {value!r}"

@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .gate import LABELS, TrendLabel, TrendProbabilities
-from .jsonl import as_date, as_number, as_str, read_jsonl, write_jsonl
+from .jsonl import as_date, as_number, as_str, encode, read_jsonl, write_jsonl
 from .marketdata import PriceSeries, trailing_log_returns
 from .portfolio import ACTION_KINDS, ORIGIN_AGENT, AccountState, fill
 from .risk import TradingStyle
@@ -347,9 +347,26 @@ def record_from_dict(obj: dict) -> TrajectoryRecord:
     )
 
 
+def day_lines(records: Sequence[TrajectoryRecord]) -> str:
+    """The `line` of the trajectories file's `jsonl.replacing` writer: one day's records, each
+    as `jsonl.encode(record)` and a newline. The date, symbol and account snapshot that
+    `DayState.records` shares across a day are encoded once, each record's own fields alone."""
+    if len({(r.date, r.symbol, id(r.account_snapshot)) for r in records}) != 1:
+        return "".join(encode(r) + "\n" for r in records)  # none, or not one day's records
+    first = records[0]
+    head = f'{{"date": {encode(first.date)}, "symbol": {encode(first.symbol)}, "agent_name": '
+    tail = f', "account_snapshot": {encode(first.account_snapshot)}, "forecast_label": '
+    return "".join(
+        f'{head}{encode(r.agent_name)}, "prompt_digest": {encode(r.prompt_digest)}, '
+        f'"input_text": {encode(r.input_text)}, "output_text": {encode(r.output_text)}, '
+        f'"reasoning_trace": {encode(r.reasoning_trace)}{tail}'
+        f'{"null" if r.forecast_label is None else encode(r.forecast_label)}, "decision_label": '
+        f'{"null" if r.decision_label is None else encode(r.decision_label)}}}\n' for r in records)
+
+
 def emit_trajectories(records: Sequence[TrajectoryRecord], append: Callable[..., None]) -> None:
-    """Append records through a `jsonl.replacing` writer, in field-declaration order."""
-    append(records)
+    """Append one day's records through a `jsonl.replacing(path, day_lines)` writer."""
+    append((records,))
 
 
 def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:

@@ -52,6 +52,7 @@ def _encode_default(obj: Any) -> Any:
 # Built once: json.dumps with keyword arguments builds an encoder per call.
 _LINE = json.JSONEncoder(default=_encode_default, allow_nan=False)
 _PRETTY = json.JSONEncoder(default=_encode_default, allow_nan=False, indent=2)
+encode = _LINE.encode  # `obj` as one JSON line's text, without the newline
 
 
 def plain(obj: Any) -> Any:

@@ -149,8 +149,8 @@ class StubChatProvider:
             if p not in _REPLIES:
                 raise DataError(f"unknown stub policy {p!r}")
         self.policies = tuple(policies)
-        self.replies = {role: reply for p in ("sideways", *policies)
-                        for role, reply in _REPLIES[p].items()}  # {role: reply}
+        self.replies = {role: reply if callable(reply) else json.dumps(reply)  # {role: JSON text or prompt -> reply}
+                        for p in ("sideways", *policies) for role, reply in _REPLIES[p].items()}
         self.script = dict(script or {})
 
     @classmethod
@@ -193,9 +193,9 @@ class StubChatProvider:
         if scripted is not None:
             return ChatResult(scripted, f"(stub trace: scripted {role} {day})")
 
-        reply = self.replies.get(role, {})
-        payload = reply(user) if callable(reply) else reply
-        return ChatResult(json.dumps(payload), f"(stub trace: {role} {day})")
+        reply = self.replies.get(role, "{}")
+        return ChatResult(json.dumps(reply(user)) if callable(reply) else reply,
+                          f"(stub trace: {role} {day})")
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,9 @@
 from __future__ import annotations
 
 import json
+import random
 from concurrent.futures import ThreadPoolExecutor
-from datetime import date
+from datetime import date, timedelta
 
 import pytest
 
@@ -15,6 +16,8 @@ from agentdesk.agents import (
     FinanceSummary,
     Forecast,
     LabeledDay,
+    REFLECTION_WINDOW,
+    ReflectionWindow,
     SentimentReport,
     StylePreference,
     build_reflection,
@@ -510,14 +513,15 @@ def _highlights(text: str) -> list[str]:
 
 class TestBuildReflection:
     def test_empty_history(self):
-        assert build_reflection([], "decision") == "No prior experience is available for decision."
+        assert build_reflection(ReflectionWindow(), "decision") == (
+            "No prior experience is available for decision.")
 
     def test_twenty_records_twelve_wins(self):
         history = [
             labeled_day(date(2022, 1, 1 + i), 0.01 * (i + 1) if i < 12 else -0.01 * i)
             for i in range(20)
         ]
-        text = build_reflection(history, "decision")
+        text = build_reflection(ReflectionWindow(history), "decision")
         assert text.splitlines()[0] == (
             "Experience summary for decision over the last 20 labeled days: 12 wins, 8 losses."
         )
@@ -532,7 +536,7 @@ class TestBuildReflection:
 
     def test_short_history(self):
         history = [labeled_day(date(2022, 1, 1 + i), 0.01, pct=0.02) for i in range(3)]
-        text = build_reflection(history, "forecasting")
+        text = build_reflection(ReflectionWindow(history), "forecasting")
         assert "over the last 3 labeled days: 3 wins, 0 losses." in text
         assert _highlights(text) == [
             "- 2022-01-01 (score +0.0100): predicted up via soft_pass_up, realized +2.0000%, w_hit 0.0100",
@@ -542,7 +546,7 @@ class TestBuildReflection:
 
     def test_window_truncates_old_cases(self):
         history = [labeled_day(date(2022, 1, 1 + i), 1.0) for i in range(25)]
-        text = build_reflection(history, "style")
+        text = build_reflection(ReflectionWindow(history), "style")
         assert "over the last 20 labeled days: 20 wins, 0 losses." in text
         # the five oldest days fall outside the window, so the date
         # tie-break highlights the sixth and seventh
@@ -550,11 +554,11 @@ class TestBuildReflection:
             "- 2022-01-06 (score +1.0000): style balanced, day return +100.0000%",
             "- 2022-01-07 (score +1.0000): style balanced, day return +100.0000%",
         ]
-        assert build_reflection(history[5:], "style") == text
+        assert build_reflection(ReflectionWindow(history[5:]), "style") == text
 
     def test_zero_score_counts_as_loss(self):
         history = [labeled_day(date(2022, 2, 1), 0.0, taken="hold")]
-        text = build_reflection(history, "decision")
+        text = build_reflection(ReflectionWindow(history), "decision")
         assert "1 labeled days: 0 wins, 1 losses." in text
         assert "Wins worth repeating:" not in text
         assert _highlights(text) == [
@@ -575,7 +579,7 @@ class TestBuildReflection:
             ),
             day_return=-0.004,
         )
-        assert [_highlights(build_reflection([day], audience)) for audience in
+        assert [_highlights(build_reflection(ReflectionWindow([day]), audience)) for audience in
                 ("forecasting", "decision", "style")] == [
             ["- 2022-01-03 (score +0.5000): predicted up via soft_pass_up, realized +1.2500%, w_hit 0.5000"],
             ["- 2022-01-03 (score +0.0123): action buy, reward +0.01230, benchmark +1.2500%"],
@@ -594,7 +598,7 @@ class TestBuildReflection:
                         taken="hold" if i % 2 else "buy", r_bm=0.001 * i)
             for i, score in enumerate(scores)
         ]
-        assert build_reflection(history, "decision") == (
+        assert build_reflection(ReflectionWindow(history), "decision") == (
             "Experience summary for decision over the last 20 labeled days: "
             "10 wins, 10 losses.\n"
             "Wins worth repeating:\n"
@@ -605,6 +609,66 @@ class TestBuildReflection:
             "- 2022-01-10 (score -0.0300): action hold, reward -0.03000, benchmark +0.7000%\n"
             "Favor set-ups resembling the wins and avoid those resembling the losses."
         )
+
+
+def _sorted_digest(days, audience):
+    """The oracle: the digest by its sort-based definition over the last
+    REFLECTION_WINDOW days, as it was computed before the window kept rankings."""
+    score = agents._AUDIENCES[audience][0]
+    days = list(days)[-REFLECTION_WINDOW:]
+    if not days:
+        return f"No prior experience is available for {audience}."
+    wins = [d for d in days if score(d) > 0]
+    losses = [d for d in days if score(d) <= 0]
+    top_wins = sorted(wins, key=lambda d: (-score(d), d.date))[:2]
+    top_losses = sorted(losses, key=lambda d: (-abs(score(d)), d.date))[:2]
+    lines = [f"Experience summary for {audience} over the last {len(days)} labeled days: "
+             f"{len(wins)} wins, {len(losses)} losses."]
+    if top_wins:
+        lines.append("Wins worth repeating:")
+        lines.extend(d.highlights[audience] for d in top_wins)
+    if top_losses:
+        lines.append("Losses to avoid:")
+        lines.extend(d.highlights[audience] for d in top_losses)
+    lines.append("Favor set-ups resembling the wins and avoid those resembling the losses.")
+    return "\n".join(lines)
+
+
+class TestReflectionWindow:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_every_digest_equals_the_sorted_oracle_as_the_window_slides(self, seed):
+        # Few distinct scores, so equal scores are common, with 0.0 and -0.0
+        # among them; a date repeats now and then, so equal (score, date)
+        # pairs keep their arrival order as the stable sort did.
+        rng = random.Random(seed)
+        pool = [0.0, -0.0, 0.01, -0.01, 0.02, -0.02, 0.05, -0.05]
+        window, stream, day = ReflectionWindow(), [], date(2022, 1, 3)
+        for i in range(80):
+            day += timedelta(days=rng.choice((0, 1, 1, 1, 3)))
+            taken = rng.choice(("buy", "hold", "sell"))
+            labeled = LabeledDay(
+                date=day,
+                gated=TrendLabel("up", PATH_SOFT_UP, "r"),
+                style=rng.choice(list(TradingStyle)),
+                forecast=ForecastLabel(epsilon=0.01, pct=0.001 * i, sign_ok=1, p_true=0.5,
+                                       w_hit=rng.choice(pool)),
+                decision=DecisionLabel(
+                    r_eq={taken: 0.0}, r_bm=0.001 * i, c={taken: 0.0}, reward={taken: 0.0},
+                    taken=taken, taken_reward=rng.choice(pool),
+                ),
+                day_return=rng.choice(pool),
+            )
+            window.append(labeled)
+            stream.append(labeled)
+            assert list(window) == stream[-REFLECTION_WINDOW:]
+            assert len(window) == min(i + 1, REFLECTION_WINDOW)
+            for audience in ("forecasting", "decision", "style"):
+                assert build_reflection(window, audience) == _sorted_digest(stream, audience)
+
+    def test_a_window_built_from_days_keeps_the_last_of_them(self):
+        history = [labeled_day(date(2022, 1, 1 + i), 0.01 * (i % 3)) for i in range(25)]
+        assert list(ReflectionWindow(history)) == history[-REFLECTION_WINDOW:]
+        assert list(ReflectionWindow()) == [] and not ReflectionWindow()
 
 
 UNIFORM = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)

@@ -419,7 +419,7 @@ class TestBoundedRunState:
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
         assert len(state.history) == REFLECTION_WINDOW == 20
         assert [d.date for d in state.history] == days[-21:-1]
-        assert [r.date for r in appended] == [d for d in days[:-1] for _ in range(5)]
+        assert [r.date for rows in appended for r in rows] == [d for d in days[:-1] for _ in range(5)]
 
 
 class TestBoundedMemory:

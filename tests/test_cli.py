@@ -530,6 +530,20 @@ class TestReplayCommand:
         expect_data_error(capsys, main(["replay", "--run", str(env.out("run"))]),
                           "equity.jsonl: equity curve metrics overflow")
 
+    @pytest.mark.parametrize("key, retype", [("n_trades", float), ("degenerate_sharpe", int)])
+    def test_a_stored_metric_of_another_type_exits_two_naming_it(
+            self, tmp_path, capsys, key, retype):
+        # 152.0 == 152 and 0 == False: equal in value, but `run` never writes either form.
+        env = build_env(tmp_path, rising_closes(45))
+        assert main(run_args(env)) == 0
+        path = env.out("run") / "metrics.json"
+        obj = json.loads(path.read_text(encoding="utf-8"))
+        obj[key] = retype(obj[key])
+        path.write_text(json.dumps(obj, indent=2) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        expect_data_error(capsys, main(["replay", "--run", str(env.out("run"))]),
+                          f"metrics mismatch in {key!r}")
+
     @pytest.mark.parametrize("quantity", ['"x"', "null", "NaN", "Infinity", "true"])
     def test_a_trade_quantity_that_is_not_a_finite_number_exits_two(
             self, tmp_path, capsys, quantity):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from agentdesk import jsonl
 from agentdesk.agents import AgentExchange
 from agentdesk.datasynth import (
     AGENT_NAMES,
@@ -22,6 +23,7 @@ from agentdesk.datasynth import (
     TrajectoryRecord,
     action_reward,
     counterfactual_equities,
+    day_lines,
     emit_sft,
     emit_trajectories,
     epsilon_band,
@@ -454,6 +456,45 @@ class TestSftFilter:
                 assert s.score >= 0.3
 
 
+class TestDayLines:
+    """Each line written for a day is `jsonl`'s generic encoding of its record."""
+
+    def _written(self, tmp_path, *days):
+        path = tmp_path / "trajectories.jsonl"
+        with replacing(path, day_lines) as append:
+            for records in days:
+                emit_trajectories(records, append)
+        return path
+
+    def test_each_line_is_the_generic_encoding_of_its_record(self, tmp_path):
+        series = make_series([100.0 + i for i in range(25)])
+        exchanges = tuple(
+            AgentExchange(f"Umsatz +5 % — 利益 ✓ {a}\n\"quoted\"", f"output {a} é", "trace ☂")
+            for a in AGENT_NAMES
+        )
+        account = AccountState(cash=400.0, shares=6.0, avg_entry=100.0, equity=1000.0)
+        state = _day_state(series, exchanges=exchanges, account_before=account)
+        labeled, _, _ = label_day(state, series, series.dates[22], 0.001)
+        last = _day_state(series, date=series.dates[22]).records()  # a run's last day, unlabeled
+        path = self._written(tmp_path, labeled, last)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        assert lines == [jsonl._LINE.encode(r) + "\n" for r in (*labeled, *last)]
+        assert "\\u5229\\u76ca" in lines[0]  # non-ASCII text is escaped, as the encoder writes it
+        assert load_trajectories(path) == [*labeled, *last]
+
+    def test_a_non_finite_label_is_a_data_error_and_writes_nothing(self, tmp_path):
+        records = [_record("forecast", forecast_label=ForecastLabel(0.01, 0.02, 1, 0.5, math.nan))]
+        with pytest.raises(DataError, match="cannot write .*trajectories.jsonl"):
+            self._written(tmp_path, records)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_records_that_share_nothing_are_encoded_whole(self, tmp_path):
+        records = [_record("news"), _record("forecast", day=date(2022, 2, 1))]
+        path = self._written(tmp_path, records)
+        assert path.read_text(encoding="utf-8") == "".join(
+            jsonl._LINE.encode(r) + "\n" for r in records)
+
+
 class TestSerialization:
     def test_round_trip(self, tmp_path):
         records = [
@@ -461,21 +502,21 @@ class TestSerialization:
             _record("news"),
         ]
         path = tmp_path / "trajectories.jsonl"
-        with replacing(path) as append:
+        with replacing(path, day_lines) as append:
             emit_trajectories(records, append)
         loaded = load_trajectories(path)
         assert loaded == records
 
     def test_empty_records_empty_file(self, tmp_path):
         path = tmp_path / "trajectories.jsonl"
-        with replacing(path) as append:
+        with replacing(path, day_lines) as append:
             emit_trajectories([], append)
         assert path.read_text() == ""
         assert load_trajectories(path) == []
 
     def test_stable_field_order(self, tmp_path):
         path = tmp_path / "trajectories.jsonl"
-        with replacing(path) as append:
+        with replacing(path, day_lines) as append:
             emit_trajectories([_record("news")], append)
         obj = json.loads(path.read_text().splitlines()[0])
         assert list(obj) == [
