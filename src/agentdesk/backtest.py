@@ -157,13 +157,13 @@ class RunInputs:
     """What every day reads: the agents' `Desk` (config, providers, the
     news-importance memo and the run's executor), the day-keyed data the
     desk leaves out, and the latest filing's ranking. `append`, a
-    `datasynth.day_lines` writer, writes each day's records to trajectories.jsonl."""
+    `datasynth.day_lines` writer, writes each day's rows to trajectories.jsonl."""
 
     desk: Desk
     series: PriceSeries
     news_by_date: Mapping[Date, Sequence[NewsItem]]
     filings: Sequence[Filing]
-    append: Callable[[Sequence[Sequence[TrajectoryRecord]]], None]
+    append: Callable[[Sequence[DayState]], None]
     filing_ranks: FilingRanks = field(default_factory=FilingRanks)
 
 
@@ -214,7 +214,7 @@ def run_backtest(
                 if next_day is not None:
                     ahead = _upstream_agents(run, next_day)
                 step(state, run, day, news, report)
-        datasynth.emit_trajectories(state.pending.records(), append)  # the last day, unlabeled
+        datasynth.emit_trajectories(state.pending, append)  # the last day, unlabeled
         # Inside the block, so a run whose metrics fail (too few days, say)
         # leaves the trajectories of an earlier run in `out_dir` as they were.
         # The initial cash at the last warm-up bar, then each day's post-trade equity.
@@ -226,6 +226,9 @@ def run_backtest(
             metrics = compute_metrics([v for _, v in equity_curve], n_trades)
         except DataError as exc:  # the curve is the prices' closes traded on
             raise DataError(f"{Path(prices_path).name}: {exc}") from exc
+        # The files are replaced one by one from here, metrics.json last, so a
+        # rerun that fails partway leaves no report for `replay` to accept.
+        (out_dir / METRICS_FILE).unlink(missing_ok=True)
 
     _persist(out_dir, cfg, metrics, state, equity_curve)
     return RunArtifacts(
@@ -322,16 +325,14 @@ def step(state: RunState, run: RunInputs, day: Date,
 def _label_pending(state: RunState, run: RunInputs, next_at: Date) -> None:
     """Label the pending day now that `next_at`'s close is known, and add
     it to the reflection history."""
-    pending, post_account, cfg = state.pending, state.account, run.desk.cfg
+    post_account, cfg = state.account, run.desk.cfg
+    day = label_day(state.pending, run.series, next_at, cfg.commission_rate, cfg.band, cfg.reward)
     state.pending = None
-    labeled, flabel, dlabel = label_day(
-        pending, run.series, next_at, cfg.commission_rate, cfg.band, cfg.reward
-    )
-    datasynth.emit_trajectories(labeled, run.append)
+    datasynth.emit_trajectories(day, run.append)
     next_close = run.series.close_at(next_at)
     day_return = (post_account.cash + post_account.shares * next_close) / post_account.equity - 1.0
     state.history.append(LabeledDay(
-        pending.date, pending.gated, pending.style, flabel, dlabel, day_return
+        day.date, day.gated, day.style, day.forecast_label, day.decision_label, day_return
     ))
 
 

@@ -6,14 +6,14 @@ directional only beyond epsilon. Decision labels simulate all three
 actions from the same pre-action account (executed at the day's close,
 marked at the next close) and score each against a buy-and-hold benchmark
 net of commission drag. This is the one module that turns a day's agent
-exchanges into trajectory records, in `AGENT_NAMES` order.
+exchanges into trajectory rows, in `AGENT_NAMES` order.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
 from typing import Callable, Sequence
@@ -80,8 +80,8 @@ class AccountSnapshot:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """One agent-day unit of logged work, labeled once the next close is
-    known. Field order is the stable on-disk contract."""
+    """One agent-day row of a trajectories file as it reads back. Field
+    order is the stable on-disk contract, which `day_lines` writes."""
 
     date: Date
     symbol: str
@@ -255,8 +255,9 @@ def make_decision_label(
 @dataclass(frozen=True)
 class DayState:
     """Everything needed to label one backtest day after the fact and to
-    write its records. `exchanges` holds the day's five
-    `agents.AgentExchange`s in `AGENT_NAMES` order."""
+    write its five trajectory rows. `exchanges` holds the day's five
+    `agents.AgentExchange`s in `AGENT_NAMES` order; `label_day` fills in
+    the labels."""
 
     date: Date
     symbol: str
@@ -266,30 +267,8 @@ class DayState:
     taken: str
     account_before: AccountState
     style: TradingStyle
-
-    def records(self, forecast_label: ForecastLabel | None = None,
-                decision_label: DecisionLabel | None = None) -> tuple[TrajectoryRecord, ...]:
-        """The day's five records, sharing one account snapshot; the forecast
-        and decision records carry the labels."""
-        account = self.account_before
-        snapshot = AccountSnapshot(
-            cash=account.cash, shares=account.shares, equity=account.equity, style=self.style.value,
-        )
-        return tuple(
-            TrajectoryRecord(
-                date=self.date,
-                symbol=self.symbol,
-                agent_name=name,
-                prompt_digest=prompt_digest(ex.input_text),
-                input_text=ex.input_text,
-                output_text=ex.output_text,
-                reasoning_trace=ex.reasoning_trace,
-                account_snapshot=snapshot,
-                forecast_label=forecast_label if name == "forecast" else None,
-                decision_label=decision_label if name == "decision" else None,
-            )
-            for name, ex in zip(AGENT_NAMES, self.exchanges)
-        )
+    forecast_label: ForecastLabel | None = None
+    decision_label: DecisionLabel | None = None
 
 
 def label_day(
@@ -299,16 +278,16 @@ def label_day(
     commission_rate: float,
     band_cfg: BandConfig = BandConfig(),
     reward_cfg: RewardConfig = RewardConfig(),
-) -> tuple[tuple[TrajectoryRecord, ...], ForecastLabel, DecisionLabel]:
-    """The day's records with its forecast and decision labels, and the labels."""
-    forecast_label = make_forecast_label(
-        series, state.date, next_at, state.gated, state.probs, band_cfg
+) -> DayState:
+    """The day with its forecast and decision labels."""
+    return replace(
+        state,
+        forecast_label=make_forecast_label(
+            series, state.date, next_at, state.gated, state.probs, band_cfg),
+        decision_label=make_decision_label(
+            series, state.date, next_at, state.account_before, state.style,
+            state.taken, commission_rate, reward_cfg),
     )
-    decision_label = make_decision_label(
-        series, state.date, next_at, state.account_before, state.style,
-        state.taken, commission_rate, reward_cfg,
-    )
-    return state.records(forecast_label, decision_label), forecast_label, decision_label
 
 
 # ---------------------------------------------------------------------------
@@ -347,26 +326,28 @@ def record_from_dict(obj: dict) -> TrajectoryRecord:
     )
 
 
-def day_lines(records: Sequence[TrajectoryRecord]) -> str:
-    """The `line` of the trajectories file's `jsonl.replacing` writer: one day's records, each
-    as `jsonl.encode(record)` and a newline. The date, symbol and account snapshot that
-    `DayState.records` shares across a day are encoded once, each record's own fields alone."""
-    if len({(r.date, r.symbol, id(r.account_snapshot)) for r in records}) != 1:
-        return "".join(encode(r) + "\n" for r in records)  # none, or not one day's records
-    first = records[0]
-    head = f'{{"date": {encode(first.date)}, "symbol": {encode(first.symbol)}, "agent_name": '
-    tail = f', "account_snapshot": {encode(first.account_snapshot)}, "forecast_label": '
+def day_lines(day: DayState) -> str:
+    """The `line` of the trajectories file's `jsonl.replacing` writer: the day's five rows in
+    `AGENT_NAMES` order, each the `jsonl.encode` of the `TrajectoryRecord` it reads back as.
+    The date, symbol and account snapshot are encoded once; the labels go on the forecast
+    and decision rows only."""
+    account = day.account_before
+    snapshot = AccountSnapshot(account.cash, account.shares, account.equity, day.style.value)
+    head = f'{{"date": {encode(day.date)}, "symbol": {encode(day.symbol)}, "agent_name": '
+    tail = f', "account_snapshot": {encode(snapshot)}, "forecast_label": '
+    forecast_label, decision_label = encode(day.forecast_label), encode(day.decision_label)
     return "".join(
-        f'{head}{encode(r.agent_name)}, "prompt_digest": {encode(r.prompt_digest)}, '
-        f'"input_text": {encode(r.input_text)}, "output_text": {encode(r.output_text)}, '
-        f'"reasoning_trace": {encode(r.reasoning_trace)}{tail}'
-        f'{"null" if r.forecast_label is None else encode(r.forecast_label)}, "decision_label": '
-        f'{"null" if r.decision_label is None else encode(r.decision_label)}}}\n' for r in records)
+        f'{head}{encode(name)}, "prompt_digest": {encode(prompt_digest(ex.input_text))}, '
+        f'"input_text": {encode(ex.input_text)}, "output_text": {encode(ex.output_text)}, '
+        f'"reasoning_trace": {encode(ex.reasoning_trace)}{tail}'
+        f'{forecast_label if name == "forecast" else "null"}, "decision_label": '
+        f'{decision_label if name == "decision" else "null"}}}\n'
+        for name, ex in zip(AGENT_NAMES, day.exchanges))
 
 
-def emit_trajectories(records: Sequence[TrajectoryRecord], append: Callable[..., None]) -> None:
-    """Append one day's records through a `jsonl.replacing(path, day_lines)` writer."""
-    append((records,))
+def emit_trajectories(day: DayState, append: Callable[..., None]) -> None:
+    """Append one day's rows through a `jsonl.replacing(path, day_lines)` writer."""
+    append((day,))
 
 
 def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:

@@ -419,7 +419,8 @@ class TestBoundedRunState:
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
         assert len(state.history) == REFLECTION_WINDOW == 20
         assert [d.date for d in state.history] == days[-21:-1]
-        assert [r.date for rows in appended for r in rows] == [d for d in days[:-1] for _ in range(5)]
+        assert [(d.date, len(d.exchanges)) for d in appended] == [(d, 5) for d in days[:-1]]
+        assert all(d.forecast_label and d.decision_label for d in appended)
 
 
 class TestBoundedMemory:

@@ -15,7 +15,7 @@ from agentdesk import backtest
 from agentdesk.cli import EXIT_PROVIDER, main
 from agentdesk.datasynth import load_trajectories
 
-from conftest import build_env, business_days, rising_closes
+from conftest import build_env, business_days, news_heavy_env, rising_closes
 
 
 def run_args(env, out="run"):
@@ -420,6 +420,23 @@ class TestOutputFaults:
         capsys.readouterr()
         expect_data_error(capsys, main(run_args(env)), "needs at least 3 equity points")
         assert {p.name: p.read_bytes() for p in env.out("run").iterdir()} == before
+
+    def test_a_rerun_that_fails_partway_leaves_no_metrics_report(self, tmp_path, capsys):
+        # The rerun replaces config.yaml and trajectories.jsonl, then fails on
+        # meta.json: the old equity, trades and metrics must not pass for its run.
+        env, _ = news_heavy_env(tmp_path, bars=70)
+        args = run_args(env) + ["--news", str(env.news), "--reports", str(env.reports)]
+        assert main(args) == 0
+        meta = env.out("run") / backtest.META_FILE
+        meta.unlink()
+        meta.mkdir()
+        cfg = yaml.safe_load(env.config_path.read_text(encoding="utf-8"))
+        env.config_path.write_text(yaml.safe_dump({**cfg, "initial_cash": 50000}), encoding="utf-8")
+        capsys.readouterr()
+        expect_data_error(capsys, main(args), backtest.META_FILE)
+        for command in ("replay", "metrics"):
+            code = main([command, "--run", str(env.out("run"))])
+            expect_data_error(capsys, code, "metrics report not found")
 
     def test_out_where_no_file_can_be_made_fails_before_any_chat_call(
             self, tmp_path, capsys, chat_calls):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import replace
 from datetime import date
 
 import pytest
@@ -347,9 +348,9 @@ class TestFixtureLabels:
             )
 
 
-def _record(agent: str, day=DAY, **labels) -> TrajectoryRecord:
+def _record(agent: str, **labels) -> TrajectoryRecord:
     return TrajectoryRecord(
-        date=day, symbol="TEST", agent_name=agent,
+        date=DAY, symbol="TEST", agent_name=agent,
         prompt_digest=prompt_digest(f"input {agent}"),
         input_text=f"input {agent}", output_text=f"output {agent}",
         reasoning_trace="trace" if agent == "decision" else "",
@@ -374,28 +375,56 @@ def _day_state(series, **fields) -> DayState:
     })
 
 
+def _written(path, *days: DayState):
+    """`path`, written through the trajectories file's writer, one
+    `emit_trajectories` call per day."""
+    with replacing(path, day_lines) as append:
+        for day in days:
+            emit_trajectories(day, append)
+    return path
+
+
+def _expected_records(day: DayState) -> list[TrajectoryRecord]:
+    """The five records a day's rows read back as, built field by field."""
+    account = day.account_before
+    snapshot = AccountSnapshot(account.cash, account.shares, account.equity, day.style.value)
+    return [
+        TrajectoryRecord(
+            date=day.date, symbol=day.symbol, agent_name=name,
+            prompt_digest=prompt_digest(ex.input_text), input_text=ex.input_text,
+            output_text=ex.output_text, reasoning_trace=ex.reasoning_trace,
+            account_snapshot=snapshot,
+            forecast_label=day.forecast_label if name == "forecast" else None,
+            decision_label=day.decision_label if name == "decision" else None,
+        )
+        for name, ex in zip(AGENT_NAMES, day.exchanges)
+    ]
+
+
 class TestLabelDay:
-    def test_sideways_on_constant_prices(self):
+    def test_sideways_on_constant_prices(self, tmp_path):
         series = make_series([100.0] * 25)
         state = _day_state(series)
-        labeled, flabel, dlabel = label_day(state, series, series.dates[22], 0.0)
+        labeled = label_day(state, series, series.dates[22], 0.0)
+        flabel, dlabel = labeled.forecast_label, labeled.decision_label
         assert flabel.sign_ok == 1
         assert flabel.w_hit == 0.0  # zero move, tanh(0)
         assert dlabel.reward["hold"] == 0.0
-        by_agent = {r.agent_name: r for r in labeled}
+        assert labeled == replace(state, forecast_label=flabel, decision_label=dlabel)
+        by_agent = {r.agent_name: r for r in load_trajectories(_written(tmp_path / "t.jsonl", labeled))}
         assert by_agent["forecast"].forecast_label == flabel
         assert by_agent["decision"].decision_label == dlabel
         assert by_agent["news"].forecast_label is None
         assert by_agent["news"].decision_label is None
 
-    def test_records_unlabeled_in_agent_order_with_one_snapshot(self):
+    def test_records_unlabeled_in_agent_order_with_one_snapshot(self, tmp_path):
         series = make_series([100.0] * 25)
         account = AccountState(cash=400.0, shares=6.0, avg_entry=100.0, equity=1000.0)
-        records = _day_state(series, account_before=account,
-                             style=TradingStyle.AGGRESSIVE).records()
+        day = _day_state(series, account_before=account, style=TradingStyle.AGGRESSIVE)
+        records = load_trajectories(_written(tmp_path / "t.jsonl", day))
         assert [r.agent_name for r in records] == list(AGENT_NAMES)
-        assert len({id(r.account_snapshot) for r in records}) == 1
-        assert records[0].account_snapshot == AccountSnapshot(400.0, 6.0, 1000.0, "aggressive")
+        assert {r.account_snapshot for r in records} == {
+            AccountSnapshot(400.0, 6.0, 1000.0, "aggressive")}
         assert all(r.forecast_label is None and r.decision_label is None for r in records)
         assert [(r.prompt_digest, r.input_text, r.output_text, r.reasoning_trace)
                 for r in records] == [
@@ -457,14 +486,7 @@ class TestSftFilter:
 
 
 class TestDayLines:
-    """Each line written for a day is `jsonl`'s generic encoding of its record."""
-
-    def _written(self, tmp_path, *days):
-        path = tmp_path / "trajectories.jsonl"
-        with replacing(path, day_lines) as append:
-            for records in days:
-                emit_trajectories(records, append)
-        return path
+    """Each line written for a day is `jsonl`'s generic encoding of the record it reads back as."""
 
     def test_each_line_is_the_generic_encoding_of_its_record(self, tmp_path):
         series = make_series([100.0 + i for i in range(25)])
@@ -474,50 +496,37 @@ class TestDayLines:
         )
         account = AccountState(cash=400.0, shares=6.0, avg_entry=100.0, equity=1000.0)
         state = _day_state(series, exchanges=exchanges, account_before=account)
-        labeled, _, _ = label_day(state, series, series.dates[22], 0.001)
-        last = _day_state(series, date=series.dates[22]).records()  # a run's last day, unlabeled
-        path = self._written(tmp_path, labeled, last)
+        labeled = label_day(state, series, series.dates[22], 0.001)
+        last = _day_state(series, date=series.dates[22])  # a run's last day, unlabeled
+        path = _written(tmp_path / "trajectories.jsonl", labeled, last)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
-        assert lines == [jsonl._LINE.encode(r) + "\n" for r in (*labeled, *last)]
+        records = load_trajectories(path)
+        assert lines == [jsonl._LINE.encode(r) + "\n" for r in records]
         assert "\\u5229\\u76ca" in lines[0]  # non-ASCII text is escaped, as the encoder writes it
-        assert load_trajectories(path) == [*labeled, *last]
+        assert records == [*_expected_records(labeled), *_expected_records(last)]
 
     def test_a_non_finite_label_is_a_data_error_and_writes_nothing(self, tmp_path):
-        records = [_record("forecast", forecast_label=ForecastLabel(0.01, 0.02, 1, 0.5, math.nan))]
+        day = _day_state(make_series([100.0] * 25),
+                         forecast_label=ForecastLabel(0.01, 0.02, 1, 0.5, math.nan))
         with pytest.raises(DataError, match="cannot write .*trajectories.jsonl"):
-            self._written(tmp_path, records)
+            _written(tmp_path / "trajectories.jsonl", day)
         assert list(tmp_path.iterdir()) == []
-
-    def test_records_that_share_nothing_are_encoded_whole(self, tmp_path):
-        records = [_record("news"), _record("forecast", day=date(2022, 2, 1))]
-        path = self._written(tmp_path, records)
-        assert path.read_text(encoding="utf-8") == "".join(
-            jsonl._LINE.encode(r) + "\n" for r in records)
 
 
 class TestSerialization:
     def test_round_trip(self, tmp_path):
-        records = [
-            _record("forecast", forecast_label=ForecastLabel(0.01, 0.02, 1, 0.5, 0.4)),
-            _record("news"),
-        ]
-        path = tmp_path / "trajectories.jsonl"
-        with replacing(path, day_lines) as append:
-            emit_trajectories(records, append)
-        loaded = load_trajectories(path)
-        assert loaded == records
+        day = _day_state(make_series([100.0] * 25),
+                         forecast_label=ForecastLabel(0.01, 0.02, 1, 0.5, 0.4))
+        loaded = load_trajectories(_written(tmp_path / "trajectories.jsonl", day))
+        assert loaded == _expected_records(day)
 
     def test_empty_records_empty_file(self, tmp_path):
-        path = tmp_path / "trajectories.jsonl"
-        with replacing(path, day_lines) as append:
-            emit_trajectories([], append)
+        path = _written(tmp_path / "trajectories.jsonl")
         assert path.read_text() == ""
         assert load_trajectories(path) == []
 
     def test_stable_field_order(self, tmp_path):
-        path = tmp_path / "trajectories.jsonl"
-        with replacing(path, day_lines) as append:
-            emit_trajectories([_record("news")], append)
+        path = _written(tmp_path / "trajectories.jsonl", _day_state(make_series([100.0] * 25)))
         obj = json.loads(path.read_text().splitlines()[0])
         assert list(obj) == [
             "date", "symbol", "agent_name", "prompt_digest", "input_text",
