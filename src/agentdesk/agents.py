@@ -102,7 +102,6 @@ class FinanceSummary:
 class Forecast:
     probs: TrendProbabilities
     gated: TrendLabel
-    confidence: float
     rationale: str
 
 
@@ -120,13 +119,6 @@ class StylePreference:
 @lru_cache(maxsize=None)
 def _template(name: str) -> str:
     return resources.files(__package__).joinpath(f"prompts/{name}.txt").read_text("utf-8")
-
-
-def _render(name: str, **values: str) -> tuple[str, str]:
-    """Fill a template; returns (system_line, user_text)."""
-    text = _template(name).format(**values)
-    first, _, rest = text.partition("\n")
-    return first, rest.strip()
 
 
 _DECODER = json.JSONDecoder()  # shared, as json.loads shares its own
@@ -155,18 +147,23 @@ def _answer(input_text: str, value, payload: dict, flags=()) -> tuple[object, Ag
     return value, AgentExchange(input_text, json.dumps(payload), flags=flags)
 
 
-def _call_or_fallback(
-    desk: Desk, system: str, user: str, validate,
-    unusable: _Fallback, unavailable: _Fallback,
+def _ask(
+    desk: Desk, at: Date, template: str, validate,
+    unusable: _Fallback, unavailable: _Fallback, **values: str,
 ) -> tuple[object, AgentExchange]:
-    """One chat call with one repair retry that cannot fail: returns
-    (value, exchange), with the flags on the exchange.
+    """Fill `template` with the desk's symbol, the date `at` and `values`,
+    and send its first line as the system message and the rest, stripped,
+    as the user message: one chat call with one repair retry that cannot
+    fail. Returns (value, exchange), with the flags on the exchange.
 
     Falls back to `unusable` when the output is still malformed (a number
     no int or float holds, say) after the repair retry and to `unavailable`
     on a provider error. A validated reply is flagged ("repaired",) when it
     needed the retry.
     """
+    text = _template(template).format(symbol=desk.cfg.symbol, date=str(at), **values)
+    system, _, rest = text.partition("\n")
+    user = rest.strip()
     messages = [{"role": "system", "content": system}, {"role": "user", "content": user}]
     try:
         for retried in (False, True):
@@ -259,15 +256,10 @@ def run_news_agent(
                       exact_only=not cfg.flags.rerank_embedding, limit=cfg.retrieval.news_top_k)
 
     def assess(item_scored):
-        system, user = _render(
-            "news_item",
-            symbol=cfg.symbol,
-            date=str(at),
-            title=item_scored.item.title,
-            body=item_scored.item.body or "(no body)",
-        )
         skip = (None, {}, ())
-        return _call_or_fallback(desk, system, user, _validate_item_sentiment, skip, skip)[0]
+        return _ask(desk, at, "news_item", _validate_item_sentiment, skip, skip,
+                    title=item_scored.item.title,
+                    body=item_scored.item.body or "(no body)")[0]
 
     outcomes = list(desk.pool.map(assess, selected))  # in input order
 
@@ -360,19 +352,13 @@ def run_report_agent(
         except ProviderError:
             flags.append("rerank_failed")
 
-    passages = "\n".join(f"[chunk {c.chunk.ordinal}] {c.chunk.text}" for c in candidates)
-    system, user = _render(
-        "report",
-        symbol=symbol,
-        date=str(at),
-        period=str(latest.period),
-        passages=passages,
-    )
     ordinals = ", ".join(str(c.chunk.ordinal) for c in candidates)
     unavailable = f"summary unavailable; relevant chunks by retrieval order: {ordinals}"
     fallback = (([], unavailable), {"indicators": [], "summary": unavailable}, ("provider_failed",))
-    (indicators, text), exchange = _call_or_fallback(
-        desk, system, user, _validate_report, unusable=fallback, unavailable=fallback,
+    (indicators, text), exchange = _ask(
+        desk, at, "report", _validate_report, fallback, fallback,
+        period=str(latest.period),
+        passages="\n".join(f"[chunk {c.chunk.ordinal}] {c.chunk.text}" for c in candidates),
     )
     valid_ordinals = {c.chunk.ordinal for c in candidates}
     kept = tuple(ind for ind in indicators if ind.citation_chunk in valid_ordinals)
@@ -387,7 +373,7 @@ def run_report_agent(
 _PROB_RENORM_TOL = 0.05
 
 
-def _validate_forecast(obj: Mapping) -> tuple[TrendProbabilities, float, str]:
+def _validate_forecast(obj: Mapping) -> tuple[TrendProbabilities, str]:
     p_up = float(obj["up"])
     p_down = float(obj["down"])
     p_side = float(obj["sideways"])
@@ -398,9 +384,8 @@ def _validate_forecast(obj: Mapping) -> tuple[TrendProbabilities, float, str]:
     if abs(total - 1.0) > _PROB_RENORM_TOL or total == 0.0:
         raise ValueError(f"probabilities sum to {total}, beyond renormalization tolerance")
     probs = TrendProbabilities(p_up / total, p_down / total, p_side / total)
-    confidence = float(obj.get("confidence", max(probs.up, probs.down, probs.sideways)))
-    confidence = min(1.0, max(0.0, confidence))
-    return probs, confidence, str(obj.get("rationale", ""))
+    float(obj.get("confidence", 0.0))  # unread; a confidence that is no float is repaired
+    return probs, str(obj.get("rationale", ""))
 
 
 def run_forecast_agent(
@@ -412,26 +397,20 @@ def run_forecast_agent(
     reflection: str | None,
 ) -> tuple[Forecast, AgentExchange]:
     """Ask the provider for a trend probability triple, then gate it."""
-    system, user = _render(
-        "forecast",
-        symbol=desk.cfg.symbol,
-        date=str(at),
+    uniform = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
+    payload = {"up": uniform.up, "down": uniform.down, "sideways": uniform.sideways}
+    (probs, rationale), exchange = _ask(
+        desk, at, "forecast", _validate_forecast,
+        unusable=((uniform, "fallback: provider output unusable"), payload, ("fallback_uniform",)),
+        unavailable=((uniform, "fallback: provider unavailable"), payload,
+                     ("fallback_uniform", "provider_failed")),
         snapshot=format_snapshot(snapshot),
         sentiment=_sentiment_block(sentiment),
         finance=_finance_block(finance),
         reflection=reflection or "none available",
     )
-    uniform = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)
-    payload = {"up": uniform.up, "down": uniform.down, "sideways": uniform.sideways}
-    (probs, confidence, rationale), exchange = _call_or_fallback(
-        desk, system, user, _validate_forecast,
-        unusable=((uniform, 0.0, "fallback: provider output unusable"), payload,
-                  ("fallback_uniform",)),
-        unavailable=((uniform, 0.0, "fallback: provider unavailable"), payload,
-                     ("fallback_uniform", "provider_failed")),
-    )
     gated = classify_trend(probs, snapshot, desk.cfg.gate)
-    return Forecast(probs, gated, confidence, rationale), exchange
+    return Forecast(probs, gated, rationale), exchange
 
 
 # ---------------------------------------------------------------------------
@@ -461,27 +440,21 @@ def run_style_agent(
         return _answer(f"DATE: {at}\nstyle agent disabled",
                        StylePreference(TradingStyle.BALANCED, 1.0, "style agent disabled"),
                        {"style": "balanced", "confidence": 1.0}, ("disabled",))
-    recent_block = "\n".join(day.style_line for day in recent) or "none available"
-    system, user = _render(
-        "style",
-        symbol=desk.cfg.symbol,
-        date=str(at),
+    (style, confidence, rationale), exchange = _ask(
+        desk, at, "style", _validate_style,
+        unusable=((TradingStyle.BALANCED, 0.5, "fallback: provider output unusable"),
+                  {"style": "balanced", "confidence": 0.5}, ("fallback_balanced",)),
+        unavailable=((prev_style, 0.5, "fallback: provider unavailable, previous style retained"),
+                     {"style": prev_style.value, "confidence": 0.5},
+                     ("provider_failed", "style_retained")),
         account=format_account(account, prev_style),
-        recent=recent_block,
+        recent="\n".join(day.style_line for day in recent) or "none available",
         upstream=(
             f"forecast: {forecast.gated.label} (p_up {forecast.probs.up:.3f}); "
             f"news sentiment: {sentiment.score:+.3f}; "
             f"finance: {finance.summary[:120]}"
         ),
         reflection=reflection or "none available",
-    )
-    (style, confidence, rationale), exchange = _call_or_fallback(
-        desk, system, user, _validate_style,
-        unusable=((TradingStyle.BALANCED, 0.5, "fallback: provider output unusable"),
-                  {"style": "balanced", "confidence": 0.5}, ("fallback_balanced",)),
-        unavailable=((prev_style, 0.5, "fallback: provider unavailable, previous style retained"),
-                     {"style": prev_style.value, "confidence": 0.5},
-                     ("provider_failed", "style_retained")),
     )
     return StylePreference(style, confidence, rationale), exchange
 
@@ -510,15 +483,12 @@ def run_decision_agent(
 ) -> tuple[str, AgentExchange]:
     """Produce the day's action, buy, hold or sell; degrades to hold on any failure.
     The account is left out of the prompt with `style_and_state` off."""
-    account_block = (
-        format_account(account, style.style)
-        if desk.cfg.flags.style_and_state else "none available (current-state injection disabled)"
-    )
-    system, user = _render(
-        "decision",
-        symbol=desk.cfg.symbol,
-        date=str(at),
-        account=account_block,
+    return _ask(
+        desk, at, "decision", _validate_decision,
+        unusable=("hold", {"action": "hold"}, ("fallback_hold",)),
+        unavailable=("hold", {"action": "hold"}, ("fallback_hold", "provider_failed")),
+        account=(format_account(account, style.style) if desk.cfg.flags.style_and_state
+                 else "none available (current-state injection disabled)"),
         thresholds=format_thresholds(thresholds),
         gated=forecast.gated.label,
         p_up=f"{forecast.probs.up:.4f}",
@@ -529,11 +499,6 @@ def run_decision_agent(
         finance=_finance_block(finance),
         style=f"{style.style.value} (confidence {style.confidence:.2f}): {style.rationale}",
         reflection=reflection or "none available",
-    )
-    return _call_or_fallback(
-        desk, system, user, _validate_decision,
-        unusable=("hold", {"action": "hold"}, ("fallback_hold",)),
-        unavailable=("hold", {"action": "hold"}, ("fallback_hold", "provider_failed")),
     )
 
 

@@ -228,7 +228,10 @@ def run_backtest(
             raise DataError(f"{Path(prices_path).name}: {exc}") from exc
         # The files are replaced one by one from here, metrics.json last, so a
         # rerun that fails partway leaves no report for `replay` to accept.
-        (out_dir / METRICS_FILE).unlink(missing_ok=True)
+        try:
+            (out_dir / METRICS_FILE).unlink(missing_ok=True)
+        except OSError as exc:
+            raise DataError(f"cannot remove {out_dir / METRICS_FILE}: {exc}") from exc
 
     _persist(out_dir, cfg, metrics, state, equity_curve)
     return RunArtifacts(

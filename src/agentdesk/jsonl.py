@@ -65,24 +65,33 @@ def plain(obj: Any) -> Any:
 def replacing(path: str | Path, line=lambda row: _LINE.encode(row) + "\n") -> Iterator[Callable]:
     """Yield `append(rows)`, which writes `line(row)` (a JSON line by default) for each row to
     a temp file beside `path`. That file replaces `path` when the block ends and is removed
-    if it raises, so the old file stays as it was. An OSError, or a row `line` refuses (a
-    non-finite number, say), is a DataError naming `path`."""
+    if it raises, so the old file stays as it was. A failure to open, write or replace that
+    file, or a row `line` refuses (a non-finite number, say), is a DataError naming `path`;
+    what the block's own code raises passes unchanged."""
     p = Path(path)
     tmp = p.with_name(f".{p.name}.{os.getpid()}.tmp")
     try:
-        with tmp.open("w", encoding="utf-8") as fh:
-            def append(rows):
-                try:
-                    fh.writelines(map(line, rows))
-                except ValueError as exc:  # here, not around the block: it runs the caller's code
-                    raise DataError(f"cannot write {p}: {exc}") from exc
-            yield append
-        os.replace(tmp, p)
-    except OSError as exc:
+        fh = tmp.open("w", encoding="utf-8")
+    except OSError as exc:  # nothing was made, so nothing to remove
         raise DataError(f"cannot write {p}: {exc}") from exc
-    finally:  # the temp file is gone once replaced; a directory there is not ours
-        if not tmp.is_dir():
-            tmp.unlink(missing_ok=True)
+    def append(rows):
+        try:
+            fh.writelines(map(line, rows))
+        except (OSError, ValueError) as exc:
+            raise DataError(f"cannot write {p}: {exc}") from exc
+    try:
+        try:
+            yield append  # the caller's code: what it raises passes unchanged
+        except BaseException:
+            fh.close()
+            raise
+        try:
+            fh.close()  # writes the rows still buffered
+            os.replace(tmp, p)
+        except OSError as exc:
+            raise DataError(f"cannot write {p}: {exc}") from exc
+    finally:  # the temp file is gone once replaced
+        tmp.unlink(missing_ok=True)
 
 
 def write_text(path: str | Path, text: str) -> Path:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import string
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date, timedelta
 
@@ -29,8 +30,8 @@ from agentdesk.agents import (
     run_style_agent,
     weighted_sentiment,
 )
-from agentdesk.backtest import PROVIDER_WORKERS
-from agentdesk.config import BacktestConfig, FeatureFlags
+from agentdesk.backtest import PROVIDER_WORKERS, run_backtest
+from agentdesk.config import BacktestConfig, FeatureFlags, load_config
 from agentdesk.datasynth import DecisionLabel, ForecastLabel
 from agentdesk.errors import ParseError, ProviderError
 from agentdesk.gate import PATH_HARD_INTERCEPT, PATH_SOFT_UP, TrendLabel, TrendProbabilities
@@ -53,7 +54,7 @@ from agentdesk.retrieval import (
 )
 from agentdesk.risk import RiskThresholds, TradingStyle
 
-from conftest import Recording
+from conftest import Recording, news_heavy_env
 
 DAY = date(2022, 6, 1)
 DAY2 = date(2022, 6, 2)
@@ -392,12 +393,24 @@ class TestForecastAgent:
         _, exchange = self._run(chat)
         assert "fallback_uniform" in exchange.flags
 
+    @pytest.mark.parametrize("confidence, flags", [
+        ("0.6", ()),
+        ("1e400", ()),  # parses as inf, a float
+        ('"x"', ("fallback_uniform",)),
+        ("1" + "0" * 400, ("fallback_uniform",)),  # an int no float holds
+    ])
+    def test_the_unread_confidence_must_still_be_a_float(self, confidence, flags):
+        reply = f'{{"up": 0.5, "down": 0.2, "sideways": 0.3, "confidence": {confidence}}}'
+        forecast, exchange = self._run(scripted_stub({"forecast:*": reply}))
+        assert exchange.flags == flags
+        assert forecast.probs.up == pytest.approx(1 / 3 if flags else 0.5)
+
 
 class TestStyleAgent:
     def _run(self, chat, prev=TradingStyle.BALANCED, **cfg):
         account = AccountState.initial(1000.0)
         forecast = Forecast(TrendProbabilities(0.7, 0.1, 0.2),
-                            TrendLabel("up", PATH_SOFT_UP, "r"), 0.7, "r")
+                            TrendLabel("up", PATH_SOFT_UP, "r"), "r")
         return run_style_agent(
             DAY, make_desk(chat, **cfg), account, prev, [labeled_day(DAY, 0.01)], forecast,
             SentimentReport(0.25, "none", 0), FinanceSummary((), "x" * 130), None,
@@ -451,7 +464,7 @@ class TestDecisionAgent:
                  "sideways": TrendProbabilities(0.2, 0.2, 0.6)}[gated]
         forecast = Forecast(probs, TrendLabel(gated, "soft_pass_up" if gated == "up"
                                               else "soft_pass_down" if gated == "down"
-                                              else "default_sideways", "r"), 0.7, "r")
+                                              else "default_sideways", "r"), "r")
         return run_decision_agent(
             DAY, make_desk(chat, **cfg), AccountState.initial(1000.0),
             StylePreference(TradingStyle.BALANCED, 0.5, "r"),
@@ -767,3 +780,23 @@ class TestMemoKeys:
         kinds = {agent: {request[0] for request in seen} for agent, seen in asked.items()}
         assert kinds == {"news": {"dense", "relevance"}, "report": {"dense", "sparse", "relevance"}}
         assert not set(asked["news"]) & set(asked["report"])
+
+
+def test_each_template_placeholder_is_filled_and_each_value_is_used(tmp_path, monkeypatch):
+    """`str.format` ignores a keyword no placeholder names, so a value an
+    agent passes `_ask` under a wrong name would vanish from its prompt."""
+    asked: dict[str, set] = {}
+    ask = agents._ask
+
+    def recording(desk, at, template, validate, unusable, unavailable, **values):
+        asked.setdefault(template, set()).add(frozenset(values))
+        return ask(desk, at, template, validate, unusable, unavailable, **values)
+
+    monkeypatch.setattr(agents, "_ask", recording)
+    env, _ = news_heavy_env(tmp_path, bars=70)
+    run_backtest(load_config(env.config_path), env.prices, env.out(), env.news, env.reports)
+    assert sorted(asked) == ["decision", "forecast", "news_item", "report", "style"]
+    for template, calls in asked.items():
+        fields = {field for _, field, _, _ in string.Formatter().parse(agents._template(template))
+                  if field is not None}
+        assert all(fields == {"symbol", "date", *names} for names in calls), (template, calls)

@@ -201,6 +201,8 @@ RUN_INPUTS = {
     "script": ("script.yaml", "scripted stub file", True),
 }
 FAULTS = ("non-utf8", "directory", "malformed")
+ARTIFACTS = (backtest.CONFIG_FILE, backtest.META_FILE, backtest.EQUITY_FILE,
+             backtest.TRADES_FILE, backtest.TRAJECTORIES_FILE, backtest.METRICS_FILE)
 
 
 def spoil(path, fault):
@@ -451,6 +453,26 @@ class TestOutputFaults:
         expect_data_error(capsys, main(run_args(env)), backtest.TRAJECTORIES_FILE)
         assert chat_calls == []
         assert [p.name for p in env.out("run").iterdir()] == [blocked.name]
+
+    @pytest.mark.parametrize("name", ARTIFACTS)
+    def test_an_artifact_replaced_by_a_directory_fails_the_rerun_naming_it(
+            self, tmp_path_factory, capsys, name):
+        # tmp_path holds the test's name, and so the artifact's; this root does not.
+        env = build_env(tmp_path_factory.mktemp("rerun"), rising_closes(45))
+        assert main(run_args(env)) == 0
+        run_dir = env.out("run")
+        (run_dir / name).unlink()
+        (run_dir / name).mkdir()
+        before = {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()}
+        cfg = yaml.safe_load(env.config_path.read_text(encoding="utf-8"))
+        env.config_path.write_text(yaml.safe_dump({**cfg, "initial_cash": 50000}), encoding="utf-8")
+        capsys.readouterr()
+        assert main(run_args(env)) == 2
+        first = capsys.readouterr().err.splitlines()[0]
+        assert [n for n in ARTIFACTS if str(run_dir / n) in first] == [name], first
+        if name == backtest.METRICS_FILE:  # removed before any file is replaced
+            assert {p.name: p.read_bytes() for p in run_dir.iterdir() if p.is_file()} == before
+        assert main(["replay", "--run", str(run_dir)]) == 2
 
 
 class TestMetricsCommand:
