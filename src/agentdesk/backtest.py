@@ -46,7 +46,7 @@ from .config import BacktestConfig, config_to_dict
 from .datasynth import DayState, TrajectoryRecord, label_day
 from .errors import DataError
 from .jsonl import as_date, as_number, read_document, read_jsonl, replacing, write_json, write_jsonl, write_text
-from .marketdata import ATR_WINDOW, TRADING_DAYS_PER_YEAR, PriceSeries, build_snapshot, load_price_csv
+from .marketdata import TRADING_DAYS_PER_YEAR, WINDOW, PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
     MetricsReport,
@@ -78,7 +78,7 @@ from .risk import (
     evaluate_position,
 )
 
-WARMUP_BARS = ATR_WINDOW + 1  # the longest window build_snapshot reads
+WARMUP_BARS = WINDOW + 1  # the closes build_snapshot needs
 # Provider requests an HTTP run sends at once: news items' chat calls, or
 # a memo group's misses. Read when the run starts.
 PROVIDER_WORKERS = 4

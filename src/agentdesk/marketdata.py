@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from bisect import bisect_right
 from dataclasses import dataclass
 from datetime import date as Date
@@ -24,10 +25,10 @@ TRADING_DAYS_PER_YEAR = 252
 SQRT_ANNUAL = math.sqrt(TRADING_DAYS_PER_YEAR)
 
 RSI_WINDOW = 14
-SMA_WINDOW = 20
-EXTREME_WINDOW = 20
 HV_WINDOW = 10
-ATR_WINDOW = 20
+WINDOW = 20  # the SMA, the 20-day extremes and the 20-return statistics
+# A larger close could overflow the sum of a WINDOW of closes.
+MAX_CLOSE = sys.float_info.max / WINDOW
 
 
 @dataclass(frozen=True)
@@ -47,20 +48,26 @@ class PriceSeries:
     def __post_init__(self) -> None:
         if not self.bars:
             raise DataError("price series is empty")
-        prev: Date | None = None
+        prev: PriceBar | None = None
         for bar in self.bars:
             if not math.isfinite(bar.close):
                 raise DataError(f"non-finite price on {bar.date}")
             if bar.close <= 0:
                 raise DataError(f"non-positive price on {bar.date}")
+            if bar.close > MAX_CLOSE:
+                raise DataError(f"price on {bar.date} above {MAX_CLOSE:.4g}")
             if prev is not None:
-                if bar.date == prev:
+                if bar.date == prev.date:
                     raise DataError(f"duplicate date {bar.date}")
-                if bar.date < prev:
+                if bar.date < prev.date:
                     raise DataError(
-                        f"dates not increasing at {bar.date} (previous {prev})"
+                        f"dates not increasing at {bar.date} (previous {prev.date})"
                     )
-            prev = bar.date
+                if bar.close / prev.close in (0.0, math.inf):
+                    raise DataError(
+                        f"price on {bar.date} has no finite log return from the previous close"
+                    )
+            prev = bar
 
     def __len__(self) -> int:
         return len(self.bars)
@@ -147,12 +154,6 @@ def _bars_until(series: PriceSeries, at: Date, minimum: int, what: str) -> int:
     return n
 
 
-def _trailing_closes(series: PriceSeries, at: Date, count: int, what: str) -> Sequence[float]:
-    """The last `count` closes at or before `at`."""
-    n = _bars_until(series, at, count, what)
-    return series.closes[n - count:n]
-
-
 def trailing_log_returns(series: PriceSeries, at: Date, count: int) -> Sequence[float]:
     """Last `count` close-to-close log returns ending at `at`."""
     n = _bars_until(series, at, count + 1, f"{count} log returns")
@@ -180,65 +181,6 @@ def _rsi_value(avg_gain: float, avg_loss: float) -> float:
     return 100.0 - 100.0 / (1.0 + rs)
 
 
-def rsi14(series: PriceSeries, at: Date) -> float:
-    """Wilder-smoothed 14-period RSI of closes at or before `at` (see
-    `PriceSeries.rsi`)."""
-    n = _bars_until(series, at, RSI_WINDOW + 1, "rsi14")
-    return series.rsi[n - 1 - RSI_WINDOW]
-
-
-def dist_sma20_pct(series: PriceSeries, at: Date) -> float:
-    """Signed percent deviation of the close from its 20-day simple mean."""
-    window = _trailing_closes(series, at, SMA_WINDOW, "dist_sma20_pct")
-    sma = math.fsum(window) / SMA_WINDOW
-    return 100.0 * (window[-1] / sma - 1.0)
-
-
-def dist_extreme20_pct(series: PriceSeries, at: Date, side: str) -> float:
-    """Signed percent distance from the 20-day extreme close.
-
-    `side` is "high" or "low"; the window includes the current close, so
-    the high-side distance is always <= 0 and the low-side >= 0.
-    """
-    window = _trailing_closes(series, at, EXTREME_WINDOW, "dist_extreme20_pct")
-    if side == "high":
-        extreme = max(window)
-    elif side == "low":
-        extreme = min(window)
-    else:
-        raise ValueError(f"side must be 'high' or 'low', got {side!r}")
-    return 100.0 * (window[-1] / extreme - 1.0)
-
-
-def extreme_flag20(series: PriceSeries, at: Date, side: str) -> bool:
-    """True iff the current close is a strict 20-day extreme."""
-    window = _trailing_closes(series, at, EXTREME_WINDOW, "extreme_flag20")
-    current = window[-1]
-    rest = window[:-1]
-    if side == "high":
-        return current > max(rest)
-    if side == "low":
-        return current < min(rest)
-    raise ValueError(f"side must be 'high' or 'low', got {side!r}")
-
-
-def hv10_pct(series: PriceSeries, at: Date) -> float:
-    """Annualized percent volatility of the last 10 daily log returns."""
-    returns = trailing_log_returns(series, at, HV_WINDOW)
-    return 100.0 * population_std(returns) * SQRT_ANNUAL
-
-
-def atr20s_pct(series: PriceSeries, at: Date) -> float:
-    """Unannualized percent stddev of the last 20 daily log returns."""
-    return 100.0 * population_std(trailing_log_returns(series, at, ATR_WINDOW))
-
-
-def mean_log_return20(series: PriceSeries, at: Date) -> float:
-    """Arithmetic mean of the last 20 daily log returns."""
-    returns = trailing_log_returns(series, at, ATR_WINDOW)
-    return math.fsum(returns) / ATR_WINDOW
-
-
 @dataclass(frozen=True)
 class IndicatorSnapshot:
     """All per-day technical factors, computed over windows ending at `date`."""
@@ -256,17 +198,21 @@ class IndicatorSnapshot:
 
 
 def build_snapshot(series: PriceSeries, at: Date) -> IndicatorSnapshot:
-    """Compute every indicator for `at`; needs at least 21 closes."""
-    _bars_until(series, at, ATR_WINDOW + 1, "build_snapshot")
+    """Compute every indicator for `at` from the RSI table, the last 20
+    closes and the last 20 log returns; needs at least 21 closes."""
+    n = _bars_until(series, at, WINDOW + 1, "build_snapshot")
+    closes = series.closes[n - WINDOW:n]
+    returns = series.log_returns[n - 1 - WINDOW:n - 1]
+    current, rest = closes[-1], closes[:-1]
     return IndicatorSnapshot(
         date=at,
-        rsi14=rsi14(series, at),
-        dist_sma20_pct=dist_sma20_pct(series, at),
-        dist_high20_pct=dist_extreme20_pct(series, at, "high"),
-        dist_low20_pct=dist_extreme20_pct(series, at, "low"),
-        new_high20=extreme_flag20(series, at, "high"),
-        new_low20=extreme_flag20(series, at, "low"),
-        hv10_pct=hv10_pct(series, at),
-        atr20s_pct=atr20s_pct(series, at),
-        mean_log_return20=mean_log_return20(series, at),
+        rsi14=series.rsi[n - 1 - RSI_WINDOW],
+        dist_sma20_pct=100.0 * (current / (math.fsum(closes) / WINDOW) - 1.0),
+        dist_high20_pct=100.0 * (current / max(closes) - 1.0),
+        dist_low20_pct=100.0 * (current / min(closes) - 1.0),
+        new_high20=current > max(rest),
+        new_low20=current < min(rest),
+        hv10_pct=100.0 * population_std(returns[-HV_WINDOW:]) * SQRT_ANNUAL,
+        atr20s_pct=100.0 * population_std(returns),
+        mean_log_return20=math.fsum(returns) / WINDOW,
     )

@@ -26,14 +26,7 @@ from agentdesk.datasynth import (
     weighted_hit,
 )
 from agentdesk.gate import TrendProbabilities, classify_trend
-from agentdesk.marketdata import (
-    IndicatorSnapshot,
-    atr20s_pct,
-    dist_extreme20_pct,
-    dist_sma20_pct,
-    hv10_pct,
-    rsi14,
-)
+from agentdesk.marketdata import IndicatorSnapshot, build_snapshot
 from agentdesk.portfolio import (
     AccountState,
     annualized_volatility,
@@ -109,17 +102,16 @@ def test_criterion_1_indicator_oracles():
         series = make_series(closes)
         at = series.dates[-1]
         rets = log_rets(closes)
+        snap = build_snapshot(series, at)
 
-        assert close(rsi14(series, at), rsi_oracle(closes))
-        assert close(hv10_pct(series, at), 100.0 * pop_std(rets[-10:]) * math.sqrt(252))
-        assert close(atr20s_pct(series, at), 100.0 * pop_std(rets[-20:]))
+        assert close(snap.rsi14, rsi_oracle(closes))
+        assert close(snap.hv10_pct, 100.0 * pop_std(rets[-10:]) * math.sqrt(252))
+        assert close(snap.atr20s_pct, 100.0 * pop_std(rets[-20:]))
         assert close(sigma_d10(series, at), pop_std(rets[-10:]))
         window = closes[-20:]
-        assert close(dist_sma20_pct(series, at), 100.0 * (window[-1] / (sum(window) / 20) - 1.0))
-        assert close(dist_extreme20_pct(series, at, "high"),
-                     100.0 * (window[-1] / max(window) - 1.0))
-        assert close(dist_extreme20_pct(series, at, "low"),
-                     100.0 * (window[-1] / min(window) - 1.0))
+        assert close(snap.dist_sma20_pct, 100.0 * (window[-1] / (sum(window) / 20) - 1.0))
+        assert close(snap.dist_high20_pct, 100.0 * (window[-1] / max(window) - 1.0))
+        assert close(snap.dist_low20_pct, 100.0 * (window[-1] / min(window) - 1.0))
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"indicator suite took {elapsed:.1f}s"
 
@@ -133,7 +125,7 @@ def test_criterion_2_atr_literal():
         rets = log_rets(closes)[-20:]
         mean = sum(rets) / 20.0
         literal = 100.0 * math.sqrt(sum((r - mean) ** 2 for r in rets) / 20.0)
-        got = atr20s_pct(series, series.dates[-1])
+        got = build_snapshot(series, series.dates[-1]).atr20s_pct
         assert math.isclose(got, literal, rel_tol=1e-12, abs_tol=1e-15)
 
 

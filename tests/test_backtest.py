@@ -563,3 +563,39 @@ class TestEquityCurveFile:
             (date.fromisoformat(t["date"]), t["post_equity"]) for t in trades
         ]
         assert artifacts.equity_curve == tuple(curve)
+
+
+class TestPriceScale:
+    def test_prices_and_cash_times_eight_scale_the_run_exactly(self, tmp_path, rng):
+        # x8 is exact in binary floating point: every ratio the agents, the
+        # gate and the risk layer read is unchanged, so each money figure
+        # scales exactly and every decision is the same.
+        closes = random_walk_closes(rng, 120)
+        runs = []
+        for scale in (1, 8):
+            env = build_env(tmp_path / f"x{scale}", [scale * c for c in closes], config={
+                "initial_cash": scale * 100000.0, "commission_rate": 0.001})
+            run_env(env)
+            runs.append(env.out("run"))
+        base, scaled = runs
+        trades, scaled_trades = load_trades(base), load_trades(scaled)
+        assert sum(t["kind"] != "hold" for t in trades) >= 2
+        assert [(t["kind"], t["quantity"]) for t in trades] == [
+            (t["kind"], t["quantity"]) for t in scaled_trades]
+        for a, b in zip(trades, scaled_trades):
+            for key in ("fill_price", "commission", "post_equity"):
+                assert 8 * a[key] == b[key], key
+        assert [(day, 8 * equity) for day, equity in load_equity_curve(base)] == \
+            load_equity_curve(scaled)
+        assert (base / METRICS_FILE).read_bytes() == (scaled / METRICS_FILE).read_bytes()
+        rows, scaled_rows = ([json.loads(line) for line in
+                              (run / TRAJECTORIES_FILE).read_text(encoding="utf-8").splitlines()]
+                             for run in runs)
+        assert len(rows) == len(scaled_rows)
+        for a, b in zip(rows, scaled_rows):
+            for key in ("forecast_label", "decision_label", "output_text"):
+                assert a[key] == b[key], key
+            # the forecast prompt carries the technical snapshot; only the
+            # style and decision prompts show the account's money
+            if a["agent_name"] not in ("style", "decision"):
+                assert a["input_text"] == b["input_text"]

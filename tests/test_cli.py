@@ -313,8 +313,9 @@ class TestInputFaults:
     @pytest.mark.parametrize("close, error", [
         (1e-250, "prices.csv: equity curve metrics overflow"),
         (1e-300, "prices.csv: equity curve metrics overflow"),
-        (1e-320, "trajectories.jsonl: Out of range float values"),  # subnormal
-        (2.3e-308, "trajectories.jsonl: Out of range float values"),  # normal, as is the next
+        # the next close over these is an infinite ratio, refused at load
+        (1e-320, "prices.csv: price on 2022-02-15 has no finite log return"),  # subnormal
+        (2.3e-308, "prices.csv: price on 2022-02-15 has no finite log return"),  # normal
         (1e-305, "trajectories.jsonl: Out of range float values"),
     ])
     def test_a_close_whose_numbers_overflow_exits_two(self, tmp_path, capsys, close, error):
@@ -324,7 +325,25 @@ class TestInputFaults:
         closes[30] = close
         env = build_env(tmp_path, closes)
         expect_data_error(capsys, main(run_args(env)), error)
-        assert list(env.out("run").iterdir()) == []
+        # a close refused at load stops the run before its directory is made
+        assert not any(env.out("run").glob("*"))
+
+    @pytest.mark.parametrize("pair, error", [
+        ((1e308, 5e-324), "prices.csv: price on 2022-02-14 above 8.988e+306"),
+        ((1e300, 5e-324), "prices.csv: price on 2022-02-15 has no finite log return"),
+    ])
+    def test_a_close_with_no_log_return_exits_two(self, tmp_path, capsys, pair, error):
+        closes = rising_closes(45)
+        closes[30:32] = pair
+        env = build_env(tmp_path, closes)
+        expect_data_error(capsys, main(run_args(env)), error)
+        assert not env.out("run").exists()
+
+    def test_closes_too_large_to_average_exit_two(self, tmp_path, capsys):
+        # 20 of these closes overflow the sum the 20-day SMA divides
+        env = build_env(tmp_path, [c * 1e306 for c in rising_closes(45)])
+        expect_data_error(capsys, main(run_args(env)), "prices.csv: price on 2022-01-03 above")
+        assert not env.out("run").exists()
 
     @pytest.mark.parametrize("entry", [
         "fy.txt",

@@ -1,14 +1,15 @@
 """A seeded mutation test of the CLI's exit-code contract.
 
 Each case changes one value of one file and runs the command that reads
-it: a config value, a price CSV cell, a news line, a manifest entry, a
-filing's text, a keyword weight or term, or one role's scripted stub reply
-(a JSON text that may carry numbers no int or float holds) for `run`; a
-line or value of a finished run's equity, trades or metrics file for
-`replay` (and `metrics`), or of its trajectories for `export-sft`. The
-inputs have the news-heavy benchmark's shape, 70 bars long. Every case
-must exit 0, 2 or 3 without raising, and a `run` or `export-sft` that
-exits 0 must have written only finite numbers.
+it: a config value, a price CSV cell (or every close, scaled by one
+factor), a news line, a manifest entry, a filing's text, a keyword weight
+or term, or one role's scripted stub reply (a JSON text that may carry
+numbers no int or float holds) for `run`; a line or value of a finished
+run's equity, trades or metrics file for `replay` (and `metrics`), or of
+its trajectories for `export-sft`. The inputs have the news-heavy
+benchmark's shape, 70 bars long. Every case must exit 0, 2 or 3 without
+raising, and a `run` or `export-sft` that exits 0 must have written only
+finite numbers.
 
 Tier-1 runs `CASES` cases of seed 1. More seeds and cases:
 
@@ -47,6 +48,9 @@ VALUES = (None, True, False, 0, -1, 1, 0.5, 2, 1e308, -1e308, 1e-320, 2.3e-308, 
           [], [1], {}, {"a": 1})
 CELLS = ("", "x", "nan", "inf", "-inf", "-1", "0", "1e-320", "2.3e-308", "1e-305", "1e-250",
          "1e308", "1e400", "2022-02-30", "20220103", "2021-12-31", "2030-01-03")
+# What every close of a price CSV is multiplied by: a power of two, and
+# factors that take closes near the ends of the float range.
+SCALES = (8, 1e-300, 1e300, 1e306)
 # What replaces a whole JSONL line (a blank line is skipped by every reader),
 # or a whole scripted reply.
 LINES = ("3.5", "[]", '"x"', "null", "true", "{", "{}", "")
@@ -134,6 +138,14 @@ def _change_cell(rng: random.Random, text: str) -> str:
     return "\n".join(",".join(row) for row in rows) + "\n"
 
 
+def _scale_closes(rng: random.Random, text: str) -> str:
+    """`text`, a price CSV, with every close multiplied by one of SCALES."""
+    factor = rng.choice(SCALES)
+    header, *rows = text.splitlines()
+    scaled = (f"{day},{float(close) * factor!r}" for day, close in (row.split(",") for row in rows))
+    return "\n".join([header, *scaled]) + "\n"
+
+
 def _change_filing(rng: random.Random, text: str) -> str:
     """`text`, a filing, blank, whitespace only, with no sentence end, as one
     very long sentence, or with a byte that is not UTF-8 (written through
@@ -146,23 +158,26 @@ def _change_yaml(rng: random.Random, text: str) -> str:
     return yaml.safe_dump(_change_value(rng, yaml.safe_load(text)), sort_keys=False)
 
 
-# file: (how one value of it is changed, the commands that read it). Files
-# under "run/" are a finished run's artifacts; the others are its inputs.
-TARGETS = {
-    "config.yaml": (_change_yaml, ("run",)),
-    "keywords.yaml": (_change_yaml, ("run",)),
-    "script.yaml": (_change_reply, ("run",)),
-    "prices.csv": (_change_cell, ("run",)),
-    "news.jsonl": (_change_line, ("run",)),
-    "reports/manifest.json": (lambda rng, text: json.dumps(_change_value(rng, json.loads(text))),
-                              ("run",)),
-    "reports/filing-1.txt": (_change_filing, ("run",)),
-    "run/equity.jsonl": (_change_line, ("replay",)),
-    "run/trades.jsonl": (_change_line, ("replay",)),
-    "run/metrics.json": (lambda rng, text: json.dumps(_change_value(rng, json.loads(text))),
-                         ("replay", "metrics")),
-    "run/trajectories.jsonl": (_change_line, ("export-sft",)),
-}
+def _change_json(rng: random.Random, text: str) -> str:
+    return json.dumps(_change_value(rng, json.loads(text)))
+
+
+# (file, how it is changed, the commands that read it). Files under "run/"
+# are a finished run's artifacts; the others are its inputs.
+TARGETS = (
+    ("config.yaml", _change_yaml, ("run",)),
+    ("keywords.yaml", _change_yaml, ("run",)),
+    ("news.jsonl", _change_line, ("run",)),
+    ("prices.csv", _change_cell, ("run",)),
+    ("prices.csv", _scale_closes, ("run",)),
+    ("reports/filing-1.txt", _change_filing, ("run",)),
+    ("reports/manifest.json", _change_json, ("run",)),
+    ("run/equity.jsonl", _change_line, ("replay",)),
+    ("run/metrics.json", _change_json, ("replay", "metrics")),
+    ("run/trades.jsonl", _change_line, ("replay",)),
+    ("run/trajectories.jsonl", _change_line, ("export-sft",)),
+    ("script.yaml", _change_reply, ("run",)),
+)
 
 
 def _finite(node) -> bool:
@@ -214,8 +229,7 @@ def broken_cases(root: Path, seed: int, cases: int) -> list[str]:
     (env.root / "out").rename(env.root / "run")
     rng, broken = random.Random(seed), []
     for n in range(cases):
-        name = rng.choice(sorted(TARGETS))
-        change, commands = TARGETS[name]
+        name, change, commands = rng.choice(TARGETS)
         case = root / f"case-{n}"
         shutil.copytree(env.root, case)
         path = case / name
@@ -223,15 +237,16 @@ def broken_cases(root: Path, seed: int, cases: int) -> list[str]:
                         errors="surrogateescape")
         (case / "out").mkdir(exist_ok=True)
         for command in commands:
+            where = f"case {n} ({name} {change.__name__}, {command})"
             try:
                 code = _exit(_args(command, case))
             except Exception as exc:  # the contract's breach, reported with its case
-                broken.append(f"case {n} ({name}, {command}): {type(exc).__name__}: {exc}")
+                broken.append(f"{where}: {type(exc).__name__}: {exc}")
                 continue
             if code not in (0, 2, 3):
-                broken.append(f"case {n} ({name}, {command}): exit {code}")
+                broken.append(f"{where}: exit {code}")
             elif code == 0 and not _written_numbers_finite(case / "out"):
-                broken.append(f"case {n} ({name}, {command}): a non-finite number was written")
+                broken.append(f"{where}: a non-finite number was written")
         shutil.rmtree(case)
     return broken
 

@@ -11,17 +11,13 @@ from hypothesis import strategies as st
 
 from agentdesk.errors import DataError, InsufficientHistoryError
 from agentdesk.marketdata import (
+    HV_WINDOW,
     PriceBar,
     PriceSeries,
-    atr20s_pct,
+    SQRT_ANNUAL,
     build_snapshot,
-    dist_extreme20_pct,
-    dist_sma20_pct,
-    extreme_flag20,
-    hv10_pct,
     load_price_csv,
-    mean_log_return20,
-    rsi14,
+    population_std,
     trailing_log_returns,
 )
 
@@ -111,7 +107,15 @@ class TestLoadPriceCsv:
         ("2022-01-03,100.0\n2022-01-03,101.0\n", "duplicate date 2022-01-03"),
         ("2022-01-04,100.0\n2022-01-03,101.0\n",
          "dates not increasing at 2022-01-03 (previous 2022-01-04)"),
-    ], ids=["empty", "non-finite", "non-positive", "duplicate", "out-of-order"])
+        # 20 such closes would overflow the SMA's sum
+        ("2022-01-03,100.0\n2022-01-04,1e307\n", "price on 2022-01-04 above 8.988e+306"),
+        # the ratio to the previous close is 0, then infinite
+        ("2022-01-03,1e300\n2022-01-04,5e-324\n",
+         "price on 2022-01-04 has no finite log return from the previous close"),
+        ("2022-01-03,1e-320\n2022-01-04,131.0\n",
+         "price on 2022-01-04 has no finite log return from the previous close"),
+    ], ids=["empty", "non-finite", "non-positive", "duplicate", "out-of-order", "too-large",
+            "ratio-zero", "ratio-infinite"])
     def test_series_fault_names_the_file(self, tmp_path, rows, message):
         p = tmp_path / "p.csv"
         p.write_text("date,close\n" + rows)
@@ -140,37 +144,39 @@ class TestLoadPriceCsv:
 # RSI
 # ---------------------------------------------------------------------------
 
+def snapshot_at_end(closes):
+    series = make_series(closes)
+    return build_snapshot(series, series.dates[-1])
+
+
 class TestRsi14:
     def test_strictly_rising_is_100(self):
-        series = make_series([100.0 + i for i in range(15)])
-        assert rsi14(series, series.dates[-1]) == 100.0
+        assert snapshot_at_end([100.0 + i for i in range(21)]).rsi14 == 100.0
 
     def test_strictly_falling_is_0(self):
-        series = make_series([100.0 - i for i in range(15)])
-        assert rsi14(series, series.dates[-1]) == 0.0
+        assert snapshot_at_end([100.0 - i for i in range(21)]).rsi14 == 0.0
 
     def test_constant_is_50(self):
-        series = make_series([100.0] * 20)
-        assert rsi14(series, series.dates[-1]) == 50.0
+        assert snapshot_at_end([100.0] * 21).rsi14 == 50.0
 
     def test_insufficient_history(self):
-        series = make_series([100.0] * 14)
-        with pytest.raises(InsufficientHistoryError):
-            rsi14(series, series.dates[-1])
+        # the table's first entry is the RSI at the 15th close
+        assert make_series([100.0] * 14).rsi == ()
+        assert make_series([100.0] * 15).rsi == (50.0,)
 
     def test_matches_oracle_on_random_series(self, rng):
         for _ in range(50):
             closes = random_walk_closes(rng, 60)
             series = make_series(closes)
             expected = rsi_oracle(closes)
-            got = rsi14(series, series.dates[-1])
+            got = build_snapshot(series, series.dates[-1]).rsi14
             assert got == pytest.approx(expected, rel=1e-9)
 
     def test_only_prefix_counts(self, rng):
         closes = random_walk_closes(rng, 40)
         series = make_series(closes)
         at = series.dates[29]
-        assert rsi14(series, at) == pytest.approx(rsi_oracle(closes[:30]), rel=1e-12)
+        assert build_snapshot(series, at).rsi14 == pytest.approx(rsi_oracle(closes[:30]), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -179,63 +185,55 @@ class TestRsi14:
 
 class TestDistances:
     def test_sma_equal_closes_zero(self):
-        series = make_series([42.0] * 20)
-        assert dist_sma20_pct(series, series.dates[-1]) == 0.0
+        assert snapshot_at_end([42.0] * 21).dist_sma20_pct == 0.0
 
     def test_sma_nineteen_ones_then_two(self):
-        series = make_series([1.0] * 19 + [2.0])
         expected = 100.0 * (2.0 / 1.05 - 1.0)
-        assert dist_sma20_pct(series, series.dates[-1]) == pytest.approx(expected, rel=1e-12)
+        got = snapshot_at_end([1.0] * 20 + [2.0]).dist_sma20_pct
+        assert got == pytest.approx(expected, rel=1e-12)
 
     def test_sma_matches_mean_oracle(self, rng):
         closes = random_walk_closes(rng, 45)
         series = make_series(closes)
         window = closes[-20:]
         expected = 100.0 * (window[-1] / (sum(window) / 20.0) - 1.0)
-        assert dist_sma20_pct(series, series.dates[-1]) == pytest.approx(expected, rel=1e-9)
+        got = build_snapshot(series, series.dates[-1]).dist_sma20_pct
+        assert got == pytest.approx(expected, rel=1e-9)
 
     def test_extreme_rising_high_zero(self):
-        series = make_series([100.0 + i for i in range(25)])
-        assert dist_extreme20_pct(series, series.dates[-1], "high") == 0.0
+        assert snapshot_at_end([100.0 + i for i in range(25)]).dist_high20_pct == 0.0
 
     def test_extreme_constant_both_zero(self):
-        series = make_series([7.0] * 20)
-        assert dist_extreme20_pct(series, series.dates[-1], "high") == 0.0
-        assert dist_extreme20_pct(series, series.dates[-1], "low") == 0.0
+        snap = snapshot_at_end([7.0] * 21)
+        assert snap.dist_high20_pct == 0.0
+        assert snap.dist_low20_pct == 0.0
 
     def test_extreme_matches_scan_oracle(self, rng):
         closes = random_walk_closes(rng, 40)
         series = make_series(closes)
         window = closes[-20:]
-        assert dist_extreme20_pct(series, series.dates[-1], "high") == pytest.approx(
+        snap = build_snapshot(series, series.dates[-1])
+        assert snap.dist_high20_pct == pytest.approx(
             100.0 * (window[-1] / max(window) - 1.0), rel=1e-12)
-        assert dist_extreme20_pct(series, series.dates[-1], "low") == pytest.approx(
+        assert snap.dist_low20_pct == pytest.approx(
             100.0 * (window[-1] / min(window) - 1.0), rel=1e-12)
-
-    def test_bad_side_rejected(self):
-        series = make_series([1.0] * 20)
-        with pytest.raises(ValueError):
-            dist_extreme20_pct(series, series.dates[-1], "middle")
 
 
 class TestFlags:
     def test_rising_sets_high_not_low(self):
-        series = make_series([100.0 + i for i in range(20)])
-        at = series.dates[-1]
-        assert extreme_flag20(series, at, "high") is True
-        assert extreme_flag20(series, at, "low") is False
+        snap = snapshot_at_end([100.0 + i for i in range(21)])
+        assert snap.new_high20 is True
+        assert snap.new_low20 is False
 
     def test_constant_window_both_false(self):
-        series = make_series([5.0] * 20)
-        at = series.dates[-1]
-        assert extreme_flag20(series, at, "high") is False
-        assert extreme_flag20(series, at, "low") is False
+        snap = snapshot_at_end([5.0] * 21)
+        assert snap.new_high20 is False
+        assert snap.new_low20 is False
 
     def test_falling_sets_low(self):
-        series = make_series([100.0 - i for i in range(20)])
-        at = series.dates[-1]
-        assert extreme_flag20(series, at, "low") is True
-        assert extreme_flag20(series, at, "high") is False
+        snap = snapshot_at_end([100.0 - i for i in range(21)])
+        assert snap.new_low20 is True
+        assert snap.new_high20 is False
 
 
 # ---------------------------------------------------------------------------
@@ -244,26 +242,24 @@ class TestFlags:
 
 class TestVolatility:
     def test_hv10_constant_zero(self):
-        series = make_series([50.0] * 15)
-        assert hv10_pct(series, series.dates[-1]) == 0.0
+        assert snapshot_at_end([50.0] * 21).hv10_pct == 0.0
 
     def test_hv10_scale_invariant(self, rng):
-        closes = random_walk_closes(rng, 20)
-        a = make_series(closes)
-        b = make_series([7.0 * c for c in closes])
-        at = a.dates[-1]
-        assert hv10_pct(a, at) == pytest.approx(hv10_pct(b, at), rel=1e-12)
+        closes = random_walk_closes(rng, 21)
+        a = snapshot_at_end(closes)
+        b = snapshot_at_end([7.0 * c for c in closes])
+        assert a.hv10_pct == pytest.approx(b.hv10_pct, rel=1e-12)
 
     def test_hv10_matches_two_pass_oracle(self, rng):
         closes = random_walk_closes(rng, 30)
         series = make_series(closes)
         rets = log_returns_oracle(closes)[-10:]
         expected = 100.0 * pop_std_oracle(rets) * math.sqrt(252)
-        assert hv10_pct(series, series.dates[-1]) == pytest.approx(expected, rel=1e-9)
+        got = build_snapshot(series, series.dates[-1]).hv10_pct
+        assert got == pytest.approx(expected, rel=1e-9)
 
     def test_atr_constant_zero(self):
-        series = make_series([50.0] * 25)
-        assert atr20s_pct(series, series.dates[-1]) == 0.0
+        assert snapshot_at_end([50.0] * 25).atr20s_pct == 0.0
 
     def test_atr_alternating_returns_closed_form(self):
         # 20 log returns alternating +r, -r: mean 0, every deviation |r|
@@ -271,8 +267,7 @@ class TestVolatility:
         closes = [100.0]
         for i in range(20):
             closes.append(closes[-1] * math.exp(r if i % 2 == 0 else -r))
-        series = make_series(closes)
-        assert atr20s_pct(series, series.dates[-1]) == pytest.approx(100.0 * r, rel=1e-12)
+        assert snapshot_at_end(closes).atr20s_pct == pytest.approx(100.0 * r, rel=1e-12)
 
     def test_atr_matches_literal_summation(self, rng):
         closes = random_walk_closes(rng, 40)
@@ -280,12 +275,12 @@ class TestVolatility:
         rets = log_returns_oracle(closes)[-20:]
         mean = sum(rets) / 20.0
         expected = 100.0 * math.sqrt(sum((x - mean) ** 2 for x in rets) / 20.0)
-        assert atr20s_pct(series, series.dates[-1]) == pytest.approx(expected, rel=1e-12)
+        assert build_snapshot(series, series.dates[-1]).atr20s_pct == pytest.approx(
+            expected, rel=1e-12)
 
     def test_insufficient_history(self):
-        series = make_series([100.0] * 20)
         with pytest.raises(InsufficientHistoryError):
-            atr20s_pct(series, series.dates[-1])
+            snapshot_at_end([100.0] * 20)
 
 
 # ---------------------------------------------------------------------------
@@ -312,20 +307,23 @@ class TestBuildSnapshot:
         assert snap.new_high20 is True
         assert snap.dist_high20_pct == 0.0
 
-    def test_fields_equal_standalone_ops(self, rng):
-        closes = random_walk_closes(rng, 55)
-        series = make_series(closes)
-        at = series.dates[-1]
-        snap = build_snapshot(series, at)
-        assert snap.rsi14 == rsi14(series, at)
-        assert snap.dist_sma20_pct == dist_sma20_pct(series, at)
-        assert snap.dist_high20_pct == dist_extreme20_pct(series, at, "high")
-        assert snap.dist_low20_pct == dist_extreme20_pct(series, at, "low")
-        assert snap.new_high20 == extreme_flag20(series, at, "high")
-        assert snap.new_low20 == extreme_flag20(series, at, "low")
-        assert snap.hv10_pct == hv10_pct(series, at)
-        assert snap.atr20s_pct == atr20s_pct(series, at)
-        assert snap.mean_log_return20 == mean_log_return20(series, at)
+    def test_fields_equal_the_formulas_on_the_reference_windows(self):
+        # bit for bit: the windows come from the day's prefix of closes
+        for series in oracle_series():
+            for k in range(20, len(series)):
+                at = series.dates[k]
+                window = series.closes[k - 19:k + 1]
+                returns = ref_trailing_log_returns(series, at, 20)
+                snap = build_snapshot(series, at)
+                assert snap.rsi14 == ref_rsi14(series, at)
+                assert snap.dist_sma20_pct == 100.0 * (window[-1] / (math.fsum(window) / 20) - 1.0)
+                assert snap.dist_high20_pct == 100.0 * (window[-1] / max(window) - 1.0)
+                assert snap.dist_low20_pct == 100.0 * (window[-1] / min(window) - 1.0)
+                assert snap.new_high20 == (window[-1] > max(window[:-1]))
+                assert snap.new_low20 == (window[-1] < min(window[:-1]))
+                assert snap.hv10_pct == 100.0 * population_std(returns[-HV_WINDOW:]) * SQRT_ANNUAL
+                assert snap.atr20s_pct == 100.0 * population_std(returns)
+                assert snap.mean_log_return20 == math.fsum(returns) / 20
 
     def test_insufficient_history(self):
         series = make_series([100.0] * 21)
@@ -386,8 +384,9 @@ class TestTablesMatchReference:
 
     def test_rsi14_at_every_bar(self):
         for series in oracle_series():
-            for at in series.dates:
-                assert outcome(lambda: rsi14(series, at)) == outcome(lambda: ref_rsi14(series, at))
+            assert len(series.rsi) == max(len(series) - 14, 0)
+            for value, at in zip(series.rsi, series.dates[14:]):
+                assert value == ref_rsi14(series, at)
 
     @pytest.mark.parametrize("count", [1, 10, 20])
     def test_trailing_log_returns_at_every_bar(self, count):
@@ -405,13 +404,8 @@ class TestTablesMatchReference:
                 assert build_snapshot(series, at) == build_snapshot(cut, at)
 
     @pytest.mark.parametrize("fn, message", [
-        (rsi14, "rsi14 needs 15 closes"),
-        (dist_sma20_pct, "dist_sma20_pct needs 20 closes"),
-        (lambda s, at: dist_extreme20_pct(s, at, "low"), "dist_extreme20_pct needs 20 closes"),
-        (lambda s, at: extreme_flag20(s, at, "high"), "extreme_flag20 needs 20 closes"),
-        (hv10_pct, "10 log returns needs 11 closes"),
-        (atr20s_pct, "20 log returns needs 21 closes"),
-        (mean_log_return20, "20 log returns needs 21 closes"),
+        (lambda s, at: trailing_log_returns(s, at, 10), "10 log returns needs 11 closes"),
+        (lambda s, at: trailing_log_returns(s, at, 20), "20 log returns needs 21 closes"),
         (build_snapshot, "build_snapshot needs 21 closes"),
     ])
     def test_insufficient_history_messages(self, fn, message):

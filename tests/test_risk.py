@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentdesk.errors import InsufficientHistoryError
-from agentdesk.marketdata import hv10_pct, population_std
+from agentdesk.marketdata import build_snapshot, population_std
 from agentdesk.risk import (
     ACTION_FORCED_SELL,
     ACTION_NONE,
@@ -43,11 +43,11 @@ class TestSigma:
         assert sigma_d10(series, series.dates[-1]) == 0.0
 
     def test_relation_to_hv10(self, rng):
-        closes = random_walk_closes(rng, 20)
+        closes = random_walk_closes(rng, 21)
         series = make_series(closes)
         at = series.dates[-1]
         assert sigma_d10(series, at) == pytest.approx(
-            hv10_pct(series, at) / (100.0 * math.sqrt(252)), rel=1e-12
+            build_snapshot(series, at).hv10_pct / (100.0 * math.sqrt(252)), rel=1e-12
         )
 
     def test_matches_two_pass_oracle(self, rng):
