@@ -28,6 +28,7 @@ from .marketdata import IndicatorSnapshot
 from .portfolio import AccountState
 from .providers import ChatProvider
 from .retrieval import (
+    DedupeMemo,
     EmbeddingProvider,
     Filing,
     NewsItem,
@@ -60,6 +61,7 @@ class Desk:
     embedding: EmbeddingProvider
     reranker: RerankerProvider
     importance: Callable[[str, str], float]
+    dedupe_memo: DedupeMemo
     pool: Executor
 
 
@@ -252,8 +254,8 @@ def run_news_agent(
     cfg = desk.cfg
     query = NEWS_QUERY.format(symbol=cfg.symbol)
     scored = score_news(news, desk.importance, desk.reranker, query)
-    selected = dedupe(scored, desk.embedding, cfg.retrieval,
-                      exact_only=not cfg.flags.rerank_embedding, limit=cfg.retrieval.news_top_k)
+    selected = dedupe(scored, desk.embedding, cfg.retrieval, not cfg.flags.rerank_embedding,
+                      cfg.retrieval.news_top_k, desk.dedupe_memo)
 
     def assess(item_scored):
         skip = (None, {}, ())

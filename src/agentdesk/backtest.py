@@ -63,6 +63,7 @@ from .providers import (
     memoized,
 )
 from .retrieval import (
+    DedupeMemo,
     Filing,
     NewsItem,
     keyword_importance,
@@ -155,8 +156,8 @@ class RunState:
 @dataclass(frozen=True)
 class RunInputs:
     """What every day reads: the agents' `Desk` (config, providers, the
-    news-importance memo and the run's executor), the day-keyed data the
-    desk leaves out, and the latest filing's ranking. `append`, a
+    news-importance and dedupe memos and the run's executor), the day-keyed
+    data the desk leaves out, and the latest filing's ranking. `append`, a
     `datasynth.day_lines` writer, writes each day's rows to trajectories.jsonl."""
 
     desk: Desk
@@ -203,7 +204,8 @@ def run_backtest(
         threaded = "http" in (cfg.provider, cfg.embedding_provider, cfg.reranker_provider)
         with ThreadPoolExecutor(PROVIDER_WORKERS + 2) if threaded else providers.Inline() as pool:
             # Chat stays uncached: its prompts carry the date, so they never repeat.
-            desk = Desk(cfg, chat, memoized(embedding, pool), memoized(reranker, pool), importance, pool)
+            desk = Desk(cfg, chat, memoized(embedding, pool), memoized(reranker, pool),
+                        importance, DedupeMemo(providers.MEMO_ENTRIES), pool)
             run = RunInputs(desk, series, news_by_date, filings, append)
             # Day d+1's news and report agents read nothing day d decides, so
             # they are handed off before its step and taken after it. Day d's

@@ -10,14 +10,16 @@ the requests it needs as one group, which the memo sends together.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import operator
 import re
+from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
 from .errors import DataError
 from .jsonl import as_date, as_number, as_str, read_document, read_jsonl, read_text
@@ -206,7 +208,7 @@ def score_news(
 
 
 def _norm(v: Sequence[float]) -> float:
-    return math.sqrt(math.fsum(x * x for x in v))
+    return math.sqrt(math.fsum(map(operator.mul, v, v)))
 
 
 def _normed_cosine(a: Sequence[float], na: float, b: Sequence[float], nb: float) -> float:
@@ -217,14 +219,37 @@ def _normed_cosine(a: Sequence[float], na: float, b: Sequence[float], nb: float)
     return math.fsum(map(operator.mul, a, b)) / (na * nb)
 
 
-def _cosine(a: Sequence[float], b: Sequence[float]) -> float:
-    return _normed_cosine(a, _norm(a), b, _norm(b))
-
-
 def _sparse_inner(a: Mapping[int, float], b: Mapping[int, float]) -> float:
     if len(b) < len(a):
         a, b = b, a
     return math.fsum(w * b[k] for k, w in a.items() if k in b)
+
+
+class DedupeMemo:
+    """`dedupe`'s arithmetic for the rest of a run, in two LRU tables of at
+    most `maxsize` entries: `norms` maps an item's (title, body) strings to
+    a never-reused serial and its vector's norm, and `cosines` two serials,
+    cheaper to look up than four strings, to the cosine a fresh computation
+    gives (a vector depends only on its text, `fsum` rounds once and
+    `na * nb` commutes). It takes no lock: the news agent is its only
+    writer, one day at a time, as a run hands day d+1's news agent off only
+    after taking day d's result."""
+
+    def __init__(self, maxsize: float) -> None:
+        self.maxsize = maxsize
+        self.norms: OrderedDict = OrderedDict()
+        self.cosines: OrderedDict = OrderedDict()
+        self.serials = itertools.count()
+
+    def get(self, table: OrderedDict, key: tuple, compute: Callable[..., Any], *args) -> Any:
+        """`table[key]`; on a miss `compute(*args)`, stored as the newest entry."""
+        if key in table:
+            table.move_to_end(key)
+            return table[key]
+        value = table[key] = compute(*args)
+        if len(table) > self.maxsize:
+            table.popitem(last=False)
+        return value
 
 
 def dedupe(
@@ -233,6 +258,7 @@ def dedupe(
     cfg: RetrievalConfig = RetrievalConfig(),
     exact_only: bool = False,
     limit: int | None = None,
+    memo: DedupeMemo | None = None,
 ) -> list[ScoredNews]:
     """Greedy order-preserving dedup over influence-sorted items.
 
@@ -242,29 +268,28 @@ def dedupe(
     on the items kept before it, so stopping at the `limit`-th kept item
     returns exactly `dedupe(items)[:limit]`, reading no item past it: it
     asks for the vectors of as many items at once as the limit has room for.
+    Norms and cosines come from `memo`, the run's, or one for this call.
     """
-    kept: list[ScoredNews] = []
-    if exact_only:
-        seen: set[str] = set()
+    if exact_only:  # the first item of each title+body, in order
+        firsts: dict[str, ScoredNews] = {}
         for scored in items:
-            if len(kept) == limit:
-                break
-            if scored.item.text in seen:
-                continue
-            seen.add(scored.item.text)
-            kept.append(scored)
-        return kept
+            firsts.setdefault(scored.item.text, scored)
+        return list(firsts.values())[:limit]
 
-    kept_vecs: list[tuple[Sequence[float], float]] = []  # (vector, its norm)
+    kept: list[ScoredNews] = []
+    memo = DedupeMemo(math.inf) if memo is None else memo
+    kept_vecs: list[tuple[int, Sequence[float], float]] = []  # (serial, vector, norm)
     rest = list(items)
     while rest and len(kept) != limit:
         room = len(rest) if limit is None else limit - len(kept)
         batch, rest = rest[:room], rest[room:]
         for scored, vec in zip(batch, provider.ask([("dense", s.item.text) for s in batch])):
-            norm = _norm(vec)
-            if all(_normed_cosine(vec, norm, kv, kn) < cfg.dedup_cosine for kv, kn in kept_vecs):
+            serial, norm = memo.get(memo.norms, (scored.item.title, scored.item.body),
+                                    lambda: (next(memo.serials), _norm(vec)))
+            if all(memo.get(memo.cosines, (serial, ks), _normed_cosine, vec, norm, kv, kn)
+                   < cfg.dedup_cosine for ks, kv, kn in kept_vecs):
                 kept.append(scored)
-                kept_vecs.append((vec, norm))
+                kept_vecs.append((serial, vec, norm))
     return kept
 
 
@@ -306,7 +331,8 @@ def hybrid_score(query_dense: Sequence[float], query_sparse: Mapping[int, float]
                  chunk_dense: Sequence[float], chunk_sparse: Mapping[int, float],
                  cfg: RetrievalConfig = RetrievalConfig()) -> float:
     """Weighted sum of dense cosine and sparse inner-product similarity."""
-    dense = cfg.w_dense * _cosine(query_dense, chunk_dense)
+    dense = cfg.w_dense * _normed_cosine(query_dense, _norm(query_dense),
+                                         chunk_dense, _norm(chunk_dense))
     sparse = cfg.w_sparse * _sparse_inner(query_sparse, chunk_sparse)
     return dense + sparse
 

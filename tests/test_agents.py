@@ -46,6 +46,7 @@ from agentdesk.providers import (
     memoized,
 )
 from agentdesk.retrieval import (
+    DedupeMemo,
     Filing,
     NewsItem,
     RetrievalConfig,
@@ -99,6 +100,7 @@ def make_desk(chat=None, embedding=None, reranker=None, pool=Inline(), **cfg) ->
         embedding or memoized(StubEmbeddingProvider()),
         reranker or memoized(StubRerankerProvider()),
         keyword_importance(load_keywords(), 64),
+        DedupeMemo(64),
         pool,
     )
 
@@ -220,8 +222,8 @@ class TestNewsAgent:
             return result, embedding.dense_reads
 
         capped, capped_reads = run()
-        monkeypatch.setattr(agents, "dedupe", lambda items, provider, config, exact_only, limit:
-                            retrieval.dedupe(items, provider, config, exact_only)[:limit])
+        monkeypatch.setattr(agents, "dedupe", lambda items, provider, config, exact_only, limit, memo:
+                            retrieval.dedupe(items, provider, config, exact_only, memo=memo)[:limit])
         uncapped, uncapped_reads = run()
         assert len(capped_reads) == 3
         assert len(uncapped_reads) == 20

@@ -36,7 +36,7 @@ from agentdesk.providers import (
     make_embedding_provider,
     make_reranker_provider,
 )
-from agentdesk.retrieval import NewsItem, keyword_importance, load_keywords
+from agentdesk.retrieval import DedupeMemo, NewsItem, keyword_importance, load_keywords
 
 from conftest import build_env, crash_closes, make_series, random_walk_closes, rising_closes
 
@@ -412,7 +412,8 @@ class TestBoundedRunState:
         appended = []
         with ThreadPoolExecutor(PROVIDER_WORKERS + 2) as pool:
             desk = Desk(cfg, make_chat_provider(cfg.provider), make_embedding_provider("stub"),
-                        make_reranker_provider("stub"), keyword_importance(load_keywords(None), 64), pool)
+                        make_reranker_provider("stub"), keyword_importance(load_keywords(None), 64),
+                        DedupeMemo(64), pool)
             run = RunInputs(desk, series, {}, [], appended.extend)
             for day in days:  # no news or filing: the agents send nothing
                 step(state, run, day, *backtest._upstream_agents(run, day))

@@ -9,7 +9,9 @@ run's equity, trades or metrics file for `replay` (and `metrics`), or of
 its trajectories for `export-sft`. The inputs have the news-heavy
 benchmark's shape, 70 bars long. Every case must exit 0, 2 or 3 without
 raising, and a `run` or `export-sft` that exits 0 must have written only
-finite numbers.
+finite numbers. A change of a file's type is its own class: each artifact
+of the finished run replaced by a directory, under every command that
+reads or replaces it, must exit 2 with a data error that names it.
 
 Tier-1 runs `CASES` cases of seed 1. More seeds and cases:
 
@@ -31,6 +33,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 import yaml
 
 from agentdesk.cli import main
@@ -201,10 +204,11 @@ def _written_numbers_finite(path: Path) -> bool:
 
 
 def _args(command: str, case: Path) -> list[str]:
-    if command == "run":
+    """`command`'s arguments for `case`; a "rerun" runs into the finished run."""
+    if command in ("run", "rerun"):
         return ["run", "--config", str(case / "config.yaml"), "--prices", str(case / "prices.csv"),
                 "--news", str(case / "news.jsonl"), "--reports", str(case / "reports"),
-                "--out", str(case / "out")]
+                "--out", str(case / ("out" if command == "run" else "run"))]
     if command == "export-sft":
         return ["export-sft", "--run", str(case / "run"), "--out", str(case / "out" / "sft.jsonl")]
     return [command, "--run", str(case / "run")]
@@ -215,23 +219,30 @@ def _exit(args: list[str]) -> int:
         return main(args)
 
 
-def broken_cases(root: Path, seed: int, cases: int) -> list[str]:
-    """The cases of `seed` that break the contract: what each changed and
-    what went wrong."""
-    env, _ = news_heavy_env(root / "inputs", bars=70, filing_every=30)
-    (env.root / "keywords.yaml").write_text(yaml.safe_dump(load_keywords()), encoding="utf-8")
-    (env.root / "script.yaml").write_text("{}\n", encoding="utf-8")
+def finished_run(root: Path) -> Path:
+    """`root`, holding the inputs every case starts from and their finished
+    run in `run/`."""
+    env, _ = news_heavy_env(root, bars=70, filing_every=30)
+    (root / "keywords.yaml").write_text(yaml.safe_dump(load_keywords()), encoding="utf-8")
+    (root / "script.yaml").write_text("{}\n", encoding="utf-8")
     # Every config key, sections included, so any of them can be changed.
     cfg = config_to_dict(load_config(env.config_path))
     cfg.update(keywords_path="keywords.yaml", provider=cfg["provider"] + ",scripted:script.yaml")
     env.config_path.write_text(yaml.safe_dump(cfg, sort_keys=False), encoding="utf-8")
-    assert _exit(_args("run", env.root)) == 0
-    (env.root / "out").rename(env.root / "run")
+    assert _exit(_args("run", root)) == 0
+    (root / "out").rename(root / "run")
+    return root
+
+
+def broken_cases(root: Path, seed: int, cases: int) -> list[str]:
+    """The cases of `seed` that break the contract: what each changed and
+    what went wrong."""
+    inputs = finished_run(root / "inputs")
     rng, broken = random.Random(seed), []
     for n in range(cases):
         name, change, commands = rng.choice(TARGETS)
         case = root / f"case-{n}"
-        shutil.copytree(env.root, case)
+        shutil.copytree(inputs, case)
         path = case / name
         path.write_text(change(rng, path.read_text(encoding="utf-8")), encoding="utf-8",
                         errors="surrogateescape")
@@ -253,6 +264,44 @@ def broken_cases(root: Path, seed: int, cases: int) -> list[str]:
 
 def test_one_changed_value_never_breaks_the_exit_code_contract(tmp_path):
     assert broken_cases(tmp_path, seed=1, cases=CASES) == []
+
+
+# The commands that read each artifact of a finished run; a rerun replaces
+# every one of them.
+READERS = {
+    "config.yaml": ("rerun",),
+    "meta.json": ("rerun",),
+    "equity.jsonl": ("replay", "rerun"),
+    "trades.jsonl": ("replay", "rerun"),
+    "trajectories.jsonl": ("export-sft", "rerun"),
+    "metrics.json": ("replay", "metrics", "rerun"),
+}
+
+
+class TestArtifactReplacedByADirectory:
+    """A finished run with one artifact replaced by a directory: each
+    command that reads or replaces it exits 2 with a data error that names
+    it, and prints no traceback."""
+
+    @pytest.fixture(scope="class")
+    def inputs(self, tmp_path_factory) -> Path:
+        return finished_run(tmp_path_factory.mktemp("inputs"))
+
+    @pytest.mark.parametrize("name, command",
+                             [(name, c) for name, commands in READERS.items() for c in commands])
+    def test_the_command_exits_two_naming_the_artifact(self, inputs, tmp_path, name, command):
+        case = tmp_path / "case"
+        shutil.copytree(inputs, case)
+        (case / "run" / name).unlink()
+        (case / "run" / name).mkdir()
+        (case / "out").mkdir()
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(_args(command, case))
+        assert code == 2, err.getvalue()
+        assert err.getvalue().startswith("data error:"), err.getvalue()
+        assert str(case / "run" / name) in err.getvalue()
+        assert "Traceback" not in out.getvalue() + err.getvalue()
 
 
 if __name__ == "__main__":

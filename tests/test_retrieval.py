@@ -16,6 +16,7 @@ from agentdesk.errors import DataError
 from agentdesk.providers import StubEmbeddingProvider, StubRerankerProvider, memoized
 from agentdesk.retrieval import (
     Chunk,
+    DedupeMemo,
     NewsItem,
     RetrievalConfig,
     ScoredNews,
@@ -291,6 +292,28 @@ class TestCosineOracle:
             want = ref_dedupe(items, provider, threshold)
             for k in range(1, len(items) + 2):
                 assert dedupe(items, memoized(provider), cfg, limit=k) == want[:k]
+
+    def test_one_memo_across_days_matches_the_oracle(self):
+        # Each memo serves a run of days whose items, built anew each day,
+        # are drawn from one pool of vectors; texts share titles, so only
+        # title and body together tell them apart. Its bound of 2-8 entries
+        # evicts as the days go, and it serves every threshold: a stored
+        # cosine is the float the oracle computes afresh.
+        rng = random.Random(20261020)
+        for _ in range(40):
+            vecs = random_vectors(rng, rng.randint(2, 12))
+            provider = PresetProvider({f"story {i % 3}\nbody {i}": v for i, v in enumerate(vecs)}, {})
+            memo = DedupeMemo(rng.randint(2, 8))
+            for _ in range(25):
+                picks = rng.choices(range(len(vecs)), k=rng.randint(1, 12))
+                items = [ScoredNews(item(f"story {i % 3}", f"body {i}"), 0.5, 0.5, 0.595) for i in picks]
+                threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
+                limit = rng.choice((None, rng.randint(1, 6)))
+                cfg = RetrievalConfig(dedup_cosine=threshold)
+                got = dedupe(items, memoized(provider), cfg, limit=limit, memo=memo)
+                assert got == ref_dedupe(items, provider, threshold)[:limit]
+                assert 0 < len(memo.norms) <= memo.maxsize
+                assert len(memo.cosines) <= memo.maxsize
 
     def test_capped_exact_dedupe_is_a_prefix_of_the_oracle(self):
         rng = random.Random(5)

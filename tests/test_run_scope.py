@@ -1,7 +1,7 @@
 """What one run keeps between its days: the latest filing's ranking, the
-news-importance memo, and, in a run with an HTTP provider, the thread pool
-that sends its requests and runs the news and report agents one day ahead
-of the rest of the day. None of it may change an artifact, outlive the
+news-importance and dedupe memos, and, in a run with an HTTP provider, the
+thread pool that sends its requests and runs the news and report agents one
+day ahead of the rest of the day. None of it may change an artifact, outlive the
 run, or let a day see data dated after it. A run of stubs uses no thread
 but its own.
 
@@ -12,15 +12,17 @@ from __future__ import annotations
 
 import json
 import re
+import sys
 import threading
 import zlib
 from dataclasses import replace
 
 import pytest
+import yaml
 
-from agentdesk import agents, backtest, providers
+from agentdesk import agents, backtest, providers, retrieval
 from agentdesk.config import load_config
-from agentdesk.retrieval import keyword_importance
+from agentdesk.retrieval import DedupeMemo, keyword_importance
 
 from conftest import (
     PROVIDER_SPECS,
@@ -114,6 +116,69 @@ class TestImportanceMemo:
         for name in ARTIFACT_FILES:
             assert (env.out("bounded") / name).read_bytes() == \
                 (env.out("unbounded") / name).read_bytes(), name
+
+
+class TestDedupeMemo:
+    """The dedupe memo of a run that drops near-duplicates: at a
+    `dedup_cosine` of 0.5 its cosines decide which items a day keeps. The
+    run reads no filing, so every cosine computed is dedupe's."""
+
+    @staticmethod
+    def near_duplicates_env(root):
+        env, _ = news_heavy_env(root, bars=70)
+        env.reports = None
+        cfg = yaml.safe_load(env.config_path.read_text(encoding="utf-8"))
+        cfg["retrieval"] = {"dedup_cosine": 0.5}
+        env.config_path.write_text(yaml.safe_dump(cfg), encoding="utf-8")
+        return env
+
+    @staticmethod
+    def count_cosines(monkeypatch) -> list:
+        """One entry for each cosine computed."""
+        computed: list = []
+        inner = retrieval._normed_cosine
+        monkeypatch.setattr(retrieval, "_normed_cosine",
+                            lambda *a: computed.append(None) or inner(*a))
+        return computed
+
+    def test_memo_is_bounded_by_memo_entries(self, tmp_path, monkeypatch):
+        env = self.near_duplicates_env(tmp_path / "env")
+        sizes = []  # (bound, norms held, cosines held) after each lookup
+        get = DedupeMemo.get
+
+        def noting(memo, *args):
+            value = get(memo, *args)
+            sizes.append((memo.maxsize, len(memo.norms), len(memo.cosines)))
+            return value
+
+        monkeypatch.setattr(DedupeMemo, "get", noting)
+        computed = self.count_cosines(monkeypatch)
+        with monkeypatch.context() as unbounded:
+            unbounded.setattr(providers, "MEMO_ENTRIES", sys.maxsize)
+            run_env(env, "unbounded")
+        unbounded_cosines = len(computed)
+        del sizes[:], computed[:]
+        monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
+        run_env(env, "bounded")
+
+        assert {bound for bound, _, _ in sizes} == {2}
+        assert max(max(norms, cosines) for _, norms, cosines in sizes) == 2
+        assert len(computed) > unbounded_cosines  # evicted cosines are computed again
+        for name in ARTIFACT_FILES:
+            assert (env.out("bounded") / name).read_bytes() == \
+                (env.out("unbounded") / name).read_bytes(), name
+
+    def test_each_run_starts_with_an_empty_memo(self, tmp_path, monkeypatch):
+        # perfbench times several backtests per process: a memo carried from
+        # one run into the next would make the later ones look faster.
+        env = self.near_duplicates_env(tmp_path / "env")
+        computed = self.count_cosines(monkeypatch)
+        counts = []
+        for name in ("first", "second"):
+            del computed[:]
+            run_env(env, name)
+            counts.append(len(computed))
+        assert counts[0] == counts[1] > 0
 
 
 class _NewsChat:
