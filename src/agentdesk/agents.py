@@ -28,12 +28,11 @@ from .marketdata import IndicatorSnapshot
 from .portfolio import AccountState
 from .providers import ChatProvider
 from .retrieval import (
+    Chunk,
     DedupeMemo,
     EmbeddingProvider,
     Filing,
     NewsItem,
-    RankedChunk,
-    RerankedChunk,
     RerankerProvider,
     chunk_report,
     dedupe,
@@ -255,7 +254,7 @@ def run_news_agent(
     query = NEWS_QUERY.format(symbol=cfg.symbol)
     scored = score_news(news, desk.importance, desk.reranker, query)
     selected = dedupe(scored, desk.embedding, cfg.retrieval, not cfg.flags.rerank_embedding,
-                      cfg.retrieval.news_top_k, desk.dedupe_memo)
+                      desk.dedupe_memo)
 
     def assess(item_scored):
         skip = (None, {}, ())
@@ -317,8 +316,8 @@ class FilingRanks:
     reranked top-k. A failed rerank is not kept, so the next day retries."""
 
     filing: Filing | None = None
-    hybrid: Sequence[RankedChunk] = ()
-    reranked: Sequence[RerankedChunk] | None = None
+    hybrid: Sequence[Chunk] = ()
+    reranked: Sequence[Chunk] | None = None
 
 
 def run_report_agent(
@@ -354,15 +353,15 @@ def run_report_agent(
         except ProviderError:
             flags.append("rerank_failed")
 
-    ordinals = ", ".join(str(c.chunk.ordinal) for c in candidates)
+    ordinals = ", ".join(str(c.ordinal) for c in candidates)
     unavailable = f"summary unavailable; relevant chunks by retrieval order: {ordinals}"
     fallback = (([], unavailable), {"indicators": [], "summary": unavailable}, ("provider_failed",))
     (indicators, text), exchange = _ask(
         desk, at, "report", _validate_report, fallback, fallback,
         period=str(latest.period),
-        passages="\n".join(f"[chunk {c.chunk.ordinal}] {c.chunk.text}" for c in candidates),
+        passages="\n".join(f"[chunk {c.ordinal}] {c.text}" for c in candidates),
     )
-    valid_ordinals = {c.chunk.ordinal for c in candidates}
+    valid_ordinals = {c.ordinal for c in candidates}
     kept = tuple(ind for ind in indicators if ind.citation_chunk in valid_ordinals)
     invalid = ("invalid_citation",) if len(kept) < len(indicators) else ()
     return FinanceSummary(kept, text), replace(exchange, flags=(*flags, *exchange.flags, *invalid))

@@ -75,20 +75,6 @@ class ScoredNews:
 class Chunk:
     ordinal: int
     text: str
-    sentence_span: tuple[int, int]  # 0-based, half-open
-
-
-@dataclass(frozen=True)
-class RankedChunk:
-    chunk: Chunk
-    hybrid: float
-
-
-@dataclass(frozen=True)
-class RerankedChunk:
-    chunk: Chunk
-    hybrid: float
-    relevance: float
 
 
 @dataclass(frozen=True)
@@ -257,31 +243,31 @@ def dedupe(
     provider: EmbeddingProvider,
     cfg: RetrievalConfig = RetrievalConfig(),
     exact_only: bool = False,
-    limit: int | None = None,
     memo: DedupeMemo | None = None,
 ) -> list[ScoredNews]:
-    """Greedy order-preserving dedup over influence-sorted items.
+    """Greedy order-preserving dedup over influence-sorted items, keeping
+    at most cfg.news_top_k.
 
     An item is kept iff its dense cosine to every kept item stays below
-    cfg.dedup_cosine. With exact_only, only byte-identical title+body
+    cfg.dedup_cosine. With exact_only, only byte-identical (title, body)
     pairs collapse (embedding-free fallback). Each kept item depends only
-    on the items kept before it, so stopping at the `limit`-th kept item
-    returns exactly `dedupe(items)[:limit]`, reading no item past it: it
-    asks for the vectors of as many items at once as the limit has room for.
+    on the items kept before it, so stopping at the cap returns the
+    uncapped result's prefix, reading no item past it: it asks for the
+    vectors of as many items at once as the cap has room for.
     Norms and cosines come from `memo`, the run's, or one for this call.
     """
-    if exact_only:  # the first item of each title+body, in order
-        firsts: dict[str, ScoredNews] = {}
+    if exact_only:  # the first item of each (title, body), in order
+        firsts: dict[tuple[str, str], ScoredNews] = {}
         for scored in items:
-            firsts.setdefault(scored.item.text, scored)
-        return list(firsts.values())[:limit]
+            firsts.setdefault((scored.item.title, scored.item.body), scored)
+        return list(firsts.values())[: cfg.news_top_k]
 
     kept: list[ScoredNews] = []
     memo = DedupeMemo(math.inf) if memo is None else memo
     kept_vecs: list[tuple[int, Sequence[float], float]] = []  # (serial, vector, norm)
     rest = list(items)
-    while rest and len(kept) != limit:
-        room = len(rest) if limit is None else limit - len(kept)
+    while rest and len(kept) < cfg.news_top_k:
+        room = cfg.news_top_k - len(kept)
         batch, rest = rest[:room], rest[room:]
         for scored, vec in zip(batch, provider.ask([("dense", s.item.text) for s in batch])):
             serial, norm = memo.get(memo.norms, (scored.item.title, scored.item.body),
@@ -320,7 +306,6 @@ def chunk_report(doc: str, cfg: RetrievalConfig = RetrievalConfig()) -> list[Chu
             chunks.append(Chunk(
                 ordinal=len(chunks),
                 text=" ".join(sentences[start:end]),
-                sentence_span=(start, end),
             ))
             covered = end
         start += cfg.stride_sentences
@@ -342,32 +327,31 @@ def retrieve_topk(
     chunks: Sequence[Chunk],
     provider: EmbeddingProvider,
     cfg: RetrievalConfig = RetrievalConfig(),
-) -> list[RankedChunk]:
+) -> list[Chunk]:
     """Top hybrid_top_k chunks by hybrid score; ties keep ordinal order."""
     if not chunks:
         raise DataError("no chunks to retrieve from")
     requests = [(kind, text) for c in chunks
                 for kind in ("dense", "sparse") for text in (query, c.text)]
     vec = dict(zip(requests, provider.ask(requests)))
-    ranked = [RankedChunk(c, hybrid_score(vec["dense", query], vec["sparse", query],
-                                          vec["dense", c.text], vec["sparse", c.text], cfg))
-              for c in chunks]
-    ranked.sort(key=lambda r: (-r.hybrid, r.chunk.ordinal))
+    ranked = sorted(chunks, key=lambda c: (-hybrid_score(
+        vec["dense", query], vec["sparse", query], vec["dense", c.text], vec["sparse", c.text], cfg),
+        c.ordinal))
     return ranked[: cfg.hybrid_top_k]
 
 
 def rerank(
     query: str,
-    candidates: Sequence[RankedChunk],
+    candidates: Sequence[Chunk],
     reranker: RerankerProvider,
     cfg: RetrievalConfig = RetrievalConfig(),
-) -> list[RerankedChunk]:
-    """Re-order hybrid candidates by reranker relevance; ties fall back to
-    the hybrid score, then ordinal. Provider failures propagate."""
-    probs = reranker.ask([("relevance", query, r.chunk.text) for r in candidates])
-    scored = [RerankedChunk(r.chunk, r.hybrid, p) for r, p in zip(candidates, probs)]
-    scored.sort(key=lambda r: (-r.relevance, -r.hybrid, r.chunk.ordinal))
-    return scored[: cfg.rerank_top_k]
+) -> list[Chunk]:
+    """The top rerank_top_k candidates by reranker relevance. Ties keep the
+    order given: on `retrieve_topk`'s output, hybrid score, then ordinal.
+    Provider failures propagate."""
+    probs = reranker.ask([("relevance", query, c.text) for c in candidates])
+    ranked = sorted(zip(candidates, probs), key=lambda cp: -cp[1])
+    return [c for c, _ in ranked[: cfg.rerank_top_k]]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import json
 import random
 import string
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from datetime import date, timedelta
 
 import pytest
@@ -222,8 +223,9 @@ class TestNewsAgent:
             return result, embedding.dense_reads
 
         capped, capped_reads = run()
-        monkeypatch.setattr(agents, "dedupe", lambda items, provider, config, exact_only, limit, memo:
-                            retrieval.dedupe(items, provider, config, exact_only, memo=memo)[:limit])
+        monkeypatch.setattr(agents, "dedupe", lambda items, provider, config, exact_only, memo:
+                            retrieval.dedupe(items, provider, replace(config, news_top_k=len(items)),
+                                             exact_only, memo)[:config.news_top_k])
         uncapped, uncapped_reads = run()
         assert len(capped_reads) == 3
         assert len(uncapped_reads) == 20

@@ -123,6 +123,13 @@ class TestDedupe:
         kept = dedupe(self._scored([a, b, a]), provider, exact_only=True)
         assert len(kept) == 2
 
+    def test_exact_only_keys_on_title_and_body(self):
+        # Both items' text is "a\nb\nc", but their news-item prompts differ.
+        a, b = item("a\nb", "c"), item("a", "b\nc")
+        assert a.text == b.text
+        kept = dedupe(self._scored([a, b, a]), None, exact_only=True)
+        assert [k.item for k in kept] == [a, b]
+
     def test_idempotent(self, rng):
         provider = StubEmbeddingProvider()
         words = ["alpha", "beta", "gamma", "delta", "market", "revenue", "gap"]
@@ -136,23 +143,30 @@ class TestDedupe:
 
 class TestChunking:
     def _doc(self, n: int) -> str:
-        return " ".join(f"Sentence number {i} is here." for i in range(1, n + 1))
+        return " ".join(self._sentences(n))
+
+    def _sentences(self, n: int) -> list[str]:
+        return [f"Sentence number {i} is here." for i in range(1, n + 1)]
+
+    def _windows(self, n: int, spans) -> list[str]:
+        """The texts of the 0-based, half-open sentence windows `spans`."""
+        return [" ".join(self._sentences(n)[start:end]) for start, end in spans]
 
     def test_seven_sentences_two_chunks(self):
         chunks = chunk_report(self._doc(7))
-        assert [c.sentence_span for c in chunks] == [(0, 5), (2, 7)]
+        assert [c.text for c in chunks] == self._windows(7, [(0, 5), (2, 7)])
 
     def test_three_sentences_one_chunk(self):
         chunks = chunk_report(self._doc(3))
-        assert [c.sentence_span for c in chunks] == [(0, 3)]
+        assert [c.text for c in chunks] == self._windows(3, [(0, 3)])
 
     def test_nine_sentences_three_chunks(self):
         chunks = chunk_report(self._doc(9))
-        assert [c.sentence_span for c in chunks] == [(0, 5), (2, 7), (4, 9)]
+        assert [c.text for c in chunks] == self._windows(9, [(0, 5), (2, 7), (4, 9)])
 
     def test_partial_tail_window_emitted(self):
         chunks = chunk_report(self._doc(8))
-        assert [c.sentence_span for c in chunks] == [(0, 5), (2, 7), (4, 8)]
+        assert [c.text for c in chunks] == self._windows(8, [(0, 5), (2, 7), (4, 8)])
 
     def test_empty_document_rejected(self):
         with pytest.raises(DataError):
@@ -165,8 +179,8 @@ class TestChunking:
         chunks = chunk_report(self._doc(n), cfg)
         covered = set()
         for c in chunks:
-            covered.update(range(*c.sentence_span))
-        assert covered == set(range(n))
+            covered.update(split_sentences(c.text))
+        assert covered == set(self._sentences(n))
         assert [c.ordinal for c in chunks] == list(range(len(chunks)))
         if n > cfg.window_sentences:
             import math
@@ -280,7 +294,7 @@ class TestCosineOracle:
         for _ in range(200):
             items, provider = self._scored(random_vectors(rng, rng.randint(1, 20)))
             threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
-            cfg = RetrievalConfig(dedup_cosine=threshold)
+            cfg = RetrievalConfig(dedup_cosine=threshold, news_top_k=len(items))
             assert dedupe(items, memoized(provider), cfg) == ref_dedupe(items, provider, threshold)
 
     def test_capped_dedupe_is_a_prefix_of_the_oracle(self):
@@ -288,10 +302,10 @@ class TestCosineOracle:
         for _ in range(200):
             items, provider = self._scored(random_vectors(rng, rng.randint(1, 20)))
             threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
-            cfg = RetrievalConfig(dedup_cosine=threshold)
             want = ref_dedupe(items, provider, threshold)
             for k in range(1, len(items) + 2):
-                assert dedupe(items, memoized(provider), cfg, limit=k) == want[:k]
+                cfg = RetrievalConfig(dedup_cosine=threshold, news_top_k=k)
+                assert dedupe(items, memoized(provider), cfg) == want[:k]
 
     def test_one_memo_across_days_matches_the_oracle(self):
         # Each memo serves a run of days whose items, built anew each day,
@@ -308,10 +322,10 @@ class TestCosineOracle:
                 picks = rng.choices(range(len(vecs)), k=rng.randint(1, 12))
                 items = [ScoredNews(item(f"story {i % 3}", f"body {i}"), 0.5, 0.5, 0.595) for i in picks]
                 threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
-                limit = rng.choice((None, rng.randint(1, 6)))
-                cfg = RetrievalConfig(dedup_cosine=threshold)
-                got = dedupe(items, memoized(provider), cfg, limit=limit, memo=memo)
-                assert got == ref_dedupe(items, provider, threshold)[:limit]
+                cap = rng.choice((len(items), rng.randint(1, 6)))
+                cfg = RetrievalConfig(dedup_cosine=threshold, news_top_k=cap)
+                got = dedupe(items, memoized(provider), cfg, memo=memo)
+                assert got == ref_dedupe(items, provider, threshold)[:cap]
                 assert 0 < len(memo.norms) <= memo.maxsize
                 assert len(memo.cosines) <= memo.maxsize
 
@@ -323,7 +337,7 @@ class TestCosineOracle:
             firsts = {t: i for i, t in reversed(list(enumerate(titles)))}
             want = [items[i] for i, t in enumerate(titles) if firsts[t] == i]
             for k in range(1, len(items) + 2):
-                assert dedupe(items, None, exact_only=True, limit=k) == want[:k]
+                assert dedupe(items, None, RetrievalConfig(news_top_k=k), exact_only=True) == want[:k]
 
     def test_capped_dedupe_reads_no_vector_past_the_cap(self):
         # Items 0-5 are orthogonal except item 1, a duplicate of item 0; with
@@ -332,7 +346,7 @@ class TestCosineOracle:
         vecs[1] = list(vecs[0])
         items, provider = self._scored(vecs)
         provider = CountingPresetProvider(provider.dense_map, {})
-        kept = dedupe(items, memoized(provider), limit=3)
+        kept = dedupe(items, memoized(provider), RetrievalConfig(news_top_k=3))
         assert kept == [items[0], items[2], items[3]]
         assert provider.dense_reads == [s.item.text for s in items[:4]]
 
@@ -370,20 +384,22 @@ class TestCosineOracle:
 
 class TestRetrieveTopk:
     def _chunks(self, texts):
-        return [Chunk(i, t, (i, i + 1)) for i, t in enumerate(texts)]
+        return [Chunk(i, t) for i, t in enumerate(texts)]
 
     def test_fewer_chunks_than_k_returns_all_sorted(self):
         provider = StubEmbeddingProvider()
         chunks = self._chunks(["revenue growth", "weather report", "revenue revenue revenue"])
         ranked = retrieve_topk("revenue", chunks, memoized(provider))
         assert len(ranked) == 3
-        assert ranked[0].hybrid >= ranked[1].hybrid >= ranked[2].hybrid
+        scores = [hybrid_score(provider.dense("revenue"), provider.sparse("revenue"),
+                               provider.dense(c.text), provider.sparse(c.text)) for c in ranked]
+        assert scores[0] >= scores[1] >= scores[2]
 
     def test_ties_preserve_ordinal_order(self):
         provider = StubEmbeddingProvider()
         chunks = self._chunks(["same text here", "same text here", "same text here"])
         ranked = retrieve_topk("same text", chunks, memoized(provider))
-        assert [r.chunk.ordinal for r in ranked] == [0, 1, 2]
+        assert [c.ordinal for c in ranked] == [0, 1, 2]
 
     def test_matches_full_sort_oracle(self, rng):
         provider = StubEmbeddingProvider()
@@ -399,7 +415,7 @@ class TestRetrieveTopk:
              for c in chunks),
             key=lambda pair: (-pair[0], pair[1].ordinal),
         )
-        assert [r.chunk.ordinal for r in ranked] == [c.ordinal for _, c in oracle[:10]]
+        assert [c.ordinal for c in ranked] == [c.ordinal for _, c in oracle[:10]]
         assert len(ranked) == 10
 
     def test_empty_chunks_rejected(self):
@@ -410,23 +426,23 @@ class TestRetrieveTopk:
 class TestRerank:
     def _candidates(self, texts):
         provider = memoized(StubEmbeddingProvider())
-        chunks = [Chunk(i, t, (i, i + 1)) for i, t in enumerate(texts)]
+        chunks = [Chunk(i, t) for i, t in enumerate(texts)]
         return retrieve_topk("report", chunks, provider, RetrievalConfig(hybrid_top_k=10))
 
     def test_trigger_passages_first(self):
-        reranker = memoized(StubRerankerProvider(triggers=("revenue",)))
+        stub = StubRerankerProvider(triggers=("revenue",))
         candidates = self._candidates([
             "weather was mild", "revenue rose sharply", "the office moved",
         ])
-        result = rerank("price factors", candidates, reranker)
-        assert "revenue" in result[0].chunk.text
-        assert result[0].relevance == 1.0
+        result = rerank("price factors", candidates, memoized(stub))
+        assert "revenue" in result[0].text
+        assert stub.relevance("price factors", result[0].text) == 1.0
 
     def test_equal_relevance_preserves_hybrid_order(self):
         reranker = memoized(StubRerankerProvider(triggers=("zzz",)))
         candidates = self._candidates(["report alpha report", "report beta", "gamma"])
         result = rerank("report", candidates, reranker)
-        assert [r.chunk.ordinal for r in result] == [c.chunk.ordinal for c in candidates]
+        assert [c.ordinal for c in result] == [c.ordinal for c in candidates]
 
     def test_ten_candidates_truncate_to_six(self):
         reranker = memoized(StubRerankerProvider(triggers=("revenue",)))
@@ -434,6 +450,33 @@ class TestRerank:
         assert len(candidates) == 10
         result = rerank("q", candidates, reranker)
         assert len(result) == 6
+
+
+class TestRankOrderOracle:
+    def test_rerank_of_retrieve_topk_sorts_by_relevance_then_hybrid_then_ordinal(self):
+        # Chunk texts of a few words, two of them triggers, so the stub's 0/1
+        # relevances tie often; repeated texts tie on the hybrid score too.
+        rng = random.Random(20261020)
+        embedding, stub = StubEmbeddingProvider(), StubRerankerProvider(triggers=("revenue", "margin"))
+        vocab = ["revenue", "margin", "cash", "risk", "growth", "debt"]
+        query = "revenue growth risk"
+        q_dense, q_sparse = embedding.dense(query), embedding.sparse(query)
+        for _ in range(60):
+            texts = [" ".join(rng.choices(vocab, k=rng.randint(1, 4)))
+                     for _ in range(rng.randint(1, 20))]
+            chunks = [Chunk(i, t) for i, t in enumerate(texts)]
+            hybrid = [hybrid_score(q_dense, q_sparse, embedding.dense(t), embedding.sparse(t))
+                      for t in texts]
+            for hybrid_top_k in (1, 3, 10, 25):
+                for rerank_top_k in (1, 2, 6, 25):
+                    cfg = RetrievalConfig(hybrid_top_k=hybrid_top_k, rerank_top_k=rerank_top_k)
+                    top = retrieve_topk(query, chunks, memoized(embedding), cfg)
+                    got = rerank(query, top, memoized(stub), cfg)
+                    want = sorted(
+                        sorted(chunks, key=lambda c: (-hybrid[c.ordinal], c.ordinal))[:hybrid_top_k],
+                        key=lambda c: (-stub.relevance(query, c.text), -hybrid[c.ordinal], c.ordinal),
+                    )[:rerank_top_k]
+                    assert got == want
 
 
 class TestOneGroupPerStep:
@@ -451,8 +494,7 @@ class TestOneGroupPerStep:
         items = [item("Revenue up", "revenue rose"), item("Quiet day")]
         assert score_news(items, importance, reranker, "q") == \
             score_news(items, importance, memoized(StubRerankerProvider()), "q")
-        chunks = [Chunk(i, t, (i, i + 1))
-                  for i, t in enumerate(["revenue rose", "costs fell", "revenue rose"])]
+        chunks = [Chunk(i, t) for i, t in enumerate(["revenue rose", "costs fell", "revenue rose"])]
         ranked = retrieve_topk("q", chunks, embedding)
         assert ranked == retrieve_topk("q", chunks, memoized(StubEmbeddingProvider()))
         assert rerank("q", ranked, reranker) == rerank("q", ranked, memoized(StubRerankerProvider()))
