@@ -14,14 +14,14 @@ from collections import deque
 from concurrent.futures import Executor
 from dataclasses import dataclass, replace
 from datetime import date as Date
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from importlib import resources
 from itertools import count
 from operator import attrgetter
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 from .config import BacktestConfig
-from .datasynth import DecisionLabel, ForecastLabel
+from .datasynth import DayState
 from .errors import ParseError, ProviderError
 from .gate import TrendLabel, TrendProbabilities, classify_trend
 from .marketdata import IndicatorSnapshot
@@ -429,7 +429,7 @@ def run_style_agent(
     desk: Desk,
     account: AccountState,
     prev_style: TradingStyle,
-    recent: Sequence[LabeledDay],
+    recent: Iterable[str],
     forecast: Forecast,
     sentiment: SentimentReport,
     finance: FinanceSummary,
@@ -449,7 +449,7 @@ def run_style_agent(
                      {"style": prev_style.value, "confidence": 0.5},
                      ("provider_failed", "style_retained")),
         account=format_account(account, prev_style),
-        recent="\n".join(day.style_line for day in recent) or "none available",
+        recent="\n".join(recent) or "none available",
         upstream=(
             f"forecast: {forecast.gated.label} (p_up {forecast.probs.up:.3f}); "
             f"news sentiment: {sentiment.score:+.3f}; "
@@ -507,44 +507,19 @@ def run_decision_agent(
 # Self-reflection summaries
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LabeledDay:
-    """One past trading day, labeled once its next close was known: the
-    outcome the forecast, style and decision agents reflect on."""
-
-    date: Date
-    gated: TrendLabel
-    style: TradingStyle
-    forecast: ForecastLabel
-    decision: DecisionLabel
-    day_return: float  # next-close account return under the day's style
-
-    @cached_property
-    def style_line(self) -> str:
-        """The day's line in the style prompt's recent days, formatted once."""
-        return f"- {self.date} {self.style.value}: {self.day_return:+.4%}"
-
-    @cached_property
-    def highlights(self) -> dict[str, str]:
-        """The day's highlight line for each audience, formatted once: a day
-        stays among the highlights for many days in a row."""
-        return {audience: f"- {self.date} (score {score(self):+.4f}): {pattern(self)}"
-                for audience, (score, pattern) in _AUDIENCES.items()}
-
-
 REFLECTION_WINDOW = 20
 _MAX_HIGHLIGHT_WINS = 2
 _MAX_HIGHLIGHT_LOSSES = 2
 
 # audience: (the day's score, the pattern text of a highlighted day)
-_AUDIENCES: dict[str, tuple[Callable[[LabeledDay], float], Callable[[LabeledDay], str]]] = {
-    "forecasting": (attrgetter("forecast.w_hit"), lambda d: (
+_AUDIENCES: dict[str, tuple[Callable[[DayState], float], Callable[[DayState], str]]] = {
+    "forecasting": (attrgetter("forecast_label.w_hit"), lambda d: (
         f"predicted {d.gated.label} via {d.gated.path}, "
-        f"realized {d.forecast.pct:+.4%}, w_hit {d.forecast.w_hit:.4f}"
+        f"realized {d.forecast_label.pct:+.4%}, w_hit {d.forecast_label.w_hit:.4f}"
     )),
-    "decision": (attrgetter("decision.taken_reward"), lambda d: (
-        f"action {d.decision.taken}, reward {d.decision.taken_reward:+.5f}, "
-        f"benchmark {d.decision.r_bm:+.4%}"
+    "decision": (attrgetter("decision_label.taken_reward"), lambda d: (
+        f"action {d.decision_label.taken}, reward {d.decision_label.taken_reward:+.5f}, "
+        f"benchmark {d.decision_label.r_bm:+.4%}"
     )),
     "style": (attrgetter("day_return"), lambda d: (
         f"style {d.style.value}, day return {d.day_return:+.4%}"
@@ -553,35 +528,38 @@ _AUDIENCES: dict[str, tuple[Callable[[LabeledDay], float], Callable[[LabeledDay]
 
 
 class ReflectionWindow:
-    """The last REFLECTION_WINDOW labeled days, oldest first, and each audience's wins ranked
-    best first by `(-score, date)` and losses worst first by `(score, date)`, kept up to date
-    as days arrive and leave, so a digest sorts nothing."""
+    """The last REFLECTION_WINDOW labeled days, kept as their lines and not as days: oldest
+    first, each day's line in the style prompt's recent days, and each audience's wins ranked
+    best first by `(-score, date)` and losses worst first by `(score, date)`, each key ending
+    in the day's highlight line. The rankings are kept up to date as days arrive and leave,
+    so a digest sorts nothing."""
 
-    def __init__(self, days: Iterable[LabeledDay] = ()) -> None:
-        self._days: deque = deque()  # (day, [(a ranking, the day's key in it)])
+    def __init__(self, days: Iterable[DayState] = ()) -> None:
+        self._days: deque = deque()  # (style line, [(a ranking, the day's key in it)])
         self._arrivals = count()  # orders days of equal score and date as they arrived
         self.ranked = {audience: ([], []) for audience in _AUDIENCES}  # audience: (wins, losses)
         for day in days:
             self.append(day)
 
-    def __iter__(self) -> Iterator[LabeledDay]:
-        return (day for day, _ in self._days)
+    def __iter__(self) -> Iterator[str]:
+        return (line for line, _ in self._days)
 
     def __len__(self) -> int:
         return len(self._days)
 
-    def append(self, day: LabeledDay) -> None:
-        """Add the newest day; the oldest leaves once the window is full."""
+    def append(self, day: DayState) -> None:
+        """Add the newest labeled day's lines; the oldest day's leave once the window is full."""
         if len(self._days) == REFLECTION_WINDOW:
             for ranking, key in self._days.popleft()[1]:
                 del ranking[bisect_left(ranking, key)]
         arrival, keys = next(self._arrivals), []
-        for audience, (score, _) in _AUDIENCES.items():
+        for audience, (score, pattern) in _AUDIENCES.items():
             s = score(day)
-            ranking, key = self.ranked[audience][0 if s > 0 else 1], (-abs(s), day.date, arrival, day)
+            line = f"- {day.date} (score {s:+.4f}): {pattern(day)}"
+            ranking, key = self.ranked[audience][0 if s > 0 else 1], (-abs(s), day.date, arrival, line)
             insort(ranking, key)
             keys.append((ranking, key))
-        self._days.append((day, keys))
+        self._days.append((f"- {day.date} {day.style.value}: {day.day_return:+.4%}", keys))
 
 
 def build_reflection(window: ReflectionWindow, audience: str = "decision") -> str:
@@ -598,9 +576,9 @@ def build_reflection(window: ReflectionWindow, audience: str = "decision") -> st
     ]
     if wins:
         lines.append("Wins worth repeating:")
-        lines.extend(key[-1].highlights[audience] for key in wins[:_MAX_HIGHLIGHT_WINS])
+        lines.extend(key[-1] for key in wins[:_MAX_HIGHLIGHT_WINS])
     if losses:
         lines.append("Losses to avoid:")
-        lines.extend(key[-1].highlights[audience] for key in losses[:_MAX_HIGHLIGHT_LOSSES])
+        lines.extend(key[-1] for key in losses[:_MAX_HIGHLIGHT_LOSSES])
     lines.append("Favor set-ups resembling the wins and avoid those resembling the losses.")
     return "\n".join(lines)

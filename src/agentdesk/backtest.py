@@ -31,7 +31,6 @@ from .agents import (
     Desk,
     FilingRanks,
     FinanceSummary,
-    LabeledDay,
     ReflectionWindow,
     SentimentReport,
     build_reflection,
@@ -143,7 +142,7 @@ class RunState:
 
     `pending` is the last stepped day, which is labeled once the next
     day's close is known; `account` is then its post-trade account.
-    `history` is the window of labeled days the agents reflect on.
+    `history` is the window of labeled days' lines the agents reflect on.
     """
 
     account: AccountState
@@ -330,15 +329,12 @@ def step(state: RunState, run: RunInputs, day: Date,
 def _label_pending(state: RunState, run: RunInputs, next_at: Date) -> None:
     """Label the pending day now that `next_at`'s close is known, and add
     it to the reflection history."""
-    post_account, cfg = state.account, run.desk.cfg
-    day = label_day(state.pending, run.series, next_at, cfg.commission_rate, cfg.band, cfg.reward)
+    cfg = run.desk.cfg
+    day = label_day(state.pending, state.account, run.series, next_at,
+                    cfg.commission_rate, cfg.band, cfg.reward)
     state.pending = None
     datasynth.emit_trajectories(day, run.append)
-    next_close = run.series.close_at(next_at)
-    day_return = (post_account.cash + post_account.shares * next_close) / post_account.equity - 1.0
-    state.history.append(LabeledDay(
-        day.date, day.gated, day.style, day.forecast_label, day.decision_label, day_return
-    ))
+    state.history.append(day)
 
 
 # ---------------------------------------------------------------------------

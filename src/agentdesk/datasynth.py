@@ -257,7 +257,7 @@ class DayState:
     """Everything needed to label one backtest day after the fact and to
     write its five trajectory rows. `exchanges` holds the day's five
     `agents.AgentExchange`s in `AGENT_NAMES` order; `label_day` fills in
-    the labels."""
+    the labels and the day return the agents reflect on."""
 
     date: Date
     symbol: str
@@ -269,17 +269,21 @@ class DayState:
     style: TradingStyle
     forecast_label: ForecastLabel | None = None
     decision_label: DecisionLabel | None = None
+    day_return: float | None = None  # next-close return of the post-trade account
 
 
 def label_day(
     state: DayState,
+    account: AccountState,
     series: PriceSeries,
     next_at: Date,
     commission_rate: float,
     band_cfg: BandConfig = BandConfig(),
     reward_cfg: RewardConfig = RewardConfig(),
 ) -> DayState:
-    """The day with its forecast and decision labels."""
+    """The day with its forecast and decision labels and the day return of
+    `account`, its post-trade account."""
+    next_close = series.close_at(next_at)
     return replace(
         state,
         forecast_label=make_forecast_label(
@@ -287,6 +291,7 @@ def label_day(
         decision_label=make_decision_label(
             series, state.date, next_at, state.account_before, state.style,
             state.taken, commission_rate, reward_cfg),
+        day_return=(account.cash + account.shares * next_close) / account.equity - 1.0,
     )
 
 

@@ -100,6 +100,8 @@ class RetrievalConfig:
         ):
             if k < 1:
                 raise ValueError(f"{name} must be >= 1")
+        if self.stride_sentences > self.window_sentences:  # the gap would be in no chunk
+            raise ValueError("stride_sentences must be <= window_sentences")
         if not 0.0 < self.dedup_cosine <= 1.0:
             raise ValueError("dedup_cosine must be in (0, 1]")
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import string
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from datetime import date, timedelta
@@ -17,7 +18,6 @@ from agentdesk.agents import (
     FilingRanks,
     FinanceSummary,
     Forecast,
-    LabeledDay,
     REFLECTION_WINDOW,
     ReflectionWindow,
     SentimentReport,
@@ -33,7 +33,7 @@ from agentdesk.agents import (
 )
 from agentdesk.backtest import PROVIDER_WORKERS, run_backtest
 from agentdesk.config import BacktestConfig, FeatureFlags, load_config
-from agentdesk.datasynth import DecisionLabel, ForecastLabel
+from agentdesk.datasynth import DayState, DecisionLabel, ForecastLabel
 from agentdesk.errors import ParseError, ProviderError
 from agentdesk.gate import PATH_HARD_INTERCEPT, PATH_SOFT_UP, TrendLabel, TrendProbabilities
 from agentdesk.marketdata import IndicatorSnapshot
@@ -416,7 +416,8 @@ class TestStyleAgent:
         forecast = Forecast(TrendProbabilities(0.7, 0.1, 0.2),
                             TrendLabel("up", PATH_SOFT_UP, "r"), "r")
         return run_style_agent(
-            DAY, make_desk(chat, **cfg), account, prev, [labeled_day(DAY, 0.01)], forecast,
+            DAY, make_desk(chat, **cfg), account, prev, ReflectionWindow([labeled_day(DAY, 0.01)]),
+            forecast,
             SentimentReport(0.25, "none", 0), FinanceSummary((), "x" * 130), None,
         )
 
@@ -507,21 +508,33 @@ class TestDecisionAgent:
         assert "current-state injection disabled" not in exchange.input_text
 
 
+def _labeled(day, forecast, decision, day_return, style=TradingStyle.BALANCED):
+    """A labeled day with what the reflection reads: the date, the gated
+    forecast, the style, both labels and the day return."""
+    return DayState(
+        date=day, symbol="TEST", exchanges=(), gated=TrendLabel("up", PATH_SOFT_UP, "r"),
+        probs=TrendProbabilities(0.6, 0.2, 0.2), taken=decision.taken,
+        account_before=AccountState.initial(1000.0), style=style,
+        forecast_label=forecast, decision_label=decision, day_return=day_return,
+    )
+
+
 def labeled_day(day, score=0.0, *, taken="buy", r_bm=0.0, pct=0.0,
                 style=TradingStyle.BALANCED):
     """A labeled day that every audience scores `score`: it is the forecast's
     w_hit, the taken action's reward and the day return."""
-    return LabeledDay(
-        date=day,
-        gated=TrendLabel("up", PATH_SOFT_UP, "r"),
-        style=style,
-        forecast=ForecastLabel(epsilon=0.01, pct=pct, sign_ok=1, p_true=0.5, w_hit=score),
-        decision=DecisionLabel(
-            r_eq={taken: score}, r_bm=r_bm, c={taken: 0.0}, reward={taken: score},
-            taken=taken, taken_reward=score,
-        ),
-        day_return=score,
+    return _labeled(
+        day,
+        ForecastLabel(epsilon=0.01, pct=pct, sign_ok=1, p_true=0.5, w_hit=score),
+        DecisionLabel(r_eq={taken: score}, r_bm=r_bm, c={taken: 0.0}, reward={taken: score},
+                      taken=taken, taken_reward=score),
+        score, style,
     )
+
+
+def _style_line(day):
+    """The day's line in the style prompt's recent days."""
+    return f"- {day.date} {day.style.value}: {day.day_return:+.4%}"
 
 
 def _highlights(text: str) -> list[str]:
@@ -583,18 +596,16 @@ class TestBuildReflection:
         ]
 
     def test_each_audience_reads_its_own_score_and_pattern(self):
-        day = LabeledDay(
-            date=date(2022, 1, 3),
-            gated=TrendLabel("up", PATH_SOFT_UP, "r"),
-            style=TradingStyle.CONSERVATIVE,
-            forecast=ForecastLabel(epsilon=0.008, pct=0.0125, sign_ok=1, p_true=0.6, w_hit=0.5),
-            decision=DecisionLabel(
+        day = _labeled(
+            date(2022, 1, 3),
+            ForecastLabel(epsilon=0.008, pct=0.0125, sign_ok=1, p_true=0.6, w_hit=0.5),
+            DecisionLabel(
                 r_eq={"buy": 0.0125, "hold": 0.0, "sell": 0.0}, r_bm=0.0125,
                 c={"buy": 0.0, "hold": 0.0, "sell": 0.0},
                 reward={"buy": 0.0123, "hold": -0.0025, "sell": -0.0025},
                 taken="buy", taken_reward=0.0123,
             ),
-            day_return=-0.004,
+            -0.004, TradingStyle.CONSERVATIVE,
         )
         assert [_highlights(build_reflection(ReflectionWindow([day]), audience)) for audience in
                 ("forecasting", "decision", "style")] == [
@@ -630,8 +641,9 @@ class TestBuildReflection:
 
 def _sorted_digest(days, audience):
     """The oracle: the digest by its sort-based definition over the last
-    REFLECTION_WINDOW days, as it was computed before the window kept rankings."""
-    score = agents._AUDIENCES[audience][0]
+    REFLECTION_WINDOW days, as it was computed before the window kept rankings,
+    each highlight line formatted here from the audience's score and pattern."""
+    score, pattern = agents._AUDIENCES[audience]
     days = list(days)[-REFLECTION_WINDOW:]
     if not days:
         return f"No prior experience is available for {audience}."
@@ -643,10 +655,10 @@ def _sorted_digest(days, audience):
              f"{len(wins)} wins, {len(losses)} losses."]
     if top_wins:
         lines.append("Wins worth repeating:")
-        lines.extend(d.highlights[audience] for d in top_wins)
+        lines.extend(f"- {d.date} (score {score(d):+.4f}): {pattern(d)}" for d in top_wins)
     if top_losses:
         lines.append("Losses to avoid:")
-        lines.extend(d.highlights[audience] for d in top_losses)
+        lines.extend(f"- {d.date} (score {score(d):+.4f}): {pattern(d)}" for d in top_losses)
     lines.append("Favor set-ups resembling the wins and avoid those resembling the losses.")
     return "\n".join(lines)
 
@@ -663,29 +675,41 @@ class TestReflectionWindow:
         for i in range(80):
             day += timedelta(days=rng.choice((0, 1, 1, 1, 3)))
             taken = rng.choice(("buy", "hold", "sell"))
-            labeled = LabeledDay(
-                date=day,
-                gated=TrendLabel("up", PATH_SOFT_UP, "r"),
-                style=rng.choice(list(TradingStyle)),
-                forecast=ForecastLabel(epsilon=0.01, pct=0.001 * i, sign_ok=1, p_true=0.5,
-                                       w_hit=rng.choice(pool)),
-                decision=DecisionLabel(
+            style = rng.choice(list(TradingStyle))
+            labeled = _labeled(
+                day,
+                ForecastLabel(epsilon=0.01, pct=0.001 * i, sign_ok=1, p_true=0.5,
+                              w_hit=rng.choice(pool)),
+                DecisionLabel(
                     r_eq={taken: 0.0}, r_bm=0.001 * i, c={taken: 0.0}, reward={taken: 0.0},
                     taken=taken, taken_reward=rng.choice(pool),
                 ),
-                day_return=rng.choice(pool),
+                rng.choice(pool), style,
             )
             window.append(labeled)
             stream.append(labeled)
-            assert list(window) == stream[-REFLECTION_WINDOW:]
+            assert list(window) == [_style_line(d) for d in stream[-REFLECTION_WINDOW:]]
             assert len(window) == min(i + 1, REFLECTION_WINDOW)
             for audience in ("forecasting", "decision", "style"):
                 assert build_reflection(window, audience) == _sorted_digest(stream, audience)
 
     def test_a_window_built_from_days_keeps_the_last_of_them(self):
         history = [labeled_day(date(2022, 1, 1 + i), 0.01 * (i % 3)) for i in range(25)]
-        assert list(ReflectionWindow(history)) == history[-REFLECTION_WINDOW:]
+        assert list(ReflectionWindow(history)) == [
+            _style_line(d) for d in history[-REFLECTION_WINDOW:]]
         assert list(ReflectionWindow()) == [] and not ReflectionWindow()
+
+    def test_the_window_keeps_no_day(self):
+        """A day's lines are formatted as it arrives, so the labeled day
+        (and its five prompt texts) is freed once its caller drops it."""
+        day = labeled_day(date(2022, 1, 3), 0.01)
+        alive, window = weakref.ref(day), ReflectionWindow()
+        window.append(day)
+        del day
+        assert alive() is None
+        assert list(window) == ["- 2022-01-03 balanced: +1.0000%"]
+        assert _highlights(build_reflection(window, "decision")) == [
+            "- 2022-01-03 (score +0.0100): action buy, reward +0.01000, benchmark +0.0000%"]
 
 
 UNIFORM = TrendProbabilities(1 / 3, 1 / 3, 1 / 3)

@@ -419,9 +419,11 @@ class TestBoundedRunState:
                 step(state, run, day, *backtest._upstream_agents(run, day))
         # 29 days are labeled; only the last REFLECTION_WINDOW of them are kept
         assert len(state.history) == REFLECTION_WINDOW == 20
-        assert [d.date for d in state.history] == days[-21:-1]
         assert [(d.date, len(d.exchanges)) for d in appended] == [(d, 5) for d in days[:-1]]
         assert all(d.forecast_label and d.decision_label for d in appended)
+        assert list(state.history) == [
+            f"- {d.date} {d.style.value}: {d.day_return:+.4%}" for d in appended[-REFLECTION_WINDOW:]
+        ]
 
 
 class TestBoundedMemory:

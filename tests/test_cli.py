@@ -147,6 +147,8 @@ class TestRunCommand:
         pytest.param(f"risk: {{multipliers: {{balanced: [1.0, {10**400}]}}}}",
                      id="risk.multipliers-int-too-large-for-a-float"),
         pytest.param(f"seed: {10**400}", id="seed-int-too-large-for-a-float"),
+        pytest.param("retrieval: {window_sentences: 1, stride_sentences: 7}",
+                     id="retrieval-stride-past-the-window"),
     ])
     def test_bad_config_value_exits_two(self, tmp_path, capsys, body):
         env = build_env(tmp_path, rising_closes(45))

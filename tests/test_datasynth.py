@@ -405,17 +405,32 @@ class TestLabelDay:
     def test_sideways_on_constant_prices(self, tmp_path):
         series = make_series([100.0] * 25)
         state = _day_state(series)
-        labeled = label_day(state, series, series.dates[22], 0.0)
+        labeled = label_day(state, state.account_before, series, series.dates[22], 0.0)
         flabel, dlabel = labeled.forecast_label, labeled.decision_label
         assert flabel.sign_ok == 1
         assert flabel.w_hit == 0.0  # zero move, tanh(0)
         assert dlabel.reward["hold"] == 0.0
-        assert labeled == replace(state, forecast_label=flabel, decision_label=dlabel)
+        assert labeled == replace(state, forecast_label=flabel, decision_label=dlabel,
+                                  day_return=0.0)
         by_agent = {r.agent_name: r for r in load_trajectories(_written(tmp_path / "t.jsonl", labeled))}
         assert by_agent["forecast"].forecast_label == flabel
         assert by_agent["decision"].decision_label == dlabel
         assert by_agent["news"].forecast_label is None
         assert by_agent["news"].decision_label is None
+
+    @pytest.mark.parametrize("taken", ["buy", "hold"])
+    def test_day_return_is_the_post_trade_accounts_next_close_return(self, taken):
+        series = make_series([100.0 + i for i in range(25)])
+        at, next_at = series.dates[21], series.dates[22]
+        before = AccountState(cash=400.0, shares=5.0, avg_entry=100.0, equity=400.0 + 5 * 121.0)
+        after, trade = apply_action(before, TradeAction(taken, TradingStyle.BALANCED),
+                                    series.close_at(at), 0.001, at)
+        assert trade.kind == taken
+        labeled = label_day(_day_state(series, taken=taken, account_before=before), after,
+                            series, next_at, 0.001)
+        assert labeled.day_return == (
+            (after.cash + after.shares * series.close_at(next_at)) / after.equity - 1.0)
+        assert labeled.day_return > 0.0  # the position gains on a rising close
 
     def test_records_unlabeled_in_agent_order_with_one_snapshot(self, tmp_path):
         series = make_series([100.0] * 25)
@@ -496,7 +511,7 @@ class TestDayLines:
         )
         account = AccountState(cash=400.0, shares=6.0, avg_entry=100.0, equity=1000.0)
         state = _day_state(series, exchanges=exchanges, account_before=account)
-        labeled = label_day(state, series, series.dates[22], 0.001)
+        labeled = label_day(state, account, series, series.dates[22], 0.001)
         last = _day_state(series, date=series.dates[22])  # a run's last day, unlabeled
         path = _written(tmp_path / "trajectories.jsonl", labeled, last)
         lines = path.read_text(encoding="utf-8").splitlines(keepends=True)

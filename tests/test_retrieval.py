@@ -172,20 +172,21 @@ class TestChunking:
         with pytest.raises(DataError):
             chunk_report("   ")
 
-    @given(st.integers(min_value=1, max_value=40))
+    @given(st.integers(min_value=1, max_value=40), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_coverage_and_count(self, n):
-        cfg = RetrievalConfig()
+    def test_coverage_and_count(self, n, data):
+        window = data.draw(st.integers(min_value=1, max_value=8), label="window")
+        stride = data.draw(st.integers(min_value=1, max_value=window), label="stride")
+        cfg = RetrievalConfig(window_sentences=window, stride_sentences=stride)
         chunks = chunk_report(self._doc(n), cfg)
         covered = set()
         for c in chunks:
             covered.update(split_sentences(c.text))
         assert covered == set(self._sentences(n))
+        assert all(c.text for c in chunks)
         assert [c.ordinal for c in chunks] == list(range(len(chunks)))
-        if n > cfg.window_sentences:
-            import math
-            expected = 1 + math.ceil((n - cfg.window_sentences) / cfg.stride_sentences)
-            assert len(chunks) == expected
+        if n > window:
+            assert len(chunks) == 1 + math.ceil((n - window) / stride)
         else:
             assert len(chunks) == 1
 
