@@ -18,6 +18,7 @@ from datetime import date as Date
 from pathlib import Path
 from typing import Callable, Sequence
 
+from .errors import DataError
 from .gate import LABELS, TrendLabel, TrendProbabilities
 from .jsonl import as_date, as_number, as_str, encode, read_jsonl, write_jsonl
 from .marketdata import PriceSeries, trailing_log_returns
@@ -190,64 +191,6 @@ def action_reward(
     return r_eq - cfg.beta * r_bm - cfg.gamma * c_a
 
 
-def make_forecast_label(
-    series: PriceSeries,
-    at: Date,
-    next_at: Date,
-    gated: TrendLabel,
-    probs: TrendProbabilities,
-    band_cfg: BandConfig = BandConfig(),
-) -> ForecastLabel:
-    """Label one day's forecast once the next close is known.
-
-    p_true is the probability `probs` assigned to the realized label.
-    """
-    epsilon = epsilon_band(series, at, band_cfg)
-    pct = realized_pct(series.close_at(at), series.close_at(next_at))
-    sign_ok = label_direction(gated, pct, epsilon)
-    p_true = probs.prob_of(realized_label(pct, epsilon))
-    return ForecastLabel(
-        epsilon=epsilon,
-        pct=pct,
-        sign_ok=sign_ok,
-        p_true=p_true,
-        w_hit=weighted_hit(sign_ok, pct, epsilon, p_true),
-    )
-
-
-def make_decision_label(
-    series: PriceSeries,
-    at: Date,
-    next_at: Date,
-    account_before: AccountState,
-    style: TradingStyle,
-    taken: str,
-    commission_rate: float,
-    reward_cfg: RewardConfig = RewardConfig(),
-) -> DecisionLabel:
-    """Label one day's decision against its two counterfactual siblings.
-
-    `taken` is the action the decision agent chose; a risk override may
-    have executed something else, but the label scores the agent.
-    """
-    price_exec = series.close_at(at)
-    price_next = series.close_at(next_at)
-    e_prev = account_before.cash + account_before.shares * price_exec
-    r_bm = realized_pct(price_exec, price_next)
-    equity, commission = counterfactual_equities(
-        account_before, style, price_exec, price_next, commission_rate)
-    r_eq = {k: (equity[k] - e_prev) / e_prev for k in ACTION_KINDS}
-    c = {k: commission[k] / e_prev for k in ACTION_KINDS}
-    reward = {
-        k: action_reward(e_prev, equity[k], r_bm, commission[k], reward_cfg)
-        for k in ACTION_KINDS
-    }
-    return DecisionLabel(
-        r_eq=r_eq, r_bm=r_bm, c=c, reward=reward,
-        taken=taken, taken_reward=reward[taken],
-    )
-
-
 # ---------------------------------------------------------------------------
 # Day-level composition
 # ---------------------------------------------------------------------------
@@ -282,15 +225,37 @@ def label_day(
     reward_cfg: RewardConfig = RewardConfig(),
 ) -> DayState:
     """The day with its forecast and decision labels and the day return of
-    `account`, its post-trade account."""
-    next_close = series.close_at(next_at)
+    `account`, its post-trade account. The two closes are read once; their
+    move is both the forecast's `pct` and the decision's `r_bm`. p_true is
+    the probability `state.probs` gave the realized label. The decision label
+    scores `state.taken`, the agent's choice (a risk override may have
+    executed something else), against its siblings filled from
+    `state.account_before`. An equity it divides by that is not above 0
+    (a position whose value underflowed) is a DataError naming the day."""
+    at, before = state.date, state.account_before
+    close, next_close = series.close_at(at), series.close_at(next_at)
+    e_prev = before.cash + before.shares * close
+    if not (e_prev > 0.0 and account.equity > 0.0):
+        raise DataError(f"equity on {at} is not positive: {e_prev!r} before the trade, "
+                        f"{account.equity!r} after")
+    epsilon = epsilon_band(series, at, band_cfg)
+    pct = realized_pct(close, next_close)
+    sign_ok = label_direction(state.gated, pct, epsilon)
+    p_true = state.probs.prob_of(realized_label(pct, epsilon))
+    equity, commission = counterfactual_equities(
+        before, state.style, close, next_close, commission_rate)
+    reward = {k: action_reward(e_prev, equity[k], pct, commission[k], reward_cfg)
+              for k in ACTION_KINDS}
     return replace(
         state,
-        forecast_label=make_forecast_label(
-            series, state.date, next_at, state.gated, state.probs, band_cfg),
-        decision_label=make_decision_label(
-            series, state.date, next_at, state.account_before, state.style,
-            state.taken, commission_rate, reward_cfg),
+        forecast_label=ForecastLabel(
+            epsilon=epsilon, pct=pct, sign_ok=sign_ok, p_true=p_true,
+            w_hit=weighted_hit(sign_ok, pct, epsilon, p_true)),
+        decision_label=DecisionLabel(
+            r_eq={k: (equity[k] - e_prev) / e_prev for k in ACTION_KINDS},
+            r_bm=pct,
+            c={k: commission[k] / e_prev for k in ACTION_KINDS},
+            reward=reward, taken=state.taken, taken_reward=reward[state.taken]),
         day_return=(account.cash + account.shares * next_close) / account.equity - 1.0,
     )
 

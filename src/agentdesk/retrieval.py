@@ -21,7 +21,7 @@ from datetime import date as Date
 from pathlib import Path
 from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
 
-from .errors import DataError
+from .errors import DataError, ProviderError
 from .jsonl import as_date, as_number, as_str, read_document, read_jsonl, read_text
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
@@ -201,7 +201,11 @@ def _norm(v: Sequence[float]) -> float:
 
 def _normed_cosine(a: Sequence[float], na: float, b: Sequence[float], nb: float) -> float:
     """Cosine of `a` and `b` given their norms. fsum rounds the exact sum of
-    the products once, so the dot is the same float in any order."""
+    the products once, so the dot is the same float in any order. Vectors of
+    different lengths are a ProviderError: the products would stop at the
+    shorter one."""
+    if len(a) != len(b):
+        raise ProviderError(f"dense vectors of lengths {len(a)} and {len(b)} cannot be compared")
     if na == 0.0 or nb == 0.0:
         return 0.0
     return math.fsum(map(operator.mul, a, b)) / (na * nb)

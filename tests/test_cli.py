@@ -14,6 +14,7 @@ import yaml
 from agentdesk import backtest
 from agentdesk.cli import EXIT_PROVIDER, main
 from agentdesk.datasynth import load_trajectories
+from agentdesk.providers import StubEmbeddingProvider
 
 from conftest import build_env, business_days, news_heavy_env, rising_closes
 
@@ -183,6 +184,31 @@ class TestRunCommand:
         code = main(run_args(env) + ["--news", str(env.news)])
         assert code == EXIT_PROVIDER
         assert "sum of squares is not a finite number" in capsys.readouterr().err
+
+    def test_dense_answers_of_different_lengths_exit_three(self, tmp_path, capsys, monkeypatch):
+        # The second item's vector would be compared to the first one's on its prefix.
+        class Ragged(StubEmbeddingProvider):
+            def dense(self, text):
+                return [1.0] if text.startswith("Guidance") else [1.0, 0.0, 0.0]
+
+        monkeypatch.setattr(backtest, "make_embedding_provider", lambda _spec, **k: Ragged())
+        news = [{"date": "2022-02-02", "title": "Earnings beat", "body": "revenue up"},
+                {"date": "2022-02-02", "title": "Guidance cut", "body": "costs up"}]
+        env = build_env(tmp_path, rising_closes(45), news=news)
+        code = main(run_args(env) + ["--news", str(env.news)])
+        err = capsys.readouterr().err
+        assert code == EXIT_PROVIDER, err
+        assert err.startswith("provider error:") and "dense vectors of lengths" in err, err
+
+    def test_an_equity_that_underflows_to_zero_exits_two_naming_the_day(self, tmp_path, capsys):
+        # The buy leaves about 1e-317 shares, worth 0.0 once the close falls to 1e-12.
+        env = build_env(tmp_path, [0.001] * 30 + [1e-12] * 10,
+                        config={"initial_cash": 1e-320, "provider": "stub:always-up"})
+        code = main(run_args(env))
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith("data error:") and f"equity on {env.days[30]}" in err, err
+        assert "Traceback" not in err
 
     def test_help_exits_zero(self, capsys):
         assert main(["--help"]) == 0

@@ -9,11 +9,15 @@ run's equity, trades or metrics file for `replay` (and `metrics`), or of
 its trajectories for `export-sft`. The inputs have the news-heavy
 benchmark's shape, 70 bars long. Every case must exit 0, 2 or 3 without
 raising, and a `run` or `export-sft` that exits 0 must have written only
-finite numbers. A change of a file's type is its own class: each artifact
-of the finished run replaced by a directory, under every command that
-reads or replaces it, must exit 2 with a data error that names it.
+finite numbers. Two kinds of case are classes of their own. In an `http`
+case every provider is `http`, answered by a local server with one body
+for every request, one value of it changed, over the inputs' last
+`HTTP_DAYS` days. And each artifact of the finished run replaced by a
+directory, under every command that reads or replaces it, must exit 2
+with a data error that names it.
 
-Tier-1 runs `CASES` cases of seed 1. More seeds and cases:
+Tier-1 runs `CASES` cases and `HTTP_CASES` http cases of seed 1. More
+seeds and cases (a tenth of them http cases):
 
     PYTHONPATH=src:tests python tests/test_cli_mutations.py SEED CASES
 """
@@ -31,6 +35,8 @@ import re
 import shutil
 import sys
 import tempfile
+import threading
+from http.server import HTTPServer
 from pathlib import Path
 
 import pytest
@@ -40,9 +46,10 @@ from agentdesk.cli import main
 from agentdesk.config import config_to_dict, load_config
 from agentdesk.retrieval import load_keywords
 
-from conftest import news_heavy_env
+from conftest import _Handler, news_heavy_env
 
 CASES = 250
+HTTP_CASES = 20
 
 # What replaces a JSON or YAML value, and a price CSV cell. A number is
 # also scaled or negated in place.
@@ -70,6 +77,21 @@ SCRIPT = {
     "style:*": {"style": "aggressive", "confidence": 0.7, "rationale": "scripted"},
     "decision:*": {"action": "buy", "rationale": "scripted"},
 }
+
+
+# The one body the server of an http case answers every request with: a
+# chat reply each agent accepts (sent as JSON text), a dense vector, sparse
+# weights and a relevance. A case changes one value of it.
+CANNED = {
+    "content": {"sentiment": 0.4, "summary": "canned", "style": "aggressive", "action": "buy",
+                "indicators": [{"name": "revenue", "value_text": "up", "citation_chunk": 1}],
+                "up": 0.5, "down": 0.2, "sideways": 0.3, "confidence": 0.6, "rationale": "canned"},
+    "vector": [1.0, 0.0, 0.5],
+    "weights": {"revenue": 1.0, "growth": 0.5},
+    "relevance": 0.7,
+}
+HTTP_DAYS = 4  # an http case runs this many of the inputs' last days
+ENDPOINT = "/v1"
 
 
 def _positions(node, at=()):
@@ -155,6 +177,15 @@ def _change_filing(rng: random.Random, text: str) -> str:
     `surrogateescape`)."""
     flat = re.sub(r"[.!?]", "", text)
     return rng.choice(("", " \n\t \n", flat, ", ".join([flat] * 20) + ".", text + "\udcff"))
+
+
+def _canned_body(rng: random.Random):
+    """CANNED with one value changed; its chat reply goes as JSON text while
+    it is still an object or a list."""
+    body = _change_value(rng, json.loads(json.dumps(CANNED)))
+    if isinstance(body, dict) and isinstance(body.get("content"), (dict, list)):
+        body["content"] = json.dumps(body["content"])
+    return body
 
 
 def _change_yaml(rng: random.Random, text: str) -> str:
@@ -266,6 +297,60 @@ def test_one_changed_value_never_breaks_the_exit_code_contract(tmp_path):
     assert broken_cases(tmp_path, seed=1, cases=CASES) == []
 
 
+@contextlib.contextmanager
+def canned_server():
+    """A local server answering each path from its handler's `responses`;
+    yields (URL, handler). The handler subclasses conftest's `_Handler`, so
+    its class state is this server's alone."""
+    handler = type("Canned", (_Handler,), {"responses": {}, "requests_seen": []})
+    server = HTTPServer(("127.0.0.1", 0), handler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_port}", handler
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=5)
+
+
+def broken_http_cases(root: Path, seed: int, cases: int) -> list[str]:
+    """The http cases of `seed` that break the contract: the body each
+    answered with and what went wrong."""
+    env, _ = news_heavy_env(root, bars=70, filing_every=30)
+    rng, broken = random.Random(seed), []
+    with canned_server() as (url, handler):
+        cfg = yaml.safe_load(env.config_path.read_text(encoding="utf-8"))
+        cfg.update(dict.fromkeys(("provider", "embedding_provider", "reranker_provider"), "http"),
+                   provider_endpoint=url + ENDPOINT, provider_model="model",
+                   start=env.days[-HTTP_DAYS].isoformat())
+        env.config_path.write_text(yaml.safe_dump(cfg, sort_keys=False), encoding="utf-8")
+        for n in range(cases):
+            body = _canned_body(rng)
+            handler.responses[ENDPOINT] = (200, body)
+            handler.requests_seen.clear()
+            where = f"http case {n} (body {json.dumps(body)[:300]})"
+            try:
+                code = _exit(_args("run", root))
+                if code not in (0, 2, 3):
+                    broken.append(f"{where}: exit {code}")
+                elif code == 0 and not _written_numbers_finite(root / "out"):
+                    broken.append(f"{where}: a non-finite number was written")
+            except Exception as exc:  # the contract's breach, reported with its case
+                broken.append(f"{where}: {type(exc).__name__}: {exc}")
+            shutil.rmtree(root / "out", ignore_errors=True)
+    return broken
+
+
+class TestHttpAnswerChanged:
+    """Every provider `http`, answered by a local server with one value of
+    the canned body changed: each run exits 0, 2 or 3 without raising, and
+    one that exits 0 writes only finite numbers."""
+
+    def test_one_changed_value_never_breaks_the_exit_code_contract(self, tmp_path):
+        assert broken_http_cases(tmp_path, seed=1, cases=HTTP_CASES) == []
+
+
 # The commands that read each artifact of a finished run; a rerun replaces
 # every one of them.
 READERS = {
@@ -308,5 +393,7 @@ if __name__ == "__main__":
     seed, cases = map(int, sys.argv[1:])
     with tempfile.TemporaryDirectory() as tmp:
         found = broken_cases(Path(tmp), seed, cases)
-    print("\n".join(found) or f"seed {seed}: {cases} cases, none broke the exit-code contract")
+        found += broken_http_cases(Path(tmp) / "http", seed, cases // 10)
+    print("\n".join(found) or f"seed {seed}: {cases} cases and {cases // 10} http cases, "
+          "none broke the exit-code contract")
     sys.exit(1 if found else 0)

@@ -19,6 +19,7 @@ from agentdesk.datasynth import (
     AccountSnapshot,
     BandConfig,
     DayState,
+    DecisionLabel,
     ForecastLabel,
     RewardConfig,
     TrajectoryRecord,
@@ -32,8 +33,6 @@ from agentdesk.datasynth import (
     label_day,
     label_direction,
     load_trajectories,
-    make_decision_label,
-    make_forecast_label,
     prompt_digest,
     realized_label,
     realized_pct,
@@ -269,18 +268,23 @@ class TestActionReward:
 
 
 class TestFixtureLabels:
-    """Frozen hand-computed values on the shared 25-close fixture."""
+    """Frozen hand-computed values on the shared 25-close fixture, labeled by `label_day`."""
 
-    def _series(self):
-        return make_series(FIXTURE_CLOSES)
+    def _forecast(self, at: int, label: str, rule: str) -> ForecastLabel:
+        series = make_series(FIXTURE_CLOSES)
+        state = _day_state(series, date=series.dates[at], gated=TrendLabel(label, rule, "r"),
+                           probs=TrendProbabilities(0.2, 0.5, 0.3))
+        return label_day(state, state.account_before, series, series.dates[at + 1],
+                         0.001).forecast_label
+
+    def _decision(self, account, style, taken, rate, reward_cfg=RewardConfig()) -> DecisionLabel:
+        series = make_series(FIXTURE_CLOSES)
+        state = _day_state(series, account_before=account, style=style, taken=taken)
+        return label_day(state, account, series, series.dates[22], rate,
+                         reward_cfg=reward_cfg).decision_label
 
     def test_forecast_label_down_prediction_misses(self):
-        series = self._series()
-        probs = TrendProbabilities(0.2, 0.5, 0.3)
-        label = make_forecast_label(
-            series, series.dates[21], series.dates[22],
-            TrendLabel("down", "soft_pass_down", "r"), probs,
-        )
+        label = self._forecast(21, "down", "soft_pass_down")
         assert label.epsilon == pytest.approx(0.01928069343543686, rel=1e-12)
         assert label.pct == pytest.approx(-0.01754385964912286, rel=1e-12)
         assert label.sign_ok == 0
@@ -288,34 +292,19 @@ class TestFixtureLabels:
         assert label.w_hit == 0.0
 
     def test_forecast_label_correct_sideways(self):
-        series = self._series()
-        probs = TrendProbabilities(0.2, 0.5, 0.3)
-        label = make_forecast_label(
-            series, series.dates[21], series.dates[22],
-            TrendLabel("sideways", "default_sideways", "r"), probs,
-        )
+        label = self._forecast(21, "sideways", "default_sideways")
         assert label.sign_ok == 1
         assert label.w_hit == pytest.approx(0.2163279403044821, rel=1e-12)
 
     def test_forecast_label_correct_up(self):
-        series = self._series()
-        probs = TrendProbabilities(0.2, 0.5, 0.3)
-        label = make_forecast_label(
-            series, series.dates[22], series.dates[23],
-            TrendLabel("up", "soft_pass_up", "r"), probs,
-        )
+        label = self._forecast(22, "up", "soft_pass_up")
         assert label.pct == pytest.approx(0.03571428571428581, rel=1e-12)
         assert label.sign_ok == 1
         assert label.p_true == pytest.approx(0.2)
         assert label.w_hit == pytest.approx(0.19059939031574322, rel=1e-12)
 
     def test_decision_label_all_cash_balanced(self):
-        series = self._series()
-        account = AccountState.initial(10_000.0)
-        label = make_decision_label(
-            series, series.dates[21], series.dates[22], account,
-            TradingStyle.BALANCED, "buy", commission_rate=0.001,
-        )
+        label = self._decision(AccountState.initial(10_000.0), TradingStyle.BALANCED, "buy", 0.001)
         assert label.r_bm == pytest.approx(-0.01754385964912286, rel=1e-12)
         assert label.reward["buy"] == pytest.approx(-0.016015563383984452, rel=1e-11)
         assert label.reward["hold"] == pytest.approx(0.0035087719298245723, rel=1e-11)
@@ -325,23 +314,15 @@ class TestFixtureLabels:
         assert label.taken_reward == label.reward["buy"]
 
     def test_decision_label_with_position_aggressive(self):
-        series = self._series()
         account = AccountState(cash=0.0, shares=100.0, avg_entry=100.0, equity=11_400.0)
-        label = make_decision_label(
-            series, series.dates[21], series.dates[22], account,
-            TradingStyle.AGGRESSIVE, "sell", commission_rate=0.001,
-        )
+        label = self._decision(account, TradingStyle.AGGRESSIVE, "sell", 0.001)
         assert label.reward["sell"] == pytest.approx(-0.006263157894736896, rel=1e-11)
         assert label.reward["hold"] == pytest.approx(-0.014035087719298234, rel=1e-11)
         assert label.taken_reward == label.reward["sell"]
 
     def test_reward_identity_holds_exactly(self):
-        series = self._series()
-        account = AccountState.initial(5_000.0)
-        label = make_decision_label(
-            series, series.dates[21], series.dates[22], account,
-            TradingStyle.CONSERVATIVE, "hold", 0.0, RewardConfig(beta=0.2, gamma=1.0),
-        )
+        label = self._decision(AccountState.initial(5_000.0), TradingStyle.CONSERVATIVE, "hold",
+                               0.0, RewardConfig(beta=0.2, gamma=1.0))
         for kind in ("buy", "hold", "sell"):
             assert label.reward[kind] == pytest.approx(
                 label.r_eq[kind] - 0.2 * label.r_bm - 1.0 * label.c[kind], abs=1e-15
@@ -401,7 +382,88 @@ def _expected_records(day: DayState) -> list[TrajectoryRecord]:
     ]
 
 
+def ref_forecast_label(series, at, next_at, gated, probs, band_cfg):
+    """The forecast label as it was built alone, before `label_day` built both."""
+    epsilon = epsilon_band(series, at, band_cfg)
+    pct = realized_pct(series.close_at(at), series.close_at(next_at))
+    sign_ok = label_direction(gated, pct, epsilon)
+    p_true = probs.prob_of(realized_label(pct, epsilon))
+    return ForecastLabel(epsilon, pct, sign_ok, p_true, weighted_hit(sign_ok, pct, epsilon, p_true))
+
+
+def ref_decision_label(series, at, next_at, account_before, style, taken, rate, reward_cfg):
+    """The decision label as it was built alone, before `label_day` built both."""
+    price_exec = series.close_at(at)
+    price_next = series.close_at(next_at)
+    e_prev = account_before.cash + account_before.shares * price_exec
+    r_bm = realized_pct(price_exec, price_next)
+    equity, commission = counterfactual_equities(account_before, style, price_exec, price_next, rate)
+    r_eq = {k: (equity[k] - e_prev) / e_prev for k in ACTION_KINDS}
+    c = {k: commission[k] / e_prev for k in ACTION_KINDS}
+    reward = {k: action_reward(e_prev, equity[k], r_bm, commission[k], reward_cfg)
+              for k in ACTION_KINDS}
+    return DecisionLabel(r_eq, r_bm, c, reward, taken, reward[taken])
+
+
+@st.composite
+def unlabeled_days(draw):
+    """(series, day, next day, post-trade account, rate, band, reward config):
+    a 30-bar path, a day with 20 log returns behind it, a flat or holding
+    account traded by any action at any style."""
+    closes = [100.0]
+    for r in draw(st.lists(st.floats(-0.1, 0.1), min_size=29, max_size=29)):
+        closes.append(closes[-1] * math.exp(r))
+    series = make_series(closes)
+    i = draw(st.integers(20, 28))
+    holding = draw(st.booleans())
+    cash = draw(st.floats(0.0 if holding else 1.0, 1e6))
+    shares = draw(st.floats(0.01, 1e4)) if holding else 0.0
+    before = AccountState(cash, shares, closes[i] if holding else None, cash + shares * closes[i])
+    low, high = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2)))
+    style = draw(st.sampled_from(list(TradingStyle)))
+    rate = draw(st.floats(0.0, 0.05))
+    state = _day_state(
+        series, date=series.dates[i], account_before=before, style=style,
+        gated=TrendLabel(draw(st.sampled_from(LABELS)), "drawn", "r"),
+        probs=TrendProbabilities(low, high - low, 1.0 - high),
+        taken=draw(st.sampled_from(ACTION_KINDS)))
+    # A risk override may execute another action than the one the agent took.
+    executed = TradeAction(draw(st.sampled_from(ACTION_KINDS)), style)
+    after, _ = apply_action(before, executed, closes[i], rate, series.dates[i])
+    band = BandConfig(draw(st.floats(0.1, 3.0)), draw(st.floats(1e-4, 0.05)))
+    reward_cfg = RewardConfig(draw(st.floats(0.0, 2.0)), draw(st.floats(0.0, 2.0)))
+    return series, state, series.dates[i + 1], after, rate, band, reward_cfg
+
+
 class TestLabelDay:
+    @given(unlabeled_days())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_two_labelers_and_the_day_return(self, drawn):
+        series, state, next_at, after, rate, band, reward_cfg = drawn
+        labeled = label_day(state, after, series, next_at, rate, band, reward_cfg)
+        next_close = series.close_at(next_at)
+        assert labeled == replace(
+            state,
+            forecast_label=ref_forecast_label(series, state.date, next_at, state.gated,
+                                              state.probs, band),
+            decision_label=ref_decision_label(series, state.date, next_at, state.account_before,
+                                              state.style, state.taken, rate, reward_cfg),
+            day_return=(after.cash + after.shares * next_close) / after.equity - 1.0,
+        )
+        label = labeled.decision_label
+        assert [list(label.r_eq), list(label.c), list(label.reward)] == [list(ACTION_KINDS)] * 3
+
+    @pytest.mark.parametrize("held, after_held", [(5e-324, 1.0), (1.0, 5e-324)],
+                             ids=["before-the-trade", "after-the-trade"])
+    def test_an_equity_that_is_not_positive_is_a_data_error_naming_the_day(self, held, after_held):
+        # 5e-324 shares are worth 0.0 at a close of 0.1.
+        series = make_series([0.1] * 25)
+        before = AccountState(0.0, held, 1.0, 0.0 if held < 1.0 else 0.1)
+        after = AccountState(0.0, after_held, 1.0, 0.0 if after_held < 1.0 else 0.1)
+        state = _day_state(series, account_before=before)
+        with pytest.raises(DataError, match=f"equity on {series.dates[21]} is not positive"):
+            label_day(state, after, series, series.dates[22], 0.0)
+
     def test_sideways_on_constant_prices(self, tmp_path):
         series = make_series([100.0] * 25)
         state = _day_state(series)

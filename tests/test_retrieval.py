@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from agentdesk.errors import DataError
+from agentdesk.errors import DataError, ProviderError
 from agentdesk.providers import StubEmbeddingProvider, StubRerankerProvider, memoized
 from agentdesk.retrieval import (
     Chunk,
@@ -129,6 +129,15 @@ class TestDedupe:
         assert a.text == b.text
         kept = dedupe(self._scored([a, b, a]), None, exact_only=True)
         assert [k.item for k in kept] == [a, b]
+
+    @pytest.mark.parametrize("first, second", [([1.0, 0.0, 0.0], [1.0]), ([0.0, 0.0], [1.0])],
+                             ids=["prefix-equal", "zero-norm"])
+    def test_dense_vectors_of_different_lengths_raise(self, first, second):
+        # Compared on the shorter one's prefix, the second item read as a duplicate.
+        a, b = item("apple"), item("banana")
+        provider = memoized(PresetProvider({a.text: first, b.text: second}, {}))
+        with pytest.raises(ProviderError, match="dense vectors of lengths"):
+            dedupe(self._scored([a, b]), provider)
 
     def test_idempotent(self, rng):
         provider = StubEmbeddingProvider()
@@ -422,6 +431,13 @@ class TestRetrieveTopk:
     def test_empty_chunks_rejected(self):
         with pytest.raises(DataError):
             retrieve_topk("q", [], memoized(StubEmbeddingProvider()))
+
+    def test_dense_vectors_of_different_lengths_raise(self):
+        chunks = self._chunks(["first", "second"])
+        dense = {"q": [1.0, 0.0], "first": [1.0, 0.0], "second": [1.0]}
+        provider = memoized(PresetProvider(dense, dict.fromkeys(dense, {})))
+        with pytest.raises(ProviderError, match="dense vectors of lengths 2 and 1"):
+            retrieve_topk("q", chunks, provider)
 
 
 class TestRerank:
