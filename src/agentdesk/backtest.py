@@ -22,7 +22,7 @@ from datetime import date as Date
 from functools import cached_property, partial
 from itertools import zip_longest
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 import yaml
 
@@ -41,10 +41,10 @@ from .agents import (
     run_style_agent,
 )
 from . import datasynth, providers
-from .config import BacktestConfig, config_to_dict
+from .config import BacktestConfig
 from .datasynth import DayState, TrajectoryRecord, label_day
 from .errors import DataError
-from .jsonl import as_date, as_number, read_document, read_jsonl, replacing, write_json, write_jsonl, write_text
+from .jsonl import as_date, as_number, plain, pretty, read_document, read_jsonl, replacing
 from .marketdata import TRADING_DAYS_PER_YEAR, WINDOW, PriceSeries, build_snapshot, load_price_csv
 from .portfolio import (
     AccountState,
@@ -181,7 +181,15 @@ def run_backtest(
     filings = load_report_manifest(reports_dir) if reports_dir else []
     keywords = load_keywords(cfg.keywords_path, base_dir)
     out_dir = _make_out_dir(Path(out_dir))  # before any provider call
-    with replacing(out_dir / TRAJECTORIES_FILE, datasynth.day_lines) as append:
+    # Every artifact is written to its temp file before any replaces its target,
+    # so a run that fails leaves an earlier run's files as they were. The writers
+    # exit in reverse: trajectories.jsonl is replaced first, metrics.json last.
+    with (replacing(out_dir / METRICS_FILE, pretty) as write_metrics,
+          replacing(out_dir / TRADES_FILE) as write_trades,
+          replacing(out_dir / EQUITY_FILE) as write_equity,
+          replacing(out_dir / META_FILE, pretty) as write_meta,
+          replacing(out_dir / CONFIG_FILE, str) as write_config,
+          replacing(out_dir / TRAJECTORIES_FILE, datasynth.day_lines) as append):
         remote = dict(
             endpoint=cfg.provider_endpoint,
             model=cfg.provider_model,
@@ -216,17 +224,25 @@ def run_backtest(
                     ahead = _upstream_agents(run, next_day)
                 step(state, run, day, news, report)
         datasynth.emit_trajectories(state.pending, append)  # the last day, unlabeled
-        # Inside the block, so a run whose metrics fail (too few days, say)
-        # leaves the trajectories of an earlier run in `out_dir` as they were.
         # The initial cash at the last warm-up bar, then each day's post-trade equity.
         last_warmup = series.dates[series.dates.index(days[0]) - 1]
         equity_curve = ((last_warmup, cfg.initial_cash),
                         *((t.date, t.post_equity) for t in state.trades))
-        n_trades = sum(1 for t in state.trades if t.quantity > 0)
-        try:
-            metrics = compute_metrics([v for _, v in equity_curve], n_trades)
-        except DataError as exc:  # the curve is the prices' closes traded on
-            raise DataError(f"{Path(prices_path).name}: {exc}") from exc
+        metrics = _metrics([v for _, v in equity_curve], (t.quantity for t in state.trades),
+                          Path(prices_path).name)  # the curve is the prices' closes traded on
+        write_config([yaml.safe_dump(plain(cfg), sort_keys=False)])
+        write_meta([{
+            "seed": cfg.seed,
+            "conventions": {
+                "returns": "simple",
+                "annualization_days": TRADING_DAYS_PER_YEAR,
+                "risk_free_rate": 0.0,
+                "stddev": "population",
+            },
+        }])
+        write_equity({"date": day, "equity": equity} for day, equity in equity_curve)
+        write_trades(state.trades)
+        write_metrics([metrics])
         # The files are replaced one by one from here, metrics.json last, so a
         # rerun that fails partway leaves no report for `replay` to accept.
         try:
@@ -234,13 +250,22 @@ def run_backtest(
         except OSError as exc:
             raise DataError(f"cannot remove {out_dir / METRICS_FILE}: {exc}") from exc
 
-    _persist(out_dir, cfg, metrics, state, equity_curve)
     return RunArtifacts(
         run_dir=out_dir,
         metrics=metrics,
         trades=tuple(state.trades),
         equity_curve=equity_curve,
     )
+
+
+def _metrics(equity: Sequence[float], quantities: Iterable[float], source: str) -> MetricsReport:
+    """The metrics of an equity curve whose trades moved `quantities` shares:
+    a trade is one that moved some. A curve `compute_metrics` refuses is a
+    DataError naming `source`, the file the curve came from."""
+    try:
+        return compute_metrics(equity, sum(1 for q in quantities if q > 0))
+    except DataError as exc:
+        raise DataError(f"{source}: {exc}") from exc
 
 
 def _upstream_agents(run: RunInputs, day: Date):
@@ -349,25 +374,6 @@ def _make_out_dir(out_dir: Path) -> Path:
     return out_dir
 
 
-def _persist(out_dir: Path, cfg: BacktestConfig, metrics: MetricsReport, state: RunState,
-             equity_curve: Sequence[tuple[Date, float]]) -> None:
-    write_text(out_dir / CONFIG_FILE, yaml.safe_dump(config_to_dict(cfg), sort_keys=False))
-    write_json(out_dir / META_FILE, {
-        "seed": cfg.seed,
-        "conventions": {
-            "returns": "simple",
-            "annualization_days": TRADING_DAYS_PER_YEAR,
-            "risk_free_rate": 0.0,
-            "stddev": "population",
-        },
-    })
-    write_jsonl(out_dir / EQUITY_FILE, (
-        {"date": day, "equity": equity} for day, equity in equity_curve
-    ))
-    write_jsonl(out_dir / TRADES_FILE, state.trades)
-    write_json(out_dir / METRICS_FILE, metrics)
-
-
 def load_equity_curve(run_dir: str | Path) -> list[tuple[Date, float]]:
     return read_jsonl(
         Path(run_dir) / EQUITY_FILE, "equity",
@@ -394,11 +400,7 @@ def replay(run_dir: str | Path) -> MetricsReport:
     each trade's date and post-trade equity to be the curve's next point."""
     curve = load_equity_curve(run_dir)
     trades = load_trades(run_dir)
-    n_trades = sum(1 for t in trades if t.get("quantity", 0) > 0)
-    try:
-        recomputed = compute_metrics([v for _, v in curve], n_trades)
-    except DataError as exc:
-        raise DataError(f"{EQUITY_FILE}: {exc}") from exc
+    recomputed = _metrics([v for _, v in curve], (t.get("quantity", 0) for t in trades), EQUITY_FILE)
     stored = load_metrics(run_dir)
     for field_name, value in vars(recomputed).items():
         if field_name not in stored:

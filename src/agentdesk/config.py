@@ -12,7 +12,7 @@ from typing import Any, Mapping
 from .datasynth import BandConfig, RewardConfig
 from .errors import DataError
 from .gate import GateConfig
-from .jsonl import as_date, as_number, as_str, plain, read_document
+from .jsonl import as_date, as_number, as_str, read_document
 from .retrieval import RetrievalConfig
 from .risk import DEFAULT_MULTIPLIERS, RiskConfig, StyleMultipliers, TradingStyle
 
@@ -144,9 +144,3 @@ def config_from_dict(raw: Mapping) -> BacktestConfig:
 
 def load_config(path: str | Path) -> BacktestConfig:
     return config_from_dict(read_document(path, "config file"))
-
-
-def config_to_dict(cfg: BacktestConfig) -> dict:
-    """Canonical nested-dict form, stable across runs for artifact copies:
-    the JSON form `jsonl` writes."""
-    return plain(cfg)

@@ -55,6 +55,11 @@ _PRETTY = json.JSONEncoder(default=_encode_default, allow_nan=False, indent=2)
 encode = _LINE.encode  # `obj` as one JSON line's text, without the newline
 
 
+def pretty(obj: Any) -> str:
+    """`obj` as indented JSON with a trailing newline."""
+    return _PRETTY.encode(obj) + "\n"
+
+
 def plain(obj: Any) -> Any:
     """`obj` as the JSON values it is written as: dicts, lists, strings,
     numbers, booleans and nulls."""
@@ -92,19 +97,6 @@ def replacing(path: str | Path, line=lambda row: _LINE.encode(row) + "\n") -> It
             raise DataError(f"cannot write {p}: {exc}") from exc
     finally:  # the temp file is gone once replaced
         tmp.unlink(missing_ok=True)
-
-
-def write_text(path: str | Path, text: str) -> Path:
-    """Replace `path` with `text` through `replacing`."""
-    with replacing(path, str) as append:
-        append([text])
-    return Path(path)
-
-
-def write_json(path: str | Path, obj: Any) -> None:
-    """Write `obj` as indented JSON with a trailing newline."""
-    with replacing(path, lambda row: _PRETTY.encode(row) + "\n") as append:
-        append([obj])
 
 
 def write_jsonl(path: str | Path, rows: Iterable[Any]) -> Path:

@@ -92,8 +92,9 @@ def fill(
 ) -> tuple[str, str, float, float, float, float]:
     """The arithmetic of one order at `price` with commission `rate`: the
     (kind, note, quantity, commission, cash, shares) it leaves. A buy with no
-    cash or whose budget rounds to no shares, or a sell with no position,
-    becomes a hold with an explanatory note."""
+    cash or whose budget rounds to no shares, or a sell with no position or
+    whose fraction of it rounds to no shares, becomes a hold with an
+    explanatory note."""
     if price <= 0:
         raise ValueError(f"price must be positive, got {price}")
     if rate < 0:
@@ -111,6 +112,8 @@ def fill(
         return kind, "", quantity, budget - notional, cash - budget, shares + quantity
     if kind == "sell":
         quantity = (1.0 if origin != ORIGIN_AGENT else SELL_FRACTION[style]) * shares
+        if quantity == 0.0:
+            return "hold", "sell skipped: the position sells no shares", 0.0, 0.0, cash, shares
         notional = quantity * price
         commission = notional * rate
         return kind, "", quantity, commission, cash + notional - commission, shares - quantity
@@ -126,8 +129,8 @@ def apply_action(
 ) -> tuple[AccountState, TradeRecord]:
     """Execute one action at `price` through `fill` and mark the account to it.
 
-    Degenerate orders (a buy of no shares, a sell with no position) are
-    recorded as holds with an explanatory note instead of failing.
+    Degenerate orders (a buy or a sell of no shares) are recorded as holds
+    with an explanatory note instead of failing.
     """
     style = TradingStyle(action.style)
     kind, note, quantity, commission, cash, shares = fill(

@@ -208,6 +208,8 @@ def _auth_headers(credentials_env: str | None) -> dict[str, str]:
     token = os.environ.get(credentials_env)
     if not token:
         raise ProviderError(f"credentials variable {credentials_env} is not set")
+    if "\r" in token or "\n" in token:  # http.client's error would quote the header, token and all
+        raise ProviderError(f"credentials variable {credentials_env} holds a line break")
     return {"Authorization": f"Bearer {token}"}
 
 

@@ -9,6 +9,7 @@ from concurrent.futures import ThreadPoolExecutor
 from datetime import date
 
 import pytest
+import yaml
 
 from agentdesk import backtest
 from agentdesk.agents import REFLECTION_WINDOW, Desk
@@ -131,6 +132,33 @@ class TestDeterminism:
         run_env(env, "b")
         for name in ARTIFACT_FILES:
             assert (env.out("a") / name).read_bytes() == (env.out("b") / name).read_bytes(), name
+
+
+class TestRerunWriteFault:
+    def test_a_rerun_that_fails_writing_its_config_replaces_nothing(self, tmp_path, monkeypatch):
+        # The rerun's day loop and metrics finish; encoding its config.yaml
+        # then fails, after trajectories.jsonl is written and before any file
+        # is replaced.
+        env = build_env(tmp_path, rising_closes(45))
+        run_env(env)
+        before = {p.name: p.read_bytes() for p in env.out("run").iterdir()}
+        assert sorted(before) == sorted(ARTIFACT_FILES)
+        cfg = yaml.safe_load(env.config_path.read_text(encoding="utf-8"))
+        rerun = {**cfg, "seed": 8, "initial_cash": 50000.0, "commission_rate": 0.001}
+        env.config_path.write_text(yaml.safe_dump(rerun), encoding="utf-8")
+
+        def refuse(*args, **kwargs):
+            raise RuntimeError("cannot encode the config")
+
+        monkeypatch.setattr(yaml, "safe_dump", refuse)
+        with pytest.raises(RuntimeError, match="cannot encode the config"):
+            run_env(env)
+        assert {p.name: p.read_bytes() for p in env.out("run").iterdir()} == before
+        monkeypatch.undo()  # the same rerun, unfaulted, replaces every file
+        run_env(env)
+        after = {p.name: p.read_bytes() for p in env.out("run").iterdir()}
+        assert sorted(after) == sorted(ARTIFACT_FILES)
+        assert [n for n in ARTIFACT_FILES if after[n] == before[n]] == []
 
 
 class TestArtifactFormat:

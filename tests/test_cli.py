@@ -66,6 +66,24 @@ class TestRunCommand:
         assert main(["replay", "--run", str(env.out("run"))]) == 0
         assert "replay ok" in capsys.readouterr().out
 
+    def test_a_sell_that_sells_nothing_holds(self, tmp_path, capsys):
+        # A cash of 1e-320 buys 5e-324 shares at 2000, and the aggressive half
+        # of them rounds to 0.0 shares.
+        days = business_days(30)
+        env = build_env(tmp_path, [2000.0] * 30, config={"initial_cash": 1e-320}, script={
+            "style:*": json.dumps({"style": "aggressive", "confidence": 0.5}),
+            f"decision:{days[21]}": '{"action": "buy"}',
+            f"decision:{days[22]}": '{"action": "sell"}',
+        })
+        assert main(run_args(env)) == 0, capsys.readouterr().err
+        trades = [json.loads(line) for line in
+                  (env.out("run") / "trades.jsonl").read_text(encoding="utf-8").splitlines()]
+        assert [(t["date"], t["kind"], t["quantity"]) for t in trades[:2]] == [
+            (days[21].isoformat(), "buy", 5e-324), (days[22].isoformat(), "hold", 0.0)]
+        assert trades[1]["note"] == "sell skipped: the position sells no shares"
+        assert main(["replay", "--run", str(env.out("run"))]) == 0
+        assert "replay ok" in capsys.readouterr().out
+
     def test_usage_error_exits_one(self, capsys):
         assert main(["run", "--config", "only.yaml"]) == 1
         assert "usage error" in capsys.readouterr().err

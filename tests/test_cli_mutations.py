@@ -43,7 +43,8 @@ import pytest
 import yaml
 
 from agentdesk.cli import main
-from agentdesk.config import config_to_dict, load_config
+from agentdesk.config import load_config
+from agentdesk.jsonl import plain
 from agentdesk.retrieval import load_keywords
 
 from conftest import _Handler, news_heavy_env
@@ -257,7 +258,7 @@ def finished_run(root: Path) -> Path:
     (root / "keywords.yaml").write_text(yaml.safe_dump(load_keywords()), encoding="utf-8")
     (root / "script.yaml").write_text("{}\n", encoding="utf-8")
     # Every config key, sections included, so any of them can be changed.
-    cfg = config_to_dict(load_config(env.config_path))
+    cfg = plain(load_config(env.config_path))
     cfg.update(keywords_path="keywords.yaml", provider=cfg["provider"] + ",scripted:script.yaml")
     env.config_path.write_text(yaml.safe_dump(cfg, sort_keys=False), encoding="utf-8")
     assert _exit(_args("run", root)) == 0

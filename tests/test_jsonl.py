@@ -12,8 +12,7 @@ import pytest
 
 from agentdesk.errors import DataError
 from agentdesk.jsonl import (
-    as_number, read_document, read_jsonl, read_text, replacing, write_json, write_jsonl,
-    write_text,
+    as_number, pretty, read_document, read_jsonl, read_text, replacing, write_jsonl,
 )
 
 
@@ -40,7 +39,8 @@ class TestWrite:
         with pytest.raises(DataError, match="cannot write .*p.jsonl: Out of range float"):
             write_jsonl(tmp_path / "p.jsonl", [{"value": bad}])
         with pytest.raises(DataError, match="cannot write .*p.json: Out of range float"):
-            write_json(tmp_path / "p.json", Point(date(2022, 1, 3), bad, {}))
+            with replacing(tmp_path / "p.json", pretty) as append:
+                append([Point(date(2022, 1, 3), bad, {})])
 
     def test_an_error_of_the_block_is_not_a_write_error(self, tmp_path):
         # Only `append`'s own encoding errors become DataErrors; the block's
@@ -100,8 +100,12 @@ class TestAtomicWrite:
         assert [p.name for p in tmp_path.iterdir()] == ["p.jsonl"]
 
     def test_replaces_existing_file(self, tmp_path):
-        path = write_text(tmp_path / "a.txt", "old")
-        write_json(path, {"v": 2})
+        path = tmp_path / "a.txt"
+        with replacing(path, str) as append:
+            append(["old"])
+        assert path.read_text() == "old"
+        with replacing(path, pretty) as append:
+            append([{"v": 2}])
         assert path.read_text() == '{\n  "v": 2\n}\n'
         assert [p.name for p in tmp_path.iterdir()] == ["a.txt"]
 

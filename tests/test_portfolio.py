@@ -94,13 +94,19 @@ class TestApplyAction:
         assert new.cash == 100.0
 
     @pytest.mark.parametrize("style", list(TradingStyle))
-    def test_a_buy_of_no_shares_becomes_hold(self, style):
-        # A budget of at most 5e-324 over a price of 100 rounds to 0.0 shares.
-        for shares in (0.0, 2.0):
+    def test_an_order_of_no_shares_becomes_hold(self, style):
+        # A budget of at most 5e-324 over a price of 100 rounds to 0.0 shares,
+        # and so does the aggressive half of 5e-324 shares.
+        orders = [("buy", 5e-324, shares) for shares in (0.0, 2.0)]
+        if style is TradingStyle.AGGRESSIVE:
+            orders.append(("sell", 2.0, 5e-324))
+        notes = {"buy": "buy skipped: the budget buys no shares",
+                 "sell": "sell skipped: the position sells no shares"}
+        for order, cash_before, shares in orders:
             kind, note, quantity, commission, cash, after = fill(
-                5e-324, shares, "buy", style, ORIGIN_AGENT, 100.0, 0.001)
-            assert (kind, quantity, commission, cash, after) == ("hold", 0.0, 0.0, 5e-324, shares)
-            assert note == "buy skipped: the budget buys no shares"
+                cash_before, shares, order, style, ORIGIN_AGENT, 100.0, 0.001)
+            assert (kind, quantity, commission, cash, after) == ("hold", 0.0, 0.0, cash_before, shares)
+            assert note == notes[order]
 
     def test_full_buy_with_commission_leaves_zero_cash(self):
         state = AccountState.initial(10_000.0)

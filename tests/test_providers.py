@@ -235,6 +235,19 @@ class TestHttpChat:
         with pytest.raises(ProviderError, match="not set"):
             provider.complete([{"role": "user", "content": "x"}])
 
+    @pytest.mark.parametrize("token", ["sekrit-token\r", "sekrit\nX-Other: 1", "sekrit\r\n folded"])
+    def test_a_token_with_a_line_break_is_refused_unsent_and_unprinted(
+            self, http_server, monkeypatch, token):
+        # http.client would quote the whole header, token and all, in its error.
+        base, handler = http_server
+        handler.responses["/chat"] = (200, {"content": "ok"})
+        monkeypatch.setenv("TEST_API_KEY", token)
+        provider = HttpChatProvider(f"{base}/chat", "m", credentials_env="TEST_API_KEY")
+        with pytest.raises(ProviderError, match="TEST_API_KEY") as raised:
+            provider.complete([{"role": "user", "content": "x"}])
+        assert "sekrit" not in str(raised.value)
+        assert handler.requests_seen == []
+
     def test_http_error_maps_to_provider_error(self, http_server):
         base, handler = http_server
         handler.responses["/chat"] = (500, {"error": "boom"})
