@@ -26,14 +26,12 @@ from .errors import ParseError, ProviderError
 from .gate import TrendLabel, TrendProbabilities, classify_trend
 from .marketdata import IndicatorSnapshot
 from .portfolio import AccountState
-from .providers import ChatProvider
+from .providers import ChatProvider, Memo
 from .retrieval import (
     Chunk,
     DedupeMemo,
-    EmbeddingProvider,
     Filing,
     NewsItem,
-    RerankerProvider,
     chunk_report,
     dedupe,
     rerank,
@@ -57,8 +55,8 @@ class Desk:
 
     cfg: BacktestConfig
     chat: ChatProvider
-    embedding: EmbeddingProvider
-    reranker: RerankerProvider
+    embedding: Memo
+    reranker: Memo
     importance: Callable[[str, str], float]
     dedupe_memo: DedupeMemo
     pool: Executor

@@ -55,12 +55,7 @@ from .portfolio import (
     compute_metrics,
     unrealized_pnl_pct,
 )
-from .providers import (
-    make_chat_provider,
-    make_embedding_provider,
-    make_reranker_provider,
-    memoized,
-)
+from .providers import Memo, make_chat_provider, make_embedding_provider, make_reranker_provider
 from .retrieval import (
     DedupeMemo,
     Filing,
@@ -211,7 +206,7 @@ def run_backtest(
         threaded = "http" in (cfg.provider, cfg.embedding_provider, cfg.reranker_provider)
         with ThreadPoolExecutor(PROVIDER_WORKERS + 2) if threaded else providers.Inline() as pool:
             # Chat stays uncached: its prompts carry the date, so they never repeat.
-            desk = Desk(cfg, chat, memoized(embedding, pool), memoized(reranker, pool),
+            desk = Desk(cfg, chat, Memo(embedding, pool), Memo(reranker, pool),
                         importance, DedupeMemo(providers.MEMO_ENTRIES), pool)
             run = RunInputs(desk, series, news_by_date, filings, append)
             # Day d+1's news and report agents read nothing day d decides, so

@@ -21,7 +21,7 @@ import os
 import re
 import threading
 import zlib
-from collections import OrderedDict, defaultdict
+from collections import OrderedDict
 from concurrent.futures import Executor
 from dataclasses import dataclass
 from pathlib import Path
@@ -148,7 +148,6 @@ class StubChatProvider:
         for p in policies:
             if p not in _REPLIES:
                 raise DataError(f"unknown stub policy {p!r}")
-        self.policies = tuple(policies)
         self.replies = {role: reply if callable(reply) else json.dumps(reply)  # {role: JSON text or prompt -> reply}
                         for p in ("sideways", *policies) for role, reply in _REPLIES[p].items()}
         self.script = dict(script or {})
@@ -297,12 +296,10 @@ class _HttpClient:
 
     def __post_init__(self) -> None:
         import http.client, urllib.request  # while the run sets up, not on its first request
+        self.headers = _auth_headers(self.credentials_env)  # refused before any request
 
     def _post(self, payload: dict) -> dict:
-        return _post_json(
-            self.endpoint, {"model": self.model, **payload},
-            _auth_headers(self.credentials_env), self.timeout,
-        )
+        return _post_json(self.endpoint, {"model": self.model, **payload}, self.headers, self.timeout)
 
 
 class HttpChatProvider(_HttpClient):
@@ -401,8 +398,8 @@ class HttpRerankerProvider(_HttpClient):
 # Run-scoped memo
 # ---------------------------------------------------------------------------
 
-# Entries kept per memoized method. Distinct news texts grow with the number
-# of days, so the memo is bounded to keep a run's memory flat in bar count.
+# Entries a memo keeps. Distinct news texts grow with the number of days, so
+# the memo is bounded to keep a run's memory flat in bar count.
 MEMO_ENTRIES = 4096
 
 
@@ -414,30 +411,41 @@ class Inline(Executor):
         return map(fn, *iterables)
 
 
-class _Memo:
-    """See `memoized`. One lock guards an LRU of answers per method, oldest
-    first."""
+class Memo:
+    """`provider`'s answers in one bounded LRU table of whole requests,
+    oldest first, under one lock, asked for with `ask`, which hands a
+    group's misses to `pool`. A request is `(method, *args)`: an embedding
+    memo answers `("dense", text)` with a unit vector and `("sparse", text)`
+    with a term map, a reranker memo `("relevance", query, passage)` with a
+    probability.
 
-    def __init__(self, provider, pool: Executor) -> None:
+    Embeddings and relevance depend only on the request, so one run asks
+    the provider once per distinct request while it stays among the memo's
+    last `MEMO_ENTRIES`, of any method. Two callers that miss one request at the same time
+    would each send it; a run's concurrent callers (the news and report
+    agents) ask for disjoint requests. An error is never cached: the next
+    identical request goes to the provider again. Repeats share the
+    returned object, which retrieval only reads.
+    """
+
+    def __init__(self, provider, pool: Executor = Inline()) -> None:
         self._provider, self._pool = provider, pool
         self._entries = MEMO_ENTRIES
-        self._answers: dict[str, OrderedDict] = defaultdict(OrderedDict)  # {method: {args: answer}}
+        self._answers: OrderedDict = OrderedDict()  # {request: answer}
         self._lock = threading.Lock()
 
     def ask(self, requests: Iterable[tuple]) -> list:
-        """The answers to `requests`, each `(method name, *args)`, in input
-        order. Each distinct miss is sent once, with the pool's `map`. The
-        first error in input order is raised at once: a send already running
-        finishes, one not yet started is cancelled, and every answer that
-        arrives is kept."""
+        """The answers to `requests`, in input order. Each distinct miss is
+        sent once, with the pool's `map`. The first error in input order is
+        raised at once: a send already running finishes, one not yet started
+        is cancelled, and every answer that arrives is kept."""
         requests = list(requests)
         found: dict[tuple, object] = {}
         with self._lock:
             for request in requests:
-                answers, args = self._answers[request[0]], request[1:]
-                if args in answers:
-                    answers.move_to_end(args)
-                    found[request] = answers[args]
+                if request in self._answers:
+                    self._answers.move_to_end(request)
+                    found[request] = self._answers[request]
         missing = [request for request in dict.fromkeys(requests) if request not in found]
         found.update(zip(missing, self._pool.map(self._send, missing)))
         return [found[request] for request in requests]
@@ -445,27 +453,10 @@ class _Memo:
     def _send(self, request: tuple):
         value = getattr(self._provider, request[0])(*request[1:])
         with self._lock:
-            answers = self._answers[request[0]]
-            answers[request[1:]] = value
-            if len(answers) > self._entries:
-                answers.popitem(last=False)
+            self._answers[request] = value
+            if len(self._answers) > self._entries:
+                self._answers.popitem(last=False)
         return value
-
-
-def memoized(provider, pool: Executor = Inline()):
-    """`provider`'s `dense`, `sparse` and `relevance` requests behind one
-    bounded LRU memo per method, keyed by the exact arguments, asked for
-    with `ask`, which hands a group's misses to `pool`.
-
-    Embeddings and relevance depend only on the request, so one run asks
-    the provider once per distinct request while it stays among the last
-    `MEMO_ENTRIES`. Two callers that miss one request at the same time
-    would each send it; a run's concurrent callers (the news and report
-    agents) ask for disjoint requests. An error is never cached: the next
-    identical request goes to the provider again. Repeats share the
-    returned object, which retrieval only reads.
-    """
-    return _Memo(provider, pool)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,9 @@
 """News influence scoring, deduplication, report chunking, and hybrid
 dense+sparse retrieval with top-k reranking.
 
-Embedding and reranker backends are abstract contracts so tests run against
-deterministic in-process stubs while production can point at real services.
-Each step asks its backend, a provider behind `providers.memoized`, for
-the requests it needs as one group, which the memo sends together.
+Each step asks its embedding or reranker provider, behind a
+`providers.Memo`, for the requests it needs as one group, which the memo
+sends together; the provider is an in-process stub or an HTTP client.
 """
 
 from __future__ import annotations
@@ -19,29 +18,14 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from datetime import date as Date
 from pathlib import Path
-from typing import Any, Callable, Iterable, Mapping, Protocol, Sequence
+from typing import Any, Callable, Mapping, Sequence
 
 from .errors import DataError, ProviderError
 from .jsonl import as_date, as_number, as_str, read_document, read_jsonl, read_text
+from .providers import Memo
 
 _WORD_RE = re.compile(r"[a-z0-9]+")
 _SENTENCE_SPLIT_RE = re.compile(r"(?<=[.!?])\s+")
-
-
-# ---------------------------------------------------------------------------
-# Provider contracts
-# ---------------------------------------------------------------------------
-
-class EmbeddingProvider(Protocol):
-    """`providers.memoized`: ("dense", text) is a unit vector, ("sparse", text) a term map."""
-
-    def ask(self, requests: Iterable[tuple]) -> list: ...
-
-
-class RerankerProvider(Protocol):
-    """`providers.memoized`: ("relevance", query, passage) is a probability."""
-
-    def ask(self, requests: Iterable[tuple]) -> list: ...
 
 
 # ---------------------------------------------------------------------------
@@ -66,8 +50,6 @@ class NewsItem:
 @dataclass(frozen=True)
 class ScoredNews:
     item: NewsItem
-    base: float
-    prob: float
     influence: float
 
 
@@ -181,18 +163,14 @@ def keyword_importance(keywords: Mapping[str, float], maxsize: int) -> Callable[
 def score_news(
     items: Sequence[NewsItem],
     importance: Callable[[str, str], float],
-    reranker: RerankerProvider,
+    reranker: Memo,
     query: str,
 ) -> list[ScoredNews]:
     """Score items and return them sorted by influence, descending.
     `importance(title, body)` is an item's base score (`keyword_importance`)."""
-    scored = []
     probs = reranker.ask([("relevance", query, item.text) for item in items])
-    for item, prob in zip(items, probs):
-        base = importance(item.title, item.body)
-        scored.append(ScoredNews(item, base, prob, influence_score(base, prob)))
-    scored.sort(key=lambda s: -s.influence)
-    return scored
+    return sorted((ScoredNews(item, influence_score(importance(item.title, item.body), prob))
+                   for item, prob in zip(items, probs)), key=lambda s: -s.influence)
 
 
 def _norm(v: Sequence[float]) -> float:
@@ -246,7 +224,7 @@ class DedupeMemo:
 
 def dedupe(
     items: Sequence[ScoredNews],
-    provider: EmbeddingProvider,
+    provider: Memo,
     cfg: RetrievalConfig = RetrievalConfig(),
     exact_only: bool = False,
     memo: DedupeMemo | None = None,
@@ -331,7 +309,7 @@ def hybrid_score(query_dense: Sequence[float], query_sparse: Mapping[int, float]
 def retrieve_topk(
     query: str,
     chunks: Sequence[Chunk],
-    provider: EmbeddingProvider,
+    provider: Memo,
     cfg: RetrievalConfig = RetrievalConfig(),
 ) -> list[Chunk]:
     """Top hybrid_top_k chunks by hybrid score; ties keep ordinal order."""
@@ -349,7 +327,7 @@ def retrieve_topk(
 def rerank(
     query: str,
     candidates: Sequence[Chunk],
-    reranker: RerankerProvider,
+    reranker: Memo,
     cfg: RetrievalConfig = RetrievalConfig(),
 ) -> list[Chunk]:
     """The top rerank_top_k candidates by reranker relevance. Ties keep the

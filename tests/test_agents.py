@@ -41,10 +41,10 @@ from agentdesk.portfolio import AccountState
 from agentdesk.providers import (
     ChatResult,
     Inline,
+    Memo,
     StubChatProvider,
     StubEmbeddingProvider,
     StubRerankerProvider,
-    memoized,
 )
 from agentdesk.retrieval import (
     DedupeMemo,
@@ -98,8 +98,8 @@ def make_desk(chat=None, embedding=None, reranker=None, pool=Inline(), **cfg) ->
     return Desk(
         BacktestConfig("TEST", seed=SEED, **cfg),
         chat or StubChatProvider(("sideways",)),
-        embedding or memoized(StubEmbeddingProvider()),
-        reranker or memoized(StubRerankerProvider()),
+        embedding or Memo(StubEmbeddingProvider()),
+        reranker or Memo(StubRerankerProvider()),
         keyword_importance(load_keywords(), 64),
         DedupeMemo(64),
         pool,
@@ -217,7 +217,7 @@ class TestNewsAgent:
         def run():
             embedding = CountingEmbedding()
             with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-                desk = make_desk(StubChatProvider(("always-up",)), memoized(embedding), pool=pool,
+                desk = make_desk(StubChatProvider(("always-up",)), Memo(embedding), pool=pool,
                                  retrieval=RetrievalConfig(news_top_k=3))
                 result = run_news_agent(DAY, desk, news)
             return result, embedding.dense_reads
@@ -239,7 +239,7 @@ class TestNewsAgent:
         news[1] = NewsItem(DAY, "headline0 earnings", "body0 detail0 detail0")
         seen, groups = [], []
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-            memo = memoized(Recording(StubEmbeddingProvider(), seen), pool)
+            memo = Memo(Recording(StubEmbeddingProvider(), seen), pool)
             ask = memo.ask
             memo.ask = lambda requests: groups.append(list(requests)) or ask(groups[-1])
             report, _ = run_news_agent(DAY, make_desk(
@@ -259,7 +259,7 @@ class TestReportAgent:
         return Filing("TEST", period, path, text)
 
     def _run(self, filings, chat=None, reranker=None, ranks=None, at=DAY, **cfg):
-        desk = make_desk(chat, reranker=memoized(reranker or StubRerankerProvider(triggers=("revenue",))),
+        desk = make_desk(chat, reranker=Memo(reranker or StubRerankerProvider(triggers=("revenue",))),
                          **cfg)
         return run_report_agent(at, desk, filings, ranks or FilingRanks())
 
@@ -798,7 +798,7 @@ class TestMemoKeys:
         (tmp_path / "fy.txt").write_text(text, encoding="utf-8")
         filing = Filing("TEST", DAY, tmp_path / "fy.txt", text)  # newly visible
         asked: dict[str, list] = {"news": [], "report": []}
-        embedding, reranker = ({agent: memoized(Recording(make(), seen)) for agent, seen in asked.items()}
+        embedding, reranker = ({agent: Memo(Recording(make(), seen)) for agent, seen in asked.items()}
                                for make in (StubEmbeddingProvider, StubRerankerProvider))
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
             run_news_agent(DAY, make_desk(embedding=embedding["news"], reranker=reranker["news"],

@@ -541,7 +541,7 @@ class TestProviderMemo:
         ]
         env = build_env(tmp_path, rising_closes(45), news=news, with_reports=True)
         memo_seen = self.run_counted(env, "memo", monkeypatch)
-        monkeypatch.setattr(backtest, "memoized", lambda provider, pool: _Unmemoized(provider))
+        monkeypatch.setattr(backtest, "Memo", lambda provider, pool: _Unmemoized(provider))
         plain_seen = self.run_counted(env, "plain", monkeypatch)
 
         assert {kind for kind, *_ in memo_seen} == {"dense", "sparse", "relevance"}

@@ -188,6 +188,22 @@ class TestRunCommand:
         assert code == 3
         assert "provider error" in capsys.readouterr().err
 
+    def test_an_unset_chat_token_exits_three_before_the_first_day(self, tmp_path, capsys,
+                                                                   monkeypatch):
+        # Each chat call would fail and fall back: a run of holds that exits 0.
+        monkeypatch.delenv("AGENTDESK_K", raising=False)
+        env = build_env(tmp_path, rising_closes(40), config={
+            "provider": "http",
+            "provider_endpoint": "http://127.0.0.1:9/chat",
+            "provider_model": "m",
+            "credentials_env": "AGENTDESK_K",
+        })
+        code = main(run_args(env))
+        err = capsys.readouterr().err
+        assert code == EXIT_PROVIDER, err
+        assert "credentials variable AGENTDESK_K is not set" in err
+        assert list(env.out("run").iterdir()) == []
+
     @pytest.mark.parametrize("vector", [[1e154] * 64, [1e200, 0.0]],
                              ids=["squares-overflow-fsum", "square-inf"])
     def test_huge_embedding_exits_three(self, tmp_path, capsys, http_server, vector):

@@ -27,13 +27,13 @@ from agentdesk.providers import (
     HttpEmbeddingProvider,
     HttpRerankerProvider,
     Inline,
+    Memo,
     StubChatProvider,
     StubEmbeddingProvider,
     StubRerankerProvider,
     make_chat_provider,
     make_embedding_provider,
     make_reranker_provider,
-    memoized,
 )
 
 from conftest import build_env, rising_closes, write_prices_csv
@@ -231,9 +231,8 @@ class TestHttpChat:
     def test_missing_credentials_env(self, http_server, monkeypatch):
         base, _ = http_server
         monkeypatch.delenv("TEST_API_KEY", raising=False)
-        provider = HttpChatProvider(f"{base}/chat", "m", credentials_env="TEST_API_KEY")
         with pytest.raises(ProviderError, match="not set"):
-            provider.complete([{"role": "user", "content": "x"}])
+            HttpChatProvider(f"{base}/chat", "m", credentials_env="TEST_API_KEY")
 
     @pytest.mark.parametrize("token", ["sekrit-token\r", "sekrit\nX-Other: 1", "sekrit\r\n folded"])
     def test_a_token_with_a_line_break_is_refused_unsent_and_unprinted(
@@ -242,9 +241,8 @@ class TestHttpChat:
         base, handler = http_server
         handler.responses["/chat"] = (200, {"content": "ok"})
         monkeypatch.setenv("TEST_API_KEY", token)
-        provider = HttpChatProvider(f"{base}/chat", "m", credentials_env="TEST_API_KEY")
         with pytest.raises(ProviderError, match="TEST_API_KEY") as raised:
-            provider.complete([{"role": "user", "content": "x"}])
+            HttpChatProvider(f"{base}/chat", "m", credentials_env="TEST_API_KEY")
         assert "sekrit" not in str(raised.value)
         assert handler.requests_seen == []
 
@@ -612,7 +610,7 @@ class TestMemoized:
 
     def test_each_distinct_request_reaches_the_provider_once(self):
         inner = _CountingProvider()
-        memo = memoized(inner)
+        memo = Memo(inner)
         reference = _CountingProvider()
         for _ in range(3):
             for kind, *args in self.REQUESTS:
@@ -620,14 +618,14 @@ class TestMemoized:
         assert inner.seen == self.REQUESTS
 
     def test_a_request_for_a_method_the_provider_lacks_is_an_error(self):
-        memo = memoized(StubRerankerProvider())
+        memo = Memo(StubRerankerProvider())
         assert memo.ask([("relevance", "q", "revenue rose")]) == [1.0]
         with pytest.raises(AttributeError):
             memo.ask([("dense", "revenue rose")])
 
     def test_an_error_is_not_cached(self):
         inner = _CountingProvider(failures=1)
-        memo = memoized(inner)
+        memo = Memo(inner)
         with pytest.raises(ProviderError):
             memo.ask([("relevance", "q", "revenue rose")])[0]
         assert memo.ask([("relevance", "q", "revenue rose")])[0] == 1.0
@@ -637,7 +635,7 @@ class TestMemoized:
     def test_memo_is_bounded(self, monkeypatch):
         monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
         inner = _CountingProvider()
-        memo = memoized(inner)
+        memo = Memo(inner)
         for text in ("a", "b", "c", "a"):
             memo.ask([("dense", text)])[0]
         assert inner.seen == [("dense", "a"), ("dense", "b"), ("dense", "c"), ("dense", "a")]
@@ -646,10 +644,21 @@ class TestMemoized:
         # LRU, not FIFO: "a" is read again before "c" lands, so "c" evicts "b".
         monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
         inner = _CountingProvider()
-        memo = memoized(inner)
+        memo = Memo(inner)
         for text in ("a", "b", "a", "c", "a", "b"):
             memo.ask([("dense", text)])[0]
         assert inner.seen == [("dense", t) for t in ("a", "b", "c", "b")]
+
+    def test_the_bound_is_shared_by_every_method(self, monkeypatch):
+        # One table of whole requests: a sparse and a relevance answer push
+        # the dense one out of a memo of two entries.
+        monkeypatch.setattr(providers, "MEMO_ENTRIES", 2)
+        inner = _CountingProvider()
+        memo = Memo(inner)
+        for request in (("dense", "a"), ("sparse", "a"), ("relevance", "q", "a"), ("dense", "a")):
+            memo.ask([request])
+        assert inner.seen.count(("dense", "a")) == 2
+        assert len(memo._answers) == 2
 
 
 class _SlowProvider(_CountingProvider):
@@ -701,7 +710,7 @@ def _together(n: int, call) -> list:
 class TestMemoUnderContention:
     def test_many_threads_in_rotated_orders_get_the_providers_answers(self, monkeypatch):
         # Eight threads each ask for the same 300 texts in their own order,
-        # in groups of 1 or 10, through a memo of 64 entries per method:
+        # in groups of 1 or 10, through a memo of 64 entries:
         # answers land, hit and are evicted while others ask.
         monkeypatch.setattr(providers, "MEMO_ENTRIES", 64)
         texts = [f"text {i}" for i in range(300)]
@@ -710,7 +719,7 @@ class TestMemoUnderContention:
         class Sizing(_CountingProvider):
             def _call(self, request, answer):
                 with memo._lock:  # what the memo holds while a request is out
-                    sizes.extend(len(a) for a in memo._answers.values())
+                    sizes.append(len(memo._answers))
                 return answer()
 
         def reader(k):
@@ -726,7 +735,7 @@ class TestMemoUnderContention:
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-                memo = memoized(Sizing(), pool)
+                memo = Memo(Sizing(), pool)
                 ks = iter(range(8))
                 results = _together(8, lambda: reader(next(ks)))
         finally:
@@ -738,7 +747,7 @@ class TestMemoUnderContention:
             for t, vector, relevance in result:
                 assert vector == reference.dense(t) and relevance == reference.relevance("q", t)
         assert sizes and max(sizes) <= 64
-        assert all(len(a) <= 64 for a in memo._answers.values())
+        assert len(memo._answers) <= 64
 
 
 class TestAsk:
@@ -746,7 +755,7 @@ class TestAsk:
         inner = _CountingProvider()
         requests = [("dense", "a"), ("dense", "b"), ("sparse", "b"), ("dense", "b"), ("dense", "c")]
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-            memo = memoized(inner, pool)
+            memo = Memo(inner, pool)
             memo.ask([("dense", "a")])[0]
             answers = memo.ask(requests)
             stub = StubEmbeddingProvider()
@@ -767,7 +776,7 @@ class TestAsk:
         texts = ("a", "b", "c", "d")
         with (ThreadPoolExecutor(PROVIDER_WORKERS, thread_name_prefix="memo-pool") if threaded
               else Inline()) as pool:
-            memo = memoized(inner, pool)
+            memo = Memo(inner, pool)
             assert memo.ask([("dense", "a"), ("dense", "a")]) == [StubEmbeddingProvider().dense("a")] * 2
             answers = memo.ask([("dense", t) for t in texts])  # "a" is a hit: not sent again
         assert answers == [StubEmbeddingProvider().dense(t) for t in texts]
@@ -779,7 +788,7 @@ class TestAsk:
 
     def test_on_inline_the_misses_are_sent_in_turn_and_the_first_error_is_raised_at_once(self):
         inner = _SlowProvider(fail={"b": 0.0})
-        memo = memoized(inner, Inline())
+        memo = Memo(inner, Inline())
         with pytest.raises(ProviderError, match="no answer for b"):
             memo.ask([("dense", t) for t in ("a", "b", "c")])
         assert inner.seen == [("dense", "a"), ("dense", "b")]  # "c" is never sent
@@ -794,7 +803,7 @@ class TestAsk:
         inner = _SlowProvider(fail={"b": 0.2, "d": 0.0})
         requests = [("dense", t) for t in ("a", "b", "c", "d", "e")]
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-            memo = memoized(inner, pool)
+            memo = Memo(inner, pool)
             with pytest.raises(ProviderError, match="no answer for b"):
                 memo.ask(requests)
             time.sleep(0.3)  # every send that started has ended
@@ -822,7 +831,7 @@ class TestAsk:
 
         inner = Holding(fail={"b": 0.0})
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-            memo = memoized(inner, pool)
+            memo = Memo(inner, pool)
             with pytest.raises(ProviderError, match="no answer for b"):
                 memo.ask([("dense", t) for t in ("a", "b", "c")])
             released.set()
@@ -835,7 +844,7 @@ class TestAsk:
         # "c" and "d", still queued when the error is raised, never are.
         inner = _SlowProvider(fail={"a": 0.3}, delay=0.3)
         with ThreadPoolExecutor(1) as pool:
-            memo = memoized(inner, pool)
+            memo = Memo(inner, pool)
             with pytest.raises(ProviderError, match="no answer for a"):
                 memo.ask([("dense", t) for t in ("a", "b", "c", "d")])
         assert ("dense", "c") not in inner.seen and ("dense", "d") not in inner.seen
@@ -852,7 +861,7 @@ class TestAsk:
 
         inner = Meeting()
         with ThreadPoolExecutor(k) as pool:
-            memoized(inner, pool).ask([("dense", str(i)) for i in range(k)])
+            Memo(inner, pool).ask([("dense", str(i)) for i in range(k)])
         assert len(inner.seen) == k
 
     def test_a_group_larger_than_the_memo_is_answered_and_the_memo_stays_bounded(
@@ -862,13 +871,13 @@ class TestAsk:
         requests = [("dense", t) for t in ("a", "b", "c")]
         want = [StubEmbeddingProvider().dense(t) for t in ("a", "b", "c")]
         with ThreadPoolExecutor(PROVIDER_WORKERS) as pool:
-            memo = memoized(inner, pool)
+            memo = Memo(inner, pool)
             assert memo.ask(requests) == want
             assert sorted(inner.seen) == requests
-            assert len(memo._answers["dense"]) == 2
+            assert len(memo._answers) == 2
             # Two of the three are kept, so asking again sends the third.
             assert memo.ask(requests) == want
-            assert len(inner.seen) == 4 and len(memo._answers["dense"]) == 2
+            assert len(inner.seen) == 4 and len(memo._answers) == 2
 
 
 class TestInline:
@@ -926,10 +935,11 @@ class TestFactories:
         assert isinstance(provider, StubChatProvider)
 
     def test_bare_stub_is_sideways(self):
-        provider = make_chat_provider("stub")
-        assert provider.policies == ("sideways",)
-        messages = msg("ROLE: forecast", "DATE: 2022-05-02")
-        assert provider.complete(messages) == make_chat_provider("stub:sideways").complete(messages)
+        provider, sideways = make_chat_provider("stub"), make_chat_provider("stub:sideways")
+        for role in ("news-sentiment", "report", "forecast", "style", "decision"):
+            messages = msg(f"ROLE: {role}", "DATE: 2022-05-02")
+            assert provider.complete(messages) == sideways.complete(messages)
+        assert json.loads(provider.complete(msg("ROLE: decision", "x")).content)["action"] == "hold"
 
     def test_http_requires_endpoint_and_model(self):
         with pytest.raises(DataError):

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from agentdesk.errors import DataError, ProviderError
-from agentdesk.providers import StubEmbeddingProvider, StubRerankerProvider, memoized
+from agentdesk.providers import Memo, StubEmbeddingProvider, StubRerankerProvider
 from agentdesk.retrieval import (
     Chunk,
     DedupeMemo,
@@ -94,18 +94,18 @@ class TestInfluenceScore:
 
 class TestDedupe:
     def _scored(self, items):
-        return [ScoredNews(i, 0.5, 0.5, 0.595) for i in items]
+        return [ScoredNews(i, 0.595) for i in items]
 
     def test_identical_items_collapse(self):
         provider = StubEmbeddingProvider()
         items = self._scored([item("Earnings beat", "big quarter"),
                               item("Earnings beat", "big quarter")])
-        assert len(dedupe(items, memoized(provider))) == 1
+        assert len(dedupe(items, Memo(provider))) == 1
 
     def test_orthogonal_items_all_kept(self):
         provider = StubEmbeddingProvider()
         items = self._scored([item("apple"), item("banana")])
-        assert len(dedupe(items, memoized(provider))) == 2
+        assert len(dedupe(items, Memo(provider))) == 2
 
     def test_near_duplicate_above_threshold_dropped(self):
         provider = StubEmbeddingProvider()
@@ -113,7 +113,7 @@ class TestDedupe:
         b = item("quarterly revenue beat expectations with strong margin growth overall")
         cos = sum(x * y for x, y in zip(provider.dense(a.text), provider.dense(b.text)))
         assert cos > 0.92  # crafted to collide above the default threshold
-        kept = dedupe(self._scored([a, b]), memoized(provider))
+        kept = dedupe(self._scored([a, b]), Memo(provider))
         assert [k.item.title for k in kept] == [a.title]
 
     def test_exact_only_keeps_near_duplicates(self):
@@ -135,7 +135,7 @@ class TestDedupe:
     def test_dense_vectors_of_different_lengths_raise(self, first, second):
         # Compared on the shorter one's prefix, the second item read as a duplicate.
         a, b = item("apple"), item("banana")
-        provider = memoized(PresetProvider({a.text: first, b.text: second}, {}))
+        provider = Memo(PresetProvider({a.text: first, b.text: second}, {}))
         with pytest.raises(ProviderError, match="dense vectors of lengths"):
             dedupe(self._scored([a, b]), provider)
 
@@ -145,8 +145,8 @@ class TestDedupe:
         items = self._scored([
             item(" ".join(rng.choice(words, size=4))) for _ in range(12)
         ])
-        once = dedupe(items, memoized(provider))
-        twice = dedupe(once, memoized(provider))
+        once = dedupe(items, Memo(provider))
+        twice = dedupe(once, Memo(provider))
         assert twice == once
 
 
@@ -297,7 +297,7 @@ class TestCosineOracle:
     def _scored(self, vecs):
         items = [item(f"text {i}") for i in range(len(vecs))]
         provider = PresetProvider({i.text: v for i, v in zip(items, vecs)}, {})
-        return [ScoredNews(i, 0.5, 0.5, 0.595) for i in items], provider
+        return [ScoredNews(i, 0.595) for i in items], provider
 
     def test_dedupe_matches_oracle_on_random_vectors(self):
         rng = random.Random(20220103)
@@ -305,7 +305,7 @@ class TestCosineOracle:
             items, provider = self._scored(random_vectors(rng, rng.randint(1, 20)))
             threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
             cfg = RetrievalConfig(dedup_cosine=threshold, news_top_k=len(items))
-            assert dedupe(items, memoized(provider), cfg) == ref_dedupe(items, provider, threshold)
+            assert dedupe(items, Memo(provider), cfg) == ref_dedupe(items, provider, threshold)
 
     def test_capped_dedupe_is_a_prefix_of_the_oracle(self):
         rng = random.Random(20221018)
@@ -315,7 +315,7 @@ class TestCosineOracle:
             want = ref_dedupe(items, provider, threshold)
             for k in range(1, len(items) + 2):
                 cfg = RetrievalConfig(dedup_cosine=threshold, news_top_k=k)
-                assert dedupe(items, memoized(provider), cfg) == want[:k]
+                assert dedupe(items, Memo(provider), cfg) == want[:k]
 
     def test_one_memo_across_days_matches_the_oracle(self):
         # Each memo serves a run of days whose items, built anew each day,
@@ -330,11 +330,11 @@ class TestCosineOracle:
             memo = DedupeMemo(rng.randint(2, 8))
             for _ in range(25):
                 picks = rng.choices(range(len(vecs)), k=rng.randint(1, 12))
-                items = [ScoredNews(item(f"story {i % 3}", f"body {i}"), 0.5, 0.5, 0.595) for i in picks]
+                items = [ScoredNews(item(f"story {i % 3}", f"body {i}"), 0.595) for i in picks]
                 threshold = rng.choice((0.92, 0.5, 1.0, rng.uniform(1e-6, 1.0)))
                 cap = rng.choice((len(items), rng.randint(1, 6)))
                 cfg = RetrievalConfig(dedup_cosine=threshold, news_top_k=cap)
-                got = dedupe(items, memoized(provider), cfg, memo=memo)
+                got = dedupe(items, Memo(provider), cfg, memo=memo)
                 assert got == ref_dedupe(items, provider, threshold)[:cap]
                 assert 0 < len(memo.norms) <= memo.maxsize
                 assert len(memo.cosines) <= memo.maxsize
@@ -343,7 +343,7 @@ class TestCosineOracle:
         rng = random.Random(5)
         for _ in range(200):
             titles = [f"text {rng.randrange(6)}" for _ in range(rng.randint(1, 20))]
-            items = [ScoredNews(item(t), 0.5, 0.5, 0.595) for t in titles]
+            items = [ScoredNews(item(t), 0.595) for t in titles]
             firsts = {t: i for i, t in reversed(list(enumerate(titles)))}
             want = [items[i] for i, t in enumerate(titles) if firsts[t] == i]
             for k in range(1, len(items) + 2):
@@ -356,7 +356,7 @@ class TestCosineOracle:
         vecs[1] = list(vecs[0])
         items, provider = self._scored(vecs)
         provider = CountingPresetProvider(provider.dense_map, {})
-        kept = dedupe(items, memoized(provider), RetrievalConfig(news_top_k=3))
+        kept = dedupe(items, Memo(provider), RetrievalConfig(news_top_k=3))
         assert kept == [items[0], items[2], items[3]]
         assert provider.dense_reads == [s.item.text for s in items[:4]]
 
@@ -371,14 +371,14 @@ class TestCosineOracle:
             items, provider = self._scored([a, b])
             for threshold, kept in ((math.nextafter(c, -1.0), 1), (c, 1),
                                     (math.nextafter(c, 2.0), 2)):
-                got = dedupe(items, memoized(provider), RetrievalConfig(dedup_cosine=threshold))
+                got = dedupe(items, Memo(provider), RetrievalConfig(dedup_cosine=threshold))
                 assert got == ref_dedupe(items, provider, threshold)
                 assert len(got) == kept
             checked += 1
 
     def test_zero_vectors_are_never_duplicates(self):
         items, provider = self._scored([[0.0] * 4, [0.0] * 4, [1.0, 0.0, 0.0, 0.0]])
-        assert dedupe(items, memoized(provider), RetrievalConfig(dedup_cosine=1e-9)) == items
+        assert dedupe(items, Memo(provider), RetrievalConfig(dedup_cosine=1e-9)) == items
 
     def test_hybrid_score_matches_oracle(self):
         rng = random.Random(11)
@@ -399,7 +399,7 @@ class TestRetrieveTopk:
     def test_fewer_chunks_than_k_returns_all_sorted(self):
         provider = StubEmbeddingProvider()
         chunks = self._chunks(["revenue growth", "weather report", "revenue revenue revenue"])
-        ranked = retrieve_topk("revenue", chunks, memoized(provider))
+        ranked = retrieve_topk("revenue", chunks, Memo(provider))
         assert len(ranked) == 3
         scores = [hybrid_score(provider.dense("revenue"), provider.sparse("revenue"),
                                provider.dense(c.text), provider.sparse(c.text)) for c in ranked]
@@ -408,7 +408,7 @@ class TestRetrieveTopk:
     def test_ties_preserve_ordinal_order(self):
         provider = StubEmbeddingProvider()
         chunks = self._chunks(["same text here", "same text here", "same text here"])
-        ranked = retrieve_topk("same text", chunks, memoized(provider))
+        ranked = retrieve_topk("same text", chunks, Memo(provider))
         assert [c.ordinal for c in ranked] == [0, 1, 2]
 
     def test_matches_full_sort_oracle(self, rng):
@@ -417,7 +417,7 @@ class TestRetrieveTopk:
         texts = [" ".join(rng.choice(vocab, size=5)) for _ in range(25)]
         chunks = self._chunks(texts)
         cfg = RetrievalConfig(hybrid_top_k=10)
-        ranked = retrieve_topk("revenue growth risk", chunks, memoized(provider), cfg)
+        ranked = retrieve_topk("revenue growth risk", chunks, Memo(provider), cfg)
         query = "revenue growth risk"
         oracle = sorted(
             ((hybrid_score(provider.dense(query), provider.sparse(query),
@@ -430,19 +430,19 @@ class TestRetrieveTopk:
 
     def test_empty_chunks_rejected(self):
         with pytest.raises(DataError):
-            retrieve_topk("q", [], memoized(StubEmbeddingProvider()))
+            retrieve_topk("q", [], Memo(StubEmbeddingProvider()))
 
     def test_dense_vectors_of_different_lengths_raise(self):
         chunks = self._chunks(["first", "second"])
         dense = {"q": [1.0, 0.0], "first": [1.0, 0.0], "second": [1.0]}
-        provider = memoized(PresetProvider(dense, dict.fromkeys(dense, {})))
+        provider = Memo(PresetProvider(dense, dict.fromkeys(dense, {})))
         with pytest.raises(ProviderError, match="dense vectors of lengths 2 and 1"):
             retrieve_topk("q", chunks, provider)
 
 
 class TestRerank:
     def _candidates(self, texts):
-        provider = memoized(StubEmbeddingProvider())
+        provider = Memo(StubEmbeddingProvider())
         chunks = [Chunk(i, t) for i, t in enumerate(texts)]
         return retrieve_topk("report", chunks, provider, RetrievalConfig(hybrid_top_k=10))
 
@@ -451,18 +451,18 @@ class TestRerank:
         candidates = self._candidates([
             "weather was mild", "revenue rose sharply", "the office moved",
         ])
-        result = rerank("price factors", candidates, memoized(stub))
+        result = rerank("price factors", candidates, Memo(stub))
         assert "revenue" in result[0].text
         assert stub.relevance("price factors", result[0].text) == 1.0
 
     def test_equal_relevance_preserves_hybrid_order(self):
-        reranker = memoized(StubRerankerProvider(triggers=("zzz",)))
+        reranker = Memo(StubRerankerProvider(triggers=("zzz",)))
         candidates = self._candidates(["report alpha report", "report beta", "gamma"])
         result = rerank("report", candidates, reranker)
         assert [c.ordinal for c in result] == [c.ordinal for c in candidates]
 
     def test_ten_candidates_truncate_to_six(self):
-        reranker = memoized(StubRerankerProvider(triggers=("revenue",)))
+        reranker = Memo(StubRerankerProvider(triggers=("revenue",)))
         candidates = self._candidates([f"passage number {i} revenue" for i in range(10)])
         assert len(candidates) == 10
         result = rerank("q", candidates, reranker)
@@ -487,8 +487,8 @@ class TestRankOrderOracle:
             for hybrid_top_k in (1, 3, 10, 25):
                 for rerank_top_k in (1, 2, 6, 25):
                     cfg = RetrievalConfig(hybrid_top_k=hybrid_top_k, rerank_top_k=rerank_top_k)
-                    top = retrieve_topk(query, chunks, memoized(embedding), cfg)
-                    got = rerank(query, top, memoized(stub), cfg)
+                    top = retrieve_topk(query, chunks, Memo(embedding), cfg)
+                    got = rerank(query, top, Memo(stub), cfg)
                     want = sorted(
                         sorted(chunks, key=lambda c: (-hybrid[c.ordinal], c.ordinal))[:hybrid_top_k],
                         key=lambda c: (-stub.relevance(query, c.text), -hybrid[c.ordinal], c.ordinal),
@@ -501,7 +501,7 @@ class TestOneGroupPerStep:
         groups = []
 
         def recorded(provider):
-            memo = memoized(provider)
+            memo = Memo(provider)
             ask = memo.ask
             memo.ask = lambda requests: groups.append(list(requests)) or ask(groups[-1])
             return memo
@@ -510,11 +510,11 @@ class TestOneGroupPerStep:
         importance = keyword_importance(load_keywords(), 8)
         items = [item("Revenue up", "revenue rose"), item("Quiet day")]
         assert score_news(items, importance, reranker, "q") == \
-            score_news(items, importance, memoized(StubRerankerProvider()), "q")
+            score_news(items, importance, Memo(StubRerankerProvider()), "q")
         chunks = [Chunk(i, t) for i, t in enumerate(["revenue rose", "costs fell", "revenue rose"])]
         ranked = retrieve_topk("q", chunks, embedding)
-        assert ranked == retrieve_topk("q", chunks, memoized(StubEmbeddingProvider()))
-        assert rerank("q", ranked, reranker) == rerank("q", ranked, memoized(StubRerankerProvider()))
+        assert ranked == retrieve_topk("q", chunks, Memo(StubEmbeddingProvider()))
+        assert rerank("q", ranked, reranker) == rerank("q", ranked, Memo(StubRerankerProvider()))
         assert [len(group) for group in groups] == [2, 12, 3]
         assert groups[1][:4] == [("dense", "q"), ("dense", "revenue rose"),
                                  ("sparse", "q"), ("sparse", "revenue rose")]
@@ -523,7 +523,7 @@ class TestOneGroupPerStep:
 class TestScoreNews:
     def test_sorted_by_influence_descending(self):
         keywords = load_keywords()
-        reranker = memoized(StubRerankerProvider(triggers=("earnings",)))
+        reranker = Memo(StubRerankerProvider(triggers=("earnings",)))
         items = [
             item("calm day", "nothing"),
             item("Earnings surge", "earnings " * 300),
@@ -532,9 +532,9 @@ class TestScoreNews:
         assert scored[0].item.title == "Earnings surge"
         assert scored[0].influence > scored[1].influence
         for s in scored:
-            assert s.influence == pytest.approx(
-                0.55 * s.base + 0.25 * s.prob + 0.20, rel=1e-12
-            )
+            base = base_importance(s.item, keywords)
+            prob = StubRerankerProvider(triggers=("earnings",)).relevance("impact", s.item.text)
+            assert s.influence == pytest.approx(0.55 * base + 0.25 * prob + 0.20, rel=1e-12)
 
 
 class TestKeywordImportance:
