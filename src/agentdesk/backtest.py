@@ -370,10 +370,10 @@ def _make_out_dir(out_dir: Path) -> Path:
 
 
 def load_equity_curve(run_dir: str | Path) -> list[tuple[Date, float]]:
-    return read_jsonl(
+    return list(read_jsonl(
         Path(run_dir) / EQUITY_FILE, "equity",
         lambda obj: (as_date(obj["date"], "date"), as_number(obj["equity"], "equity")),
-    )
+    ))
 
 
 def _trade(obj: dict) -> dict:
@@ -382,7 +382,7 @@ def _trade(obj: dict) -> dict:
 
 
 def load_trades(run_dir: str | Path) -> list[dict]:
-    return read_jsonl(Path(run_dir) / TRADES_FILE, "trade", _trade)
+    return list(read_jsonl(Path(run_dir) / TRADES_FILE, "trade", _trade))
 
 
 def load_metrics(run_dir: str | Path) -> dict:

@@ -13,10 +13,9 @@ import click
 
 from .backtest import TRAJECTORIES_FILE, load_metrics, replay as replay_run, run_backtest
 from .config import load_config
-from .datasynth import (
-    DEFAULT_REWARD_MIN, DEFAULT_WHIT_MIN, emit_sft, filter_sft, load_trajectories,
-)
+from .datasynth import DEFAULT_REWARD_MIN, DEFAULT_WHIT_MIN, emit_sft, filter_sft, record_from_dict
 from .errors import DataError, ProviderError
+from .jsonl import read_jsonl
 from .portfolio import MetricsReport
 
 EXIT_OK = 0
@@ -83,7 +82,10 @@ def _not_nan(ctx: click.Context, param: click.Parameter, value: float) -> float:
               help="Keep forecast samples with w_hit at or above this.")
 def export_sft_cmd(run_dir: str, out_path: str, min_reward: float, min_whit: float) -> None:
     """Filter labeled trajectories into fine-tuning samples."""
-    records = load_trajectories(Path(run_dir) / TRAJECTORIES_FILE)
+    # The records are read one line at a time and never held together. The
+    # samples are a list, so a bad record stops the export before `out_path`
+    # is opened.
+    records = read_jsonl(Path(run_dir) / TRAJECTORIES_FILE, "trajectory", record_from_dict)
     samples = filter_sft(records, whit_min=min_whit, reward_min=min_reward)
     emit_sft(samples, out_path)
     click.echo(f"wrote {len(samples)} samples to {out_path}")

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, replace
 from datetime import date as Date
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import DataError
 from .gate import LABELS, TrendLabel, TrendProbabilities
@@ -321,7 +321,7 @@ def emit_trajectories(day: DayState, append: Callable[..., None]) -> None:
 
 
 def load_trajectories(path: str | Path) -> list[TrajectoryRecord]:
-    return read_jsonl(path, "trajectory", record_from_dict)
+    return list(read_jsonl(path, "trajectory", record_from_dict))
 
 
 DEFAULT_WHIT_MIN = 0.3
@@ -329,7 +329,7 @@ DEFAULT_REWARD_MIN = 0.0
 
 
 def filter_sft(
-    records: Sequence[TrajectoryRecord],
+    records: Iterable[TrajectoryRecord],
     whit_min: float = DEFAULT_WHIT_MIN,
     reward_min: float = DEFAULT_REWARD_MIN,
 ) -> list[SftSample]:

@@ -164,20 +164,27 @@ def read_document(path: str | Path, what: str, kind: type | tuple[type, ...] = d
     return doc
 
 
-def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> list[T]:
-    """Parse each non-blank line, a JSON object, with `parse`. A file `read_text`
-    refuses, or a line that does not decode to an object or fit `parse`, raises
-    DataError naming `what`."""
+def read_jsonl(path: str | Path, what: str, parse: Callable[[dict], T]) -> Iterator[T]:
+    """Yield `parse` of each non-blank line, a JSON object, reading the file one
+    line at a time. A line ends at `\\n`, `\\r\\n` or `\\r` only, so U+2028 and the
+    like inside a string are text. A file `read_text` would refuse, or a line that
+    does not decode to an object or fit `parse`, raises DataError naming `what`
+    when the reading reaches it; what the consumer raises passes unchanged."""
     p = Path(path)
-    rows = []
-    for lineno, line in enumerate(read_text(p, f"{what} file").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            obj = json.loads(line)
-            if not isinstance(obj, dict):
-                raise TypeError(f"a line must be a JSON object, got {type(obj).__name__}")
-            rows.append(parse(obj))
-        except (DataError, KeyError, TypeError, ValueError) as exc:
-            raise DataError(f"bad {what} record at {p.name}:{lineno}: {exc}") from exc
-    return rows
+    try:
+        with p.open(encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    obj = json.loads(line)
+                    if not isinstance(obj, dict):
+                        raise TypeError(f"a line must be a JSON object, got {type(obj).__name__}")
+                    row = parse(obj)
+                except (DataError, KeyError, TypeError, ValueError) as exc:
+                    raise DataError(f"bad {what} record at {p.name}:{lineno}: {exc}") from exc
+                yield row
+    except FileNotFoundError as exc:
+        raise DataError(f"{what} file not found: {p}") from exc
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DataError(f"cannot read {what} file {p}: {exc}") from exc

@@ -352,12 +352,16 @@ class Filing:
 
 def load_news_jsonl(path: str | Path) -> list[NewsItem]:
     """Line-delimited {date, title, body} records; a missing or null body
-    reads as empty."""
-    return read_jsonl(path, "news", lambda obj: NewsItem(
+    reads as empty. Equal titles and bodies are one string object each, so
+    a text that recurs on many days is held once."""
+    texts: dict[str, str] = {}
+    def shared(text: str) -> str:  # the first string read that is equal to `text`
+        return texts.setdefault(text, text)
+    return list(read_jsonl(path, "news", lambda obj: NewsItem(
         date=as_date(obj["date"], "date"),
-        title=as_str(obj["title"], "title"),
-        body=as_str("" if obj.get("body") is None else obj["body"], "body"),
-    ))
+        title=shared(as_str(obj["title"], "title")),
+        body=shared(as_str("" if obj.get("body") is None else obj["body"], "body")),
+    )))
 
 
 def load_report_manifest(reports_dir: str | Path) -> list[Filing]:

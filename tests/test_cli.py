@@ -445,6 +445,17 @@ class TestInputFaults:
         env.news.write_text(json.dumps({**NEWS[0], "title": None}) + "\n", encoding="utf-8")
         expect_data_error(capsys, main(args), "title must be a string, got None")
 
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    def test_a_line_separator_inside_a_news_title_is_text(self, tmp_path, capsys, char):
+        # Legal unescaped in a JSON string: the title reaches the news agent whole.
+        env, args = full_env(tmp_path)
+        title = f"Earnings{char}beat wire"
+        env.news.write_text(json.dumps({**NEWS[0], "title": title}, ensure_ascii=False) + "\n",
+                            encoding="utf-8")
+        assert main(args) == 0, capsys.readouterr().err
+        records = load_trajectories(env.out("run") / backtest.TRAJECTORIES_FILE)
+        assert any(title in r.input_text for r in records if r.agent_name == "news")
+
 
 class TestOutputFaults:
     def test_run_leaves_no_temp_files(self, tmp_path):
@@ -781,6 +792,20 @@ class TestExportSftCommand:
         expect_data_error(capsys, code, "bad trajectory record at trajectories.jsonl:3: "
                                         "a line must be a JSON object")
         assert not out.exists()
+
+    def test_a_bad_byte_on_the_last_line_keeps_the_old_export(self, tmp_path, capsys):
+        env = build_env(tmp_path, rising_closes(60))
+        assert main(run_args(env)) == 0
+        out = tmp_path / "sft.jsonl"
+        assert main(["export-sft", "--run", str(env.out("run")), "--out", str(out)]) == 0
+        before, names = out.read_bytes(), sorted(tmp_path.iterdir())
+        capsys.readouterr()
+        trajectories = env.out("run") / "trajectories.jsonl"
+        trajectories.write_bytes(trajectories.read_bytes() + b'{"date": "\xff"}\n')
+        code = main(["export-sft", "--run", str(env.out("run")), "--out", str(out)])
+        expect_data_error(capsys, code, f"cannot read trajectory file {trajectories}")
+        assert out.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == names  # no temp file left
 
     @pytest.mark.parametrize("agent, path, value", [
         ("forecast", ("forecast_label", "w_hit"), "0.9"),

@@ -57,13 +57,13 @@ class TestRead:
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"v": 1}\n\n{"v": 2}\n')
-        assert read_jsonl(path, "point", lambda obj: obj["v"]) == [1, 2]
+        assert list(read_jsonl(path, "point", lambda obj: obj["v"])) == [1, 2]
 
     def test_record_that_does_not_parse_names_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
         path.write_text('{"v": 1}\n{"w": 2}\n')
         with pytest.raises(DataError, match="bad point record at p.jsonl:2"):
-            read_jsonl(path, "point", lambda obj: obj["v"])
+            list(read_jsonl(path, "point", lambda obj: obj["v"]))
 
     def test_data_error_of_a_record_names_line(self, tmp_path):
         path = tmp_path / "p.jsonl"
@@ -75,7 +75,7 @@ class TestRead:
             return obj["v"]
 
         with pytest.raises(DataError, match="bad point record at p.jsonl:2: point must be positive"):
-            read_jsonl(path, "point", positive)
+            list(read_jsonl(path, "point", positive))
 
     @pytest.mark.parametrize("line", ["3.5", "[]", '[["v", 2]]', '"v"', "null", "true"])
     def test_a_line_that_is_not_an_object_names_line(self, tmp_path, line):
@@ -84,11 +84,49 @@ class TestRead:
         path.write_text(f'{{"v": 1}}\n{line}\n')
         for parse in (dict, lambda obj: obj.get("v")):
             with pytest.raises(DataError, match="bad point record at p.jsonl:2: .*JSON object"):
-                read_jsonl(path, "point", parse)
+                list(read_jsonl(path, "point", parse))
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(DataError, match="point file not found"):
-            read_jsonl(tmp_path / "absent.jsonl", "point", dict)
+            list(read_jsonl(tmp_path / "absent.jsonl", "point", dict))
+
+    @pytest.mark.parametrize("char", ["\u2028", "\u2029", "\u0085"])
+    def test_a_unicode_line_separator_in_a_string_is_text(self, tmp_path, char):
+        # Legal unescaped in a JSON string; only \n, \r\n and \r end a line.
+        path = tmp_path / "p.jsonl"
+        path.write_text(json.dumps({"v": f"a{char}b"}, ensure_ascii=False) + '\n{"v": 2}\n',
+                        encoding="utf-8")
+        assert list(read_jsonl(path, "point", lambda obj: obj["v"])) == [f"a{char}b", 2]
+
+    @pytest.mark.parametrize("end", ["\r\n", "\r"])
+    def test_crlf_and_cr_end_a_line(self, tmp_path, end):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(f'{{"v": 1}}{end}{end}{{"w": 2}}{end}'.encode())
+        with pytest.raises(DataError, match="bad point record at p.jsonl:3"):
+            list(read_jsonl(path, "point", lambda obj: obj["v"]))
+
+    def test_a_bad_byte_far_into_the_file_names_it(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"v": 1}\n' * 40_000 + b'{"v": "\xff"}\n')  # past 256 KB
+        with pytest.raises(DataError, match="^cannot read point file .*p.jsonl: .*utf-8"):
+            list(read_jsonl(path, "point", lambda obj: obj["v"]))
+
+    def test_a_bad_record_before_a_bad_byte_is_reported(self, tmp_path):
+        # Lines are parsed as they are read, so the first fault met is the one named.
+        path = tmp_path / "p.jsonl"
+        path.write_bytes(b'{"v": 1}\nnull\n' + b'{"v": 1}\n' * 40_000 + b'\xff\n')
+        with pytest.raises(DataError, match="bad point record at p.jsonl:2"):
+            list(read_jsonl(path, "point", lambda obj: obj["v"]))
+
+    def test_what_the_consumer_raises_is_not_a_bad_record(self, tmp_path):
+        path = tmp_path / "p.jsonl"
+        path.write_text('{"v": 1}\n{"v": 2}\n')
+        rows = read_jsonl(path, "point", lambda obj: obj["v"])
+        assert next(rows) == 1
+        # An exception thrown in at the yield, as a consumer's own error, passes unchanged.
+        with pytest.raises(ValueError, match="^from the consumer$") as raised:
+            rows.throw(ValueError("from the consumer"))
+        assert type(raised.value) is ValueError
 
 
 class TestAtomicWrite:
@@ -135,7 +173,7 @@ class TestReadInput:
         elif fault == "non-utf8":
             path.write_bytes(b"caf\xe9\n")
         for read in (lambda: read_text(path, "note"), lambda: read_document(path, "note"),
-                     lambda: read_jsonl(path, "note", dict)):
+                     lambda: list(read_jsonl(path, "note", dict))):
             with pytest.raises(DataError, match=message):
                 read()
 

@@ -6,6 +6,7 @@ import json
 import math
 import random
 import re
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -34,6 +35,8 @@ from agentdesk.retrieval import (
     score_news,
     split_sentences,
 )
+
+from conftest import news_heavy_env
 
 DAY = date(2022, 5, 2)
 
@@ -561,6 +564,41 @@ class TestLoaders:
         p.write_text(json.dumps({"date": "2022-05-02", "title": "T", "body": "B"}) + "\n")
         items = load_news_jsonl(p)
         assert items == [NewsItem(date(2022, 5, 2), "T", "B")]
+
+    def test_news_holds_each_repeated_text_once(self, tmp_path):
+        # 2,000 lines drawn from 10 texts, about 1 MB: read one line at a time
+        # and with each text kept once, the load peaks below the file's size.
+        rng = random.Random(7)
+        texts = [(f"story {i} " + "headline " * 4,
+                  " ".join(rng.choices(("revenue", "margin", "guidance", "rose", "fell"), k=64)))
+                 for i in range(10)]
+        p = tmp_path / "news.jsonl"
+        p.write_text("".join(
+            json.dumps({"date": f"2022-05-{1 + i % 28:02d}", "title": title, "body": body}) + "\n"
+            for i, (title, body) in enumerate(rng.choices(texts, k=2000))), encoding="utf-8")
+        size = p.stat().st_size
+        assert 900_000 < size < 1_100_000
+        tracemalloc.start()
+        try:
+            items = load_news_jsonl(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < size, f"peak {peak} B for a {size} B file"
+        by_title = {}
+        for it in items:
+            first = by_title.setdefault(it.title, it)
+            assert it.title is first.title and it.body is first.body
+        assert len(by_title) == 10
+        lines = p.read_text(encoding="utf-8").splitlines()
+        assert items == [NewsItem(date.fromisoformat(obj["date"]), obj["title"], obj["body"])
+                         for obj in map(json.loads, lines)]
+
+    def test_crlf_news_loads_equal_to_lf(self, tmp_path):
+        env, _ = news_heavy_env(tmp_path / "lf", bars=40)
+        crlf = tmp_path / "crlf.jsonl"
+        crlf.write_bytes(env.news.read_bytes().replace(b"\n", b"\r\n"))
+        assert load_news_jsonl(crlf) == load_news_jsonl(env.news)
 
     def test_news_bad_record(self, tmp_path):
         p = tmp_path / "news.jsonl"
