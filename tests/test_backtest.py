@@ -3,6 +3,7 @@ buy-and-hold replication, replay, and the four ablation flags."""
 
 from __future__ import annotations
 
+import gc
 import json
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -467,6 +468,9 @@ class TestBoundedMemory:
             for bars in (40, 300, 900):  # the first run warms the caches
                 env = build_env(tmp_path / str(bars), closes[:bars],
                                 config={"commission_rate": 0.001})
+                # Garbage and free-listed blocks of earlier tests would
+                # otherwise be counted in `before` and reused by the run.
+                gc.collect()
                 before = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 artifacts = run_env(env)

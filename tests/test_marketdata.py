@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import math
+import tracemalloc
 from datetime import date
 
 import pytest
@@ -15,6 +17,7 @@ from agentdesk.marketdata import (
     PriceBar,
     PriceSeries,
     SQRT_ANNUAL,
+    WINDOW,
     build_snapshot,
     load_price_csv,
     population_std,
@@ -329,6 +332,27 @@ class TestBuildSnapshot:
         series = make_series([100.0] * 21)
         with pytest.raises(InsufficientHistoryError):
             build_snapshot(series, series.dates[19])
+
+    def test_a_day_of_windows_leaves_no_memory_behind(self, rng):
+        """The windows are read afresh each day; after 880 days of snapshots
+        and 20-return bands, nothing of them stays traced (CPython 3.11 keeps
+        every freed 20-item tuple on a free list, so 20-item slices would
+        leave about 400 KB)."""
+        series = make_series(random_walk_closes(rng, 900))
+        build_snapshot(series, series.dates[-1])  # fills the cached tables
+        tracing = tracemalloc.is_tracing()
+        gc.collect()  # a full collection empties the interpreter's free lists
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for at in series.dates[WINDOW:]:
+                build_snapshot(series, at)
+                trailing_log_returns(series, at, WINDOW)
+            left = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert left < 16 * 1024, left
 
 
 # ---------------------------------------------------------------------------
